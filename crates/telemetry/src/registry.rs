@@ -9,7 +9,9 @@
 //!   determinism fingerprint because they observe runtime state (cache
 //!   occupancy, arena high-water) that legitimately varies across hosts;
 //! * **histograms** — fixed bucket bounds chosen at registration, one
-//!   atomic count per bucket plus a CAS-accumulated `f64` sum.
+//!   atomic count per bucket plus the sum of observations as integer
+//!   nanosecond ticks — a `fetch_add`, so the total is the same whatever
+//!   order parallel ring lanes arrive in (an `f64` sum is not).
 //!
 //! Counter and histogram contents are pure functions of the simulated
 //! workload, so they participate in the deterministic fingerprint used by
@@ -52,9 +54,14 @@ struct HistogramCell {
     bounds: Vec<f64>,
     /// `bounds.len() + 1` bucket counts.
     counts: Vec<AtomicU64>,
-    /// Sum of observed values, stored as `f64` bits, CAS-accumulated.
-    sum_bits: AtomicU64,
+    /// Sum of observed values in [`TICKS_PER_UNIT`]ths, as a wrapping
+    /// two's-complement `i64`: integer addition commutes, so concurrent
+    /// observers cannot make the total depend on their interleaving.
+    sum_ticks: AtomicU64,
 }
+
+/// Histogram sums resolve one nanosecond of a value measured in seconds.
+const TICKS_PER_UNIT: f64 = 1e9;
 
 /// Point-in-time copy of one histogram.
 #[derive(Debug, Clone, PartialEq)]
@@ -65,7 +72,8 @@ pub struct HistogramSnapshot {
     pub bounds: Vec<f64>,
     /// Per-bucket observation counts (`bounds.len() + 1` entries).
     pub counts: Vec<u64>,
-    /// Sum of all observed values.
+    /// Sum of all observed values, to the nanosecond (each observation
+    /// is rounded to a whole tick before it is added).
     pub sum: f64,
 }
 
@@ -127,7 +135,7 @@ impl MetricsRegistry {
             name,
             bounds: bounds.to_vec(),
             counts,
-            sum_bits: AtomicU64::new(0),
+            sum_ticks: AtomicU64::new(0),
         });
         HistogramId(self.histograms.len() - 1)
     }
@@ -166,17 +174,8 @@ impl MetricsRegistry {
         let h = &self.histograms[id.0];
         let bucket = h.bounds.partition_point(|&b| v > b);
         h.counts[bucket].fetch_add(1, Ordering::Relaxed);
-        let mut cur = h.sum_bits.load(Ordering::Relaxed);
-        loop {
-            let new = (f64::from_bits(cur) + v).to_bits();
-            match h
-                .sum_bits
-                .compare_exchange_weak(cur, new, Ordering::Relaxed, Ordering::Relaxed)
-            {
-                Ok(_) => break,
-                Err(seen) => cur = seen,
-            }
-        }
+        let ticks = (v * TICKS_PER_UNIT).round() as i64;
+        h.sum_ticks.fetch_add(ticks as u64, Ordering::Relaxed);
     }
 
     /// Copy out every metric.
@@ -199,7 +198,7 @@ impl MetricsRegistry {
                     name: h.name,
                     bounds: h.bounds.clone(),
                     counts: h.counts.iter().map(|c| c.load(Ordering::Relaxed)).collect(),
-                    sum: f64::from_bits(h.sum_bits.load(Ordering::Relaxed)),
+                    sum: h.sum_ticks.load(Ordering::Relaxed) as i64 as f64 / TICKS_PER_UNIT,
                 })
                 .collect(),
         }
@@ -222,7 +221,7 @@ impl MetricsRegistry {
             for c in &hist.counts {
                 h.u64(c.load(Ordering::Relaxed));
             }
-            h.u64(hist.sum_bits.load(Ordering::Relaxed));
+            h.u64(hist.sum_ticks.load(Ordering::Relaxed));
         }
         h.finish()
     }
@@ -334,6 +333,44 @@ mod tests {
         let s = &r.snapshot().histograms[0];
         assert_eq!(s.total(), 4000);
         assert_eq!(s.sum, 4000.0);
+    }
+
+    /// Regression for the arrival-order fingerprint: an `f64` running sum
+    /// of these values depends on the order they are folded in, so the
+    /// old CAS accumulator fingerprinted forward and reversed replays
+    /// differently (and parallel lanes at random).
+    #[test]
+    fn fingerprint_ignores_observation_order() {
+        use std::sync::Arc;
+        let values: Vec<f64> = (0..64)
+            .flat_map(|i| [4e9, 0.1 + i as f64 * 1e-3, -4e9, 0.3])
+            .collect();
+        let fresh = || {
+            let mut r = MetricsRegistry::new();
+            let h = r.register_histogram("h", &[1.0]);
+            (Arc::new(r), h)
+        };
+        let (forward, h) = fresh();
+        values.iter().for_each(|&v| forward.observe(h, v));
+        let (reversed, h) = fresh();
+        values.iter().rev().for_each(|&v| reversed.observe(h, v));
+        let (threaded, h) = fresh();
+        let handles: Vec<_> = (0..4)
+            .map(|t| {
+                let (r, values) = (Arc::clone(&threaded), values.clone());
+                std::thread::spawn(move || {
+                    values.iter().skip(t).step_by(4).for_each(|&v| r.observe(h, v));
+                })
+            })
+            .collect();
+        for th in handles {
+            th.join().expect("thread panicked");
+        }
+        assert_eq!(forward.fingerprint(), reversed.fingerprint());
+        assert_eq!(forward.fingerprint(), threaded.fingerprint());
+        assert_eq!(forward.snapshot(), threaded.snapshot());
+        let sum: f64 = forward.snapshot().histograms[0].sum;
+        assert!((sum - 64.0 * 0.4 - 2.016).abs() < 1e-6, "sum {sum}");
     }
 
     #[test]

@@ -57,6 +57,21 @@ fn same_seed_runs_emit_bit_identical_virtual_time_streams() {
         .all(|e| e.wall_start_ns == 0 && e.wall_end_ns == 0));
 }
 
+/// The fingerprint folds histograms fed from parallel ring lanes, so a
+/// pair of runs can agree by luck; twenty cannot (the order-dependent
+/// `f64` sum this guards against disagreed on most pairs).
+#[test]
+fn twenty_traced_runs_share_one_fingerprint() {
+    let cfg = workload();
+    let (record, stream, fp) = traced_run(&cfg, ExecMode::Cached);
+    for run in 1..20 {
+        let (r, s, f) = traced_run(&cfg, ExecMode::Cached);
+        assert_eq!(f, fp, "run {run}: fingerprint drifted");
+        assert_eq!(s, stream, "run {run}: span stream drifted");
+        assert_eq!(r, record, "run {run}: record drifted");
+    }
+}
+
 #[test]
 fn cached_and_reference_modes_agree_on_virtual_time_telemetry() {
     let cfg = workload();
