@@ -5,15 +5,10 @@ use fedhisyn_core::local::local_train_owned;
 use fedhisyn_nn::{GradHook, NoHook, ParamVec};
 
 /// Number of local-training *steps* (of `E` epochs each) device `d` can
-/// complete within a round of duration `interval` — the paper's "maximum
-/// achievable training time in a round" for FedAvg/FedProx/SCAFFOLD
-/// (§6.1). At least one step, like Alg. 1's budget loop.
-pub fn achievable_steps(env: &FlEnv, device: usize, interval: f64) -> usize {
-    ((interval / env.latency(device)).ceil() as usize).max(1)
-}
-
-/// [`achievable_steps`] at the device's *effective* capacity for `round`
-/// (identical on a static fleet).
+/// complete within a round of duration `interval` at its *effective*
+/// capacity for `round` — the paper's "maximum achievable training time
+/// in a round" for FedAvg/FedProx/SCAFFOLD (§6.1). At least one step,
+/// like Alg. 1's budget loop.
 pub fn achievable_steps_at(env: &FlEnv, device: usize, interval: f64, round: usize) -> usize {
     ((interval / env.latency_at(device, round)).ceil() as usize).max(1)
 }
@@ -96,9 +91,13 @@ mod tests {
     fn achievable_steps_scale_with_interval() {
         let env = env();
         let t0 = env.latency(0);
-        assert_eq!(achievable_steps(&env, 0, t0), 1);
-        assert_eq!(achievable_steps(&env, 0, 3.0 * t0), 3);
-        assert_eq!(achievable_steps(&env, 0, 0.1 * t0), 1, "minimum one step");
+        assert_eq!(achievable_steps_at(&env, 0, t0, 0), 1);
+        assert_eq!(achievable_steps_at(&env, 0, 3.0 * t0, 0), 3);
+        assert_eq!(
+            achievable_steps_at(&env, 0, 0.1 * t0, 0),
+            1,
+            "minimum one step"
+        );
     }
 
     #[test]

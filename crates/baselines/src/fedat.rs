@@ -74,7 +74,7 @@ impl FlAlgorithm for FedAT {
     fn round(&mut self, ctx: &mut RoundContext<'_>) -> ParamVec {
         let env = ctx.env;
         let round = ctx.round;
-        env.charge_download(ctx.participants.len() as f64);
+        env.charge_download(ctx.participants.len() as u64);
 
         // The reporting interval is set by the slowest *online*
         // participant — the same clock `round_duration` records and the
@@ -142,7 +142,7 @@ impl FlAlgorithm for FedAT {
                         .collect();
                     tier_model = AggregationRule::SampleWeighted.aggregate(&contributions);
                     // Every internal round uploads each member's model.
-                    env.charge_upload(members.len() as f64);
+                    env.charge_upload(members.len() as u64);
                 }
                 let mean_lat = members
                     .iter()

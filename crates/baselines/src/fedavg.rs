@@ -47,7 +47,7 @@ impl FlAlgorithm for FedAvg {
         let round = ctx.round;
         let interval = env.slowest_latency_at(s, round);
 
-        env.charge_download(s.len() as f64);
+        env.charge_download(s.len() as u64);
 
         let global = &self.global;
         // Mid-round casualties never report: their round's work is lost
@@ -68,7 +68,7 @@ impl FlAlgorithm for FedAvg {
             })
             .collect();
 
-        env.charge_upload(updated.len() as f64);
+        env.charge_upload(updated.len() as u64);
         if updated.is_empty() {
             return self.global.clone();
         }

@@ -83,7 +83,7 @@ impl FlAlgorithm for FedProx {
         let round = ctx.round;
         let interval = env.slowest_latency_at(s, round);
 
-        env.charge_download(s.len() as f64);
+        env.charge_download(s.len() as u64);
         let global = &self.global;
         // The per-slice hook can only bounds-check, so pin the anchor to
         // the model size once per round (the old whole-vector guard).
@@ -107,7 +107,7 @@ impl FlAlgorithm for FedProx {
             })
             .collect();
 
-        env.charge_upload(updated.len() as f64);
+        env.charge_upload(updated.len() as u64);
         if updated.is_empty() {
             return self.global.clone();
         }

@@ -95,7 +95,7 @@ impl FlAlgorithm for Scaffold {
         let interval = env.slowest_latency_at(s, round);
 
         // Download = model + server variate: 2 model-equivalents each.
-        env.charge_download(2.0 * s.len() as f64);
+        env.charge_download(2 * s.len() as u64);
 
         let global = &self.global;
         let c_global = &self.c_global;
@@ -140,7 +140,7 @@ impl FlAlgorithm for Scaffold {
             .collect();
 
         // Upload = model + variate delta: 2 model-equivalents each (§6.1).
-        env.charge_upload(2.0 * updated.len() as f64);
+        env.charge_upload(2 * updated.len() as u64);
         if updated.is_empty() {
             return self.global.clone();
         }

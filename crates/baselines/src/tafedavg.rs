@@ -66,7 +66,7 @@ impl FlAlgorithm for TAFedAvg {
         let interval = env.slowest_latency_at(s, round);
 
         // Every participant pulls the global once at round start.
-        env.charge_download(s.len() as f64);
+        env.charge_download(s.len() as u64);
 
         // Device-local state: the model each device is currently training.
         let mut device_model: Vec<ParamVec> = vec![self.global.clone(); s.len()];
@@ -119,7 +119,7 @@ impl FlAlgorithm for TAFedAvg {
                 ev.step,
             );
             // Upload + server mix with staleness discount.
-            env.charge_upload(1.0);
+            env.charge_upload(1);
             let staleness = (server_version - ev.based_on) as f32;
             let alpha = self.alpha / (1.0 + staleness);
             self.global.lerp(&trained, alpha);
@@ -127,7 +127,7 @@ impl FlAlgorithm for TAFedAvg {
             // Pull the fresh global and go again if time remains.
             let next_done = now + env.latency_at(d, round);
             if next_done <= deadline {
-                env.charge_download(1.0);
+                env.charge_download(1);
                 device_model[slot] = self.global.clone();
                 queue.push(
                     next_done,

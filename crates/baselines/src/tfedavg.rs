@@ -46,7 +46,7 @@ impl FlAlgorithm for TFedAvg {
         let s = ctx.participants;
         let round = ctx.round;
 
-        env.charge_download(s.len() as f64);
+        env.charge_download(s.len() as u64);
         let global = &self.global;
         // Mid-round casualties never report (partial cohort).
         let survivors: Vec<usize> = s
@@ -60,7 +60,7 @@ impl FlAlgorithm for TFedAvg {
             .map(|&d| (d, continuous_local_train_plain(env, d, global, 1, round)))
             .collect();
 
-        env.charge_upload(updated.len() as f64);
+        env.charge_upload(updated.len() as u64);
         if updated.is_empty() {
             return self.global.clone();
         }

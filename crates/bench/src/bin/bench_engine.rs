@@ -88,11 +88,6 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOCATOR: CountingAlloc = CountingAlloc;
 
-/// PR 2 baselines recorded in `BENCH_engine.json` history (same workloads)
-/// — the reference points the acceptance criteria compare against.
-const PR2_CACHED_ROUNDS_PER_SEC: f64 = 46.35;
-const PR2_CHURN_FEDHISYN_ROUNDS_PER_SEC: f64 = 26.42;
-
 /// Fleet-scale benchmark shape: the full report's million-device run and
 /// the `--fleet-scale` CI smoke share the cohort size.
 const FLEET_SCALE_DEVICES: usize = 1_000_000;
@@ -109,15 +104,6 @@ const TRAIN_SCALE_ROUNDS: usize = 5;
 const TRAIN_SCALE_COHORT: usize = 50;
 const TRAIN_SMOKE_DEVICES: usize = 100_000;
 const TRAIN_SMOKE_ROUNDS: usize = 3;
-
-/// PR 4 blocked-GEMM GFLOP/s at the benchmark shapes (scalar 4×8 tier on
-/// this box) — the baselines the AVX2 dispatch acceptance criterion
-/// (≥ 1.5× on an AVX2 host) compares against.
-const PR4_GEMM_BLOCKED_GFLOPS: &[(usize, usize, usize, f64)] = &[
-    (50, 784, 200, 20.21),
-    (128, 128, 128, 20.44),
-    (32, 288, 256, 19.17),
-];
 
 #[derive(Debug, Serialize)]
 struct ModeResult {
@@ -162,9 +148,6 @@ struct GemmBench {
     /// default so the headroom is visible.
     fma_gflops: f64,
     speedup: f64,
-    /// Dispatched kernel vs the recorded PR 4 (scalar-tier) baseline at
-    /// this shape; the acceptance bar is ≥ 1.5× on an AVX2 host.
-    speedup_vs_pr4: f64,
     bit_identical: bool,
     /// The dispatched tier and what it *claims*: a tier claiming
     /// bit-identity must measure bit-identical (asserted in `print_gemm`).
@@ -249,10 +232,6 @@ struct EngineReport {
     results: Vec<ModeResult>,
     speedup: f64,
     bit_identical: bool,
-    /// Speedup of this build's cached path over the recorded PR 2 cached
-    /// baseline (same workload).
-    speedup_vs_pr2: f64,
-    churn_speedup_vs_pr2: f64,
     gemm: Vec<GemmBench>,
     conv_stages: ConvStageBench,
     step: StepBench,
@@ -851,11 +830,6 @@ fn bench_gemm() -> Vec<GemmBench> {
             };
             let flops = 2.0 * (m * k * n) as f64;
             let blocked_gflops = flops / blocked_secs / 1e9;
-            let pr4 = PR4_GEMM_BLOCKED_GFLOPS
-                .iter()
-                .find(|&&(bm, bk, bn, _)| (bm, bk, bn) == (m, k, n))
-                .map(|&(_, _, _, g)| g)
-                .unwrap_or(f64::NAN);
             GemmBench {
                 m,
                 k,
@@ -868,7 +842,6 @@ fn bench_gemm() -> Vec<GemmBench> {
                     0.0
                 },
                 speedup: naive_secs / blocked_secs,
-                speedup_vs_pr4: blocked_gflops / pr4,
                 bit_identical: c_blocked == c_naive,
                 kernel_tier: tier.name().into(),
                 tier_claims_bit_identical: tier.bit_identical(),
@@ -1290,7 +1263,7 @@ fn print_gemm(gemm_results: &[GemmBench]) {
     for g in gemm_results {
         println!(
             "  {:>3}x{:<3}x{:<3}  blocked {:>6.2} GFLOP/s  naive {:>6.2} GFLOP/s  \
-             fma {:>6.2} GFLOP/s  ({:.2}x, vs PR4 {:.2}x, bit-identical: {})",
+             fma {:>6.2} GFLOP/s  ({:.2}x, bit-identical: {})",
             g.m,
             g.k,
             g.n,
@@ -1298,7 +1271,6 @@ fn print_gemm(gemm_results: &[GemmBench]) {
             g.naive_gflops,
             g.fma_gflops,
             g.speedup,
-            g.speedup_vs_pr4,
             g.bit_identical
         );
         // The dispatched kernel must honour its tier's bit-identity claim:
@@ -1753,12 +1725,6 @@ fn main() {
             .collect(),
     };
 
-    let churn_fedhisyn_rps = churn
-        .results
-        .iter()
-        .find(|r| r.algorithm == "FedHiSyn")
-        .map(|r| r.rounds_per_sec)
-        .unwrap_or(0.0);
     let report = EngineReport {
         workload: "smoke MNIST-like MLP, 100 devices, Dirichlet(0.1), K=10".into(),
         devices: cfg.n_devices,
@@ -1767,8 +1733,6 @@ fn main() {
         kernel_tier_bit_identical: fedhisyn_core::ExecutionEngine::kernel_tier_bit_identical(),
         speedup: cached.rounds_per_sec / reference.rounds_per_sec.max(1e-12),
         bit_identical: cached_global == reference_global,
-        speedup_vs_pr2: cached.rounds_per_sec / PR2_CACHED_ROUNDS_PER_SEC,
-        churn_speedup_vs_pr2: churn_fedhisyn_rps / PR2_CHURN_FEDHISYN_ROUNDS_PER_SEC,
         results: vec![cached, reference],
         gemm: gemm_results,
         conv_stages,
@@ -1796,8 +1760,8 @@ fn main() {
         );
     }
     println!(
-        "  speedup {:.2}x, bit-identical: {}, vs PR2 baseline {:.2}x",
-        report.speedup, report.bit_identical, report.speedup_vs_pr2
+        "  speedup {:.2}x, bit-identical: {}",
+        report.speedup, report.bit_identical
     );
     assert!(
         report.bit_identical,
@@ -1826,10 +1790,7 @@ fn main() {
 
     print_cnn(&report.cnn_step);
 
-    println!(
-        "\n== churn stress: {} (FedHiSyn vs PR2 baseline: {:.2}x) ==",
-        report.churn.workload, report.churn_speedup_vs_pr2
-    );
+    println!("\n== churn stress: {} ==", report.churn.workload);
     for r in &report.churn.results {
         println!(
             "  {:<10} {:>6.2} rounds/s  ({} rounds in {:.2}s, final acc {:.1}%, \

@@ -272,10 +272,10 @@ mod tests {
             sgd: SgdConfig::default(),
             seed: 3,
             exec: crate::engine::ExecMode::default(),
-            momentum: crate::env::MomentumBank::disabled(),
+            momentum: crate::env::DeviceBank::disabled(),
             wire_check: false,
             codec: fedhisyn_nn::Codec::F32,
-            residuals: crate::env::ResidualBank::disabled(),
+            residuals: crate::env::DeviceBank::disabled(),
             faults: fedhisyn_simnet::FaultPlan::none(),
             cohort: None,
             telemetry: fedhisyn_telemetry::TelemetrySink::disabled(),
@@ -295,7 +295,7 @@ mod tests {
             self.p
         }
         fn round(&mut self, ctx: &mut RoundContext<'_>) -> ParamVec {
-            ctx.env.charge_upload(ctx.participants.len() as f64);
+            ctx.env.charge_upload(ctx.participants.len() as u64);
             ParamVec::zeros(ctx.env.param_count())
         }
     }

@@ -13,7 +13,7 @@ use fedhisyn_tensor::rng_from_seed;
 use serde::{Deserialize, Serialize};
 
 use crate::aggregate::AggregationRule;
-use crate::env::{seed_mix, FlEnv, MomentumBank, ResidualBank};
+use crate::env::{seed_mix, DeviceBank, FlEnv};
 
 /// How device shards are produced when the environment is built.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -243,16 +243,16 @@ impl ExperimentConfig {
             seed: self.seed,
             exec: crate::engine::ExecMode::default(),
             momentum: if self.persist_momentum {
-                MomentumBank::new()
+                DeviceBank::new()
             } else {
-                MomentumBank::disabled()
+                DeviceBank::disabled()
             },
             wire_check: self.wire_check,
             codec: self.codec,
             residuals: if self.codec.lossy() {
-                ResidualBank::new()
+                DeviceBank::new()
             } else {
-                ResidualBank::disabled()
+                DeviceBank::disabled()
             },
             // The fault plan derives from its own seed stream (like the
             // fleet trajectory) so turning faults on never perturbs data,

@@ -20,14 +20,9 @@ use rand::Rng;
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
-use fedhisyn_telemetry::{Phase, SpanCtx};
-
 use crate::env::{seed_mix, FlEnv};
 use crate::local::{evaluate_on_test, local_train_plain_owned};
-use crate::ring_sim::{
-    simulate_ring_interval_transport, ReceivePolicy, RelayCodec, RingFaults, RingStart, RingTrace,
-    TransportStats,
-};
+use crate::ring_sim::{Lane, ReceivePolicy, RingOutcome, RingRound, RingStart};
 use crate::topology::{Ring, RingOrder};
 
 /// A decentralized communication mode.
@@ -240,7 +235,7 @@ impl DecentralSim {
             if trained[sender].is_none() {
                 continue;
             }
-            env.charge_peer(1.0);
+            env.charge_peer(1);
             if env.codec.lossy() {
                 let mut sent = trained[sender].clone().expect("sender participated");
                 env.codec_transform(sender, &mut sent, None, &mut scratch);
@@ -287,7 +282,6 @@ impl DecentralSim {
         } else {
             ReceivePolicy::TrainReceived
         };
-        let failure_policy = env.fleet.dynamics().failure_policy;
         // Latency classes: fixed on a static fleet, re-clustered from the
         // online cohort's *current* latencies on a dynamic one (a device
         // migrates classes as its capacity state drifts).
@@ -316,15 +310,22 @@ impl DecentralSim {
             .map(Some)
             .collect();
 
+        // Decentralized rings have no shared broadcast, so lossy `TopK`
+        // deltas are taken from zero (`base: None`).
+        let lanes = RingRound {
+            env,
+            round,
+            vt_base: self.virtual_time,
+            interval,
+            policy,
+            base: None,
+        };
         struct RingJob {
-            ring: Ring,
-            ring_lat: Vec<f64>,
-            failures: Vec<Option<f64>>,
+            lane: Lane,
             /// Moved into the relay by the parallel pass…
             start: Option<Vec<ParamVec>>,
-            /// …which stores the carry-over models, transfer count and
-            /// transport-fault record here.
-            done: Option<(Vec<ParamVec>, usize, TransportStats)>,
+            /// …which stores the interval's outcome here.
+            done: Option<RingOutcome>,
         }
         let mut jobs: Vec<RingJob> = classes
             .iter()
@@ -333,28 +334,13 @@ impl DecentralSim {
                 let lat: Vec<f64> = members.iter().map(|&d| env.latency_at(d, round)).collect();
                 let mut rng = rng_from_seed(seed_mix(env.seed, round as u64, ci as u64, 0x4149));
                 let ring = Ring::build(members, &lat, &env.link, order, &mut rng);
-                let ring_lat: Vec<f64> = ring
-                    .order()
-                    .iter()
-                    .map(|&d| env.latency_at(d, round))
-                    .collect();
-                let failures: Vec<Option<f64>> = if env.dynamics_active() {
-                    ring.order()
-                        .iter()
-                        .map(|&d| env.fail_time(d, round, interval))
-                        .collect()
-                } else {
-                    Vec::new()
-                };
                 let start: Vec<ParamVec> = ring
                     .order()
                     .iter()
                     .map(|&d| pool[d].take().expect("classes partition the cohort"))
                     .collect();
                 RingJob {
-                    ring,
-                    ring_lat,
-                    failures,
+                    lane: lanes.lane(ring),
                     start: Some(start),
                     done: None,
                 }
@@ -362,73 +348,23 @@ impl DecentralSim {
             .collect();
         // One job per chunk: each worker gets exclusive `&mut` access, so
         // the start models move into the relay without any locking.
-        let vt_base = self.virtual_time;
-        // Same deterministic fault plan as the federated path: pure in
-        // (seed, round, edge, attempt), shared read-only across workers.
-        let faults = env.faults_active().then_some(RingFaults {
-            plan: &env.faults,
-            round: round as u64,
-        });
-        // Decentralized rings have no shared broadcast, so lossy `TopK`
-        // deltas are taken from zero (`base: None`); error feedback still
-        // accumulates per device across rounds.
-        let relay_codec = RelayCodec { env, base: None };
         jobs.par_chunks_mut(1).enumerate().for_each(|(ci, chunk)| {
             let job = &mut chunk[0];
             let start = job.start.take().expect("each ring job runs exactly once");
-            let ring_wall = env.telemetry.wall_start();
-            let out = simulate_ring_interval_transport(
-                &job.ring,
-                &job.ring_lat,
-                &env.link,
-                RingStart::PerPosition(start),
-                interval,
-                policy,
-                failure_policy,
-                &job.failures,
-                faults,
-                Some(RingTrace {
-                    sink: &env.telemetry,
-                    round: round as u32,
-                    lane: ci as u32,
-                    vt_base,
-                }),
-                Some(&relay_codec),
-                |device, params, salt| {
-                    let trained =
-                        local_train_plain_owned(env, device, params, env.local_epochs, round, salt);
-                    // Serialization-drift tripwire (no-op unless enabled).
-                    env.wire_round_trip_check(&trained);
-                    trained
-                },
-            );
-            env.telemetry.span(
-                Phase::RingInterval,
-                round as u32,
-                SpanCtx::lane(ci as u32),
-                (vt_base, vt_base + interval),
-                ring_wall,
-            );
+            job.done = Some(lanes.run_lane(ci, &job.lane, RingStart::PerPosition(start)));
+        });
+        // Decentral rings never rebuild proactively (no coordinator holds
+        // the fault scores), so the rebuild count is zero.
+        lanes.settle(jobs.iter().filter_map(|job| job.done.as_ref()), 0);
+        for job in jobs {
             // Carry the buffer state (pending arrivals) into the next
             // interval — this is what keeps models circulating when a
             // device only fits one step per interval. Dead positions
             // carry the model they held at the crash.
-            job.done = Some((out.next_models, out.transfers, out.transport));
-        });
-        let mut transport_total = TransportStats::default();
-        for job in jobs {
-            let (nexts, transfers, transport) = job.done.expect("every ring job ran");
-            env.charge_peer(transfers as f64);
-            env.charge_retransmit(transport.retransmit_frames() as f64);
-            transport_total.absorb(&transport);
-            for (&device, model) in job.ring.order().iter().zip(nexts) {
+            let nexts = job.done.expect("every ring job ran").next_models;
+            for (&device, model) in job.lane.ring.order().iter().zip(nexts) {
                 pool[device] = Some(model);
             }
-        }
-        if env.faults_active() {
-            // Decentral rings never rebuild proactively (no coordinator
-            // holds the fault scores), so the rebuild count is zero.
-            env.telemetry.add_transport(&transport_total.counters(0));
         }
         self.models = pool
             .into_iter()
@@ -678,6 +614,53 @@ mod tests {
         assert_eq!(models1, models2, "fault schedules replay bit-identically");
         assert_eq!(traffic1, traffic2);
         assert!(models1.iter().all(|m| !m.is_empty()));
+    }
+
+    /// The lane driver's `base: None` branch with everything on at once:
+    /// serverless rings under a lossy codec (deltas from zero, per-device
+    /// error feedback), a lossy wire and a churning, crashing fleet.
+    #[test]
+    fn compressed_lossy_churned_rings_complete_and_replay() {
+        use fedhisyn_fleet::FleetDynamics;
+        use fedhisyn_nn::Codec;
+        use fedhisyn_simnet::FaultConfig;
+        let run = || {
+            let env = ExperimentConfig::builder(DatasetProfile::MnistLike)
+                .scale(Scale::Smoke)
+                .devices(12)
+                .partition(Partition::Dirichlet { beta: 0.5 })
+                .heterogeneity(HeterogeneityModel::Uniform { h: 5.0 })
+                .fleet(FleetDynamics::edge_fleet(0.3, 0.1))
+                .codec(Codec::Int8)
+                .faults(FaultConfig::lossy(0.2))
+                .local_epochs(1)
+                .seed(19)
+                .build()
+                .build_env();
+            let mut sim = DecentralSim::new(
+                &env,
+                DecentralMode::ClusteredRings {
+                    k: 2,
+                    order: RingOrder::SmallToLarge,
+                    average: false,
+                },
+            );
+            for round in 0..4 {
+                sim.run_round(&env, round);
+                assert!(
+                    sim.models()
+                        .iter()
+                        .all(|m| m.len() == env.param_count() && m.is_finite()),
+                    "round {round} must leave every device a whole model"
+                );
+            }
+            (sim.models().to_vec(), env.meter.snapshot())
+        };
+        let (models, traffic) = run();
+        assert_eq!((models, traffic), run(), "same seed, same bits");
+        assert!(traffic.peer_transfers > 0.0);
+        assert!(traffic.wire_bytes < traffic.raw_bytes, "Int8 frames");
+        assert!(traffic.retransmit_bytes > 0.0, "20% loss costs retries");
     }
 
     #[test]

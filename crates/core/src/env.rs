@@ -11,141 +11,78 @@ use fedhisyn_telemetry::TelemetrySink;
 
 use crate::engine::ExecMode;
 
-/// Lock shards in an enabled [`MomentumBank`] (device id modulo).
+/// Lock shards in an enabled [`DeviceBank`] (device id modulo).
 const BANK_SHARDS: usize = 64;
 
-/// Per-device SGD momentum state persisted across ring hops and rounds —
-/// the opt-in extension experiment the paper-faithful default disables
-/// (where every `local_train` call starts from zero velocity).
+/// Per-device state that outlives a training step or a transfer: one
+/// [`ParamVec`] per device, checked out with [`DeviceBank::take`] and
+/// handed back with [`DeviceBank::store`]. The environment keeps two —
+/// SGD velocity for the opt-in persistent-momentum extension
+/// ([`FlEnv::momentum`]; the paper-faithful default is disabled, so every
+/// local step starts from zero velocity) and the error-feedback residual
+/// of lossy wire codecs ([`FlEnv::residuals`]: the mass a device's last
+/// encode dropped, re-injected into its next transmission — see
+/// `fedhisyn_nn::wire::codec_transform_in_place`).
 ///
 /// Storage is a fixed number of lock-sharded maps keyed by device id, so
-/// an enabled bank costs O(devices actually trained) — O(cohort) per
-/// round — not O(fleet): enabling it against a million-device fleet no
-/// longer allocates a million mutex slots. Devices train concurrently
-/// but each device trains in at most one ring position at a time, so a
-/// shard mutex is only contended between different devices that happen
-/// to collide; `take`/`store` move the buffer rather than cloning it.
+/// an enabled bank costs O(devices actually touched) — O(cohort) per
+/// round — not O(fleet), and is O(1) to construct against a
+/// million-device fleet. Devices run concurrently but each device sits in
+/// at most one ring position at a time, so a shard mutex is only
+/// contended between different devices that happen to collide, and a
+/// device's entry is never raced — determinism holds at any thread count.
+/// `take`/`store` move the buffer rather than cloning it.
 #[derive(Debug, Default)]
-pub struct MomentumBank {
-    /// Lock-sharded `device → velocity` maps; an empty vector means the
+pub struct DeviceBank {
+    /// Lock-sharded `device → state` maps; an empty vector means the
     /// bank is disabled.
     shards: Vec<Mutex<HashMap<usize, ParamVec>>>,
 }
 
-impl MomentumBank {
-    /// The paper-faithful disabled bank.
+impl DeviceBank {
+    /// Pseudo-device id under which the *server's* state is stored (the
+    /// broadcast residual of downlink compression). Collides with no real
+    /// device: fleets are indexed from zero.
+    pub const SERVER: usize = usize::MAX;
+
+    /// A bank that stores nothing.
     pub fn disabled() -> Self {
-        MomentumBank::default()
+        DeviceBank::default()
     }
 
     /// An enabled bank. O(1) to construct regardless of fleet size;
     /// memory grows only with devices that actually store state.
     pub fn new() -> Self {
-        MomentumBank {
+        DeviceBank {
             shards: (0..BANK_SHARDS)
                 .map(|_| Mutex::new(HashMap::new()))
                 .collect(),
         }
     }
 
-    /// Whether velocity persistence is active.
+    /// Whether the bank keeps state.
     pub fn enabled(&self) -> bool {
         !self.shards.is_empty()
     }
 
-    /// Check out `device`'s velocity (None when disabled or not yet
-    /// created).
+    /// Check out `device`'s state (`None` when disabled or nothing is
+    /// stored yet).
     pub fn take(&self, device: usize) -> Option<ParamVec> {
-        if !self.enabled() {
-            return None;
-        }
-        self.shards[device % BANK_SHARDS]
+        let shard = self.shards.get(device % BANK_SHARDS)?;
+        shard
             .lock()
-            .unwrap()
+            .expect("device bank shard poisoned")
             .remove(&device)
     }
 
-    /// Return `device`'s velocity after a training step. No-op when the
-    /// bank is disabled or the optimizer never created state.
-    pub fn store(&self, device: usize, velocity: Option<ParamVec>) {
-        if !self.enabled() {
-            return;
-        }
-        if let Some(v) = velocity {
-            self.shards[device % BANK_SHARDS]
+    /// Hand `device`'s state back. No-op when disabled.
+    pub fn store(&self, device: usize, state: ParamVec) {
+        if let Some(shard) = self.shards.get(device % BANK_SHARDS) {
+            shard
                 .lock()
-                .unwrap()
-                .insert(device, v);
+                .expect("device bank shard poisoned")
+                .insert(device, state);
         }
-    }
-}
-
-/// Per-device **error-feedback residuals** for lossy wire codecs: the
-/// mass each device's last encode dropped, re-injected into its next
-/// transmission so compression error telescopes instead of accumulating
-/// (see `fedhisyn_nn::wire::codec_transform_in_place`).
-///
-/// Same lock-sharded O(touched devices) storage discipline as
-/// [`MomentumBank`]: an empty shard vector means disabled (the `F32`
-/// codec), `take`/`store` move buffers rather than cloning, and each
-/// device's residual is only touched from one ring position at a time, so
-/// determinism is preserved under any thread count.
-#[derive(Debug, Default)]
-pub struct ResidualBank {
-    /// Lock-sharded `device → residual` maps; empty means disabled.
-    shards: Vec<Mutex<HashMap<usize, ParamVec>>>,
-}
-
-impl ResidualBank {
-    /// Pseudo-device id under which the *server's* broadcast residual is
-    /// stored (downlink compression state). Collides with no real device:
-    /// fleets are indexed from zero.
-    pub const SERVER: usize = usize::MAX;
-
-    /// The bank used with lossless codecs: stores nothing.
-    pub fn disabled() -> Self {
-        ResidualBank::default()
-    }
-
-    /// An enabled bank. O(1) to construct regardless of fleet size.
-    pub fn new() -> Self {
-        ResidualBank {
-            shards: (0..BANK_SHARDS)
-                .map(|_| Mutex::new(HashMap::new()))
-                .collect(),
-        }
-    }
-
-    /// Whether error feedback is active.
-    pub fn enabled(&self) -> bool {
-        !self.shards.is_empty()
-    }
-
-    /// Check out `device`'s residual, or a fresh zero vector of `n`
-    /// parameters on first touch. Returns `None` when disabled.
-    pub fn take(&self, device: usize, n: usize) -> Option<ParamVec> {
-        if !self.enabled() {
-            return None;
-        }
-        Some(
-            self.shards[device % BANK_SHARDS]
-                .lock()
-                .unwrap()
-                .remove(&device)
-                .unwrap_or_else(|| ParamVec::zeros(n)),
-        )
-    }
-
-    /// Return `device`'s residual after a transmission. No-op when
-    /// disabled.
-    pub fn store(&self, device: usize, residual: ParamVec) {
-        if !self.enabled() {
-            return;
-        }
-        self.shards[device % BANK_SHARDS]
-            .lock()
-            .unwrap()
-            .insert(device, residual);
     }
 }
 
@@ -192,7 +129,7 @@ pub struct FlEnv {
     pub exec: ExecMode,
     /// Per-device momentum persistence (disabled by default — the
     /// paper-faithful setting recreates optimizer state per call).
-    pub momentum: MomentumBank,
+    pub momentum: DeviceBank,
     /// When set, every ring-relay transfer is round-tripped through the
     /// [`fedhisyn_nn::wire`] frame codec and asserted bit-identical —
     /// the CI serialization-drift tripwire (off by default: it taxes each
@@ -208,12 +145,12 @@ pub struct FlEnv {
     pub codec: Codec,
     /// Per-device error-feedback residual accumulators; enabled exactly
     /// when [`FlEnv::codec`] is lossy.
-    pub residuals: ResidualBank,
+    pub residuals: DeviceBank,
     /// Deterministic wire-fault plan governing every ring relay.
     /// [`FaultPlan::none`] (the default) injects nothing and is
     /// bit-identical to a build without the transport layer; a non-trivial
     /// plan turns each hop into a retry-with-backoff loop in virtual time
-    /// (see `ring_sim::simulate_ring_interval_transport`).
+    /// (see `ring_sim::RingOptions`).
     pub faults: FaultPlan,
     /// When set, the runner samples a **fixed-size cohort** of this many
     /// online devices per round by streaming rejection sampling
@@ -288,17 +225,9 @@ impl FlEnv {
         !self.fleet.is_static()
     }
 
-    /// The slowest latency among `members` (the paper's round duration:
-    /// "the time required to complete the local training of the slowest
-    /// device").
-    pub fn slowest_latency(&self, members: &[usize]) -> f64 {
-        members
-            .iter()
-            .map(|&i| self.latency(i))
-            .fold(0.0f64, f64::max)
-    }
-
-    /// [`FlEnv::slowest_latency`] over *effective* latencies at `round`.
+    /// The slowest *effective* latency among `members` at `round` (the
+    /// paper's round duration: "the time required to complete the local
+    /// training of the slowest device").
     pub fn slowest_latency_at(&self, members: &[usize], round: usize) -> f64 {
         members
             .iter()
@@ -324,7 +253,7 @@ impl FlEnv {
 
     /// Record `model_equivalents` device→server uploads, charged at the
     /// wire-format frame size.
-    pub fn charge_upload(&self, model_equivalents: f64) {
+    pub fn charge_upload(&self, model_equivalents: u64) {
         self.meter.record_upload(
             model_equivalents,
             self.param_count(),
@@ -334,7 +263,7 @@ impl FlEnv {
     }
 
     /// Record `model_equivalents` server→device downloads.
-    pub fn charge_download(&self, model_equivalents: f64) {
+    pub fn charge_download(&self, model_equivalents: u64) {
         self.meter.record_download(
             model_equivalents,
             self.param_count(),
@@ -344,7 +273,7 @@ impl FlEnv {
     }
 
     /// Record `model_equivalents` device→device ring transfers.
-    pub fn charge_peer(&self, model_equivalents: f64) {
+    pub fn charge_peer(&self, model_equivalents: u64) {
         self.meter.record_peer(
             model_equivalents,
             self.param_count(),
@@ -356,15 +285,13 @@ impl FlEnv {
     /// Record `frames` retransmitted relay frames (retries + duplicate
     /// copies). Charged to the byte ledgers only — the logical transfer
     /// was already counted by [`FlEnv::charge_peer`].
-    pub fn charge_retransmit(&self, frames: f64) {
-        if frames > 0.0 {
-            self.meter.record_retransmit(
-                frames,
-                self.param_count(),
-                self.frame_bytes(),
-                self.raw_frame_bytes(),
-            );
-        }
+    pub fn charge_retransmit(&self, frames: u64) {
+        self.meter.record_retransmit(
+            frames,
+            self.param_count(),
+            self.frame_bytes(),
+            self.raw_frame_bytes(),
+        );
     }
 
     /// True when the environment's fault plan injects anything.
@@ -428,10 +355,15 @@ impl FlEnv {
             self.wire_round_trip_check(params);
             return;
         }
+        assert!(
+            self.residuals.enabled(),
+            "lossy codec requires an enabled residual bank"
+        );
+        // A device's first transmission has dropped nothing yet.
         let mut residual = self
             .residuals
-            .take(device, params.len())
-            .expect("lossy codec requires an enabled ResidualBank");
+            .take(device)
+            .unwrap_or_else(|| ParamVec::zeros(params.len()));
         // Snapshot the post-residual payload v before the in-place
         // transform consumes it; only the opt-in tripwire pays the clone.
         let check_payload = if self.wire_check {
@@ -515,10 +447,10 @@ mod tests {
             sgd: SgdConfig::default(),
             seed: 42,
             exec: ExecMode::default(),
-            momentum: MomentumBank::disabled(),
+            momentum: DeviceBank::disabled(),
             wire_check: false,
             codec: Codec::F32,
-            residuals: ResidualBank::disabled(),
+            residuals: DeviceBank::disabled(),
             faults: FaultPlan::none(),
             cohort: None,
             telemetry: TelemetrySink::disabled(),
@@ -536,10 +468,10 @@ mod tests {
     #[test]
     fn slowest_latency_is_max_over_members() {
         let env = tiny_env();
-        let all = env.slowest_latency(&[0, 1, 2]);
+        let all = env.slowest_latency_at(&[0, 1, 2], 0);
         assert_eq!(all, (0..3).map(|i| env.latency(i)).fold(0.0, f64::max));
-        assert_eq!(env.slowest_latency(&[1]), env.latency(1));
-        assert_eq!(env.slowest_latency(&[]), 0.0);
+        assert_eq!(env.slowest_latency_at(&[1], 0), env.latency(1));
+        assert_eq!(env.slowest_latency_at(&[], 0), 0.0);
     }
 
     #[test]
@@ -552,19 +484,15 @@ mod tests {
                 assert!(env.online(d, round));
                 assert_eq!(env.fail_time(d, round, 10.0), None);
             }
-            assert_eq!(
-                env.slowest_latency_at(&[0, 1, 2], round),
-                env.slowest_latency(&[0, 1, 2])
-            );
         }
     }
 
     #[test]
     fn charges_account_wire_frames() {
         let env = tiny_env();
-        env.charge_upload(2.0);
-        env.charge_download(1.0);
-        env.charge_peer(3.0);
+        env.charge_upload(2);
+        env.charge_download(1);
+        env.charge_peer(3);
         let s = env.meter.snapshot();
         assert_eq!(s.uploads, 2.0);
         assert_eq!(s.parameters_moved, 6.0 * env.param_count() as f64);
@@ -583,37 +511,40 @@ mod tests {
     }
 
     #[test]
-    fn momentum_bank_moves_state_per_device() {
-        let bank = MomentumBank::new();
+    fn device_bank_moves_state_per_device() {
+        let bank = DeviceBank::new();
         assert!(bank.enabled());
         assert_eq!(bank.take(0), None);
-        bank.store(0, Some(ParamVec::from_vec(vec![1.0, 2.0])));
-        bank.store(1, None); // optimizer never created state: no-op
+        bank.store(0, ParamVec::from_vec(vec![1.0, 2.0]));
         assert_eq!(bank.take(0).unwrap().as_slice(), &[1.0, 2.0]);
         assert_eq!(bank.take(0), None, "take moves the buffer out");
         assert_eq!(bank.take(1), None);
         // Sharded storage is keyed, not indexed: ids far beyond any dense
         // range work and colliding ids (device % shards) stay distinct.
-        bank.store(1_000_000, Some(ParamVec::from_vec(vec![9.0])));
-        bank.store(1_000_000 + BANK_SHARDS, Some(ParamVec::from_vec(vec![7.0])));
+        bank.store(1_000_000, ParamVec::from_vec(vec![9.0]));
+        bank.store(1_000_000 + BANK_SHARDS, ParamVec::from_vec(vec![7.0]));
         assert_eq!(bank.take(1_000_000).unwrap().as_slice(), &[9.0]);
         assert_eq!(
             bank.take(1_000_000 + BANK_SHARDS).unwrap().as_slice(),
             &[7.0]
         );
-        let off = MomentumBank::disabled();
+        // The server's broadcast residual lives under a reserved key.
+        bank.store(DeviceBank::SERVER, ParamVec::from_vec(vec![2.0]));
+        assert_eq!(bank.take(DeviceBank::SERVER).unwrap().as_slice(), &[2.0]);
+        let off = DeviceBank::disabled();
         assert!(!off.enabled());
         assert_eq!(off.take(0), None, "disabled bank ignores any device id");
-        off.store(7, Some(ParamVec::zeros(3))); // and swallows stores
+        off.store(7, ParamVec::zeros(3)); // and swallows stores
+        assert_eq!(off.take(7), None);
     }
 
     #[test]
     fn lossy_codec_splits_encoded_and_raw_ledgers() {
         let mut env = tiny_env();
         env.codec = Codec::Int8;
-        env.residuals = ResidualBank::new();
-        env.charge_peer(2.0);
-        env.charge_retransmit(1.0);
+        env.residuals = DeviceBank::new();
+        env.charge_peer(2);
+        env.charge_retransmit(1);
         let s = env.meter.snapshot();
         assert!(env.frame_bytes() < env.raw_frame_bytes());
         assert_eq!(s.wire_bytes, 3.0 * env.frame_bytes() as f64);
@@ -631,14 +562,14 @@ mod tests {
     fn codec_transform_is_checked_and_feeds_residuals() {
         let mut env = tiny_env();
         env.codec = Codec::TopK { permille: 100 };
-        env.residuals = ResidualBank::new();
+        env.residuals = DeviceBank::new();
         env.wire_check = true; // byte-path equivalence asserted per call
         let base = ParamVec::from_vec(vec![0.5; env.param_count()]);
         let mut p = ParamVec::from_vec((0..env.param_count()).map(|i| (i as f32) * 0.01).collect());
         let mut scratch = CodecScratch::new();
         env.codec_transform(1, &mut p, Some(&base), &mut scratch);
         // The residual persisted and is re-injected on the next call.
-        let r = env.residuals.take(1, env.param_count()).unwrap();
+        let r = env.residuals.take(1).expect("first send stored a residual");
         assert!(r.as_slice().iter().any(|&x| x != 0.0));
         env.residuals.store(1, r);
         env.codec_transform(1, &mut p, Some(&base), &mut scratch);
@@ -652,26 +583,6 @@ mod tests {
         let mut scratch = CodecScratch::new();
         env.codec_transform(0, &mut p, None, &mut scratch);
         assert_eq!(p, before);
-    }
-
-    #[test]
-    fn residual_bank_moves_state_and_zeroes_on_first_touch() {
-        let bank = ResidualBank::new();
-        assert!(bank.enabled());
-        let first = bank.take(3, 5).unwrap();
-        assert_eq!(first.as_slice(), &[0.0; 5], "first touch is a zero vec");
-        bank.store(3, ParamVec::from_vec(vec![1.0; 5]));
-        assert_eq!(bank.take(3, 5).unwrap().as_slice(), &[1.0; 5]);
-        // The server's broadcast residual lives under a reserved key.
-        bank.store(ResidualBank::SERVER, ParamVec::from_vec(vec![2.0]));
-        assert_eq!(
-            bank.take(ResidualBank::SERVER, 1).unwrap().as_slice(),
-            &[2.0]
-        );
-        let off = ResidualBank::disabled();
-        assert!(!off.enabled());
-        assert_eq!(off.take(0, 5), None);
-        off.store(0, ParamVec::zeros(5)); // swallowed
     }
 
     #[test]

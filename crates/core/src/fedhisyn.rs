@@ -11,12 +11,8 @@ use rayon::prelude::*;
 use crate::aggregate::{AggregationRule, Contribution};
 use crate::algorithm::{FlAlgorithm, RoundContext};
 use crate::config::ExperimentConfig;
-use crate::env::{seed_mix, FlEnv, ResidualBank};
-use crate::local::local_train_plain_owned;
-use crate::ring_sim::{
-    simulate_ring_interval_transport, ReceivePolicy, RelayCodec, RingFaults, RingOutcome,
-    RingStart, RingTrace, TransportStats,
-};
+use crate::env::{seed_mix, DeviceBank, FlEnv};
+use crate::ring_sim::{Lane, ReceivePolicy, RingOutcome, RingRound, RingStart};
 use crate::topology::{Ring, RingOrder};
 
 /// Scores below this are dropped from the EWMA map, keeping it sized to
@@ -150,16 +146,16 @@ impl FlAlgorithm for FedHiSyn {
         // 1. Broadcast W_G to every participant. With a lossy wire codec
         //    the server compresses the broadcast *once* — every device
         //    receives the same decoded reconstruction — while the
-        //    server's error-feedback residual ([`ResidualBank::SERVER`])
+        //    server's error-feedback residual ([`DeviceBank::SERVER`])
         //    carries the dropped mass into the next round's broadcast.
         //    `TopK` deltas are taken against the previous round's decoded
         //    broadcast, which every participant already holds.
-        env.charge_download(s.len() as f64);
+        env.charge_download(s.len() as u64);
         let broadcast: Option<ParamVec> = if env.codec.lossy() {
             let mut b = self.global.clone();
             let mut scratch = CodecScratch::new();
             env.codec_transform(
-                ResidualBank::SERVER,
+                DeviceBank::SERVER,
                 &mut b,
                 self.prev_broadcast.as_ref(),
                 &mut scratch,
@@ -189,12 +185,22 @@ impl FlAlgorithm for FedHiSyn {
 
         // 4. Build the rings up front (cheap, needs &mut rng), then run
         //    every class in parallel — classes are independent rings.
-        //    Each position carries its mid-interval failure time (if the
-        //    fleet model schedules one).
+        //    They start from the decoded broadcast under a lossy codec,
+        //    the exact global otherwise. It is *shared* — the relay copies
+        //    it lazily, once per position — and it is the base every
+        //    in-interval hop's `TopK` delta is coded against.
+        let global: &ParamVec = broadcast.as_ref().unwrap_or(&self.global);
+        let vt_base = ctx.vt_base;
+        let lanes = RingRound {
+            env,
+            round,
+            vt_base,
+            interval,
+            policy: self.receive_policy,
+            base: Some(global),
+        };
         struct ClassRing {
-            ring: Ring,
-            ring_lat: Vec<f64>,
-            failures: Vec<Option<f64>>,
+            lane: Lane,
             mean_time: f64,
             /// ≥1 member was a transport suspect, so this ring's order
             /// was proactively rebuilt around them.
@@ -221,7 +227,6 @@ impl FlAlgorithm for FedHiSyn {
                 } else {
                     Vec::new()
                 };
-                let rebuilt = suspects.iter().any(|&s| s);
                 let ring = Ring::build_with_suspects(
                     members,
                     &latencies,
@@ -230,121 +235,29 @@ impl FlAlgorithm for FedHiSyn {
                     &mut rng,
                     &suspects,
                 );
-                let ring_lat: Vec<f64> = ring
-                    .order()
-                    .iter()
-                    .map(|&d| env.latency_at(d, round))
-                    .collect();
-                let failures: Vec<Option<f64>> = if env.dynamics_active() {
-                    ring.order()
-                        .iter()
-                        .map(|&d| env.fail_time(d, round, interval))
-                        .collect()
-                } else {
-                    Vec::new()
-                };
-                let mean_time = latencies.iter().sum::<f64>() / latencies.len() as f64;
                 ClassRing {
-                    ring,
-                    ring_lat,
-                    failures,
-                    mean_time,
-                    rebuilt,
+                    lane: lanes.lane(ring),
+                    mean_time: latencies.iter().sum::<f64>() / latencies.len() as f64,
+                    rebuilt: suspects.iter().any(|&s| s),
                 }
             })
             .collect();
         let rebuilds = rings.iter().filter(|r| r.rebuilt).count() as u64;
 
-        // What the rings actually start from: the decoded broadcast under
-        // a lossy codec, the exact global otherwise.
-        let global: &ParamVec = broadcast.as_ref().unwrap_or(&self.global);
-        // Every relay hop inside the interval crosses the compressed
-        // wire; deltas are taken against the shared broadcast. With the
-        // `F32` codec this reduces to the serialization tripwire (a no-op
-        // unless `wire_check` is set).
-        let relay_codec = RelayCodec {
-            env,
-            base: Some(global),
-        };
-        let policy = self.receive_policy;
-        let failure_policy = env.fleet.dynamics().failure_policy;
-        let vt_base = ctx.vt_base;
-        // Fault injection is a pure function of (seed, round, edge,
-        // attempt), so the same `RingFaults` context is shared across
-        // every parallel ring worker. `None` keeps the fault-free fast
-        // path allocation-free and bit-identical to prior builds.
-        let faults = env.faults_active().then_some(RingFaults {
-            plan: &env.faults,
-            round: round as u64,
-        });
-        let outcomes: Vec<(RingOutcome, &Ring, f64)> = rings
+        let outcomes: Vec<RingOutcome> = rings
             .par_iter()
             .enumerate()
-            .map(|(ci, job)| {
-                let ClassRing {
-                    ring,
-                    ring_lat,
-                    failures,
-                    mean_time,
-                    rebuilt: _,
-                } = job;
-                let ring_wall = env.telemetry.wall_start();
-                // The round-start broadcast is *shared*: the relay copies
-                // the global lazily, once per position, instead of this
-                // call materialising `ring.len()` clones up front.
-                let outcome = simulate_ring_interval_transport(
-                    ring,
-                    ring_lat,
-                    &env.link,
-                    RingStart::Shared(global),
-                    interval,
-                    policy,
-                    failure_policy,
-                    failures,
-                    faults,
-                    Some(RingTrace {
-                        sink: &env.telemetry,
-                        round: round as u32,
-                        lane: ci as u32,
-                        vt_base,
-                    }),
-                    Some(&relay_codec),
-                    |device, params, salt| {
-                        let trained = local_train_plain_owned(
-                            env,
-                            device,
-                            params,
-                            env.local_epochs,
-                            round,
-                            salt,
-                        );
-                        // Serialization-drift tripwire: what this hop puts
-                        // on the wire must survive the frame codec exactly.
-                        env.wire_round_trip_check(&trained);
-                        trained
-                    },
-                );
-                env.telemetry.span(
-                    Phase::RingInterval,
-                    round as u32,
-                    SpanCtx::lane(ci as u32),
-                    (vt_base, vt_base + interval),
-                    ring_wall,
-                );
-                (outcome, ring, *mean_time)
-            })
+            .map(|(ci, class)| lanes.run_lane(ci, &class.lane, RingStart::Shared(global)))
             .collect();
 
         // 5. Record ring traffic and upload every *surviving* device's
         //    newest model (a mid-interval casualty cannot upload).
         let agg_wall = env.telemetry.wall_start();
+        lanes.settle(&outcomes, rebuilds);
         let mut uploaded: Vec<(ParamVec, usize, f64)> = Vec::with_capacity(s.len());
         let mut upload_scratch = CodecScratch::new();
-        let mut transport_total = TransportStats::default();
-        for (outcome, ring, mean_time) in outcomes {
-            env.charge_peer(outcome.transfers as f64);
-            env.charge_retransmit(outcome.transport.retransmit_frames() as f64);
-            transport_total.absorb(&outcome.transport);
+        for (outcome, class) in outcomes.into_iter().zip(&rings) {
+            let ring = &class.lane.ring;
             // EWMA fault score per receiving device (proactive-rebuild
             // signal): score ← (1-α)·score + α·faults_observed. Scores
             // below the floor are pruned so the map stays O(flaky
@@ -371,14 +284,10 @@ impl FlAlgorithm for FedHiSyn {
                 // error-feedback residual carries the upload's
                 // quantization error into its next send.
                 env.codec_transform(device, &mut model, broadcast.as_ref(), &mut upload_scratch);
-                uploaded.push((model, env.shard_len(device), mean_time));
+                uploaded.push((model, env.shard_len(device), class.mean_time));
             }
         }
-        if env.faults_active() {
-            env.telemetry
-                .add_transport(&transport_total.counters(rebuilds));
-        }
-        env.charge_upload(uploaded.len() as f64);
+        env.charge_upload(uploaded.len() as u64);
 
         // 6. Synchronous aggregation (Eq. 9 / Eq. 10). If every
         //    participant died mid-interval the server has nothing to

@@ -54,8 +54,8 @@ pub use aggregate::AggregationRule;
 pub use algorithm::{run_experiment, FlAlgorithm, RoundContext};
 pub use config::{DataMode, ExperimentConfig, ExperimentConfigBuilder};
 pub use engine::{ExecMode, ExecutionEngine};
-pub use env::{seed_mix, FlEnv, MomentumBank};
+pub use env::{seed_mix, DeviceBank, FlEnv};
 pub use fedhisyn::FedHiSyn;
 pub use metrics::{RoundRecord, RunRecord};
-pub use ring_sim::{FailurePolicy, RingFaults, RingTrace, TransportStats};
+pub use ring_sim::{FailurePolicy, TransportStats};
 pub use topology::{Ring, RingOrder};

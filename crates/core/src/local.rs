@@ -3,8 +3,8 @@
 //! All algorithms funnel through [`local_train_owned`], which runs on the
 //! [`ExecutionEngine`]'s per-worker cached model and reuses the incoming
 //! parameter buffer for the result — one ring hop allocates nothing in
-//! steady state. The by-reference [`local_train`] wrapper exists for
-//! callers that need to keep their input (it pays one clone).
+//! steady state. The by-reference [`local_train_plain`] wrapper exists
+//! for callers that need to keep their input (it pays one clone).
 
 use fedhisyn_nn::{sgd_epoch, sgd_epoch_reference, GradHook, NoHook, ParamVec, Sequential, Sgd};
 use fedhisyn_tensor::rng_from_seed;
@@ -74,21 +74,11 @@ pub fn local_train_owned(
             model.params()
         }
     };
-    env.momentum.store(device, sgd.take_velocity());
+    // Plain SGD never creates velocity; there is nothing to persist then.
+    if let Some(velocity) = sgd.take_velocity() {
+        env.momentum.store(device, velocity);
+    }
     out
-}
-
-/// [`local_train_owned`] keeping the caller's input (clones once).
-pub fn local_train(
-    env: &FlEnv,
-    device: usize,
-    params: &ParamVec,
-    epochs: usize,
-    hook: &dyn GradHook,
-    round: usize,
-    salt: u64,
-) -> ParamVec {
-    local_train_owned(env, device, params.clone(), epochs, hook, round, salt)
 }
 
 /// [`local_train_owned`] with no gradient correction.
@@ -103,7 +93,7 @@ pub fn local_train_plain_owned(
     local_train_owned(env, device, params, epochs, &NoHook, round, salt)
 }
 
-/// [`local_train`] with no gradient correction.
+/// [`local_train_plain_owned`] keeping the caller's input (clones once).
 pub fn local_train_plain(
     env: &FlEnv,
     device: usize,
@@ -112,7 +102,7 @@ pub fn local_train_plain(
     round: usize,
     salt: u64,
 ) -> ParamVec {
-    local_train(env, device, params, epochs, &NoHook, round, salt)
+    local_train_plain_owned(env, device, params.clone(), epochs, round, salt)
 }
 
 /// Instantiate the environment's architecture loaded with `params` —
@@ -206,10 +196,10 @@ mod tests {
             sgd: SgdConfig::default(),
             seed: 77,
             exec: ExecMode::default(),
-            momentum: crate::env::MomentumBank::disabled(),
+            momentum: crate::env::DeviceBank::disabled(),
             wire_check: false,
             codec: fedhisyn_nn::Codec::F32,
-            residuals: crate::env::ResidualBank::disabled(),
+            residuals: crate::env::DeviceBank::disabled(),
             faults: fedhisyn_simnet::FaultPlan::none(),
             cohort: None,
             telemetry: fedhisyn_telemetry::TelemetrySink::disabled(),

@@ -9,17 +9,24 @@
 //! holds the model it most recently finished training, which is what it
 //! uploads.
 //!
+//! There is one entry point, [`simulate_ring_interval`]. Everything that
+//! varies between callers — the receive policy, mid-interval device
+//! failures, wire faults, telemetry and the wire codec — is a field of
+//! [`RingOptions`], whose default is the paper's static, fault-free,
+//! untraced, full-precision interval. The ring algorithms do not fill
+//! the options in themselves: `RingRound` derives them from the
+//! environment, the same way for FedHiSyn's class rings and the
+//! decentralized rings, and settles the interval's traffic afterwards.
+//!
 //! # Move-based relay
 //!
 //! Models flow through the simulation **by value**: the trainer consumes
 //! the working [`ParamVec`] and returns the trained one (reusing the same
 //! allocation on the engine path), arrivals move into the inbox, and the
 //! inbox moves into the next working slot. The only copy a steady-state
-//! hop performs is the clone placed on the wire for the ring successor —
-//! the original implementation additionally cloned into the `latest`
-//! snapshot on every completion and cloned the whole start vector up
-//! front. [`RingStart::Shared`] likewise materialises per-position copies
-//! of the interval-start broadcast lazily, exactly once each.
+//! hop performs is the clone placed on the wire for the ring successor.
+//! [`RingStart::Shared`] likewise materialises per-position copies of the
+//! interval-start broadcast lazily, exactly once each.
 //!
 //! The simulation is generic over the actual training function so unit
 //! tests can verify the event choreography with arithmetic mocks while
@@ -27,23 +34,19 @@
 
 use fedhisyn_nn::{CodecScratch, ParamVec};
 use fedhisyn_simnet::{EventQueue, FaultKind, FaultPlan, LinkModel, SimTime};
-use fedhisyn_telemetry::{Phase, SpanCtx, TelemetrySink, TransportCounters};
+use fedhisyn_telemetry::{Phase, SpanCtx, TelemetrySink, TransportCounters, WallStart};
 use serde::{Deserialize, Serialize};
 
 use crate::env::FlEnv;
+use crate::local::local_train_plain_owned;
 use crate::topology::Ring;
 
 pub use fedhisyn_fleet::FailurePolicy;
 
 /// Telemetry context for one ring interval: where spans go and how this
 /// ring's local event clock maps onto the experiment's virtual timeline.
-///
-/// The simulation emits a [`Phase::LocalTrain`] span per completed step
-/// and a [`Phase::RelayHop`] span per device→device transfer (normal
-/// forwards, dead-position re-forwards and failure salvages alike), all
-/// offset by `vt_base` so they nest under the round span.
 #[derive(Debug, Clone, Copy)]
-pub struct RingTrace<'a> {
+pub(crate) struct RingTrace<'a> {
     /// Destination sink (a disabled sink makes every emission a no-op).
     pub sink: &'a TelemetrySink,
     /// Federated round index spans are tagged with.
@@ -56,34 +59,19 @@ pub struct RingTrace<'a> {
 }
 
 impl RingTrace<'_> {
-    /// Emit one relay-hop span covering `[now, now + delay]` on this
-    /// ring's clock.
-    fn hop(&self, now: SimTime, delay: f64, dest_device: usize, seq: usize) {
-        let wall = self.sink.wall_start();
-        self.sink.span(
-            Phase::RelayHop,
-            self.round,
-            SpanCtx::device(self.lane, dest_device as u32, seq as u32),
-            (
-                self.vt_base + now.seconds(),
-                self.vt_base + now.seconds() + delay,
-            ),
-            wall,
-        );
+    /// `now` on this ring's clock, as an instant on the experiment's.
+    fn at(&self, now: SimTime) -> f64 {
+        self.vt_base + now.seconds()
     }
 
-    /// Emit one retransmission-attempt span (a retry frame put on the
-    /// wire after a transport fault) covering `[now, now + delay]`.
-    fn attempt(&self, now: SimTime, delay: f64, dest_device: usize, seq: usize) {
-        let wall = self.sink.wall_start();
+    /// Emit one `phase` span for `device` over the experiment-clock
+    /// extent `vt`.
+    fn span(&self, phase: Phase, device: usize, seq: usize, vt: (f64, f64), wall: WallStart) {
         self.sink.span(
-            Phase::RelayAttempt,
+            phase,
             self.round,
-            SpanCtx::device(self.lane, dest_device as u32, seq as u32),
-            (
-                self.vt_base + now.seconds(),
-                self.vt_base + now.seconds() + delay,
-            ),
+            SpanCtx::device(self.lane, device as u32, seq as u32),
+            vt,
             wall,
         );
     }
@@ -91,14 +79,86 @@ impl RingTrace<'_> {
 
 /// Wire-fault context for one ring interval: which deterministic fault
 /// plan governs its edges and which federated round the draws are keyed
-/// to (the plan's fault function is pure in `(round, src, dst, attempt)`,
-/// so the same plan replays bit-identically at any thread count).
+/// to.
 #[derive(Debug, Clone, Copy)]
-pub struct RingFaults<'a> {
+pub(crate) struct RingFaults<'a> {
     /// The experiment's fault plan.
     pub plan: &'a FaultPlan,
     /// Federated round index keying the per-edge draws.
     pub round: u64,
+}
+
+/// Wire-codec context for one ring interval: the environment holding the
+/// active [`fedhisyn_nn::Codec`], its error-feedback residual bank and
+/// the `wire_check` tripwire, plus the shared base model `TopK` deltas
+/// are coded against.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct RelayCodec<'a> {
+    /// Environment carrying codec, residuals and the wire-check flag.
+    pub env: &'a FlEnv,
+    /// Shared reference model for delta coding.
+    pub base: Option<&'a ParamVec>,
+}
+
+/// Everything about a ring interval beyond the ring, its latencies, the
+/// link and the start models. `RingOptions::default()` is the paper's
+/// interval — received models are trained directly, nobody crashes, the
+/// wire is perfect and full-precision, nothing is traced — and every
+/// field left at its default keeps the simulation bit- and
+/// allocation-identical to that path.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct RingOptions<'a> {
+    /// What a device does with a model received from its predecessor.
+    pub policy: ReceivePolicy,
+    /// What happens to the model a crashing device held, and to arrivals
+    /// addressed to a dead position: forwarded to the next live successor
+    /// or dropped. Only consulted when `failures` schedules a crash.
+    pub failure_policy: FailurePolicy,
+    /// `failures[p]` is the virtual time within `[0, interval)` at which
+    /// the device at ring position `p` crashes (`None` = survives; times
+    /// at or past the interval are ignored). An empty slice means nobody
+    /// fails: no failure events are scheduled at all.
+    ///
+    /// When a device dies, the step it was training never completes; the
+    /// freshest model it held — a pending unconsumed arrival, else the
+    /// model it was training — is preserved as its last-held model
+    /// (device storage survives a crash, which is what a decentralized
+    /// rejoin resumes from) and, under
+    /// [`FailurePolicy::ForwardToSuccessor`], a copy goes to the next
+    /// *live* successor. The ring repairs itself: later sends skip dead
+    /// positions and in-flight arrivals addressed to one are re-forwarded
+    /// or dropped. The position is reported dead in
+    /// [`RingOutcome::alive`] — it cannot upload this round.
+    pub failures: &'a [Option<f64>],
+    /// Deterministic wire faults on every relay hop. The plan's fault
+    /// function is pure in `(round, src, dst, attempt)`, so one context
+    /// replays bit-identically at any thread count.
+    ///
+    /// Every hop becomes a bounded retry loop in virtual time: a lost,
+    /// corrupted (checksum-rejected) or timed-out frame is retransmitted
+    /// after an exponential backoff, up to the plan's retry budget; a
+    /// transfer that exhausts the budget is *given up* — the receiver
+    /// keeps refining its own model (Eq. 7), so the round always
+    /// completes. Duplicated frames deliver twice (harmless under the
+    /// newest-wins inbox, but both copies cost wire bytes). The *logical*
+    /// transfer is counted in [`RingOutcome::transfers`] exactly as on a
+    /// perfect wire, even when every attempt fails; the physical extras —
+    /// retries and duplicate copies — are reported in
+    /// [`RingOutcome::transport`] for the retransmit ledger. `None`, or a
+    /// plan for which [`FaultPlan::is_none`] holds, allocates no fault
+    /// state and draws nothing.
+    pub(crate) faults: Option<RingFaults<'a>>,
+    /// Span emission: one [`Phase::LocalTrain`] per completed step, one
+    /// [`Phase::RelayHop`] per delivered transfer (normal forwards,
+    /// dead-position re-forwards and failure salvages alike) and one
+    /// [`Phase::RelayAttempt`] per retry frame, all offset onto the
+    /// experiment's virtual clock so they nest under the round span.
+    pub(crate) trace: Option<RingTrace<'a>>,
+    /// The wire codec every physical send crosses: the receiver observes
+    /// the decoded reconstruction, the sender's error-feedback residual
+    /// absorbs what the encode dropped. `None` — or an `F32` codec with
+    /// `wire_check` off — leaves every relay untouched.
+    pub(crate) codec: Option<RelayCodec<'a>>,
 }
 
 /// Transport-fault accounting for one simulated ring interval.
@@ -234,6 +294,8 @@ enum Event {
 ///   ring position `p`,
 /// * `start` — the models positions begin the interval with (shared
 ///   broadcast or per-position),
+/// * `opts` — receive policy, failures, wire faults, tracing and codec
+///   (see [`RingOptions`]; `RingOptions::default()` for the plain ring),
 /// * `train(device, model, salt)` — performs one local step, consuming
 ///   and returning the model buffer; `salt` is a unique per-(position,
 ///   step) value for deterministic batch shuffling.
@@ -246,356 +308,20 @@ pub fn simulate_ring_interval<F>(
     link: &LinkModel,
     start: RingStart<'_>,
     interval: f64,
-    policy: ReceivePolicy,
-    train: F,
+    opts: RingOptions<'_>,
+    mut train: F,
 ) -> RingOutcome
 where
     F: FnMut(usize, ParamVec, u64) -> ParamVec,
 {
-    simulate_ring_interval_faulty(
-        ring,
-        latencies,
-        link,
-        start,
-        interval,
-        policy,
-        FailurePolicy::default(),
-        &[],
-        train,
-    )
-}
-
-/// The first live ring position after `pos` (the repaired successor), or
-/// `None` when every other position is dead.
-fn next_live(ring: &Ring, dead: &[bool], pos: usize) -> Option<usize> {
-    let mut p = ring.next_position(pos);
-    while p != pos {
-        if !dead[p] {
-            return Some(p);
-        }
-        p = ring.next_position(p);
-    }
-    None
-}
-
-/// [`simulate_ring_interval`] under mid-interval device failures.
-///
-/// `failures[p]` is the virtual time within `[0, interval)` at which the
-/// device at ring position `p` crashes (`None` = survives; an empty slice
-/// = nobody fails, which is *exactly* the static code path: no failure
-/// events are scheduled and the event choreography is unchanged).
-///
-/// When a device dies:
-///
-/// * the step it was training never completes (its pending completion is
-///   discarded),
-/// * the freshest model it held — a pending unconsumed arrival, else the
-///   model it was training — is preserved as its last-held model (device
-///   storage survives a crash, which is what a decentralized rejoin
-///   resumes from), and under [`FailurePolicy::ForwardToSuccessor`] a
-///   copy is forwarded to the next *live* ring successor,
-/// * the ring repairs itself: subsequent sends skip dead positions, and
-///   in-flight arrivals addressed to a dead position are re-forwarded
-///   (or dropped, under [`FailurePolicy::DropInFlight`]),
-/// * the position is reported dead in [`RingOutcome::alive`] — it cannot
-///   upload this round.
-#[allow(clippy::too_many_arguments)]
-pub fn simulate_ring_interval_faulty<F>(
-    ring: &Ring,
-    latencies: &[f64],
-    link: &LinkModel,
-    start: RingStart<'_>,
-    interval: f64,
-    policy: ReceivePolicy,
-    failure_policy: FailurePolicy,
-    failures: &[Option<f64>],
-    train: F,
-) -> RingOutcome
-where
-    F: FnMut(usize, ParamVec, u64) -> ParamVec,
-{
-    sim_ring_impl(
-        ring,
-        latencies,
-        link,
-        start,
-        interval,
-        policy,
-        failure_policy,
-        failures,
-        None,
-        None,
-        None,
-        train,
-    )
-}
-
-/// [`simulate_ring_interval_faulty`] emitting telemetry spans: one
-/// [`Phase::LocalTrain`] per completed step, one [`Phase::RelayHop`] per
-/// transfer, stamped on the experiment's virtual clock via
-/// `trace.vt_base`. With a disabled sink this is bit- and
-/// allocation-identical to the untraced entry points.
-#[allow(clippy::too_many_arguments)]
-pub fn simulate_ring_interval_traced<F>(
-    ring: &Ring,
-    latencies: &[f64],
-    link: &LinkModel,
-    start: RingStart<'_>,
-    interval: f64,
-    policy: ReceivePolicy,
-    failure_policy: FailurePolicy,
-    failures: &[Option<f64>],
-    trace: RingTrace<'_>,
-    train: F,
-) -> RingOutcome
-where
-    F: FnMut(usize, ParamVec, u64) -> ParamVec,
-{
-    sim_ring_impl(
-        ring,
-        latencies,
-        link,
-        start,
-        interval,
-        policy,
-        failure_policy,
-        failures,
-        None,
-        Some(trace),
-        None,
-        train,
-    )
-}
-
-/// The full transport entry point: [`simulate_ring_interval_traced`]
-/// plus deterministic wire faults on every relay hop.
-///
-/// Every hop becomes a bounded retry loop in virtual time: a lost,
-/// corrupted (checksum-rejected) or timed-out frame is retransmitted
-/// after an exponential backoff, up to the plan's retry budget; a
-/// transfer that exhausts the budget is *given up* — the receiver simply
-/// keeps refining its own model (Eq. 7), exactly the salvage semantics
-/// the [`FailurePolicy`] paths already guarantee, so the round always
-/// completes. Duplicated frames deliver twice (harmless under the
-/// newest-wins inbox, but both copies cost wire bytes).
-///
-/// Accounting: the *logical* transfer is counted in
-/// [`RingOutcome::transfers`] exactly as in the fault-free path (even
-/// when every attempt fails); the physical extras — retries and
-/// duplicate copies — are reported in [`RingOutcome::transport`] for the
-/// caller to charge to the retransmit ledger.
-///
-/// `faults: None` — or a plan for which [`FaultPlan::is_none`] holds —
-/// is bit- and allocation-identical to [`simulate_ring_interval_traced`].
-#[allow(clippy::too_many_arguments)]
-pub fn simulate_ring_interval_transport<F>(
-    ring: &Ring,
-    latencies: &[f64],
-    link: &LinkModel,
-    start: RingStart<'_>,
-    interval: f64,
-    policy: ReceivePolicy,
-    failure_policy: FailurePolicy,
-    failures: &[Option<f64>],
-    faults: Option<RingFaults<'_>>,
-    trace: Option<RingTrace<'_>>,
-    codec: Option<&RelayCodec<'_>>,
-    train: F,
-) -> RingOutcome
-where
-    F: FnMut(usize, ParamVec, u64) -> ParamVec,
-{
-    sim_ring_impl(
-        ring,
-        latencies,
-        link,
-        start,
-        interval,
+    let RingOptions {
         policy,
         failure_policy,
         failures,
         faults,
         trace,
         codec,
-        train,
-    )
-}
-
-/// Wire-codec context for one ring interval: the environment holding the
-/// active [`fedhisyn_nn::Codec`], its error-feedback residual bank and
-/// the `wire_check` tripwire, plus the shared base model `TopK` deltas
-/// are coded against (the round's decoded broadcast for FedHiSyn; `None`
-/// for serverless topologies).
-///
-/// `None` — or a context whose codec is `F32` with `wire_check` off —
-/// leaves every relay untouched: bit- and allocation-identical to the
-/// pre-codec engine.
-#[derive(Debug, Clone, Copy)]
-pub struct RelayCodec<'a> {
-    /// Environment carrying codec, residuals and the wire-check flag.
-    pub env: &'a FlEnv,
-    /// Shared reference model for delta coding.
-    pub base: Option<&'a ParamVec>,
-}
-
-/// Everything one relay transmission needs to mutate, bundled so the
-/// three send sites (normal forward, dead-position re-forward, failure
-/// salvage) share one attempt loop without a dozen-argument call.
-struct Wire<'a, 'b> {
-    queue: &'a mut EventQueue<Event>,
-    faults: Option<&'a RingFaults<'b>>,
-    trace: &'a Option<RingTrace<'b>>,
-    codec: Option<&'a RelayCodec<'b>>,
-    codec_scratch: &'a mut CodecScratch,
-    transport: &'a mut TransportStats,
-    /// Per-source-position monotone frame cursor: every physical attempt
-    /// consumes one value, so the pure fault function sees a fresh
-    /// `(round, src, dst, attempt)` coordinate per frame regardless of
-    /// how many transmissions the edge carries.
-    sent: &'a mut [u64],
-    transfers: &'a mut usize,
-}
-
-impl Wire<'_, '_> {
-    /// Put `model` on the wire from ring position `src_pos` to `dst_pos`
-    /// at virtual time `now`. Fault-free this is exactly the historical
-    /// single `push_class` + hop span; under a fault plan it becomes the
-    /// bounded retry loop described on
-    /// [`simulate_ring_interval_transport`].
-    fn transmit(
-        &mut self,
-        ring: &Ring,
-        link: &LinkModel,
-        now: SimTime,
-        src_pos: usize,
-        dst_pos: usize,
-        mut model: ParamVec,
-    ) {
-        let src = ring.order()[src_pos];
-        let dst = ring.order()[dst_pos];
-        // Every physical send crosses the codec: the receiver observes
-        // the decoded reconstruction, the sender's residual absorbs what
-        // this hop's encode dropped. A no-op under `F32`.
-        if let Some(c) = self.codec {
-            c.env
-                .codec_transform(src, &mut model, c.base, self.codec_scratch);
-        }
-        let delay = link.delay(src, dst).max(0.0);
-        let seq = *self.transfers;
-        *self.transfers += 1;
-
-        let Some(f) = self.faults else {
-            // Fault-free fast path: bit-identical to the pre-transport
-            // choreography (one arrival, one hop span, no extra state).
-            self.queue.push_class(
-                now + delay,
-                CLASS_ARRIVAL,
-                Event::Arrival {
-                    pos: dst_pos,
-                    model,
-                },
-            );
-            if let Some(tr) = self.trace {
-                tr.hop(now, delay, dst, seq);
-            }
-            return;
-        };
-
-        let cfg = f.plan.config();
-        let mut t = now;
-        for attempt in 0..=cfg.max_retries {
-            let kind = f
-                .plan
-                .fault(f.round, src as u64, dst as u64, self.sent[src_pos]);
-            self.sent[src_pos] += 1;
-            if attempt > 0 {
-                if let Some(tr) = self.trace {
-                    tr.attempt(t, delay, dst, self.transport.retries as usize);
-                }
-                self.transport.retries += 1;
-            }
-            match kind {
-                FaultKind::Delivered | FaultKind::Duplicated => {
-                    if kind == FaultKind::Duplicated {
-                        self.transport.duplicates += 1;
-                        self.queue.push_class(
-                            t + delay,
-                            CLASS_ARRIVAL,
-                            Event::Arrival {
-                                pos: dst_pos,
-                                model: model.clone(),
-                            },
-                        );
-                    }
-                    self.queue.push_class(
-                        t + delay,
-                        CLASS_ARRIVAL,
-                        Event::Arrival {
-                            pos: dst_pos,
-                            model,
-                        },
-                    );
-                    if let Some(tr) = self.trace {
-                        tr.hop(t, delay, dst, seq);
-                    }
-                    return;
-                }
-                FaultKind::Lost => {
-                    // The frame vanished in flight: the sender learns
-                    // nothing until its (implicit) ack window lapses,
-                    // then backs off.
-                    self.transport.losses += 1;
-                    self.transport.faults_at[dst_pos] += 1;
-                    t += cfg.backoff(attempt);
-                }
-                FaultKind::Corrupted => {
-                    // The frame crossed the wire but the receiver's
-                    // checksum rejected it — corruption is *detected*,
-                    // never trained on.
-                    self.transport.corruptions_detected += 1;
-                    self.transport.faults_at[dst_pos] += 1;
-                    t += delay + cfg.backoff(attempt);
-                }
-                FaultKind::TimedOut => {
-                    self.transport.timeouts += 1;
-                    self.transport.faults_at[dst_pos] += 1;
-                    t += cfg.timeout_delay + cfg.backoff(attempt);
-                }
-            }
-        }
-        // Retry budget exhausted: give the transfer up. No arrival is
-        // scheduled; the receiver keeps refining its own model (Eq. 7),
-        // so the interval still completes for every live position.
-        self.transport.giveups += 1;
-    }
-}
-
-// Arrivals sort before completions at the same instant so that a
-// zero-delay handoff between equal-latency devices lands in time for
-// the receiver's next step (see `EventQueue` docs). Failures sort
-// last: a step finishing at the crash instant still counts.
-const CLASS_ARRIVAL: u8 = 0;
-const CLASS_COMPLETION: u8 = 1;
-const CLASS_FAILURE: u8 = 2;
-
-#[allow(clippy::too_many_arguments)]
-fn sim_ring_impl<F>(
-    ring: &Ring,
-    latencies: &[f64],
-    link: &LinkModel,
-    start: RingStart<'_>,
-    interval: f64,
-    policy: ReceivePolicy,
-    failure_policy: FailurePolicy,
-    failures: &[Option<f64>],
-    faults: Option<RingFaults<'_>>,
-    trace: Option<RingTrace<'_>>,
-    codec: Option<&RelayCodec<'_>>,
-    mut train: F,
-) -> RingOutcome
-where
-    F: FnMut(usize, ParamVec, u64) -> ParamVec,
-{
+    } = opts;
     let n = ring.len();
     assert_eq!(latencies.len(), n, "one latency per ring position");
     assert!(n > 0, "empty ring");
@@ -627,27 +353,32 @@ where
     let mut latest: Vec<ParamVec> = vec![ParamVec::default(); n];
     let mut inbox: Vec<Option<ParamVec>> = vec![None; n];
     let mut steps = vec![0usize; n];
-    let mut transfers = 0usize;
     let mut dead = vec![false; n];
+    let forward = failure_policy == FailurePolicy::ForwardToSuccessor;
 
-    // Wire-fault state. A `None` context — or a plan with zero fault
-    // probabilities — must leave this path untouched: no allocation, no
-    // draws, bit-identical event choreography.
-    let fault_ctx = faults.filter(|f| !f.plan.is_none());
-    let mut transport = TransportStats::default();
-    // One scratch per ring interval: the event loop is single-threaded,
-    // so every hop's codec transform reuses these buffers and the steady
-    // state stays allocation-free after the first compressed send.
-    let mut codec_scratch = CodecScratch::new();
-    let mut sent: Vec<u64> = Vec::new();
-    if fault_ctx.is_some() {
-        transport.faults_at = vec![0; n];
-        sent = vec![0; n];
-    }
+    // The interval's one wire. A `None` fault context — or a plan with
+    // zero fault probabilities — must leave it untouched: no fault state
+    // allocated, no draws, bit-identical event choreography.
+    let faults = faults.filter(|f| !f.plan.is_none());
+    let fault_slots = if faults.is_some() { n } else { 0 };
+    let mut wire = Wire {
+        ring,
+        link,
+        faults,
+        trace,
+        codec,
+        queue: EventQueue::new(),
+        codec_scratch: CodecScratch::new(),
+        transport: TransportStats {
+            faults_at: vec![0; fault_slots],
+            ..TransportStats::default()
+        },
+        sent: vec![0; fault_slots],
+        transfers: 0,
+    };
 
-    let mut queue: EventQueue<Event> = EventQueue::new();
     for (pos, &latency) in latencies.iter().enumerate() {
-        queue.push_class(
+        wire.queue.push_class(
             SimTime::new(latency),
             CLASS_COMPLETION,
             Event::Completion { pos },
@@ -657,31 +388,22 @@ where
         if let Some(t) = *failure {
             assert!(t.is_finite() && t >= 0.0, "failure time must be >= 0");
             if t < interval {
-                queue.push_class(SimTime::new(t), CLASS_FAILURE, Event::Failure { pos });
+                wire.queue
+                    .push_class(SimTime::new(t), CLASS_FAILURE, Event::Failure { pos });
             }
         }
     }
 
-    while let Some((now, event)) = queue.pop() {
+    while let Some((now, event)) = wire.queue.pop() {
         match event {
             Event::Arrival { pos, model } => {
                 if dead[pos] {
                     // Ring repair: the sender did not know `pos` died.
                     // Re-forward to the next live successor (one extra
                     // hop on the wire) — or drop the model entirely.
-                    if failure_policy == FailurePolicy::ForwardToSuccessor {
+                    if forward {
                         if let Some(succ) = next_live(ring, &dead, pos) {
-                            Wire {
-                                queue: &mut queue,
-                                faults: fault_ctx.as_ref(),
-                                trace: &trace,
-                                transport: &mut transport,
-                                sent: &mut sent,
-                                transfers: &mut transfers,
-                                codec,
-                                codec_scratch: &mut codec_scratch,
-                            }
-                            .transmit(ring, link, now, pos, succ, model);
+                            wire.transmit(now, pos, succ, model);
                         }
                     }
                     continue;
@@ -698,26 +420,9 @@ where
                 // decentralized rejoin resumes from), so preserve it as
                 // the position's last-held model either way.
                 if let Some(held) = inbox[pos].take().or_else(|| working[pos].take()) {
-                    if failure_policy == FailurePolicy::ForwardToSuccessor {
+                    if forward {
                         if let Some(succ) = next_live(ring, &dead, pos) {
-                            Wire {
-                                queue: &mut queue,
-                                faults: fault_ctx.as_ref(),
-                                trace: &trace,
-                                transport: &mut transport,
-                                sent: &mut sent,
-                                transfers: &mut transfers,
-                                codec,
-                                codec_scratch: &mut codec_scratch,
-                            }
-                            .transmit(
-                                ring,
-                                link,
-                                now,
-                                pos,
-                                succ,
-                                held.clone(),
-                            );
+                            wire.transmit(now, pos, succ, held.clone());
                         }
                     }
                     latest[pos] = held;
@@ -729,30 +434,20 @@ where
                 // handler.
             }
             Event::Completion { pos } => {
+                let device = ring.order()[pos];
                 let salt = (pos as u64) << 32 | steps[pos] as u64;
                 let input = working[pos]
                     .take()
                     .unwrap_or_else(|| shared.expect("start model").clone());
-                let trained = match &trace {
-                    Some(tr) => {
-                        let wall = tr.sink.wall_start();
-                        let trained = train(ring.order()[pos], input, salt);
-                        // The step completing at `now` started one local
-                        // latency earlier.
-                        tr.sink.span(
-                            Phase::LocalTrain,
-                            tr.round,
-                            SpanCtx::device(tr.lane, ring.order()[pos] as u32, steps[pos] as u32),
-                            (
-                                tr.vt_base + now.seconds() - latencies[pos],
-                                tr.vt_base + now.seconds(),
-                            ),
-                            wall,
-                        );
-                        trained
-                    }
-                    None => train(ring.order()[pos], input, salt),
-                };
+                let traced = trace.map(|tr| (tr, tr.sink.wall_start()));
+                let trained = train(device, input, salt);
+                if let Some((tr, wall)) = traced {
+                    // The step completing at `now` started one local
+                    // latency earlier.
+                    let end = tr.at(now);
+                    let vt = (end - latencies[pos], end);
+                    tr.span(Phase::LocalTrain, device, steps[pos], vt, wall);
+                }
                 steps[pos] += 1;
 
                 // Forward along the ring to the next *live* successor
@@ -763,24 +458,7 @@ where
                 // keeps training.
                 if n > 1 {
                     if let Some(succ) = next_live(ring, &dead, pos) {
-                        Wire {
-                            queue: &mut queue,
-                            faults: fault_ctx.as_ref(),
-                            trace: &trace,
-                            transport: &mut transport,
-                            sent: &mut sent,
-                            transfers: &mut transfers,
-                            codec,
-                            codec_scratch: &mut codec_scratch,
-                        }
-                        .transmit(
-                            ring,
-                            link,
-                            now,
-                            pos,
-                            succ,
-                            trained.clone(),
-                        );
+                        wire.transmit(now, pos, succ, trained.clone());
                     }
                 }
 
@@ -801,7 +479,7 @@ where
                         }
                         (None, _) => trained,
                     });
-                    queue.push_class(
+                    wire.queue.push_class(
                         now + latencies[pos],
                         CLASS_COMPLETION,
                         Event::Completion { pos },
@@ -832,9 +510,290 @@ where
         final_models: latest,
         next_models,
         steps,
-        transfers,
+        transfers: wire.transfers,
         alive: dead.iter().map(|&d| !d).collect(),
-        transport,
+        transport: wire.transport,
+    }
+}
+
+/// The first live ring position after `pos` (the repaired successor), or
+/// `None` when every other position is dead.
+fn next_live(ring: &Ring, dead: &[bool], pos: usize) -> Option<usize> {
+    let mut p = ring.next_position(pos);
+    while p != pos {
+        if !dead[p] {
+            return Some(p);
+        }
+        p = ring.next_position(p);
+    }
+    None
+}
+
+// Arrivals sort before completions at the same instant so that a
+// zero-delay handoff between equal-latency devices lands in time for
+// the receiver's next step (see `EventQueue` docs). Failures sort
+// last: a step finishing at the crash instant still counts.
+const CLASS_ARRIVAL: u8 = 0;
+const CLASS_COMPLETION: u8 = 1;
+const CLASS_FAILURE: u8 = 2;
+
+/// One interval's wire: the event queue arrivals are scheduled on and
+/// everything a relay transmission reads or mutates, built once so the
+/// three send sites (normal forward, dead-position re-forward, failure
+/// salvage) share one attempt loop.
+struct Wire<'a> {
+    ring: &'a Ring,
+    link: &'a LinkModel,
+    faults: Option<RingFaults<'a>>,
+    trace: Option<RingTrace<'a>>,
+    codec: Option<RelayCodec<'a>>,
+    queue: EventQueue<Event>,
+    /// One scratch per ring interval: the event loop is single-threaded,
+    /// so every hop's codec transform reuses these buffers and the steady
+    /// state stays allocation-free after the first compressed send.
+    codec_scratch: CodecScratch,
+    transport: TransportStats,
+    /// Per-source-position monotone frame cursor: every physical attempt
+    /// consumes one value, so the pure fault function sees a fresh
+    /// `(round, src, dst, attempt)` coordinate per frame regardless of
+    /// how many transmissions the edge carries. Empty without faults.
+    sent: Vec<u64>,
+    transfers: usize,
+}
+
+impl Wire<'_> {
+    /// Schedule `model`'s arrival at `dst_pos` and emit the hop's span.
+    fn deliver(
+        &mut self,
+        sent_at: SimTime,
+        delay: f64,
+        dst_pos: usize,
+        seq: usize,
+        model: ParamVec,
+    ) {
+        let arrival = Event::Arrival {
+            pos: dst_pos,
+            model,
+        };
+        self.queue
+            .push_class(sent_at + delay, CLASS_ARRIVAL, arrival);
+        if let Some(tr) = &self.trace {
+            let at = tr.at(sent_at);
+            let wall = tr.sink.wall_start();
+            let dst = self.ring.order()[dst_pos];
+            tr.span(Phase::RelayHop, dst, seq, (at, at + delay), wall);
+        }
+    }
+
+    /// Put `model` on the wire from ring position `src_pos` to `dst_pos`
+    /// at virtual time `now`. Fault-free this is a single arrival and hop
+    /// span; under a fault plan it becomes the bounded retry loop
+    /// described on [`RingOptions`].
+    fn transmit(&mut self, now: SimTime, src_pos: usize, dst_pos: usize, mut model: ParamVec) {
+        let src = self.ring.order()[src_pos];
+        let dst = self.ring.order()[dst_pos];
+        // Every physical send crosses the codec (a no-op under `F32`).
+        if let Some(c) = self.codec {
+            c.env
+                .codec_transform(src, &mut model, c.base, &mut self.codec_scratch);
+        }
+        let delay = self.link.delay(src, dst).max(0.0);
+        let seq = self.transfers;
+        self.transfers += 1;
+
+        let Some(f) = self.faults else {
+            self.deliver(now, delay, dst_pos, seq, model);
+            return;
+        };
+
+        let cfg = f.plan.config();
+        let mut t = now;
+        for attempt in 0..=cfg.max_retries {
+            let kind = f
+                .plan
+                .fault(f.round, src as u64, dst as u64, self.sent[src_pos]);
+            self.sent[src_pos] += 1;
+            if attempt > 0 {
+                if let Some(tr) = &self.trace {
+                    let at = tr.at(t);
+                    let wall = tr.sink.wall_start();
+                    let retry = self.transport.retries as usize;
+                    tr.span(Phase::RelayAttempt, dst, retry, (at, at + delay), wall);
+                }
+                self.transport.retries += 1;
+            }
+            match kind {
+                FaultKind::Delivered => return self.deliver(t, delay, dst_pos, seq, model),
+                FaultKind::Duplicated => {
+                    // The extra copy lands first and carries no span of
+                    // its own: one logical hop, two physical frames.
+                    self.transport.duplicates += 1;
+                    let copy = Event::Arrival {
+                        pos: dst_pos,
+                        model: model.clone(),
+                    };
+                    self.queue.push_class(t + delay, CLASS_ARRIVAL, copy);
+                    return self.deliver(t, delay, dst_pos, seq, model);
+                }
+                FaultKind::Lost => {
+                    // The frame vanished in flight: the sender learns
+                    // nothing until its (implicit) ack window lapses,
+                    // then backs off.
+                    self.transport.losses += 1;
+                    t += cfg.backoff(attempt);
+                }
+                FaultKind::Corrupted => {
+                    // The frame crossed the wire but the receiver's
+                    // checksum rejected it — corruption is *detected*,
+                    // never trained on.
+                    self.transport.corruptions_detected += 1;
+                    t += delay + cfg.backoff(attempt);
+                }
+                FaultKind::TimedOut => {
+                    self.transport.timeouts += 1;
+                    t += cfg.timeout_delay + cfg.backoff(attempt);
+                }
+            }
+            // Only retry-triggering faults reach this point.
+            self.transport.faults_at[dst_pos] += 1;
+        }
+        // Retry budget exhausted: give the transfer up. No arrival is
+        // scheduled; the receiver keeps refining its own model (Eq. 7),
+        // so the interval still completes for every live position.
+        self.transport.giveups += 1;
+    }
+}
+
+/// One round's ring phase as both ring algorithms run it: FedHiSyn's
+/// class rings and the decentralized rings differ only in how rings are
+/// built, what they start from and what is done with the outcome. The
+/// per-position latencies and crash times, the fault, trace and codec
+/// contexts, the real trainer and the lane span all come from the
+/// environment here, and [`RingRound::settle`] charges the traffic.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct RingRound<'a> {
+    /// The experiment environment.
+    pub env: &'a FlEnv,
+    /// Federated round index.
+    pub round: usize,
+    /// Virtual time at which the interval starts on the experiment clock.
+    pub vt_base: f64,
+    /// Interval length `R` in virtual seconds.
+    pub interval: f64,
+    /// What devices do with received models.
+    pub policy: ReceivePolicy,
+    /// Shared model lossy `TopK` deltas are coded against: the round's
+    /// decoded broadcast for FedHiSyn, `None` (deltas from zero) where no
+    /// broadcast exists. Error feedback accumulates per device either way.
+    pub base: Option<&'a ParamVec>,
+}
+
+/// One ring readied for a round's interval by [`RingRound::lane`].
+#[derive(Debug)]
+pub(crate) struct Lane {
+    /// The ring itself.
+    pub ring: Ring,
+    latencies: Vec<f64>,
+    failures: Vec<Option<f64>>,
+}
+
+impl RingRound<'_> {
+    /// Look up `ring`'s per-position latencies and mid-interval crash
+    /// times (none on a static fleet). Call it where the ring is built:
+    /// fleet queries take the fleet's shard locks, and the lanes that
+    /// would otherwise all make them at once run in parallel.
+    pub fn lane(&self, ring: Ring) -> Lane {
+        let (env, round) = (self.env, self.round);
+        let latencies = ring
+            .order()
+            .iter()
+            .map(|&d| env.latency_at(d, round))
+            .collect();
+        let failures = if env.dynamics_active() {
+            ring.order()
+                .iter()
+                .map(|&d| env.fail_time(d, round, self.interval))
+                .collect()
+        } else {
+            Vec::new()
+        };
+        Lane {
+            ring,
+            latencies,
+            failures,
+        }
+    }
+
+    /// Run `lane` for the interval on the calling thread, tagged as lane
+    /// `index`. Lanes are independent, so callers fan them out in
+    /// parallel.
+    pub fn run_lane(&self, index: usize, lane: &Lane, start: RingStart<'_>) -> RingOutcome {
+        let (env, round) = (self.env, self.round);
+        let opts = RingOptions {
+            policy: self.policy,
+            failure_policy: env.fleet.dynamics().failure_policy,
+            failures: &lane.failures,
+            // Pure in (seed, round, edge, attempt): every parallel lane
+            // shares the one plan read-only.
+            faults: env.faults_active().then_some(RingFaults {
+                plan: &env.faults,
+                round: round as u64,
+            }),
+            trace: Some(RingTrace {
+                sink: &env.telemetry,
+                round: round as u32,
+                lane: index as u32,
+                vt_base: self.vt_base,
+            }),
+            codec: Some(RelayCodec {
+                env,
+                base: self.base,
+            }),
+        };
+        let wall = env.telemetry.wall_start();
+        let outcome = simulate_ring_interval(
+            &lane.ring,
+            &lane.latencies,
+            &env.link,
+            start,
+            self.interval,
+            opts,
+            |device, params, salt| {
+                let trained =
+                    local_train_plain_owned(env, device, params, env.local_epochs, round, salt);
+                // Serialization-drift tripwire: what this hop puts on the
+                // wire must survive the frame codec exactly (a no-op
+                // unless `wire_check` is set).
+                env.wire_round_trip_check(&trained);
+                trained
+            },
+        );
+        env.telemetry.span(
+            Phase::RingInterval,
+            round as u32,
+            SpanCtx::lane(index as u32),
+            (self.vt_base, self.vt_base + self.interval),
+            wall,
+        );
+        outcome
+    }
+
+    /// Post-interval accounting for the round's lanes: logical transfers
+    /// to the peer ledger, retries and duplicate copies to the retransmit
+    /// ledger, and the transport counters — tagged with the round's
+    /// proactive-rebuild count, which the relay cannot know — to
+    /// telemetry.
+    pub fn settle<'o>(&self, outcomes: impl IntoIterator<Item = &'o RingOutcome>, rebuilds: u64) {
+        let env = self.env;
+        let mut total = TransportStats::default();
+        for outcome in outcomes {
+            env.charge_peer(outcome.transfers as u64);
+            env.charge_retransmit(outcome.transport.retransmit_frames());
+            total.absorb(&outcome.transport);
+        }
+        if env.faults_active() {
+            env.telemetry.add_transport(&total.counters(rebuilds));
+        }
     }
 }
 
@@ -881,7 +840,7 @@ mod tests {
             &LinkModel::zero(),
             zero_start(3, 3),
             4.0,
-            ReceivePolicy::TrainReceived,
+            RingOptions::default(),
             mock_train(3),
         );
         // Positions sorted by latency: 1.0 → 4 steps, 2.0 → 2, 4.0 → 1.
@@ -901,7 +860,7 @@ mod tests {
                 &LinkModel::zero(),
                 start,
                 5.0,
-                ReceivePolicy::TrainReceived,
+                RingOptions::default(),
                 mock_train(3),
             )
         };
@@ -922,7 +881,7 @@ mod tests {
             &LinkModel::zero(),
             zero_start(2, 2),
             1.0,
-            ReceivePolicy::TrainReceived,
+            RingOptions::default(),
             mock_train(2),
         );
         assert!(out.steps.iter().all(|&s| s >= 1));
@@ -939,7 +898,7 @@ mod tests {
             &LinkModel::zero(),
             zero_start(2, 2),
             4.0,
-            ReceivePolicy::TrainReceived,
+            RingOptions::default(),
             mock_train(2),
         );
         for m in &out.final_models {
@@ -960,7 +919,7 @@ mod tests {
             &LinkModel::zero(),
             zero_start(1, 1),
             3.0,
-            ReceivePolicy::TrainReceived,
+            RingOptions::default(),
             mock_train(1),
         );
         assert_eq!(out.steps, vec![3]);
@@ -980,7 +939,7 @@ mod tests {
             &LinkModel::zero(),
             zero_start(2, 2),
             8.0,
-            ReceivePolicy::TrainReceived,
+            RingOptions::default(),
             mock_train(2),
         );
         // Fast position is 0 (sorted small-to-large). Its final model must
@@ -999,7 +958,7 @@ mod tests {
             &LinkModel::Constant { delay: 100.0 },
             zero_start(2, 2),
             3.0,
-            ReceivePolicy::TrainReceived,
+            RingOptions::default(),
             mock_train(2),
         );
         // Position p trained only by its own device: exactly one non-zero
@@ -1030,7 +989,10 @@ mod tests {
             &LinkModel::zero(),
             zero_start(2, 2),
             3.0,
-            ReceivePolicy::AverageThenTrain,
+            RingOptions {
+                policy: ReceivePolicy::AverageThenTrain,
+                ..Default::default()
+            },
             mock_train(2),
         );
         let has_fraction = out
@@ -1055,7 +1017,7 @@ mod tests {
                 &LinkModel::zero(),
                 zero_start(4, 4),
                 6.0,
-                ReceivePolicy::TrainReceived,
+                RingOptions::default(),
                 mock_train(4),
             )
         };
@@ -1078,7 +1040,7 @@ mod tests {
             &LinkModel::zero(),
             zero_start(2, 2),
             3.0,
-            ReceivePolicy::TrainReceived,
+            RingOptions::default(),
             |_, m, salt| {
                 salts.push(salt);
                 m
@@ -1102,7 +1064,7 @@ mod tests {
             &LinkModel::zero(),
             zero_start(1, 2),
             4.0,
-            ReceivePolicy::TrainReceived,
+            RingOptions::default(),
             |_, m, _| {
                 ptrs.push(m.as_slice().as_ptr());
                 m
@@ -1123,15 +1085,17 @@ mod tests {
     ) -> (RingOutcome, Ring) {
         let (ring, lat) = ring_of(latencies);
         let n = latencies.len();
-        let out = simulate_ring_interval_faulty(
+        let out = simulate_ring_interval(
             &ring,
             &lat,
             &LinkModel::zero(),
             zero_start(n, n),
             interval,
-            ReceivePolicy::TrainReceived,
-            failure_policy,
-            failures,
+            RingOptions {
+                failure_policy,
+                failures,
+                ..Default::default()
+            },
             mock_train(n),
         );
         (out, ring)
@@ -1141,21 +1105,24 @@ mod tests {
     fn explicit_no_failures_match_the_static_path() {
         let latencies = [1.0, 2.0, 3.0];
         let (ring, lat) = ring_of(&latencies);
-        let run = |failures: &[Option<f64>]| {
-            simulate_ring_interval_faulty(
+        let run = |opts: RingOptions<'_>| {
+            simulate_ring_interval(
                 &ring,
                 &lat,
                 &LinkModel::zero(),
                 zero_start(3, 3),
                 5.0,
-                ReceivePolicy::TrainReceived,
-                FailurePolicy::ForwardToSuccessor,
-                failures,
+                opts,
                 mock_train(3),
             )
         };
-        let none = run(&[]);
-        let explicit = run(&[None, None, None]);
+        let none = run(RingOptions::default());
+        let explicit = run(RingOptions {
+            policy: ReceivePolicy::TrainReceived,
+            failure_policy: FailurePolicy::ForwardToSuccessor,
+            failures: &[None, None, None],
+            ..Default::default()
+        });
         assert_eq!(none.final_models, explicit.final_models);
         assert_eq!(none.next_models, explicit.next_models);
         assert_eq!(none.steps, explicit.steps);
@@ -1185,15 +1152,17 @@ mod tests {
     fn marked_two_device_failure(policy: FailurePolicy) -> RingOutcome {
         let (ring, lat) = ring_of(&[1.0, 1.0]);
         let start = vec![ParamVec::zeros(2), ParamVec::from_vec(vec![0.0, 100.0])];
-        simulate_ring_interval_faulty(
+        simulate_ring_interval(
             &ring,
             &lat,
             &LinkModel::zero(),
             RingStart::PerPosition(start),
             3.0,
-            ReceivePolicy::TrainReceived,
-            policy,
-            &[None, Some(0.5)],
+            RingOptions {
+                failure_policy: policy,
+                failures: &[None, Some(0.5)],
+                ..Default::default()
+            },
             mock_train(2),
         )
     }
@@ -1302,22 +1271,20 @@ mod tests {
 
     use fedhisyn_simnet::FaultConfig;
 
-    /// Run the transport entry point with no failures and no trace.
+    /// Run under a fault plan with no failures and no trace.
     fn run_transport(latencies: &[f64], interval: f64, plan: &FaultPlan) -> RingOutcome {
         let (ring, lat) = ring_of(latencies);
         let n = latencies.len();
-        simulate_ring_interval_transport(
+        simulate_ring_interval(
             &ring,
             &lat,
             &LinkModel::zero(),
             zero_start(n, n),
             interval,
-            ReceivePolicy::TrainReceived,
-            FailurePolicy::ForwardToSuccessor,
-            &[],
-            Some(RingFaults { plan, round: 7 }),
-            None,
-            None,
+            RingOptions {
+                faults: Some(RingFaults { plan, round: 7 }),
+                ..Default::default()
+            },
             mock_train(n),
         )
     }
@@ -1334,7 +1301,7 @@ mod tests {
             &LinkModel::zero(),
             zero_start(3, 3),
             5.0,
-            ReceivePolicy::TrainReceived,
+            RingOptions::default(),
             mock_train(3),
         );
         assert_eq!(with.final_models, without.final_models);
@@ -1432,21 +1399,21 @@ mod tests {
         // budget on its own lineage.
         let (ring, lat) = ring_of(&[1.0, 1.0, 1.0]);
         let plan = FaultPlan::new(3, FaultConfig::lossy(0.5));
-        let out = simulate_ring_interval_transport(
+        let out = simulate_ring_interval(
             &ring,
             &lat,
             &LinkModel::zero(),
             zero_start(3, 3),
             4.0,
-            ReceivePolicy::TrainReceived,
-            FailurePolicy::DropInFlight,
-            &[None, Some(0.5), Some(1.5)],
-            Some(RingFaults {
-                plan: &plan,
-                round: 0,
-            }),
-            None,
-            None,
+            RingOptions {
+                failure_policy: FailurePolicy::DropInFlight,
+                failures: &[None, Some(0.5), Some(1.5)],
+                faults: Some(RingFaults {
+                    plan: &plan,
+                    round: 0,
+                }),
+                ..Default::default()
+            },
             mock_train(3),
         );
         assert_eq!(out.alive, vec![true, false, false]);
@@ -1477,7 +1444,7 @@ mod tests {
             &LinkModel::zero(),
             zero_start(1, 1),
             0.0,
-            ReceivePolicy::TrainReceived,
+            RingOptions::default(),
             mock_train(1),
         );
     }

@@ -93,55 +93,25 @@ impl TrafficSnapshot {
     }
 }
 
-/// A lock-free `f64` accumulator: the value lives as bits in an
-/// `AtomicU64`, additions are a CAS loop. Zero bits are `0.0`, so
-/// `Default` is a zeroed counter.
-#[derive(Debug, Default)]
-struct AtomicF64(AtomicU64);
-
-impl AtomicF64 {
-    #[inline]
-    fn add(&self, v: f64) {
-        let mut cur = self.0.load(Ordering::Relaxed);
-        loop {
-            let new = (f64::from_bits(cur) + v).to_bits();
-            match self
-                .0
-                .compare_exchange_weak(cur, new, Ordering::Relaxed, Ordering::Relaxed)
-            {
-                Ok(_) => return,
-                Err(seen) => cur = seen,
-            }
-        }
-    }
-
-    fn get(&self) -> f64 {
-        f64::from_bits(self.0.load(Ordering::Relaxed))
-    }
-
-    fn set(&self, v: f64) {
-        self.0.store(v.to_bits(), Ordering::Relaxed);
-    }
-}
-
 /// Thread-safe transmission meter shared across simulated devices.
 ///
-/// Each ledger field is an independent lock-free atomic (`f64` bits in an
-/// `AtomicU64`, CAS-accumulated), so rayon-parallel device updates never
-/// contend on a lock and never allocate. A [`TrafficMeter::snapshot`]
+/// Every ledger counts whole things — models, parameters, bytes — so each
+/// is an `AtomicU64` bumped with `fetch_add`: rayon-parallel device
+/// updates never contend on a lock, never allocate, and the totals cannot
+/// depend on the order workers arrive in. A [`TrafficMeter::snapshot`]
 /// reads the fields individually: it is not a single atomic cut across
-/// all five ledgers, but every call site in the workspace records and
+/// all seven ledgers, but every call site in the workspace records and
 /// snapshots from the same thread (or after joining workers), where the
 /// relaxed reads observe all prior writes.
 #[derive(Debug, Default)]
 pub struct TrafficMeter {
-    uploads: AtomicF64,
-    downloads: AtomicF64,
-    peer_transfers: AtomicF64,
-    parameters_moved: AtomicF64,
-    wire_bytes: AtomicF64,
-    retransmit_bytes: AtomicF64,
-    raw_bytes: AtomicF64,
+    uploads: AtomicU64,
+    downloads: AtomicU64,
+    peer_transfers: AtomicU64,
+    parameters_moved: AtomicU64,
+    wire_bytes: AtomicU64,
+    retransmit_bytes: AtomicU64,
+    raw_bytes: AtomicU64,
 }
 
 impl TrafficMeter {
@@ -156,49 +126,39 @@ impl TrafficMeter {
     /// precision — identical under the `F32` codec).
     pub fn record_upload(
         &self,
-        model_equivalents: f64,
+        model_equivalents: u64,
         parameters: usize,
         frame_bytes: usize,
         raw_frame_bytes: usize,
     ) {
-        self.uploads.add(model_equivalents);
-        self.parameters_moved
-            .add(model_equivalents * parameters as f64);
-        self.wire_bytes.add(model_equivalents * frame_bytes as f64);
-        self.raw_bytes
-            .add(model_equivalents * raw_frame_bytes as f64);
+        self.uploads.fetch_add(model_equivalents, Ordering::Relaxed);
+        self.frames(model_equivalents, parameters, frame_bytes, raw_frame_bytes);
     }
 
     /// Record a server→device download.
     pub fn record_download(
         &self,
-        model_equivalents: f64,
+        model_equivalents: u64,
         parameters: usize,
         frame_bytes: usize,
         raw_frame_bytes: usize,
     ) {
-        self.downloads.add(model_equivalents);
-        self.parameters_moved
-            .add(model_equivalents * parameters as f64);
-        self.wire_bytes.add(model_equivalents * frame_bytes as f64);
-        self.raw_bytes
-            .add(model_equivalents * raw_frame_bytes as f64);
+        self.downloads
+            .fetch_add(model_equivalents, Ordering::Relaxed);
+        self.frames(model_equivalents, parameters, frame_bytes, raw_frame_bytes);
     }
 
     /// Record a device→device transfer (ring hop).
     pub fn record_peer(
         &self,
-        model_equivalents: f64,
+        model_equivalents: u64,
         parameters: usize,
         frame_bytes: usize,
         raw_frame_bytes: usize,
     ) {
-        self.peer_transfers.add(model_equivalents);
-        self.parameters_moved
-            .add(model_equivalents * parameters as f64);
-        self.wire_bytes.add(model_equivalents * frame_bytes as f64);
-        self.raw_bytes
-            .add(model_equivalents * raw_frame_bytes as f64);
+        self.peer_transfers
+            .fetch_add(model_equivalents, Ordering::Relaxed);
+        self.frames(model_equivalents, parameters, frame_bytes, raw_frame_bytes);
     }
 
     /// Record `frames` retransmitted device→device frames (resends after
@@ -209,39 +169,48 @@ impl TrafficMeter {
     /// metric stays goodput-only while the byte ledgers stay honest.
     pub fn record_retransmit(
         &self,
-        frames: f64,
+        frames: u64,
         parameters: usize,
         frame_bytes: usize,
         raw_frame_bytes: usize,
     ) {
-        self.parameters_moved.add(frames * parameters as f64);
-        self.wire_bytes.add(frames * frame_bytes as f64);
-        self.retransmit_bytes.add(frames * frame_bytes as f64);
-        self.raw_bytes.add(frames * raw_frame_bytes as f64);
+        self.retransmit_bytes
+            .fetch_add(frames * frame_bytes as u64, Ordering::Relaxed);
+        self.frames(frames, parameters, frame_bytes, raw_frame_bytes);
+    }
+
+    /// Charge `n` physical frames to the payload and byte ledgers.
+    fn frames(&self, n: u64, parameters: usize, frame_bytes: usize, raw_frame_bytes: usize) {
+        self.parameters_moved
+            .fetch_add(n * parameters as u64, Ordering::Relaxed);
+        self.wire_bytes
+            .fetch_add(n * frame_bytes as u64, Ordering::Relaxed);
+        self.raw_bytes
+            .fetch_add(n * raw_frame_bytes as u64, Ordering::Relaxed);
     }
 
     /// Copy out the counters.
     pub fn snapshot(&self) -> TrafficSnapshot {
         TrafficSnapshot {
-            uploads: self.uploads.get(),
-            downloads: self.downloads.get(),
-            peer_transfers: self.peer_transfers.get(),
-            parameters_moved: self.parameters_moved.get(),
-            wire_bytes: self.wire_bytes.get(),
-            retransmit_bytes: self.retransmit_bytes.get(),
-            raw_bytes: self.raw_bytes.get(),
+            uploads: self.uploads.load(Ordering::Relaxed) as f64,
+            downloads: self.downloads.load(Ordering::Relaxed) as f64,
+            peer_transfers: self.peer_transfers.load(Ordering::Relaxed) as f64,
+            parameters_moved: self.parameters_moved.load(Ordering::Relaxed) as f64,
+            wire_bytes: self.wire_bytes.load(Ordering::Relaxed) as f64,
+            retransmit_bytes: self.retransmit_bytes.load(Ordering::Relaxed) as f64,
+            raw_bytes: self.raw_bytes.load(Ordering::Relaxed) as f64,
         }
     }
 
     /// Reset all counters to zero.
     pub fn reset(&self) {
-        self.uploads.set(0.0);
-        self.downloads.set(0.0);
-        self.peer_transfers.set(0.0);
-        self.parameters_moved.set(0.0);
-        self.wire_bytes.set(0.0);
-        self.retransmit_bytes.set(0.0);
-        self.raw_bytes.set(0.0);
+        self.uploads.store(0, Ordering::Relaxed);
+        self.downloads.store(0, Ordering::Relaxed);
+        self.peer_transfers.store(0, Ordering::Relaxed);
+        self.parameters_moved.store(0, Ordering::Relaxed);
+        self.wire_bytes.store(0, Ordering::Relaxed);
+        self.retransmit_bytes.store(0, Ordering::Relaxed);
+        self.raw_bytes.store(0, Ordering::Relaxed);
     }
 }
 
@@ -258,10 +227,10 @@ mod tests {
     #[test]
     fn counters_accumulate() {
         let m = TrafficMeter::new();
-        m.record_upload(1.0, 100, frame(100), frame(100));
-        m.record_upload(2.0, 100, frame(100), frame(100));
-        m.record_download(1.0, 100, frame(100), frame(100));
-        m.record_peer(5.0, 100, frame(100), frame(100));
+        m.record_upload(1, 100, frame(100), frame(100));
+        m.record_upload(2, 100, frame(100), frame(100));
+        m.record_download(1, 100, frame(100), frame(100));
+        m.record_peer(5, 100, frame(100), frame(100));
         let s = m.snapshot();
         assert_eq!(s.uploads, 3.0);
         assert_eq!(s.downloads, 1.0);
@@ -278,7 +247,7 @@ mod tests {
     #[test]
     fn upload_rounds_normalizes() {
         let m = TrafficMeter::new();
-        m.record_upload(50.0, 10, frame(10), frame(10));
+        m.record_upload(50, 10, frame(10), frame(10));
         assert_eq!(m.snapshot().upload_rounds(10), 5.0);
     }
 
@@ -286,7 +255,7 @@ mod tests {
     fn scaffold_double_counting() {
         let m = TrafficMeter::new();
         // SCAFFOLD moves model + control variate: 2 model-equivalents.
-        m.record_upload(2.0, 1000, frame(1000), frame(1000));
+        m.record_upload(2, 1000, frame(1000), frame(1000));
         assert_eq!(m.snapshot().uploads, 2.0);
         assert_eq!(m.snapshot().parameters_moved, 2000.0);
         assert_eq!(m.snapshot().wire_bytes, 2.0 * frame(1000) as f64);
@@ -295,8 +264,8 @@ mod tests {
     #[test]
     fn reset_zeroes() {
         let m = TrafficMeter::new();
-        m.record_upload(1.0, 1, frame(1), frame(1));
-        m.record_retransmit(2.0, 1, frame(1), frame(1));
+        m.record_upload(1, 1, frame(1), frame(1));
+        m.record_retransmit(2, 1, frame(1), frame(1));
         m.reset();
         assert_eq!(m.snapshot(), TrafficSnapshot::default());
     }
@@ -307,10 +276,10 @@ mod tests {
         // A 4× codec: every transfer charges the encoded size to
         // wire_bytes and the full-precision size to raw_bytes.
         let (enc, raw) = (frame(100) / 4, frame(100));
-        m.record_peer(1.0, 100, enc, raw);
-        m.record_upload(1.0, 100, enc, raw);
-        m.record_download(1.0, 100, enc, raw);
-        m.record_retransmit(1.0, 100, enc, raw);
+        m.record_peer(1, 100, enc, raw);
+        m.record_upload(1, 100, enc, raw);
+        m.record_download(1, 100, enc, raw);
+        m.record_retransmit(1, 100, enc, raw);
         let s = m.snapshot();
         assert_eq!(s.wire_bytes, 4.0 * enc as f64);
         assert_eq!(s.raw_bytes, 4.0 * raw as f64);
@@ -323,8 +292,8 @@ mod tests {
     #[test]
     fn retransmits_cost_bytes_but_not_model_equivalents() {
         let m = TrafficMeter::new();
-        m.record_peer(1.0, 100, frame(100), frame(100));
-        m.record_retransmit(2.0, 100, frame(100), frame(100));
+        m.record_peer(1, 100, frame(100), frame(100));
+        m.record_retransmit(2, 100, frame(100), frame(100));
         let s = m.snapshot();
         assert_eq!(s.peer_transfers, 1.0, "logical transfers unchanged");
         assert_eq!(s.parameters_moved, 300.0, "payload moved three times");
@@ -350,7 +319,7 @@ mod tests {
                 let m = Arc::clone(&m);
                 std::thread::spawn(move || {
                     for _ in 0..1000 {
-                        m.record_peer(1.0, 10, frame(10), frame(10));
+                        m.record_peer(1, 10, frame(10), frame(10));
                     }
                 })
             })

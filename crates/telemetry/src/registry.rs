@@ -335,10 +335,9 @@ mod tests {
         assert_eq!(s.sum, 4000.0);
     }
 
-    /// Regression for the arrival-order fingerprint: an `f64` running sum
-    /// of these values depends on the order they are folded in, so the
-    /// old CAS accumulator fingerprinted forward and reversed replays
-    /// differently (and parallel lanes at random).
+    /// An `f64` running sum of these values depends on the order they are
+    /// folded in; the tick sum — and so the fingerprint — must not, in
+    /// either sequential order or from racing threads.
     #[test]
     fn fingerprint_ignores_observation_order() {
         use std::sync::Arc;
@@ -359,7 +358,11 @@ mod tests {
             .map(|t| {
                 let (r, values) = (Arc::clone(&threaded), values.clone());
                 std::thread::spawn(move || {
-                    values.iter().skip(t).step_by(4).for_each(|&v| r.observe(h, v));
+                    values
+                        .iter()
+                        .skip(t)
+                        .step_by(4)
+                        .for_each(|&v| r.observe(h, v));
                 })
             })
             .collect();

@@ -40,7 +40,7 @@ impl FlAlgorithm for FedMedian {
     fn round(&mut self, ctx: &mut RoundContext<'_>) -> ParamVec {
         let env = ctx.env;
         let s = ctx.participants;
-        env.charge_download(s.len() as f64);
+        env.charge_download(s.len() as u64);
 
         // One local step each (like TFedAvg), in parallel.
         let round = ctx.round;
@@ -51,7 +51,7 @@ impl FlAlgorithm for FedMedian {
                 fedhisyn::core::local::local_train_plain(env, d, global, env.local_epochs, round, 0)
             })
             .collect();
-        env.charge_upload(s.len() as f64);
+        env.charge_upload(s.len() as u64);
 
         // Coordinate-wise median.
         let n_params = env.param_count();

@@ -24,7 +24,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use fedhisyn::core::engine::ExecMode;
-use fedhisyn::core::env::MomentumBank;
+use fedhisyn::core::env::DeviceBank;
 use fedhisyn::core::local::{evaluate_on_test, local_train_plain_owned};
 use fedhisyn::core::FlEnv;
 use fedhisyn::nn::{ModelSpec, SgdConfig};
@@ -102,10 +102,10 @@ fn tiny_env() -> FlEnv {
         },
         seed: 7,
         exec: ExecMode::Cached,
-        momentum: MomentumBank::disabled(),
+        momentum: DeviceBank::disabled(),
         wire_check: false,
         codec: fedhisyn::nn::Codec::F32,
-        residuals: fedhisyn::core::env::ResidualBank::disabled(),
+        residuals: DeviceBank::disabled(),
         faults: fedhisyn::simnet::FaultPlan::none(),
         cohort: None,
         telemetry: fedhisyn::telemetry::TelemetrySink::disabled(),

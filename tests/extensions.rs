@@ -140,7 +140,7 @@ fn wire_byte_count_matches_traffic_meter_model() {
     let params = cfg.initial_params();
     let frame = wire::encode(&params);
     let meter = fedhisyn::simnet::TrafficMeter::new();
-    meter.record_upload(1.0, n, wire::encoded_len(n), wire::encoded_len(n));
+    meter.record_upload(1, n, wire::encoded_len(n), wire::encoded_len(n));
     let snap = meter.snapshot();
     assert_eq!(
         frame.len() as f64 - wire::HEADER_LEN as f64,

@@ -2,9 +2,7 @@
 
 use fedhisyn::cluster::{kmeans_1d, quantile_bins};
 use fedhisyn::core::aggregate::{AggregationRule, Contribution};
-use fedhisyn::core::ring_sim::{
-    simulate_ring_interval, simulate_ring_interval_faulty, FailurePolicy, ReceivePolicy, RingStart,
-};
+use fedhisyn::core::ring_sim::{simulate_ring_interval, RingOptions, RingStart};
 use fedhisyn::core::{Ring, RingOrder};
 use fedhisyn::data::{partition_indices, Dataset, Partition};
 use fedhisyn::nn::{wire, Codec, ParamVec};
@@ -115,7 +113,7 @@ proptest! {
         let start = RingStart::PerPosition(vec![ParamVec::zeros(2); ring.len()]);
         let out = simulate_ring_interval(
             &ring, &ring_lat, &LinkModel::zero(), start, interval,
-            ReceivePolicy::TrainReceived,
+            RingOptions::default(),
             |_, m, _| m,
         );
         for (pos, &steps) in out.steps.iter().enumerate() {
@@ -206,16 +204,18 @@ proptest! {
                 }
             })
             .collect();
+        // The wire-fault, trace and codec contexts are crate-private, so
+        // outside the crate the failure schedule is set on the default.
+        let mut opts = RingOptions::default();
+        opts.failures = &failures;
         let run = || {
-            simulate_ring_interval_faulty(
+            simulate_ring_interval(
                 &ring,
                 &ring_lat,
                 &LinkModel::zero(),
                 RingStart::PerPosition(vec![ParamVec::zeros(n); n]),
                 interval,
-                ReceivePolicy::TrainReceived,
-                FailurePolicy::ForwardToSuccessor,
-                &failures,
+                opts,
                 |device, mut m, _salt| {
                     m.as_mut_slice()[device] += 1.0;
                     m

@@ -118,9 +118,9 @@ fn parameters_moved_match_model_equivalents() {
     let cfg = cfg();
     let env = cfg.build_env();
     let n = env.param_count();
-    env.charge_upload(3.0);
-    env.charge_download(2.0);
-    env.charge_peer(5.0);
+    env.charge_upload(3);
+    env.charge_download(2);
+    env.charge_peer(5);
     let snap = env.meter.snapshot();
     assert_eq!(snap.parameters_moved, 10.0 * n as f64);
     assert_eq!(snap.bytes_moved(), 40.0 * n as f64);
