@@ -44,7 +44,7 @@ fn bench_one_round_each(c: &mut Criterion) {
 /// the paper's 100-device fleet on smoke-scale data — small non-IID
 /// shards make per-hop overhead (model rebuilds, flat copies) the
 /// dominant removable cost, which is the regime the engine targets.
-fn bench_engine_vs_reference(c: &mut Criterion) {
+fn bench_cached_vs_reference(c: &mut Criterion) {
     let cfg = ExperimentConfig::builder(DatasetProfile::MnistLike)
         .scale(Scale::Smoke)
         .devices(100)
@@ -76,5 +76,5 @@ fn bench_engine_vs_reference(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_one_round_each, bench_engine_vs_reference);
+criterion_group!(benches, bench_one_round_each, bench_cached_vs_reference);
 criterion_main!(benches);

@@ -10,7 +10,10 @@
 //!
 //! Everything is seed-deterministic — the run double-checks that by
 //! replaying the most aggressive cell (top-k on a lossy wire) and
-//! asserting bit-identical records.
+//! asserting bit-identical records. It also asserts the trade itself on
+//! the int8 and top-k@100‰ cells (accuracy within 2 points of the f32
+//! wire, ratio floors, strictly fewer bytes end-to-end), after the JSON
+//! is written.
 //!
 //! ```sh
 //! cargo run -p fedhisyn-bench --release --bin fig_codec [-- --full]
@@ -74,7 +77,9 @@ fn main() {
         Codec::TopK { permille: 100 },
         Codec::TopK { permille: 250 },
     ];
-    let losses = [0.0, 0.15];
+    // The `Codec::F32` row is the plain fault sweep: retry overhead against
+    // loss rate with no compression in the way.
+    let losses = [0.0, 0.05, 0.15, 0.30];
 
     println!(
         "== accuracy vs encoded wire bytes ({} devices, {} rounds, Dirichlet(0.1)) ==",
@@ -96,12 +101,13 @@ fn main() {
                 })
                 .collect();
             println!(
-                "  {:<8} loss {:>4.0}%: acc {:>5.1}%  wire {:>12.0} B  ({:>5.2}x)",
+                "  {:<8} loss {:>4.0}%: acc {:>5.1}%  wire {:>12.0} B  ({:>5.2}x, {:>4.1}% retransmit)",
                 codec.label(),
                 loss * 100.0,
                 record.final_accuracy() * 100.0,
                 traffic.wire_bytes,
-                traffic.compression_ratio()
+                traffic.compression_ratio(),
+                100.0 * traffic.retransmit_bytes / traffic.wire_bytes
             );
             cells.push(Cell {
                 codec: codec.label(),
@@ -129,4 +135,38 @@ fn main() {
     println!("\ndeterminism check: topk100 at 15% loss replayed bit-identically ✓");
 
     write_json("fig_codec", &cells);
+
+    // The trade the figure exists to show, asserted per loss rate on the
+    // f32 / int8 / topk100 cells: error feedback keeps each lossy codec
+    // within 2 accuracy points of the f32 wire, the whole-run ratio meets
+    // the codec's floor, and a codec that claims a smaller frame puts
+    // fewer bytes on the wire end-to-end, retries included.
+    for row in cells.chunks(codecs.len()) {
+        let (f32_cell, lossy) = (&row[0], &row[1..3]);
+        assert_eq!(f32_cell.compression_ratio, 1.0);
+        for (c, floor) in lossy.iter().zip([3.5, 10.0]) {
+            assert!(
+                (c.final_accuracy - f32_cell.final_accuracy).abs() <= 0.02,
+                "{} at loss {} drifted {:.1} points from the f32 wire",
+                c.codec,
+                c.loss,
+                (c.final_accuracy - f32_cell.final_accuracy) * 100.0
+            );
+            assert!(
+                c.compression_ratio >= floor,
+                "{} compressed only {:.2}x (floor {floor}x)",
+                c.codec,
+                c.compression_ratio
+            );
+        }
+        for w in row[..3].windows(2) {
+            assert!(
+                w[1].wire_bytes < w[0].wire_bytes,
+                "wire bytes rose from {} to {} at loss {}",
+                w[0].codec,
+                w[1].codec,
+                w[0].loss
+            );
+        }
+    }
 }

@@ -362,7 +362,7 @@ impl FleetModel {
     }
 
     /// Total realised (device, round) states across the fleet.
-    pub fn realised_device_rounds(&self) -> usize {
+    fn realised_device_rounds(&self) -> usize {
         self.shards
             .iter()
             .map(|s| {

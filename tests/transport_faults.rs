@@ -8,13 +8,17 @@
 //! `(seed, round, src, dst, attempt)`, never of timing); corrupted frames
 //! surface as typed errors, never as parameters; and a churned, faulty
 //! fleet still completes every round, with the retry overhead recorded
-//! honestly in telemetry.
+//! honestly in telemetry. The compressed wire rides the same transport, so
+//! its whole-run contracts live here too: `Codec::F32` is bit-neutral,
+//! lossy codecs replay across runs and execution modes, and Int8 keeps
+//! its compression win on a lossy wire.
 
 use std::sync::Arc;
 
 use fedhisyn::core::{ExecMode, ExperimentConfigBuilder};
+use fedhisyn::nn::Codec;
 use fedhisyn::prelude::*;
-use fedhisyn::simnet::{FaultConfig, FaultKind, FaultPlan};
+use fedhisyn::simnet::{FaultConfig, FaultKind, FaultPlan, TrafficSnapshot};
 use proptest::prelude::*;
 
 fn base_builder(devices: usize, rounds: usize, seed: u64) -> ExperimentConfigBuilder {
@@ -28,12 +32,28 @@ fn base_builder(devices: usize, rounds: usize, seed: u64) -> ExperimentConfigBui
         .seed(seed)
 }
 
-fn run(cfg: &ExperimentConfig, exec: ExecMode) -> (RunRecord, fedhisyn::simnet::TrafficSnapshot) {
+fn run(cfg: &ExperimentConfig, exec: ExecMode) -> (RunRecord, TrafficSnapshot) {
     let mut env = cfg.build_env();
     env.exec = exec;
     let mut algo = FedHiSyn::new(cfg, 3);
     let rec = run_experiment(&mut algo, &mut env, cfg.rounds);
     (rec, env.meter.snapshot())
+}
+
+/// Runs `cfg` twice in `Cached` mode and once in `Reference` mode and
+/// demands one `RunRecord` and one traffic ledger from all three.
+fn replayed(cfg: &ExperimentConfig, what: &str) -> (RunRecord, TrafficSnapshot) {
+    let (rec_a, traffic_a) = run(cfg, ExecMode::Cached);
+    let (rec_b, traffic_b) = run(cfg, ExecMode::Cached);
+    let (rec_ref, traffic_ref) = run(cfg, ExecMode::Reference);
+    assert_eq!(rec_a, rec_b, "{what}: same seed, same trace");
+    assert_eq!(traffic_a, traffic_b);
+    assert_eq!(
+        rec_a, rec_ref,
+        "{what}: the trace must not depend on the execution engine"
+    );
+    assert_eq!(traffic_a, traffic_ref);
+    (rec_a, traffic_a)
 }
 
 #[test]
@@ -56,16 +76,7 @@ fn nonzero_schedule_replays_across_runs_and_exec_modes() {
     let cfg = base_builder(8, 3, 7)
         .faults(FaultConfig::edge_wireless())
         .build();
-    let (rec_a, traffic_a) = run(&cfg, ExecMode::Cached);
-    let (rec_b, traffic_b) = run(&cfg, ExecMode::Cached);
-    let (rec_ref, traffic_ref) = run(&cfg, ExecMode::Reference);
-    assert_eq!(rec_a, rec_b, "same seed, same faults, same trace");
-    assert_eq!(traffic_a, traffic_b);
-    assert_eq!(
-        rec_a, rec_ref,
-        "the fault schedule must not depend on the execution engine"
-    );
-    assert_eq!(traffic_a, traffic_ref);
+    replayed(&cfg, "fault schedule");
 }
 
 #[test]
@@ -88,6 +99,24 @@ fn retry_bytes_are_charged_and_fold_into_round_deltas() {
         (folded - traffic.retransmit_bytes).abs() < 1e-6,
         "per-round deltas ({folded}) must sum to the meter total ({})",
         traffic.retransmit_bytes
+    );
+    // More injected loss means more retry frames on the wire, never fewer.
+    let retransmit_at = |loss: f64| {
+        let cfg = base_builder(8, 3, 7)
+            .faults(FaultConfig::lossy(loss))
+            .build();
+        run(&cfg, ExecMode::Cached).1.retransmit_bytes
+    };
+    let sweep = [
+        retransmit_at(0.0),
+        retransmit_at(0.05),
+        retransmit_at(0.15),
+        traffic.retransmit_bytes, // the 30 % run above
+    ];
+    assert_eq!(sweep[0], 0.0, "a lossless wire retransmits nothing");
+    assert!(
+        sweep.windows(2).all(|w| w[0] <= w[1]),
+        "retransmit bytes must not fall as loss rises: {sweep:?}"
     );
 }
 
@@ -130,6 +159,58 @@ fn churned_faulty_fleet_completes_every_round_with_visible_retries() {
     let (rec2, traffic2) = run(&cfg, ExecMode::Cached);
     assert_eq!(rec, rec2);
     assert_eq!(traffic, traffic2);
+}
+
+#[test]
+fn f32_codec_is_bit_neutral_over_a_whole_run() {
+    let plain = base_builder(8, 3, 42).build();
+    let f32_cfg = base_builder(8, 3, 42).codec(Codec::F32).build();
+    let (rec_plain, traffic_plain) = run(&plain, ExecMode::Cached);
+    let (rec_f32, traffic_f32) = run(&f32_cfg, ExecMode::Cached);
+    assert_eq!(
+        rec_plain, rec_f32,
+        "an explicit Codec::F32 must be indistinguishable from a codec-free build"
+    );
+    assert_eq!(traffic_plain, traffic_f32);
+    assert_eq!(rec_f32.codec, "f32");
+    assert_eq!(
+        traffic_f32.raw_bytes, traffic_f32.wire_bytes,
+        "the f32 wire charges the raw and encoded ledgers identically"
+    );
+}
+
+#[test]
+fn lossy_codecs_replay_across_runs_and_exec_modes() {
+    for codec in [Codec::Int8, Codec::TopK { permille: 100 }] {
+        let label = codec.label();
+        let cfg = base_builder(8, 3, 7).codec(codec).build();
+        let (rec, traffic) = replayed(&cfg, &label);
+        assert_eq!(rec.codec, label, "RunRecord codec stamp");
+        assert!(
+            traffic.wire_bytes < traffic.raw_bytes,
+            "{label} charged no compression"
+        );
+    }
+}
+
+#[test]
+fn int8_composes_with_a_lossy_wire() {
+    let cfg = base_builder(8, 3, 7)
+        .codec(Codec::Int8)
+        .faults(FaultConfig::lossy(0.15))
+        .build();
+    let (rec, traffic) = replayed(&cfg, "int8 at 15% loss");
+    assert_eq!(rec.rounds.len(), 3, "every round must complete");
+    assert!(rec.final_accuracy().is_finite());
+    assert!(
+        traffic.retransmit_bytes > 0.0,
+        "15% loss over 3 rounds must retransmit at least once"
+    );
+    assert!(
+        traffic.compression_ratio() > 3.0,
+        "retries erased the compression win: {:.2}x",
+        traffic.compression_ratio()
+    );
 }
 
 proptest! {
