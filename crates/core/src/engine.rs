@@ -92,9 +92,10 @@ impl ExecutionEngine {
     /// behind — callers must `set_params` before training (every engine
     /// call site does). The model's per-step scratch arena rides along,
     /// which is what makes the steady-state training step allocation-free:
-    /// with the vendored pool's deterministic chunk→worker affinity, the
-    /// same worker keeps servicing the same specs, so both the built
-    /// layers and the sized arena are reused round after round.
+    /// a run uses one spec and the pool's threads live for the whole
+    /// process, so whichever thread picks a job up finds the model it
+    /// built on its first job — built layers and sized arena included —
+    /// and only `set_params` runs per hop.
     ///
     /// The model is **checked out** of the cache while `f` runs (the
     /// `RefCell` borrow is never held across `f`), so re-entrant use on
@@ -143,8 +144,9 @@ impl ExecutionEngine {
     }
 
     /// Process-wide `(hits, misses)` of the model cache. A miss builds a
-    /// model; steady-state rounds should be all hits — the scheduler's
-    /// affinity hints make this deterministic rather than best-effort.
+    /// model; steady-state rounds should be all hits, whichever thread
+    /// runs which job, because every thread has met the run's one spec by
+    /// the end of the first round.
     pub fn cache_stats() -> (u64, u64) {
         (
             CACHE_HITS.load(Ordering::Relaxed),

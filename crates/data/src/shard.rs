@@ -21,11 +21,11 @@
 //!
 //! [`ShardCache`] bounds resident realisations with an exact LRU keyed
 //! on device id. It is shared across workers rather than per-worker:
-//! rayon's work stealing gives no stable device→worker affinity, so a
-//! shared cache is what actually delivers zero-cost steady-state reuse
-//! once a cohort's shards are resident. Hits are allocation-free (an
-//! `Arc` refcount bump); values are pure functions of the plan, so
-//! eviction followed by re-realisation is bit-identical.
+//! the pool hands out work on demand, with no stable device→worker
+//! affinity, so a shared cache is what actually delivers zero-cost
+//! steady-state reuse once a cohort's shards are resident. Hits are
+//! allocation-free (an `Arc` refcount bump); values are pure functions of
+//! the plan, so eviction followed by re-realisation is bit-identical.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};

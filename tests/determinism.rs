@@ -127,3 +127,44 @@ fn dynamics_compose_deterministically_across_rates() {
         assert_eq!(a, b, "churn rate {rate} must be deterministic");
     }
 }
+
+// ---- pool placement ------------------------------------------------------
+
+#[test]
+fn pool_placement_does_not_leak_into_records_or_fingerprints() {
+    // Which thread runs a ring lane is not an input of the run. A
+    // background thread keeps unrelated skewed regions on the pool, so the
+    // lanes are claimed by different threads in each of the two runs.
+    use rayon::prelude::*;
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::time::{Duration, Instant};
+
+    let traced_run = || {
+        let cfg = cfg(77);
+        let mut env = cfg.build_env();
+        env.telemetry = TelemetrySink::enabled(1 << 14);
+        let mut algo = FedHiSyn::new(&cfg, 3);
+        let record = run_experiment(&mut algo, &mut env, cfg.rounds);
+        let fingerprint = env.telemetry.telemetry().expect("enabled").fingerprint();
+        (record, fingerprint)
+    };
+    let stop = AtomicBool::new(false);
+    let (a, b) = std::thread::scope(|s| {
+        s.spawn(|| {
+            let items: Vec<u64> = (0..7).collect();
+            while !stop.load(Ordering::SeqCst) {
+                items.par_iter().for_each(|&i| {
+                    let until = Instant::now() + Duration::from_micros(20 * i * i);
+                    while Instant::now() < until {
+                        std::hint::spin_loop();
+                    }
+                });
+            }
+        });
+        let runs = (traced_run(), traced_run());
+        stop.store(true, Ordering::SeqCst);
+        runs
+    });
+    assert_eq!(a.0, b.0, "RunRecords must not depend on lane placement");
+    assert_eq!(a.1, b.1, "fingerprints must not depend on lane placement");
+}
