@@ -202,7 +202,7 @@ fn fold_round_telemetry(
     // model below — that query itself goes through the cache and would
     // otherwise count as a hit of this round.
     let (hits, misses) = ExecutionEngine::cache_stats();
-    let (arena_high_water_bytes, weight_packs) = cached_model_stats(env);
+    let arena_high_water_bytes = cached_model_stats(env);
     let telemetry = RoundTelemetry {
         uploads: after.uploads - before.uploads,
         downloads: after.downloads - before.downloads,
@@ -213,7 +213,7 @@ fn fold_round_telemetry(
         retransmit_bytes: after.retransmit_bytes - before.retransmit_bytes,
         cache_hits: hits.saturating_sub(cache_before.0),
         cache_misses: misses.saturating_sub(cache_before.1),
-        weight_packs,
+        weight_packs: 0,
         arena_high_water_bytes,
         fleet_realised_devices: env.fleet.realised_devices() as u64,
         fleet_realised_state_bytes: env.fleet.realised_state_bytes() as u64,
@@ -228,7 +228,6 @@ fn fold_round_telemetry(
     );
     env.telemetry.update_gauges(&RuntimeGauges {
         arena_high_water_bytes,
-        weight_packs,
         cache_hits: hits,
         cache_misses: misses,
         fleet_realised_devices: telemetry.fleet_realised_devices,

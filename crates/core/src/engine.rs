@@ -45,35 +45,11 @@ pub enum ExecMode {
     Reference,
 }
 
-/// Process-wide cache generation. Bumping it (see
-/// [`ExecutionEngine::evict_all_workers`]) invalidates every worker's
-/// thread-local cache lazily: each worker compares its recorded
-/// generation on next use and clears first when stale. This is the
-/// cross-worker eviction story — no message passing, no locking on the
-/// hot path (one relaxed atomic load per checkout).
-static CACHE_GENERATION: AtomicU64 = AtomicU64::new(0);
-
 thread_local! {
-    /// One built model per distinct spec, per worker thread, tagged with
-    /// the cache generation it was built under. Experiments use a handful
-    /// of specs at most, so a linear scan beats hashing.
-    static MODEL_CACHE: RefCell<(u64, Vec<(ModelSpec, Sequential)>)> =
-        const { RefCell::new((0, Vec::new())) };
-}
-
-/// Borrow the calling thread's cache with the generation check applied:
-/// a stale cache (an eviction happened since this thread last looked) is
-/// cleared before `f` sees it.
-fn with_validated_cache<T>(f: impl FnOnce(&mut Vec<(ModelSpec, Sequential)>) -> T) -> T {
-    MODEL_CACHE.with(|cache| {
-        let mut cache = cache.borrow_mut();
-        let current = CACHE_GENERATION.load(Ordering::Relaxed);
-        if cache.0 != current {
-            cache.1.clear();
-            cache.0 = current;
-        }
-        f(&mut cache.1)
-    })
+    /// One built model per distinct spec, per worker thread. Experiments
+    /// use a handful of specs at most, so a linear scan beats hashing.
+    static MODEL_CACHE: RefCell<Vec<(ModelSpec, Sequential)>> =
+        const { RefCell::new(Vec::new()) };
 }
 
 /// Cache hits across all workers (diagnostics; relaxed counters).
@@ -106,7 +82,8 @@ impl ExecutionEngine {
     /// hands the owned `(spec, model)` entry out and back, so the hot
     /// path clones nothing — not even the spec.
     pub fn with_model<T>(spec: &ModelSpec, f: impl FnOnce(&mut Sequential) -> T) -> T {
-        let (spec_owned, mut model) = with_validated_cache(|cache| {
+        let (spec_owned, mut model) = MODEL_CACHE.with(|cache| {
+            let mut cache = cache.borrow_mut();
             match cache.iter().position(|(cached, _)| cached == spec) {
                 Some(idx) => {
                     CACHE_HITS.fetch_add(1, Ordering::Relaxed);
@@ -123,9 +100,7 @@ impl ExecutionEngine {
             }
         });
         let out = f(&mut model);
-        // Return under a fresh validation: if an eviction raced `f`, the
-        // stale entries are dropped and only this model is re-cached.
-        with_validated_cache(|cache| cache.push((spec_owned, model)));
+        MODEL_CACHE.with(|cache| cache.borrow_mut().push((spec_owned, model)));
         out
     }
 
@@ -154,28 +129,16 @@ impl ExecutionEngine {
         )
     }
 
-    /// Number of models cached on the calling thread (diagnostics/tests),
-    /// after applying any pending cross-worker eviction.
-    pub fn cached_models() -> usize {
-        with_validated_cache(|cache| cache.len())
+    /// Number of models cached on the calling thread.
+    #[cfg(test)]
+    fn cached_models() -> usize {
+        MODEL_CACHE.with(|cache| cache.borrow().len())
     }
 
-    /// Drop the **calling thread's** cache. Worker threads in the
-    /// persistent pool keep their own caches — use
-    /// [`ExecutionEngine::evict_all_workers`] to reach those.
-    pub fn clear_thread_cache() {
-        MODEL_CACHE.with(|cache| cache.borrow_mut().1.clear());
-    }
-
-    /// Evict every worker's cached models, process-wide.
-    ///
-    /// Bumps the global cache generation; each pool worker notices the
-    /// stale tag on its next checkout and clears before reuse. Call this
-    /// between sweeps over many distinct architectures (fig6/fig7-style
-    /// grids) so a long-lived process does not retain one built model per
-    /// (spec, worker) until exit.
-    pub fn evict_all_workers() {
-        CACHE_GENERATION.fetch_add(1, Ordering::Relaxed);
+    /// Drop the **calling thread's** cache.
+    #[cfg(test)]
+    fn clear_thread_cache() {
+        MODEL_CACHE.with(|cache| cache.borrow_mut().clear());
     }
 }
 
@@ -183,16 +146,9 @@ impl ExecutionEngine {
 mod tests {
     use super::*;
     use fedhisyn_nn::ParamVec;
-    use std::sync::Mutex;
-
-    /// The cache generation is process-global, so tests that assert cache
-    /// counts or trigger evictions must not interleave with each other
-    /// (the test harness runs test threads concurrently).
-    static CACHE_TEST_LOCK: Mutex<()> = Mutex::new(());
 
     #[test]
     fn cache_is_keyed_on_spec() {
-        let _guard = CACHE_TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         ExecutionEngine::clear_thread_cache();
         let a = ModelSpec::mlp(&[4, 8, 2]);
         let b = ModelSpec::mlp(&[4, 6, 2]);
@@ -236,7 +192,6 @@ mod tests {
         // The pool's work-helping can start a second training job on a
         // thread whose first job is mid-epoch; the checkout design must
         // support that without a RefCell double-borrow.
-        let _guard = CACHE_TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         ExecutionEngine::clear_thread_cache();
         let spec = ModelSpec::mlp(&[3, 4, 2]);
         let outer_spec = spec.clone();
@@ -255,7 +210,6 @@ mod tests {
 
     #[test]
     fn cache_stats_count_hits_and_misses() {
-        let _guard = CACHE_TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         ExecutionEngine::clear_thread_cache();
         // A spec no other test uses, so the first call must miss.
         let spec = ModelSpec::mlp(&[9, 5, 2]);
@@ -274,50 +228,5 @@ mod tests {
         let spec = ModelSpec::mlp(&[2, 2]);
         let count = ExecutionEngine::with_model(&spec, |m| m.param_count());
         assert_eq!(count, spec.param_count());
-    }
-
-    #[test]
-    fn evict_all_workers_reaches_this_thread_lazily() {
-        let _guard = CACHE_TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        ExecutionEngine::clear_thread_cache();
-        let spec = ModelSpec::mlp(&[3, 3, 2]);
-        ExecutionEngine::with_model(&spec, |_| {});
-        assert_eq!(ExecutionEngine::cached_models(), 1);
-        ExecutionEngine::evict_all_workers();
-        // The generation check applies on the next cache access.
-        assert_eq!(ExecutionEngine::cached_models(), 0);
-        // And the cache works normally afterwards.
-        ExecutionEngine::with_model(&spec, |_| {});
-        assert_eq!(ExecutionEngine::cached_models(), 1);
-        ExecutionEngine::clear_thread_cache();
-    }
-
-    #[test]
-    fn evict_all_workers_reaches_pool_threads() {
-        use rayon::prelude::*;
-        let _guard = CACHE_TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        // A spec no other test uses, so pool-worker observations are ours.
-        let spec = ModelSpec::mlp(&[7, 3, 2]);
-        let n = spec.param_count();
-        let marker = ParamVec::from_vec(vec![7.0; n]);
-        // Warm caches on whatever pool workers pick these jobs up, and
-        // dirty each cached model with a recognisable marker.
-        let jobs: Vec<usize> = (0..16).collect();
-        jobs.par_iter().for_each(|_| {
-            ExecutionEngine::with_model(&spec, |m| m.set_params(&marker));
-        });
-        ExecutionEngine::evict_all_workers();
-        // After eviction no worker may hand back a cached (marked) model:
-        // every checkout must observe a freshly built one. A freshly
-        // built model's weights come from the fixed build RNG, which
-        // cannot equal the constant marker.
-        let leaked: Vec<bool> = jobs
-            .par_iter()
-            .map(|_| ExecutionEngine::with_model(&spec, |m| m.params() == marker))
-            .collect();
-        assert!(
-            leaked.iter().all(|&l| !l),
-            "a pool worker handed back a stale pre-eviction model"
-        );
     }
 }

@@ -117,22 +117,19 @@ pub fn build_model(env: &FlEnv, device: usize, params: &ParamVec) -> Sequential 
     model
 }
 
-/// Best-effort runtime stats of this thread's cached model:
-/// `(arena high-water bytes, cumulative weight-panel packs)`.
+/// Best-effort runtime stat of this thread's cached model: its arena
+/// high-water mark in bytes.
 ///
-/// Cached mode reads them off the worker's cached model (building it on
+/// Cached mode reads it off the worker's cached model (building it on
 /// first use); Reference mode has no persistent model to observe and
-/// reports zeros. Values are per-thread runtime observations — telemetry
-/// only, outside the determinism contract.
-pub fn cached_model_stats(env: &FlEnv) -> (u64, u64) {
+/// reports zero. A per-thread runtime observation — telemetry only,
+/// outside the determinism contract.
+pub fn cached_model_stats(env: &FlEnv) -> u64 {
     match env.exec {
-        ExecMode::Cached => ExecutionEngine::with_model(&env.spec, |model| {
-            (
-                model.arena_high_water_bytes() as u64,
-                model.weight_pack_count(),
-            )
-        }),
-        ExecMode::Reference => (0, 0),
+        ExecMode::Cached => {
+            ExecutionEngine::with_model(&env.spec, |model| model.arena_high_water_bytes() as u64)
+        }
+        ExecMode::Reference => 0,
     }
 }
 

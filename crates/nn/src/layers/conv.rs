@@ -8,11 +8,7 @@
 //! With that layout the forward pass is **one** GEMM per layer per step —
 //! `out_rows[B·OHOW, F] = cols · Wᵀ` — instead of the `B` small per-sample
 //! GEMMs of the previous `[B, C·K·K, OH·OW]` layout, which re-packed the
-//! same weight panels `B` times per layer per step. The weight panels are
-//! additionally cached in a content-keyed [`WeightPanelCache`], so they
-//! are packed **once per layer per parameter update** and replayed across
-//! every forward until the next SGD step — in an evaluation pass over
-//! many batches they are packed exactly once.
+//! same weight panels `B` times per layer per step.
 //!
 //! Backward is three batched stages on the same layout: `dW += dY_rowsᵀ ·
 //! cols` (chained per-sample `β = 1` `gemm_tn` calls — the identical
@@ -52,32 +48,16 @@
 //! jobs). The two transposes additionally run **tile-blocked**
 //! ([`TRANSPOSE_TILE`]² tiles) so the strided side of the scatter stays
 //! resident in cache.
-//!
-//! # Content-keyed weight panels
-//!
-//! The forward weight panels are cached keyed on a cheap 64-bit content
-//! hash of the weight slice (`fedhisyn_tensor::content_hash_f32`, via
-//! [`WeightPanelCache`]) rather than only the local version counter: a
-//! visitor handing the weights out mutably bumps
-//! the version, but if the bits did not change — every ring hop that
-//! relays the *same* upstream model (broadcast starts, eval sweeps over
-//! one global) routes through `set_params` — the next forward recognizes
-//! the content and replays the existing pack instead of repacking. The
-//! in-place SGD visitor (`visit_params_grads_mut`) marks the weights
-//! *certainly changed* instead, so the steady training path repacks
-//! immediately and never pays for hashing.
 
 use std::time::Instant;
 
-use fedhisyn_tensor::{
-    par_gemm, par_gemm_nt, par_gemm_nt_packed, par_gemm_tn, Scratch, ScratchSlot, Tensor,
-};
+use fedhisyn_tensor::{par_gemm, par_gemm_nt, par_gemm_tn, Scratch, ScratchSlot, Tensor};
 use rand::Rng;
 use rayon::prelude::*;
 
 use crate::arena::ArenaBuf;
 use crate::init::Init;
-use crate::layers::{Layer, WeightPanelCache};
+use crate::layers::Layer;
 
 /// Which GEMM execution the convolution uses (see the module docs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -95,8 +75,7 @@ pub enum ConvExec {
 /// Input is `[B, C, H, W]`; output `[B, F, OH, OW]` where
 /// `OH = (H + 2·pad − k) / stride + 1`. The kernel bank is stored as a
 /// `[F, C·k·k]` matrix, consumed directly as the transposed B operand of
-/// the batched forward GEMM (see the module docs for the batched layout
-/// and the packed-panel reuse).
+/// the batched forward GEMM (see the module docs for the batched layout).
 #[derive(Debug, Clone)]
 pub struct Conv2d {
     weight: Tensor,
@@ -109,10 +88,6 @@ pub struct Conv2d {
     stride: usize,
     pad: usize,
     exec: ConvExec,
-    /// Forward-orientation weight panels (`pack_from_bt` of `[F, C·k·k]`),
-    /// content-keyed and replayed until the weights change again (see
-    /// [`WeightPanelCache`] and the module docs).
-    panel_cache: WeightPanelCache,
     /// Batch-major im2col workspace for the allocating path (persistent,
     /// grow-only; `[B·OH·OW, C·k·k]`).
     cols: Vec<f32>,
@@ -166,7 +141,6 @@ impl Conv2d {
             stride,
             pad,
             exec: ConvExec::default(),
-            panel_cache: WeightPanelCache::new(),
             cols: Vec::new(),
             out_rows: Vec::new(),
             dy_rows: Vec::new(),
@@ -369,31 +343,6 @@ fn rows_to_planes(rows_b: &[f32], out_b: &mut [f32], f: usize, ohow: usize, bias
     }
 }
 
-/// Blocked transpose-accumulate of one sample's position-major rows
-/// (`[H·W, C]`) onto its `[C, H·W]` planes — the degenerate col2im of a
-/// 1×1 stride-1 unpadded conv, where every input position receives
-/// exactly one column contribution.
-fn rows_to_planes_acc(rows_b: &[f32], x_b: &mut [f32], c: usize, hw: usize) {
-    debug_assert_eq!(rows_b.len(), hw * c);
-    debug_assert_eq!(x_b.len(), c * hw);
-    let mut c0 = 0;
-    while c0 < c {
-        let c1 = (c0 + TRANSPOSE_TILE).min(c);
-        let mut p0 = 0;
-        while p0 < hw {
-            let p1 = (p0 + TRANSPOSE_TILE).min(hw);
-            for ci in c0..c1 {
-                let plane = &mut x_b[ci * hw..(ci + 1) * hw];
-                for p in p0..p1 {
-                    plane[p] += rows_b[p * c + ci];
-                }
-            }
-            p0 = p1;
-        }
-        c0 = c1;
-    }
-}
-
 /// Inverse orientation: one sample's `[F, OH·OW]` gradient planes into the
 /// position-major `[OH·OW, F]` rows the backward GEMMs consume.
 fn planes_to_rows(gout_b: &[f32], rows_b: &mut [f32], f: usize, ohow: usize) {
@@ -431,20 +380,6 @@ impl Conv2d {
         (b, c, h, w)
     }
 
-    /// Actual panel packs performed over this layer's lifetime (content
-    /// hash hits replay the pack without bumping this).
-    pub fn weight_pack_count(&self) -> u64 {
-        self.panel_cache.pack_count()
-    }
-
-    /// True when the lowering degenerates to a pure transpose: a 1×1
-    /// stride-1 unpadded kernel's column matrix *is* the `[H·W, C]`
-    /// transpose of the input planes (and its col2im the inverse), so both
-    /// run as blocked transposes instead of the windowed copy.
-    fn unit_kernel(&self) -> bool {
-        self.kernel == 1 && self.stride == 1 && self.pad == 0
-    }
-
     /// Stage 1 of forward: lower the whole batch into `cols` —
     /// per-sample-disjoint, fanned out in one-sample bands when large.
     fn lower_batch(&self, x: &[f32], cols: &mut [f32], b: usize, h: usize, w: usize) {
@@ -452,25 +387,19 @@ impl Conv2d {
         let (oh, ow) = self.out_size(h, w);
         let sample_in = c * h * w;
         let sample_cols = oh * ow * ckk;
-        let unit = self.unit_kernel();
         let lower_one = |bi: usize, chunk: &mut [f32]| {
-            let x_b = &x[bi * sample_in..(bi + 1) * sample_in];
-            if unit {
-                planes_to_rows(x_b, chunk, c, h * w);
-            } else {
-                im2col_rows(
-                    x_b,
-                    c,
-                    h,
-                    w,
-                    self.kernel,
-                    self.stride,
-                    self.pad,
-                    oh,
-                    ow,
-                    chunk,
-                );
-            }
+            im2col_rows(
+                &x[bi * sample_in..(bi + 1) * sample_in],
+                c,
+                h,
+                w,
+                self.kernel,
+                self.stride,
+                self.pad,
+                oh,
+                ow,
+                chunk,
+            );
         };
         if stage_parallel(b, b * sample_cols) {
             cols.par_chunks_mut(sample_cols)
@@ -485,17 +414,17 @@ impl Conv2d {
 
     /// Stage 2 of forward: `out_rows[B·OHOW, F] = cols · Wᵀ` — one GEMM in
     /// batched mode, one per sample in the reference mode.
-    fn gemm_forward(&mut self, cols: &[f32], out_rows: &mut [f32], b: usize, ohow: usize) {
+    fn gemm_forward(&self, cols: &[f32], out_rows: &mut [f32], b: usize, ohow: usize) {
         let (f, ckk) = (self.out_channels, self.ckk());
         match self.exec {
             ConvExec::Batched => {
-                self.panel_cache
-                    .ensure(self.weight.data(), |p, w| p.pack_from_bt(w, ckk, f));
-                par_gemm_nt_packed(
+                par_gemm_nt(
                     cols,
-                    self.panel_cache.panels(),
+                    self.weight.data(),
                     out_rows,
                     b * ohow,
+                    ckk,
+                    f,
                     1.0,
                     0.0,
                 );
@@ -655,25 +584,19 @@ impl Conv2d {
         let (oh, ow) = self.out_size(h, w);
         let sample_in = c * h * w;
         let sample_cols = oh * ow * ckk;
-        let unit = self.unit_kernel();
         let scatter_one = |bi: usize, gin_b: &mut [f32]| {
-            let dcols_b = &dcols[bi * sample_cols..(bi + 1) * sample_cols];
-            if unit {
-                rows_to_planes_acc(dcols_b, gin_b, c, h * w);
-            } else {
-                col2im_rows(
-                    dcols_b,
-                    c,
-                    h,
-                    w,
-                    self.kernel,
-                    self.stride,
-                    self.pad,
-                    oh,
-                    ow,
-                    gin_b,
-                );
-            }
+            col2im_rows(
+                &dcols[bi * sample_cols..(bi + 1) * sample_cols],
+                c,
+                h,
+                w,
+                self.kernel,
+                self.stride,
+                self.pad,
+                oh,
+                ow,
+                gin_b,
+            );
         };
         if stage_parallel(b, b * sample_cols) {
             grad_in
@@ -885,9 +808,6 @@ impl Layer for Conv2d {
     }
 
     fn visit_params_mut(&mut self, f: &mut dyn FnMut(&mut Tensor)) {
-        // The caller may rewrite the weights — possibly with identical
-        // bits (set_params relaying a model): content-check next forward.
-        self.panel_cache.note_maybe_changed();
         f(&mut self.weight);
         f(&mut self.bias);
     }
@@ -898,9 +818,6 @@ impl Layer for Conv2d {
     }
 
     fn visit_params_grads_mut(&mut self, f: &mut dyn FnMut(&mut Tensor, &mut Tensor)) {
-        // The params+grads visitor is the in-place SGD step: the weights
-        // certainly change, so the next forward repacks without hashing.
-        self.panel_cache.note_certainly_changed();
         f(&mut self.weight, &mut self.grad_weight);
         f(&mut self.bias, &mut self.grad_bias);
     }
@@ -916,10 +833,6 @@ impl Layer for Conv2d {
 
     fn name(&self) -> &'static str {
         "conv2d"
-    }
-
-    fn weight_pack_count(&self) -> u64 {
-        Conv2d::weight_pack_count(self)
     }
 }
 
@@ -1065,34 +978,9 @@ mod tests {
     }
 
     #[test]
-    fn unit_kernel_transposes_match_the_windowed_kernels_bitwise() {
-        // The 1×1 stride-1 unpadded fast paths must reproduce the general
-        // windowed im2col/col2im exactly: lowering is the [H·W, C]
-        // transpose of the planes, the scatter its accumulate inverse.
-        let mut rng = rng_from_seed(40);
-        let (c, h, w) = (5, 7, 9);
-        let x = Tensor::randn(vec![c, h, w], 1.0, &mut rng);
-        let mut general = vec![0.0f32; h * w * c];
-        im2col_rows(x.data(), c, h, w, 1, 1, 0, h, w, &mut general);
-        let mut fast = vec![0.0f32; h * w * c];
-        planes_to_rows(x.data(), &mut fast, c, h * w);
-        assert_eq!(general, fast, "unit-kernel lowering must be bitwise equal");
-
-        let rows = Tensor::randn(vec![h * w, c], 1.0, &mut rng);
-        let mut gin_general = vec![0.0f32; c * h * w];
-        col2im_rows(rows.data(), c, h, w, 1, 1, 0, h, w, &mut gin_general);
-        let mut gin_fast = vec![0.0f32; c * h * w];
-        rows_to_planes_acc(rows.data(), &mut gin_fast, c, h * w);
-        assert_eq!(
-            gin_general, gin_fast,
-            "unit-kernel scatter must be bitwise equal"
-        );
-    }
-
-    #[test]
     fn unit_kernel_conv_matches_direct_convolution_and_gradients() {
-        // End-to-end through the fast-path dispatch: a 1×1 conv forward
-        // against the nested-loop reference, and both gradient checks.
+        // The general im2col/col2im path's 1×1 case: forward against the
+        // nested-loop reference, and both gradient checks.
         let mut rng = rng_from_seed(41);
         let (c, h, w, f) = (3, 4, 5, 4);
         let mut layer = Conv2d::new(c, f, 1, 0, Init::HeNormal, &mut rng);
@@ -1214,32 +1102,6 @@ mod tests {
         assert_eq!(grads_b, grads_s, "parameter gradients diverged");
     }
 
-    /// The packed weight panels must be refreshed when the weights change
-    /// through a visitor (set_params / in-place SGD both route there).
-    #[test]
-    fn packed_panels_follow_weight_updates() {
-        let mut rng = rng_from_seed(22);
-        let mut layer = Conv2d::new(1, 2, 3, 1, Init::HeNormal, &mut rng);
-        let x = Tensor::randn(vec![1, 1, 4, 4], 1.0, &mut rng);
-        let y0 = layer.forward(&x);
-        layer.visit_params_mut(&mut |t| {
-            if t.len() > 2 {
-                t.fill(0.5);
-            }
-        });
-        let y1 = layer.forward(&x);
-        assert_ne!(y0.data(), y1.data(), "stale packed panels served");
-        // And a fresh layer with the same constants agrees exactly.
-        let mut fresh = Conv2d::new(1, 2, 3, 1, Init::HeNormal, &mut rng_from_seed(22));
-        fresh.visit_params_mut(&mut |t| {
-            if t.len() > 2 {
-                t.fill(0.5);
-            }
-        });
-        let y2 = fresh.forward(&x);
-        assert_eq!(y1.data(), y2.data());
-    }
-
     #[test]
     fn param_count() {
         let mut rng = rng_from_seed(5);
@@ -1279,39 +1141,6 @@ mod tests {
                 assert!((g - e).abs() < 1e-4, "sample {bi} elem {i}: {g} vs {e}");
             }
         }
-    }
-
-    /// Content-keyed panel reuse: a visitor that rewrites the weights with
-    /// the *same bits* (a ring hop relaying the same upstream model) must
-    /// not trigger a repack; changed bits must.
-    #[test]
-    fn identical_weight_content_shares_one_pack() {
-        let mut rng = rng_from_seed(23);
-        let mut layer = Conv2d::new(2, 3, 3, 1, Init::HeNormal, &mut rng);
-        let x = Tensor::randn(vec![2, 2, 5, 5], 1.0, &mut rng);
-        let y0 = layer.forward(&x);
-        assert_eq!(layer.weight_pack_count(), 1);
-
-        // Same-content rewrite (set_params relaying an identical model).
-        let snapshot = layer.weight.data().to_vec();
-        layer.visit_params_mut(&mut |t| {
-            if t.len() == snapshot.len() {
-                t.data_mut().copy_from_slice(&snapshot);
-            }
-        });
-        let y1 = layer.forward(&x);
-        assert_eq!(layer.weight_pack_count(), 1, "identical content repacked");
-        assert_eq!(y0.data(), y1.data());
-
-        // Actually-different weights must repack (and change the output).
-        layer.visit_params_mut(&mut |t| {
-            if t.len() == snapshot.len() {
-                t.fill(0.25);
-            }
-        });
-        let y2 = layer.forward(&x);
-        assert_eq!(layer.weight_pack_count(), 2, "changed content not repacked");
-        assert_ne!(y1.data(), y2.data());
     }
 
     /// The stage profiler must time every stage of a real step (all four

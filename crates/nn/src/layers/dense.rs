@@ -1,11 +1,11 @@
 //! Fully-connected layer.
 
-use fedhisyn_tensor::{par_gemm_nt, par_gemm_packed, par_gemm_tn, Scratch, Tensor};
+use fedhisyn_tensor::{par_gemm, par_gemm_nt, par_gemm_tn, Scratch, Tensor};
 use rand::Rng;
 
 use crate::arena::ArenaBuf;
 use crate::init::Init;
-use crate::layers::{Layer, WeightPanelCache};
+use crate::layers::Layer;
 
 /// A fully-connected layer: `Y = X · W + b`.
 ///
@@ -14,18 +14,9 @@ use crate::layers::{Layer, WeightPanelCache};
 /// * `b`: `[out_features]`
 ///
 /// Both execution paths route through the same slice-level kernels
-/// ([`Dense::forward_core`] / the backward phases), so the allocating and
-/// arena paths are bit-identical; the arena path additionally keeps the
+/// (`forward_core` / the backward phases), so the allocating and arena
+/// paths are bit-identical; the arena path additionally keeps the
 /// backward input as a slot handle instead of cloning the tensor.
-///
-/// The forward GEMM runs against pre-packed weight panels
-/// ([`PackedPanels`], bit-identical to the unpacked kernel), refreshed
-/// lazily when a visitor hands out the weights mutably — so the panels are
-/// packed once per parameter update and reused across every forward until
-/// the next one. During training that is once per step; during an
-/// evaluation pass over many batches it is exactly once. The backward
-/// GEMMs keep the plain entry points: both run once per step against
-/// operands that change every step, so there is nothing to amortize.
 #[derive(Debug, Clone)]
 pub struct Dense {
     weight: Tensor,
@@ -36,9 +27,6 @@ pub struct Dense {
     cached_arena_input: Option<ArenaBuf>,
     in_features: usize,
     out_features: usize,
-    /// Forward-orientation weight panels (`pack_from_b` of `[in, out]`),
-    /// content-keyed (see [`WeightPanelCache`]).
-    panel_cache: WeightPanelCache,
 }
 
 impl Dense {
@@ -59,7 +47,6 @@ impl Dense {
             cached_arena_input: None,
             in_features,
             out_features,
-            panel_cache: WeightPanelCache::new(),
         }
     }
 
@@ -85,19 +72,19 @@ impl Dense {
         batch
     }
 
-    /// Actual panel packs performed over this layer's lifetime (content
-    /// hash hits replay the pack without bumping this).
-    pub fn weight_pack_count(&self) -> u64 {
-        self.panel_cache.pack_count()
-    }
-
     /// `out = X · W + b` on raw slices — the single forward kernel both
-    /// paths share, run against the cached weight panels.
-    fn forward_core(&mut self, x: &[f32], out: &mut [f32], batch: usize) {
-        let (kin, kout) = (self.in_features, self.out_features);
-        self.panel_cache
-            .ensure(self.weight.data(), |p, w| p.pack_from_b(w, kin, kout));
-        par_gemm_packed(x, self.panel_cache.panels(), out, batch, 1.0, 0.0);
+    /// paths share.
+    fn forward_core(&self, x: &[f32], out: &mut [f32], batch: usize) {
+        par_gemm(
+            x,
+            self.weight.data(),
+            out,
+            batch,
+            self.in_features,
+            self.out_features,
+            1.0,
+            0.0,
+        );
         // Broadcast-add the bias to every row.
         let bias = self.bias.data();
         for row in out.chunks_exact_mut(self.out_features) {
@@ -209,9 +196,6 @@ impl Layer for Dense {
     }
 
     fn visit_params_mut(&mut self, f: &mut dyn FnMut(&mut Tensor)) {
-        // The caller may rewrite the weights — possibly with identical
-        // bits (set_params relaying a model): content-check next forward.
-        self.panel_cache.note_maybe_changed();
         f(&mut self.weight);
         f(&mut self.bias);
     }
@@ -222,9 +206,6 @@ impl Layer for Dense {
     }
 
     fn visit_params_grads_mut(&mut self, f: &mut dyn FnMut(&mut Tensor, &mut Tensor)) {
-        // The params+grads visitor is the in-place SGD step: the weights
-        // certainly change, so the next forward repacks without hashing.
-        self.panel_cache.note_certainly_changed();
         f(&mut self.weight, &mut self.grad_weight);
         f(&mut self.bias, &mut self.grad_bias);
     }
@@ -240,10 +221,6 @@ impl Layer for Dense {
 
     fn name(&self) -> &'static str {
         "dense"
-    }
-
-    fn weight_pack_count(&self) -> u64 {
-        Dense::weight_pack_count(self)
     }
 }
 
@@ -308,59 +285,6 @@ mod tests {
         let mut rng = rng_from_seed(4);
         let layer = Dense::new(7, 5, Init::HeNormal, &mut rng);
         assert_eq!(layer.param_count(), 7 * 5 + 5);
-    }
-
-    /// Weight-panel reuse must never serve stale panels: rewriting the
-    /// weights through a visitor (the set_params / in-place-SGD seam) has
-    /// to invalidate the pack.
-    #[test]
-    fn packed_panels_follow_weight_updates() {
-        let mut rng = rng_from_seed(6);
-        let mut layer = Dense::new(4, 3, Init::HeNormal, &mut rng);
-        let x = Tensor::randn(vec![2, 4], 1.0, &mut rng);
-        let y0 = layer.forward(&x);
-        layer.visit_params_mut(&mut |t| {
-            if t.len() == 12 {
-                t.fill(0.25);
-            }
-        });
-        let y1 = layer.forward(&x);
-        assert_ne!(y0.data(), y1.data(), "stale packed panels served");
-        let mut fresh = Dense::new(4, 3, Init::HeNormal, &mut rng_from_seed(6));
-        fresh.visit_params_mut(&mut |t| {
-            if t.len() == 12 {
-                t.fill(0.25);
-            }
-        });
-        let y2 = fresh.forward(&x);
-        assert_eq!(y1.data(), y2.data());
-    }
-
-    /// Content-keyed panel reuse on the dense forward: identical bits
-    /// handed out mutably must not repack; changed bits must.
-    #[test]
-    fn identical_weight_content_shares_one_pack() {
-        let mut rng = rng_from_seed(7);
-        let mut layer = Dense::new(4, 3, Init::HeNormal, &mut rng);
-        let x = Tensor::randn(vec![2, 4], 1.0, &mut rng);
-        let y0 = layer.forward(&x);
-        assert_eq!(layer.weight_pack_count(), 1);
-        let snapshot = layer.weight.data().to_vec();
-        layer.visit_params_mut(&mut |t| {
-            if t.len() == snapshot.len() {
-                t.data_mut().copy_from_slice(&snapshot);
-            }
-        });
-        let y1 = layer.forward(&x);
-        assert_eq!(layer.weight_pack_count(), 1, "identical content repacked");
-        assert_eq!(y0.data(), y1.data());
-        layer.visit_params_mut(&mut |t| {
-            if t.len() == snapshot.len() {
-                t.fill(0.5);
-            }
-        });
-        let _ = layer.forward(&x);
-        assert_eq!(layer.weight_pack_count(), 2, "changed content not repacked");
     }
 
     #[test]

@@ -6,17 +6,12 @@
 //! used instead of returning `Vec<&mut Tensor>` so a layer can hand out
 //! parameter and gradient borrows pairwise without aliasing issues.
 
-mod activations;
 mod conv;
 mod dense;
 mod flatten;
-mod panel_cache;
 mod pool;
 mod relu;
 
-pub(crate) use panel_cache::WeightPanelCache;
-
-pub use activations::{Sigmoid, Tanh};
 pub use conv::{Conv2d, ConvExec, ConvStageProfile};
 pub use dense::Dense;
 pub use flatten::Flatten;
@@ -115,12 +110,6 @@ pub trait Layer: Send {
         let mut n = 0;
         self.visit_params(&mut |t| n += t.len());
         n
-    }
-
-    /// GEMM weight-panel packs this layer has performed over its
-    /// lifetime (telemetry). Layers without a panel cache report 0.
-    fn weight_pack_count(&self) -> u64 {
-        0
     }
 }
 

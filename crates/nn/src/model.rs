@@ -214,12 +214,6 @@ impl Sequential {
         self.layers.iter().map(|l| l.param_count()).sum()
     }
 
-    /// Cumulative GEMM weight-panel packs across all layers (telemetry;
-    /// content-hash hits replay packs without bumping this).
-    pub fn weight_pack_count(&self) -> u64 {
-        self.layers.iter().map(|l| l.weight_pack_count()).sum()
-    }
-
     /// Snapshot all parameters into a flat vector.
     pub fn params(&self) -> ParamVec {
         let mut out = Vec::with_capacity(self.param_count());
@@ -318,7 +312,7 @@ impl Sequential {
     /// prediction completely allocation-free.
     ///
     /// Processes the input in fixed-size chunks
-    /// ([`Sequential::for_each_logit_chunk`]) so one oversized call cannot
+    /// (`for_each_logit_chunk`) so one oversized call cannot
     /// permanently inflate the grow-only arena of a long-lived
     /// (worker-cached) model. Resets the model's arena (like any arena
     /// step); arena buffers from a previous step are invalidated.

@@ -674,6 +674,49 @@ mod tests {
         dims
     }
 
+    /// A long-lived model (the engine keeps one per worker) must compute
+    /// from the parameters it holds *now*: after each way the weights can
+    /// change — `set_params` twice, then one in-place SGD step — its
+    /// forward equals, bit for bit, a freshly built model loaded with the
+    /// same parameters. Shapes reach both the small and the blocked GEMM.
+    #[test]
+    fn reused_model_forward_follows_every_parameter_change() {
+        for spec in [ModelSpec::mlp(&[40, 48, 10]), ModelSpec::smoke_cnn(8, 4)] {
+            let x = Tensor::randn(spec_input_dims(&spec, 8), 1.0, &mut rng_from_seed(77));
+            let fresh_forward = |params: &ParamVec| {
+                let mut fresh = spec.build(&mut rng_from_seed(1));
+                fresh.set_params(params);
+                fresh.forward(&x)
+            };
+            let a = spec.build(&mut rng_from_seed(2)).params();
+            let b = spec.build(&mut rng_from_seed(3)).params();
+            let mut model = spec.build(&mut rng_from_seed(4));
+            for params in [&a, &b] {
+                model.set_params(params);
+                assert_eq!(
+                    model.forward(&x).data(),
+                    fresh_forward(params).data(),
+                    "{spec:?}: forward after set_params"
+                );
+            }
+            let y = model.forward(&x);
+            model.zero_grad();
+            model.backward(&y);
+            Sgd::new(SgdConfig {
+                lr: 0.1,
+                ..Default::default()
+            })
+            .step_in_place(&mut model, &NoHook);
+            let stepped = model.params();
+            assert_ne!(stepped, b, "{spec:?}: the step must move the weights");
+            assert_eq!(
+                model.forward(&x).data(),
+                fresh_forward(&stepped).data(),
+                "{spec:?}: forward after the in-place step"
+            );
+        }
+    }
+
     #[test]
     fn empty_dataset_is_a_noop() {
         let spec = ModelSpec::mlp(&[4, 4, 2]);

@@ -40,8 +40,12 @@ pub struct RoundTelemetry {
     pub cache_hits: u64,
     /// Engine cache misses during this round (best-effort).
     pub cache_misses: u64,
-    /// Cumulative GEMM panel packs across this thread's cached model
-    /// (best-effort; Cached mode only).
+    /// Retired: always 0. It counted repacks of a per-layer weight-panel
+    /// cache that no longer exists (every GEMM packs its operands into
+    /// the thread-local pool). The field stays because the `ledger`
+    /// benchmark package reads it by name (`core.engine.weight_packs`)
+    /// and a benchmark may not change in the same PR as the code it
+    /// measures; a ledger-only PR drops the metric and this field.
     pub weight_packs: u64,
     /// Arena high-water bytes of this thread's cached model
     /// (best-effort; Cached mode only).

@@ -161,8 +161,6 @@ pub struct WallStart(Option<Instant>);
 pub struct RuntimeGauges {
     /// Peak arena bytes across cached models.
     pub arena_high_water_bytes: u64,
-    /// Cumulative GEMM panel packs across cached model layers.
-    pub weight_packs: u64,
     /// Process-wide engine cache hits.
     pub cache_hits: u64,
     /// Process-wide engine cache misses.
@@ -246,7 +244,6 @@ struct WellKnownCodec {
 #[derive(Debug)]
 struct WellKnownGauges {
     arena_high_water_bytes: GaugeId,
-    weight_packs: GaugeId,
     cache_hits: GaugeId,
     cache_misses: GaugeId,
     fleet_realised_devices: GaugeId,
@@ -304,7 +301,6 @@ impl Telemetry {
             },
             gauges: WellKnownGauges {
                 arena_high_water_bytes: registry.register_gauge("engine.arena_high_water_bytes"),
-                weight_packs: registry.register_gauge("engine.weight_packs"),
                 cache_hits: registry.register_gauge("engine.cache_hits"),
                 cache_misses: registry.register_gauge("engine.cache_misses"),
                 fleet_realised_devices: registry.register_gauge("fleet.realised_devices"),
@@ -496,7 +492,6 @@ impl TelemetrySink {
             let ids = &t.ids.gauges;
             t.registry
                 .gauge_max(ids.arena_high_water_bytes, g.arena_high_water_bytes);
-            t.registry.gauge_set(ids.weight_packs, g.weight_packs);
             t.registry.gauge_set(ids.cache_hits, g.cache_hits);
             t.registry.gauge_set(ids.cache_misses, g.cache_misses);
             t.registry

@@ -38,11 +38,10 @@
 use std::sync::OnceLock;
 
 /// The micro-kernel families the runtime dispatcher can select.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KernelTier {
     /// Portable 4×8 tile relying on LLVM auto-vectorization at the baseline
     /// target. The executable reference every other tier is proven against.
-    #[default]
     Scalar,
     /// Hand-written AVX2 6×16 tile with separate multiply and add —
     /// bit-identical to `Scalar` by construction.

@@ -611,166 +611,6 @@ fn gemm_parallel(
     checkin_b(bpack_own);
 }
 
-// ---- pre-packed B panels -------------------------------------------------
-
-/// Pre-packed B-operand panels for reuse across GEMM calls.
-///
-/// Packing the B operand into p-major `[k, NR]` panels is `O(k·n)` work the
-/// blocked kernels normally redo on every call. When the same matrix is the
-/// B operand of many GEMMs — a layer's weights across the batches of an
-/// evaluation pass, or across the samples of a training step before the
-/// batched rewrite — packing it **once** and replaying the panels amortizes
-/// that cost to zero. The buffer is owned and grow-only, so steady-state
-/// repacks (same or smaller shape) never touch the allocator.
-///
-/// Panels are laid out for the kernel tier that was active at pack time
-/// ([`crate::active_tier`]; the tier is process-constant, so pack and
-/// replay always agree) and [`PackedPanels::pack_count`] counts actual
-/// packs, so callers keying the pack on a content hash can observe reuse.
-///
-/// Results are **bit-identical** to the unpacked entry points: the panels
-/// are produced by the same packing routines and consumed by the same
-/// micro-kernel in the same order (see the module-level determinism
-/// contract; `packed_kernels_are_bit_identical` asserts it).
-#[derive(Debug, Clone, Default)]
-pub struct PackedPanels {
-    buf: Vec<f32>,
-    k: usize,
-    n: usize,
-    tier: KernelTier,
-    packs: u64,
-}
-
-impl PackedPanels {
-    /// An empty pack (no buffer until the first `pack_*`).
-    pub fn new() -> Self {
-        PackedPanels::default()
-    }
-
-    /// Pack a row-major `B:[k, n]` — the operand shape of [`gemm`] /
-    /// [`par_gemm_packed`].
-    pub fn pack_from_b(&mut self, b: &[f32], k: usize, n: usize) {
-        assert_eq!(b.len(), k * n, "pack_from_b: bad B length");
-        let tier = active_tier();
-        pack_b_all(b, k, n, false, tier.tile().1, &mut self.buf);
-        self.k = k;
-        self.n = n;
-        self.tier = tier;
-        self.packs += 1;
-    }
-
-    /// Pack a row-major `B:[n, k]` (the transposed operand of [`gemm_nt`] /
-    /// [`par_gemm_nt_packed`]).
-    pub fn pack_from_bt(&mut self, b: &[f32], k: usize, n: usize) {
-        assert_eq!(b.len(), n * k, "pack_from_bt: bad B length");
-        let tier = active_tier();
-        pack_b_all(b, k, n, true, tier.tile().1, &mut self.buf);
-        self.k = k;
-        self.n = n;
-        self.tier = tier;
-        self.packs += 1;
-    }
-
-    /// Reduction dimension of the packed operand.
-    #[inline]
-    pub fn k(&self) -> usize {
-        self.k
-    }
-
-    /// Column count of the packed operand.
-    #[inline]
-    pub fn n(&self) -> usize {
-        self.n
-    }
-
-    /// True when nothing has been packed yet.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.k == 0 || self.n == 0
-    }
-
-    /// Number of actual `pack_*` calls performed over this pack's lifetime
-    /// — the observable for content-hash pack-reuse tests.
-    #[inline]
-    pub fn pack_count(&self) -> u64 {
-        self.packs
-    }
-
-    /// Heap bytes held by the panel buffer (capacity accounting).
-    #[inline]
-    pub fn capacity_bytes(&self) -> usize {
-        self.buf.capacity() * std::mem::size_of::<f32>()
-    }
-}
-
-/// Shared driver for the pre-packed entry points: identical banding and
-/// dispatch to [`gemm_parallel`] / [`gemm_blocked`], minus the B pack.
-fn gemm_prepacked(
-    orient: Orient,
-    a: &[f32],
-    bp: &PackedPanels,
-    c: &mut [f32],
-    m: usize,
-    alpha: f32,
-    beta: f32,
-) {
-    let (k, n) = (bp.k, bp.n);
-    // Consume with the tier the panels were packed for (process-constant).
-    let tier = bp.tier;
-    let mr = tier.tile().0;
-    assert_eq!(a.len(), m * k, "gemm_prepacked: bad A length");
-    assert_eq!(c.len(), m * n, "gemm_prepacked: bad C length");
-    let bpack = &bp.buf[..];
-    let mode = match orient {
-        Orient::Nn | Orient::Tn => Accum::SeededByBeta { beta },
-        Orient::Nt => Accum::ScaledOnStore { alpha, beta },
-    };
-    let pack_rows: &(dyn Fn(usize, usize, &mut [f32]) + Sync) = match orient {
-        Orient::Nn => &|i0, h, out| pack_a_n(a, k, i0, h, alpha, mr, out),
-        Orient::Nt => &|i0, h, out| pack_a_n(a, k, i0, h, 1.0, mr, out),
-        Orient::Tn => unreachable!("prepacked Tn orientation is not exposed"),
-    };
-    if parallel_worthwhile(m, k, n, mr) {
-        c.par_chunks_mut(mr * n)
-            .enumerate()
-            .for_each(|(band, cband)| {
-                let row_base = band * mr;
-                let rows = cband.len() / n;
-                blocked_rows(tier, bpack, cband, row_base, rows, k, n, mode, pack_rows);
-            });
-    } else {
-        blocked_rows(tier, bpack, c, 0, m, k, n, mode, pack_rows);
-    }
-}
-
-/// `C = alpha * A @ B + beta * C` against pre-packed `B` panels
-/// ([`PackedPanels::pack_from_b`]). Bit-identical to [`par_gemm`] on the
-/// same logical operands, for any problem size and thread count.
-pub fn par_gemm_packed(
-    a: &[f32],
-    bp: &PackedPanels,
-    c: &mut [f32],
-    m: usize,
-    alpha: f32,
-    beta: f32,
-) {
-    gemm_prepacked(Orient::Nn, a, bp, c, m, alpha, beta);
-}
-
-/// `C = alpha * A @ Bᵀ + beta * C` against pre-packed `Bᵀ` panels
-/// ([`PackedPanels::pack_from_bt`]). Bit-identical to [`par_gemm_nt`] on
-/// the same logical operands, for any problem size and thread count.
-pub fn par_gemm_nt_packed(
-    a: &[f32],
-    bp: &PackedPanels,
-    c: &mut [f32],
-    m: usize,
-    alpha: f32,
-    beta: f32,
-) {
-    gemm_prepacked(Orient::Nt, a, bp, c, m, alpha, beta);
-}
-
 // ---- explicit-tier entry points ------------------------------------------
 
 /// [`gemm`] forced through a specific kernel tier's blocked path (no
@@ -1171,55 +1011,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    /// The pre-packed entry points replay the same panels through the same
-    /// micro-kernel, so they must be **exactly** the unpacked kernels on
-    /// every shape (small-kernel regime included) and α/β case — and a
-    /// pack buffer reused across shapes must not leak stale panels.
-    #[test]
-    fn packed_kernels_are_bit_identical() {
-        let mut bp = PackedPanels::new();
-        for &(m, k, n) in SHAPES {
-            for &(alpha, beta) in AB_CASES {
-                let seed = (m * 13 + k * 5 + n) as u64;
-                let a = random_vec(m * k, seed);
-                let c0 = random_vec(m * n, seed + 2);
-
-                let b_nn = random_vec(k * n, seed + 1);
-                let mut want = c0.clone();
-                par_gemm(&a, &b_nn, &mut want, m, k, n, alpha, beta);
-                bp.pack_from_b(&b_nn, k, n);
-                let mut got = c0.clone();
-                par_gemm_packed(&a, &bp, &mut got, m, alpha, beta);
-                assert_eq!(got, want, "packed gemm {m}x{k}x{n} α={alpha} β={beta}");
-
-                let b_t = random_vec(n * k, seed + 3);
-                let mut want = c0.clone();
-                par_gemm_nt(&a, &b_t, &mut want, m, k, n, alpha, beta);
-                bp.pack_from_bt(&b_t, k, n);
-                let mut got = c0.clone();
-                par_gemm_nt_packed(&a, &bp, &mut got, m, alpha, beta);
-                assert_eq!(got, want, "packed gemm_nt {m}x{k}x{n} α={alpha} β={beta}");
-            }
-        }
-    }
-
-    #[test]
-    fn packed_panels_buffer_is_grow_only() {
-        let mut bp = PackedPanels::new();
-        assert_eq!(bp.pack_count(), 0);
-        let b = random_vec(64 * 48, 7);
-        bp.pack_from_b(&b, 64, 48);
-        let cap = bp.capacity_bytes();
-        assert!(cap > 0);
-        // Re-packing the same (or a smaller) shape must reuse the buffer.
-        bp.pack_from_b(&b, 64, 48);
-        assert_eq!(bp.capacity_bytes(), cap);
-        bp.pack_from_bt(&b[..8 * 6], 6, 8);
-        assert_eq!(bp.capacity_bytes(), cap);
-        assert_eq!((bp.k(), bp.n()), (6, 8));
-        assert_eq!(bp.pack_count(), 3);
     }
 
     #[test]

@@ -38,12 +38,10 @@ pub use error::TensorError;
 pub use gemm::reference as gemm_reference;
 pub use gemm::{
     gemm, gemm_nt, gemm_nt_with_tier, gemm_tn, gemm_tn_with_tier, gemm_with_tier, matmul,
-    matmul_nt, matmul_tn, par_gemm, par_gemm_nt, par_gemm_nt_packed, par_gemm_packed, par_gemm_tn,
-    PackedPanels,
+    matmul_nt, matmul_tn, par_gemm, par_gemm_nt, par_gemm_tn,
 };
 pub use ops::{
-    add, add_assign, axpy, content_hash_f32, dot, hadamard, l2_norm, lerp, scale, scale_assign,
-    sub, sub_assign,
+    add, add_assign, axpy, dot, hadamard, l2_norm, lerp, scale, scale_assign, sub, sub_assign,
 };
 pub use quant::{dequant8, dequantize_slice, finite_min_max, quant8, quant_scale, quantize_slice};
 pub use rng::{fill_normal, fill_uniform, normal_f32, rng_from_seed, TensorRng};

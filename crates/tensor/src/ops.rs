@@ -7,48 +7,6 @@
 
 use crate::{Result, Tensor};
 
-/// Cheap 64-bit content hash of an `f32` slice: four independent FNV-1a
-/// lanes over packed pairs of IEEE bit patterns, folded (with the length)
-/// at the end. The four lanes break the serial multiply dependency chain
-/// of classic FNV, so the hash runs at roughly one multiply per eight
-/// bytes of *throughput* instead of one three-cycle multiply per element
-/// of *latency* — it must stay far cheaper than the panel pack it guards.
-/// No allocation.
-///
-/// Used to key packed-panel caches on weight *content* instead of a local
-/// version counter, so handing out identical weights again (ring hops
-/// relaying the same upstream model, eval sweeps over one global) is
-/// recognized as a no-op. Distinct slices colliding would silently serve a
-/// stale pack; at 64 bits that chance is ~2⁻⁶⁴ per comparison, far below
-/// any hardware-error floor, and the hash covers the full slice so any
-/// single changed element flips it. `-0.0` and `0.0` hash differently (bit
-/// patterns differ) — callers relaying bit-exact models are unaffected.
-pub fn content_hash_f32(data: &[f32]) -> u64 {
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut lanes: [u64; 4] = [
-        0xcbf2_9ce4_8422_2325,
-        0x9e37_79b9_7f4a_7c15,
-        0xc2b2_ae3d_27d4_eb4f,
-        0x1656_67b1_9e37_79f9,
-    ];
-    let mut chunks = data.chunks_exact(8);
-    for c in chunks.by_ref() {
-        for (lane, pair) in lanes.iter_mut().zip(c.chunks_exact(2)) {
-            let v = (pair[0].to_bits() as u64) | ((pair[1].to_bits() as u64) << 32);
-            *lane = (*lane ^ v).wrapping_mul(PRIME);
-        }
-    }
-    for (i, &v) in chunks.remainder().iter().enumerate() {
-        let lane = &mut lanes[i % 4];
-        *lane = (*lane ^ (v.to_bits() as u64)).wrapping_mul(PRIME);
-    }
-    let mut h = data.len() as u64;
-    for l in lanes {
-        h = (h ^ l).wrapping_mul(PRIME);
-    }
-    h ^ (h >> 32)
-}
-
 /// `out = a + b` (allocating). Shapes must match.
 pub fn add(a: &Tensor, b: &Tensor) -> Result<Tensor> {
     a.same_shape(b)?;
@@ -213,34 +171,5 @@ mod tests {
         let x = [1.0f32];
         let mut y = [1.0f32, 2.0];
         axpy(1.0, &x, &mut y);
-    }
-
-    #[test]
-    fn content_hash_discriminates() {
-        // Identical content hashes identically; any single-element flip —
-        // in the 8-wide lane body or the remainder tail — changes it.
-        for len in [0usize, 1, 3, 7, 8, 9, 16, 23, 1000] {
-            let base: Vec<f32> = (0..len).map(|i| (i as f32).sin()).collect();
-            assert_eq!(content_hash_f32(&base), content_hash_f32(&base.clone()));
-            for flip in [0usize, len / 2, len.saturating_sub(1)] {
-                if len == 0 {
-                    continue;
-                }
-                let mut changed = base.clone();
-                changed[flip] += 1.0;
-                assert_ne!(
-                    content_hash_f32(&base),
-                    content_hash_f32(&changed),
-                    "len {len} flip {flip} not detected"
-                );
-            }
-        }
-        // Length-sensitive (zero padding is not free), and sign-of-zero
-        // sensitive (bit patterns differ).
-        assert_ne!(content_hash_f32(&[0.0; 4]), content_hash_f32(&[0.0; 5]));
-        assert_ne!(
-            content_hash_f32(&[0.0, 1.0]),
-            content_hash_f32(&[-0.0, 1.0])
-        );
     }
 }

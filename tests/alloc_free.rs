@@ -249,8 +249,8 @@ fn steady_state_cnn_round_is_allocation_free() {
     });
     let mut train_rng = rng_from_seed(22);
 
-    // Warm-up: sizes the (batched-conv) arena, packs the weight panels,
-    // fills the epoch-buffer pools.
+    // Warm-up: sizes the (batched-conv) arena, fills the GEMM pack and
+    // epoch-buffer pools.
     for _ in 0..2 {
         let _ = fedhisyn::nn::sgd_epoch(
             &mut model,

@@ -11,11 +11,11 @@
 //! * stride 1 and 2 (strided output grids drop trailing input columns),
 //! * the small/blocked and serial/parallel GEMM dispatch edges (the
 //!   generated shapes straddle both thresholds),
-//! * repeated steps (packed weight panels are reused, gradients chain
-//!   through the per-sample `β = 1` accumulation).
+//! * repeated steps (gradients chain through the per-sample `β = 1`
+//!   accumulation).
 //!
-//! A companion property pins the dense layer's packed-panel forward to the
-//! naive reference GEMM, bit for bit.
+//! A companion property pins the dense layer's forward to the naive
+//! reference GEMM, bit for bit.
 
 use fedhisyn::nn::init::Init;
 use fedhisyn::nn::layers::{Conv2d, ConvExec, Dense, Layer};
@@ -52,8 +52,8 @@ proptest! {
         let mut per_sample = batched.clone().with_exec(ConvExec::PerSample);
         let x = Tensor::randn(vec![b, c, hw, hw], 1.0, &mut rng);
 
-        // Two full forward/backward rounds: the second exercises packed
-        // weight-panel reuse and chained gradient accumulation.
+        // Two full forward/backward rounds: the second exercises chained
+        // gradient accumulation.
         for round in 0..2 {
             let yb = batched.forward(&x);
             let ys = per_sample.forward(&x);
@@ -83,8 +83,7 @@ proptest! {
     ) {
         let mut rng = rng_from_seed(seed);
         let mut layer = Dense::new(input, output, Init::HeNormal, &mut rng);
-        // Give the bias non-zero values through the public visitor (which
-        // also invalidates the packed panels, as any caller would).
+        // Give the bias non-zero values through the public visitor.
         let bias = Tensor::randn(vec![output], 0.5, &mut rng);
         let mut weight = Vec::new();
         let mut visit = 0usize;
@@ -99,7 +98,7 @@ proptest! {
         });
         let x = Tensor::randn(vec![batch, input], 1.0, &mut rng);
 
-        // Run twice: the second forward replays the cached weight panels.
+        // Run twice: a repeated forward must not depend on leftover state.
         for round in 0..2 {
             let y = layer.forward(&x);
             let mut want = vec![0.0f32; batch * output];
@@ -113,7 +112,7 @@ proptest! {
             }
             prop_assert_eq!(
                 y.data(), &want[..],
-                "dense packed forward diverged from reference (round {})", round
+                "dense forward diverged from reference (round {})", round
             );
         }
     }
