@@ -1,12 +1,7 @@
 //! Training-step benchmarks for the paper's two model families.
-//!
-//! The `*_reference` variants run the pre-engine copy-based epoch
-//! (`sgd_epoch_reference`: flatten grads + params, step, scatter back per
-//! batch) against the in-place `sgd_epoch`, so the zero-copy speedup is
-//! directly visible in one report.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use fedhisyn_nn::{sgd_epoch, sgd_epoch_reference, ModelSpec, NoHook, Sgd, SgdConfig};
+use fedhisyn_nn::{sgd_epoch, ModelSpec, NoHook, Sgd, SgdConfig};
 use fedhisyn_tensor::{rng_from_seed, Tensor};
 
 fn bench_mlp_epoch(c: &mut Criterion) {
@@ -19,21 +14,6 @@ fn bench_mlp_epoch(c: &mut Criterion) {
     c.bench_function("mlp_784_200_100_epoch_100samples", |b| {
         b.iter(|| {
             let loss = sgd_epoch(&mut model, &x, &y, 50, &mut sgd, &NoHook, &mut rng);
-            black_box(loss)
-        })
-    });
-}
-
-fn bench_mlp_epoch_reference(c: &mut Criterion) {
-    let spec = ModelSpec::paper_mlp(784, 10);
-    let mut rng = rng_from_seed(0);
-    let mut model = spec.build(&mut rng);
-    let x = Tensor::randn(vec![100, 784], 1.0, &mut rng);
-    let y: Vec<usize> = (0..100).map(|i| i % 10).collect();
-    let mut sgd = Sgd::new(SgdConfig::default());
-    c.bench_function("mlp_784_200_100_epoch_100samples_reference", |b| {
-        b.iter(|| {
-            let loss = sgd_epoch_reference(&mut model, &x, &y, 50, &mut sgd, &NoHook, &mut rng);
             black_box(loss)
         })
     });
@@ -85,7 +65,6 @@ fn bench_param_copy_into(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_mlp_epoch,
-    bench_mlp_epoch_reference,
     bench_cnn_epoch,
     bench_param_roundtrip,
     bench_param_copy_into

@@ -270,7 +270,6 @@ mod tests {
             batch_size: 4,
             sgd: SgdConfig::default(),
             seed: 3,
-            exec: crate::engine::ExecMode::default(),
             momentum: crate::env::DeviceBank::disabled(),
             wire_check: false,
             codec: fedhisyn_nn::Codec::F32,

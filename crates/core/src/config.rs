@@ -241,7 +241,6 @@ impl ExperimentConfig {
                 weight_decay: 0.0,
             },
             seed: self.seed,
-            exec: crate::engine::ExecMode::default(),
             momentum: if self.persist_momentum {
                 DeviceBank::new()
             } else {

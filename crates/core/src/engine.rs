@@ -18,32 +18,18 @@
 //!
 //! # Determinism contract
 //!
-//! Cached execution is **bit-identical** to naive rebuild-per-call
-//! execution ([`ExecMode::Reference`]): `set_params` overwrites every
-//! trainable value, optimizer state lives outside the model, and the
-//! in-place step applies the same element-wise arithmetic in the same
-//! order as the flat reference step. The golden test
-//! (`tests/engine_equivalence.rs`) runs whole experiments through both
-//! modes and asserts equal metrics and parameters.
+//! Training on a cached model is **bit-identical** to training on a model
+//! built for the call: `set_params` overwrites every trainable value,
+//! optimizer state lives outside the model, and every per-step buffer is
+//! re-carved zero-filled from the arena. `local::tests::
+//! cached_model_matches_fresh_build` dirties a worker's model with another
+//! device's job and asserts exactly that.
 
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use fedhisyn_nn::{ModelSpec, Sequential};
 use fedhisyn_tensor::rng_from_seed;
-use serde::{Deserialize, Serialize};
-
-/// Which execution path [`crate::local::local_train_owned`] uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
-pub enum ExecMode {
-    /// Train on the per-worker cached model (the fast path, default).
-    #[default]
-    Cached,
-    /// Rebuild a fresh model per call and use the copy-based reference
-    /// epoch — the pre-engine behaviour, kept for equivalence testing and
-    /// benchmarking.
-    Reference,
-}
 
 thread_local! {
     /// One built model per distinct spec, per worker thread. Experiments

@@ -9,8 +9,6 @@ use fedhisyn_nn::{wire, Codec, CodecScratch, ModelSpec, ParamVec, SgdConfig};
 use fedhisyn_simnet::{FaultPlan, LinkModel, TrafficMeter};
 use fedhisyn_telemetry::TelemetrySink;
 
-use crate::engine::ExecMode;
-
 /// Lock shards in an enabled [`DeviceBank`] (device id modulo).
 const BANK_SHARDS: usize = 64;
 
@@ -123,10 +121,6 @@ pub struct FlEnv {
     pub sgd: SgdConfig,
     /// Master experiment seed; all per-round randomness derives from it.
     pub seed: u64,
-    /// Which training execution path to use (cached engine by default;
-    /// [`ExecMode::Reference`] rebuilds models per call for equivalence
-    /// testing). Both produce bit-identical results.
-    pub exec: ExecMode,
     /// Per-device momentum persistence (disabled by default — the
     /// paper-faithful setting recreates optimizer state per call).
     pub momentum: DeviceBank,
@@ -446,7 +440,6 @@ mod tests {
             batch_size: 50,
             sgd: SgdConfig::default(),
             seed: 42,
-            exec: ExecMode::default(),
             momentum: DeviceBank::disabled(),
             wire_check: false,
             codec: Codec::F32,

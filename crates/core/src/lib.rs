@@ -53,7 +53,7 @@ pub mod topology;
 pub use aggregate::AggregationRule;
 pub use algorithm::{run_experiment, FlAlgorithm, RoundContext};
 pub use config::{DataMode, ExperimentConfig, ExperimentConfigBuilder};
-pub use engine::{ExecMode, ExecutionEngine};
+pub use engine::ExecutionEngine;
 pub use env::{seed_mix, DeviceBank, FlEnv};
 pub use fedhisyn::FedHiSyn;
 pub use metrics::{RoundRecord, RunRecord};

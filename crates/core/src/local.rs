@@ -6,10 +6,10 @@
 //! steady state. The by-reference [`local_train_plain`] wrapper exists
 //! for callers that need to keep their input (it pays one clone).
 
-use fedhisyn_nn::{sgd_epoch, sgd_epoch_reference, GradHook, NoHook, ParamVec, Sequential, Sgd};
+use fedhisyn_nn::{sgd_epoch, GradHook, NoHook, ParamVec, Sgd};
 use fedhisyn_tensor::rng_from_seed;
 
-use crate::engine::{ExecMode, ExecutionEngine};
+use crate::engine::ExecutionEngine;
 use crate::env::{seed_mix, FlEnv};
 
 /// Train `params` on device `device`'s shard for `epochs` epochs,
@@ -44,36 +44,23 @@ pub fn local_train_owned(
     if let Some(velocity) = env.momentum.take(device) {
         sgd.set_velocity(velocity);
     }
-    let out = match env.exec {
-        ExecMode::Cached => {
-            let sgd = &mut sgd;
-            ExecutionEngine::with_model(&env.spec, move |model| {
-                model.set_params(&params);
-                let mut rng = rng_from_seed(seed_mix(env.seed, round as u64, device as u64, salt));
-                for _ in 0..epochs {
-                    sgd_epoch(model, &data.x, &data.y, env.batch_size, sgd, hook, &mut rng);
-                }
-                model.copy_params_into(&mut params);
-                params
-            })
+    let out = ExecutionEngine::with_model(&env.spec, |model| {
+        model.set_params(&params);
+        let mut rng = rng_from_seed(seed_mix(env.seed, round as u64, device as u64, salt));
+        for _ in 0..epochs {
+            sgd_epoch(
+                model,
+                &data.x,
+                &data.y,
+                env.batch_size,
+                &mut sgd,
+                hook,
+                &mut rng,
+            );
         }
-        ExecMode::Reference => {
-            let mut model = build_model(env, device, &params);
-            let mut rng = rng_from_seed(seed_mix(env.seed, round as u64, device as u64, salt));
-            for _ in 0..epochs {
-                sgd_epoch_reference(
-                    &mut model,
-                    &data.x,
-                    &data.y,
-                    env.batch_size,
-                    &mut sgd,
-                    hook,
-                    &mut rng,
-                );
-            }
-            model.params()
-        }
-    };
+        model.copy_params_into(&mut params);
+        params
+    });
     // Plain SGD never creates velocity; there is nothing to persist then.
     if let Some(velocity) = sgd.take_velocity() {
         env.momentum.store(device, velocity);
@@ -105,62 +92,30 @@ pub fn local_train_plain(
     local_train_plain_owned(env, device, params.clone(), epochs, round, salt)
 }
 
-/// Instantiate the environment's architecture loaded with `params` —
-/// the naive path ([`ExecMode::Reference`]); engine-mode callers go
-/// through [`ExecutionEngine::with_model`] instead.
-pub fn build_model(env: &FlEnv, device: usize, params: &ParamVec) -> Sequential {
-    // The init RNG is irrelevant (weights are overwritten), but keep it
-    // deterministic anyway so allocation patterns don't depend on state.
-    let mut rng = rng_from_seed(seed_mix(env.seed, u64::MAX, device as u64, 0));
-    let mut model = env.spec.build(&mut rng);
-    model.set_params(params);
-    model
-}
-
-/// Best-effort runtime stat of this thread's cached model: its arena
-/// high-water mark in bytes.
-///
-/// Cached mode reads it off the worker's cached model (building it on
-/// first use); Reference mode has no persistent model to observe and
-/// reports zero. A per-thread runtime observation — telemetry only,
-/// outside the determinism contract.
+/// Best-effort runtime stat of this thread's cached model (built on first
+/// use): its arena high-water mark in bytes. A per-thread runtime
+/// observation — telemetry only, outside the determinism contract.
 pub fn cached_model_stats(env: &FlEnv) -> u64 {
-    match env.exec {
-        ExecMode::Cached => {
-            ExecutionEngine::with_model(&env.spec, |model| model.arena_high_water_bytes() as u64)
-        }
-        ExecMode::Reference => 0,
-    }
+    ExecutionEngine::with_model(&env.spec, |model| model.arena_high_water_bytes() as u64)
 }
 
 /// Evaluate `params` on the environment's global test split.
 ///
-/// The cached path runs [`fedhisyn_nn::evaluate_arena`] on the worker's
-/// cached model, whose sized scratch arena makes a steady-state round
-/// (train + evaluate) perform zero heap allocations; the reference path
-/// rebuilds a model per call and goes through [`fedhisyn_nn::evaluate`].
-/// Both modes are bit-identical (same batching, same forward arithmetic —
-/// note `evaluate` itself forwards through the arena path too, so the
-/// independent allocating-`forward` reference for evaluation lives in
-/// `tests/alloc_free.rs`, not in the cross-mode comparison).
+/// Runs [`fedhisyn_nn::evaluate_arena`] on the worker's cached model,
+/// whose sized scratch arena makes a steady-state round (train + evaluate)
+/// perform zero heap allocations.
 pub fn evaluate_on_test(env: &FlEnv, params: &ParamVec) -> f32 {
-    match env.exec {
-        ExecMode::Cached => ExecutionEngine::with_model(&env.spec, |model| {
-            model.set_params(params);
-            fedhisyn_nn::evaluate_arena(model, &env.test.x, &env.test.y, 256)
-        }),
-        ExecMode::Reference => {
-            let mut model = build_model(env, 0, params);
-            fedhisyn_nn::evaluate(&mut model, &env.test.x, &env.test.y, 256)
-        }
-    }
+    ExecutionEngine::with_model(&env.spec, |model| {
+        model.set_params(params);
+        fedhisyn_nn::evaluate_arena(model, &env.test.x, &env.test.y, 256)
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use fedhisyn_data::{Dataset, DatasetProfile, Scale};
-    use fedhisyn_nn::{ModelSpec, SgdConfig};
+    use fedhisyn_nn::{evaluate_arena, ModelSpec, Sequential, SgdConfig};
     use fedhisyn_simnet::{sample_latencies, HeterogeneityModel, LinkModel, TrafficMeter};
     use fedhisyn_tensor::Tensor;
 
@@ -168,7 +123,11 @@ mod tests {
         let fd = DatasetProfile::MnistLike
             .synth_config(Scale::Smoke, 3)
             .generate();
-        let dim = fd.config.total_input_dim();
+        let spec = ModelSpec::mlp(&[fd.config.total_input_dim(), 16, 10]);
+        env_over(fd, spec)
+    }
+
+    fn env_over(fd: fedhisyn_data::FederatedDataset, spec: ModelSpec) -> FlEnv {
         let mut rng = rng_from_seed(1);
         // 4 devices, each with a slice of the pooled training set.
         let n = fd.train.len();
@@ -181,7 +140,7 @@ mod tests {
             .collect();
         let profiles = sample_latencies(4, HeterogeneityModel::Uniform { h: 4.0 }, 1.0, &mut rng);
         FlEnv {
-            spec: ModelSpec::mlp(&[dim, 16, 10]),
+            spec,
             data: fedhisyn_data::DataSource::Dense(device_data),
             n_devices: 4,
             test: fd.test,
@@ -192,7 +151,6 @@ mod tests {
             batch_size: 32,
             sgd: SgdConfig::default(),
             seed: 77,
-            exec: ExecMode::default(),
             momentum: crate::env::DeviceBank::disabled(),
             wire_check: false,
             codec: fedhisyn_nn::Codec::F32,
@@ -236,18 +194,76 @@ mod tests {
         assert_ne!(a, c, "different salt must give a different batch order");
     }
 
+    /// A model built for one call and loaded with `params` — what a
+    /// worker's cached model must be indistinguishable from.
+    fn build_model(env: &FlEnv, params: &ParamVec) -> Sequential {
+        let mut model = env.spec.build(&mut rng_from_seed(0));
+        model.set_params(params);
+        model
+    }
+
+    /// Model-cache hygiene: whatever the worker's cached model did last —
+    /// here another device's job from other parameters — a job on it
+    /// equals the same job on a freshly built model, bit for bit, for the
+    /// MLP and the CNN stack, with velocity reset per job and with
+    /// velocity persisted across a device's jobs.
     #[test]
-    fn cached_and_reference_modes_are_bit_identical() {
-        let mut env = make_env();
-        let init = env.spec.build(&mut rng_from_seed(0)).params();
-        env.exec = ExecMode::Cached;
-        let fast = local_train_plain(&env, 1, &init, 3, 2, 5);
-        let fast_acc = evaluate_on_test(&env, &fast);
-        env.exec = ExecMode::Reference;
-        let slow = local_train_plain(&env, 1, &init, 3, 2, 5);
-        let slow_acc = evaluate_on_test(&env, &slow);
-        assert_eq!(fast, slow, "engine must match rebuild-per-call reference");
-        assert_eq!(fast_acc, slow_acc);
+    fn cached_model_matches_fresh_build() {
+        let mlp = make_env();
+        let fd = DatasetProfile::Cifar10Like
+            .synth_config(Scale::Smoke, 3)
+            .generate();
+        let cnn = env_over(fd, ModelSpec::smoke_cnn(8, 10));
+        for mut env in [mlp, cnn] {
+            env.sgd.momentum = 0.9;
+            for persist in [false, true] {
+                env.momentum = if persist {
+                    crate::env::DeviceBank::new()
+                } else {
+                    crate::env::DeviceBank::disabled()
+                };
+                let other = env.spec.build(&mut rng_from_seed(9)).params();
+                let mut params = env.spec.build(&mut rng_from_seed(0)).params();
+                let (device, epochs, round) = (1usize, 2usize, 2usize);
+                let shard = env.shard(device);
+                let mut sgd = Sgd::new(env.sgd);
+                for salt in [5u64, 6] {
+                    let _ = local_train_plain(&env, 2, &other, 1, 0, 0);
+                    let got = local_train_plain(&env, device, &params, epochs, round, salt);
+                    let got_acc = evaluate_on_test(&env, &got);
+
+                    let mut fresh = build_model(&env, &params);
+                    if !persist {
+                        sgd = Sgd::new(env.sgd);
+                    }
+                    let mut rng =
+                        rng_from_seed(seed_mix(env.seed, round as u64, device as u64, salt));
+                    for _ in 0..epochs {
+                        sgd_epoch(
+                            &mut fresh,
+                            &shard.x,
+                            &shard.y,
+                            env.batch_size,
+                            &mut sgd,
+                            &NoHook,
+                            &mut rng,
+                        );
+                    }
+                    assert_eq!(
+                        got,
+                        fresh.params(),
+                        "{:?}, persist {persist}, salt {salt}",
+                        env.spec
+                    );
+                    let mut fresh = build_model(&env, &got);
+                    assert_eq!(
+                        got_acc,
+                        evaluate_arena(&mut fresh, &env.test.x, &env.test.y, 256)
+                    );
+                    params = got;
+                }
+            }
+        }
     }
 
     #[test]

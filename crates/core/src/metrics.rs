@@ -27,7 +27,7 @@ pub struct RoundRecord {
     /// Unified per-round observability snapshot (traffic deltas +
     /// engine/fleet runtime counters). Its `PartialEq` compares only the
     /// deterministic traffic fields, keeping record-equality assertions
-    /// meaningful across execution modes.
+    /// meaningful across runs and thread counts.
     pub telemetry: RoundTelemetry,
 }
 

@@ -20,11 +20,11 @@
 //! both computed at the same optimization budget so their *difference* is
 //! meaningful even though neither is the exact infimum.
 
-use fedhisyn_nn::{mean_loss_arena, NoHook, Sgd};
+use fedhisyn_nn::{mean_loss_arena, NoHook, Sequential, Sgd};
 use fedhisyn_tensor::rng_from_seed;
 
+use crate::engine::ExecutionEngine;
 use crate::env::{seed_mix, FlEnv};
-use crate::local::build_model;
 
 /// Result of a Γ estimation.
 #[derive(Debug, Clone, PartialEq)]
@@ -77,16 +77,25 @@ fn optimize_group(env: &FlEnv, members: &[usize], min_updates: usize, seed: u64)
             );
         }
     }
-    // Pooled mean loss over the group's data, weighted by shard size.
+    pooled_mean_loss(env, &mut model, members.iter().copied())
+}
+
+/// Mean loss of `model` over the pooled data of `devices`, weighted by
+/// shard size.
+fn pooled_mean_loss(
+    env: &FlEnv,
+    model: &mut Sequential,
+    devices: impl Iterator<Item = usize>,
+) -> f32 {
     let mut total = 0.0f64;
     let mut count = 0usize;
-    for &d in members {
+    for d in devices {
         let shard = env.shard(d);
         let data = &*shard;
         if data.is_empty() {
             continue;
         }
-        let loss = mean_loss_arena(&mut model, &data.x, &data.y, 256);
+        let loss = mean_loss_arena(model, &data.x, &data.y, 256);
         total += loss as f64 * data.len() as f64;
         count += data.len();
     }
@@ -158,26 +167,12 @@ pub fn estimate_ring_gamma(env: &FlEnv, classes: &[Vec<usize>], epochs: usize) -
 /// `F_i` (§4.2): models that traversed more devices should have lower
 /// pooled loss.
 pub fn pooled_loss(env: &FlEnv, params: &fedhisyn_nn::ParamVec) -> f32 {
-    let mut model = build_model(env, 0, params);
-    let mut total = 0.0f64;
-    let mut count = 0usize;
     // Diagnostics over the whole federation are inherently O(fleet):
     // meant for paper-scale (hundreds of devices) dense environments.
-    for d in 0..env.n_devices() {
-        let shard = env.shard(d);
-        let data = &*shard;
-        if data.is_empty() {
-            continue;
-        }
-        let loss = mean_loss_arena(&mut model, &data.x, &data.y, 256);
-        total += loss as f64 * data.len() as f64;
-        count += data.len();
-    }
-    if count == 0 {
-        0.0
-    } else {
-        (total / count as f64) as f32
-    }
+    ExecutionEngine::with_model(&env.spec, |model| {
+        model.set_params(params);
+        pooled_mean_loss(env, model, 0..env.n_devices())
+    })
 }
 
 #[cfg(test)]

@@ -209,7 +209,7 @@ mod tests {
         let mut rng = rng_from_seed(0);
         let mut m = spec.build(&mut rng);
         assert_eq!(m.param_count(), spec.param_count());
-        let y = m.forward(&Tensor::zeros(vec![3, 10]));
+        let y = m.logits(&Tensor::zeros(vec![3, 10]));
         assert_eq!(y.shape(), &[3, 5]);
     }
 
@@ -230,7 +230,7 @@ mod tests {
         let mut rng = rng_from_seed(1);
         let mut m = spec.build(&mut rng);
         assert_eq!(m.param_count(), spec.param_count());
-        let y = m.forward(&Tensor::zeros(vec![2, 3, 8, 8]));
+        let y = m.logits(&Tensor::zeros(vec![2, 3, 8, 8]));
         assert_eq!(y.shape(), &[2, 10]);
     }
 
@@ -239,7 +239,7 @@ mod tests {
         let spec = ModelSpec::paper_cnn(16, 100);
         let mut rng = rng_from_seed(2);
         let mut m = spec.build(&mut rng);
-        let y = m.forward(&Tensor::zeros(vec![1, 3, 16, 16]));
+        let y = m.logits(&Tensor::zeros(vec![1, 3, 16, 16]));
         assert_eq!(y.shape(), &[1, 100]);
         // conv(3→64,5×5) + conv(64→64,5×5) + fc(64·4·4→394) + fc(394→192) + fc(192→100)
         let expect =

@@ -1,9 +1,9 @@
 //! Arena-resident activation buffers.
 //!
-//! The allocation-free training path never materialises [`fedhisyn_tensor::
-//! Tensor`]s between layers: activations, gradients and im2col workspaces
-//! all live in the model's per-step [`Scratch`] arena, and what flows
-//! through `Layer::forward_arena`/`backward_arena` is an [`ArenaBuf`] — a
+//! A step never materialises [`fedhisyn_tensor::Tensor`]s between layers:
+//! activations, gradients and im2col workspaces all live in the model's
+//! per-step [`Scratch`] arena, and what flows through
+//! `Layer::forward_arena`/`backward_arena` is an [`ArenaBuf`] — a
 //! `Copy` handle pairing a [`ScratchSlot`] with a stack-allocated shape
 //! (rank ≤ 4, so no heap `Vec<usize>` per batch either).
 //!
@@ -13,7 +13,7 @@
 
 use fedhisyn_tensor::{Scratch, ScratchSlot};
 
-/// Maximum tensor rank the arena path carries (batch-first `[B, C, H, W]`).
+/// Maximum tensor rank an [`ArenaBuf`] carries (batch-first `[B, C, H, W]`).
 pub const MAX_RANK: usize = 4;
 
 /// A shaped handle to a buffer inside a [`Scratch`] arena.

@@ -17,21 +17,19 @@
 //! re-streamed per row-tile), `dcols = dY_rows · W` (one `gemm`), and a
 //! batched `col2im` scatter back onto `[B, C, H, W]`.
 //!
-//! # The retained per-sample reference
+//! # Batch-size independence
 //!
-//! [`ConvExec::PerSample`] keeps the per-sample execution as a reference:
-//! the same buffers and layout, but one GEMM call per sample. Batched and
-//! per-sample execution are **bit-identical** — forward rows and `dcols`
-//! rows are per-sample-disjoint, and the chained per-sample `β = 1`
-//! weight-gradient accumulation performs exactly the additions of the
-//! single whole-batch reduction (`tests/conv_batched.rs` proves this
-//! exhaustively across batch remainders, stride, padding and the
-//! small/blocked/parallel GEMM dispatch edges).
+//! One step on a batch of `B` is **bit-identical** to `B` steps on batches
+//! of one with no `zero_grad` in between: forward rows and `dcols` rows are
+//! per-sample-disjoint (a GEMM row's arithmetic does not depend on how many
+//! rows the call carries), and the weight and bias gradients are the same
+//! chained per-sample `β = 1` accumulation either way. `tests/conv_batched.rs`
+//! proves this across batch remainders, stride, padding and the
+//! small/blocked/parallel GEMM dispatch edges.
 //!
-//! Both execution paths (allocating and arena) share the same slice-level
-//! stage kernels, so they are bit-identical too; the allocating path keeps
-//! its workspaces in persistent grow-only fields, the arena path carves
-//! them from the step's [`Scratch`].
+//! Every workspace (`cols`, the position-major row buffers, `dcols`) is
+//! carved from the step's [`Scratch`]; the layer itself holds only
+//! parameters, gradients and the handle of the current step's `cols`.
 //!
 //! # Parallel memory-bound stages
 //!
@@ -59,17 +57,6 @@ use crate::arena::ArenaBuf;
 use crate::init::Init;
 use crate::layers::Layer;
 
-/// Which GEMM execution the convolution uses (see the module docs).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ConvExec {
-    /// One whole-batch GEMM per stage (the fast path, default).
-    #[default]
-    Batched,
-    /// One GEMM call per sample on the same batch-major layout — the
-    /// retained reference the batched path is proven bit-identical to.
-    PerSample,
-}
-
 /// 2-D convolution with square kernels and symmetric padding.
 ///
 /// Input is `[B, C, H, W]`; output `[B, F, OH, OW]` where
@@ -87,20 +74,13 @@ pub struct Conv2d {
     kernel: usize,
     stride: usize,
     pad: usize,
-    exec: ConvExec,
-    /// Batch-major im2col workspace for the allocating path (persistent,
-    /// grow-only; `[B·OH·OW, C·k·k]`).
-    cols: Vec<f32>,
-    /// Position-major forward output / backward dY workspaces for the
-    /// allocating path.
-    out_rows: Vec<f32>,
-    dy_rows: Vec<f32>,
-    /// Backward column-gradient workspace (`[B·OH·OW, C·k·k]`).
-    dcols: Vec<f32>,
-    /// Arena-path im2col location for the current step.
+    /// Where the current step's im2col matrix lives in the arena.
     cols_slot: Option<ScratchSlot>,
     cached_input_hw: (usize, usize),
     cached_batch: usize,
+    /// The arena [`Conv2d::profile_step`] runs on — grow-only and kept
+    /// across calls, so a probe loop times warm memory.
+    profile_scratch: Scratch,
 }
 
 impl Conv2d {
@@ -140,31 +120,11 @@ impl Conv2d {
             kernel,
             stride,
             pad,
-            exec: ConvExec::default(),
-            cols: Vec::new(),
-            out_rows: Vec::new(),
-            dy_rows: Vec::new(),
-            dcols: Vec::new(),
             cols_slot: None,
             cached_input_hw: (0, 0),
             cached_batch: 0,
+            profile_scratch: Scratch::new(),
         }
-    }
-
-    /// Select batched or per-sample-reference execution.
-    pub fn set_exec(&mut self, exec: ConvExec) {
-        self.exec = exec;
-    }
-
-    /// Builder-style [`Conv2d::set_exec`].
-    pub fn with_exec(mut self, exec: ConvExec) -> Self {
-        self.exec = exec;
-        self
-    }
-
-    /// The execution mode in effect.
-    pub fn exec(&self) -> ConvExec {
-        self.exec
     }
 
     /// Output spatial size for an input spatial size.
@@ -412,38 +372,20 @@ impl Conv2d {
         }
     }
 
-    /// Stage 2 of forward: `out_rows[B·OHOW, F] = cols · Wᵀ` — one GEMM in
-    /// batched mode, one per sample in the reference mode.
+    /// Stage 2 of forward: `out_rows[B·OHOW, F] = cols · Wᵀ`, one GEMM
+    /// for the whole batch.
     fn gemm_forward(&self, cols: &[f32], out_rows: &mut [f32], b: usize, ohow: usize) {
         let (f, ckk) = (self.out_channels, self.ckk());
-        match self.exec {
-            ConvExec::Batched => {
-                par_gemm_nt(
-                    cols,
-                    self.weight.data(),
-                    out_rows,
-                    b * ohow,
-                    ckk,
-                    f,
-                    1.0,
-                    0.0,
-                );
-            }
-            ConvExec::PerSample => {
-                for bi in 0..b {
-                    par_gemm_nt(
-                        &cols[bi * ohow * ckk..(bi + 1) * ohow * ckk],
-                        self.weight.data(),
-                        &mut out_rows[bi * ohow * f..(bi + 1) * ohow * f],
-                        ohow,
-                        ckk,
-                        f,
-                        1.0,
-                        0.0,
-                    );
-                }
-            }
-        }
+        par_gemm_nt(
+            cols,
+            self.weight.data(),
+            out_rows,
+            b * ohow,
+            ckk,
+            f,
+            1.0,
+            0.0,
+        );
     }
 
     /// Stage 3 of forward: blocked transpose of `out_rows` into the
@@ -506,8 +448,7 @@ impl Conv2d {
         }
     }
 
-    /// Backward stage 2: `db += plane sums of dY` (same order as the
-    /// per-sample path always used).
+    /// Backward stage 2: `db += plane sums of dY`, sample by sample.
     fn accumulate_bias_grad(&mut self, grad_out: &[f32], b: usize, ohow: usize) {
         let f = self.out_channels;
         for bi in 0..b {
@@ -519,9 +460,8 @@ impl Conv2d {
     }
 
     /// Backward stage 3: `dW += dY_rowsᵀ · cols`, k-blocked in per-sample
-    /// chunks in **both** modes. Chaining `β = 1` calls performs the
-    /// identical addition sequence of the single whole-batch `gemm_tn`
-    /// (module docs; proven exhaustively in `tests/conv_batched.rs`), and
+    /// chunks. Chaining `β = 1` calls performs the identical addition
+    /// sequence of the single whole-batch `gemm_tn`, and
     /// the per-chunk packed `cols` panel stays cache-resident — the
     /// whole-batch pack has `k = B·OH·OW`, which overflows L2 at training
     /// batch sizes and was re-streamed from memory once per row-tile of
@@ -545,34 +485,16 @@ impl Conv2d {
     /// Backward stage 4: `dcols = dY_rows · W`.
     fn gemm_grad_cols(&self, dy_rows: &[f32], dcols: &mut [f32], b: usize, ohow: usize) {
         let (f, ckk) = (self.out_channels, self.ckk());
-        match self.exec {
-            ConvExec::Batched => {
-                par_gemm(
-                    dy_rows,
-                    self.weight.data(),
-                    dcols,
-                    b * ohow,
-                    f,
-                    ckk,
-                    1.0,
-                    0.0,
-                );
-            }
-            ConvExec::PerSample => {
-                for bi in 0..b {
-                    par_gemm(
-                        &dy_rows[bi * ohow * f..(bi + 1) * ohow * f],
-                        self.weight.data(),
-                        &mut dcols[bi * ohow * ckk..(bi + 1) * ohow * ckk],
-                        ohow,
-                        f,
-                        ckk,
-                        1.0,
-                        0.0,
-                    );
-                }
-            }
-        }
+        par_gemm(
+            dy_rows,
+            self.weight.data(),
+            dcols,
+            b * ohow,
+            f,
+            ckk,
+            1.0,
+            0.0,
+        );
     }
 
     /// Backward stage 5: batched col2im — scatter `dcols` back onto the
@@ -626,6 +548,46 @@ pub struct ConvStageProfile {
     pub col2im_secs: f64,
 }
 
+/// The kinds of work [`ConvStageProfile`] tells apart.
+#[derive(Clone, Copy)]
+enum Stage {
+    Im2col,
+    Gemm,
+    Transpose,
+    Col2im,
+}
+
+/// What the stages of a step run under: nothing when training
+/// ([`Untimed`], which compiles away), a stopwatch per stage kind in
+/// [`Conv2d::profile_step`]. One stage sequence serves both, so the
+/// profile can only ever time the code production runs.
+trait StageClock {
+    fn time(&mut self, stage: Stage, f: impl FnOnce());
+}
+
+struct Untimed;
+
+impl StageClock for Untimed {
+    #[inline(always)]
+    fn time(&mut self, _stage: Stage, f: impl FnOnce()) {
+        f()
+    }
+}
+
+impl StageClock for ConvStageProfile {
+    fn time(&mut self, stage: Stage, f: impl FnOnce()) {
+        let t = Instant::now();
+        f();
+        let secs = t.elapsed().as_secs_f64();
+        match stage {
+            Stage::Im2col => self.im2col_secs += secs,
+            Stage::Gemm => self.gemm_secs += secs,
+            Stage::Transpose => self.transpose_secs += secs,
+            Stage::Col2im => self.col2im_secs += secs,
+        }
+    }
+}
+
 impl Conv2d {
     /// Run one instrumented forward+backward step and return the per-stage
     /// wall-clock breakdown — the bench observability hook that makes the
@@ -636,108 +598,25 @@ impl Conv2d {
     /// accumulate as in a normal step, so callers comparing numerics
     /// should `zero_grad` afterwards.
     pub fn profile_step(&mut self, input: &Tensor) -> ConvStageProfile {
-        let (b, _c, h, w) = self.check_input(input.shape());
-        let (oh, ow) = self.out_size(h, w);
-        let (f, ckk, ohow) = (self.out_channels, self.ckk(), oh * ow);
-        let c = self.in_channels;
-        self.cached_input_hw = (h, w);
-        self.cached_batch = b;
-        self.cols_slot = None;
+        let mut scratch = std::mem::take(&mut self.profile_scratch);
+        scratch.reset();
+        let slot = scratch.alloc(input.len());
+        scratch.slice_mut(slot).copy_from_slice(input.data());
+        let x = ArenaBuf::new(slot, input.shape());
         let mut profile = ConvStageProfile::default();
-
-        // Forward: im2col → GEMM → transpose-out.
-        let mut cols = std::mem::take(&mut self.cols);
-        cols.resize(b * ohow * ckk, 0.0);
-        let mut out_rows = std::mem::take(&mut self.out_rows);
-        out_rows.resize(b * ohow * f, 0.0);
-        let t = Instant::now();
-        self.lower_batch(input.data(), &mut cols, b, h, w);
-        profile.im2col_secs += t.elapsed().as_secs_f64();
-        let t = Instant::now();
-        self.gemm_forward(&cols, &mut out_rows, b, ohow);
-        profile.gemm_secs += t.elapsed().as_secs_f64();
-        let mut out = Tensor::zeros(vec![b, f, oh, ow]);
-        let t = Instant::now();
-        self.scatter_output(&out_rows, out.data_mut(), b, ohow);
-        profile.transpose_secs += t.elapsed().as_secs_f64();
-
-        // Backward: transpose-dY (+bias) → GEMMs → col2im.
-        let mut dy_rows = std::mem::take(&mut self.dy_rows);
-        dy_rows.resize(b * ohow * f, 0.0);
-        let t = Instant::now();
-        self.gather_dy_rows(out.data(), &mut dy_rows, b, ohow);
-        self.accumulate_bias_grad(out.data(), b, ohow);
-        profile.transpose_secs += t.elapsed().as_secs_f64();
-        let mut dcols = std::mem::take(&mut self.dcols);
-        dcols.resize(b * ohow * ckk, 0.0);
-        let t = Instant::now();
-        self.gemm_grad_weight(&dy_rows, &cols, b, ohow);
-        self.gemm_grad_cols(&dy_rows, &mut dcols, b, ohow);
-        profile.gemm_secs += t.elapsed().as_secs_f64();
-        let mut grad_in = Tensor::zeros(vec![b, c, h, w]);
-        let t = Instant::now();
-        self.scatter_grad_input(&dcols, grad_in.data_mut(), b, h, w);
-        profile.col2im_secs += t.elapsed().as_secs_f64();
-
-        self.cols = cols;
-        self.out_rows = out_rows;
-        self.dy_rows = dy_rows;
-        self.dcols = dcols;
+        let out = self.forward_stages(x, &mut scratch, &mut profile);
+        self.backward_stages(out, &mut scratch, &mut profile);
+        self.profile_scratch = scratch;
         profile
     }
-}
 
-impl Layer for Conv2d {
-    fn forward(&mut self, input: &Tensor) -> Tensor {
-        let (b, _c, h, w) = self.check_input(input.shape());
-        let (oh, ow) = self.out_size(h, w);
-        let (f, ckk, ohow) = (self.out_channels, self.ckk(), oh * ow);
-        self.cached_input_hw = (h, w);
-        self.cached_batch = b;
-        self.cols_slot = None;
-
-        let mut cols = std::mem::take(&mut self.cols);
-        cols.resize(b * ohow * ckk, 0.0);
-        let mut out_rows = std::mem::take(&mut self.out_rows);
-        out_rows.resize(b * ohow * f, 0.0);
-        self.lower_batch(input.data(), &mut cols, b, h, w);
-        self.gemm_forward(&cols, &mut out_rows, b, ohow);
-        let mut out = Tensor::zeros(vec![b, f, oh, ow]);
-        self.scatter_output(&out_rows, out.data_mut(), b, ohow);
-        self.cols = cols;
-        self.out_rows = out_rows;
-        out
-    }
-
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let (h, w) = self.cached_input_hw;
-        assert!(h > 0, "Conv2d::backward before forward");
-        let b = self.cached_batch;
-        let (oh, ow) = self.out_size(h, w);
-        let (f, ckk, ohow) = (self.out_channels, self.ckk(), oh * ow);
-        assert_eq!(grad_out.len(), b * f * ohow, "Conv2d: bad grad_out length");
-
-        let cols = std::mem::take(&mut self.cols);
-        let mut dy_rows = std::mem::take(&mut self.dy_rows);
-        dy_rows.resize(b * ohow * f, 0.0);
-        self.gather_dy_rows(grad_out.data(), &mut dy_rows, b, ohow);
-        self.accumulate_bias_grad(grad_out.data(), b, ohow);
-        self.gemm_grad_weight(&dy_rows, &cols, b, ohow);
-
-        let mut dcols = std::mem::take(&mut self.dcols);
-        dcols.resize(b * ohow * ckk, 0.0);
-        self.gemm_grad_cols(&dy_rows, &mut dcols, b, ohow);
-        let c = self.in_channels;
-        let mut grad_in = Tensor::zeros(vec![b, c, h, w]);
-        self.scatter_grad_input(&dcols, grad_in.data_mut(), b, h, w);
-
-        self.cols = cols;
-        self.dy_rows = dy_rows;
-        self.dcols = dcols;
-        grad_in
-    }
-
-    fn forward_arena(&mut self, input: ArenaBuf, scratch: &mut Scratch) -> ArenaBuf {
+    /// Forward: im2col → GEMM → transpose-out (+ bias).
+    fn forward_stages(
+        &mut self,
+        input: ArenaBuf,
+        scratch: &mut Scratch,
+        clock: &mut impl StageClock,
+    ) -> ArenaBuf {
         let (b, _c, h, w) = self.check_input(input.dims());
         let (oh, ow) = self.out_size(h, w);
         let (f, ckk, ohow) = (self.out_channels, self.ckk(), oh * ow);
@@ -745,25 +624,31 @@ impl Layer for Conv2d {
         self.cached_batch = b;
 
         let cols = scratch.alloc(b * ohow * ckk);
-        {
+        clock.time(Stage::Im2col, || {
             let (x, cols_mut) = scratch.ro_rw(input.slot(), cols);
             self.lower_batch(x, cols_mut, b, h, w);
-        }
+        });
         let out_rows = scratch.alloc(b * ohow * f);
-        {
+        clock.time(Stage::Gemm, || {
             let (cols_ro, rows_mut) = scratch.ro_rw(cols, out_rows);
             self.gemm_forward(cols_ro, rows_mut, b, ohow);
-        }
+        });
         let out = scratch.alloc(b * f * ohow);
-        {
+        clock.time(Stage::Transpose, || {
             let (rows_ro, out_mut) = scratch.ro_rw(out_rows, out);
             self.scatter_output(rows_ro, out_mut, b, ohow);
-        }
+        });
         self.cols_slot = Some(cols);
         ArenaBuf::new(out, &[b, f, oh, ow])
     }
 
-    fn backward_arena(&mut self, grad_out: ArenaBuf, scratch: &mut Scratch) -> ArenaBuf {
+    /// Backward: transpose-dY (+ bias gradient) → GEMMs → col2im.
+    fn backward_stages(
+        &mut self,
+        grad_out: ArenaBuf,
+        scratch: &mut Scratch,
+        clock: &mut impl StageClock,
+    ) -> ArenaBuf {
         let (h, w) = self.cached_input_hw;
         assert!(h > 0, "Conv2d::backward before forward");
         let b = self.cached_batch;
@@ -776,30 +661,37 @@ impl Layer for Conv2d {
         assert_eq!(grad_out.len(), b * f * ohow, "Conv2d: bad grad_out length");
 
         let dy_rows = scratch.alloc(b * ohow * f);
-        {
+        clock.time(Stage::Transpose, || {
             let (gout, dy_mut) = scratch.ro_rw(grad_out.slot(), dy_rows);
             self.gather_dy_rows(gout, dy_mut, b, ohow);
-        }
-        {
-            let gout = scratch.slice(grad_out.slot());
             self.accumulate_bias_grad(gout, b, ohow);
-        }
-        {
+        });
+        clock.time(Stage::Gemm, || {
             let dy_ro = scratch.slice(dy_rows);
             let cols_ro = scratch.slice(cols);
             self.gemm_grad_weight(dy_ro, cols_ro, b, ohow);
-        }
+        });
         let dcols = scratch.alloc(b * ohow * ckk);
-        {
+        clock.time(Stage::Gemm, || {
             let (dy_ro, dcols_mut) = scratch.ro_rw(dy_rows, dcols);
             self.gemm_grad_cols(dy_ro, dcols_mut, b, ohow);
-        }
+        });
         let grad_in = scratch.alloc(b * c * h * w); // zero-filled for col2im
-        {
+        clock.time(Stage::Col2im, || {
             let (dcols_ro, gin_mut) = scratch.ro_rw(dcols, grad_in);
             self.scatter_grad_input(dcols_ro, gin_mut, b, h, w);
-        }
+        });
         ArenaBuf::new(grad_in, &[b, c, h, w])
+    }
+}
+
+impl Layer for Conv2d {
+    fn forward_arena(&mut self, input: ArenaBuf, scratch: &mut Scratch) -> ArenaBuf {
+        self.forward_stages(input, scratch, &mut Untimed)
+    }
+
+    fn backward_arena(&mut self, grad_out: ArenaBuf, scratch: &mut Scratch) -> ArenaBuf {
+        self.backward_stages(grad_out, scratch, &mut Untimed)
     }
 
     fn visit_params(&self, f: &mut dyn FnMut(&Tensor)) {
@@ -839,7 +731,7 @@ impl Layer for Conv2d {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::layers::testutil::{check_input_gradient, check_param_gradients};
+    use crate::layers::testutil::{check_input_gradient, check_param_gradients, ArenaDriver};
     use fedhisyn_tensor::rng_from_seed;
 
     /// Direct (nested-loop) convolution used as a reference.
@@ -883,58 +775,32 @@ mod tests {
         out
     }
 
-    #[test]
-    fn forward_matches_direct_convolution() {
-        let mut rng = rng_from_seed(0);
-        let (c, h, w, f, k, pad) = (2, 5, 5, 3, 3, 1);
-        let mut layer = Conv2d::new(c, f, k, pad, Init::HeNormal, &mut rng);
-        let bias = Tensor::randn(vec![f], 0.5, &mut rng);
-        layer.bias = bias.clone();
-        let x = Tensor::randn(vec![1, c, h, w], 1.0, &mut rng);
-        let got = layer.forward(&x);
-        let expected = reference_conv(
-            x.data(),
-            c,
-            h,
-            w,
-            layer.weight.data(),
-            f,
-            k,
-            1,
-            pad,
-            bias.data(),
-        );
-        assert_eq!(got.shape(), &[1, f, h, w]);
-        for (i, (&g, &e)) in got.data().iter().zip(&expected).enumerate() {
-            assert!((g - e).abs() < 1e-4, "elem {i}: {g} vs {e}");
-        }
-    }
-
-    #[test]
-    fn strided_forward_matches_direct_convolution() {
-        let mut rng = rng_from_seed(10);
-        let (c, h, w, f, k, stride, pad) = (2, 7, 7, 3, 3, 2, 1);
-        let mut layer = Conv2d::with_stride(c, f, k, stride, pad, Init::HeNormal, &mut rng);
-        let bias = Tensor::randn(vec![f], 0.5, &mut rng);
-        layer.bias = bias.clone();
-        let x = Tensor::randn(vec![2, c, h, w], 1.0, &mut rng);
-        let got = layer.forward(&x);
+    /// Give `layer` a random bias, run `x` through its arena forward pass
+    /// and hold every sample of the output to the direct convolution.
+    fn assert_forward_matches_direct(layer: &mut Conv2d, x: &Tensor, rng: &mut impl Rng) {
+        layer.bias = Tensor::randn(vec![layer.out_channels], 0.5, rng);
+        let got = ArenaDriver::new().forward(layer, x);
+        let (b, c, h, w) = layer.check_input(x.shape());
         let (oh, ow) = layer.out_size(h, w);
-        assert_eq!(got.shape(), &[2, f, oh, ow]);
-        for bi in 0..2 {
+        let f = layer.out_channels;
+        assert_eq!(got.shape(), &[b, f, oh, ow]);
+        let samples = x.data().chunks_exact(c * h * w);
+        for (bi, (x_b, got_b)) in samples
+            .zip(got.data().chunks_exact(f * oh * ow))
+            .enumerate()
+        {
             let expected = reference_conv(
-                &x.data()[bi * c * h * w..(bi + 1) * c * h * w],
+                x_b,
                 c,
                 h,
                 w,
                 layer.weight.data(),
                 f,
-                k,
-                stride,
-                pad,
-                bias.data(),
+                layer.kernel,
+                layer.stride,
+                layer.pad,
+                layer.bias.data(),
             );
-            let got_b = &got.data()[bi * f * oh * ow..(bi + 1) * f * oh * ow];
             for (i, (&g, &e)) in got_b.iter().zip(&expected).enumerate() {
                 assert!((g - e).abs() < 1e-4, "sample {bi} elem {i}: {g} vs {e}");
             }
@@ -942,11 +808,27 @@ mod tests {
     }
 
     #[test]
+    fn forward_matches_direct_convolution() {
+        let mut rng = rng_from_seed(0);
+        let mut layer = Conv2d::new(2, 3, 3, 1, Init::HeNormal, &mut rng);
+        let x = Tensor::randn(vec![1, 2, 5, 5], 1.0, &mut rng);
+        assert_forward_matches_direct(&mut layer, &x, &mut rng);
+    }
+
+    #[test]
+    fn strided_forward_matches_direct_convolution() {
+        let mut rng = rng_from_seed(10);
+        let mut layer = Conv2d::with_stride(2, 3, 3, 2, 1, Init::HeNormal, &mut rng);
+        let x = Tensor::randn(vec![2, 2, 7, 7], 1.0, &mut rng);
+        assert_forward_matches_direct(&mut layer, &x, &mut rng);
+    }
+
+    #[test]
     fn no_padding_shrinks_output() {
         let mut rng = rng_from_seed(1);
         let mut layer = Conv2d::new(1, 2, 3, 0, Init::HeNormal, &mut rng);
         let x = Tensor::randn(vec![2, 1, 6, 6], 1.0, &mut rng);
-        let y = layer.forward(&x);
+        let y = ArenaDriver::new().forward(&mut layer, &x);
         assert_eq!(y.shape(), &[2, 2, 4, 4]);
     }
 
@@ -982,31 +864,9 @@ mod tests {
         // The general im2col/col2im path's 1×1 case: forward against the
         // nested-loop reference, and both gradient checks.
         let mut rng = rng_from_seed(41);
-        let (c, h, w, f) = (3, 4, 5, 4);
-        let mut layer = Conv2d::new(c, f, 1, 0, Init::HeNormal, &mut rng);
-        let bias = Tensor::randn(vec![f], 0.5, &mut rng);
-        layer.bias = bias.clone();
-        let x = Tensor::randn(vec![2, c, h, w], 1.0, &mut rng);
-        let got = layer.forward(&x);
-        assert_eq!(got.shape(), &[2, f, h, w]);
-        for bi in 0..2 {
-            let expected = reference_conv(
-                &x.data()[bi * c * h * w..(bi + 1) * c * h * w],
-                c,
-                h,
-                w,
-                layer.weight.data(),
-                f,
-                1,
-                1,
-                0,
-                bias.data(),
-            );
-            let got_b = &got.data()[bi * f * h * w..(bi + 1) * f * h * w];
-            for (i, (&g, &e)) in got_b.iter().zip(&expected).enumerate() {
-                assert!((g - e).abs() < 1e-4, "sample {bi} elem {i}: {g} vs {e}");
-            }
-        }
+        let mut layer = Conv2d::new(3, 4, 1, 0, Init::HeNormal, &mut rng);
+        let x = Tensor::randn(vec![2, 3, 4, 5], 1.0, &mut rng);
+        assert_forward_matches_direct(&mut layer, &x, &mut rng);
         let mut layer = Conv2d::new(2, 3, 1, 0, Init::HeNormal, &mut rng);
         let x = Tensor::randn(vec![2, 2, 4, 4], 1.0, &mut rng);
         check_input_gradient(&mut layer, &x, 3e-2);
@@ -1025,31 +885,9 @@ mod tests {
             (8, 8, 3, 3, 0),
         ] {
             let mut rng = rng_from_seed(42);
-            let c = 2;
-            let f = 3;
-            let mut layer = Conv2d::with_stride(c, f, k, stride, pad, Init::HeNormal, &mut rng);
-            let bias = Tensor::randn(vec![f], 0.5, &mut rng);
-            layer.bias = bias.clone();
-            let x = Tensor::randn(vec![1, c, h, w], 1.0, &mut rng);
-            let got = layer.forward(&x);
-            let expected = reference_conv(
-                x.data(),
-                c,
-                h,
-                w,
-                layer.weight.data(),
-                f,
-                k,
-                stride,
-                pad,
-                bias.data(),
-            );
-            for (i, (&g, &e)) in got.data().iter().zip(&expected).enumerate() {
-                assert!(
-                    (g - e).abs() < 1e-4,
-                    "k{k} s{stride} p{pad} elem {i}: {g} vs {e}"
-                );
-            }
+            let mut layer = Conv2d::with_stride(2, 3, k, stride, pad, Init::HeNormal, &mut rng);
+            let x = Tensor::randn(vec![1, 2, h, w], 1.0, &mut rng);
+            assert_forward_matches_direct(&mut layer, &x, &mut rng);
         }
     }
 
@@ -1079,27 +917,34 @@ mod tests {
         }
     }
 
-    /// The headline equivalence at layer granularity: batched and
-    /// per-sample execution produce bit-identical outputs and gradients
-    /// (the exhaustive proptest lives in `tests/conv_batched.rs`).
+    /// Batch-size independence at layer granularity: one step on the
+    /// batch and one step per sample (no `zero_grad` in between) produce
+    /// bit-identical outputs and gradients (the exhaustive proptest lives
+    /// in `tests/conv_batched.rs`).
     #[test]
     fn batched_matches_per_sample_reference_exactly() {
         let mut rng = rng_from_seed(21);
         let (c, h, w, f, k, pad, b) = (3, 6, 6, 4, 3, 1, 5);
         let mut batched = Conv2d::new(c, f, k, pad, Init::HeNormal, &mut rng);
-        let mut per_sample = batched.clone().with_exec(ConvExec::PerSample);
+        let mut per_sample = batched.clone();
         let x = Tensor::randn(vec![b, c, h, w], 1.0, &mut rng);
-        let yb = batched.forward(&x);
-        let ys = per_sample.forward(&x);
-        assert_eq!(yb.data(), ys.data(), "forward diverged");
-        let gb = batched.backward(&yb);
-        let gs = per_sample.backward(&ys);
-        assert_eq!(gb.data(), gs.data(), "input gradients diverged");
-        let mut grads_b = Vec::new();
-        batched.visit_grads(&mut |t| grads_b.extend_from_slice(t.data()));
-        let mut grads_s = Vec::new();
-        per_sample.visit_grads(&mut |t| grads_s.extend_from_slice(t.data()));
-        assert_eq!(grads_b, grads_s, "parameter gradients diverged");
+        let mut arena = ArenaDriver::new();
+        let yb = arena.forward(&mut batched, &x);
+        let gb = arena.backward(&mut batched, &yb);
+        let (mut ys, mut gs) = (Vec::new(), Vec::new());
+        for sample in x.data().chunks_exact(c * h * w) {
+            let x1 = Tensor::from_vec(vec![1, c, h, w], sample.to_vec()).unwrap();
+            let y1 = arena.forward(&mut per_sample, &x1);
+            gs.extend_from_slice(arena.backward(&mut per_sample, &y1).data());
+            ys.extend_from_slice(y1.data());
+        }
+        assert_eq!(yb.data(), &ys[..], "forward diverged");
+        assert_eq!(gb.data(), &gs[..], "input gradients diverged");
+        assert_eq!(
+            grads_of_conv(&batched),
+            grads_of_conv(&per_sample),
+            "parameter gradients diverged"
+        );
     }
 
     #[test]
@@ -1116,31 +961,11 @@ mod tests {
     #[test]
     fn forward_matches_direct_convolution_across_transpose_tiles() {
         let mut rng = rng_from_seed(31);
-        let (c, h, w, f, k, pad) = (2, 12, 12, 3, 3, 1);
+        let (h, w) = (12, 12);
         assert!(h * w > TRANSPOSE_TILE, "shape must span multiple tiles");
-        let mut layer = Conv2d::new(c, f, k, pad, Init::HeNormal, &mut rng);
-        let bias = Tensor::randn(vec![f], 0.5, &mut rng);
-        layer.bias = bias.clone();
-        let x = Tensor::randn(vec![2, c, h, w], 1.0, &mut rng);
-        let got = layer.forward(&x);
-        for bi in 0..2 {
-            let expected = reference_conv(
-                &x.data()[bi * c * h * w..(bi + 1) * c * h * w],
-                c,
-                h,
-                w,
-                layer.weight.data(),
-                f,
-                k,
-                1,
-                pad,
-                bias.data(),
-            );
-            let got_b = &got.data()[bi * f * h * w..(bi + 1) * f * h * w];
-            for (i, (&g, &e)) in got_b.iter().zip(&expected).enumerate() {
-                assert!((g - e).abs() < 1e-4, "sample {bi} elem {i}: {g} vs {e}");
-            }
-        }
+        let mut layer = Conv2d::new(2, 3, 3, 1, Init::HeNormal, &mut rng);
+        let x = Tensor::randn(vec![2, 2, h, w], 1.0, &mut rng);
+        assert_forward_matches_direct(&mut layer, &x, &mut rng);
     }
 
     /// The stage profiler must time every stage of a real step (all four
@@ -1162,8 +987,9 @@ mod tests {
         );
         // The profiled step performs the exact same computation sequence
         // as forward + backward-on-the-output.
-        let y = check.forward(&x);
-        let _ = check.backward(&y);
+        let mut arena = ArenaDriver::new();
+        let y = arena.forward(&mut check, &x);
+        let _ = arena.backward(&mut check, &y);
         assert_eq!(grads_of_conv(&layer), grads_of_conv(&check));
     }
 

@@ -13,17 +13,14 @@ use crate::layers::Layer;
 /// * `W`: `[in_features, out_features]`
 /// * `b`: `[out_features]`
 ///
-/// Both execution paths route through the same slice-level kernels
-/// (`forward_core` / the backward phases), so the allocating and arena
-/// paths are bit-identical; the arena path additionally keeps the
-/// backward input as a slot handle instead of cloning the tensor.
+/// The backward pass needs the forward input; it stays in the arena until
+/// the step's reset, so the layer keeps its handle, not a copy.
 #[derive(Debug, Clone)]
 pub struct Dense {
     weight: Tensor,
     bias: Tensor,
     grad_weight: Tensor,
     grad_bias: Tensor,
-    cached_input: Option<Tensor>,
     cached_arena_input: Option<ArenaBuf>,
     in_features: usize,
     out_features: usize,
@@ -43,21 +40,10 @@ impl Dense {
             bias: Tensor::zeros(vec![out_features]),
             grad_weight: Tensor::zeros(vec![in_features, out_features]),
             grad_bias: Tensor::zeros(vec![out_features]),
-            cached_input: None,
             cached_arena_input: None,
             in_features,
             out_features,
         }
-    }
-
-    /// Input feature count.
-    pub fn in_features(&self) -> usize {
-        self.in_features
-    }
-
-    /// Output feature count.
-    pub fn out_features(&self) -> usize {
-        self.out_features
     }
 
     fn batch_of(&self, elems: usize) -> usize {
@@ -72,8 +58,7 @@ impl Dense {
         batch
     }
 
-    /// `out = X · W + b` on raw slices — the single forward kernel both
-    /// paths share.
+    /// `out = X · W + b` on raw slices.
     fn forward_core(&self, x: &[f32], out: &mut [f32], batch: usize) {
         par_gemm(
             x,
@@ -130,42 +115,12 @@ impl Dense {
 }
 
 impl Layer for Dense {
-    fn forward(&mut self, input: &Tensor) -> Tensor {
-        let batch = self.batch_of(input.len());
-        let mut out = Tensor::zeros(vec![batch, self.out_features]);
-        self.forward_core(input.data(), out.data_mut(), batch);
-        self.cached_input = Some(input.clone());
-        self.cached_arena_input = None;
-        out
-    }
-
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let input = self
-            .cached_input
-            .take()
-            .expect("Dense::backward called before forward");
-        let batch = self.batch_of(input.len());
-        assert_eq!(
-            grad_out.len(),
-            batch * self.out_features,
-            "Dense: bad grad_out length"
-        );
-        self.backward_params_core(input.data(), grad_out.data(), batch);
-        let mut grad_in = Tensor::zeros(vec![batch, self.in_features]);
-        self.backward_input_core(grad_out.data(), grad_in.data_mut(), batch);
-        self.cached_input = Some(input);
-        grad_in
-    }
-
     fn forward_arena(&mut self, input: ArenaBuf, scratch: &mut Scratch) -> ArenaBuf {
         let batch = self.batch_of(input.len());
         let out = scratch.alloc(batch * self.out_features);
         let (x, o) = scratch.ro_rw(input.slot(), out);
         self.forward_core(x, o, batch);
-        // The input lives in the arena until the step's reset — keeping
-        // the handle replaces the allocating path's tensor clone.
         self.cached_arena_input = Some(input);
-        self.cached_input = None;
         ArenaBuf::new(out, &[batch, self.out_features])
     }
 
@@ -227,7 +182,7 @@ impl Layer for Dense {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::layers::testutil::{check_input_gradient, check_param_gradients};
+    use crate::layers::testutil::{check_input_gradient, check_param_gradients, ArenaDriver};
     use fedhisyn_tensor::rng_from_seed;
 
     #[test]
@@ -238,7 +193,7 @@ mod tests {
         layer.weight = Tensor::from_vec(vec![2, 3], vec![1., 2., 3., 4., 5., 6.]).unwrap();
         layer.bias = Tensor::from_vec(vec![3], vec![0.5; 3]).unwrap();
         let x = Tensor::from_vec(vec![1, 2], vec![1., 1.]).unwrap();
-        let y = layer.forward(&x);
+        let y = ArenaDriver::new().forward(&mut layer, &x);
         assert_eq!(y.data(), &[5.5, 7.5, 9.5]);
     }
 
@@ -263,12 +218,13 @@ mod tests {
         let mut rng = rng_from_seed(3);
         let mut layer = Dense::new(3, 2, Init::HeNormal, &mut rng);
         let x = Tensor::randn(vec![2, 3], 1.0, &mut rng);
-        let out = layer.forward(&x);
-        let _ = layer.backward(&out);
+        let mut arena = ArenaDriver::new();
+        let out = arena.forward(&mut layer, &x);
+        let _ = arena.backward(&mut layer, &out);
         let mut g1 = Vec::new();
         layer.visit_grads(&mut |g| g1.extend_from_slice(g.data()));
-        let _ = layer.forward(&x);
-        let _ = layer.backward(&out);
+        let _ = arena.forward(&mut layer, &x);
+        let _ = arena.backward(&mut layer, &out);
         let mut g2 = Vec::new();
         layer.visit_grads(&mut |g| g2.extend_from_slice(g.data()));
         for (a, b) in g1.iter().zip(&g2) {
@@ -293,6 +249,6 @@ mod tests {
         let mut rng = rng_from_seed(5);
         let mut layer = Dense::new(2, 2, Init::HeNormal, &mut rng);
         let g = Tensor::zeros(vec![1, 2]);
-        let _ = layer.backward(&g);
+        let _ = ArenaDriver::new().backward(&mut layer, &g);
     }
 }

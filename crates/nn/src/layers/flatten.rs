@@ -1,15 +1,14 @@
 //! Flatten `[B, C, H, W]` feature maps into `[B, C·H·W]` rows.
 
-use fedhisyn_tensor::{Scratch, Tensor};
+use fedhisyn_tensor::Scratch;
 
 use crate::arena::ArenaBuf;
 use crate::layers::Layer;
 
 /// Reshapes batch-first feature maps into dense-layer rows.
 ///
-/// Data is row-major so no copy is needed beyond the clone; the backward
-/// pass restores the cached input shape. On the arena path the reshape is
-/// a pure handle rewrite — zero bytes move.
+/// Data is row-major, so the reshape is a pure handle rewrite — zero
+/// bytes move; the backward pass restores the cached input shape.
 #[derive(Debug, Clone, Default)]
 pub struct Flatten {
     input_dims: Vec<usize>,
@@ -23,26 +22,6 @@ impl Flatten {
 }
 
 impl Layer for Flatten {
-    fn forward(&mut self, input: &Tensor) -> Tensor {
-        assert!(input.rank() >= 2, "Flatten expects a batch dimension");
-        self.input_dims = input.shape().to_vec();
-        let batch = input.shape()[0];
-        let features = input.len() / batch.max(1);
-        input
-            .reshape(vec![batch, features])
-            .expect("flatten reshape cannot change element count")
-    }
-
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        assert!(
-            !self.input_dims.is_empty(),
-            "Flatten::backward before forward"
-        );
-        grad_out
-            .reshape(self.input_dims.clone())
-            .expect("flatten backward reshape cannot change element count")
-    }
-
     fn forward_arena(&mut self, input: ArenaBuf, _scratch: &mut Scratch) -> ArenaBuf {
         assert!(input.rank() >= 2, "Flatten expects a batch dimension");
         self.input_dims.clear();
@@ -74,15 +53,18 @@ impl Layer for Flatten {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::layers::testutil::ArenaDriver;
+    use fedhisyn_tensor::Tensor;
 
     #[test]
     fn flattens_and_restores_shape() {
         let mut layer = Flatten::new();
         let x = Tensor::zeros(vec![2, 3, 4, 4]);
-        let y = layer.forward(&x);
+        let mut arena = ArenaDriver::new();
+        let y = arena.forward(&mut layer, &x);
         assert_eq!(y.shape(), &[2, 48]);
         let g = Tensor::zeros(vec![2, 48]);
-        let gi = layer.backward(&g);
+        let gi = arena.backward(&mut layer, &g);
         assert_eq!(gi.shape(), &[2, 3, 4, 4]);
     }
 
@@ -90,7 +72,7 @@ mod tests {
     fn preserves_data_order() {
         let mut layer = Flatten::new();
         let x = Tensor::from_vec(vec![1, 2, 2], vec![1., 2., 3., 4.]).unwrap();
-        let y = layer.forward(&x);
+        let y = ArenaDriver::new().forward(&mut layer, &x);
         assert_eq!(y.data(), &[1., 2., 3., 4.]);
     }
 

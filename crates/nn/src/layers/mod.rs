@@ -12,7 +12,7 @@ mod flatten;
 mod pool;
 mod relu;
 
-pub use conv::{Conv2d, ConvExec, ConvStageProfile};
+pub use conv::{Conv2d, ConvStageProfile};
 pub use dense::Dense;
 pub use flatten::Flatten;
 pub use pool::MaxPool2d;
@@ -24,57 +24,29 @@ use crate::arena::ArenaBuf;
 
 /// An object-safe neural-network layer.
 ///
-/// The forward pass caches whatever the backward pass needs; `backward`
-/// **accumulates** into the layer's gradient buffers (callers reset with
-/// [`Layer::zero_grad`] between optimizer steps) and returns the gradient
-/// with respect to the layer input.
+/// The forward pass caches whatever the backward pass needs; the backward
+/// pass **accumulates** into the layer's gradient buffers (callers reset
+/// with [`Layer::zero_grad`] between optimizer steps) and returns the
+/// gradient with respect to the layer input.
 ///
-/// # Two execution paths
+/// # One execution path
 ///
-/// Layers expose the original allocating path ([`Layer::forward`] /
-/// [`Layer::backward`], one fresh `Tensor` per call) and the arena path
-/// ([`Layer::forward_arena`] / [`Layer::backward_arena`]), where inputs
-/// and outputs live in a per-model [`Scratch`] arena that the training
-/// loop resets once per step. The built-in layers implement the arena
-/// path natively through the same slice-level kernels as the allocating
-/// path, so the two are **bit-identical**; third-party layers get a
-/// default bridge that round-trips through the allocating path (correct,
-/// but it allocates).
+/// Inputs, outputs and every workspace in between live in a [`Scratch`]
+/// arena owned by the caller (the model's per-step arena in training and
+/// evaluation), which is reset once per step; what flows between layers is
+/// an [`ArenaBuf`] handle. A layer allocates only from that arena, so once
+/// the first batch has sized it a step touches the heap nowhere.
 pub trait Layer: Send {
-    /// Compute the layer output for a batch-first input.
-    fn forward(&mut self, input: &Tensor) -> Tensor;
+    /// Consume an arena-resident batch-first input and produce an
+    /// arena-resident output, allocating only from `scratch`.
+    fn forward_arena(&mut self, input: ArenaBuf, scratch: &mut Scratch) -> ArenaBuf;
 
     /// Back-propagate `grad_out`, accumulating parameter gradients and
     /// returning the gradient with respect to the forward input.
     ///
-    /// Must be called after a matching [`Layer::forward`].
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor;
-
-    /// Arena-path forward: consume an arena-resident input, produce an
-    /// arena-resident output, allocating only from `scratch`.
-    ///
-    /// The default implementation bridges through [`Layer::forward`].
-    fn forward_arena(&mut self, input: ArenaBuf, scratch: &mut Scratch) -> ArenaBuf {
-        let x = Tensor::from_vec(input.dims().to_vec(), input.read(scratch).to_vec())
-            .expect("arena buffer shape is consistent by construction");
-        let out = self.forward(&x);
-        let slot = scratch.alloc(out.len());
-        scratch.slice_mut(slot).copy_from_slice(out.data());
-        ArenaBuf::new(slot, out.shape())
-    }
-
-    /// Arena-path backward: must follow a matching
-    /// [`Layer::forward_arena`] within the same arena step.
-    ///
-    /// The default implementation bridges through [`Layer::backward`].
-    fn backward_arena(&mut self, grad_out: ArenaBuf, scratch: &mut Scratch) -> ArenaBuf {
-        let g = Tensor::from_vec(grad_out.dims().to_vec(), grad_out.read(scratch).to_vec())
-            .expect("arena buffer shape is consistent by construction");
-        let gin = self.backward(&g);
-        let slot = scratch.alloc(gin.len());
-        scratch.slice_mut(slot).copy_from_slice(gin.data());
-        ArenaBuf::new(slot, gin.shape())
-    }
+    /// Must follow a matching [`Layer::forward_arena`] within the same
+    /// arena step.
+    fn backward_arena(&mut self, grad_out: ArenaBuf, scratch: &mut Scratch) -> ArenaBuf;
 
     /// Visit parameters in a fixed, deterministic order.
     fn visit_params(&self, _f: &mut dyn FnMut(&Tensor)) {}
@@ -121,34 +93,73 @@ impl Clone for Box<dyn Layer> {
 
 #[cfg(test)]
 pub(crate) mod testutil {
-    //! Shared finite-difference gradient checking for layer tests.
+    //! Tensor-in/Tensor-out driving of one layer through the arena path,
+    //! and the finite-difference gradient checks built on it.
 
     use super::Layer;
-    use fedhisyn_tensor::Tensor;
+    use crate::arena::ArenaBuf;
+    use fedhisyn_tensor::{Scratch, Tensor};
+
+    /// Drives arena code from tensors over a local arena, the way
+    /// [`crate::Sequential`] drives a layer stack over the model's:
+    /// `forward` opens a step (reset, stage the input, `forward_arena`,
+    /// read the output back), `backward` stages the gradient into the
+    /// same step.
+    #[derive(Default)]
+    pub(crate) struct ArenaDriver {
+        scratch: Scratch,
+    }
+
+    impl ArenaDriver {
+        pub(crate) fn new() -> Self {
+            ArenaDriver::default()
+        }
+
+        /// Stage `input` into the current step, run `f` on it, read the
+        /// buffer `f` returns back out.
+        pub(crate) fn run(
+            &mut self,
+            input: &Tensor,
+            f: impl FnOnce(ArenaBuf, &mut Scratch) -> ArenaBuf,
+        ) -> Tensor {
+            let slot = self.scratch.alloc(input.len());
+            self.scratch.slice_mut(slot).copy_from_slice(input.data());
+            let out = f(ArenaBuf::new(slot, input.shape()), &mut self.scratch);
+            Tensor::from_vec(out.dims().to_vec(), out.read(&self.scratch).to_vec())
+                .expect("arena buffer shape is consistent by construction")
+        }
+
+        pub(crate) fn forward<L: Layer>(&mut self, layer: &mut L, input: &Tensor) -> Tensor {
+            self.scratch.reset();
+            self.run(input, |x, scratch| layer.forward_arena(x, scratch))
+        }
+
+        pub(crate) fn backward<L: Layer>(&mut self, layer: &mut L, grad_out: &Tensor) -> Tensor {
+            self.run(grad_out, |g, scratch| layer.backward_arena(g, scratch))
+        }
+    }
+
+    /// `0.5 * Σ out²` of one forward pass — the loss both checks
+    /// differentiate (so `grad_out = out`).
+    fn half_sum_sq<L: Layer>(arena: &mut ArenaDriver, layer: &mut L, input: &Tensor) -> f32 {
+        let out = arena.forward(layer, input);
+        out.data().iter().map(|&x| 0.5 * x * x).sum()
+    }
 
     /// Numerically validate `d loss / d input` for a layer, where the loss
     /// is `0.5 * Σ out²` (so `grad_out = out`).
     pub fn check_input_gradient<L: Layer>(layer: &mut L, input: &Tensor, tol: f32) {
-        let out = layer.forward(input);
-        let grad_in = layer.backward(&out);
+        let mut arena = ArenaDriver::new();
+        let out = arena.forward(layer, input);
+        let grad_in = arena.backward(layer, &out);
         let eps = 1e-2f32;
         for i in (0..input.len()).step_by((input.len() / 8).max(1)) {
             let mut plus = input.clone();
             plus.data_mut()[i] += eps;
-            let lp: f32 = layer
-                .forward(&plus)
-                .data()
-                .iter()
-                .map(|&x| 0.5 * x * x)
-                .sum();
+            let lp = half_sum_sq(&mut arena, layer, &plus);
             let mut minus = input.clone();
             minus.data_mut()[i] -= eps;
-            let lm: f32 = layer
-                .forward(&minus)
-                .data()
-                .iter()
-                .map(|&x| 0.5 * x * x)
-                .sum();
+            let lm = half_sum_sq(&mut arena, layer, &minus);
             let numeric = (lp - lm) / (2.0 * eps);
             let analytic = grad_in.data()[i];
             assert!(
@@ -160,33 +171,17 @@ pub(crate) mod testutil {
 
     /// Numerically validate parameter gradients under the same loss.
     pub fn check_param_gradients<L: Layer>(layer: &mut L, input: &Tensor, tol: f32) {
+        let mut arena = ArenaDriver::new();
         layer.zero_grad();
-        let out = layer.forward(input);
-        let _ = layer.backward(&out);
+        let out = arena.forward(layer, input);
+        let _ = arena.backward(layer, &out);
         // Snapshot analytic grads.
         let mut grads: Vec<Vec<f32>> = Vec::new();
         layer.visit_grads(&mut |g| grads.push(g.data().to_vec()));
 
         let eps = 1e-2f32;
-        let mut param_idx = 0usize;
-        loop {
-            // Count params to know when to stop.
-            let mut n_params = 0;
-            layer.visit_params(&mut |_| n_params += 1);
-            if param_idx >= n_params {
-                break;
-            }
-            let plen = {
-                let mut len = 0;
-                let mut k = 0;
-                layer.visit_params(&mut |p| {
-                    if k == param_idx {
-                        len = p.len();
-                    }
-                    k += 1;
-                });
-                len
-            };
+        for (param_idx, analytic) in grads.iter().enumerate() {
+            let plen = analytic.len();
             for i in (0..plen).step_by((plen / 6).max(1)) {
                 let nudge = |layer: &mut L, delta: f32| {
                     let mut k = 0;
@@ -198,28 +193,17 @@ pub(crate) mod testutil {
                     });
                 };
                 nudge(layer, eps);
-                let lp: f32 = layer
-                    .forward(input)
-                    .data()
-                    .iter()
-                    .map(|&x| 0.5 * x * x)
-                    .sum();
+                let lp = half_sum_sq(&mut arena, layer, input);
                 nudge(layer, -2.0 * eps);
-                let lm: f32 = layer
-                    .forward(input)
-                    .data()
-                    .iter()
-                    .map(|&x| 0.5 * x * x)
-                    .sum();
+                let lm = half_sum_sq(&mut arena, layer, input);
                 nudge(layer, eps);
                 let numeric = (lp - lm) / (2.0 * eps);
-                let analytic = grads[param_idx][i];
+                let analytic = analytic[i];
                 assert!(
                     (numeric - analytic).abs() <= tol * (1.0 + numeric.abs().max(analytic.abs())),
                     "param {param_idx} grad {i}: numeric {numeric} vs analytic {analytic}"
                 );
             }
-            param_idx += 1;
         }
     }
 }

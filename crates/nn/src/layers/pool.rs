@@ -1,6 +1,6 @@
 //! 2-D max pooling.
 
-use fedhisyn_tensor::{Scratch, Tensor};
+use fedhisyn_tensor::Scratch;
 
 use crate::arena::ArenaBuf;
 use crate::layers::Layer;
@@ -39,8 +39,8 @@ impl MaxPool2d {
         (b, c, h, w)
     }
 
-    /// Window maxima + argmax recording — the forward kernel both paths
-    /// share. `argmax` is persistent and grow-only.
+    /// Window maxima + argmax recording. `argmax` is persistent and
+    /// grow-only.
     fn forward_core(&mut self, x: &[f32], o: &mut [f32], b: usize, c: usize, h: usize, w: usize) {
         let k = self.kernel;
         let (oh, ow) = (h / k, w / k);
@@ -80,30 +80,6 @@ impl MaxPool2d {
 }
 
 impl Layer for MaxPool2d {
-    fn forward(&mut self, input: &Tensor) -> Tensor {
-        let (b, c, h, w) = self.check_input(input.shape());
-        let k = self.kernel;
-        self.input_dims = input.shape().to_vec();
-        let mut out = Tensor::zeros(vec![b, c, h / k, w / k]);
-        self.forward_core(input.data(), out.data_mut(), b, c, h, w);
-        out
-    }
-
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        assert!(
-            !self.input_dims.is_empty(),
-            "MaxPool2d::backward before forward"
-        );
-        assert_eq!(
-            grad_out.len(),
-            self.argmax.len(),
-            "MaxPool2d: bad grad_out length"
-        );
-        let mut grad_in = Tensor::zeros(self.input_dims.clone());
-        self.backward_core(grad_out.data(), grad_in.data_mut());
-        grad_in
-    }
-
     fn forward_arena(&mut self, input: ArenaBuf, scratch: &mut Scratch) -> ArenaBuf {
         let (b, c, h, w) = self.check_input(input.dims());
         let k = self.kernel;
@@ -151,6 +127,8 @@ impl Layer for MaxPool2d {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::layers::testutil::ArenaDriver;
+    use fedhisyn_tensor::Tensor;
 
     #[test]
     fn forward_takes_window_maxima() {
@@ -162,7 +140,7 @@ mod tests {
             9., 10., 13., 14.,
             11., 12., 15., 16.,
         ]).unwrap();
-        let y = layer.forward(&x);
+        let y = ArenaDriver::new().forward(&mut layer, &x);
         assert_eq!(y.shape(), &[1, 1, 2, 2]);
         assert_eq!(y.data(), &[4., 8., 12., 16.]);
     }
@@ -175,9 +153,10 @@ mod tests {
             1., 9.,
             3., 4.,
         ]).unwrap();
-        let _ = layer.forward(&x);
+        let mut arena = ArenaDriver::new();
+        let _ = arena.forward(&mut layer, &x);
         let g = Tensor::from_vec(vec![1, 1, 1, 1], vec![5.]).unwrap();
-        let gi = layer.backward(&g);
+        let gi = arena.backward(&mut layer, &g);
         assert_eq!(gi.data(), &[0., 5., 0., 0.]);
     }
 
@@ -188,7 +167,7 @@ mod tests {
         v[3] = 7.0; // channel 0 max
         v[4] = 3.0; // channel 1 max
         let x = Tensor::from_vec(vec![1, 2, 2, 2], v).unwrap();
-        let y = layer.forward(&x);
+        let y = ArenaDriver::new().forward(&mut layer, &x);
         assert_eq!(y.data(), &[7., 3.]);
     }
 
@@ -196,9 +175,10 @@ mod tests {
     fn ties_choose_first_occurrence() {
         let mut layer = MaxPool2d::new(2);
         let x = Tensor::from_vec(vec![1, 1, 2, 2], vec![5., 5., 5., 5.]).unwrap();
-        let _ = layer.forward(&x);
+        let mut arena = ArenaDriver::new();
+        let _ = arena.forward(&mut layer, &x);
         let g = Tensor::from_vec(vec![1, 1, 1, 1], vec![1.]).unwrap();
-        let gi = layer.backward(&g);
+        let gi = arena.backward(&mut layer, &g);
         assert_eq!(gi.data(), &[1., 0., 0., 0.]);
     }
 
@@ -207,7 +187,7 @@ mod tests {
     fn indivisible_input_panics() {
         let mut layer = MaxPool2d::new(2);
         let x = Tensor::zeros(vec![1, 1, 3, 3]);
-        let _ = layer.forward(&x);
+        let _ = ArenaDriver::new().forward(&mut layer, &x);
     }
 
     #[test]

@@ -1,14 +1,14 @@
 //! Rectified linear activation.
 
-use fedhisyn_tensor::{Scratch, Tensor};
+use fedhisyn_tensor::Scratch;
 
 use crate::arena::ArenaBuf;
 use crate::layers::Layer;
 
 /// Elementwise `max(0, x)` with a cached activation mask for backprop.
 ///
-/// The mask is a persistent grow-only field, so neither execution path
-/// allocates for it after the first batch.
+/// The mask is a persistent grow-only field, so nothing is allocated for
+/// it after the first batch.
 #[derive(Debug, Clone, Default)]
 pub struct Relu {
     /// True where the forward input was positive.
@@ -37,23 +37,6 @@ impl Relu {
 }
 
 impl Layer for Relu {
-    fn forward(&mut self, input: &Tensor) -> Tensor {
-        let mut out = Tensor::zeros(input.shape().to_vec());
-        self.forward_core(input.data(), out.data_mut());
-        out
-    }
-
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        assert_eq!(
-            grad_out.len(),
-            self.mask.len(),
-            "Relu::backward before forward"
-        );
-        let mut grad_in = Tensor::zeros(grad_out.shape().to_vec());
-        self.backward_core(grad_out.data(), grad_in.data_mut());
-        grad_in
-    }
-
     fn forward_arena(&mut self, input: ArenaBuf, scratch: &mut Scratch) -> ArenaBuf {
         let out = scratch.alloc(input.len());
         let (x, o) = scratch.ro_rw(input.slot(), out);
@@ -85,12 +68,14 @@ impl Layer for Relu {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::layers::testutil::ArenaDriver;
+    use fedhisyn_tensor::Tensor;
 
     #[test]
     fn forward_clamps_negatives() {
         let mut layer = Relu::new();
         let x = Tensor::from_vec(vec![4], vec![-1., 0., 2., -3.]).unwrap();
-        let y = layer.forward(&x);
+        let y = ArenaDriver::new().forward(&mut layer, &x);
         assert_eq!(y.data(), &[0., 0., 2., 0.]);
     }
 
@@ -98,9 +83,10 @@ mod tests {
     fn backward_masks_gradient() {
         let mut layer = Relu::new();
         let x = Tensor::from_vec(vec![4], vec![-1., 0.5, 2., -3.]).unwrap();
-        let _ = layer.forward(&x);
+        let mut arena = ArenaDriver::new();
+        let _ = arena.forward(&mut layer, &x);
         let g = Tensor::from_vec(vec![4], vec![1., 1., 1., 1.]).unwrap();
-        let gi = layer.backward(&g);
+        let gi = arena.backward(&mut layer, &g);
         assert_eq!(gi.data(), &[0., 1., 1., 0.]);
     }
 
@@ -109,9 +95,10 @@ mod tests {
         // Subgradient convention: derivative at exactly 0 is 0.
         let mut layer = Relu::new();
         let x = Tensor::from_vec(vec![1], vec![0.]).unwrap();
-        let _ = layer.forward(&x);
+        let mut arena = ArenaDriver::new();
+        let _ = arena.forward(&mut layer, &x);
         let g = Tensor::from_vec(vec![1], vec![5.]).unwrap();
-        assert_eq!(layer.backward(&g).data(), &[0.]);
+        assert_eq!(arena.backward(&mut layer, &g).data(), &[0.]);
     }
 
     #[test]

@@ -43,12 +43,9 @@ pub mod wire;
 
 pub use arch::ModelSpec;
 pub use arena::ArenaBuf;
-pub use layers::{ConvExec, Layer};
-pub use loss::{softmax_cross_entropy, softmax_cross_entropy_arena};
+pub use layers::Layer;
+pub use loss::softmax_cross_entropy_arena;
 pub use model::Sequential;
 pub use params::ParamVec;
-pub use train::{
-    evaluate, evaluate_arena, mean_loss, mean_loss_arena, sgd_epoch, sgd_epoch_reference, GradHook,
-    NoHook, Sgd, SgdConfig,
-};
+pub use train::{evaluate_arena, mean_loss_arena, sgd_epoch, GradHook, NoHook, Sgd, SgdConfig};
 pub use wire::{Codec, CodecScratch, WireError};

@@ -1,11 +1,11 @@
 //! Softmax cross-entropy loss.
 
-use fedhisyn_tensor::{Scratch, Tensor};
+use fedhisyn_tensor::Scratch;
 
 use crate::arena::ArenaBuf;
 
-/// The slice-level loss kernel both entry points share: fills `grad` with
-/// the mean-loss logit gradient and returns the mean loss.
+/// The slice-level loss kernel: fills `grad` with the mean-loss logit
+/// gradient and returns the mean loss.
 fn softmax_cross_entropy_core(logits: &[f32], grad: &mut [f32], c: usize, labels: &[usize]) -> f32 {
     let b = labels.len();
     let mut total_loss = 0.0f64;
@@ -42,26 +42,13 @@ fn softmax_cross_entropy_core(logits: &[f32], grad: &mut [f32], c: usize, labels
 /// `logits` is `[B, C]`, `labels` holds `B` class indices. Returns
 /// `(mean_loss, grad)` where `grad[b, c] = (softmax(logits)[b, c] −
 /// 1{c = y_b}) / B` — the gradient of the mean loss with respect to the
-/// logits, ready to feed into [`crate::Sequential::backward`].
+/// logits, carved from `scratch` and ready to feed into
+/// [`crate::Sequential::backward_arena`].
 ///
 /// Uses the max-subtraction trick for numerical stability.
 ///
 /// # Panics
 /// Panics when shapes disagree or a label is out of range.
-pub fn softmax_cross_entropy(logits: &Tensor, labels: &[usize]) -> (f32, Tensor) {
-    let dims = logits.shape();
-    assert_eq!(dims.len(), 2, "logits must be [batch, classes]");
-    let (b, c) = (dims[0], dims[1]);
-    assert_eq!(labels.len(), b, "one label per batch row");
-
-    let mut grad = Tensor::zeros(vec![b, c]);
-    let loss = softmax_cross_entropy_core(logits.data(), grad.data_mut(), c, labels);
-    (loss, grad)
-}
-
-/// Arena-path [`softmax_cross_entropy`]: the logit gradient is carved from
-/// `scratch` instead of allocating a tensor. Bit-identical to the
-/// allocating entry point (same kernel).
 pub fn softmax_cross_entropy_arena(
     scratch: &mut Scratch,
     logits: ArenaBuf,
@@ -78,42 +65,34 @@ pub fn softmax_cross_entropy_arena(
     (loss, ArenaBuf::new(grad, &[b, c]))
 }
 
-/// Softmax probabilities for a batch of logits (used by evaluation code).
-pub fn softmax(logits: &Tensor) -> Tensor {
-    let dims = logits.shape();
-    assert_eq!(dims.len(), 2, "logits must be [batch, classes]");
-    let c = dims[1];
-    let mut out = logits.clone();
-    for row in out.data_mut().chunks_exact_mut(c) {
-        let max = row.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
-        let mut sum = 0.0f32;
-        for v in row.iter_mut() {
-            *v = (*v - max).exp();
-            sum += *v;
-        }
-        let inv = 1.0 / sum;
-        for v in row.iter_mut() {
-            *v *= inv;
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::layers::testutil::ArenaDriver;
+    use fedhisyn_tensor::Tensor;
+
+    /// The loss over a local arena: logits staged in, gradient read back.
+    fn loss_and_grad(logits: &Tensor, labels: &[usize]) -> (f32, Tensor) {
+        let mut loss = 0.0;
+        let grad = ArenaDriver::new().run(logits, |z, scratch| {
+            let (mean, grad) = softmax_cross_entropy_arena(scratch, z, labels);
+            loss = mean;
+            grad
+        });
+        (loss, grad)
+    }
 
     #[test]
     fn uniform_logits_give_log_c_loss() {
         let logits = Tensor::zeros(vec![2, 4]);
-        let (loss, _) = softmax_cross_entropy(&logits, &[0, 3]);
+        let (loss, _) = loss_and_grad(&logits, &[0, 3]);
         assert!((loss - (4.0f32).ln()).abs() < 1e-5);
     }
 
     #[test]
     fn grad_rows_sum_to_zero() {
         let logits = Tensor::from_vec(vec![2, 3], vec![1., 2., 3., -1., 0., 1.]).unwrap();
-        let (_, grad) = softmax_cross_entropy(&logits, &[2, 0]);
+        let (_, grad) = loss_and_grad(&logits, &[2, 0]);
         for row in grad.data().chunks_exact(3) {
             let s: f32 = row.iter().sum();
             assert!(s.abs() < 1e-6, "row sum {s}");
@@ -124,15 +103,15 @@ mod tests {
     fn grad_matches_finite_difference() {
         let logits = Tensor::from_vec(vec![1, 3], vec![0.5, -0.2, 0.1]).unwrap();
         let labels = [1usize];
-        let (_, grad) = softmax_cross_entropy(&logits, &labels);
+        let (_, grad) = loss_and_grad(&logits, &labels);
         let eps = 1e-3f32;
         for i in 0..3 {
             let mut lp = logits.clone();
             lp.data_mut()[i] += eps;
-            let (loss_p, _) = softmax_cross_entropy(&lp, &labels);
+            let (loss_p, _) = loss_and_grad(&lp, &labels);
             let mut lm = logits.clone();
             lm.data_mut()[i] -= eps;
-            let (loss_m, _) = softmax_cross_entropy(&lm, &labels);
+            let (loss_m, _) = loss_and_grad(&lm, &labels);
             let numeric = (loss_p - loss_m) / (2.0 * eps);
             assert!(
                 (numeric - grad.data()[i]).abs() < 1e-3,
@@ -145,33 +124,22 @@ mod tests {
     #[test]
     fn confident_correct_prediction_has_small_loss() {
         let logits = Tensor::from_vec(vec![1, 2], vec![10.0, -10.0]).unwrap();
-        let (loss, _) = softmax_cross_entropy(&logits, &[0]);
+        let (loss, _) = loss_and_grad(&logits, &[0]);
         assert!(loss < 1e-3, "loss {loss}");
     }
 
     #[test]
     fn large_logits_are_stable() {
         let logits = Tensor::from_vec(vec![1, 2], vec![1000.0, 999.0]).unwrap();
-        let (loss, grad) = softmax_cross_entropy(&logits, &[0]);
+        let (loss, grad) = loss_and_grad(&logits, &[0]);
         assert!(loss.is_finite());
         assert!(grad.data().iter().all(|x| x.is_finite()));
-    }
-
-    #[test]
-    fn softmax_rows_are_distributions() {
-        let logits = Tensor::from_vec(vec![2, 3], vec![1., 2., 3., -5., 0., 5.]).unwrap();
-        let p = softmax(&logits);
-        for row in p.data().chunks_exact(3) {
-            let s: f32 = row.iter().sum();
-            assert!((s - 1.0).abs() < 1e-5);
-            assert!(row.iter().all(|&x| x >= 0.0));
-        }
     }
 
     #[test]
     #[should_panic(expected = "out of range")]
     fn bad_label_panics() {
         let logits = Tensor::zeros(vec![1, 2]);
-        let _ = softmax_cross_entropy(&logits, &[5]);
+        let _ = loss_and_grad(&logits, &[5]);
     }
 }

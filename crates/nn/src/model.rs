@@ -22,9 +22,9 @@ pub type ParamGradVisitor<'a> = dyn FnMut(usize, &mut [f32], &mut [f32]) + 'a;
 /// Every `Sequential` owns a [`Scratch`] arena holding the transient
 /// buffers of one training step: the staged batch, each layer's
 /// activations, the loss gradient and each layer's backward gradients.
-/// The arena training path ([`Sequential::forward_arena`] /
-/// [`Sequential::backward_arena`], driven by `sgd_epoch`) resets it once
-/// per step ([`Sequential::begin_step`]) and re-carves the same ranges, so
+/// The training loop (`sgd_epoch`, through [`Sequential::forward_arena`] /
+/// [`Sequential::backward_arena`]) resets it once per step
+/// ([`Sequential::begin_step`]) and re-carves the same ranges, so
 /// the arena is sized by the first (largest) batch and reused for the life
 /// of the model — which, for cached execution-engine models, is the life
 /// of the worker thread. Cloning a model clones layers but starts with an
@@ -55,34 +55,6 @@ impl Sequential {
     pub fn push(mut self, layer: impl Layer + 'static) -> Self {
         self.layers.push(Box::new(layer));
         self
-    }
-
-    /// Number of layers.
-    pub fn depth(&self) -> usize {
-        self.layers.len()
-    }
-
-    /// Layer names in order (for summaries).
-    pub fn layer_names(&self) -> Vec<&'static str> {
-        self.layers.iter().map(|l| l.name()).collect()
-    }
-
-    /// Forward pass through all layers.
-    pub fn forward(&mut self, input: &Tensor) -> Tensor {
-        let mut x = input.clone();
-        for layer in &mut self.layers {
-            x = layer.forward(&x);
-        }
-        x
-    }
-
-    /// Backward pass; accumulates gradients in each layer.
-    pub fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let mut g = grad_out.clone();
-        for layer in self.layers.iter_mut().rev() {
-            g = layer.backward(&g);
-        }
-        g
     }
 
     /// Reset the per-model arena for a new training step. All
@@ -140,7 +112,7 @@ impl Sequential {
         ArenaBuf::new(slot, &bdims[..dims.len()])
     }
 
-    /// Drive the arena forward path over `x` in contiguous row chunks of
+    /// Drive the forward pass over `x` in contiguous row chunks of
     /// `batch` (clamped to ≥ 1): per chunk, reset the arena, stage the
     /// rows, forward, and hand `f` the model, the logits buffer and the
     /// chunk's row range. The one evaluation loop `evaluate_arena`,
@@ -166,7 +138,7 @@ impl Sequential {
         }
     }
 
-    /// Arena-path forward through all layers (see the type-level docs).
+    /// Forward pass through all layers (see the type-level docs).
     pub fn forward_arena(&mut self, input: ArenaBuf) -> ArenaBuf {
         let mut x = input;
         for layer in &mut self.layers {
@@ -175,7 +147,7 @@ impl Sequential {
         x
     }
 
-    /// Arena-path backward; accumulates gradients in each layer.
+    /// Backward pass; accumulates gradients in each layer.
     pub fn backward_arena(&mut self, grad_out: ArenaBuf) -> ArenaBuf {
         let mut g = grad_out;
         for layer in self.layers.iter_mut().rev() {
@@ -294,22 +266,9 @@ impl Sequential {
         }
     }
 
-    /// Class predictions (argmax of logits) for a batch.
-    ///
-    /// Runs the arena forward path — the logits live in the model's
-    /// scratch arena instead of a freshly allocated tensor, so the only
-    /// allocation is the returned vector (and none at all through
-    /// [`Sequential::predict_arena`]). Bit-identical to forwarding through
-    /// the allocating path and taking the argmax.
-    pub fn predict(&mut self, input: &Tensor) -> Vec<usize> {
-        let mut out = Vec::new();
-        self.predict_arena(input, &mut out);
-        out
-    }
-
-    /// [`Sequential::predict`] into a caller-owned buffer: `out` is
-    /// cleared and refilled, so a reused buffer makes steady-state
-    /// prediction completely allocation-free.
+    /// Class predictions (argmax of logits) for a batch, into a
+    /// caller-owned buffer: `out` is cleared and refilled, so a reused
+    /// buffer makes steady-state prediction completely allocation-free.
     ///
     /// Processes the input in fixed-size chunks
     /// (`for_each_logit_chunk`) so one oversized call cannot
@@ -328,14 +287,27 @@ impl Sequential {
     }
 }
 
-/// Index of the row maximum (first occurrence wins; ties and NaNs resolve
-/// exactly as the historical allocating `predict` did).
+/// Index of the row maximum (the last of equal maxima wins; a NaN
+/// compares equal to everything).
 pub(crate) fn argmax_row(row: &[f32]) -> usize {
     row.iter()
         .enumerate()
         .max_by(|a, b| a.1.partial_cmp(b.1).unwrap_or(std::cmp::Ordering::Equal))
         .map(|(i, _)| i)
         .unwrap_or(0)
+}
+
+#[cfg(test)]
+impl Sequential {
+    /// Logits of one forward pass over the whole of `x`, read back out of
+    /// the arena (opens a new step).
+    pub(crate) fn logits(&mut self, x: &Tensor) -> Tensor {
+        self.begin_step();
+        let xb = self.stage_rows(x, 0, x.shape()[0]);
+        let out = self.forward_arena(xb);
+        Tensor::from_vec(out.dims().to_vec(), self.read_arena(out).to_vec())
+            .expect("arena buffer shape is consistent by construction")
+    }
 }
 
 #[cfg(test)]
@@ -373,18 +345,17 @@ mod tests {
     fn forward_shape() {
         let mut m = tiny_model(0);
         let x = Tensor::zeros(vec![5, 4]);
-        let y = m.forward(&x);
-        assert_eq!(y.shape(), &[5, 3]);
+        assert_eq!(m.logits(&x).shape(), &[5, 3]);
     }
 
     #[test]
     fn setting_params_changes_forward() {
         let mut m = tiny_model(0);
         let x = Tensor::ones(vec![1, 4]);
-        let y0 = m.forward(&x);
+        let y0 = m.logits(&x);
         let other = tiny_model(9).params();
         m.set_params(&other);
-        let y1 = m.forward(&x);
+        let y1 = m.logits(&x);
         assert_ne!(y0.data(), y1.data());
     }
 
@@ -419,7 +390,9 @@ mod tests {
         });
         m = m.push(d);
         let x = Tensor::from_vec(vec![2, 2], vec![3., 1., 0., 2.]).unwrap();
-        assert_eq!(m.predict(&x), vec![0, 1]);
+        let mut preds = Vec::new();
+        m.predict_arena(&x, &mut preds);
+        assert_eq!(preds, vec![0, 1]);
     }
 
     #[test]

@@ -10,8 +10,8 @@
 //!
 //! # Allocation-free execution
 //!
-//! [`sgd_epoch`] runs the **arena path** end to end: the batch is staged
-//! into the model's per-step [`Scratch`] arena, every layer reads and
+//! [`sgd_epoch`] keeps a whole step inside the model's per-step
+//! [`Scratch`] arena: the batch is staged into it, every layer reads and
 //! writes arena buffers ([`Sequential::forward_arena`] /
 //! [`Sequential::backward_arena`]), the loss gradient is carved from the
 //! same arena, and the SGD update walks `(offset, params, grads)` slices
@@ -20,10 +20,9 @@
 //! thread-local pool. Steady state — after the first (largest) batch has
 //! sized the arena — a training step performs **zero heap allocations**
 //! and zero full-model copies; `tests/alloc_free.rs` asserts this with a
-//! counting allocator. The original flatten/step/scatter implementation is
-//! kept as [`sgd_epoch_reference`] for the golden equivalence test: both
-//! paths apply identical element-wise arithmetic in identical order, so
-//! their results are bit-identical.
+//! counting allocator. The update rule is checked against its written-out
+//! formula and whole epochs against pinned parameter bits in this
+//! module's tests.
 //!
 //! [`Scratch`]: fedhisyn_tensor::Scratch
 
@@ -34,7 +33,7 @@ use rand::seq::SliceRandom;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
-use crate::loss::{softmax_cross_entropy, softmax_cross_entropy_arena};
+use crate::loss::softmax_cross_entropy_arena;
 use crate::model::Sequential;
 use crate::params::ParamVec;
 
@@ -62,8 +61,8 @@ impl Default for SgdConfig {
 /// Stateful SGD optimizer.
 ///
 /// Momentum state is kept flat (one velocity entry per parameter in
-/// [`Sequential::params`] order) so it works identically through the flat
-/// [`Sgd::step`] and the in-place [`Sgd::step_in_place`] paths.
+/// [`Sequential::params`] order), so it can be persisted and re-installed
+/// as one [`ParamVec`] ([`Sgd::take_velocity`] / [`Sgd::set_velocity`]).
 #[derive(Debug, Clone)]
 pub struct Sgd {
     cfg: SgdConfig,
@@ -79,22 +78,12 @@ impl Sgd {
         }
     }
 
-    /// The configuration this optimizer was built with.
-    pub fn config(&self) -> SgdConfig {
-        self.cfg
-    }
-
-    /// Reset momentum state (used when a device adopts a foreign model).
-    pub fn reset(&mut self) {
-        self.velocity = None;
-    }
-
     /// Install previously persisted momentum state (the opt-in
     /// persistent-momentum experiments thread per-device velocity across
     /// ring hops and rounds through this seam).
     ///
     /// # Panics
-    /// Panics in [`Sgd::step`]/[`Sgd::step_in_place`] if the installed
+    /// Panics in [`Sgd::step_in_place`] if the installed
     /// buffer's length disagrees with the model.
     pub fn set_velocity(&mut self, velocity: ParamVec) {
         self.velocity = Some(velocity);
@@ -106,39 +95,10 @@ impl Sgd {
         self.velocity.take()
     }
 
-    /// One update: `w ← w − lr · (g + wd·w)` with optional momentum.
-    pub fn step(&mut self, params: &mut ParamVec, grads: &ParamVec) {
-        assert_eq!(params.len(), grads.len(), "Sgd::step size mismatch");
-        let SgdConfig {
-            lr,
-            momentum: mu,
-            weight_decay: wd,
-        } = self.cfg;
-        if mu == 0.0 {
-            update_plain(params.as_mut_slice(), grads.as_slice(), lr, wd);
-        } else {
-            let v = self
-                .velocity
-                .get_or_insert_with(|| ParamVec::zeros(params.len()));
-            assert_eq!(v.len(), params.len(), "velocity buffer size changed");
-            update_momentum(
-                params.as_mut_slice(),
-                grads.as_slice(),
-                v.as_mut_slice(),
-                lr,
-                wd,
-                mu,
-            );
-        }
-    }
-
-    /// One update applied **directly to model storage**: walks the model's
+    /// One update, `w ← w − lr · (g + wd·w)` with optional momentum,
+    /// applied **directly to model storage**: walks the model's
     /// `(offset, params, grads)` slices, lets `hook` correct each gradient
     /// slice in place, then applies the SGD rule on the spot.
-    ///
-    /// Bit-identical to snapshotting flat vectors and calling
-    /// [`Sgd::step`]: both paths perform the same element-wise arithmetic
-    /// in the same flat-layout order.
     pub fn step_in_place(&mut self, model: &mut Sequential, hook: &dyn GradHook) {
         let SgdConfig {
             lr,
@@ -202,20 +162,6 @@ impl GradHook for NoHook {
     fn adjust(&self, _offset: usize, _params: &[f32], _grads: &mut [f32]) {}
 }
 
-/// Gather rows `indices` of `x` (rank ≥ 2, batch-first) into `out`.
-fn gather_batch(x: &Tensor, indices: &[usize], out: &mut Vec<f32>) -> Vec<usize> {
-    let dims = x.shape();
-    let sample: usize = dims[1..].iter().product();
-    out.clear();
-    out.reserve(indices.len() * sample);
-    for &i in indices {
-        out.extend_from_slice(&x.data()[i * sample..(i + 1) * sample]);
-    }
-    let mut bdims = vec![indices.len()];
-    bdims.extend_from_slice(&dims[1..]);
-    bdims
-}
-
 thread_local! {
     /// Epoch-level index buffers (shuffle order, batch labels), pooled per
     /// thread so steady-state epochs allocate nothing. Checked out with
@@ -231,12 +177,11 @@ thread_local! {
 /// holds `N` class labels. Samples are reshuffled every epoch with `rng`, so the
 /// whole federated simulation stays deterministic under a fixed seed.
 ///
-/// Runs the arena path: the model's per-step scratch arena is reset at
-/// the top of every batch and holds the staged batch, all activations and
-/// all gradients (see the module docs). Parameters are updated **in
-/// place**; after the first batch has sized the arena, the steady-state
-/// loop performs **zero heap allocations**. Bit-identical to
-/// [`sgd_epoch_reference`].
+/// The model's per-step scratch arena is reset at the top of every batch
+/// and holds the staged batch, all activations and all gradients (see the
+/// module docs). Parameters are updated **in place**; after the first
+/// batch has sized the arena, the steady-state loop performs **zero heap
+/// allocations**.
 pub fn sgd_epoch<R: Rng>(
     model: &mut Sequential,
     x: &Tensor,
@@ -278,59 +223,7 @@ pub fn sgd_epoch<R: Rng>(
     (total / batches.max(1) as f64) as f32
 }
 
-/// The pre-refactor epoch: flatten gradients and parameters, correct and
-/// step on the flat copies, scatter the result back.
-///
-/// Kept as the reference implementation for the engine-equivalence golden
-/// test and the `nn_training` before/after benchmark. Semantically (and
-/// bit-for-bit) identical to [`sgd_epoch`] — it just pays four full-model
-/// copies per batch to get there.
-pub fn sgd_epoch_reference<R: Rng>(
-    model: &mut Sequential,
-    x: &Tensor,
-    y: &[usize],
-    batch_size: usize,
-    sgd: &mut Sgd,
-    hook: &dyn GradHook,
-    rng: &mut R,
-) -> f32 {
-    let n = x.shape()[0];
-    assert_eq!(y.len(), n, "label count mismatch");
-    assert!(batch_size > 0, "batch_size must be positive");
-    if n == 0 {
-        return 0.0;
-    }
-    let mut order: Vec<usize> = (0..n).collect();
-    order.shuffle(rng);
-
-    let mut xbuf: Vec<f32> = Vec::new();
-    let mut total = 0.0f64;
-    let mut batches = 0usize;
-    for chunk in order.chunks(batch_size) {
-        let bdims = gather_batch(x, chunk, &mut xbuf);
-        let xb = Tensor::from_vec(bdims, std::mem::take(&mut xbuf)).expect("batch shape");
-        let yb: Vec<usize> = chunk.iter().map(|&i| y[i]).collect();
-
-        model.zero_grad();
-        let logits = model.forward(&xb);
-        let (loss, dlogits) = softmax_cross_entropy(&logits, &yb);
-        model.backward(&dlogits);
-
-        let mut grads = model.grads();
-        let mut params = model.params();
-        hook.adjust(0, params.as_slice(), grads.as_mut_slice());
-        sgd.step(&mut params, &grads);
-        model.set_params(&params);
-
-        xbuf = xb.into_vec();
-        total += loss as f64;
-        batches += 1;
-    }
-    (total / batches.max(1) as f64) as f32
-}
-
-/// Classification accuracy of `model` on `(x, y)` through the arena
-/// forward path, evaluated in batches.
+/// Classification accuracy of `model` on `(x, y)`, evaluated in batches.
 ///
 /// The complement of [`sgd_epoch`] on the metrics side: batches are staged
 /// as contiguous row ranges ([`Sequential::stage_rows`], one `memcpy`, no
@@ -338,9 +231,6 @@ pub fn sgd_epoch_reference<R: Rng>(
 /// running correct-count needs no prediction vector — so once the arena is
 /// sized by the first batch, evaluation performs **zero heap allocations**
 /// (`tests/alloc_free.rs` pins this for both MLP and CNN stacks).
-/// Bit-identical to [`evaluate`]: same batching, same forward arithmetic
-/// (the arena and allocating layer paths share their kernels), same
-/// argmax.
 pub fn evaluate_arena(model: &mut Sequential, x: &Tensor, y: &[usize], batch_size: usize) -> f32 {
     let n = x.shape()[0];
     assert_eq!(y.len(), n, "label count mismatch");
@@ -360,9 +250,8 @@ pub fn evaluate_arena(model: &mut Sequential, x: &Tensor, y: &[usize], batch_siz
     correct as f32 / n as f32
 }
 
-/// Mean softmax cross-entropy of `model` on `(x, y)` through the arena
-/// forward path, without training. The arena counterpart of
-/// [`mean_loss`]: bit-identical results, zero steady-state allocations.
+/// Mean softmax cross-entropy of `model` on `(x, y)`, without training;
+/// zero steady-state allocations, like [`evaluate_arena`].
 pub fn mean_loss_arena(model: &mut Sequential, x: &Tensor, y: &[usize], batch_size: usize) -> f32 {
     let n = x.shape()[0];
     assert_eq!(y.len(), n, "label count mismatch");
@@ -375,54 +264,6 @@ pub fn mean_loss_arena(model: &mut Sequential, x: &Tensor, y: &[usize], batch_si
         total += loss as f64 * (end - start) as f64;
     });
     (total / n as f64) as f32
-}
-
-/// Classification accuracy of `model` on `(x, y)`, evaluated in batches.
-pub fn evaluate(model: &mut Sequential, x: &Tensor, y: &[usize], batch_size: usize) -> f32 {
-    let n = x.shape()[0];
-    assert_eq!(y.len(), n, "label count mismatch");
-    if n == 0 {
-        return 0.0;
-    }
-    let mut correct = 0usize;
-    let mut xbuf: Vec<f32> = Vec::new();
-    let indices: Vec<usize> = (0..n).collect();
-    for chunk in indices.chunks(batch_size.max(1)) {
-        let bdims = gather_batch(x, chunk, &mut xbuf);
-        let xb = Tensor::from_vec(bdims, std::mem::take(&mut xbuf)).expect("batch shape");
-        let preds = model.predict(&xb);
-        correct += preds
-            .iter()
-            .zip(chunk.iter().map(|&i| y[i]))
-            .filter(|&(p, t)| *p == t)
-            .count();
-        xbuf = xb.into_vec();
-    }
-    correct as f32 / n as f32
-}
-
-/// Mean softmax cross-entropy of `model` on `(x, y)` without training.
-pub fn mean_loss(model: &mut Sequential, x: &Tensor, y: &[usize], batch_size: usize) -> f32 {
-    let n = x.shape()[0];
-    assert_eq!(y.len(), n, "label count mismatch");
-    if n == 0 {
-        return 0.0;
-    }
-    let mut total = 0.0f64;
-    let mut count = 0usize;
-    let mut xbuf: Vec<f32> = Vec::new();
-    let indices: Vec<usize> = (0..n).collect();
-    for chunk in indices.chunks(batch_size.max(1)) {
-        let bdims = gather_batch(x, chunk, &mut xbuf);
-        let xb = Tensor::from_vec(bdims, std::mem::take(&mut xbuf)).expect("batch shape");
-        let yb: Vec<usize> = chunk.iter().map(|&i| y[i]).collect();
-        let logits = model.forward(&xb);
-        let (loss, _) = softmax_cross_entropy(&logits, &yb);
-        total += loss as f64 * chunk.len() as f64;
-        count += chunk.len();
-        xbuf = xb.into_vec();
-    }
-    (total / count as f64) as f32
 }
 
 #[cfg(test)]
@@ -460,7 +301,7 @@ mod tests {
         for _ in 0..30 {
             sgd_epoch(&mut model, &x, &y, 16, &mut sgd, &NoHook, &mut rng);
         }
-        let acc = evaluate(&mut model, &x, &y, 16);
+        let acc = evaluate_arena(&mut model, &x, &y, 16);
         assert!(acc > 0.95, "expected >95% on separable blobs, got {acc}");
     }
 
@@ -475,7 +316,7 @@ mod tests {
         for _ in 0..10 {
             sgd_epoch(&mut model, &x, &y, 16, &mut sgd, &NoHook, &mut rng);
         }
-        let last = mean_loss(&mut model, &x, &y, 16);
+        let last = mean_loss_arena(&mut model, &x, &y, 16);
         assert!(last < first, "loss should fall: {first} -> {last}");
     }
 
@@ -493,14 +334,14 @@ mod tests {
         for _ in 0..20 {
             sgd_epoch(&mut model, &x, &y, 16, &mut sgd, &NoHook, &mut rng);
         }
-        assert!(evaluate(&mut model, &x, &y, 16) > 0.9);
+        assert!(evaluate_arena(&mut model, &x, &y, 16) > 0.9);
     }
 
     #[test]
     fn weight_decay_shrinks_weights() {
         let spec = ModelSpec::mlp(&[4, 4, 2]);
         let mut rng = rng_from_seed(6);
-        let model = spec.build(&mut rng);
+        let mut model = spec.build(&mut rng);
         let norm_before = model.params().norm();
         let mut sgd = Sgd::new(SgdConfig {
             lr: 0.1,
@@ -508,12 +349,11 @@ mod tests {
             weight_decay: 0.5,
         });
         // Zero gradients: only decay acts.
-        let grads = ParamVec::zeros(model.param_count());
-        let mut params = model.params();
+        model.zero_grad();
         for _ in 0..10 {
-            sgd.step(&mut params, &grads);
+            sgd.step_in_place(&mut model, &NoHook);
         }
-        assert!(params.norm() < norm_before);
+        assert!(model.params().norm() < norm_before);
     }
 
     #[test]
@@ -578,94 +418,145 @@ mod tests {
         assert_eq!(run(1), run(1));
     }
 
-    /// The load-bearing equivalence: the in-place epoch must be
-    /// bit-identical to the copy-based reference, including with momentum
-    /// (shared flat velocity) and a position-dependent hook.
-    #[test]
-    fn in_place_epoch_is_bit_identical_to_reference() {
-        struct AnchorHook {
-            anchor: ParamVec,
-            mu: f32,
-        }
-        impl GradHook for AnchorHook {
-            fn adjust(&self, offset: usize, params: &[f32], grads: &mut [f32]) {
-                let anchor = &self.anchor.as_slice()[offset..offset + grads.len()];
-                for ((g, &w), &a) in grads.iter_mut().zip(params).zip(anchor) {
-                    *g += self.mu * (w - a);
-                }
-            }
-        }
-        let (x, y) = blob_data(48, 20);
-        for momentum in [0.0f32, 0.9] {
-            let spec = ModelSpec::mlp(&[4, 10, 5, 2]);
-            let cfg = SgdConfig {
-                lr: 0.05,
-                momentum,
-                weight_decay: 0.01,
-            };
-            let anchor = spec.build(&mut rng_from_seed(55)).params();
+    /// A position-dependent hook: FedProx's proximal pull toward a flat
+    /// anchor, read at the slice's offset.
+    struct AnchorHook {
+        anchor: ParamVec,
+        mu: f32,
+    }
 
-            let mut fast = spec.build(&mut rng_from_seed(21));
-            let mut slow = fast.clone();
-            let mut sgd_fast = Sgd::new(cfg);
-            let mut sgd_slow = Sgd::new(cfg);
-            let hook = AnchorHook { anchor, mu: 0.1 };
-            let mut rng_fast = rng_from_seed(22);
-            let mut rng_slow = rng_from_seed(22);
-            for _ in 0..3 {
-                let lf = sgd_epoch(&mut fast, &x, &y, 16, &mut sgd_fast, &hook, &mut rng_fast);
-                let ls =
-                    sgd_epoch_reference(&mut slow, &x, &y, 16, &mut sgd_slow, &hook, &mut rng_slow);
-                assert_eq!(lf.to_bits(), ls.to_bits(), "losses must match bit-for-bit");
+    impl GradHook for AnchorHook {
+        fn adjust(&self, offset: usize, params: &[f32], grads: &mut [f32]) {
+            let anchor = &self.anchor.as_slice()[offset..offset + grads.len()];
+            for ((g, &w), &a) in grads.iter_mut().zip(params).zip(anchor) {
+                *g += self.mu * (w - a);
             }
-            assert_eq!(
-                fast.params(),
-                slow.params(),
-                "in-place and reference paths diverged (momentum {momentum})"
-            );
         }
     }
 
-    /// The CNN stack (conv, pool, flatten) has its own arena-path
-    /// implementations; prove they match the allocating reference too.
+    /// One forward/backward on the whole of `x`, leaving fresh gradients
+    /// in the model.
+    fn accumulate_grads(model: &mut Sequential, x: &Tensor, y: &[usize]) {
+        model.begin_step();
+        let xb = model.stage_rows(x, 0, y.len());
+        model.zero_grad();
+        let logits = model.forward_arena(xb);
+        let (_, dlogits) = softmax_cross_entropy_arena(model.scratch_mut(), logits, y);
+        model.backward_arena(dlogits);
+    }
+
+    /// `step_in_place` against the update rule written out on flat
+    /// snapshots: `w − lr·(g + wd·w)`, the momentum recurrence
+    /// `v ← μ·v + g + wd·w; w ← w − lr·v` over three steps, and the hook's
+    /// correction applied at the right flat offsets.
     #[test]
-    fn cnn_arena_epoch_is_bit_identical_to_reference() {
-        let spec = ModelSpec::smoke_cnn(8, 3);
-        let mut rng = rng_from_seed(30);
-        let n = 12;
-        let x = Tensor::randn(spec_input_dims(&spec, n), 1.0, &mut rng);
-        let y: Vec<usize> = (0..n).map(|i| i % 3).collect();
-        for momentum in [0.0f32, 0.9] {
-            let cfg = SgdConfig {
-                lr: 0.05,
+    fn step_in_place_matches_the_written_out_update() {
+        let (x, y) = blob_data(16, 20);
+        let spec = ModelSpec::mlp(&[4, 5, 2]);
+        let (lr, wd, pull) = (0.05f32, 0.01f32, 0.1f32);
+        let anchor = spec.build(&mut rng_from_seed(55)).params();
+        for (momentum, hooked) in [(0.0f32, false), (0.9, false), (0.0, true), (0.9, true)] {
+            let mut model = spec.build(&mut rng_from_seed(21));
+            let mut sgd = Sgd::new(SgdConfig {
+                lr,
                 momentum,
-                weight_decay: 0.001,
+                weight_decay: wd,
+            });
+            let hook = AnchorHook {
+                anchor: anchor.clone(),
+                mu: if hooked { pull } else { 0.0 },
             };
-            let mut fast = spec.build(&mut rng_from_seed(31));
-            let mut slow = fast.clone();
-            let mut sgd_fast = Sgd::new(cfg);
-            let mut sgd_slow = Sgd::new(cfg);
-            let mut rng_fast = rng_from_seed(32);
-            let mut rng_slow = rng_from_seed(32);
-            for _ in 0..2 {
-                let lf = sgd_epoch(&mut fast, &x, &y, 5, &mut sgd_fast, &NoHook, &mut rng_fast);
-                let ls = sgd_epoch_reference(
-                    &mut slow,
-                    &x,
-                    &y,
-                    5,
-                    &mut sgd_slow,
-                    &NoHook,
-                    &mut rng_slow,
+            let mut v = vec![0.0f32; model.param_count()];
+            for step in 0..3 {
+                accumulate_grads(&mut model, &x, &y);
+                let (w, g) = (model.params(), model.grads());
+                assert!(g.as_slice().iter().any(|&g| g != 0.0));
+                let want: Vec<f32> = (0..w.len())
+                    .map(|i| {
+                        let (w, a) = (w.as_slice()[i], anchor.as_slice()[i]);
+                        let g = g.as_slice()[i] + hook.mu * (w - a);
+                        if momentum == 0.0 {
+                            w - lr * (g + wd * w)
+                        } else {
+                            v[i] = momentum * v[i] + g + wd * w;
+                            w - lr * v[i]
+                        }
+                    })
+                    .collect();
+                sgd.step_in_place(&mut model, &hook);
+                assert_eq!(
+                    model.params().as_slice(),
+                    &want[..],
+                    "step {step}, momentum {momentum}, hooked {hooked}"
                 );
-                assert_eq!(lf.to_bits(), ls.to_bits(), "losses must match bit-for-bit");
             }
-            assert_eq!(
-                fast.params(),
-                slow.params(),
-                "CNN arena and reference paths diverged (momentum {momentum})"
-            );
         }
+    }
+
+    /// FNV-1a over the bit patterns of the parameters that `epochs` epochs
+    /// at lr 0.05 leave behind (model seed `seed`, shuffle seed `seed + 1`).
+    fn trained_bits(
+        spec: &ModelSpec,
+        (x, y): (&Tensor, &[usize]),
+        batch: usize,
+        (momentum, weight_decay): (f32, f32),
+        hook: &dyn GradHook,
+        epochs: usize,
+        seed: u64,
+    ) -> u64 {
+        let mut model = spec.build(&mut rng_from_seed(seed));
+        let mut sgd = Sgd::new(SgdConfig {
+            lr: 0.05,
+            momentum,
+            weight_decay,
+        });
+        let mut rng = rng_from_seed(seed + 1);
+        for _ in 0..epochs {
+            sgd_epoch(&mut model, x, y, batch, &mut sgd, hook, &mut rng);
+        }
+        let bytes = model
+            .params()
+            .into_vec()
+            .into_iter()
+            .flat_map(|v| v.to_bits().to_le_bytes());
+        bytes.fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+            (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    /// Whole epochs, pinned to the bit: three MLP epochs with weight
+    /// decay and the anchor hook, two `smoke_cnn` epochs, each plain and
+    /// with momentum. The constants were recorded at commit `14e6ce0`,
+    /// the last one where these same runs were also asserted equal to the
+    /// flatten/step/scatter epoch on allocating layers, on both the scalar
+    /// and the AVX2 kernel tier; any change to the arithmetic of a step —
+    /// layer kernels, loss, update rule, shuffle — moves them.
+    #[test]
+    fn epoch_parameter_bits_are_pinned() {
+        let (x, y) = blob_data(48, 20);
+        let mlp = ModelSpec::mlp(&[4, 10, 5, 2]);
+        let hook = AnchorHook {
+            anchor: mlp.build(&mut rng_from_seed(55)).params(),
+            mu: 0.1,
+        };
+        let bits = |momentum| trained_bits(&mlp, (&x, &y), 16, (momentum, 0.01), &hook, 3, 21);
+        assert_eq!(bits(0.0), 0xdfe1_83a7_f945_d235, "MLP epochs moved");
+        assert_eq!(
+            bits(0.9),
+            0x8679_35c6_6123_d440,
+            "MLP momentum epochs moved"
+        );
+
+        let cnn = ModelSpec::smoke_cnn(8, 3);
+        let x = Tensor::randn(spec_input_dims(&cnn, 12), 1.0, &mut rng_from_seed(30));
+        let y: Vec<usize> = (0..12).map(|i| i % 3).collect();
+        let bits = |momentum| trained_bits(&cnn, (&x, &y), 5, (momentum, 0.001), &NoHook, 2, 31);
+        assert_eq!(bits(0.0), 0xcef1_9418_b35f_ddaa, "CNN epochs moved");
+        assert_eq!(
+            bits(0.9),
+            0xc569_397c_6b2d_c15e,
+            "CNN momentum epochs moved"
+        );
     }
 
     fn spec_input_dims(spec: &ModelSpec, n: usize) -> Vec<usize> {
@@ -686,7 +577,7 @@ mod tests {
             let fresh_forward = |params: &ParamVec| {
                 let mut fresh = spec.build(&mut rng_from_seed(1));
                 fresh.set_params(params);
-                fresh.forward(&x)
+                fresh.logits(&x)
             };
             let a = spec.build(&mut rng_from_seed(2)).params();
             let b = spec.build(&mut rng_from_seed(3)).params();
@@ -694,14 +585,16 @@ mod tests {
             for params in [&a, &b] {
                 model.set_params(params);
                 assert_eq!(
-                    model.forward(&x).data(),
+                    model.logits(&x).data(),
                     fresh_forward(params).data(),
                     "{spec:?}: forward after set_params"
                 );
             }
-            let y = model.forward(&x);
+            model.begin_step();
+            let xb = model.stage_rows(&x, 0, 8);
             model.zero_grad();
-            model.backward(&y);
+            let y = model.forward_arena(xb);
+            model.backward_arena(y);
             Sgd::new(SgdConfig {
                 lr: 0.1,
                 ..Default::default()
@@ -710,7 +603,7 @@ mod tests {
             let stepped = model.params();
             assert_ne!(stepped, b, "{spec:?}: the step must move the weights");
             assert_eq!(
-                model.forward(&x).data(),
+                model.logits(&x).data(),
                 fresh_forward(&stepped).data(),
                 "{spec:?}: forward after the in-place step"
             );
@@ -727,7 +620,7 @@ mod tests {
         let mut sgd = Sgd::new(SgdConfig::default());
         let loss = sgd_epoch(&mut model, &x, &y, 8, &mut sgd, &NoHook, &mut rng);
         assert_eq!(loss, 0.0);
-        assert_eq!(evaluate(&mut model, &x, &y, 8), 0.0);
+        assert_eq!(evaluate_arena(&mut model, &x, &y, 8), 0.0);
     }
 
     #[test]
@@ -742,6 +635,6 @@ mod tests {
         model.set_params(&p);
         let x = Tensor::zeros(vec![4, 2]);
         let y = vec![0, 0, 1, 1];
-        assert_eq!(evaluate(&mut model, &x, &y, 2), 0.5);
+        assert_eq!(evaluate_arena(&mut model, &x, &y, 2), 0.5);
     }
 }

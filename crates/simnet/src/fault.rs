@@ -6,8 +6,8 @@
 //! trajectories: [`FaultPlan::fault`] derives the outcome of one physical
 //! transmission attempt from `(seed, round, src, dst, attempt)` through a
 //! SplitMix64 finalizer, with no mutable RNG state anywhere. The same
-//! plan therefore replays bit-identically across runs, execution modes
-//! and thread interleavings, and [`FaultPlan::none`] short-circuits to
+//! plan therefore replays bit-identically across runs and thread
+//! interleavings, and [`FaultPlan::none`] short-circuits to
 //! "every frame arrives intact, exactly once" — the pre-fault code path,
 //! bit for bit.
 

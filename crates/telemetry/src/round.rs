@@ -9,13 +9,12 @@ use serde::{Deserialize, Serialize};
 /// Two field classes with different guarantees:
 ///
 /// * **deterministic** — the seven traffic deltas. Pure functions of the
-///   seed, bit-identical across runs and across Cached/Reference
-///   execution modes. These are the only fields [`PartialEq`] compares,
-///   so `RunRecord` equality assertions (determinism and
-///   engine-equivalence suites) keep their exact meaning.
+///   seed, bit-identical across runs and thread counts. These are the
+///   only fields [`PartialEq`] compares, so `RunRecord` equality
+///   assertions (the determinism suites) keep their exact meaning.
 /// * **best-effort** — cache/pack/arena/fleet observations. They depend
-///   on execution mode, thread scheduling, and process history, and are
-///   carried for diagnosis only.
+///   on thread scheduling and process history, and are carried for
+///   diagnosis only.
 #[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
 pub struct RoundTelemetry {
     /// Device→server model-equivalents charged this round (deterministic).
@@ -48,7 +47,7 @@ pub struct RoundTelemetry {
     /// measures; a ledger-only PR drops the metric and this field.
     pub weight_packs: u64,
     /// Arena high-water bytes of this thread's cached model
-    /// (best-effort; Cached mode only).
+    /// (best-effort).
     pub arena_high_water_bytes: u64,
     /// Devices with realised fleet trajectories after this round
     /// (best-effort).

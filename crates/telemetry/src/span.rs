@@ -4,8 +4,7 @@
 //!
 //! * **virtual time** (`vt_start`/`vt_end`, simulated seconds) — a pure
 //!   function of the experiment seed, bit-identical across runs and
-//!   across Cached/Reference execution modes; this is the clock the
-//!   determinism contract covers;
+//!   thread counts; this is the clock the determinism contract covers;
 //! * **wall-clock time** (`wall_start_ns`/`wall_end_ns`, nanoseconds
 //!   since the sink's epoch) — real elapsed time for profiling, *excluded*
 //!   from every determinism comparison.

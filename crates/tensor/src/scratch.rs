@@ -23,8 +23,8 @@
 //! # Invariants
 //!
 //! * `alloc` zero-fills the returned range — arena buffers behave exactly
-//!   like freshly allocated `Tensor::zeros` storage, which is what keeps
-//!   the arena training path bit-identical to the allocating path.
+//!   like freshly allocated `Tensor::zeros` storage, so a step never sees
+//!   what the previous step left in the slab.
 //! * Slots are only valid until the next [`Scratch::reset`]; the arena
 //!   does not track liveness (that is the point — per-step lifetimes are
 //!   enforced by the training loop's structure).

@@ -3,8 +3,8 @@
 //! The arena-backed refactors promise that a steady-state **round** — a
 //! training step plus the round's evaluation, after the first batch has
 //! sized the per-model scratch arena, the cached model exists and the GEMM
-//! pack pools are warm — performs **zero heap allocations** in `Cached`
-//! execution mode. These tests pin that property with a counting global
+//! pack pools are warm — performs **zero heap allocations**. These tests
+//! pin that property with a counting global
 //! allocator so any future change that sneaks a per-batch `Vec` or tensor
 //! allocation back into the round fails CI immediately:
 //!
@@ -23,14 +23,13 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use fedhisyn::core::engine::ExecMode;
 use fedhisyn::core::env::DeviceBank;
 use fedhisyn::core::local::{evaluate_on_test, local_train_plain_owned};
 use fedhisyn::core::FlEnv;
 use fedhisyn::nn::{ModelSpec, SgdConfig};
 use fedhisyn::prelude::Dataset;
 use fedhisyn::simnet::{sample_latencies, HeterogeneityModel, LinkModel, TrafficMeter};
-use fedhisyn::tensor::{rng_from_seed, Tensor};
+use fedhisyn::tensor::{gemm_reference, rng_from_seed, Tensor};
 
 thread_local! {
     /// Heap allocations performed by the current thread. Const-init +
@@ -101,7 +100,6 @@ fn tiny_env() -> FlEnv {
             weight_decay: 0.0,
         },
         seed: 7,
-        exec: ExecMode::Cached,
         momentum: DeviceBank::disabled(),
         wire_check: false,
         codec: fedhisyn::nn::Codec::F32,
@@ -139,7 +137,7 @@ fn steady_state_round_is_allocation_free() {
 
     assert_counter_wired();
 
-    // The pinned property: a steady-state Cached **round** — training step
+    // The pinned property: a steady-state **round** — training step
     // plus test-set evaluation — allocates NOTHING: no batch tensors, no
     // activation buffers, no grad vectors, no pack buffers, no epoch
     // bookkeeping, no prediction vectors.
@@ -149,21 +147,19 @@ fn steady_state_round_is_allocation_free() {
     let steady_allocs = thread_allocs() - before;
     assert_eq!(
         steady_allocs, 0,
-        "steady-state Cached round performed {steady_allocs} heap allocations"
+        "steady-state round performed {steady_allocs} heap allocations"
     );
     assert!(trained.is_finite());
     assert!((0.0..=1.0).contains(&acc));
 
-    // Contrast: the rebuild-per-call Reference path allocates heavily —
-    // which both sanity-checks the counter against real training work and
-    // documents what the engine path saves.
-    let mut ref_env = tiny_env();
-    ref_env.exec = ExecMode::Reference;
+    // Contrast: building the model the engine keeps cached allocates
+    // every layer's tensors — which sanity-checks the counter against the
+    // work a round would otherwise start with.
     let before = thread_allocs();
-    let _ = local_train_plain_owned(&ref_env, 0, trained, 1, 0, 9);
+    let _ = env.spec.build(&mut rng_from_seed(0));
     assert!(
-        thread_allocs() - before > 50,
-        "reference path should allocate per batch"
+        thread_allocs() - before >= 8,
+        "building a model should allocate its parameter and gradient tensors"
     );
 }
 
@@ -199,12 +195,33 @@ fn steady_state_mlp_evaluation_is_allocation_free() {
     assert!(loss.is_finite());
     assert_eq!(preds.len(), n);
 
-    // And the arena entry points agree exactly with the allocating layer
-    // path. `evaluate`/`predict` themselves route through the arena now,
-    // so compare against an explicit `Sequential::forward` (allocating
-    // `Layer::forward` stack) argmax to keep an independent reference.
-    let logits = model.forward(&x);
-    let c = logits.shape()[1];
+    // And the metric entry points agree exactly with logits computed
+    // here by the naive reference GEMM, layer by layer: the blocked and
+    // the reference kernels are bit-identical, and nothing below shares
+    // code with the model's forward pass.
+    let params = model.params();
+    let mut offset = 0usize;
+    let mut take = |len: usize| {
+        offset += len;
+        &params.as_slice()[offset - len..offset]
+    };
+    let mut dense = |input: &[f32], fan_in: usize, fan_out: usize| {
+        let (w, b) = (take(fan_in * fan_out), take(fan_out));
+        let mut out = vec![0.0f32; n * fan_out];
+        gemm_reference::gemm(input, w, &mut out, n, fan_in, fan_out, 1.0, 0.0);
+        for row in out.chunks_exact_mut(fan_out) {
+            for (o, &bv) in row.iter_mut().zip(b) {
+                *o += bv;
+            }
+        }
+        out
+    };
+    let mut hidden = dense(x.data(), 32, 24);
+    for v in &mut hidden {
+        *v = v.max(0.0);
+    }
+    let logits = dense(&hidden, 24, 10);
+    let c = 10;
     let argmax = |row: &[f32]| {
         row.iter()
             .enumerate()
@@ -213,7 +230,6 @@ fn steady_state_mlp_evaluation_is_allocation_free() {
             .unwrap_or(0)
     };
     let correct = logits
-        .data()
         .chunks_exact(c)
         .zip(&y)
         .filter(|(row, &label)| argmax(row) == label)
@@ -221,13 +237,21 @@ fn steady_state_mlp_evaluation_is_allocation_free() {
     assert_eq!(acc, correct as f32 / n as f32);
     assert_eq!(
         preds,
-        logits
-            .data()
-            .chunks_exact(c)
-            .map(argmax)
-            .collect::<Vec<_>>()
+        logits.chunks_exact(c).map(argmax).collect::<Vec<_>>()
     );
-    assert_eq!(loss, fedhisyn::nn::mean_loss(&mut model, &x, &y, 16));
+    let want_loss = logits
+        .chunks_exact(c)
+        .zip(&y)
+        .map(|(row, &label)| {
+            let sum: f64 = row.iter().map(|&z| (z as f64).exp()).sum();
+            sum.ln() - row[label] as f64
+        })
+        .sum::<f64>()
+        / n as f64;
+    assert!(
+        (loss as f64 - want_loss).abs() < 1e-5,
+        "mean loss {loss} vs {want_loss} from the reference logits"
+    );
 }
 
 /// The CNN stack (batched im2col conv, pool, flatten) through the arena
@@ -402,7 +426,7 @@ fn telemetry_recording_is_allocation_free() {
 /// Lazy data-plane steady state: once a cohort's shards are
 /// cache-resident, every fetch is a mutex lock, a map probe and an `Arc`
 /// refcount bump — no heap traffic — and `shard_len` stays a pure hash.
-/// This is what makes steady-state Cached rounds over a lazy fleet as
+/// This is what makes steady-state rounds over a lazy fleet as
 /// allocation-quiet as dense ones.
 #[test]
 fn lazy_shard_cache_hits_are_allocation_free() {

@@ -1,16 +1,19 @@
-//! Exactness proof for the batched convolution execution.
+//! Exactness proofs for the convolution and dense layers, driven through
+//! the arena passes a training step runs.
 //!
-//! The batched conv path runs **one** GEMM per stage over the whole batch
-//! on the batch-major `[B·OH·OW, C·K·K]` im2col layout; the retained
-//! [`ConvExec::PerSample`] reference runs one GEMM call per sample on the
-//! same layout. These properties pin the two **bit-identical** — outputs,
-//! input gradients and accumulated parameter gradients — across:
+//! The conv layer runs **one** GEMM per stage over the whole batch on the
+//! batch-major `[B·OH·OW, C·K·K]` im2col layout. The first property pins
+//! what that must not change: one step on a batch of `B` is
+//! **bit-identical** to `B` steps on batches of one with no `zero_grad` in
+//! between — outputs, input gradients and accumulated parameter gradients
+//! — across:
 //!
 //! * batch sizes 1..17 (B = 1, non-divisible `MR`/`NR` tile remainders),
 //! * padding 0..3 (including valid-only convolutions) and kernel 1/3/5,
 //! * stride 1 and 2 (strided output grids drop trailing input columns),
 //! * the small/blocked and serial/parallel GEMM dispatch edges (the
-//!   generated shapes straddle both thresholds),
+//!   generated shapes straddle both thresholds, and the batch and its
+//!   single samples land on different sides of them),
 //! * repeated steps (gradients chain through the per-sample `β = 1`
 //!   accumulation).
 //!
@@ -18,14 +21,21 @@
 //! reference GEMM, bit for bit.
 
 use fedhisyn::nn::init::Init;
-use fedhisyn::nn::layers::{Conv2d, ConvExec, Dense, Layer};
+use fedhisyn::nn::layers::{Conv2d, Dense, Layer};
+use fedhisyn::nn::Sequential;
 use fedhisyn::tensor::{gemm_reference, rng_from_seed, Tensor};
 use proptest::prelude::*;
 
-fn grads_of(layer: &Conv2d) -> Vec<f32> {
-    let mut out = Vec::new();
-    layer.visit_grads(&mut |t| out.extend_from_slice(t.data()));
-    out
+/// One step of a model on rows `start..end` of `x`: forward, then backward
+/// with the output as the incoming gradient. Returns the output and the
+/// input gradient; parameter gradients accumulate in the model.
+fn step(model: &mut Sequential, x: &Tensor, start: usize, end: usize) -> (Vec<f32>, Vec<f32>) {
+    model.begin_step();
+    let xb = model.stage_rows(x, start, end);
+    let out = model.forward_arena(xb);
+    let y = model.read_arena(out).to_vec();
+    let grad_in = model.backward_arena(out);
+    (y, model.read_arena(grad_in).to_vec())
 }
 
 proptest! {
@@ -46,29 +56,25 @@ proptest! {
         prop_assume!(hw + 2 * pad >= k);
 
         let mut rng = rng_from_seed(seed);
-        let mut batched =
-            Conv2d::with_stride(c, f, k, stride, pad, Init::HeNormal, &mut rng)
-                .with_exec(ConvExec::Batched);
-        let mut per_sample = batched.clone().with_exec(ConvExec::PerSample);
+        let layer = Conv2d::with_stride(c, f, k, stride, pad, Init::HeNormal, &mut rng);
+        let mut batched = Sequential::new().push(layer);
+        let mut per_sample = batched.clone();
         let x = Tensor::randn(vec![b, c, hw, hw], 1.0, &mut rng);
 
         // Two full forward/backward rounds: the second exercises chained
-        // gradient accumulation.
+        // gradient accumulation on top of the first.
         for round in 0..2 {
-            let yb = batched.forward(&x);
-            let ys = per_sample.forward(&x);
+            let (yb, gb) = step(&mut batched, &x, 0, b);
+            let (mut ys, mut gs) = (Vec::new(), Vec::new());
+            for bi in 0..b {
+                let (y1, g1) = step(&mut per_sample, &x, bi, bi + 1);
+                ys.extend(y1);
+                gs.extend(g1);
+            }
+            prop_assert_eq!(yb, ys, "forward diverged (round {})", round);
+            prop_assert_eq!(gb, gs, "input gradients diverged (round {})", round);
             prop_assert_eq!(
-                yb.data(), ys.data(),
-                "forward diverged (round {})", round
-            );
-            let gb = batched.backward(&yb);
-            let gs = per_sample.backward(&ys);
-            prop_assert_eq!(
-                gb.data(), gs.data(),
-                "input gradients diverged (round {})", round
-            );
-            prop_assert_eq!(
-                grads_of(&batched), grads_of(&per_sample),
+                batched.grads(), per_sample.grads(),
                 "parameter gradients diverged (round {})", round
             );
         }
@@ -97,10 +103,13 @@ proptest! {
             visit += 1;
         });
         let x = Tensor::randn(vec![batch, input], 1.0, &mut rng);
+        let mut model = Sequential::new().push(layer);
 
         // Run twice: a repeated forward must not depend on leftover state.
         for round in 0..2 {
-            let y = layer.forward(&x);
+            model.begin_step();
+            let xb = model.stage_rows(&x, 0, batch);
+            let y = model.forward_arena(xb);
             let mut want = vec![0.0f32; batch * output];
             gemm_reference::gemm(
                 x.data(), &weight, &mut want, batch, input, output, 1.0, 0.0,
@@ -111,7 +120,7 @@ proptest! {
                 }
             }
             prop_assert_eq!(
-                y.data(), &want[..],
+                model.read_arena(y), &want[..],
                 "dense forward diverged from reference (round {})", round
             );
         }

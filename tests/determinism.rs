@@ -128,6 +128,79 @@ fn dynamics_compose_deterministically_across_rates() {
     }
 }
 
+// ---- identity dynamics ---------------------------------------------------
+//
+// `FleetDynamics::default()` must be the *exact* static fleet. An
+// *identity* dynamics config — a chain that is dynamically active (every
+// dynamic code path executes: trace advancement, multiplier lookups,
+// failure schedules, cohort filtering) but numerically neutral
+// (multiplier 1.0, no churn, no failures) — must match the default static
+// run exactly, for every algorithm family.
+
+fn identity_dynamics() -> FleetDynamics {
+    FleetDynamics {
+        capacity: CapacityModel::Markov(MarkovCapacity::identity()),
+        availability: AvailabilityModel::Churn {
+            dropout: 0.0,
+            rejoin: 1.0,
+        },
+        spikes: SpikeModel {
+            prob: 0.0,
+            magnitude: 1.0,
+        },
+        mid_round_failure: 0.0,
+        ..FleetDynamics::default()
+    }
+}
+
+fn run_with_dynamics<A: FlAlgorithm>(
+    make: impl Fn(&ExperimentConfig) -> A,
+    global_of: impl Fn(&A) -> &ParamVec,
+    dynamics: FleetDynamics,
+) -> (RunRecord, ParamVec) {
+    let cfg = churn_cfg(1216, dynamics);
+    let mut env = cfg.build_env();
+    let mut algo = make(&cfg);
+    let record = run_experiment(&mut algo, &mut env, cfg.rounds);
+    let global = global_of(&algo).clone();
+    (record, global)
+}
+
+#[test]
+fn identity_fleet_dynamics_match_the_static_path_bit_for_bit() {
+    // FedHiSyn exercises re-clustering + the failure-aware relay; FedAvg
+    // exercises the baselines' effective-latency/survivor seam; SCAFFOLD
+    // additionally routes variate state through the partial-cohort path.
+    let fedhisyn = |cfg: &ExperimentConfig| FedHiSyn::new(cfg, 2);
+    let (s_rec, s_glob) = run_with_dynamics(fedhisyn, FedHiSyn::global, FleetDynamics::default());
+    let (d_rec, d_glob) = run_with_dynamics(fedhisyn, FedHiSyn::global, identity_dynamics());
+    assert_eq!(
+        s_rec, d_rec,
+        "FedHiSyn records diverged under identity dynamics"
+    );
+    assert_eq!(
+        s_glob, d_glob,
+        "FedHiSyn global diverged under identity dynamics"
+    );
+
+    let (s_rec, s_glob) = run_with_dynamics(FedAvg::new, FedAvg::global, FleetDynamics::default());
+    let (d_rec, d_glob) = run_with_dynamics(FedAvg::new, FedAvg::global, identity_dynamics());
+    assert_eq!(
+        s_rec, d_rec,
+        "FedAvg records diverged under identity dynamics"
+    );
+    assert_eq!(s_glob, d_glob);
+
+    let (s_rec, s_glob) =
+        run_with_dynamics(Scaffold::new, Scaffold::global, FleetDynamics::default());
+    let (d_rec, d_glob) = run_with_dynamics(Scaffold::new, Scaffold::global, identity_dynamics());
+    assert_eq!(
+        s_rec, d_rec,
+        "SCAFFOLD records diverged under identity dynamics"
+    );
+    assert_eq!(s_glob, d_glob);
+}
+
 // ---- pool placement ------------------------------------------------------
 
 #[test]

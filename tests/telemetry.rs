@@ -3,13 +3,12 @@
 //! The observability layer promises that everything stamped with
 //! *virtual time* is a pure function of the experiment seed: identical
 //! seeds must produce bit-identical span streams, metric values and
-//! per-round `RoundTelemetry` — across repeated runs and across the
-//! Cached/Reference execution engines. Wall-clock fields are explicitly
-//! outside the contract and are masked before every comparison (already
-//! zeroed in `deterministic_stream`). These tests pin that contract at
+//! per-round `RoundTelemetry` — across repeated runs. Wall-clock fields
+//! are explicitly outside the contract and are masked before every
+//! comparison (already zeroed in `deterministic_stream`). These tests pin that contract at
 //! the full-experiment level.
 
-use fedhisyn::core::{run_experiment, ExecMode, ExperimentConfig, FedHiSyn, RunRecord};
+use fedhisyn::core::{run_experiment, ExperimentConfig, FedHiSyn, RunRecord};
 use fedhisyn::data::{DatasetProfile, Partition, Scale};
 use fedhisyn::telemetry::{Phase, SpanEvent, TelemetrySink};
 
@@ -28,9 +27,8 @@ fn workload() -> ExperimentConfig {
 
 /// Run FedHiSyn with an enabled sink; return the record plus the
 /// deterministic telemetry artefacts (span stream + fingerprint).
-fn traced_run(cfg: &ExperimentConfig, exec: ExecMode) -> (RunRecord, Vec<SpanEvent>, u64) {
+fn traced_run(cfg: &ExperimentConfig) -> (RunRecord, Vec<SpanEvent>, u64) {
     let mut env = cfg.build_env();
-    env.exec = exec;
     env.telemetry = TelemetrySink::enabled(CAPACITY);
     let mut algo = FedHiSyn::new(cfg, 2);
     let record = run_experiment(&mut algo, &mut env, cfg.rounds);
@@ -45,10 +43,10 @@ fn traced_run(cfg: &ExperimentConfig, exec: ExecMode) -> (RunRecord, Vec<SpanEve
 #[test]
 fn same_seed_runs_emit_bit_identical_virtual_time_streams() {
     let cfg = workload();
-    let (rec_a, stream_a, fp_a) = traced_run(&cfg, ExecMode::Cached);
+    let (rec_a, stream_a, fp_a) = traced_run(&cfg);
     assert!(!stream_a.is_empty());
     for run in 1..20 {
-        let (rec_b, stream_b, fp_b) = traced_run(&cfg, ExecMode::Cached);
+        let (rec_b, stream_b, fp_b) = traced_run(&cfg);
         assert_eq!(
             stream_a, stream_b,
             "run {run}: span streams must replay bit-identically"
@@ -66,24 +64,9 @@ fn same_seed_runs_emit_bit_identical_virtual_time_streams() {
 }
 
 #[test]
-fn cached_and_reference_modes_agree_on_virtual_time_telemetry() {
-    let cfg = workload();
-    let (rec_c, stream_c, fp_c) = traced_run(&cfg, ExecMode::Cached);
-    let (rec_r, stream_r, fp_r) = traced_run(&cfg, ExecMode::Reference);
-    assert_eq!(
-        stream_c, stream_r,
-        "execution engine choice must not leak into virtual-time spans"
-    );
-    assert_eq!(fp_c, fp_r);
-    // RoundTelemetry equality covers only the deterministic traffic
-    // deltas, so the full records compare equal across engines too.
-    assert_eq!(rec_c, rec_r);
-}
-
-#[test]
 fn every_round_covers_the_span_taxonomy() {
     let cfg = workload();
-    let (_, stream, _) = traced_run(&cfg, ExecMode::Cached);
+    let (_, stream, _) = traced_run(&cfg);
     for round in 0..cfg.rounds as u32 {
         for phase in [
             Phase::Round,
@@ -133,7 +116,7 @@ fn round_telemetry_folds_consistent_traffic_deltas() {
 #[test]
 fn enabled_sink_does_not_perturb_results() {
     let cfg = workload();
-    let (traced, _, _) = traced_run(&cfg, ExecMode::Cached);
+    let (traced, _, _) = traced_run(&cfg);
     let mut env = cfg.build_env(); // default: disabled sink
     assert!(!env.telemetry.is_enabled());
     let mut algo = FedHiSyn::new(&cfg, 2);

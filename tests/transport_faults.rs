@@ -3,19 +3,19 @@
 //! The tentpole contracts: `FaultPlan::none()` is **bit-neutral** (a run
 //! with an explicit none plan equals a run with no plan at all, whole
 //! `RunRecord` included); any nonzero fault schedule replays
-//! **bit-identically** across fresh runs, execution modes and thread
-//! interleavings (the schedule is a pure function of
+//! **bit-identically** across fresh runs and thread interleavings (the
+//! schedule is a pure function of
 //! `(seed, round, src, dst, attempt)`, never of timing); corrupted frames
 //! surface as typed errors, never as parameters; and a churned, faulty
 //! fleet still completes every round, with the retry overhead recorded
 //! honestly in telemetry. The compressed wire rides the same transport, so
 //! its whole-run contracts live here too: `Codec::F32` is bit-neutral,
-//! lossy codecs replay across runs and execution modes, and Int8 keeps
-//! its compression win on a lossy wire.
+//! lossy codecs replay across runs, and Int8 keeps its compression win on
+//! a lossy wire.
 
 use std::sync::Arc;
 
-use fedhisyn::core::{ExecMode, ExperimentConfigBuilder};
+use fedhisyn::core::ExperimentConfigBuilder;
 use fedhisyn::nn::Codec;
 use fedhisyn::prelude::*;
 use fedhisyn::simnet::{FaultConfig, FaultKind, FaultPlan, TrafficSnapshot};
@@ -32,27 +32,20 @@ fn base_builder(devices: usize, rounds: usize, seed: u64) -> ExperimentConfigBui
         .seed(seed)
 }
 
-fn run(cfg: &ExperimentConfig, exec: ExecMode) -> (RunRecord, TrafficSnapshot) {
+fn run(cfg: &ExperimentConfig) -> (RunRecord, TrafficSnapshot) {
     let mut env = cfg.build_env();
-    env.exec = exec;
     let mut algo = FedHiSyn::new(cfg, 3);
     let rec = run_experiment(&mut algo, &mut env, cfg.rounds);
     (rec, env.meter.snapshot())
 }
 
-/// Runs `cfg` twice in `Cached` mode and once in `Reference` mode and
-/// demands one `RunRecord` and one traffic ledger from all three.
+/// Runs `cfg` twice and demands one `RunRecord` and one traffic ledger
+/// from both.
 fn replayed(cfg: &ExperimentConfig, what: &str) -> (RunRecord, TrafficSnapshot) {
-    let (rec_a, traffic_a) = run(cfg, ExecMode::Cached);
-    let (rec_b, traffic_b) = run(cfg, ExecMode::Cached);
-    let (rec_ref, traffic_ref) = run(cfg, ExecMode::Reference);
+    let (rec_a, traffic_a) = run(cfg);
+    let (rec_b, traffic_b) = run(cfg);
     assert_eq!(rec_a, rec_b, "{what}: same seed, same trace");
     assert_eq!(traffic_a, traffic_b);
-    assert_eq!(
-        rec_a, rec_ref,
-        "{what}: the trace must not depend on the execution engine"
-    );
-    assert_eq!(traffic_a, traffic_ref);
     (rec_a, traffic_a)
 }
 
@@ -60,8 +53,8 @@ fn replayed(cfg: &ExperimentConfig, what: &str) -> (RunRecord, TrafficSnapshot) 
 fn none_plan_is_bit_neutral_over_a_whole_run() {
     let plain = base_builder(8, 3, 42).build();
     let none = base_builder(8, 3, 42).faults(FaultConfig::none()).build();
-    let (rec_plain, traffic_plain) = run(&plain, ExecMode::Cached);
-    let (rec_none, traffic_none) = run(&none, ExecMode::Cached);
+    let (rec_plain, traffic_plain) = run(&plain);
+    let (rec_none, traffic_none) = run(&none);
     assert_eq!(
         rec_plain, rec_none,
         "an explicit FaultConfig::none() must be indistinguishable from no plan"
@@ -84,7 +77,7 @@ fn retry_bytes_are_charged_and_fold_into_round_deltas() {
     let cfg = base_builder(8, 3, 7)
         .faults(FaultConfig::lossy(0.3))
         .build();
-    let (rec, traffic) = run(&cfg, ExecMode::Cached);
+    let (rec, traffic) = run(&cfg);
     assert!(
         traffic.retransmit_bytes > 0.0,
         "30% loss over 3 rounds must retransmit at least once"
@@ -105,7 +98,7 @@ fn retry_bytes_are_charged_and_fold_into_round_deltas() {
         let cfg = base_builder(8, 3, 7)
             .faults(FaultConfig::lossy(loss))
             .build();
-        run(&cfg, ExecMode::Cached).1.retransmit_bytes
+        run(&cfg).1.retransmit_bytes
     };
     let sweep = [
         retransmit_at(0.0),
@@ -144,7 +137,7 @@ fn churned_faulty_fleet_completes_every_round_with_visible_retries() {
         .wire_check(true) // checksum tripwire on every relay hop
         .faults(FaultConfig::edge_wireless())
         .build();
-    let (rec, traffic) = run(&cfg, ExecMode::Cached);
+    let (rec, traffic) = run(&cfg);
     assert_eq!(
         rec.rounds.len(),
         4,
@@ -156,7 +149,7 @@ fn churned_faulty_fleet_completes_every_round_with_visible_retries() {
         "retry overhead must be visible"
     );
     // Honest accounting: logical transfers (goodput) never include retries.
-    let (rec2, traffic2) = run(&cfg, ExecMode::Cached);
+    let (rec2, traffic2) = run(&cfg);
     assert_eq!(rec, rec2);
     assert_eq!(traffic, traffic2);
 }
@@ -165,8 +158,8 @@ fn churned_faulty_fleet_completes_every_round_with_visible_retries() {
 fn f32_codec_is_bit_neutral_over_a_whole_run() {
     let plain = base_builder(8, 3, 42).build();
     let f32_cfg = base_builder(8, 3, 42).codec(Codec::F32).build();
-    let (rec_plain, traffic_plain) = run(&plain, ExecMode::Cached);
-    let (rec_f32, traffic_f32) = run(&f32_cfg, ExecMode::Cached);
+    let (rec_plain, traffic_plain) = run(&plain);
+    let (rec_f32, traffic_f32) = run(&f32_cfg);
     assert_eq!(
         rec_plain, rec_f32,
         "an explicit Codec::F32 must be indistinguishable from a codec-free build"
@@ -275,8 +268,8 @@ proptest! {
     ) {
         let faults = FaultConfig { loss, corrupt, ..FaultConfig::none() };
         let cfg = base_builder(6, 2, seed).faults(faults).build();
-        let (a, ta) = run(&cfg, ExecMode::Cached);
-        let (b, tb) = run(&cfg, ExecMode::Cached);
+        let (a, ta) = run(&cfg);
+        let (b, tb) = run(&cfg);
         prop_assert_eq!(a, b);
         prop_assert_eq!(ta, tb);
     }
