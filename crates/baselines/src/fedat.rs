@@ -1,12 +1,12 @@
 //! FedAT — tiered semi-asynchronous federated learning.
 
 use fedhisyn_cluster::quantile_bins;
-use fedhisyn_core::aggregate::Contribution;
-use fedhisyn_core::{AggregationRule, ExperimentConfig, FlAlgorithm, RoundContext};
-use fedhisyn_nn::ParamVec;
+use fedhisyn_core::local::train_steps;
+use fedhisyn_core::{AggregationRule, ExperimentConfig, FlAlgorithm, RoundContext, ServerLink};
+use fedhisyn_nn::{CodecScratch, NoHook, ParamVec};
 use rayon::prelude::*;
 
-use crate::common::{continuous_local_train_plain, survives_round};
+use crate::common::{aggregate_into, survives_round};
 
 /// FedAT (Chai et al., SC 2021; §6.1 of the FedHiSyn paper): devices are
 /// grouped into latency tiers; *within* a tier updates are synchronous
@@ -21,6 +21,8 @@ use crate::common::{continuous_local_train_plain, survives_round};
 /// `m` with internal period `p_m` (its slowest member) performs
 /// `ceil(R / p_m)` internal rounds, uploading its members' models each
 /// time — which is why Table 1 charges FedAT several transfers per round.
+/// Members restart each internal round from their tier's model; that
+/// in-tier re-download is neither charged nor coded.
 #[derive(Debug)]
 pub struct FedAT {
     participation: f64,
@@ -30,6 +32,7 @@ pub struct FedAT {
     /// Cumulative update counts per tier (persist across rounds for the
     /// inverse-frequency weights).
     update_counts: Vec<u64>,
+    link: ServerLink,
 }
 
 impl FedAT {
@@ -41,6 +44,7 @@ impl FedAT {
             tiers,
             global: cfg.initial_params(),
             update_counts: vec![0; tiers],
+            link: ServerLink::default(),
         }
     }
 
@@ -74,7 +78,8 @@ impl FlAlgorithm for FedAT {
     fn round(&mut self, ctx: &mut RoundContext<'_>) -> ParamVec {
         let env = ctx.env;
         let round = ctx.round;
-        env.charge_download(ctx.participants.len() as u64);
+        self.link
+            .broadcast(env, &self.global, ctx.participants.len());
 
         // The reporting interval is set by the slowest *online*
         // participant — the same clock `round_duration` records and the
@@ -106,43 +111,29 @@ impl FlAlgorithm for FedAT {
         }
 
         // Each tier runs its internal synchronous rounds independently.
-        let global = &self.global;
+        let (link, global) = (&self.link, self.link.received(&self.global));
         let tier_results: Vec<(ParamVec, u64, f64)> = bins
             .par_iter()
             .map(|bin| {
                 let members: Vec<usize> = bin.iter().map(|&i| s[i]).collect();
-                let period = members
-                    .iter()
-                    .map(|&d| env.latency_at(d, round))
-                    .fold(0.0f64, f64::max);
+                let period = env.slowest_latency_at(&members, round);
                 let internal_rounds = ((interval / period).ceil() as u64).max(1);
                 let mut tier_model = global.clone();
+                let mut scratch = CodecScratch::new();
                 for ir in 0..internal_rounds {
+                    // Every internal round uploads each member's model.
+                    // Its batch orders are keyed by (round, internal round).
+                    let key = round.wrapping_mul(31).wrapping_add(ir as usize * 1024 + 1);
                     let updated: Vec<(usize, ParamVec)> = members
                         .iter()
                         .map(|&d| {
-                            let salt = ir * 1024 + 1;
-                            let trained = continuous_local_train_plain(
-                                env,
-                                d,
-                                &tier_model,
-                                1,
-                                round.wrapping_mul(31).wrapping_add(salt as usize),
-                            );
+                            let mut trained = train_steps(env, d, &tier_model, 1, key, &NoHook);
+                            link.upload(env, d, &mut trained, &mut scratch);
                             (d, trained)
                         })
                         .collect();
-                    let contributions: Vec<Contribution<'_>> = updated
-                        .iter()
-                        .map(|(d, params)| Contribution {
-                            params,
-                            samples: env.shard_len(*d),
-                            class_mean_time: env.latency_at(*d, round),
-                        })
-                        .collect();
-                    tier_model = AggregationRule::SampleWeighted.aggregate(&contributions);
-                    // Every internal round uploads each member's model.
-                    env.charge_upload(members.len() as u64);
+                    let rule = AggregationRule::SampleWeighted;
+                    aggregate_into(&mut tier_model, env, round, rule, &updated);
                 }
                 let mean_lat = members
                     .iter()
@@ -229,16 +220,5 @@ mod tests {
         let rec = run_experiment(&mut algo, &mut env, 1);
         assert_eq!(rec.rounds.len(), 1);
         assert!(algo.global().is_finite());
-    }
-
-    #[test]
-    fn deterministic() {
-        let c = cfg();
-        let run = || {
-            let mut env = c.build_env();
-            let mut algo = FedAT::new(&c, 2);
-            run_experiment(&mut algo, &mut env, 2)
-        };
-        assert_eq!(run(), run());
     }
 }

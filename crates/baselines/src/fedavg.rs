@@ -1,11 +1,10 @@
 //! FedAvg — the paper's interval-collected variant.
 
-use fedhisyn_core::aggregate::Contribution;
-use fedhisyn_core::{AggregationRule, ExperimentConfig, FlAlgorithm, RoundContext};
-use fedhisyn_nn::ParamVec;
-use rayon::prelude::*;
+use fedhisyn_core::local::train_steps;
+use fedhisyn_core::{AggregationRule, ExperimentConfig, FlAlgorithm, RoundContext, ServerLink};
+use fedhisyn_nn::{NoHook, ParamVec};
 
-use crate::common::{achievable_steps_at, continuous_local_train_plain, survives_round};
+use crate::common::{aggregate_into, collected_round};
 
 /// FedAvg as evaluated by the paper (§6.1): the server collects weights at
 /// regular intervals, so a device with more compute performs more local
@@ -15,6 +14,7 @@ use crate::common::{achievable_steps_at, continuous_local_train_plain, survives_
 pub struct FedAvg {
     participation: f64,
     global: ParamVec,
+    link: ServerLink,
 }
 
 impl FedAvg {
@@ -23,6 +23,7 @@ impl FedAvg {
         FedAvg {
             participation: cfg.participation,
             global: cfg.initial_params(),
+            link: ServerLink::default(),
         }
     }
 
@@ -42,45 +43,14 @@ impl FlAlgorithm for FedAvg {
     }
 
     fn round(&mut self, ctx: &mut RoundContext<'_>) -> ParamVec {
-        let env = ctx.env;
-        let s = ctx.participants;
-        let round = ctx.round;
-        let interval = env.slowest_latency_at(s, round);
-
-        env.charge_download(s.len() as u64);
-
-        let global = &self.global;
-        // Mid-round casualties never report: their round's work is lost
-        // with the device (partial cohort). Static fleets keep everyone.
-        let survivors: Vec<usize> = s
-            .iter()
-            .copied()
-            .filter(|&d| survives_round(env, d, round))
-            .collect();
-        let updated: Vec<(usize, ParamVec)> = survivors
-            .par_iter()
-            .map(|&d| {
-                let steps = achievable_steps_at(env, d, interval, round);
-                (
-                    d,
-                    continuous_local_train_plain(env, d, global, steps, round),
-                )
-            })
-            .collect();
-
-        env.charge_upload(updated.len() as u64);
-        if updated.is_empty() {
-            return self.global.clone();
-        }
-        let contributions: Vec<Contribution<'_>> = updated
-            .iter()
-            .map(|(d, params)| Contribution {
-                params,
-                samples: env.shard_len(*d),
-                class_mean_time: env.latency_at(*d, round),
-            })
-            .collect();
-        self.global = AggregationRule::SampleWeighted.aggregate(&contributions);
+        let (env, round) = (ctx.env, ctx.round);
+        let interval = env.slowest_latency_at(ctx.participants, round);
+        let updated = collected_round(ctx, &mut self.link, &self.global, |d, start| {
+            let steps = env.step_budget(d, interval, round);
+            train_steps(env, d, start, steps, round, &NoHook)
+        });
+        let rule = AggregationRule::SampleWeighted;
+        aggregate_into(&mut self.global, env, round, rule, &updated);
         self.global.clone()
     }
 }
@@ -113,30 +83,5 @@ mod tests {
             "IID FedAvg should learn quickly: {init} -> {}",
             rec.final_accuracy()
         );
-    }
-
-    #[test]
-    fn uploads_are_one_per_participant_per_round() {
-        let cfg = cfg(5);
-        let mut env = cfg.build_env();
-        let mut algo = FedAvg::new(&cfg);
-        let rec = run_experiment(&mut algo, &mut env, 2);
-        assert_eq!(rec.rounds[0].uploads, 5.0);
-        assert_eq!(rec.rounds[1].uploads, 10.0);
-        assert_eq!(
-            rec.rounds[1].peer_transfers, 0.0,
-            "FedAvg has no ring traffic"
-        );
-    }
-
-    #[test]
-    fn deterministic() {
-        let c = cfg(4);
-        let run = || {
-            let mut env = c.build_env();
-            let mut algo = FedAvg::new(&c);
-            run_experiment(&mut algo, &mut env, 2)
-        };
-        assert_eq!(run(), run());
     }
 }

@@ -1,11 +1,10 @@
 //! FedProx — FedAvg with a proximal term against client drift.
 
-use fedhisyn_core::aggregate::Contribution;
-use fedhisyn_core::{AggregationRule, ExperimentConfig, FlAlgorithm, RoundContext};
+use fedhisyn_core::local::train_steps;
+use fedhisyn_core::{AggregationRule, ExperimentConfig, FlAlgorithm, RoundContext, ServerLink};
 use fedhisyn_nn::{GradHook, ParamVec};
-use rayon::prelude::*;
 
-use crate::common::{achievable_steps_at, continuous_local_train, survives_round};
+use crate::common::{aggregate_into, collected_round};
 
 /// FedProx (Li et al., MLSys 2020; §6.1 of the FedHiSyn paper): local
 /// objectives gain a proximal term `(μ/2)·‖w − w_G‖²`, whose gradient
@@ -18,6 +17,7 @@ pub struct FedProx {
     /// Proximal coefficient `μ`.
     pub mu: f32,
     global: ParamVec,
+    link: ServerLink,
 }
 
 impl FedProx {
@@ -33,6 +33,7 @@ impl FedProx {
             participation: cfg.participation,
             mu,
             global: cfg.initial_params(),
+            link: ServerLink::default(),
         }
     }
 
@@ -50,7 +51,7 @@ impl FedProx {
 pub struct ProxHook<'a> {
     /// Proximal coefficient `μ`.
     pub mu: f32,
-    /// The round's global model `w_G`.
+    /// The round's global model `w_G`, as the device received it.
     pub anchor: &'a ParamVec,
 }
 
@@ -77,49 +78,21 @@ impl FlAlgorithm for FedProx {
     }
 
     fn round(&mut self, ctx: &mut RoundContext<'_>) -> ParamVec {
-        let env = ctx.env;
-        let s = ctx.participants;
-        let n_params = env.param_count();
-        let round = ctx.round;
-        let interval = env.slowest_latency_at(s, round);
-
-        env.charge_download(s.len() as u64);
-        let global = &self.global;
+        let (env, round, mu) = (ctx.env, ctx.round, self.mu);
+        let interval = env.slowest_latency_at(ctx.participants, round);
         // The per-slice hook can only bounds-check, so pin the anchor to
-        // the model size once per round (the old whole-vector guard).
-        assert_eq!(global.len(), n_params, "proximal anchor size mismatch");
-        let mu = self.mu;
-        // Mid-round casualties never report (partial cohort).
-        let survivors: Vec<usize> = s
-            .iter()
-            .copied()
-            .filter(|&d| survives_round(env, d, round))
-            .collect();
-        let updated: Vec<(usize, ParamVec)> = survivors
-            .par_iter()
-            .map(|&d| {
-                let steps = achievable_steps_at(env, d, interval, round);
-                let hook = ProxHook { mu, anchor: global };
-                (
-                    d,
-                    continuous_local_train(env, d, global, steps, round, &hook),
-                )
-            })
-            .collect();
-
-        env.charge_upload(updated.len() as u64);
-        if updated.is_empty() {
-            return self.global.clone();
-        }
-        let contributions: Vec<Contribution<'_>> = updated
-            .iter()
-            .map(|(d, params)| Contribution {
-                params,
-                samples: env.shard_len(*d),
-                class_mean_time: env.latency_at(*d, round),
-            })
-            .collect();
-        self.global = AggregationRule::SampleWeighted.aggregate(&contributions);
+        // the model size once per round.
+        assert_eq!(
+            self.global.len(),
+            env.param_count(),
+            "proximal anchor size mismatch"
+        );
+        let updated = collected_round(ctx, &mut self.link, &self.global, |d, start| {
+            let steps = env.step_budget(d, interval, round);
+            train_steps(env, d, start, steps, round, &ProxHook { mu, anchor: start })
+        });
+        let rule = AggregationRule::SampleWeighted;
+        aggregate_into(&mut self.global, env, round, rule, &updated);
         self.global.clone()
     }
 }
@@ -196,41 +169,18 @@ mod tests {
     }
 
     #[test]
-    fn uploads_match_sync_protocols() {
-        let cfg = cfg();
-        let mut env = cfg.build_env();
-        let mut algo = FedProx::new(&cfg);
-        let rec = run_experiment(&mut algo, &mut env, 2);
-        assert_eq!(rec.rounds[1].uploads, 10.0);
-    }
-
-    #[test]
     fn large_mu_keeps_model_closer_to_global() {
         let cfg = cfg();
         let env = cfg.build_env();
         let global = cfg.initial_params();
-        let free = continuous_local_train(
-            &env,
-            0,
-            &global,
-            1,
-            0,
-            &ProxHook {
-                mu: 0.0,
+        let trained = |mu: f32| {
+            let hook = ProxHook {
+                mu,
                 anchor: &global,
-            },
-        );
-        let anchored = continuous_local_train(
-            &env,
-            0,
-            &global,
-            1,
-            0,
-            &ProxHook {
-                mu: 1.0,
-                anchor: &global,
-            },
-        );
+            };
+            train_steps(&env, 0, &global, 1, 0, &hook)
+        };
+        let (free, anchored) = (trained(0.0), trained(1.0));
         let d_free = free.distance(&global);
         let d_anchored = anchored.distance(&global);
         assert!(

@@ -1,8 +1,12 @@
 //! Baseline federated-learning algorithms from the paper's evaluation.
 //!
 //! All six comparators of Table 1, built on the same [`fedhisyn_core`]
-//! environment, runner and transmission meter so comparisons are
-//! apples-to-apples:
+//! environment and runner so comparisons are apples-to-apples. Like
+//! FedHiSyn, each moves its models over a [`fedhisyn_core::ServerLink`] —
+//! charged for the codec's frame and trained on what that frame decodes
+//! to — and runs its devices through the one device pass,
+//! [`fedhisyn_core::local::train_steps`]; the interval-collected four
+//! share one round body and differ in a step rule and a gradient hook:
 //!
 //! | Algorithm | Kind | Notes |
 //! |---|---|---|
@@ -13,7 +17,7 @@
 //! | [`FedAT`] | semi-asynchronous tiers | synchronous inside a tier, asynchronous across tiers |
 //! | [`Scaffold`] | synchronous | control variates; every exchange costs 2 model-equivalents |
 
-pub mod common;
+mod common;
 pub mod fedat;
 pub mod fedavg;
 pub mod fedprox;

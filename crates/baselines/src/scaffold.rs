@@ -1,11 +1,11 @@
 //! SCAFFOLD — stochastic controlled averaging with control variates.
 
-use fedhisyn_core::aggregate::Contribution;
-use fedhisyn_core::{AggregationRule, ExperimentConfig, FlAlgorithm, RoundContext};
+use fedhisyn_core::env::FlEnv;
+use fedhisyn_core::local::train_steps;
+use fedhisyn_core::{AggregationRule, ExperimentConfig, FlAlgorithm, RoundContext, ServerLink};
 use fedhisyn_nn::{GradHook, ParamVec};
-use rayon::prelude::*;
 
-use crate::common::{achievable_steps_at, continuous_local_train, minibatch_steps, survives_round};
+use crate::common::{aggregate_into, collected_round};
 
 /// SCAFFOLD (Karimireddy et al., ICML 2020): the server maintains a global
 /// control variate `c` and each device a local one `c_i`; local gradients
@@ -15,7 +15,9 @@ use crate::common::{achievable_steps_at, continuous_local_train, minibatch_steps
 ///
 /// Every exchange carries the model *and* a control variate, so the paper
 /// (§6.1) charges SCAFFOLD **2 model-equivalents** per transfer; the meter
-/// reflects that.
+/// reflects that. Only the model crosses the wire codec: the variate
+/// equivalent is charged at the full-precision frame size under every
+/// codec, because variates are exchanged uncompressed.
 #[derive(Debug)]
 pub struct Scaffold {
     participation: f64,
@@ -25,6 +27,7 @@ pub struct Scaffold {
     /// Per-device control variates `c_i`.
     c_local: Vec<ParamVec>,
     lr: f32,
+    link: ServerLink,
 }
 
 impl Scaffold {
@@ -38,6 +41,7 @@ impl Scaffold {
             c_global: ParamVec::zeros(n),
             c_local: vec![ParamVec::zeros(n); cfg.n_devices],
             lr: cfg.lr,
+            link: ServerLink::default(),
         }
     }
 
@@ -78,6 +82,15 @@ impl GradHook for ScaffoldHook<'_> {
     }
 }
 
+/// Mini-batch SGD steps one local-training step performs on `device`
+/// (epochs × batches per epoch) — SCAFFOLD's `K` in its control-variate
+/// update.
+fn minibatch_steps(env: &FlEnv, device: usize) -> usize {
+    let n = env.shard_len(device);
+    let batches = n.div_ceil(env.batch_size).max(1);
+    batches * env.local_epochs
+}
+
 impl FlAlgorithm for Scaffold {
     fn name(&self) -> String {
         "SCAFFOLD".to_string()
@@ -88,82 +101,57 @@ impl FlAlgorithm for Scaffold {
     }
 
     fn round(&mut self, ctx: &mut RoundContext<'_>) -> ParamVec {
-        let env = ctx.env;
-        let s = ctx.participants;
-        let n_params = env.param_count();
-        let round = ctx.round;
-        let interval = env.slowest_latency_at(s, round);
-
-        // Download = model + server variate: 2 model-equivalents each.
-        env.charge_download(2 * s.len() as u64);
-
-        let global = &self.global;
-        let c_global = &self.c_global;
-        let c_local = &self.c_local;
+        let (env, round) = (ctx.env, ctx.round);
+        let interval = env.slowest_latency_at(ctx.participants, round);
+        let (c_global, c_local) = (&self.c_global, &self.c_local);
         // The per-slice hook can only bounds-check, so pin the variates to
-        // the model size once per round (the old whole-vector guard).
-        assert_eq!(c_global.len(), n_params, "control variate size mismatch");
-        let lr = self.lr;
+        // the model size once per round.
+        assert_eq!(
+            c_global.len(),
+            env.param_count(),
+            "control variate size mismatch"
+        );
         // Mid-round casualties never report: neither their model nor
         // their variate delta reaches the server, and their local variate
         // stays as-is (partial cohort).
-        let survivors: Vec<usize> = s
-            .iter()
-            .copied()
-            .filter(|&d| survives_round(env, d, round))
-            .collect();
-        // (device, trained params, new c_i)
-        let updated: Vec<(usize, ParamVec, ParamVec)> = survivors
-            .par_iter()
-            .map(|&d| {
-                let steps = achievable_steps_at(env, d, interval, round);
-                let hook = ScaffoldHook {
-                    c_global,
-                    c_local: &c_local[d],
-                };
-                let trained = continuous_local_train(env, d, global, steps, round, &hook);
-                // Option II variate update: c_i+ = c_i − c + (x − y_i)/(K·η)
-                let k = (minibatch_steps(env, d) * steps).max(1);
-                let mut c_new = c_local[d].clone();
-                c_new.sub_assign(c_global);
-                let scale = 1.0 / (k as f32 * lr);
-                for ((cn, &x), &y) in c_new
-                    .as_mut_slice()
-                    .iter_mut()
-                    .zip(global.as_slice())
-                    .zip(trained.as_slice())
-                {
-                    *cn += scale * (x - y);
-                }
-                (d, trained, c_new)
-            })
-            .collect();
+        let updated = collected_round(ctx, &mut self.link, &self.global, |d, start| {
+            let steps = env.step_budget(d, interval, round);
+            let c_local = &c_local[d];
+            let hook = ScaffoldHook { c_global, c_local };
+            train_steps(env, d, start, steps, round, &hook)
+        });
+        // The server variate rides down with every model, a variate delta
+        // rides up with every report.
+        let (down, up) = (ctx.participants.len() as u64, updated.len() as u64);
+        self.link.charge_uncoded(env, down, up);
 
-        // Upload = model + variate delta: 2 model-equivalents each (§6.1).
-        env.charge_upload(2 * updated.len() as u64);
-        if updated.is_empty() {
-            return self.global.clone();
-        }
-
-        // Server: aggregate models uniformly over participants and fold
-        // variate deltas in at 1/N (N = fleet size), per the algorithm.
-        let contributions: Vec<Contribution<'_>> = updated
-            .iter()
-            .map(|(d, params, _)| Contribution {
-                params,
-                samples: env.shard_len(*d),
-                class_mean_time: env.latency_at(*d, round),
-            })
-            .collect();
-        self.global = AggregationRule::Uniform.aggregate(&contributions);
-
-        let n_fleet = env.n_devices() as f32;
-        for (d, _, c_new) in updated {
+        // Option II variate update, `c_i⁺ = c_i − c + (x − y_i)/(K·η)`,
+        // from the model the device received (`x`) and the one the server
+        // decoded from it (`y_i`), every device against the round's `c`;
+        // the deltas fold into `c` at 1/N (N = fleet size).
+        let x = self.link.received(&self.global);
+        let (c, n_fleet) = (self.c_global.clone(), env.n_devices() as f32);
+        for (d, y) in &updated {
+            let k = minibatch_steps(env, *d) * env.step_budget(*d, interval, round);
+            let scale = 1.0 / (k.max(1) as f32 * self.lr);
+            let mut c_new = self.c_local[*d].clone();
+            c_new.sub_assign(&c);
+            for ((cn, &x), &y) in c_new
+                .as_mut_slice()
+                .iter_mut()
+                .zip(x.as_slice())
+                .zip(y.as_slice())
+            {
+                *cn += scale * (x - y);
+            }
             let mut delta = c_new.clone();
-            delta.sub_assign(&self.c_local[d]);
+            delta.sub_assign(&self.c_local[*d]);
             self.c_global.axpy(1.0 / n_fleet, &delta);
-            self.c_local[d] = c_new;
+            self.c_local[*d] = c_new;
         }
+        // Models aggregate uniformly over the reporting devices.
+        let rule = AggregationRule::Uniform;
+        aggregate_into(&mut self.global, env, round, rule, &updated);
         self.global.clone()
     }
 }
@@ -211,19 +199,6 @@ mod tests {
     }
 
     #[test]
-    fn uploads_cost_double() {
-        let cfg = cfg();
-        let mut env = cfg.build_env();
-        let mut algo = Scaffold::new(&cfg);
-        let rec = run_experiment(&mut algo, &mut env, 1);
-        assert_eq!(
-            rec.rounds[0].uploads, 10.0,
-            "5 devices x 2 model-equivalents"
-        );
-        assert_eq!(rec.rounds[0].downloads, 10.0);
-    }
-
-    #[test]
     fn learns_on_noniid_data() {
         let cfg = cfg();
         let mut env = cfg.build_env();
@@ -253,13 +228,10 @@ mod tests {
     }
 
     #[test]
-    fn deterministic() {
-        let c = cfg();
-        let run = || {
-            let mut env = c.build_env();
-            let mut algo = Scaffold::new(&c);
-            run_experiment(&mut algo, &mut env, 2)
-        };
-        assert_eq!(run(), run());
+    fn minibatch_steps_counts_batches() {
+        let env = cfg().build_env();
+        let n = env.shard_len(0);
+        let expect = n.div_ceil(env.batch_size).max(1) * env.local_epochs;
+        assert_eq!(minibatch_steps(&env, 0), expect);
     }
 }

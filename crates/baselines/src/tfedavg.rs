@@ -1,11 +1,10 @@
 //! TFedAvg — strictly synchronous FedAvg (fixed local epochs).
 
-use fedhisyn_core::aggregate::Contribution;
-use fedhisyn_core::{AggregationRule, ExperimentConfig, FlAlgorithm, RoundContext};
-use fedhisyn_nn::ParamVec;
-use rayon::prelude::*;
+use fedhisyn_core::local::train_steps;
+use fedhisyn_core::{AggregationRule, ExperimentConfig, FlAlgorithm, RoundContext, ServerLink};
+use fedhisyn_nn::{NoHook, ParamVec};
 
-use crate::common::{continuous_local_train_plain, survives_round};
+use crate::common::{aggregate_into, collected_round};
 
 /// TFedAvg (§6.1): every participant trains exactly `E` local epochs and
 /// then *waits* for the slowest device before uploading — the classic
@@ -15,6 +14,7 @@ use crate::common::{continuous_local_train_plain, survives_round};
 pub struct TFedAvg {
     participation: f64,
     global: ParamVec,
+    link: ServerLink,
 }
 
 impl TFedAvg {
@@ -23,6 +23,7 @@ impl TFedAvg {
         TFedAvg {
             participation: cfg.participation,
             global: cfg.initial_params(),
+            link: ServerLink::default(),
         }
     }
 
@@ -42,37 +43,13 @@ impl FlAlgorithm for TFedAvg {
     }
 
     fn round(&mut self, ctx: &mut RoundContext<'_>) -> ParamVec {
-        let env = ctx.env;
-        let s = ctx.participants;
-        let round = ctx.round;
-
-        env.charge_download(s.len() as u64);
-        let global = &self.global;
-        // Mid-round casualties never report (partial cohort).
-        let survivors: Vec<usize> = s
-            .iter()
-            .copied()
-            .filter(|&d| survives_round(env, d, round))
-            .collect();
+        let (env, round) = (ctx.env, ctx.round);
         // Exactly one local step each, regardless of speed.
-        let updated: Vec<(usize, ParamVec)> = survivors
-            .par_iter()
-            .map(|&d| (d, continuous_local_train_plain(env, d, global, 1, round)))
-            .collect();
-
-        env.charge_upload(updated.len() as u64);
-        if updated.is_empty() {
-            return self.global.clone();
-        }
-        let contributions: Vec<Contribution<'_>> = updated
-            .iter()
-            .map(|(d, params)| Contribution {
-                params,
-                samples: env.shard_len(*d),
-                class_mean_time: env.latency_at(*d, round),
-            })
-            .collect();
-        self.global = AggregationRule::SampleWeighted.aggregate(&contributions);
+        let updated = collected_round(ctx, &mut self.link, &self.global, |d, start| {
+            train_steps(env, d, start, 1, round, &NoHook)
+        });
+        let rule = AggregationRule::SampleWeighted;
+        aggregate_into(&mut self.global, env, round, rule, &updated);
         self.global.clone()
     }
 }
@@ -105,15 +82,6 @@ mod tests {
             "should improve over init: {init} -> {}",
             rec.final_accuracy()
         );
-    }
-
-    #[test]
-    fn same_uploads_as_fedavg_per_round() {
-        let cfg = cfg();
-        let mut env = cfg.build_env();
-        let mut algo = TFedAvg::new(&cfg);
-        let rec = run_experiment(&mut algo, &mut env, 2);
-        assert_eq!(rec.rounds[1].uploads, 10.0);
     }
 
     #[test]

@@ -280,7 +280,7 @@ mod tests {
         }
     }
 
-    /// Minimal algorithm: uploads nothing, returns zeros.
+    /// Minimal algorithm: every participant uploads a zero model.
     struct Null {
         p: f64,
     }
@@ -293,8 +293,13 @@ mod tests {
             self.p
         }
         fn round(&mut self, ctx: &mut RoundContext<'_>) -> ParamVec {
-            ctx.env.charge_upload(ctx.participants.len() as u64);
-            ParamVec::zeros(ctx.env.param_count())
+            let mut zeros = ParamVec::zeros(ctx.env.param_count());
+            let link = crate::link::ServerLink::default();
+            let mut scratch = fedhisyn_nn::CodecScratch::new();
+            for &d in ctx.participants {
+                link.upload(ctx.env, d, &mut zeros, &mut scratch);
+            }
+            zeros
         }
     }
 

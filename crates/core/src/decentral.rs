@@ -14,14 +14,14 @@
 //! split (the paper's estimator for Eq. 4's divergence `D`).
 
 use fedhisyn_cluster::kmeans_1d;
-use fedhisyn_nn::{CodecScratch, ParamVec};
+use fedhisyn_nn::{CodecScratch, NoHook, ParamVec};
 use fedhisyn_tensor::rng_from_seed;
 use rand::Rng;
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 use crate::env::{seed_mix, FlEnv};
-use crate::local::{evaluate_on_test, local_train_plain_owned};
+use crate::local::{evaluate_on_test, train_steps};
 use crate::ring_sim::{Lane, ReceivePolicy, RingOutcome, RingRound, RingStart};
 use crate::topology::{Ring, RingOrder};
 
@@ -152,29 +152,28 @@ impl DecentralSim {
         env.online(d, round) && env.fail_time(d, round, interval).is_none()
     }
 
+    /// Every device that starts and survives the round trains its own
+    /// model for its step budget; `None` marks the rest.
+    fn train_cohort(&self, env: &FlEnv, round: usize, interval: f64) -> Vec<Option<ParamVec>> {
+        self.models
+            .par_iter()
+            .enumerate()
+            .map(|(d, params)| {
+                Self::participates(env, d, round, interval).then(|| {
+                    let steps = env.step_budget(d, interval, round);
+                    train_steps(env, d, params, steps, round, &NoHook)
+                })
+            })
+            .collect()
+    }
+
     fn round_isolated(&mut self, env: &FlEnv, round: usize) {
         let cohort = self.cohort(env, round);
         if cohort.is_empty() {
             return;
         }
         let interval = env.slowest_latency_at(&cohort, round);
-        let updated: Vec<Option<ParamVec>> = self
-            .models
-            .par_iter()
-            .enumerate()
-            .map(|(d, params)| {
-                if !Self::participates(env, d, round, interval) {
-                    return None;
-                }
-                let steps = ((interval / env.latency_at(d, round)).ceil() as usize).max(1);
-                let mut current = params.clone();
-                for s in 0..steps {
-                    current =
-                        local_train_plain_owned(env, d, current, env.local_epochs, round, s as u64);
-                }
-                Some(current)
-            })
-            .collect();
+        let updated = self.train_cohort(env, round, interval);
         for (d, new) in updated.into_iter().enumerate() {
             if let Some(m) = new {
                 self.models[d] = m;
@@ -189,24 +188,7 @@ impl DecentralSim {
         }
         let interval = env.slowest_latency_at(&cohort, round);
         let n = env.n_devices();
-        // Train the participating devices for their step budget.
-        let trained: Vec<Option<ParamVec>> = self
-            .models
-            .par_iter()
-            .enumerate()
-            .map(|(d, params)| {
-                if !Self::participates(env, d, round, interval) {
-                    return None;
-                }
-                let steps = ((interval / env.latency_at(d, round)).ceil() as usize).max(1);
-                let mut current = params.clone();
-                for s in 0..steps {
-                    current =
-                        local_train_plain_owned(env, d, current, env.local_epochs, round, s as u64);
-                }
-                Some(current)
-            })
-            .collect();
+        let trained = self.train_cohort(env, round, interval);
         // Random communication (paper Fig. 2): every device sends to a
         // uniformly random *other* device — NOT a permutation, so targets
         // collide. A receiver keeps only the newest arrival (Alg. 1's
@@ -232,17 +214,17 @@ impl DecentralSim {
             if n > 1 && target == sender {
                 target = (target + 1) % n;
             }
-            if trained[sender].is_none() {
+            let Some(own) = trained[sender].as_ref() else {
                 continue;
-            }
-            env.charge_peer(1);
+            };
+            env.charge(fedhisyn_simnet::TrafficMeter::record_peer, 1);
             if env.codec.lossy() {
-                let mut sent = trained[sender].clone().expect("sender participated");
+                let mut sent = own.clone();
                 env.codec_transform(sender, &mut sent, None, &mut scratch);
                 wire[sender] = Some(sent);
             } else {
                 // Serialization-drift tripwire (no-op unless enabled).
-                env.wire_round_trip_check(trained[sender].as_ref().expect("sender participated"));
+                env.wire_round_trip_check(own, None, own);
             }
             if trained[target].is_some() {
                 inbox[target] = Some(sender); // newest-wins

@@ -1,4 +1,12 @@
 //! The simulated federated environment shared by all algorithms.
+//!
+//! [`FlEnv`] is what an algorithm reads: the architecture, each device's
+//! shard, the fleet's effective latencies ([`FlEnv::step_budget`] turns
+//! them into a round's step count) and the meter. It does not expose a
+//! way to charge the meter: models move over a
+//! [`ServerLink`](crate::link::ServerLink) or the ring relay, which charge
+//! a transfer and run the wire codec on it in one call, and devices train
+//! through [`train_steps`](crate::local::train_steps).
 
 use std::collections::HashMap;
 use std::sync::Mutex;
@@ -38,11 +46,6 @@ pub struct DeviceBank {
 }
 
 impl DeviceBank {
-    /// Pseudo-device id under which the *server's* state is stored (the
-    /// broadcast residual of downlink compression). Collides with no real
-    /// device: fleets are indexed from zero.
-    pub const SERVER: usize = usize::MAX;
-
     /// A bank that stores nothing.
     pub fn disabled() -> Self {
         DeviceBank::default()
@@ -229,6 +232,14 @@ impl FlEnv {
             .fold(0.0f64, f64::max)
     }
 
+    /// Local-training steps (of `E` epochs each) `device` completes within
+    /// a round of duration `interval` at its *effective* capacity for
+    /// `round` — the paper's "maximum achievable training time in a round"
+    /// (§6.1) and Alg. 1's budget loop (`R_ci > 0`): at least one.
+    pub fn step_budget(&self, device: usize, interval: f64, round: usize) -> usize {
+        steps_within(interval, self.latency_at(device, round))
+    }
+
     /// Encoded size of one model transfer on the wire under the active
     /// codec (header + checksum + codec payload; see `fedhisyn_nn::wire`).
     /// This is what every transfer charges to `wire_bytes`.
@@ -245,43 +256,17 @@ impl FlEnv {
         wire::encoded_len(self.param_count())
     }
 
-    /// Record `model_equivalents` device→server uploads, charged at the
-    /// wire-format frame size.
-    pub fn charge_upload(&self, model_equivalents: u64) {
-        self.meter.record_upload(
-            model_equivalents,
-            self.param_count(),
-            self.frame_bytes(),
-            self.raw_frame_bytes(),
-        );
-    }
-
-    /// Record `model_equivalents` server→device downloads.
-    pub fn charge_download(&self, model_equivalents: u64) {
-        self.meter.record_download(
-            model_equivalents,
-            self.param_count(),
-            self.frame_bytes(),
-            self.raw_frame_bytes(),
-        );
-    }
-
-    /// Record `model_equivalents` device→device ring transfers.
-    pub fn charge_peer(&self, model_equivalents: u64) {
-        self.meter.record_peer(
-            model_equivalents,
-            self.param_count(),
-            self.frame_bytes(),
-            self.raw_frame_bytes(),
-        );
-    }
-
-    /// Record `frames` retransmitted relay frames (retries + duplicate
-    /// copies). Charged to the byte ledgers only — the logical transfer
-    /// was already counted by [`FlEnv::charge_peer`].
-    pub fn charge_retransmit(&self, frames: u64) {
-        self.meter.record_retransmit(
-            frames,
+    /// Record `n` transfers at the active codec's frame size in the
+    /// ledger `record` selects — [`TrafficMeter::record_upload`],
+    /// `record_download` and `record_peer` count model-equivalents,
+    /// `record_retransmit` counts retry and duplicate frames (bytes only).
+    /// Crate-private: algorithms reach the meter through
+    /// [`ServerLink`](crate::link::ServerLink) and the ring relay, which
+    /// also put the model through the codec the charge assumes.
+    pub(crate) fn charge(&self, record: fn(&TrafficMeter, u64, usize, usize, usize), n: u64) {
+        record(
+            &self.meter,
+            n,
             self.param_count(),
             self.frame_bytes(),
             self.raw_frame_bytes(),
@@ -293,102 +278,112 @@ impl FlEnv {
         !self.faults.is_none()
     }
 
-    /// When [`FlEnv::wire_check`] is set, encode `params` into a wire
-    /// frame, decode it back and assert bit-identity — catching any drift
-    /// between in-memory models and the transfer format the byte
-    /// accounting charges for. A no-op (zero cost) when the flag is off.
+    /// The serialization tripwire, a no-op unless [`FlEnv::wire_check`] is
+    /// set: `payload`'s frame under the active codec has the size the
+    /// meter charges, passes the receive-side gate every hop runs (header
+    /// and integrity checksum verify before the payload is handed anywhere)
+    /// and decodes, against `base`, to `expect` bit for bit — catching any
+    /// drift between in-memory models and the transfer format the byte
+    /// accounting charges for.
     ///
     /// # Panics
     /// Panics on any round-trip divergence (the point: CI trips on drift).
-    pub fn wire_round_trip_check(&self, params: &ParamVec) {
+    pub(crate) fn wire_round_trip_check(
+        &self,
+        payload: &ParamVec,
+        base: Option<&ParamVec>,
+        expect: &ParamVec,
+    ) {
         if !self.wire_check {
             return;
         }
-        let frame = wire::encode(params);
+        let frame = wire::encode_with(payload, self.codec, base);
         assert_eq!(
             frame.len(),
-            self.raw_frame_bytes(),
+            self.frame_bytes(),
             "wire frame size disagrees with the byte accounting"
         );
-        // The receive-side gate every relay hop runs: header + integrity
-        // checksum must verify before the payload is handed anywhere.
-        let verified = wire::verify_frame(&frame).expect("relay frame must verify");
-        assert_eq!(verified, params.len(), "verified count disagrees");
-        let decoded = wire::decode(&frame).expect("relay frame must decode");
+        let verified = wire::verify_frame(&frame).expect("frame must verify");
+        assert_eq!(verified, payload.len(), "verified count disagrees");
+        let decoded = wire::decode_with(&frame, base).expect("frame must decode");
         assert!(
             decoded
                 .as_slice()
                 .iter()
-                .zip(params.as_slice())
+                .zip(expect.as_slice())
                 .all(|(a, b)| a.to_bits() == b.to_bits()),
-            "wire round-trip drift: decoded parameters differ from the originals"
+            "wire drift: the frame decodes to other bits than the receiver is handed"
         );
     }
 
     /// Pass one outgoing transfer from `device` through the active wire
-    /// codec: `params` becomes exactly what the receiver decodes, the
-    /// dropped mass lands in `device`'s error-feedback residual, and —
-    /// when [`FlEnv::wire_check`] is set — the fused transform is
-    /// asserted bit-identical to the encode→decode byte path on the
-    /// post-residual payload (the codec extension of the serialization
-    /// tripwire).
-    ///
-    /// `base` is the shared reference model `TopK` deltas are coded
-    /// against (the round's decoded broadcast for FedHiSyn; `None` ⇒
-    /// zero base for serverless topologies). Under [`Codec::F32`] this
-    /// degrades to the legacy [`FlEnv::wire_round_trip_check`] and the
-    /// payload is untouched — bit-identity with the pre-codec engine.
-    pub fn codec_transform(
+    /// codec, with `device`'s entry of [`FlEnv::residuals`] as the
+    /// error-feedback accumulator (all zeros on a first transmission) —
+    /// see [`FlEnv::codec_transform_with`].
+    pub(crate) fn codec_transform(
         &self,
         device: usize,
         params: &mut ParamVec,
         base: Option<&ParamVec>,
         scratch: &mut CodecScratch,
     ) {
-        if !self.codec.lossy() {
-            self.wire_round_trip_check(params);
-            return;
-        }
         assert!(
-            self.residuals.enabled(),
+            !self.codec.lossy() || self.residuals.enabled(),
             "lossy codec requires an enabled residual bank"
         );
-        // A device's first transmission has dropped nothing yet.
-        let mut residual = self
-            .residuals
-            .take(device)
-            .unwrap_or_else(|| ParamVec::zeros(params.len()));
+        let mut residual = self.residuals.take(device);
+        self.codec_transform_with(&mut residual, params, base, scratch);
+        if let Some(residual) = residual {
+            self.residuals.store(device, residual);
+        }
+    }
+
+    /// Pass one outgoing transfer through the active wire codec: `params`
+    /// becomes exactly what the receiver decodes, the dropped mass lands
+    /// in the sender's error-feedback `residual` (`None` = nothing dropped
+    /// yet), and — when [`FlEnv::wire_check`] is set — the fused transform
+    /// is asserted bit-identical to the encode→decode byte path on the
+    /// post-residual payload (the codec extension of the serialization
+    /// tripwire).
+    ///
+    /// `base` is the shared reference model `TopK` deltas are coded
+    /// against (the decoded broadcast the receivers hold; `None` ⇒ zero
+    /// base for serverless topologies). Under [`Codec::F32`] this
+    /// degrades to [`FlEnv::wire_round_trip_check`] and neither the
+    /// payload nor the residual is touched — bit-identity with the
+    /// pre-codec engine.
+    pub(crate) fn codec_transform_with(
+        &self,
+        residual: &mut Option<ParamVec>,
+        params: &mut ParamVec,
+        base: Option<&ParamVec>,
+        scratch: &mut CodecScratch,
+    ) {
+        if !self.codec.lossy() {
+            self.wire_round_trip_check(params, None, params);
+            return;
+        }
+        let residual = residual.get_or_insert_with(|| ParamVec::zeros(params.len()));
         // Snapshot the post-residual payload v before the in-place
         // transform consumes it; only the opt-in tripwire pays the clone.
         let check_payload = if self.wire_check {
             let mut v = params.clone();
-            v.add_assign(&residual);
+            v.add_assign(residual);
             Some(v)
         } else {
             None
         };
-        wire::codec_transform_in_place(self.codec, params, base, &mut residual, scratch);
+        wire::codec_transform_in_place(self.codec, params, base, residual, scratch);
         if let Some(v) = check_payload {
-            let frame = wire::encode_with(&v, self.codec, base);
-            assert_eq!(
-                frame.len(),
-                self.frame_bytes(),
-                "encoded frame size disagrees with the byte accounting"
-            );
-            let verified = wire::verify_frame(&frame).expect("relay frame must verify");
-            assert_eq!(verified, v.len(), "verified count disagrees");
-            let decoded = wire::decode_with(&frame, base).expect("relay frame must decode");
-            assert!(
-                decoded
-                    .as_slice()
-                    .iter()
-                    .zip(params.as_slice())
-                    .all(|(a, b)| a.to_bits() == b.to_bits()),
-                "codec drift: byte-path decode differs from the fused transform"
-            );
+            self.wire_round_trip_check(&v, base, params);
         }
-        self.residuals.store(device, residual);
     }
+}
+
+/// Steps of `latency` virtual seconds that fit an interval, rounded up and
+/// never zero — the one place the step budget is computed.
+pub(crate) fn steps_within(interval: f64, latency: f64) -> usize {
+    ((interval / latency).ceil() as usize).max(1)
 }
 
 /// Derive an independent RNG seed from the experiment seed and a role.
@@ -468,6 +463,15 @@ mod tests {
     }
 
     #[test]
+    fn achievable_steps_scale_with_interval() {
+        let env = tiny_env();
+        let t0 = env.latency(0);
+        assert_eq!(env.step_budget(0, t0, 0), 1);
+        assert_eq!(env.step_budget(0, 3.0 * t0, 0), 3);
+        assert_eq!(env.step_budget(0, 0.1 * t0, 0), 1, "minimum one step");
+    }
+
+    #[test]
     fn static_fleet_round_queries_match_base_profile() {
         let env = tiny_env();
         assert!(!env.dynamics_active());
@@ -483,9 +487,9 @@ mod tests {
     #[test]
     fn charges_account_wire_frames() {
         let env = tiny_env();
-        env.charge_upload(2);
-        env.charge_download(1);
-        env.charge_peer(3);
+        env.charge(TrafficMeter::record_upload, 2);
+        env.charge(TrafficMeter::record_download, 1);
+        env.charge(TrafficMeter::record_peer, 3);
         let s = env.meter.snapshot();
         assert_eq!(s.uploads, 2.0);
         assert_eq!(s.parameters_moved, 6.0 * env.param_count() as f64);
@@ -498,9 +502,9 @@ mod tests {
     fn wire_round_trip_check_is_gated_and_exact() {
         let mut env = tiny_env();
         let params = ParamVec::from_vec(vec![1.5; env.param_count()]);
-        env.wire_round_trip_check(&params); // off: no-op
+        env.wire_round_trip_check(&params, None, &params); // off: no-op
         env.wire_check = true;
-        env.wire_round_trip_check(&params); // on: must pass for exact data
+        env.wire_round_trip_check(&params, None, &params); // on: exact data passes
     }
 
     #[test]
@@ -521,9 +525,6 @@ mod tests {
             bank.take(1_000_000 + BANK_SHARDS).unwrap().as_slice(),
             &[7.0]
         );
-        // The server's broadcast residual lives under a reserved key.
-        bank.store(DeviceBank::SERVER, ParamVec::from_vec(vec![2.0]));
-        assert_eq!(bank.take(DeviceBank::SERVER).unwrap().as_slice(), &[2.0]);
         let off = DeviceBank::disabled();
         assert!(!off.enabled());
         assert_eq!(off.take(0), None, "disabled bank ignores any device id");
@@ -536,8 +537,8 @@ mod tests {
         let mut env = tiny_env();
         env.codec = Codec::Int8;
         env.residuals = DeviceBank::new();
-        env.charge_peer(2);
-        env.charge_retransmit(1);
+        env.charge(TrafficMeter::record_peer, 2);
+        env.charge(TrafficMeter::record_retransmit, 1);
         let s = env.meter.snapshot();
         assert!(env.frame_bytes() < env.raw_frame_bytes());
         assert_eq!(s.wire_bytes, 3.0 * env.frame_bytes() as f64);

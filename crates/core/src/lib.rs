@@ -13,6 +13,8 @@
 //! * [`FlAlgorithm`] / [`run_experiment`] — the trait + runner shared with
 //!   the baseline crate,
 //! * [`FlEnv`] / [`ExperimentConfig`] — simulated fleet construction,
+//! * [`ServerLink`] / [`local::train_steps`] — how any algorithm moves a
+//!   model to or from the server and runs a device's local work,
 //! * [`decentral`] — the server-less training modes behind the paper's
 //!   motivating Figures 2–4,
 //! * [`metrics`] — round records and Table 1's transmission accounting.
@@ -44,6 +46,7 @@ pub mod decentral;
 pub mod engine;
 pub mod env;
 pub mod fedhisyn;
+pub mod link;
 pub mod local;
 pub mod metrics;
 pub mod ring_sim;
@@ -56,6 +59,7 @@ pub use config::{DataMode, ExperimentConfig, ExperimentConfigBuilder};
 pub use engine::ExecutionEngine;
 pub use env::{seed_mix, DeviceBank, FlEnv};
 pub use fedhisyn::FedHiSyn;
+pub use link::ServerLink;
 pub use metrics::{RoundRecord, RunRecord};
 pub use ring_sim::{FailurePolicy, TransportStats};
 pub use topology::{Ring, RingOrder};

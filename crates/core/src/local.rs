@@ -1,10 +1,13 @@
 //! Device-local training, shared by FedHiSyn and every baseline.
 //!
-//! All algorithms funnel through [`local_train_owned`], which runs on the
-//! [`ExecutionEngine`]'s per-worker cached model and reuses the incoming
-//! parameter buffer for the result — one ring hop allocates nothing in
-//! steady state. The by-reference [`local_train_plain`] wrapper exists
-//! for callers that need to keep their input (it pays one clone).
+//! There is one device pass, [`train_steps`]: a device's budget of local
+//! steps from a start model, each step `E` epochs through
+//! [`local_train_owned`]. That step runs on the [`ExecutionEngine`]'s
+//! per-worker cached model and reuses the incoming parameter buffer for
+//! the result — one ring hop allocates nothing in steady state — and is
+//! what the ring relay calls directly, one step per event. Which model a
+//! device starts from and where its result goes is the
+//! [`ServerLink`](crate::link::ServerLink)'s side of a round.
 
 use fedhisyn_nn::{sgd_epoch, GradHook, NoHook, ParamVec, Sgd};
 use fedhisyn_tensor::rng_from_seed;
@@ -80,16 +83,24 @@ pub fn local_train_plain_owned(
     local_train_owned(env, device, params, epochs, &NoHook, round, salt)
 }
 
-/// [`local_train_plain_owned`] keeping the caller's input (clones once).
-pub fn local_train_plain(
+/// The device pass every collected or serverless protocol runs: `steps`
+/// consecutive local-training steps of `E` epochs on `device`, starting
+/// from `start`, under `hook`. Step `i` is salted `i`, so a device's
+/// steps within one round draw independent, reproducible batch orders.
+///
+/// Clones `start` once; every step after that moves the same parameter
+/// buffer through the worker's cached model.
+pub fn train_steps(
     env: &FlEnv,
     device: usize,
-    params: &ParamVec,
-    epochs: usize,
+    start: &ParamVec,
+    steps: usize,
     round: usize,
-    salt: u64,
+    hook: &dyn GradHook,
 ) -> ParamVec {
-    local_train_plain_owned(env, device, params.clone(), epochs, round, salt)
+    (0..steps as u64).fold(start.clone(), |params, step| {
+        local_train_owned(env, device, params, env.local_epochs, hook, round, step)
+    })
 }
 
 /// Best-effort runtime stat of this thread's cached model (built on first
@@ -166,7 +177,7 @@ mod tests {
         let env = make_env();
         let init = env.spec.build(&mut rng_from_seed(0)).params();
         let acc_before = evaluate_on_test(&env, &init);
-        let trained = local_train_plain(&env, 0, &init, 5, 0, 0);
+        let trained = local_train_plain_owned(&env, 0, init.clone(), 5, 0, 0);
         let acc_after = evaluate_on_test(&env, &trained);
         assert!(
             acc_after > acc_before + 0.05,
@@ -178,7 +189,7 @@ mod tests {
     fn training_changes_params() {
         let env = make_env();
         let init = env.spec.build(&mut rng_from_seed(0)).params();
-        let trained = local_train_plain(&env, 1, &init, 1, 0, 0);
+        let trained = local_train_plain_owned(&env, 1, init.clone(), 1, 0, 0);
         assert_ne!(init, trained);
         assert!(trained.is_finite());
     }
@@ -187,11 +198,25 @@ mod tests {
     fn training_is_deterministic_per_salt() {
         let env = make_env();
         let init = env.spec.build(&mut rng_from_seed(0)).params();
-        let a = local_train_plain(&env, 2, &init, 2, 3, 9);
-        let b = local_train_plain(&env, 2, &init, 2, 3, 9);
+        let a = local_train_plain_owned(&env, 2, init.clone(), 2, 3, 9);
+        let b = local_train_plain_owned(&env, 2, init.clone(), 2, 3, 9);
         assert_eq!(a, b);
-        let c = local_train_plain(&env, 2, &init, 2, 3, 10);
+        let c = local_train_plain_owned(&env, 2, init.clone(), 2, 3, 10);
         assert_ne!(a, c, "different salt must give a different batch order");
+    }
+
+    #[test]
+    fn continuous_training_changes_params_each_step() {
+        let env = make_env();
+        let init = env.spec.build(&mut rng_from_seed(0)).params();
+        let one = train_steps(&env, 0, &init, 1, 0, &NoHook);
+        let two = train_steps(&env, 0, &init, 2, 0, &NoHook);
+        assert_ne!(init, one);
+        assert_ne!(one, two, "a second step must continue training");
+        // Step `i` is one `local_train_owned` call of `E` epochs salted `i`.
+        let e = env.local_epochs;
+        let by_hand = local_train_plain_owned(&env, 0, one.clone(), e, 0, 1);
+        assert_eq!(two, by_hand);
     }
 
     /// A model built for one call and loaded with `params` — what a
@@ -228,8 +253,9 @@ mod tests {
                 let shard = env.shard(device);
                 let mut sgd = Sgd::new(env.sgd);
                 for salt in [5u64, 6] {
-                    let _ = local_train_plain(&env, 2, &other, 1, 0, 0);
-                    let got = local_train_plain(&env, device, &params, epochs, round, salt);
+                    let _ = local_train_plain_owned(&env, 2, other.clone(), 1, 0, 0);
+                    let got =
+                        local_train_plain_owned(&env, device, params.clone(), epochs, round, salt);
                     let got_acc = evaluate_on_test(&env, &got);
 
                     let mut fresh = build_model(&env, &params);
@@ -288,7 +314,7 @@ mod tests {
             fedhisyn_data::DataSource::Lazy { .. } => unreachable!("test env is dense"),
         }
         let init = env.spec.build(&mut rng_from_seed(0)).params();
-        let out = local_train_plain(&env, 3, &init, 3, 0, 0);
+        let out = local_train_plain_owned(&env, 3, init.clone(), 3, 0, 0);
         assert_eq!(out, init);
     }
 }

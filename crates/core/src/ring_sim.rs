@@ -33,11 +33,11 @@
 //! the algorithms plug in real SGD.
 
 use fedhisyn_nn::{CodecScratch, ParamVec};
-use fedhisyn_simnet::{EventQueue, FaultKind, FaultPlan, LinkModel, SimTime};
+use fedhisyn_simnet::{EventQueue, FaultKind, FaultPlan, LinkModel, SimTime, TrafficMeter};
 use fedhisyn_telemetry::{Phase, SpanCtx, TelemetrySink, TransportCounters, WallStart};
 use serde::{Deserialize, Serialize};
 
-use crate::env::FlEnv;
+use crate::env::{steps_within, FlEnv};
 use crate::local::local_train_plain_owned;
 use crate::topology::Ring;
 
@@ -333,7 +333,7 @@ where
 
     let allowed: Vec<usize> = latencies
         .iter()
-        .map(|&t| ((interval / t).ceil() as usize).max(1))
+        .map(|&t| steps_within(interval, t))
         .collect();
 
     // `working[pos]` is the model the position trains next; `None` means
@@ -759,13 +759,7 @@ impl RingRound<'_> {
             self.interval,
             opts,
             |device, params, salt| {
-                let trained =
-                    local_train_plain_owned(env, device, params, env.local_epochs, round, salt);
-                // Serialization-drift tripwire: what this hop puts on the
-                // wire must survive the frame codec exactly (a no-op
-                // unless `wire_check` is set).
-                env.wire_round_trip_check(&trained);
-                trained
+                local_train_plain_owned(env, device, params, env.local_epochs, round, salt)
             },
         );
         env.telemetry.span(
@@ -787,8 +781,11 @@ impl RingRound<'_> {
         let env = self.env;
         let mut total = TransportStats::default();
         for outcome in outcomes {
-            env.charge_peer(outcome.transfers as u64);
-            env.charge_retransmit(outcome.transport.retransmit_frames());
+            env.charge(TrafficMeter::record_peer, outcome.transfers as u64);
+            env.charge(
+                TrafficMeter::record_retransmit,
+                outcome.transport.retransmit_frames(),
+            );
             total.absorb(&outcome.transport);
         }
         if env.faults_active() {

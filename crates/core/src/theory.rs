@@ -241,7 +241,7 @@ mod tests {
             .build()
             .initial_params();
         let before = pooled_loss(&env, &init);
-        let trained = crate::local::local_train_plain(&env, 0, &init, 3, 0, 0);
+        let trained = crate::local::local_train_plain_owned(&env, 0, init.clone(), 3, 0, 0);
         let after = pooled_loss(&env, &trained);
         assert!(
             after < before,

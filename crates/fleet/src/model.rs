@@ -225,11 +225,6 @@ impl FleetModel {
         &self.dynamics
     }
 
-    /// The base-profile source (dense or lazy).
-    pub fn profile_source(&self) -> &ProfileSource {
-        &self.profiles
-    }
-
     /// True when the model is the degenerate static fleet.
     pub fn is_static(&self) -> bool {
         self.is_static

@@ -10,6 +10,9 @@
 //! cargo run --release --example custom_algorithm
 //! ```
 
+use fedhisyn::core::local::train_steps;
+use fedhisyn::core::ServerLink;
+use fedhisyn::nn::{CodecScratch, NoHook};
 use fedhisyn::prelude::*;
 use rayon::prelude::*;
 
@@ -17,6 +20,7 @@ use rayon::prelude::*;
 struct FedMedian {
     participation: f64,
     global: ParamVec,
+    link: ServerLink,
 }
 
 impl FedMedian {
@@ -24,6 +28,7 @@ impl FedMedian {
         FedMedian {
             participation: cfg.participation,
             global: cfg.initial_params(),
+            link: ServerLink::default(),
         }
     }
 }
@@ -38,20 +43,21 @@ impl FlAlgorithm for FedMedian {
     }
 
     fn round(&mut self, ctx: &mut RoundContext<'_>) -> ParamVec {
-        let env = ctx.env;
-        let s = ctx.participants;
-        env.charge_download(s.len() as u64);
+        let (env, round, s) = (ctx.env, ctx.round, ctx.participants);
+        // Every transfer crosses the server link: charged at the codec's
+        // frame size, and carrying what that frame decodes to.
+        self.link.broadcast(env, &self.global, s.len());
+        let (link, start) = (&self.link, self.link.received(&self.global));
 
         // One local step each (like TFedAvg), in parallel.
-        let round = ctx.round;
-        let global = &self.global;
         let updated: Vec<ParamVec> = s
             .par_iter()
             .map(|&d| {
-                fedhisyn::core::local::local_train_plain(env, d, global, env.local_epochs, round, 0)
+                let mut trained = train_steps(env, d, start, 1, round, &NoHook);
+                link.upload(env, d, &mut trained, &mut CodecScratch::new());
+                trained
             })
             .collect();
-        env.charge_upload(s.len() as u64);
 
         // Coordinate-wise median.
         let n_params = env.param_count();

@@ -1,6 +1,9 @@
 //! Whole-experiment determinism: identical configs reproduce identical
 //! traces bit-for-bit; different seeds diverge.
 
+mod common;
+
+use common::ALGORITHMS;
 use fedhisyn::prelude::*;
 
 fn cfg(seed: u64) -> ExperimentConfig {
@@ -17,31 +20,12 @@ fn cfg(seed: u64) -> ExperimentConfig {
 }
 
 fn run_algo(cfg: &ExperimentConfig, which: &str) -> RunRecord {
-    let mut env = cfg.build_env();
-    match which {
-        "fedhisyn" => {
-            let mut a = FedHiSyn::new(cfg, 3);
-            run_experiment(&mut a, &mut env, cfg.rounds)
-        }
-        "fedavg" => {
-            let mut a = FedAvg::new(cfg);
-            run_experiment(&mut a, &mut env, cfg.rounds)
-        }
-        "scaffold" => {
-            let mut a = Scaffold::new(cfg);
-            run_experiment(&mut a, &mut env, cfg.rounds)
-        }
-        "tafedavg" => {
-            let mut a = TAFedAvg::new(cfg);
-            run_experiment(&mut a, &mut env, cfg.rounds)
-        }
-        _ => unreachable!(),
-    }
+    common::run(cfg, which, 3).record
 }
 
 #[test]
 fn identical_seeds_reproduce_identical_traces() {
-    for which in ["fedhisyn", "fedavg", "scaffold", "tafedavg"] {
+    for which in ALGORITHMS {
         let a = run_algo(&cfg(42), which);
         let b = run_algo(&cfg(42), which);
         assert_eq!(a, b, "{which} must be bit-deterministic");
@@ -50,8 +34,8 @@ fn identical_seeds_reproduce_identical_traces() {
 
 #[test]
 fn different_seeds_produce_different_traces() {
-    let a = run_algo(&cfg(1), "fedhisyn");
-    let b = run_algo(&cfg(2), "fedhisyn");
+    let a = run_algo(&cfg(1), "FedHiSyn");
+    let b = run_algo(&cfg(2), "FedHiSyn");
     assert_ne!(a, b, "different seeds must explore different runs");
 }
 
@@ -74,9 +58,9 @@ fn rayon_parallelism_does_not_break_determinism() {
     // The per-class ring simulations run on the rayon pool; results are
     // collected positionally, so thread scheduling must not leak into the
     // trace. Run several times to give interleavings a chance to vary.
-    let reference = run_algo(&cfg(77), "fedhisyn");
+    let reference = run_algo(&cfg(77), "FedHiSyn");
     for _ in 0..3 {
-        assert_eq!(run_algo(&cfg(77), "fedhisyn"), reference);
+        assert_eq!(run_algo(&cfg(77), "FedHiSyn"), reference);
     }
 }
 
@@ -102,7 +86,7 @@ fn churned_runs_reproduce_identical_traces() {
     // every algorithm family, including which devices dropped, crashed,
     // or throttled.
     let dynamics = FleetDynamics::edge_fleet(0.25, 0.1);
-    for which in ["fedhisyn", "fedavg", "scaffold", "tafedavg"] {
+    for which in ALGORITHMS {
         let a = run_algo(&churn_cfg(42, dynamics.clone()), which);
         let b = run_algo(&churn_cfg(42, dynamics.clone()), which);
         assert_eq!(a, b, "{which} must be bit-deterministic under churn");
@@ -112,8 +96,8 @@ fn churned_runs_reproduce_identical_traces() {
 #[test]
 fn different_seeds_realise_different_fleet_trajectories() {
     let dynamics = FleetDynamics::edge_fleet(0.25, 0.1);
-    let a = run_algo(&churn_cfg(1, dynamics.clone()), "fedhisyn");
-    let b = run_algo(&churn_cfg(2, dynamics), "fedhisyn");
+    let a = run_algo(&churn_cfg(1, dynamics.clone()), "FedHiSyn");
+    let b = run_algo(&churn_cfg(2, dynamics), "FedHiSyn");
     assert_ne!(a, b, "different seeds must realise different fleets");
 }
 
@@ -122,8 +106,8 @@ fn dynamics_compose_deterministically_across_rates() {
     // Sweeping the churn rate (fig_churn's axis) must be reproducible
     // point by point.
     for rate in [0.05, 0.1, 0.2] {
-        let a = run_algo(&churn_cfg(7, FleetDynamics::churn(rate)), "fedhisyn");
-        let b = run_algo(&churn_cfg(7, FleetDynamics::churn(rate)), "fedhisyn");
+        let a = run_algo(&churn_cfg(7, FleetDynamics::churn(rate)), "FedHiSyn");
+        let b = run_algo(&churn_cfg(7, FleetDynamics::churn(rate)), "FedHiSyn");
         assert_eq!(a, b, "churn rate {rate} must be deterministic");
     }
 }
@@ -153,52 +137,110 @@ fn identity_dynamics() -> FleetDynamics {
     }
 }
 
-fn run_with_dynamics<A: FlAlgorithm>(
-    make: impl Fn(&ExperimentConfig) -> A,
-    global_of: impl Fn(&A) -> &ParamVec,
-    dynamics: FleetDynamics,
-) -> (RunRecord, ParamVec) {
-    let cfg = churn_cfg(1216, dynamics);
-    let mut env = cfg.build_env();
-    let mut algo = make(&cfg);
-    let record = run_experiment(&mut algo, &mut env, cfg.rounds);
-    let global = global_of(&algo).clone();
-    (record, global)
-}
-
 #[test]
 fn identity_fleet_dynamics_match_the_static_path_bit_for_bit() {
     // FedHiSyn exercises re-clustering + the failure-aware relay; FedAvg
     // exercises the baselines' effective-latency/survivor seam; SCAFFOLD
     // additionally routes variate state through the partial-cohort path.
-    let fedhisyn = |cfg: &ExperimentConfig| FedHiSyn::new(cfg, 2);
-    let (s_rec, s_glob) = run_with_dynamics(fedhisyn, FedHiSyn::global, FleetDynamics::default());
-    let (d_rec, d_glob) = run_with_dynamics(fedhisyn, FedHiSyn::global, identity_dynamics());
-    assert_eq!(
-        s_rec, d_rec,
-        "FedHiSyn records diverged under identity dynamics"
-    );
-    assert_eq!(
-        s_glob, d_glob,
-        "FedHiSyn global diverged under identity dynamics"
-    );
+    for name in ["FedHiSyn", "FedAvg", "SCAFFOLD"] {
+        let on_static = common::run(&churn_cfg(1216, FleetDynamics::default()), name, 2);
+        let on_identity = common::run(&churn_cfg(1216, identity_dynamics()), name, 2);
+        assert_eq!(
+            on_static, on_identity,
+            "{name}: record, traffic or global diverged under identity dynamics"
+        );
+    }
+}
 
-    let (s_rec, s_glob) = run_with_dynamics(FedAvg::new, FedAvg::global, FleetDynamics::default());
-    let (d_rec, d_glob) = run_with_dynamics(FedAvg::new, FedAvg::global, identity_dynamics());
-    assert_eq!(
-        s_rec, d_rec,
-        "FedAvg records diverged under identity dynamics"
-    );
-    assert_eq!(s_glob, d_glob);
+// ---- pinned bits ---------------------------------------------------------
+//
+// The ledger pins FedHiSyn's and FedAvg's `RunRecord`s; these are the F32
+// bits of the six baselines and the three serverless modes, on a static
+// and on a churning, crashing fleet, one pair per bit-identical kernel
+// tier (training is tier-independent at this scale, evaluation is not).
 
-    let (s_rec, s_glob) =
-        run_with_dynamics(Scaffold::new, Scaffold::global, FleetDynamics::default());
-    let (d_rec, d_glob) = run_with_dynamics(Scaffold::new, Scaffold::global, identity_dynamics());
-    assert_eq!(
-        s_rec, d_rec,
-        "SCAFFOLD records diverged under identity dynamics"
+fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
+    bytes.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// FNV-1a of the serialised record with the best-effort telemetry fields
+/// (scheduling-dependent, ignored by `PartialEq`) zeroed — the mask of
+/// `ledger/src/adapter.rs::record_fnv`.
+fn record_fnv(mut record: RunRecord) -> u64 {
+    for r in &mut record.rounds {
+        let t = r.telemetry;
+        r.telemetry = RoundTelemetry {
+            uploads: t.uploads,
+            downloads: t.downloads,
+            peer_transfers: t.peer_transfers,
+            parameters_moved: t.parameters_moved,
+            wire_bytes: t.wire_bytes,
+            raw_bytes: t.raw_bytes,
+            retransmit_bytes: t.retransmit_bytes,
+            ..RoundTelemetry::default()
+        };
+    }
+    let json = serde_json::to_string(&record).expect("RunRecord serialises");
+    fnv1a(json.bytes())
+}
+
+/// FNV-1a over every device model's parameter bits after `cfg.rounds`
+/// serverless rounds.
+fn decentral_fnv(cfg: &ExperimentConfig, mode: DecentralMode) -> u64 {
+    let env = cfg.build_env();
+    let mut sim = DecentralSim::new(&env, mode);
+    (0..cfg.rounds).for_each(|round| sim.run_round(&env, round));
+    let floats = sim.models().iter().flat_map(|m| m.as_slice());
+    fnv1a(floats.flat_map(|x| x.to_bits().to_le_bytes()))
+}
+
+#[test]
+fn f32_baseline_records_and_serverless_models_are_pinned() {
+    let rings = DecentralMode::ClusteredRings {
+        k: 2,
+        order: RingOrder::SmallToLarge,
+        average: false,
+    };
+    // (subject, [scalar, avx2] x [static, edge_fleet])
+    #[rustfmt::skip]
+    let pins: [(&str, [[u64; 2]; 2]); 9] = [
+        ("FedAvg",   [[0x86c24cba5ce1d72e, 0xe5c776c288e7b3f2], [0x481cf9bd5ef8ee5b, 0x8ac4a16ffb960eb9]]),
+        ("FedProx",  [[0x18685b903f3506f3, 0xf13d4b40e5113768], [0x6f857f3478aa236e, 0x048716451cec4371]]),
+        ("TFedAvg",  [[0x9abba2100343bb9c, 0xccce0cc5bbb3de6e], [0x77d2882a45310e63, 0xf297e02ba22148ff]]),
+        ("SCAFFOLD", [[0x081ff261368edfbc, 0x341502b69bd4de9e], [0xbf11edae3d4137bd, 0x03d09e7869d43c47]]),
+        ("FedAT",    [[0x4479e1b6132ce24e, 0xa2cdff392bc23b53], [0xc3118ee82263c935, 0xed70ab61974920f8]]),
+        ("TAFedAvg", [[0xf600d1fbb7c3b2dd, 0x466434e5faf5d254], [0x03c773a648b00510, 0x8435f72b5219aa15]]),
+        ("isolated", [[0x3e78d267ca6e0be1, 0x94643e17dd1f496a]; 2]),
+        ("random",   [[0x95b43c08066c2315, 0xd142d08dd7d1bc52]; 2]),
+        ("rings",    [[0x2814497ddf18a35c, 0x1e0f622a90c72902]; 2]),
+    ];
+    let tier = match fedhisyn::core::ExecutionEngine::kernel_tier() {
+        "scalar" => 0,
+        "avx2" => 1,
+        _ => return, // the opt-in FMA tier is outside the bit contract
+    };
+    let fleets = [cfg(42), churn_cfg(42, FleetDynamics::edge_fleet(0.25, 0.1))];
+    let mut drift = Vec::new();
+    for (subject, pinned) in pins {
+        for (fleet, cfg) in fleets.iter().enumerate() {
+            let got = match subject {
+                "isolated" => decentral_fnv(cfg, DecentralMode::Isolated),
+                "random" => decentral_fnv(cfg, DecentralMode::RandomExchange { average: false }),
+                "rings" => decentral_fnv(cfg, rings),
+                algorithm => record_fnv(run_algo(cfg, algorithm)),
+            };
+            if got != pinned[tier][fleet] {
+                drift.push(format!("{subject} tier {tier} fleet {fleet}: {got:#018x}"));
+            }
+        }
+    }
+    assert!(
+        drift.is_empty(),
+        "pinned F32 bits moved:\n{}",
+        drift.join("\n")
     );
-    assert_eq!(s_glob, d_glob);
 }
 
 // ---- pool placement ------------------------------------------------------

@@ -1,6 +1,8 @@
 //! End-to-end integration: every algorithm trains on a shared non-IID,
 //! heterogeneous environment and produces a coherent run record.
 
+mod common;
+
 use fedhisyn::prelude::*;
 
 fn shared_config() -> ExperimentConfig {
@@ -16,15 +18,8 @@ fn shared_config() -> ExperimentConfig {
 }
 
 fn algorithms(cfg: &ExperimentConfig) -> Vec<Box<dyn FlAlgorithm>> {
-    vec![
-        Box::new(FedHiSyn::new(cfg, 3)),
-        Box::new(FedAvg::new(cfg)),
-        Box::new(TFedAvg::new(cfg)),
-        Box::new(TAFedAvg::new(cfg)),
-        Box::new(FedProx::new(cfg)),
-        Box::new(FedAT::new(cfg, 3)),
-        Box::new(Scaffold::new(cfg)),
-    ]
+    let all = common::ALGORITHMS.iter();
+    all.map(|name| common::algorithm(cfg, name, 3)).collect()
 }
 
 #[test]
@@ -80,13 +75,8 @@ fn partial_participation_runs_and_uploads_less() {
     let mut full_cfg = shared_config();
     full_cfg.participation = 1.0;
 
-    let mut env = cfg.build_env();
-    let mut algo = FedAvg::new(&cfg);
-    let partial = run_experiment(&mut algo, &mut env, 3);
-
-    let mut env = full_cfg.build_env();
-    let mut algo = FedAvg::new(&full_cfg);
-    let full = run_experiment(&mut algo, &mut env, 3);
+    let partial = common::run(&cfg, "FedAvg", 0).record;
+    let full = common::run(&full_cfg, "FedAvg", 0).record;
 
     assert!(
         partial.total_uploads() < full.total_uploads(),
@@ -111,13 +101,8 @@ fn fedhisyn_is_competitive_with_fedavg_on_noniid() {
         .seed(7)
         .build();
 
-    let mut env = cfg.build_env();
-    let mut hisyn = FedHiSyn::new(&cfg, 4);
-    let rh = run_experiment(&mut hisyn, &mut env, cfg.rounds);
-
-    let mut env = cfg.build_env();
-    let mut avg = FedAvg::new(&cfg);
-    let ra = run_experiment(&mut avg, &mut env, cfg.rounds);
+    let rh = common::run(&cfg, "FedHiSyn", 4).record;
+    let ra = common::run(&cfg, "FedAvg", 4).record;
 
     assert!(
         rh.final_accuracy() >= ra.final_accuracy() - 0.05,

@@ -1,6 +1,8 @@
 //! Transmission-ledger invariants across protocols — the accounting
 //! behind Table 1.
 
+mod common;
+
 use fedhisyn::prelude::*;
 
 fn cfg() -> ExperimentConfig {
@@ -17,40 +19,17 @@ fn cfg() -> ExperimentConfig {
 
 #[test]
 fn synchronous_protocols_upload_once_per_participant() {
-    let cfg = cfg();
-    for (name, rec) in [
-        ("FedHiSyn", {
-            let mut env = cfg.build_env();
-            let mut a = FedHiSyn::new(&cfg, 2);
-            run_experiment(&mut a, &mut env, 2)
-        }),
-        ("FedAvg", {
-            let mut env = cfg.build_env();
-            let mut a = FedAvg::new(&cfg);
-            run_experiment(&mut a, &mut env, 2)
-        }),
-        ("TFedAvg", {
-            let mut env = cfg.build_env();
-            let mut a = TFedAvg::new(&cfg);
-            run_experiment(&mut a, &mut env, 2)
-        }),
-        ("FedProx", {
-            let mut env = cfg.build_env();
-            let mut a = FedProx::new(&cfg);
-            run_experiment(&mut a, &mut env, 2)
-        }),
-    ] {
+    for name in ["FedHiSyn", "FedAvg", "TFedAvg", "FedProx"] {
+        let rec = common::run(&cfg(), name, 2).record;
         assert_eq!(rec.rounds[0].uploads, 6.0, "{name} round 0");
+        assert_eq!(rec.rounds[0].downloads, 6.0, "{name} broadcast");
         assert_eq!(rec.rounds[1].uploads, 12.0, "{name} round 1");
     }
 }
 
 #[test]
 fn scaffold_costs_exactly_double() {
-    let cfg = cfg();
-    let mut env = cfg.build_env();
-    let mut scaffold = Scaffold::new(&cfg);
-    let rec = run_experiment(&mut scaffold, &mut env, 2);
+    let rec = common::run(&cfg(), "SCAFFOLD", 2).record;
     // 6 devices x 2 model-equivalents (weights + control variate).
     assert_eq!(rec.rounds[0].uploads, 12.0);
     assert_eq!(rec.rounds[0].downloads, 12.0);
@@ -58,55 +37,18 @@ fn scaffold_costs_exactly_double() {
 
 #[test]
 fn async_protocols_upload_more_than_sync() {
-    let cfg = cfg();
-    let mut env = cfg.build_env();
-    let mut ta = TAFedAvg::new(&cfg);
-    let ta_rec = run_experiment(&mut ta, &mut env, 2);
-    let mut env = cfg.build_env();
-    let mut at = FedAT::new(&cfg, 3);
-    let at_rec = run_experiment(&mut at, &mut env, 2);
     // Under H=6, fast devices/tiers complete multiple cycles per round.
-    assert!(
-        ta_rec.total_uploads() > 12.0,
-        "TAFedAvg: {}",
-        ta_rec.total_uploads()
-    );
-    assert!(
-        at_rec.total_uploads() > 12.0,
-        "FedAT: {}",
-        at_rec.total_uploads()
-    );
+    for name in ["TAFedAvg", "FedAT"] {
+        let uploads = common::run(&cfg(), name, 3).record.total_uploads();
+        assert!(uploads > 12.0, "{name}: {uploads}");
+    }
 }
 
 #[test]
 fn only_fedhisyn_uses_peer_links() {
-    let cfg = cfg();
-    let mut env = cfg.build_env();
-    let mut hisyn = FedHiSyn::new(&cfg, 2);
-    let hisyn_rec = run_experiment(&mut hisyn, &mut env, 1);
-    assert!(
-        hisyn_rec.rounds[0].peer_transfers > 0.0,
-        "rings must use peer links"
-    );
-
-    for rec in [
-        {
-            let mut env = cfg.build_env();
-            let mut a = FedAvg::new(&cfg);
-            run_experiment(&mut a, &mut env, 1)
-        },
-        {
-            let mut env = cfg.build_env();
-            let mut a = Scaffold::new(&cfg);
-            run_experiment(&mut a, &mut env, 1)
-        },
-        {
-            let mut env = cfg.build_env();
-            let mut a = TAFedAvg::new(&cfg);
-            run_experiment(&mut a, &mut env, 1)
-        },
-    ] {
-        assert_eq!(rec.rounds[0].peer_transfers, 0.0, "{}", rec.algorithm);
+    for name in common::ALGORITHMS {
+        let peers = common::run(&cfg(), name, 2).record.rounds[0].peer_transfers;
+        assert_eq!(peers > 0.0, name == "FedHiSyn", "{name}: {peers}");
     }
 }
 
@@ -118,46 +60,45 @@ fn parameters_moved_match_model_equivalents() {
     let cfg = cfg();
     let env = cfg.build_env();
     let n = env.param_count();
-    env.charge_upload(3);
-    env.charge_download(2);
-    env.charge_peer(5);
+    let mut link = fedhisyn::core::ServerLink::default();
+    let mut model = cfg.initial_params();
+    link.broadcast(&env, &model, 2);
+    for device in 0..3 {
+        let mut scratch = fedhisyn::nn::CodecScratch::new();
+        link.upload(&env, device, &mut model, &mut scratch);
+    }
     let snap = env.meter.snapshot();
-    assert_eq!(snap.parameters_moved, 10.0 * n as f64);
-    assert_eq!(snap.bytes_moved(), 40.0 * n as f64);
+    assert_eq!((snap.downloads, snap.uploads), (2.0, 3.0));
+    assert_eq!(snap.parameters_moved, 5.0 * n as f64);
+    assert_eq!(snap.bytes_moved(), 20.0 * n as f64);
     assert_eq!(
         snap.wire_bytes,
-        10.0 * fedhisyn::nn::wire::encoded_len(n) as f64
+        5.0 * fedhisyn::nn::wire::encoded_len(n) as f64
     );
     assert!(snap.framing_overhead() > 0.0);
 }
 
 #[test]
 fn every_protocol_accounts_wire_bytes() {
-    // All algorithms route transfers through the wire-charged helpers, so
-    // a run's wire ledger must exceed its idealised payload ledger by
-    // exactly the per-frame header overhead.
-    let cfg = cfg();
-    let mut env = cfg.build_env();
-    let mut a = FedHiSyn::new(&cfg, 2);
-    let _ = run_experiment(&mut a, &mut env, 1);
-    let snap = env.meter.snapshot();
-    let transfers = snap.uploads + snap.downloads + snap.peer_transfers;
-    assert!(snap.wire_bytes > snap.bytes_moved());
-    let expected_overhead = transfers * fedhisyn::nn::wire::HEADER_LEN as f64;
-    assert!(
-        (snap.framing_overhead() - expected_overhead).abs() < 1e-6,
-        "overhead {} != transfers x header {}",
-        snap.framing_overhead(),
-        expected_overhead
-    );
+    // Every algorithm moves its models over the server link or the ring
+    // relay, which charge one frame per transfer: a run's wire ledger
+    // exceeds its idealised payload ledger by exactly the frame headers.
+    for name in common::ALGORITHMS {
+        let snap = common::run(&cfg(), name, 2).traffic;
+        let transfers = snap.uploads + snap.downloads + snap.peer_transfers;
+        assert!(snap.wire_bytes > snap.bytes_moved(), "{name}");
+        let expected_overhead = transfers * fedhisyn::nn::wire::HEADER_LEN as f64;
+        assert!(
+            (snap.framing_overhead() - expected_overhead).abs() < 1e-6,
+            "{name}: overhead {} != transfers x header {expected_overhead}",
+            snap.framing_overhead(),
+        );
+    }
 }
 
 #[test]
 fn uploads_to_target_uses_fedavg_round_units() {
-    let cfg = cfg();
-    let mut env = cfg.build_env();
-    let mut a = FedAvg::new(&cfg);
-    let rec = run_experiment(&mut a, &mut env, 2);
+    let rec = common::run(&cfg(), "FedAvg", 2).record;
     // Target below round-0 accuracy => cost is exactly one FedAvg round.
     let easy_target = rec.rounds[0].accuracy - 1e-6;
     assert_eq!(rec.uploads_to_target(easy_target, 6.0), Some(1.0));

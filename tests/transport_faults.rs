@@ -9,12 +9,16 @@
 //! surface as typed errors, never as parameters; and a churned, faulty
 //! fleet still completes every round, with the retry overhead recorded
 //! honestly in telemetry. The compressed wire rides the same transport, so
-//! its whole-run contracts live here too: `Codec::F32` is bit-neutral,
-//! lossy codecs replay across runs, and Int8 keeps its compression win on
-//! a lossy wire.
+//! its whole-run contracts live here too: `Codec::F32` is bit-neutral for
+//! all seven algorithms, every one of them trains on what the codec it is
+//! charged for can carry, lossy codecs replay across runs, and Int8 keeps
+//! its compression win on a lossy wire.
+
+mod common;
 
 use std::sync::Arc;
 
+use common::ALGORITHMS;
 use fedhisyn::core::ExperimentConfigBuilder;
 use fedhisyn::nn::Codec;
 use fedhisyn::prelude::*;
@@ -33,10 +37,8 @@ fn base_builder(devices: usize, rounds: usize, seed: u64) -> ExperimentConfigBui
 }
 
 fn run(cfg: &ExperimentConfig) -> (RunRecord, TrafficSnapshot) {
-    let mut env = cfg.build_env();
-    let mut algo = FedHiSyn::new(cfg, 3);
-    let rec = run_experiment(&mut algo, &mut env, cfg.rounds);
-    (rec, env.meter.snapshot())
+    let run = common::run(cfg, "FedHiSyn", 3);
+    (run.record, run.traffic)
 }
 
 /// Runs `cfg` twice and demands one `RunRecord` and one traffic ledger
@@ -154,22 +156,54 @@ fn churned_faulty_fleet_completes_every_round_with_visible_retries() {
     assert_eq!(traffic, traffic2);
 }
 
+fn dirichlet_smoke(codec: Option<Codec>) -> ExperimentConfig {
+    let builder = base_builder(8, 3, 42).partition(Partition::Dirichlet { beta: 0.3 });
+    match codec {
+        Some(codec) => builder.codec(codec).build(),
+        None => builder.build(),
+    }
+}
+
 #[test]
 fn f32_codec_is_bit_neutral_over_a_whole_run() {
-    let plain = base_builder(8, 3, 42).build();
-    let f32_cfg = base_builder(8, 3, 42).codec(Codec::F32).build();
-    let (rec_plain, traffic_plain) = run(&plain);
-    let (rec_f32, traffic_f32) = run(&f32_cfg);
-    assert_eq!(
-        rec_plain, rec_f32,
-        "an explicit Codec::F32 must be indistinguishable from a codec-free build"
-    );
-    assert_eq!(traffic_plain, traffic_f32);
-    assert_eq!(rec_f32.codec, "f32");
-    assert_eq!(
-        traffic_f32.raw_bytes, traffic_f32.wire_bytes,
-        "the f32 wire charges the raw and encoded ledgers identically"
-    );
+    for name in ALGORITHMS {
+        let plain = common::run(&dirichlet_smoke(None), name, 3);
+        let f32_run = common::run(&dirichlet_smoke(Some(Codec::F32)), name, 3);
+        assert_eq!(
+            plain, f32_run,
+            "{name}: an explicit Codec::F32 must be indistinguishable from a codec-free build"
+        );
+        assert_eq!(f32_run.record.codec, "f32");
+        assert_eq!(
+            f32_run.traffic.raw_bytes, f32_run.traffic.wire_bytes,
+            "{name}: the f32 wire charges the raw and encoded ledgers identically"
+        );
+    }
+}
+
+#[test]
+fn every_algorithm_trains_on_what_the_codec_it_is_charged_for_carries() {
+    let cfg = dirichlet_smoke(Some(Codec::Int8));
+    for name in ALGORITHMS {
+        let int8 = common::run(&cfg, name, 3);
+        // (a) Every round completes on a finite model.
+        assert_eq!(int8.record.rounds.len(), cfg.rounds, "{name}");
+        assert_eq!(int8.record.codec, "int8", "{name}");
+        assert!(int8.global.is_finite(), "{name}: non-finite Int8 global");
+        // (b) The compressed run replays bit for bit.
+        assert_eq!(int8, common::run(&cfg, name, 3), "{name}");
+        // (c) It is charged for compressed frames (SCAFFOLD's control
+        //     variates cross uncoded and are charged raw) ...
+        let ratio = int8.traffic.compression_ratio();
+        let floor = if name == "SCAFFOLD" { 1.0 } else { 3.5 };
+        assert!(ratio > 1.0 && ratio >= floor, "{name}: {ratio:.2}x");
+        // (d) ... and it moved compressed models: not the F32 run's bits.
+        let exact = common::run(&dirichlet_smoke(Some(Codec::F32)), name, 3);
+        assert_ne!(
+            int8.global, exact.global,
+            "{name} was charged Int8 frames for full-precision models"
+        );
+    }
 }
 
 #[test]
