@@ -1,6 +1,10 @@
-//! Microbenchmarks for the GEMM kernels that dominate training time.
+//! Microbenchmarks for the GEMM kernels that dominate training time and
+//! the quantization kernels that dominate a compressed relay hop.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
+use fedhisyn_nn::wire::{codec_transform_in_place, decode_with, encode_with, Codec, CodecScratch};
+use fedhisyn_nn::ParamVec;
+use fedhisyn_tensor::quant::{dequantize_slice, finite_min_max, quant_scale, quantize_slice};
 use fedhisyn_tensor::{gemm, gemm_nt, gemm_reference, gemm_tn, par_gemm, rng_from_seed, Tensor};
 
 fn bench_gemm(c: &mut Criterion) {
@@ -54,5 +58,64 @@ fn bench_transposed_orientations(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_gemm, bench_transposed_orientations);
+/// The three `Int8` kernels on one 256-float chunk, then the error-feedback
+/// transform against the plain encode→decode byte path it stands in for, at
+/// `churn_wire`'s parameter count and the paper MLP's.
+fn bench_codec(c: &mut Criterion) {
+    let mut group = c.benchmark_group("codec");
+    let mut rng = rng_from_seed(2);
+    let chunk = Tensor::randn(vec![256], 1.0, &mut rng);
+    let xs = chunk.data();
+    let (min, max) = finite_min_max(xs).expect("normal samples are finite");
+    let (scale, inv_scale) = quant_scale(min, max);
+    let mut qs = vec![0u8; xs.len()];
+    let mut back = vec![0.0f32; xs.len()];
+    group.bench_function("finite_min_max/256", |bench| {
+        bench.iter(|| finite_min_max(black_box(xs)))
+    });
+    group.bench_function("quantize_slice/256", |bench| {
+        bench.iter(|| {
+            quantize_slice(black_box(xs), min, inv_scale, &mut qs);
+            black_box(qs[0])
+        })
+    });
+    group.bench_function("dequantize_slice/256", |bench| {
+        bench.iter(|| {
+            dequantize_slice(black_box(&qs), min, scale, &mut back);
+            black_box(back[0])
+        })
+    });
+    for &n in &[3_010usize, 178_110] {
+        let sent = ParamVec::from_vec(Tensor::randn(vec![n], 0.1, &mut rng).into_vec());
+        let mut params = sent.clone();
+        let mut residual = ParamVec::zeros(n);
+        let mut scratch = CodecScratch::new();
+        group.bench_with_input(BenchmarkId::new("transform_in_place", n), &n, |bench, _| {
+            bench.iter(|| {
+                codec_transform_in_place(
+                    Codec::Int8,
+                    &mut params,
+                    None,
+                    &mut residual,
+                    &mut scratch,
+                );
+                black_box(params.as_slice()[0])
+            })
+        });
+        group.bench_with_input(BenchmarkId::new("encode_then_decode", n), &n, |bench, _| {
+            bench.iter(|| {
+                let frame = encode_with(black_box(&sent), Codec::Int8, None);
+                decode_with(&frame, None).expect("own frame decodes")
+            })
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_gemm,
+    bench_transposed_orientations,
+    bench_codec
+);
 criterion_main!(benches);

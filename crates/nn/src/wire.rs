@@ -43,15 +43,20 @@
 //!
 //! # Determinism
 //!
-//! Every codec is a pure function of `(payload, base, codec)`: quantize /
-//! dequantize kernels are dispatched through the tensor crate's
-//! `KernelTier` table and are bit-identical across scalar and AVX2 tiers
-//! (see `fedhisyn_tensor::quant`), top-k selection uses the total order
-//! (|Δ| descending, index ascending), and the fused in-place transform is
+//! Every codec is a pure function of `(payload, base, codec)`: the range
+//! scan, quantize and dequantize kernels are dispatched through the tensor
+//! crate's `KernelTier` table and are bit-identical across scalar and AVX2
+//! tiers (see `fedhisyn_tensor::quant`), top-k selection uses the total
+//! order (|Δ| descending, index ascending), and the in-place transform is
 //! bit-equal to the encode→decode byte path (asserted by the `wire_check`
-//! tripwire).
+//! tripwire) because it is the same kernels in the same order. Per `Int8`
+//! chunk the byte path runs `finite_min_max` → `quant_scale` →
+//! `quantize_slice` on the sender and `dequantize_slice` on the receiver;
+//! the transform runs `v = params + residual`, those four on `v`, then
+//! `residual = v − params`. It skips the frame, the checksum and two
+//! allocations, not any arithmetic.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{Buf, BufMut, Bytes};
 use fedhisyn_tensor::quant::{dequantize_slice, finite_min_max, quant_scale, quantize_slice};
 use serde::{Deserialize, Serialize};
 
@@ -67,6 +72,8 @@ pub const VERSION: u16 = 3;
 /// checksum (4). Identical across v1–v3, so `F32` frame sizes — and every
 /// wire-byte ledger derived from them — are version-independent.
 pub const HEADER_LEN: usize = 20;
+/// Offset of the header's checksum slot, its last four bytes.
+const CHECKSUM_AT: usize = HEADER_LEN - 4;
 
 /// Parameters per `Int8` quantization chunk. Each chunk carries its own
 /// `[min, scale]` pair so one outlier only widens the grid locally.
@@ -258,35 +265,37 @@ pub fn encode_with(params: &ParamVec, codec: Codec, base: Option<&ParamVec>) -> 
     }
     let n = params.len();
     let flags = codec.to_flags();
-    let mut payload = BytesMut::with_capacity(payload_len(codec, n));
+    // One buffer: the header with an empty checksum slot, the payload
+    // behind it, then the checksum patched in once the payload exists.
+    let mut frame = Vec::with_capacity(encoded_len_with(codec, n));
+    frame.put_slice(&MAGIC);
+    frame.put_u16_le(VERSION);
+    frame.put_u16_le(flags);
+    frame.put_u64_le(n as u64);
+    frame.put_u32_le(0);
     match codec {
         Codec::F32 => {
             for &x in params.as_slice() {
-                payload.put_f32_le(x);
+                frame.put_f32_le(x);
             }
         }
-        Codec::Int8 => encode_int8(params.as_slice(), &mut payload),
+        Codec::Int8 => encode_int8(params.as_slice(), &mut frame),
         Codec::TopK { permille } => {
             let mut scratch = CodecScratch::new();
             let base_slice = base.map(ParamVec::as_slice);
             topk_plan(params.as_slice(), base_slice, permille, &mut scratch);
-            encode_topk(n, &scratch, &mut payload);
+            encode_topk(n, &scratch, &mut frame);
         }
     }
-    debug_assert_eq!(payload.len(), payload_len(codec, n));
-    let mut buf = BytesMut::with_capacity(HEADER_LEN + payload.len());
-    buf.put_slice(&MAGIC);
-    buf.put_u16_le(VERSION);
-    buf.put_u16_le(flags);
-    buf.put_u64_le(n as u64);
-    buf.put_u32_le(frame_checksum(flags, n as u64, &payload));
-    buf.put_slice(&payload);
-    buf.freeze()
+    debug_assert_eq!(frame.len(), encoded_len_with(codec, n));
+    let checksum = frame_checksum(flags, n as u64, &frame[HEADER_LEN..]);
+    frame[CHECKSUM_AT..HEADER_LEN].copy_from_slice(&checksum.to_le_bytes());
+    Bytes::from(frame)
 }
 
 /// Quantize `xs` chunk-by-chunk into `payload` (`[min, scale]` then one
 /// byte per parameter).
-fn encode_int8(xs: &[f32], payload: &mut BytesMut) {
+fn encode_int8(xs: &[f32], payload: &mut Vec<u8>) {
     let mut q = [0u8; INT8_CHUNK];
     for chunk in xs.chunks(INT8_CHUNK) {
         let (min, scale, inv) = int8_grid(chunk);
@@ -307,7 +316,7 @@ fn int8_grid(chunk: &[f32]) -> (f32, f32, f32) {
 
 /// Serialize a prepared top-k plan: `[k, min, scale]`, presence bitmap,
 /// then the k quantized deltas in index-ascending order.
-fn encode_topk(n: usize, plan: &CodecScratch, payload: &mut BytesMut) {
+fn encode_topk(n: usize, plan: &CodecScratch, payload: &mut Vec<u8>) {
     payload.put_u32_le(plan.idx.len() as u32);
     payload.put_f32_le(plan.min);
     payload.put_f32_le(plan.scale);
@@ -541,7 +550,13 @@ fn topk_plan(xs: &[f32], base: Option<&[f32]>, permille: u16, scratch: &mut Code
 ///
 /// Bit-equality with `decode_with(encode_with(v, codec, base), base)` is
 /// by construction (identical kernel calls in identical order) and is
-/// asserted per hop by the `wire_check` tripwire in `fedhisyn-core`.
+/// asserted per hop by the `wire_check` tripwire in `fedhisyn-core`. For
+/// `Int8` that order is, per [`INT8_CHUNK`] parameters: add the residual
+/// into a stack buffer, `finite_min_max` + `quant_scale` for the grid (the
+/// same `int8_grid` the encoder calls), `quantize_slice`,
+/// `dequantize_slice` straight into `params`, subtract for the new
+/// residual. For `TopK` it is `topk_plan` (whose grid comes from the same
+/// `finite_min_max`) followed by one `dequantize_slice` of the k survivors.
 ///
 /// # Panics
 /// If `residual` or `base` lengths disagree with `params`.
@@ -563,23 +578,23 @@ pub fn codec_transform_in_place(
     match codec {
         Codec::F32 => unreachable!("handled by the lossless early return"),
         Codec::Int8 => {
-            let xs = params.as_mut_slice();
-            let rs = residual.as_mut_slice();
             let mut v = [0.0f32; INT8_CHUNK];
             let mut q = [0u8; INT8_CHUNK];
-            let mut c = 0;
-            while c < n {
-                let m = (n - c).min(INT8_CHUNK);
-                for j in 0..m {
-                    v[j] = xs[c + j] + rs[c + j];
+            let chunks = params
+                .as_mut_slice()
+                .chunks_mut(INT8_CHUNK)
+                .zip(residual.as_mut_slice().chunks_mut(INT8_CHUNK));
+            for (xs, rs) in chunks {
+                let (v, q) = (&mut v[..xs.len()], &mut q[..xs.len()]);
+                for ((v, x), r) in v.iter_mut().zip(xs.iter()).zip(rs.iter()) {
+                    *v = x + r;
                 }
-                let (min, scale, inv) = int8_grid(&v[..m]);
-                quantize_slice(&v[..m], min, inv, &mut q[..m]);
-                dequantize_slice(&q[..m], min, scale, &mut xs[c..c + m]);
-                for j in 0..m {
-                    rs[c + j] = v[j] - xs[c + j];
+                let (min, scale, inv) = int8_grid(v);
+                quantize_slice(v, min, inv, q);
+                dequantize_slice(q, min, scale, xs);
+                for ((r, v), x) in rs.iter_mut().zip(v.iter()).zip(xs.iter()) {
+                    *r = v - x;
                 }
-                c += m;
             }
         }
         Codec::TopK { permille } => {
@@ -812,32 +827,59 @@ mod tests {
 
     #[test]
     fn fused_transform_matches_byte_path() {
+        let bits = |p: &ParamVec| p.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        // (n, plant non-finites and signed zeros): lengths on both sides of
+        // the 8-lane vector and the 256-parameter chunk, and churn_wire's.
+        let plain = [0, 1, 7, 8, 9, 255, 256, 257, 500, 3010].map(|n| (n, false));
+        let cases = plain.into_iter().chain([(600, true)]);
         for codec in [Codec::Int8, Codec::TopK { permille: 100 }] {
-            let base = wave(500);
-            let mut params = wave(500);
-            for (i, x) in params.as_mut_slice().iter_mut().enumerate() {
-                *x += ((i * 31 + 7) % 17) as f32 * 0.01;
-            }
-            let mut residual =
-                ParamVec::from_vec((0..500).map(|i| ((i as f32) * 0.11).cos() * 0.02).collect());
-            let b = if matches!(codec, Codec::TopK { .. }) {
-                Some(&base)
-            } else {
-                None
-            };
-            // Byte path on v = params + residual.
-            let mut v = params.clone();
-            v.add_assign(&residual);
-            let frame = encode_with(&v, codec, b);
-            let byte_out = decode_with(&frame, b).unwrap();
-            // Fused path.
-            let mut scratch = CodecScratch::new();
-            codec_transform_in_place(codec, &mut params, b, &mut residual, &mut scratch);
-            assert_eq!(params, byte_out, "{codec:?} fused ≠ byte path");
-            // Residual is exactly the coding error of v.
-            for i in 0..v.len() {
-                let want = v.as_slice()[i] - byte_out.as_slice()[i];
-                assert_eq!(residual.as_slice()[i].to_bits(), want.to_bits());
+            for (n, planted) in cases.clone() {
+                let base = wave(n);
+                let b = matches!(codec, Codec::TopK { .. }).then_some(&base);
+                let mut residual =
+                    ParamVec::from_vec((0..n).map(|i| ((i as f32) * 0.11).cos() * 0.02).collect());
+                let mut scratch = CodecScratch::new();
+                // Three sends against one residual, so the second and third
+                // code what the ones before them dropped.
+                for send in 0..3 {
+                    let mut params = wave(n);
+                    for (i, x) in params.as_mut_slice().iter_mut().enumerate() {
+                        *x += ((i * 31 + 7 + send) % 17) as f32 * 0.01;
+                        if planted {
+                            match (i + send) % 41 {
+                                0 => *x = f32::NAN,
+                                1 => *x = f32::INFINITY,
+                                2 => *x = f32::NEG_INFINITY,
+                                3 => *x = 0.0,
+                                4 => *x = -0.0,
+                                _ => {}
+                            }
+                        }
+                    }
+                    if planted {
+                        // One chunk whose only finite values are zeros of
+                        // both signs: its grid minimum is a sign tie.
+                        for (i, x) in params.as_mut_slice()[256..512].iter_mut().enumerate() {
+                            *x = [0.0, -0.0, f32::NAN][(i + send) % 3];
+                        }
+                        residual.as_mut_slice()[256..512].fill(0.0);
+                    }
+                    // Byte path on v = params + residual.
+                    let mut v = params.clone();
+                    v.add_assign(&residual);
+                    let frame = encode_with(&v, codec, b);
+                    let byte_out = decode_with(&frame, b).unwrap();
+                    // Fused path.
+                    codec_transform_in_place(codec, &mut params, b, &mut residual, &mut scratch);
+                    let case = format!("{codec:?} n={n} planted={planted} send={send}");
+                    assert_eq!(bits(&params), bits(&byte_out), "fused ≠ byte path: {case}");
+                    // Residual is exactly the coding error of v.
+                    let mut want = v.clone();
+                    for (w, o) in want.as_mut_slice().iter_mut().zip(byte_out.as_slice()) {
+                        *w -= o;
+                    }
+                    assert_eq!(bits(&residual), bits(&want), "residual: {case}");
+                }
             }
         }
     }

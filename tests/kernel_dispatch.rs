@@ -25,8 +25,8 @@
 //! the dispatched-path behaviour is covered end to end either way.
 
 use fedhisyn::tensor::{
-    gemm_nt_with_tier, gemm_reference, gemm_tn_with_tier, gemm_with_tier, rng_from_seed,
-    select_tier, KernelTier, Tensor,
+    finite_min_max, gemm_nt_with_tier, gemm_reference, gemm_tn_with_tier, gemm_with_tier,
+    rng_from_seed, select_tier, KernelTier, Tensor,
 };
 use proptest::prelude::*;
 
@@ -214,7 +214,11 @@ proptest! {
 
     /// Randomized sweep over shapes straddling both tile geometries and
     /// the packing edges: scalar and AVX2 must agree bit-for-bit on all
-    /// three orientations.
+    /// three orientations. The quantizer's range scan has no explicit-tier
+    /// entry point, so its dispatched arm (scalar on one CI leg, AVX2 on
+    /// the other) is held to `f32::total_cmp` over the finite elements,
+    /// which is the order its docs promise, with non-finites and zeros of
+    /// both signs planted at random positions.
     #[test]
     fn scalar_and_avx2_agree_on_random_shapes(
         m in 1usize..40,
@@ -222,7 +226,23 @@ proptest! {
         n in 1usize..40,
         case in 0usize..4,
         seed in 0u64..10_000,
+        scan_len in 0usize..=600,
+        planted in 0usize..32,
     ) {
+        let mut xs = random_vec(scan_len, seed + 5);
+        xs.truncate(scan_len);
+        for j in 0..planted.min(scan_len) {
+            let at = (seed as usize).wrapping_mul(31).wrapping_add(j * 7919) % scan_len;
+            xs[at] = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, -0.0, 0.0][(at + j) % 5];
+        }
+        let finite = || xs.iter().copied().filter(|x| x.is_finite());
+        let want = finite()
+            .min_by(f32::total_cmp)
+            .zip(finite().max_by(f32::total_cmp))
+            .map(|(lo, hi)| (lo.to_bits(), hi.to_bits()));
+        let got = finite_min_max(&xs).map(|(lo, hi)| (lo.to_bits(), hi.to_bits()));
+        prop_assert_eq!(got, want, "finite_min_max, len {}, {} planted", scan_len, planted);
+
         if !KernelTier::Avx2.available() {
             return Ok(());
         }
