@@ -2,7 +2,7 @@
 
 use fedhisyn_nn::ParamVec;
 use fedhisyn_simnet::TrafficSnapshot;
-use fedhisyn_telemetry::{Phase, RoundTelemetry, RuntimeGauges, SpanCtx};
+use fedhisyn_telemetry::{Phase, RoundTelemetry, SpanCtx};
 use fedhisyn_tensor::{rng_from_seed, TensorRng};
 use rand::Rng;
 
@@ -190,8 +190,7 @@ pub fn run_experiment(
 
 /// Fold the round's observability into one [`RoundTelemetry`]: traffic
 /// deltas against the round-start snapshot (deterministic) plus engine,
-/// arena and fleet runtime counters (best-effort), mirroring the latter
-/// into the sink's gauges when telemetry is enabled.
+/// arena, fleet and shard-cache runtime counters (best-effort).
 fn fold_round_telemetry(
     env: &FlEnv,
     before: &TrafficSnapshot,
@@ -202,7 +201,6 @@ fn fold_round_telemetry(
     // model below — that query itself goes through the cache and would
     // otherwise count as a hit of this round.
     let (hits, misses) = ExecutionEngine::cache_stats();
-    let arena_high_water_bytes = cached_model_stats(env);
     let telemetry = RoundTelemetry {
         uploads: after.uploads - before.uploads,
         downloads: after.downloads - before.downloads,
@@ -214,7 +212,7 @@ fn fold_round_telemetry(
         cache_hits: hits.saturating_sub(cache_before.0),
         cache_misses: misses.saturating_sub(cache_before.1),
         weight_packs: 0,
-        arena_high_water_bytes,
+        arena_high_water_bytes: cached_model_stats(env),
         fleet_realised_devices: env.fleet.realised_devices() as u64,
         fleet_realised_state_bytes: env.fleet.realised_state_bytes() as u64,
         fleet_shard_touches: env.fleet.shard_touch_total(),
@@ -226,17 +224,6 @@ fn fold_round_telemetry(
         telemetry.wire_bytes.max(0.0) as u64,
         telemetry.raw_bytes.max(0.0) as u64,
     );
-    env.telemetry.update_gauges(&RuntimeGauges {
-        arena_high_water_bytes,
-        cache_hits: hits,
-        cache_misses: misses,
-        fleet_realised_devices: telemetry.fleet_realised_devices,
-        fleet_realised_state_bytes: telemetry.fleet_realised_state_bytes,
-        fleet_shard_touches: telemetry.fleet_shard_touches,
-        data_shards_realised: telemetry.data_shards_realised,
-        data_shard_cache_hits: telemetry.data_shard_cache_hits,
-        data_resident_shard_bytes: telemetry.data_resident_shard_bytes,
-    });
     telemetry
 }
 

@@ -91,17 +91,11 @@ impl ExecutionEngine {
     }
 
     /// Which GEMM micro-kernel tier every training/evaluation step in this
-    /// process dispatches to (`"scalar"`, `"avx2"` or `"avx2_fma"`) —
-    /// surfaced here so runners and benches can stamp results with the
-    /// kernel that produced them.
+    /// process dispatches to (`"scalar"` or `"avx2"`) — surfaced here so
+    /// runners and benches can stamp results with the kernel that produced
+    /// them.
     pub fn kernel_tier() -> &'static str {
         fedhisyn_tensor::active_tier().name()
-    }
-
-    /// Whether the dispatched kernel tier is covered by the workspace's
-    /// bit-determinism contract (everything except the opt-in FMA tier).
-    pub fn kernel_tier_bit_identical() -> bool {
-        fedhisyn_tensor::active_tier().bit_identical()
     }
 
     /// Process-wide `(hits, misses)` of the model cache. A miss builds a

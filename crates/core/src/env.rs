@@ -14,6 +14,7 @@ use std::sync::Mutex;
 use fedhisyn_data::{DataSource, Dataset, ShardRef};
 use fedhisyn_fleet::FleetModel;
 use fedhisyn_nn::{wire, Codec, CodecScratch, ModelSpec, ParamVec, SgdConfig};
+pub use fedhisyn_simnet::seed_mix;
 use fedhisyn_simnet::{FaultPlan, LinkModel, TrafficMeter};
 use fedhisyn_telemetry::TelemetrySink;
 
@@ -384,22 +385,6 @@ impl FlEnv {
 /// never zero — the one place the step budget is computed.
 pub(crate) fn steps_within(interval: f64, latency: f64) -> usize {
     ((interval / latency).ceil() as usize).max(1)
-}
-
-/// Derive an independent RNG seed from the experiment seed and a role.
-///
-/// SplitMix64 finalizer over the XOR of the inputs: cheap, stateless, and
-/// well-distributed, so per-(round, device, step) streams never collide in
-/// practice. All algorithm randomness flows through this function, which
-/// is what makes whole experiments reproducible bit-for-bit.
-pub fn seed_mix(master: u64, a: u64, b: u64, c: u64) -> u64 {
-    let mut z = master
-        ^ a.wrapping_mul(0x9E37_79B9_7F4A_7C15)
-        ^ b.wrapping_mul(0xBF58_476D_1CE4_E5B9)
-        ^ c.wrapping_mul(0x94D0_49BB_1331_11EB);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 #[cfg(test)]

@@ -36,13 +36,12 @@ pub struct RoundRecord {
 pub struct RunRecord {
     /// Algorithm name (e.g. "FedHiSyn", "FedAvg").
     pub algorithm: String,
-    /// GEMM micro-kernel tier that produced this run (`"scalar"`,
-    /// `"avx2"` or `"avx2_fma"`) — the numeric mode, stamped so results
-    /// are only ever compared against baselines from the same tier.
+    /// GEMM micro-kernel tier that produced this run (`"scalar"` or
+    /// `"avx2"`), stamped so a result names the kernel behind it.
     pub kernel_tier: String,
-    /// Whether that tier is covered by the workspace's bit-determinism
-    /// contract. `false` only for the opt-in FMA tier (fused rounding):
-    /// FMA runs must compare against FMA baselines, not the default ones.
+    /// Always `true`: every tier there is computes the same bits. Kept
+    /// because removing a serialised field changes every stored record
+    /// and fingerprint; it goes when the benchmark baseline is re-recorded.
     pub kernel_tier_bit_identical: bool,
     /// Wire-codec label this run's traffic crossed (`"f32"`, `"int8"`,
     /// `"topk<permille>"`) — stamped next to `kernel_tier` so
@@ -54,13 +53,13 @@ pub struct RunRecord {
 }
 
 impl RunRecord {
-    /// New empty record for an algorithm, stamped with the numeric mode
-    /// (kernel tier + FMA opt-in status) active in this process.
+    /// New empty record for an algorithm, stamped with the kernel tier
+    /// active in this process.
     pub fn new(algorithm: impl Into<String>) -> Self {
         RunRecord {
             algorithm: algorithm.into(),
             kernel_tier: crate::engine::ExecutionEngine::kernel_tier().to_string(),
-            kernel_tier_bit_identical: crate::engine::ExecutionEngine::kernel_tier_bit_identical(),
+            kernel_tier_bit_identical: true,
             codec: fedhisyn_nn::Codec::F32.label(),
             rounds: Vec::new(),
         }
@@ -173,15 +172,11 @@ mod tests {
     fn records_are_stamped_with_the_numeric_mode() {
         let r = RunRecord::new("stamped");
         assert!(
-            ["scalar", "avx2", "avx2_fma"].contains(&r.kernel_tier.as_str()),
+            ["scalar", "avx2"].contains(&r.kernel_tier.as_str()),
             "unexpected tier {}",
             r.kernel_tier
         );
-        assert_eq!(
-            r.kernel_tier_bit_identical,
-            r.kernel_tier != "avx2_fma",
-            "only the FMA tier opts out of bit-determinism"
-        );
+        assert!(r.kernel_tier_bit_identical);
         assert_eq!(r.codec, "f32", "fresh records default to the f32 wire");
     }
 

@@ -16,9 +16,10 @@
 //! * [`FleetModel`] — the realised trajectory. Every random decision is
 //!   a pure hash of `(seed, round, device, role)`; each device's state
 //!   chain advances round-by-round from its own stream and is realised
-//!   **lazily** (64-way sharded, O(devices queried) — never O(fleet)),
-//!   so the same seed and config always produce the same fleet history
-//!   regardless of query order, thread count or platform.
+//!   **lazily** (64-way sharded, one cursor per device queried — never
+//!   O(fleet), never O(rounds)), so the same seed and config always
+//!   produce the same fleet history regardless of query order, thread
+//!   count or platform.
 //! * [`sample_online_cohort`] — streaming rejection sampling of a K-device
 //!   online cohort in O(K) expected work, the piece that makes
 //!   million-device rounds cost O(cohort) end to end.
@@ -44,6 +45,6 @@ pub mod sampling;
 pub use dynamics::{
     AvailabilityModel, CapacityModel, FailurePolicy, FleetDynamics, MarkovCapacity, SpikeModel,
 };
-pub use model::{FleetModel, RoundFleet};
+pub use model::FleetModel;
 pub use reference::ReferenceFleet;
 pub use sampling::sample_online_cohort;

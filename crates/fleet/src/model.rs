@@ -2,36 +2,19 @@
 //!
 //! Per-round cost is **O(devices queried)**, not O(fleet): each device's
 //! capacity/availability chain is realised independently and on demand,
-//! stored in sharded per-device state. A million-device fleet where only
-//! a 10-device cohort is queried per round costs ten trajectories —
+//! and what is kept per realised device is one cursor — the last round
+//! its chain was advanced to and the carried state there — in sharded
+//! per-device maps. A million-device fleet where only a 10-device cohort
+//! is queried per round costs ten cursors, however many rounds have run;
 //! every other device costs zero bytes and zero hashes.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, RwLock};
 
-use fedhisyn_simnet::{DeviceProfile, ProfileSource};
+use fedhisyn_simnet::{seed_mix, unit, DeviceProfile, ProfileSource};
 
 use crate::dynamics::{AvailabilityModel, CapacityModel, FleetDynamics};
-
-/// SplitMix64 finalizer over the XOR of the inputs — the same stateless
-/// seed-derivation scheme the core crate uses (`core::env::seed_mix`),
-/// duplicated here so `fleet` stays below `core` in the dependency graph.
-pub(crate) fn mix(master: u64, a: u64, b: u64, c: u64) -> u64 {
-    let mut z = master
-        ^ a.wrapping_mul(0x9E37_79B9_7F4A_7C15)
-        ^ b.wrapping_mul(0xBF58_476D_1CE4_E5B9)
-        ^ c.wrapping_mul(0x94D0_49BB_1331_11EB);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// Uniform in `[0, 1)` from a hash — the top 53 bits, so the mapping is
-/// exact in f64 and identical on every platform.
-pub(crate) fn unit(h: u64) -> f64 {
-    (h >> 11) as f64 * (1.0 / 9_007_199_254_740_992.0)
-}
 
 /// Roles keeping the per-(round, device) random streams independent.
 pub(crate) const ROLE_CAPACITY: u64 = 0xCA9A_C17F;
@@ -60,8 +43,8 @@ pub(crate) fn pick(weights: &[f64], u: f64) -> usize {
 ///
 /// Everything else (spike, mid-round failure and its fraction, the
 /// effective multiplier) is memoryless — recomputable from hashes given
-/// this state — so the lazy trajectory stores two bytes per realised
-/// round instead of the dense path's ~26.
+/// this state — so a realised device holds two bytes of chain state
+/// instead of the dense path's ~26 per round.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct DevRound {
     /// Capacity-chain state (chains are capped at 256 states).
@@ -70,79 +53,23 @@ pub(crate) struct DevRound {
     pub(crate) online: bool,
 }
 
-/// One device's realised trajectory: rounds `0..len` in order.
-type DeviceTraj = Vec<DevRound>;
+/// One realised device: the latest round its chain has been advanced to
+/// and the carried state at that round. Earlier rounds are not kept —
+/// the chain is a pure function of `(seed, device, round)`, so a query
+/// behind the cursor replays from round 0.
+#[derive(Debug, Clone, Copy)]
+struct Cursor {
+    round: usize,
+    state: DevRound,
+}
 
 /// One shard of the fleet's lazy per-device state.
 #[derive(Debug, Default)]
 struct Shard {
-    /// Realised trajectories keyed by device id.
-    slots: Mutex<HashMap<u64, DeviceTraj>>,
+    /// Cursors keyed by device id.
+    slots: Mutex<HashMap<u64, Cursor>>,
     /// Queries routed to this shard (diagnostics: the O(cohort) tripwire).
     touched: AtomicU64,
-}
-
-/// One round's realised fleet conditions — a compact SoA snapshot.
-///
-/// `online` is a bitset, failures are a sparse sorted list, and the
-/// static fast path uses `None` for the uniform vectors, so snapshotting
-/// a static fleet allocates nothing at all.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RoundFleet {
-    n: usize,
-    /// Online bitset (`None` = every device online).
-    online: Option<Vec<u64>>,
-    /// Effective latency multiplier per device (`None` = all 1.0).
-    multiplier: Option<Vec<f64>>,
-    /// Sparse `(device, fraction)` mid-round failures, sorted by device.
-    failures: Vec<(usize, f64)>,
-}
-
-impl RoundFleet {
-    /// Number of devices the snapshot covers.
-    pub fn len(&self) -> usize {
-        self.n
-    }
-
-    /// True when the snapshot covers no devices.
-    pub fn is_empty(&self) -> bool {
-        self.n == 0
-    }
-
-    /// Whether `device` is reachable at round start.
-    pub fn online(&self, device: usize) -> bool {
-        assert!(device < self.n, "device {device} out of range");
-        match &self.online {
-            None => true,
-            Some(bits) => bits[device / 64] >> (device % 64) & 1 == 1,
-        }
-    }
-
-    /// Effective latency multiplier of `device`.
-    pub fn multiplier(&self, device: usize) -> f64 {
-        assert!(device < self.n, "device {device} out of range");
-        match &self.multiplier {
-            None => 1.0,
-            Some(m) => m[device],
-        }
-    }
-
-    /// Mid-round failure fraction of `device` (`None` = survives).
-    pub fn fail_frac(&self, device: usize) -> Option<f64> {
-        assert!(device < self.n, "device {device} out of range");
-        self.failures
-            .binary_search_by_key(&device, |&(d, _)| d)
-            .ok()
-            .map(|i| self.failures[i].1)
-    }
-
-    /// Number of online devices.
-    pub fn online_count(&self) -> usize {
-        match &self.online {
-            None => self.n,
-            Some(bits) => bits.iter().map(|w| w.count_ones() as usize).sum(),
-        }
-    }
 }
 
 /// The fleet's realised trajectory over rounds.
@@ -160,18 +87,27 @@ impl RoundFleet {
 /// equivalence proptests:
 ///
 /// * **Query-order independence** — asking for `(d, r)` in any order,
-///   from any number of threads, yields identical values; memoization
-///   (64-way sharded, per-device) only caches, never perturbs.
+///   from any number of threads, yields identical values. The per-device
+///   cursor (64-way sharded) is the one piece of state that depends on
+///   the order of queries; it decides only how many chain steps an
+///   answer costs, never the answer.
 /// * **O(queried) realisation** — a device that is never queried costs
-///   zero bytes and zero hash evaluations; realised state is bounded by
-///   `devices queried × rounds`, never fleet size.
+///   zero bytes and zero hash evaluations; realised state is one cursor
+///   per device queried, independent of fleet size and of how many
+///   rounds have run.
+/// * **Forward queries are the cheap ones** — a query at or past a
+///   device's cursor advances it (one chain step per round crossed, none
+///   when the round repeats), which is the only kind the runner, the
+///   algorithms and the ring relay make. A query for an earlier round
+///   replays the chain from round 0 into a local and leaves the cursor
+///   where it was.
 /// * **Static fast path** — [`FleetDynamics::is_static`] short-circuits
 ///   every query with no shard traffic, keeping default experiments
 ///   bit-identical to the pre-dynamics code.
-/// * **Carried state is minimal** — only `(capacity state, online)` is
-///   stored per realised round (two bytes); spikes, failures and the
-///   effective multiplier are memoryless and recomputed from hashes,
-///   bit-identically, on every read.
+/// * **Carried state is minimal** — only `(capacity state, online)` at
+///   the cursor's round is stored (two bytes beside the round index);
+///   spikes, failures and the effective multiplier are memoryless and
+///   recomputed from hashes, bit-identically, on every read.
 ///
 /// The shared fleet-wide modulator chain ([`FleetDynamics::modulator`])
 /// realises one state per round for the *whole* fleet (O(1) memoized),
@@ -288,40 +224,6 @@ impl FleetModel {
         }
     }
 
-    /// Snapshot one round's realised conditions for every device — the
-    /// dense small-fleet path (benches, figures). O(fleet) by nature; on
-    /// a static fleet the snapshot is uniform and allocates nothing.
-    pub fn round_snapshot(&self, round: usize) -> RoundFleet {
-        let n = self.len();
-        if self.is_static {
-            return RoundFleet {
-                n,
-                online: None,
-                multiplier: None,
-                failures: Vec::new(),
-            };
-        }
-        let mut online = vec![0u64; n.div_ceil(64)];
-        let mut multiplier = Vec::with_capacity(n);
-        let mut failures = Vec::new();
-        for d in 0..n {
-            let dr = self.device_round(d, round);
-            if dr.online {
-                online[d / 64] |= 1 << (d % 64);
-            }
-            multiplier.push(self.multiplier_of(d, round, dr));
-            if let Some(f) = self.fail_of(d, round, dr) {
-                failures.push((d, f));
-            }
-        }
-        RoundFleet {
-            n,
-            online: Some(online),
-            multiplier: Some(multiplier),
-            failures,
-        }
-    }
-
     // ---- lazy realisation ------------------------------------------------
 
     /// Which shard holds `device`'s trajectory.
@@ -356,44 +258,43 @@ impl FleetModel {
             .sum()
     }
 
-    /// Total realised (device, round) states across the fleet.
-    fn realised_device_rounds(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| {
-                s.slots
-                    .lock()
-                    .expect("fleet shard poisoned")
-                    .values()
-                    .map(Vec::len)
-                    .sum::<usize>()
-            })
-            .sum()
-    }
-
-    /// Approximate bytes of realised trajectory state (carried chain
-    /// state only; memoryless quantities are recomputed, not stored).
+    /// Approximate bytes of realised trajectory state: one keyed cursor
+    /// per realised device (memoryless quantities are recomputed, not
+    /// stored).
     pub fn realised_state_bytes(&self) -> usize {
-        self.realised_device_rounds() * std::mem::size_of::<DevRound>()
-            + self.realised_devices()
-                * (std::mem::size_of::<u64>() + std::mem::size_of::<DeviceTraj>())
+        self.realised_devices() * (std::mem::size_of::<u64>() + std::mem::size_of::<Cursor>())
     }
 
-    /// The carried state of `device` at `round`, realising any missing
-    /// prefix of its trajectory (and nothing else).
+    /// The carried state of `device` at `round`.
+    ///
+    /// At or past the device's cursor the cursor advances to `round` and
+    /// is the answer. Behind it, the chain is replayed from round 0 into
+    /// a local — same hashes, same values — and the cursor does not move.
     fn device_round(&self, device: usize, round: usize) -> DevRound {
         assert!(device < self.len(), "device {device} out of range");
         let shard = &self.shards[FleetModel::shard_of(device)];
         shard.touched.fetch_add(1, Ordering::Relaxed);
-        let mut slots = shard.slots.lock().expect("fleet shard poisoned");
-        let traj = slots.entry(device as u64).or_default();
-        while traj.len() <= round {
-            let r = traj.len();
-            let prev = if r == 0 { None } else { Some(traj[r - 1]) };
-            let next = self.advance_device(device, r, prev);
-            traj.push(next);
+        let origin = || Cursor {
+            round: 0,
+            state: self.advance_device(device, 0, None),
+        };
+        {
+            let mut slots = shard.slots.lock().expect("fleet shard poisoned");
+            let cursor = slots.entry(device as u64).or_insert_with(origin);
+            if cursor.round <= round {
+                *cursor = self.walk(device, *cursor, round);
+                return cursor.state;
+            }
         }
-        traj[round]
+        self.walk(device, origin(), round).state
+    }
+
+    /// Step `device`'s chain from `from` up to `round`.
+    fn walk(&self, device: usize, from: Cursor, round: usize) -> Cursor {
+        let state = (from.round + 1..=round).fold(from.state, |prev, r| {
+            self.advance_device(device, r, Some(prev))
+        });
+        Cursor { round, state }
     }
 
     /// Advance `device`'s chain one round — the same decision sequence,
@@ -407,7 +308,7 @@ impl FleetModel {
         let state = match &self.dynamics.capacity {
             CapacityModel::Static => 0,
             CapacityModel::Markov(chain) => {
-                let u = unit(mix(self.seed, r, du, ROLE_CAPACITY));
+                let u = unit(seed_mix(self.seed, r, du, ROLE_CAPACITY));
                 match prev {
                     None => pick(&chain.initial, u),
                     Some(p) => {
@@ -430,7 +331,7 @@ impl FleetModel {
                     None => true,
                     Some(p) => p.online && self.fail_of(device, round - 1, p).is_none(),
                 };
-                let u = unit(mix(self.seed, r, du, ROLE_AVAIL));
+                let u = unit(seed_mix(self.seed, r, du, ROLE_AVAIL));
                 if was_on {
                     u >= dropout
                 } else {
@@ -454,7 +355,7 @@ impl FleetModel {
 
         // Transient straggler spike.
         if self.dynamics.spikes.prob > 0.0
-            && unit(mix(self.seed, round as u64, device as u64, ROLE_SPIKE))
+            && unit(seed_mix(self.seed, round as u64, device as u64, ROLE_SPIKE))
                 < self.dynamics.spikes.prob
         {
             m *= self.dynamics.spikes.magnitude;
@@ -476,9 +377,9 @@ impl FleetModel {
         let du = device as u64;
         if dr.online
             && self.dynamics.mid_round_failure > 0.0
-            && unit(mix(self.seed, r, du, ROLE_FAIL)) < self.dynamics.mid_round_failure
+            && unit(seed_mix(self.seed, r, du, ROLE_FAIL)) < self.dynamics.mid_round_failure
         {
-            Some(unit(mix(self.seed, r, du, ROLE_FAIL_TIME)))
+            Some(unit(seed_mix(self.seed, r, du, ROLE_FAIL_TIME)))
         } else {
             None
         }
@@ -502,7 +403,7 @@ impl FleetModel {
             .expect("modulator memo poisoned");
         while memo.len() <= round {
             let r = memo.len();
-            let u = unit(mix(self.seed, r as u64, u64::MAX, ROLE_MODULATOR));
+            let u = unit(seed_mix(self.seed, r as u64, u64::MAX, ROLE_MODULATOR));
             let s = if r == 0 {
                 pick(&chain.initial, u)
             } else {
@@ -524,6 +425,19 @@ mod tests {
     fn profiles(n: usize) -> Vec<DeviceProfile> {
         (0..n)
             .map(|i| DeviceProfile::new(i, 1.0 + i as f64 * 0.5))
+            .collect()
+    }
+
+    /// Every device's `(online, multiplier, fail_frac)` at `round`.
+    fn conditions(m: &FleetModel, round: usize) -> Vec<(bool, f64, Option<f64>)> {
+        (0..m.len())
+            .map(|d| {
+                (
+                    m.online(d, round),
+                    m.multiplier(d, round),
+                    m.fail_frac(d, round),
+                )
+            })
             .collect()
     }
 
@@ -571,11 +485,18 @@ mod tests {
         let b = make();
         // Query b backwards, a forwards — identical realisations.
         let rounds = 8;
-        let fwd: Vec<RoundFleet> = (0..rounds).map(|r| a.round_snapshot(r)).collect();
-        let bwd: Vec<RoundFleet> = (0..rounds).rev().map(|r| b.round_snapshot(r)).collect();
+        let fwd: Vec<_> = (0..rounds).map(|r| conditions(&a, r)).collect();
+        let bwd: Vec<_> = (0..rounds).rev().map(|r| conditions(&b, r)).collect();
         for (r, snap) in fwd.iter().enumerate() {
             assert_eq!(*snap, bwd[rounds - 1 - r], "round {r} diverged");
         }
+        // A query behind the cursor answers as a fresh model would and
+        // leaves the cursor standing: 501 is one step on from 500.
+        let at_500 = conditions(&a, 500);
+        assert_eq!(conditions(&a, 3), fwd[3]);
+        assert_eq!(conditions(&a, 501), conditions(&make(), 501));
+        assert_eq!(conditions(&a, 500), at_500);
+        assert_eq!(at_500, conditions(&make(), 500));
     }
 
     #[test]
@@ -717,7 +638,7 @@ mod tests {
     fn different_seeds_realise_different_fleets() {
         let a = FleetModel::new(&profiles(20), FleetDynamics::edge_fleet(0.2, 0.1), 1);
         let b = FleetModel::new(&profiles(20), FleetDynamics::edge_fleet(0.2, 0.1), 2);
-        let same = (0..10).all(|r| a.round_snapshot(r) == b.round_snapshot(r));
+        let same = (0..10).all(|r| conditions(&a, r) == conditions(&b, r));
         assert!(!same, "different seeds must diverge");
     }
 
@@ -741,13 +662,22 @@ mod tests {
             99,
         );
         let m = FleetModel::with_source(src, FleetDynamics::edge_fleet(0.2, 0.1), 21);
-        for r in 0..12 {
-            let _ = m.multiplier(3, r);
-            let _ = m.online(17, r);
-            let _ = m.fail_frac(3, r);
-        }
+        let query = |rounds: std::ops::Range<usize>| {
+            for r in rounds {
+                let _ = m.multiplier(3, r);
+                let _ = m.online(17, r);
+                let _ = m.fail_frac(3, r);
+            }
+        };
+        query(0..1);
+        let after_round_0 = m.realised_state_bytes();
+        query(1..1000);
         assert_eq!(m.realised_devices(), 2);
-        assert_eq!(m.realised_device_rounds(), 24);
+        assert_eq!(
+            m.realised_state_bytes(),
+            after_round_0,
+            "state is per device touched, not per round"
+        );
         let touches = m.shard_touches();
         for (s, &t) in touches.iter().enumerate() {
             if s == FleetModel::shard_of(3) || s == FleetModel::shard_of(17) {
@@ -805,37 +735,5 @@ mod tests {
         for (r, &v) in fwd.iter().enumerate() {
             assert_eq!(v, bwd[39 - r], "round {r}");
         }
-    }
-
-    #[test]
-    fn compact_snapshot_agrees_with_point_queries() {
-        let m = FleetModel::new(&profiles(70), FleetDynamics::edge_fleet(0.3, 0.2), 8);
-        for r in 0..6 {
-            let snap = m.round_snapshot(r);
-            assert_eq!(snap.len(), 70);
-            let mut online = 0;
-            for d in 0..70 {
-                assert_eq!(snap.online(d), m.online(d, r));
-                assert_eq!(snap.multiplier(d), m.multiplier(d, r));
-                assert_eq!(snap.fail_frac(d), m.fail_frac(d, r));
-                online += snap.online(d) as usize;
-            }
-            assert_eq!(snap.online_count(), online);
-        }
-    }
-
-    #[test]
-    fn static_snapshot_is_uniform_and_unallocated() {
-        let m = FleetModel::static_fleet(&profiles(5));
-        let snap = m.round_snapshot(3);
-        assert_eq!(snap.len(), 5);
-        assert_eq!(snap.online_count(), 5);
-        for d in 0..5 {
-            assert!(snap.online(d));
-            assert_eq!(snap.multiplier(d), 1.0);
-            assert_eq!(snap.fail_frac(d), None);
-        }
-        // The uniform representation carries no per-device vectors.
-        assert_eq!(snap, snap.clone());
     }
 }

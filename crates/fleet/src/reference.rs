@@ -12,12 +12,11 @@
 
 use std::sync::RwLock;
 
-use fedhisyn_simnet::DeviceProfile;
+use fedhisyn_simnet::{seed_mix, unit, DeviceProfile};
 
 use crate::dynamics::{AvailabilityModel, CapacityModel, FleetDynamics};
 use crate::model::{
-    mix, pick, unit, ROLE_AVAIL, ROLE_CAPACITY, ROLE_FAIL, ROLE_FAIL_TIME, ROLE_MODULATOR,
-    ROLE_SPIKE,
+    pick, ROLE_AVAIL, ROLE_CAPACITY, ROLE_FAIL, ROLE_FAIL_TIME, ROLE_MODULATOR, ROLE_SPIKE,
 };
 
 /// One densely-realised round.
@@ -119,7 +118,7 @@ impl ReferenceFleet {
         let modulator_state = match &self.dynamics.modulator {
             CapacityModel::Static => 0,
             CapacityModel::Markov(chain) => {
-                let u = unit(mix(self.seed, r, u64::MAX, ROLE_MODULATOR));
+                let u = unit(seed_mix(self.seed, r, u64::MAX, ROLE_MODULATOR));
                 match prev {
                     None => pick(&chain.initial, u),
                     Some(p) => {
@@ -145,7 +144,7 @@ impl ReferenceFleet {
             let state = match &self.dynamics.capacity {
                 CapacityModel::Static => 0,
                 CapacityModel::Markov(chain) => {
-                    let u = unit(mix(self.seed, r, du, ROLE_CAPACITY));
+                    let u = unit(seed_mix(self.seed, r, du, ROLE_CAPACITY));
                     match prev {
                         None => pick(&chain.initial, u),
                         Some(p) => {
@@ -164,7 +163,7 @@ impl ReferenceFleet {
 
             // Transient straggler spike.
             if self.dynamics.spikes.prob > 0.0
-                && unit(mix(self.seed, r, du, ROLE_SPIKE)) < self.dynamics.spikes.prob
+                && unit(seed_mix(self.seed, r, du, ROLE_SPIKE)) < self.dynamics.spikes.prob
             {
                 m *= self.dynamics.spikes.magnitude;
             }
@@ -182,7 +181,7 @@ impl ReferenceFleet {
                         None => true,
                         Some(p) => p.online[d] && p.fail_frac[d].is_none(),
                     };
-                    let u = unit(mix(self.seed, r, du, ROLE_AVAIL));
+                    let u = unit(seed_mix(self.seed, r, du, ROLE_AVAIL));
                     if was_on {
                         u >= dropout
                     } else {
@@ -194,9 +193,9 @@ impl ReferenceFleet {
             // Mid-interval failure (only meaningful for online devices).
             let fail = if on
                 && self.dynamics.mid_round_failure > 0.0
-                && unit(mix(self.seed, r, du, ROLE_FAIL)) < self.dynamics.mid_round_failure
+                && unit(seed_mix(self.seed, r, du, ROLE_FAIL)) < self.dynamics.mid_round_failure
             {
-                Some(unit(mix(self.seed, r, du, ROLE_FAIL_TIME)))
+                Some(unit(seed_mix(self.seed, r, du, ROLE_FAIL_TIME)))
             } else {
                 None
             };

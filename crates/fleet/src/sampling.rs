@@ -2,7 +2,9 @@
 //! in O(K) expected work, without iterating — or realising state for —
 //! the other N − K devices.
 
-use crate::model::{mix, FleetModel};
+use fedhisyn_simnet::seed_mix;
+
+use crate::model::FleetModel;
 
 /// The cohort draw stream is independent of every trajectory role.
 const ROLE_COHORT: u64 = 0x00C0_4027;
@@ -16,7 +18,7 @@ const DRAWS_PER_SLOT: u64 = 64;
 /// Sample up to `k` **distinct, online** devices for `round` by rejection
 /// sampling over a hash stream.
 ///
-/// Candidate `i` is `(mix(seed, round, i, COHORT) × n) >> 64` — an
+/// Candidate `i` is `(seed_mix(seed, round, i, COHORT) × n) >> 64` — an
 /// unbiased multiply-shift reduction onto `0..n` — and is kept iff the
 /// fleet says it is online this round (which lazily realises *only that
 /// device's* trajectory). Draws stop as soon as `k` devices are found, so
@@ -42,7 +44,7 @@ pub fn sample_online_cohort(fleet: &FleetModel, k: usize, round: usize, seed: u6
     let mut chosen = std::collections::BTreeSet::new();
     let max_draws = (k as u64).saturating_mul(DRAWS_PER_SLOT);
     for draw in 0..max_draws {
-        let h = mix(seed, round as u64, draw, ROLE_COHORT);
+        let h = seed_mix(seed, round as u64, draw, ROLE_COHORT);
         let device = ((h as u128 * n as u128) >> 64) as usize;
         if chosen.contains(&device) {
             continue;

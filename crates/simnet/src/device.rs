@@ -3,6 +3,8 @@
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
+use crate::seed::unit;
+
 /// Static profile of one simulated device.
 ///
 /// `train_time` is the virtual seconds the device needs for **one
@@ -126,11 +128,6 @@ fn profile_hash(seed: u64, id: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Uniform in `[0, 1)` from a hash — top 53 bits, exact in f64.
-fn profile_unit(h: u64) -> f64 {
-    (h >> 11) as f64 * (1.0 / 9_007_199_254_740_992.0)
-}
-
 /// Where a fleet's base latency profiles come from.
 ///
 /// * [`ProfileSource::Dense`] — materialised per-device train times, the
@@ -210,13 +207,13 @@ impl ProfileSource {
                 let factor = match *model {
                     HeterogeneityModel::Homogeneous => 1.0,
                     HeterogeneityModel::Uniform { h } => {
-                        1.0 + profile_unit(profile_hash(*seed, id as u64)) * (h - 1.0)
+                        1.0 + unit(profile_hash(*seed, id as u64)) * (h - 1.0)
                     }
                     HeterogeneityModel::Bimodal {
                         h,
                         straggler_fraction,
                     } => {
-                        if profile_unit(profile_hash(*seed, id as u64)) < straggler_fraction {
+                        if unit(profile_hash(*seed, id as u64)) < straggler_fraction {
                             h
                         } else {
                             1.0

@@ -13,6 +13,8 @@
 
 use serde::{Deserialize, Serialize};
 
+use crate::seed::{seed_mix, unit};
+
 /// Outcome of one physical transmission attempt on one edge.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum FaultKind {
@@ -154,19 +156,6 @@ impl Default for FaultConfig {
     }
 }
 
-/// SplitMix64 finalizer over the XOR of the inputs — the same stateless
-/// derivation `fedhisyn-core` and `fedhisyn-fleet` use for all seeded
-/// randomness, duplicated locally so simnet stays dependency-free.
-fn mix(master: u64, a: u64, b: u64, c: u64) -> u64 {
-    let mut z = master
-        ^ a.wrapping_mul(0x9E37_79B9_7F4A_7C15)
-        ^ b.wrapping_mul(0xBF58_476D_1CE4_E5B9)
-        ^ c.wrapping_mul(0x94D0_49BB_1331_11EB);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 /// A sealed per-edge fault schedule: config + seed, queried as a pure
 /// function. Cloning is cheap and clones share the schedule.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -211,9 +200,12 @@ impl FaultPlan {
         if self.is_none() {
             return FaultKind::Delivered;
         }
-        let h = mix(mix(self.seed, round, src, dst), attempt, 0x7A17, 0x0F1A);
-        // 53 high-quality bits → uniform in [0, 1).
-        let u = (h >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
+        let u = unit(seed_mix(
+            seed_mix(self.seed, round, src, dst),
+            attempt,
+            0x7A17,
+            0x0F1A,
+        ));
         let c = &self.cfg;
         let mut edge = c.loss;
         if u < edge {

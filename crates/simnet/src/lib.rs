@@ -14,12 +14,15 @@
 //! * [`TrafficMeter`] — model-transmission accounting behind the paper's
 //!   "number of transmitted models" metric (Table 1),
 //! * [`FaultPlan`] — deterministic per-edge wire faults (loss,
-//!   corruption, timeouts, duplicates) derived purely from the seed.
+//!   corruption, timeouts, duplicates) derived purely from the seed,
+//! * [`seed_mix`] / [`unit()`] — the stateless seed derivation every crate
+//!   above this one draws its random streams from.
 
 pub mod device;
 pub mod event;
 pub mod fault;
 pub mod link;
+pub mod seed;
 pub mod time;
 pub mod traffic;
 
@@ -27,5 +30,6 @@ pub use device::{sample_latencies, DeviceProfile, HeterogeneityModel, ProfileSou
 pub use event::EventQueue;
 pub use fault::{FaultConfig, FaultKind, FaultPlan};
 pub use link::LinkModel;
+pub use seed::{seed_mix, unit};
 pub use time::SimTime;
 pub use traffic::{TrafficMeter, TrafficSnapshot};

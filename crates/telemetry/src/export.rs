@@ -120,13 +120,6 @@ pub fn jsonl_string(t: &Telemetry) -> String {
         }
         let _ = write!(out, "\"{name}\":{v}");
     }
-    out.push_str("},\"gauges\":{");
-    for (i, (name, v)) in m.gauges.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "\"{name}\":{v}");
-    }
     out.push_str("}}\n");
     out
 }

@@ -7,7 +7,7 @@
 //! counts, arena high-water marks), none correlated in time. This crate
 //! unifies them behind three pieces:
 //!
-//! * [`MetricsRegistry`] — pre-registered counters / gauges / histograms
+//! * [`MetricsRegistry`] — pre-registered counters and histograms
 //!   on plain atomics; all storage is allocated at registration, so the
 //!   hot path never allocates and never locks.
 //! * [`TelemetrySink`] — a cloneable handle carried by `FlEnv`. Disabled
@@ -30,11 +30,8 @@ pub use export::{
     chrome_trace_string, export_trace, jsonl_string, validate_chrome_trace, TraceSummary,
     PID_VIRTUAL, PID_WALL,
 };
-pub use registry::{
-    CounterId, GaugeId, HistogramId, HistogramSnapshot, MetricsRegistry, MetricsSnapshot,
-};
+pub use registry::{CounterId, HistogramId, HistogramSnapshot, MetricsRegistry, MetricsSnapshot};
 pub use round::RoundTelemetry;
 pub use span::{
-    Phase, RuntimeGauges, SpanCtx, SpanEvent, Telemetry, TelemetrySink, TransportCounters,
-    WallStart, NO_ID,
+    Phase, SpanCtx, SpanEvent, Telemetry, TelemetrySink, TransportCounters, WallStart, NO_ID,
 };

@@ -2,30 +2,25 @@
 //!
 //! All storage is allocated at **registration time**; the hot path only
 //! touches pre-sized atomic cells, so recording a metric never allocates
-//! and never takes a lock. Three metric kinds:
+//! and never takes a lock. Two metric kinds:
 //!
 //! * **counters** — monotone `u64`, relaxed `fetch_add`;
-//! * **gauges** — last-written (or running-max) `u64`, excluded from the
-//!   determinism fingerprint because they observe runtime state (cache
-//!   occupancy, arena high-water) that legitimately varies across hosts;
 //! * **histograms** — fixed bucket bounds chosen at registration, one
 //!   atomic count per bucket plus the sum of observations as integer
 //!   nanosecond ticks — a `fetch_add`, so the total is the same whatever
 //!   order parallel ring lanes arrive in (an `f64` sum is not).
 //!
-//! Counter and histogram contents are pure functions of the simulated
-//! workload, so they participate in the deterministic fingerprint used by
-//! the telemetry determinism tests.
+//! Both are pure functions of the simulated workload, so they participate
+//! in the deterministic fingerprint used by the telemetry determinism
+//! tests. Host-dependent runtime observations (cache occupancy, arena
+//! high-water, fleet and shard residency) are not registry metrics: they
+//! are fields of the per-round `RoundTelemetry` on the `RunRecord`.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Handle to a registered counter (index into the registry, `Copy`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CounterId(usize);
-
-/// Handle to a registered gauge.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct GaugeId(usize);
 
 /// Handle to a registered histogram.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -89,8 +84,6 @@ impl HistogramSnapshot {
 pub struct MetricsSnapshot {
     /// `(name, value)` per counter, in registration order.
     pub counters: Vec<(&'static str, u64)>,
-    /// `(name, value)` per gauge, in registration order.
-    pub gauges: Vec<(&'static str, u64)>,
     /// One snapshot per histogram, in registration order.
     pub histograms: Vec<HistogramSnapshot>,
 }
@@ -102,7 +95,6 @@ pub struct MetricsSnapshot {
 #[derive(Debug, Default)]
 pub struct MetricsRegistry {
     counters: Vec<Cell>,
-    gauges: Vec<Cell>,
     histograms: Vec<HistogramCell>,
 }
 
@@ -116,12 +108,6 @@ impl MetricsRegistry {
     pub fn register_counter(&mut self, name: &'static str) -> CounterId {
         self.counters.push(Cell::new(name));
         CounterId(self.counters.len() - 1)
-    }
-
-    /// Register a gauge.
-    pub fn register_gauge(&mut self, name: &'static str) -> GaugeId {
-        self.gauges.push(Cell::new(name));
-        GaugeId(self.gauges.len() - 1)
     }
 
     /// Register a histogram with fixed ascending bucket bounds.
@@ -151,23 +137,6 @@ impl MetricsRegistry {
         self.counters[id.0].value.load(Ordering::Relaxed)
     }
 
-    /// Overwrite a gauge.
-    #[inline]
-    pub fn gauge_set(&self, id: GaugeId, v: u64) {
-        self.gauges[id.0].value.store(v, Ordering::Relaxed);
-    }
-
-    /// Raise a gauge to at least `v` (running maximum).
-    #[inline]
-    pub fn gauge_max(&self, id: GaugeId, v: u64) {
-        self.gauges[id.0].value.fetch_max(v, Ordering::Relaxed);
-    }
-
-    /// Current gauge value.
-    pub fn gauge(&self, id: GaugeId) -> u64 {
-        self.gauges[id.0].value.load(Ordering::Relaxed)
-    }
-
     /// Record one observation into a histogram.
     #[inline]
     pub fn observe(&self, id: HistogramId, v: f64) {
@@ -186,11 +155,6 @@ impl MetricsRegistry {
                 .iter()
                 .map(|c| (c.name, c.value.load(Ordering::Relaxed)))
                 .collect(),
-            gauges: self
-                .gauges
-                .iter()
-                .map(|c| (c.name, c.value.load(Ordering::Relaxed)))
-                .collect(),
             histograms: self
                 .histograms
                 .iter()
@@ -204,9 +168,8 @@ impl MetricsRegistry {
         }
     }
 
-    /// FNV-1a fingerprint of the **deterministic** metrics: counters and
-    /// histograms only. Gauges observe host-dependent runtime state and
-    /// are excluded from the determinism contract.
+    /// FNV-1a fingerprint of every metric: names, counter values,
+    /// histogram bounds, bucket counts and tick sums.
     pub fn fingerprint(&self) -> u64 {
         let mut h = Fnv::new();
         for c in &self.counters {
@@ -263,20 +226,15 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counters_and_gauges() {
+    fn counters_accumulate_and_move_the_fingerprint() {
         let mut r = MetricsRegistry::new();
         let c = r.register_counter("c");
-        let g = r.register_gauge("g");
         r.inc(c, 3);
+        let before = r.fingerprint();
         r.inc(c, 4);
-        r.gauge_set(g, 10);
-        r.gauge_max(g, 7);
-        r.gauge_max(g, 12);
         assert_eq!(r.counter(c), 7);
-        assert_eq!(r.gauge(g), 12);
-        let s = r.snapshot();
-        assert_eq!(s.counters, vec![("c", 7)]);
-        assert_eq!(s.gauges, vec![("g", 12)]);
+        assert_eq!(r.snapshot().counters, vec![("c", 7)]);
+        assert_ne!(r.fingerprint(), before);
     }
 
     #[test]
@@ -291,21 +249,6 @@ mod tests {
         assert_eq!(s.counts, vec![2, 1, 1, 1]);
         assert_eq!(s.sum, 106.0);
         assert_eq!(s.total(), 5);
-    }
-
-    #[test]
-    fn gauges_excluded_from_fingerprint() {
-        let mut a = MetricsRegistry::new();
-        let mut b = MetricsRegistry::new();
-        let (ca, ga) = (a.register_counter("c"), a.register_gauge("g"));
-        let (cb, gb) = (b.register_counter("c"), b.register_gauge("g"));
-        a.inc(ca, 5);
-        b.inc(cb, 5);
-        a.gauge_set(ga, 1);
-        b.gauge_set(gb, 999);
-        assert_eq!(a.fingerprint(), b.fingerprint());
-        b.inc(cb, 1);
-        assert_ne!(a.fingerprint(), b.fingerprint());
     }
 
     #[test]

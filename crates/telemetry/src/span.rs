@@ -17,7 +17,7 @@
 //! front (events beyond capacity are counted, not stored) and bumps
 //! pre-registered metrics, so even the enabled hot path never allocates.
 
-use crate::registry::{CounterId, Fnv, GaugeId, HistogramId, MetricsRegistry, MetricsSnapshot};
+use crate::registry::{CounterId, Fnv, HistogramId, MetricsRegistry, MetricsSnapshot};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -153,38 +153,13 @@ impl SpanCtx {
 #[derive(Debug, Clone, Copy)]
 pub struct WallStart(Option<Instant>);
 
-/// Runtime gauge bundle folded once per round (see
-/// [`TelemetrySink::update_gauges`]). All fields are best-effort runtime
-/// observations outside the determinism contract.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct RuntimeGauges {
-    /// Peak arena bytes across cached models.
-    pub arena_high_water_bytes: u64,
-    /// Process-wide engine cache hits.
-    pub cache_hits: u64,
-    /// Process-wide engine cache misses.
-    pub cache_misses: u64,
-    /// Devices with realised fleet trajectories.
-    pub fleet_realised_devices: u64,
-    /// Bytes of realised fleet trajectory state.
-    pub fleet_realised_state_bytes: u64,
-    /// Cumulative fleet shard queries.
-    pub fleet_shard_touches: u64,
-    /// Cumulative data shards realised (lazy data plane).
-    pub data_shards_realised: u64,
-    /// Cumulative shard-cache hits (lazy data plane).
-    pub data_shard_cache_hits: u64,
-    /// Bytes of cache-resident realised shard data.
-    pub data_resident_shard_bytes: u64,
-}
-
 /// Transport-fault counter bundle folded once per round (see
 /// [`TelemetrySink::add_transport`]). All fields are *increments*: the
 /// sink adds them to its cumulative `transport.*` counters.
 ///
-/// Unlike [`RuntimeGauges`], every field here is deterministic — transport
-/// faults are drawn from the seed — but they are still recorded as plain
-/// counters (covered by the metrics fingerprint) rather than spans.
+/// Every field is deterministic — transport faults are drawn from the
+/// seed — but they are recorded as plain counters (covered by the metrics
+/// fingerprint) rather than spans.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TransportCounters {
     /// Retransmission attempts after a loss/corruption/timeout.
@@ -218,7 +193,6 @@ struct WellKnown {
     spans_dropped: CounterId,
     transport: WellKnownTransport,
     codec: WellKnownCodec,
-    gauges: WellKnownGauges,
 }
 
 /// Counter ids for the fault-injection transport (see
@@ -238,19 +212,6 @@ struct WellKnownTransport {
 struct WellKnownCodec {
     encoded_bytes: CounterId,
     raw_bytes: CounterId,
-}
-
-#[derive(Debug)]
-struct WellKnownGauges {
-    arena_high_water_bytes: GaugeId,
-    cache_hits: GaugeId,
-    cache_misses: GaugeId,
-    fleet_realised_devices: GaugeId,
-    fleet_realised_state_bytes: GaugeId,
-    fleet_shard_touches: GaugeId,
-    data_shards_realised: GaugeId,
-    data_shard_cache_hits: GaugeId,
-    data_resident_shard_bytes: GaugeId,
 }
 
 /// Backing store behind an enabled [`TelemetrySink`].
@@ -297,17 +258,6 @@ impl Telemetry {
             codec: WellKnownCodec {
                 encoded_bytes: registry.register_counter("wire.codec.encoded_bytes"),
                 raw_bytes: registry.register_counter("wire.codec.raw_bytes"),
-            },
-            gauges: WellKnownGauges {
-                arena_high_water_bytes: registry.register_gauge("engine.arena_high_water_bytes"),
-                cache_hits: registry.register_gauge("engine.cache_hits"),
-                cache_misses: registry.register_gauge("engine.cache_misses"),
-                fleet_realised_devices: registry.register_gauge("fleet.realised_devices"),
-                fleet_realised_state_bytes: registry.register_gauge("fleet.realised_state_bytes"),
-                fleet_shard_touches: registry.register_gauge("fleet.shard_touches"),
-                data_shards_realised: registry.register_gauge("data.shards_realised"),
-                data_shard_cache_hits: registry.register_gauge("data.shard_cache_hits"),
-                data_resident_shard_bytes: registry.register_gauge("data.resident_shard_bytes"),
             },
         };
         Telemetry {
@@ -367,9 +317,9 @@ impl Telemetry {
     }
 
     /// FNV-1a fingerprint of the deterministic span stream plus the
-    /// deterministic metrics (counters + histograms; gauges and
-    /// wall-clock excluded). Equal fingerprints across two runs mean the
-    /// virtual-time telemetry is bit-identical.
+    /// metrics registry (counters + histograms; wall clock excluded).
+    /// Equal fingerprints across two runs mean the virtual-time telemetry
+    /// is bit-identical.
     pub fn fingerprint(&self) -> u64 {
         let mut h = Fnv::new();
         for e in self.deterministic_stream() {
@@ -483,31 +433,6 @@ impl TelemetrySink {
         }
     }
 
-    /// Fold a bundle of runtime observations into the well-known gauges.
-    /// `arena_high_water_bytes` keeps a running maximum; the rest are
-    /// last-writer-wins. No-op on a disabled sink.
-    pub fn update_gauges(&self, g: &RuntimeGauges) {
-        if let Some(t) = &self.0 {
-            let ids = &t.ids.gauges;
-            t.registry
-                .gauge_max(ids.arena_high_water_bytes, g.arena_high_water_bytes);
-            t.registry.gauge_set(ids.cache_hits, g.cache_hits);
-            t.registry.gauge_set(ids.cache_misses, g.cache_misses);
-            t.registry
-                .gauge_set(ids.fleet_realised_devices, g.fleet_realised_devices);
-            t.registry
-                .gauge_set(ids.fleet_realised_state_bytes, g.fleet_realised_state_bytes);
-            t.registry
-                .gauge_set(ids.fleet_shard_touches, g.fleet_shard_touches);
-            t.registry
-                .gauge_set(ids.data_shards_realised, g.data_shards_realised);
-            t.registry
-                .gauge_set(ids.data_shard_cache_hits, g.data_shard_cache_hits);
-            t.registry
-                .gauge_set(ids.data_resident_shard_bytes, g.data_resident_shard_bytes);
-        }
-    }
-
     /// Add a round's transport-fault observations to the cumulative
     /// `transport.*` counters. No-op on a disabled sink, and cheap to
     /// call with an all-zero bundle (fault-free rounds).
@@ -548,7 +473,6 @@ mod tests {
         assert!(sink.telemetry().is_none());
         let w = sink.wall_start();
         sink.span(Phase::Round, 0, SpanCtx::ROOT, (0.0, 1.0), w);
-        sink.update_gauges(&RuntimeGauges::default());
     }
 
     #[test]

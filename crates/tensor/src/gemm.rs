@@ -17,9 +17,8 @@
 //!
 //! **Which** micro-kernel runs — and with which tile geometry — is decided
 //! once per process by [`crate::dispatch`]: the portable scalar `4×8`
-//! lattice (LLVM auto-vectorized at the baseline target), a hand-written
-//! AVX2 `6×16` tile, or its FMA variant (opt-in; see the dispatch docs for
-//! the per-tier determinism contract). `FEDHISYN_FORCE_SCALAR=1` pins the
+//! lattice (LLVM auto-vectorized at the baseline target) or a
+//! hand-written AVX2 `6×16` tile. `FEDHISYN_FORCE_SCALAR=1` pins the
 //! scalar tier.
 //!
 //! # Determinism invariants
@@ -32,8 +31,7 @@
 //! products and applies `α·Σ + β·c` once). Blocking tiles only `m` and
 //! `n`, never the reduction dimension; parallelism splits rows of `C`; and
 //! the AVX2 tile vectorizes across columns with separate IEEE multiply and
-//! add — so results are bit-identical everywhere (the opt-in FMA tier is
-//! the sole, documented exception). The [`reference`] module keeps the
+//! add — so results are bit-identical everywhere. The [`reference`] module keeps the
 //! naive triple-loop kernels as the executable statement of that contract;
 //! the equivalence tests assert exact equality against them.
 //!
@@ -349,19 +347,13 @@ fn run_tile(
             micro_kernel_scalar(apack, bpack, c, row0, col0, n, rows, cols, k, mode)
         }
         #[cfg(target_arch = "x86_64")]
-        // Safety: the dispatcher (and the `with_tier` entry points) only
-        // hand out AVX2 tiers after the CPUID check.
+        // SAFETY: the dispatcher (and the `with_tier` entry points) only
+        // hand out the AVX2 tier after the CPUID check.
         KernelTier::Avx2 => unsafe {
             crate::gemm_avx2::tile_avx2(apack, bpack, c, row0, col0, n, rows, cols, k, mode)
         },
-        #[cfg(target_arch = "x86_64")]
-        KernelTier::Avx2Fma => unsafe {
-            crate::gemm_avx2::tile_avx2_fma(apack, bpack, c, row0, col0, n, rows, cols, k, mode)
-        },
         #[cfg(not(target_arch = "x86_64"))]
-        KernelTier::Avx2 | KernelTier::Avx2Fma => {
-            unreachable!("AVX2 tiers are never selected off x86_64")
-        }
+        KernelTier::Avx2 => unreachable!("the AVX2 tier is never selected off x86_64"),
     }
 }
 
@@ -924,14 +916,9 @@ mod tests {
     /// The central proof: every optimized orientation, serial and
     /// parallel, is **exactly** (bit-for-bit) the naive reference kernel,
     /// across the small/blocked dispatch boundary and all α/β cases —
-    /// under whatever kernel tier the process dispatched to (the FMA tier
-    /// is opt-in and excluded from this contract).
+    /// under whatever kernel tier the process dispatched to.
     #[test]
     fn blocked_kernels_are_bit_identical_to_reference() {
-        assert!(
-            active_tier().bit_identical(),
-            "tests assume a bit-identical default tier"
-        );
         for &(m, k, n) in SHAPES {
             for &(alpha, beta) in AB_CASES {
                 let seed = (m * 31 + k * 7 + n) as u64;
@@ -1097,7 +1084,7 @@ mod tests {
         gemm_tn(&a, &b, &mut c, 1, 1, 1, 1.0, 0.0);
         assert_eq!(c[0], 1.0);
         // And through the blocked tier paths too (no small-kernel shortcut).
-        for tier in [KernelTier::Scalar, KernelTier::Avx2, KernelTier::Avx2Fma] {
+        for tier in [KernelTier::Scalar, KernelTier::Avx2] {
             if !tier.available() {
                 continue;
             }
@@ -1160,23 +1147,5 @@ mod tests {
             let mut small = vec![0.0f32; 4];
             gemm(&a[..4], &b[..4], &mut small, 2, 2, 2, 1.0, 0.0);
         }
-    }
-
-    /// The FMA tier (when the host supports it) must agree with the scalar
-    /// reference to tight relative error — fused contraction reorders
-    /// rounding, never magnitude.
-    #[test]
-    fn fma_tier_is_close_but_not_required_identical() {
-        if !KernelTier::Avx2Fma.available() {
-            return;
-        }
-        let (m, k, n) = (37, 41, 23);
-        let a = random_vec(m * k, 201);
-        let b = random_vec(k * n, 202);
-        let mut want = vec![0.0f32; m * n];
-        reference::gemm(&a, &b, &mut want, m, k, n, 1.0, 0.0);
-        let mut got = vec![0.0f32; m * n];
-        gemm_with_tier(KernelTier::Avx2Fma, &a, &b, &mut got, m, k, n, 1.0, 0.0);
-        assert_close(&got, &want, 1e-5);
     }
 }

@@ -85,8 +85,8 @@ pub fn finite_min_max(xs: &[f32]) -> Option<(f32, f32)> {
     let (lo, hi) = match active_tier() {
         KernelTier::Scalar => min_max_scalar(xs, f32::INFINITY, f32::NEG_INFINITY),
         #[cfg(target_arch = "x86_64")]
-        KernelTier::Avx2 | KernelTier::Avx2Fma => {
-            // SAFETY: these tiers are only selected after the CPUID check
+        KernelTier::Avx2 => {
+            // SAFETY: this tier is only selected after the CPUID check
             // in `KernelTier::available`.
             unsafe { min_max_avx2(xs) }
         }
@@ -121,8 +121,8 @@ pub fn quantize_slice(xs: &[f32], min: f32, inv_scale: f32, out: &mut [u8]) {
     match active_tier() {
         KernelTier::Scalar => quantize_scalar(xs, min, inv_scale, out),
         #[cfg(target_arch = "x86_64")]
-        KernelTier::Avx2 | KernelTier::Avx2Fma => {
-            // SAFETY: these tiers are only selected after the CPUID check
+        KernelTier::Avx2 => {
+            // SAFETY: this tier is only selected after the CPUID check
             // in `KernelTier::available`.
             unsafe { quantize_avx2(xs, min, inv_scale, out) }
         }
@@ -140,7 +140,7 @@ pub fn dequantize_slice(qs: &[u8], min: f32, scale: f32, out: &mut [f32]) {
     match active_tier() {
         KernelTier::Scalar => dequantize_scalar(qs, min, scale, out),
         #[cfg(target_arch = "x86_64")]
-        KernelTier::Avx2 | KernelTier::Avx2Fma => {
+        KernelTier::Avx2 => {
             // SAFETY: tier selection implies AVX2 is present.
             unsafe { dequantize_avx2(qs, min, scale, out) }
         }

@@ -367,18 +367,16 @@ fn steady_state_codec_transform_is_allocation_free() {
 /// on buffer overflow (overflow is a counter bump, not a growth).
 #[test]
 fn telemetry_recording_is_allocation_free() {
-    use fedhisyn::telemetry::{Phase, RuntimeGauges, SpanCtx, TelemetrySink};
+    use fedhisyn::telemetry::{Phase, SpanCtx, TelemetrySink};
 
     let disabled = TelemetrySink::disabled();
     let enabled = TelemetrySink::enabled(1024);
     let tiny = TelemetrySink::enabled(8); // overflows below
-    let gauges = RuntimeGauges::default();
 
     // Warm-up: first lock/first record on each sink.
     for sink in [&disabled, &enabled, &tiny] {
         let w = sink.wall_start();
         sink.span(Phase::Round, 0, SpanCtx::ROOT, (0.0, 1.0), w);
-        sink.update_gauges(&gauges);
     }
 
     assert_counter_wired();
@@ -393,7 +391,6 @@ fn telemetry_recording_is_allocation_free() {
             (0.0, 1.0),
             w,
         );
-        disabled.update_gauges(&gauges);
 
         let w = enabled.wall_start();
         enabled.span(
@@ -403,7 +400,6 @@ fn telemetry_recording_is_allocation_free() {
             (0.5, 1.5),
             w,
         );
-        enabled.update_gauges(&gauges);
 
         // Past capacity from round 8 on: dropped + counted, still no heap.
         let w = tiny.wall_start();
@@ -475,10 +471,11 @@ fn lazy_shard_cache_hits_are_allocation_free() {
     assert_eq!(src.shard_cache_evictions(), 0);
 }
 
-/// Fleet fast-path queries must stay off the heap: static-fleet point
-/// queries and `round_snapshot` (previously four fresh `Vec`s per call)
-/// allocate nothing, and neither do *realised* lazy point queries —
-/// reads of already-memoized trajectory state are pure hash recomputes.
+/// Fleet queries must stay off the heap: static-fleet point queries
+/// allocate nothing, and neither do lazy point queries on a device that
+/// has been realised once — re-reading a round is a pure hash recompute,
+/// and advancing the device to rounds it has never seen moves its cursor
+/// in place.
 #[test]
 fn fleet_fast_path_queries_are_allocation_free() {
     use fedhisyn::fleet::{FleetDynamics, FleetModel};
@@ -488,20 +485,17 @@ fn fleet_fast_path_queries_are_allocation_free() {
     let static_fleet = FleetModel::static_fleet(&profiles);
     let churned = FleetModel::new(&profiles, FleetDynamics::edge_fleet(0.2, 0.1), 7);
 
-    // Warm-up: realise the rounds the measured queries will touch.
+    // Warm-up: realise every device once — the map insert is the only
+    // allocation the lazy path makes for a device.
     for d in 0..64 {
-        for r in 0..4 {
-            let _ = churned.multiplier(d, r);
-        }
+        let _ = churned.multiplier(d, 0);
     }
 
     assert_counter_wired();
 
     let before = thread_allocs();
     let mut acc = 0.0f64;
-    for r in 0..4 {
-        let snap = static_fleet.round_snapshot(r);
-        acc += snap.multiplier(3) + snap.online_count() as f64;
+    for r in (0..4).chain(36..40).chain(0..2) {
         for d in 0..64 {
             acc += static_fleet.latency(d, r);
             acc += churned.multiplier(d, r);

@@ -219,7 +219,7 @@ fn f32_baseline_records_and_serverless_models_are_pinned() {
     let tier = match fedhisyn::core::ExecutionEngine::kernel_tier() {
         "scalar" => 0,
         "avx2" => 1,
-        _ => return, // the opt-in FMA tier is outside the bit contract
+        other => panic!("no pinned fingerprints for kernel tier {other}"),
     };
     let fleets = [cfg(42), churn_cfg(42, FleetDynamics::edge_fleet(0.25, 0.1))];
     let mut drift = Vec::new();

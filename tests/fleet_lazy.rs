@@ -3,9 +3,9 @@
 //! The tentpole contract: per-device lazy realisation is **bit-identical**
 //! to realising the whole fleet densely — for any dynamics config, any
 //! query order, and any interleaving of threads — while realised state
-//! stays proportional to the devices actually queried.
+//! stays one cursor per device actually queried.
 
-use std::sync::Arc;
+use std::sync::Barrier;
 
 use fedhisyn::fleet::{
     sample_online_cohort, AvailabilityModel, CapacityModel, FleetDynamics, FleetModel,
@@ -126,31 +126,31 @@ proptest! {
 #[test]
 fn concurrent_interleaved_queries_match_the_dense_trace() {
     // Eight threads hammer the same model with different (device, round)
-    // walks; afterwards every point matches the dense reference — thread
-    // timing must never leak into realised values.
+    // walks — even threads ascending in rounds, odd threads descending, so
+    // every device's cursor is pushed forward by one thread while another
+    // asks for rounds behind it. Each read is checked against the dense
+    // reference where it happens: a cursor moved by somebody else must
+    // never leak into the value this thread gets back.
     let n = 30;
     let rounds = 12;
     let dyn_cfg = dynamics(0.3, 0.2, 0.1, true, true);
-    let lazy = Arc::new(FleetModel::new(&profiles(n), dyn_cfg.clone(), 91));
+    let lazy = FleetModel::new(&profiles(n), dyn_cfg.clone(), 91);
     let dense = ReferenceFleet::new(&profiles(n), dyn_cfg, 91);
-    let handles: Vec<_> = (0..8)
-        .map(|t| {
-            let m = Arc::clone(&lazy);
-            std::thread::spawn(move || {
-                // Each thread visits every point in a different order.
+    let start = Barrier::new(8);
+    std::thread::scope(|scope| {
+        for t in 0..8 {
+            let (lazy, dense, start) = (&lazy, &dense, &start);
+            scope.spawn(move || {
+                start.wait();
                 for i in 0..n * rounds {
                     let j = (i * (t * 2 + 1)) % (n * rounds);
-                    let (d, r) = (j % n, j / n);
-                    let _ = m.multiplier(d, r);
-                    let _ = m.online(d, r);
-                    let _ = m.fail_frac(d, r);
+                    let j = if t % 2 == 1 { n * rounds - 1 - j } else { j };
+                    assert_point_identical(lazy, dense, j % n, j / n);
                 }
-            })
-        })
-        .collect();
-    for h in handles {
-        h.join().expect("query thread panicked");
-    }
+            });
+        }
+    });
+    // Wherever the cursors ended up, a forward sweep still agrees.
     for r in 0..rounds {
         for d in 0..n {
             assert_point_identical(&lazy, &dense, d, r);
