@@ -1,7 +1,7 @@
-//! Shared experiment plumbing for the table/figure binaries.
+//! Scale and output plumbing shared by the `paper`, `fig_churn` and
+//! `fig_codec` binaries.
 
-use fedhisyn_baselines::{FedAT, FedAvg, FedProx, Scaffold, TAFedAvg, TFedAvg};
-use fedhisyn_core::{run_experiment, ExperimentConfig, FedHiSyn, FlAlgorithm, RunRecord};
+use fedhisyn_core::ExperimentConfig;
 use fedhisyn_data::{DatasetProfile, Partition, Scale};
 use serde::Serialize;
 use std::fs;
@@ -60,61 +60,29 @@ impl BenchScale {
         }
     }
 
-    /// Rounds for a given dataset profile.
-    pub fn rounds_for(&self, profile: DatasetProfile) -> usize {
-        if profile.is_image() {
-            self.rounds_image
-        } else {
-            self.rounds_flat
-        }
-    }
-
     /// Base experiment config for a (dataset, partition, participation)
-    /// cell.
+    /// cell, with the profile's round budget.
     pub fn config(
         &self,
         profile: DatasetProfile,
         partition: Partition,
         participation: f64,
     ) -> ExperimentConfig {
+        let rounds = if profile.is_image() {
+            self.rounds_image
+        } else {
+            self.rounds_flat
+        };
         ExperimentConfig::builder(profile)
             .scale(self.scale)
             .devices(self.devices)
             .participation(participation)
             .partition(partition)
-            .rounds(self.rounds_for(profile))
+            .rounds(rounds)
             .local_epochs(self.local_epochs)
             .seed(self.seed)
             .build()
     }
-}
-
-/// The paper's cluster count: `K = 10` at 50%/100% participation, `K = 2`
-/// at 10% (§6.1), clamped to the fleet size.
-pub fn paper_k(participation: f64, devices: usize) -> usize {
-    let k = if participation <= 0.25 { 2 } else { 10 };
-    k.min(devices.max(1))
-}
-
-/// All seven algorithms of Table 1 for one cell, in the paper's column
-/// order.
-pub fn algorithm_suite(cfg: &ExperimentConfig) -> Vec<Box<dyn FlAlgorithm>> {
-    let k = paper_k(cfg.participation, cfg.n_devices);
-    vec![
-        Box::new(FedHiSyn::new(cfg, k)),
-        Box::new(FedAvg::new(cfg)),
-        Box::new(FedProx::new(cfg)),
-        Box::new(FedAT::new(cfg, 5.min(cfg.n_devices))),
-        Box::new(Scaffold::new(cfg)),
-        Box::new(TAFedAvg::new(cfg)),
-        Box::new(TFedAvg::new(cfg)),
-    ]
-}
-
-/// Run one algorithm on a fresh environment built from `cfg`.
-pub fn run_one(cfg: &ExperimentConfig, algo: &mut dyn FlAlgorithm) -> RunRecord {
-    let mut env = cfg.build_env();
-    run_experiment(algo, &mut env, cfg.rounds)
 }
 
 /// Write `value` as JSON under `results/<name>.json` (best-effort; the
@@ -137,47 +105,9 @@ pub fn write_json<T: Serialize>(name: &str, value: &T) {
     }
 }
 
-/// Print an accuracy-per-round series table: one column per labelled run.
-pub fn print_series(title: &str, labels: &[String], runs: &[RunRecord]) {
-    println!("\n== {title} ==");
-    print!("{:>5}", "round");
-    for l in labels {
-        print!(" {l:>14}");
-    }
-    println!();
-    let rounds = runs.iter().map(|r| r.rounds.len()).max().unwrap_or(0);
-    for round in 0..rounds {
-        print!("{round:>5}");
-        for run in runs {
-            match run.rounds.get(round) {
-                Some(r) => print!(" {:>13.1}%", r.accuracy * 100.0),
-                None => print!(" {:>14}", "-"),
-            }
-        }
-        println!();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn paper_k_matches_section_6_1() {
-        assert_eq!(paper_k(1.0, 100), 10);
-        assert_eq!(paper_k(0.5, 100), 10);
-        assert_eq!(paper_k(0.1, 100), 2);
-        assert_eq!(paper_k(1.0, 4), 4, "clamped to fleet size");
-    }
-
-    #[test]
-    fn suite_has_seven_algorithms() {
-        let scale = BenchScale::smoke();
-        let cfg = scale.config(DatasetProfile::MnistLike, Partition::Iid, 1.0);
-        let suite = algorithm_suite(&cfg);
-        assert_eq!(suite.len(), 7);
-        assert_eq!(suite[0].name(), "FedHiSyn");
-    }
 
     #[test]
     fn smoke_scale_is_smaller_than_full() {

@@ -1,11 +1,12 @@
-//! Experiment harness regenerating every table and figure of the paper.
+//! The experiment surface of the reproduction.
 //!
-//! Each binary (`table1`, `fig2` … `fig7`) reproduces one artifact of the
-//! paper's evaluation, printing the same rows/series the paper reports and
-//! writing machine-readable JSON next to it. Binaries default to **smoke
-//! scale** (sized for a 2-core CI box) and accept `--full` for the paper's
-//! dimensions (100 devices, full grids — hours of CPU).
+//! The `paper` binary regenerates the paper's evaluation — Table 1 and
+//! Figs 2, 3, 4, 6 and 7 — and ends every artefact in the claim the paper
+//! draws from it with a verdict computed from the numbers just produced
+//! (`results/paper.json`). `fig_churn` and `fig_codec` sweep the two axes
+//! the paper does not: fleet churn and the wire codec. Binaries default to
+//! **smoke scale** (sized for a 2-core CI box) and accept `--full` for the
+//! paper's dimensions (100 devices, full grids — hours of CPU).
 
 pub mod harness;
-pub mod table;
 pub mod trace;

@@ -5,8 +5,7 @@
 //! crate synthesizes class-conditional datasets with matched *structure*:
 //! the same class counts, comparable dimensionality, and a difficulty
 //! ordering MNIST < EMNIST < CIFAR10 < CIFAR100 controlled by prototype
-//! separation and noise (see DESIGN.md §4 for why this preserves the
-//! behaviours the paper measures).
+//! separation and noise.
 //!
 //! The crate also implements the paper's data-heterogeneity machinery:
 //!

@@ -1,134 +1,91 @@
-//! Label-skew statistics, including the paper's Eq. 4 divergence.
-
-use crate::dataset::Dataset;
+//! Label-skew statistics: the paper's Eq. 4 divergence.
 
 /// The paper's Eq. 4 divergence:
 /// `D = Σ_i Σ_j | p_i(y = j) − p(y = j) |`
 /// summed over devices `i` and classes `j`, where `p_i` is the label
-/// distribution on device `i` and `p` is the global distribution.
+/// distribution on device `i` and `p` is the pooled distribution.
 ///
-/// Larger `D` means the device shards are further from the pooled
-/// distribution, which the paper links to lower final accuracy (§3.2).
-pub fn label_divergence(global: &Dataset, device_indices: &[Vec<usize>]) -> f64 {
-    let p_global = global.label_distribution();
-    let mut total = 0.0f64;
-    for indices in device_indices {
-        let shard = global.subset(indices);
-        let p_dev = shard.label_distribution();
-        for (pd, pg) in p_dev.iter().zip(&p_global) {
-            total += (pd - pg).abs();
+/// Takes one class histogram per device (what `FlEnv::class_histogram`
+/// returns in O(classes), lazy data included); the pooled histogram is
+/// their sum. Larger `D` means the device shards are further from the
+/// pooled distribution, which the paper links to lower final accuracy
+/// (§3.2).
+pub fn label_divergence(histograms: &[Vec<usize>]) -> f64 {
+    let classes = histograms.first().map_or(0, Vec::len);
+    let mut pooled = vec![0usize; classes];
+    for hist in histograms {
+        for (p, &c) in pooled.iter_mut().zip(hist) {
+            *p += c;
         }
     }
-    total
+    let p_global = distribution(&pooled);
+    histograms
+        .iter()
+        .map(|hist| {
+            distribution(hist)
+                .iter()
+                .zip(&p_global)
+                .map(|(pd, pg)| (pd - pg).abs())
+                .sum::<f64>()
+        })
+        .sum()
 }
 
 /// Mean per-device divergence (Eq. 4 normalized by device count), which is
 /// comparable across different federation sizes.
-pub fn mean_label_divergence(global: &Dataset, device_indices: &[Vec<usize>]) -> f64 {
-    if device_indices.is_empty() {
+pub fn mean_label_divergence(histograms: &[Vec<usize>]) -> f64 {
+    if histograms.is_empty() {
         return 0.0;
     }
-    label_divergence(global, device_indices) / device_indices.len() as f64
+    label_divergence(histograms) / histograms.len() as f64
 }
 
-/// Summary of a federated partition, used by experiment logs.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PartitionSummary {
-    /// Number of devices.
-    pub devices: usize,
-    /// Samples on the smallest device.
-    pub min_samples: usize,
-    /// Samples on the largest device.
-    pub max_samples: usize,
-    /// Mean samples per device.
-    pub mean_samples: f64,
-    /// Eq. 4 divergence (total over devices).
-    pub divergence: f64,
-    /// Mean number of distinct classes held per device.
-    pub mean_classes_per_device: f64,
-}
-
-/// Compute a [`PartitionSummary`] for device index lists over `global`.
-pub fn summarize_partition(global: &Dataset, device_indices: &[Vec<usize>]) -> PartitionSummary {
-    let devices = device_indices.len();
-    let sizes: Vec<usize> = device_indices.iter().map(|d| d.len()).collect();
-    let total: usize = sizes.iter().sum();
-    let mean_classes = if devices == 0 {
-        0.0
-    } else {
-        device_indices
-            .iter()
-            .map(|idx| {
-                global
-                    .subset(idx)
-                    .class_histogram()
-                    .iter()
-                    .filter(|&&c| c > 0)
-                    .count() as f64
-            })
-            .sum::<f64>()
-            / devices as f64
-    };
-    PartitionSummary {
-        devices,
-        min_samples: sizes.iter().copied().min().unwrap_or(0),
-        max_samples: sizes.iter().copied().max().unwrap_or(0),
-        mean_samples: if devices == 0 {
-            0.0
-        } else {
-            total as f64 / devices as f64
-        },
-        divergence: label_divergence(global, device_indices),
-        mean_classes_per_device: mean_classes,
-    }
+/// A histogram normalised to sum to 1 (all zeros when empty).
+fn distribution(hist: &[usize]) -> Vec<f64> {
+    let n = hist.iter().sum::<usize>().max(1) as f64;
+    hist.iter().map(|&c| c as f64 / n).collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dataset::Dataset;
     use crate::partition::{partition_indices, Partition};
     use fedhisyn_tensor::{rng_from_seed, Tensor};
 
-    fn dataset(n: usize, classes: usize) -> Dataset {
-        let x = Tensor::zeros(vec![n, 2]);
-        let y: Vec<usize> = (0..n).map(|i| i % classes).collect();
-        Dataset::new(x, y, classes)
-    }
-
     #[test]
     fn perfectly_iid_partition_has_zero_divergence() {
-        let d = dataset(40, 4);
-        // Hand-build shards with the exact global distribution.
-        let mut parts = vec![Vec::new(); 4];
-        for i in 0..40 {
-            parts[(i / 4) % 4].push(i);
-        }
-        let div = label_divergence(&d, &parts);
+        // Every device holds the exact pooled distribution.
+        let div = label_divergence(&vec![vec![3, 3, 3, 3]; 4]);
         assert!(div < 1e-9, "divergence {div}");
     }
 
     #[test]
     fn single_class_devices_have_max_divergence() {
-        let d = dataset(40, 4);
         // Each device holds exactly one class.
-        let mut parts = vec![Vec::new(); 4];
-        for i in 0..40 {
-            parts[d.y[i]].push(i);
-        }
+        let hists: Vec<Vec<usize>> = (0..4)
+            .map(|c| (0..4).map(|j| if j == c { 10 } else { 0 }).collect())
+            .collect();
         // Per device: |1 − 0.25| + 3·|0 − 0.25| = 1.5; total = 6.
-        let div = label_divergence(&d, &parts);
+        let div = label_divergence(&hists);
         assert!((div - 6.0).abs() < 1e-9, "divergence {div}");
     }
 
     #[test]
     fn dirichlet_divergence_decreases_with_beta() {
-        let d = dataset(2000, 10);
+        let n = 2000;
+        let y: Vec<usize> = (0..n).map(|i| i % 10).collect();
+        let d = Dataset::new(Tensor::zeros(vec![n, 2]), y, 10);
         let avg = |beta: f64| -> f64 {
             (0..5)
                 .map(|s| {
                     let mut rng = rng_from_seed(s);
                     let parts = partition_indices(&d, 10, Partition::Dirichlet { beta }, &mut rng);
-                    mean_label_divergence(&d, &parts)
+                    let hists: Vec<Vec<usize>> = parts
+                        .iter()
+                        .map(|idx| d.subset(idx).class_histogram())
+                        .collect();
+                    mean_label_divergence(&hists)
                 })
                 .sum::<f64>()
                 / 5.0
@@ -142,27 +99,7 @@ mod tests {
     }
 
     #[test]
-    fn summary_reports_sizes() {
-        let d = dataset(30, 3);
-        let parts = vec![
-            (0..10).collect::<Vec<_>>(),
-            (10..15).collect(),
-            (15..30).collect(),
-        ];
-        let s = summarize_partition(&d, &parts);
-        assert_eq!(s.devices, 3);
-        assert_eq!(s.min_samples, 5);
-        assert_eq!(s.max_samples, 15);
-        assert!((s.mean_samples - 10.0).abs() < 1e-9);
-        assert!(s.mean_classes_per_device > 0.0);
-    }
-
-    #[test]
     fn empty_partition_list() {
-        let d = dataset(10, 2);
-        assert_eq!(mean_label_divergence(&d, &[]), 0.0);
-        let s = summarize_partition(&d, &[]);
-        assert_eq!(s.devices, 0);
-        assert_eq!(s.max_samples, 0);
+        assert_eq!(mean_label_divergence(&[]), 0.0);
     }
 }

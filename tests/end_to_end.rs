@@ -90,7 +90,7 @@ fn partial_participation_runs_and_uploads_less() {
 fn fedhisyn_is_competitive_with_fedavg_on_noniid() {
     // The paper's headline: under non-IID + heterogeneity FedHiSyn reaches
     // at least FedAvg's quality (and beats it at scale; the full-shape
-    // comparison lives in the fig7/table1 binaries and EXPERIMENTS.md).
+    // comparison is `paper table1 fig7`).
     let cfg = ExperimentConfig::builder(DatasetProfile::MnistLike)
         .scale(Scale::Smoke)
         .devices(16)

@@ -1,5 +1,5 @@
 //! Reproduce the paper's §3.2 observations as executable assertions
-//! (the full curves live in the fig2/fig3/fig4 binaries).
+//! (the full curves and their claim verdicts: `paper fig2 fig3 fig4`).
 
 use fedhisyn::prelude::*;
 
