@@ -257,7 +257,6 @@ mod tests {
             batch_size: 4,
             sgd: SgdConfig::default(),
             seed: 3,
-            momentum: crate::env::DeviceBank::disabled(),
             wire_check: false,
             codec: fedhisyn_nn::Codec::F32,
             residuals: crate::env::DeviceBank::disabled(),

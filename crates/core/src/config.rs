@@ -77,14 +77,8 @@ pub struct ExperimentConfig {
     pub local_epochs: usize,
     /// Mini-batch size.
     pub batch_size: usize,
-    /// SGD learning rate.
+    /// SGD learning rate (devices train with plain SGD, as in the paper).
     pub lr: f32,
-    /// SGD momentum coefficient (the paper uses 0 — plain SGD).
-    pub momentum: f32,
-    /// Keep per-device momentum velocity across ring hops and rounds
-    /// (extension experiment; the paper-faithful default recreates
-    /// optimizer state on every local-training call).
-    pub persist_momentum: bool,
     /// Round-trip every ring-relay transfer through the wire codec and
     /// assert bit-identity — a serialization-drift tripwire for CI runs
     /// (off by default: it taxes each hop with an encode/decode). With a
@@ -132,8 +126,6 @@ impl ExperimentConfig {
                 local_epochs: 5,
                 batch_size: 50,
                 lr: 0.1,
-                momentum: 0.0,
-                persist_momentum: false,
                 wire_check: false,
                 codec: Codec::F32,
                 faults: None,
@@ -235,17 +227,8 @@ impl ExperimentConfig {
             meter: TrafficMeter::new(),
             local_epochs: self.local_epochs,
             batch_size: self.batch_size,
-            sgd: SgdConfig {
-                lr: self.lr,
-                momentum: self.momentum,
-                weight_decay: 0.0,
-            },
+            sgd: SgdConfig { lr: self.lr },
             seed: self.seed,
-            momentum: if self.persist_momentum {
-                DeviceBank::new()
-            } else {
-                DeviceBank::disabled()
-            },
             wire_check: self.wire_check,
             codec: self.codec,
             residuals: if self.codec.lossy() {
@@ -365,19 +348,6 @@ impl ExperimentConfigBuilder {
     pub fn lr(mut self, lr: f32) -> Self {
         assert!(lr > 0.0, "learning rate must be positive");
         self.cfg.lr = lr;
-        self
-    }
-
-    /// Set the SGD momentum coefficient.
-    pub fn momentum(mut self, momentum: f32) -> Self {
-        assert!((0.0..1.0).contains(&momentum), "momentum in [0, 1)");
-        self.cfg.momentum = momentum;
-        self
-    }
-
-    /// Persist per-device momentum velocity across ring hops and rounds.
-    pub fn persist_momentum(mut self, persist: bool) -> Self {
-        self.cfg.persist_momentum = persist;
         self
     }
 

@@ -21,15 +21,12 @@ use fedhisyn_telemetry::TelemetrySink;
 /// Lock shards in an enabled [`DeviceBank`] (device id modulo).
 const BANK_SHARDS: usize = 64;
 
-/// Per-device state that outlives a training step or a transfer: one
-/// [`ParamVec`] per device, checked out with [`DeviceBank::take`] and
-/// handed back with [`DeviceBank::store`]. The environment keeps two —
-/// SGD velocity for the opt-in persistent-momentum extension
-/// ([`FlEnv::momentum`]; the paper-faithful default is disabled, so every
-/// local step starts from zero velocity) and the error-feedback residual
-/// of lossy wire codecs ([`FlEnv::residuals`]: the mass a device's last
-/// encode dropped, re-injected into its next transmission — see
-/// `fedhisyn_nn::wire::codec_transform_in_place`).
+/// Per-device state that outlives a transfer: one [`ParamVec`] per
+/// device, checked out with [`DeviceBank::take`] and handed back with
+/// [`DeviceBank::store`]. The environment keeps one — the error-feedback
+/// residual of lossy wire codecs ([`FlEnv::residuals`]: the mass a
+/// device's last encode dropped, re-injected into its next transmission —
+/// see `fedhisyn_nn::wire::codec_transform_in_place`).
 ///
 /// Storage is a fixed number of lock-sharded maps keyed by device id, so
 /// an enabled bank costs O(devices actually touched) — O(cohort) per
@@ -125,9 +122,6 @@ pub struct FlEnv {
     pub sgd: SgdConfig,
     /// Master experiment seed; all per-round randomness derives from it.
     pub seed: u64,
-    /// Per-device momentum persistence (disabled by default — the
-    /// paper-faithful setting recreates optimizer state per call).
-    pub momentum: DeviceBank,
     /// When set, every ring-relay transfer is round-tripped through the
     /// [`fedhisyn_nn::wire`] frame codec and asserted bit-identical —
     /// the CI serialization-drift tripwire (off by default: it taxes each
@@ -420,7 +414,6 @@ mod tests {
             batch_size: 50,
             sgd: SgdConfig::default(),
             seed: 42,
-            momentum: DeviceBank::disabled(),
             wire_check: false,
             codec: Codec::F32,
             residuals: DeviceBank::disabled(),

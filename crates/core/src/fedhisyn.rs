@@ -25,6 +25,17 @@ use crate::topology::{Ring, RingOrder};
 /// the devices that actually misbehave rather than the whole cohort.
 const FAULT_SCORE_FLOOR: f64 = 1e-3;
 
+/// EWMA fault score at which a device becomes a *suspect*: before an
+/// interval starts, its class ring is rebuilt with all suspects demoted to
+/// the tail ([`Ring::build_with_suspects`]), so flaky edges stop taxing
+/// the healthy head of the ring. Only consulted when the environment's
+/// fault plan is active.
+const SUSPECT_THRESHOLD: f64 = 2.0;
+
+/// EWMA smoothing factor for per-device fault scores
+/// (`score ← (1-α)·score + α·faults_observed_this_round`).
+const FAULT_ALPHA: f64 = 0.25;
+
 /// The FedHiSyn algorithm.
 ///
 /// Per round (Alg. 1): the server broadcasts the global model to the
@@ -40,20 +51,6 @@ pub struct FedHiSyn {
     pub k: usize,
     /// Server aggregation rule (Eq. 9 by default, Eq. 10 optional).
     pub aggregation: AggregationRule,
-    /// Ring ordering inside a class (the paper uses small-to-large).
-    pub ring_order: RingOrder,
-    /// What devices do with received models (the paper trains them
-    /// directly).
-    pub receive_policy: ReceivePolicy,
-    /// EWMA fault score at which a device becomes a *suspect*: before an
-    /// interval starts, its class ring is rebuilt with all suspects
-    /// demoted to the tail ([`Ring::build_with_suspects`]), so flaky
-    /// edges stop taxing the healthy head of the ring. Only consulted
-    /// when the environment's fault plan is active.
-    pub suspect_threshold: f64,
-    /// EWMA smoothing factor for per-device fault scores
-    /// (`score ← (1-α)·score + α·faults_observed_this_round`).
-    pub fault_alpha: f64,
     participation: f64,
     global: ParamVec,
     /// Per-device EWMA of observed transport faults (losses +
@@ -73,10 +70,6 @@ impl FedHiSyn {
         FedHiSyn {
             k,
             aggregation: cfg.aggregation,
-            ring_order: RingOrder::SmallToLarge,
-            receive_policy: ReceivePolicy::TrainReceived,
-            suspect_threshold: 2.0,
-            fault_alpha: 0.25,
             participation: cfg.participation,
             global: cfg.initial_params(),
             fault_scores: HashMap::new(),
@@ -169,7 +162,8 @@ impl FlAlgorithm for FedHiSyn {
             round,
             vt_base,
             interval,
-            policy: self.receive_policy,
+            // Devices train received models directly (Eq. 6).
+            policy: ReceivePolicy::TrainReceived,
             base: Some(global),
         };
         struct ClassRing {
@@ -195,7 +189,7 @@ impl FlAlgorithm for FedHiSyn {
                 let suspects: Vec<bool> = if env.faults_active() && !self.fault_scores.is_empty() {
                     members
                         .iter()
-                        .map(|d| self.fault_score(*d) >= self.suspect_threshold)
+                        .map(|d| self.fault_score(*d) >= SUSPECT_THRESHOLD)
                         .collect()
                 } else {
                     Vec::new()
@@ -204,7 +198,8 @@ impl FlAlgorithm for FedHiSyn {
                     members,
                     &latencies,
                     &env.link,
-                    self.ring_order,
+                    // The paper's small-to-large ring order.
+                    RingOrder::SmallToLarge,
                     &mut rng,
                     &suspects,
                 );
@@ -238,7 +233,7 @@ impl FlAlgorithm for FedHiSyn {
                 for (pos, &device) in ring.order().iter().enumerate() {
                     let observed = outcome.transport.faults_at.get(pos).copied().unwrap_or(0);
                     let old = self.fault_scores.get(&device).copied().unwrap_or(0.0);
-                    let score = (1.0 - self.fault_alpha) * old + self.fault_alpha * observed as f64;
+                    let score = (1.0 - FAULT_ALPHA) * old + FAULT_ALPHA * observed as f64;
                     if score >= FAULT_SCORE_FLOOR {
                         self.fault_scores.insert(device, score);
                     } else {
@@ -462,21 +457,28 @@ mod tests {
 
     #[test]
     fn suspect_threshold_triggers_proactive_rebuild() {
-        // Force certain loss so every receiver's score ratchets past the
-        // threshold fast, then check the demotion machinery engages
-        // (scores present, run still completes, record stays finite).
+        // Certain loss with a retry budget of 7 charges a receiving edge 8
+        // faults per hop, so a single round's EWMA step (α·8 = 2) already
+        // reaches the threshold and the later rounds rebuild their rings.
         let mut faults = fedhisyn_simnet::FaultConfig::lossy(1.0);
-        faults.max_retries = 1;
+        faults.max_retries = 7;
         let cfg = faulty_config(9, faults);
         let mut env = cfg.build_env();
+        env.telemetry = fedhisyn_telemetry::TelemetrySink::enabled(1 << 12);
         let mut algo = FedHiSyn::new(&cfg, 2);
-        algo.suspect_threshold = 0.2;
         let rec = run_experiment(&mut algo, &mut env, 3);
         assert_eq!(rec.rounds.len(), 3);
         assert!(
-            (0..8).any(|d| algo.fault_score(d) >= algo.suspect_threshold),
+            (0..8).any(|d| algo.fault_score(d) >= SUSPECT_THRESHOLD),
             "certain loss must push scores past the rebuild threshold"
         );
+        let metrics = env.telemetry.telemetry().expect("enabled").metrics();
+        let rebuilds = metrics
+            .counters
+            .iter()
+            .find(|(name, _)| *name == "transport.rebuilds")
+            .map_or(0, |(_, n)| *n);
+        assert!(rebuilds > 0, "suspects must trigger a ring rebuild");
         // Every transfer gave up, so no foreign model was ever delivered;
         // devices refine their own broadcast copy (Eq. 7) and still upload.
         assert!(rec.rounds[2].uploads > 0.0);

@@ -40,7 +40,6 @@
 
 pub mod aggregate;
 pub mod algorithm;
-pub mod compare;
 pub mod config;
 pub mod decentral;
 pub mod engine;

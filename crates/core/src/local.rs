@@ -18,7 +18,8 @@ use crate::env::{seed_mix, FlEnv};
 /// Train `params` on device `device`'s shard for `epochs` epochs,
 /// consuming and returning the parameter buffer (Eq. 6 of the paper when
 /// `params` came from a ring predecessor, Eq. 7 when it is the device's
-/// own model).
+/// own model). Plain SGD keeps no optimizer state, so nothing but the
+/// parameters carries from one call to the next.
 ///
 /// `salt` disambiguates multiple training steps of the same device within
 /// one round (ring hops); mixing it into the RNG seed keeps every step's
@@ -39,15 +40,8 @@ pub fn local_train_owned(
     if data.is_empty() {
         return params;
     }
-    // Persistent-momentum extension: check the device's velocity out of
-    // the bank, run the step with it installed, and return it afterwards.
-    // With the bank disabled (the paper-faithful default) this is a no-op
-    // and every call starts from zero velocity, exactly as before.
     let mut sgd = Sgd::new(env.sgd);
-    if let Some(velocity) = env.momentum.take(device) {
-        sgd.set_velocity(velocity);
-    }
-    let out = ExecutionEngine::with_model(&env.spec, |model| {
+    ExecutionEngine::with_model(&env.spec, |model| {
         model.set_params(&params);
         let mut rng = rng_from_seed(seed_mix(env.seed, round as u64, device as u64, salt));
         for _ in 0..epochs {
@@ -63,12 +57,7 @@ pub fn local_train_owned(
         }
         model.copy_params_into(&mut params);
         params
-    });
-    // Plain SGD never creates velocity; there is nothing to persist then.
-    if let Some(velocity) = sgd.take_velocity() {
-        env.momentum.store(device, velocity);
-    }
-    out
+    })
 }
 
 /// [`local_train_owned`] with no gradient correction.
@@ -162,7 +151,6 @@ mod tests {
             batch_size: 32,
             sgd: SgdConfig::default(),
             seed: 77,
-            momentum: crate::env::DeviceBank::disabled(),
             wire_check: false,
             codec: fedhisyn_nn::Codec::F32,
             residuals: crate::env::DeviceBank::disabled(),
@@ -230,8 +218,7 @@ mod tests {
     /// Model-cache hygiene: whatever the worker's cached model did last —
     /// here another device's job from other parameters — a job on it
     /// equals the same job on a freshly built model, bit for bit, for the
-    /// MLP and the CNN stack, with velocity reset per job and with
-    /// velocity persisted across a device's jobs.
+    /// MLP and the CNN stack.
     #[test]
     fn cached_model_matches_fresh_build() {
         let mlp = make_env();
@@ -239,55 +226,38 @@ mod tests {
             .synth_config(Scale::Smoke, 3)
             .generate();
         let cnn = env_over(fd, ModelSpec::smoke_cnn(8, 10));
-        for mut env in [mlp, cnn] {
-            env.sgd.momentum = 0.9;
-            for persist in [false, true] {
-                env.momentum = if persist {
-                    crate::env::DeviceBank::new()
-                } else {
-                    crate::env::DeviceBank::disabled()
-                };
-                let other = env.spec.build(&mut rng_from_seed(9)).params();
-                let mut params = env.spec.build(&mut rng_from_seed(0)).params();
-                let (device, epochs, round) = (1usize, 2usize, 2usize);
-                let shard = env.shard(device);
-                let mut sgd = Sgd::new(env.sgd);
-                for salt in [5u64, 6] {
-                    let _ = local_train_plain_owned(&env, 2, other.clone(), 1, 0, 0);
-                    let got =
-                        local_train_plain_owned(&env, device, params.clone(), epochs, round, salt);
-                    let got_acc = evaluate_on_test(&env, &got);
+        for env in [mlp, cnn] {
+            let other = env.spec.build(&mut rng_from_seed(9)).params();
+            let mut params = env.spec.build(&mut rng_from_seed(0)).params();
+            let (device, epochs, round) = (1usize, 2usize, 2usize);
+            let shard = env.shard(device);
+            for salt in [5u64, 6] {
+                let _ = local_train_plain_owned(&env, 2, other.clone(), 1, 0, 0);
+                let got =
+                    local_train_plain_owned(&env, device, params.clone(), epochs, round, salt);
+                let got_acc = evaluate_on_test(&env, &got);
 
-                    let mut fresh = build_model(&env, &params);
-                    if !persist {
-                        sgd = Sgd::new(env.sgd);
-                    }
-                    let mut rng =
-                        rng_from_seed(seed_mix(env.seed, round as u64, device as u64, salt));
-                    for _ in 0..epochs {
-                        sgd_epoch(
-                            &mut fresh,
-                            &shard.x,
-                            &shard.y,
-                            env.batch_size,
-                            &mut sgd,
-                            &NoHook,
-                            &mut rng,
-                        );
-                    }
-                    assert_eq!(
-                        got,
-                        fresh.params(),
-                        "{:?}, persist {persist}, salt {salt}",
-                        env.spec
+                let mut fresh = build_model(&env, &params);
+                let mut sgd = Sgd::new(env.sgd);
+                let mut rng = rng_from_seed(seed_mix(env.seed, round as u64, device as u64, salt));
+                for _ in 0..epochs {
+                    sgd_epoch(
+                        &mut fresh,
+                        &shard.x,
+                        &shard.y,
+                        env.batch_size,
+                        &mut sgd,
+                        &NoHook,
+                        &mut rng,
                     );
-                    let mut fresh = build_model(&env, &got);
-                    assert_eq!(
-                        got_acc,
-                        evaluate_arena(&mut fresh, &env.test.x, &env.test.y, 256)
-                    );
-                    params = got;
                 }
+                assert_eq!(got, fresh.params(), "{:?}, salt {salt}", env.spec);
+                let mut fresh = build_model(&env, &got);
+                assert_eq!(
+                    got_acc,
+                    evaluate_arena(&mut fresh, &env.test.x, &env.test.y, 256)
+                );
+                params = got;
             }
         }
     }

@@ -75,14 +75,6 @@ impl RunRecord {
         self.rounds.iter().map(|r| r.accuracy).fold(0.0, f32::max)
     }
 
-    /// First round index whose accuracy reached `target`, if any.
-    pub fn rounds_to_target(&self, target: f32) -> Option<usize> {
-        self.rounds
-            .iter()
-            .find(|r| r.accuracy >= target)
-            .map(|r| r.round)
-    }
-
     /// Table 1's metric: uploads (in model-equivalents) accumulated by the
     /// first round that reached `target`, normalized by `unit` (one FedAvg
     /// round's uploads = participants per round). `None` when the target
@@ -136,14 +128,6 @@ mod tests {
     }
 
     #[test]
-    fn rounds_to_target_finds_first_crossing() {
-        let r = record_with(&[0.1, 0.3, 0.6, 0.7]);
-        assert_eq!(r.rounds_to_target(0.3), Some(1));
-        assert_eq!(r.rounds_to_target(0.65), Some(3));
-        assert_eq!(r.rounds_to_target(0.9), None);
-    }
-
-    #[test]
     fn uploads_to_target_normalizes() {
         let r = record_with(&[0.1, 0.6]);
         // Crossed at round 1 with 20 uploads; unit 10 → 2 "FedAvg rounds".
@@ -157,7 +141,7 @@ mod tests {
         assert_eq!(r.final_accuracy(), 0.0);
         assert_eq!(r.best_accuracy(), 0.0);
         assert_eq!(r.total_uploads(), 0.0);
-        assert!(r.rounds_to_target(0.1).is_none());
+        assert!(r.uploads_to_target(0.1, 1.0).is_none());
     }
 
     #[test]

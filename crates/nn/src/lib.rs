@@ -5,7 +5,7 @@
 //!
 //! * the MLP used for MNIST/EMNIST-like tasks (two hidden layers, 200/100),
 //! * the CNN used for CIFAR-like tasks (two conv layers + two FC layers),
-//! * softmax cross-entropy loss, SGD with optional momentum/weight decay,
+//! * softmax cross-entropy loss and plain SGD,
 //! * flat [`ParamVec`] parameter vectors — the "currency" exchanged between
 //!   federated devices and the server, and
 //! * a [`GradHook`] extension point through which FedProx's proximal term
@@ -22,7 +22,7 @@
 //! let mut model = spec.build(&mut rng);
 //! let x = Tensor::randn(vec![32, 8], 1.0, &mut rng);
 //! let y: Vec<usize> = (0..32).map(|i| i % 4).collect();
-//! let mut sgd = Sgd::new(SgdConfig { lr: 0.1, ..Default::default() });
+//! let mut sgd = Sgd::new(SgdConfig { lr: 0.1 });
 //! let loss0 = sgd_epoch(&mut model, &x, &y, 8, &mut sgd, &NoHook, &mut rng);
 //! for _ in 0..20 {
 //!     sgd_epoch(&mut model, &x, &y, 8, &mut sgd, &NoHook, &mut rng);

@@ -229,9 +229,9 @@ impl Sequential {
     /// every trainable tensor, in the same order as [`Sequential::params`].
     ///
     /// The offset locates the slice inside the flat [`ParamVec`] layout, so
-    /// callers holding flat companion state (momentum buffers, proximal
-    /// anchors, control variates) can index it without materialising a
-    /// flat copy of the model. This is the in-place training path: the
+    /// callers holding flat companion state (proximal anchors, control
+    /// variates) can index it without materialising a flat copy of the
+    /// model. This is the in-place training path: the
     /// optimizer mutates layer storage directly through the slices.
     pub fn for_each_param_grad_mut(&mut self, f: &mut ParamGradVisitor<'_>) {
         let mut offset = 0usize;

@@ -102,13 +102,6 @@ impl ParamVec {
             .sqrt()
     }
 
-    /// `self - other` (allocating).
-    pub fn diff(&self, other: &ParamVec) -> ParamVec {
-        let mut out = self.clone();
-        out.sub_assign(other);
-        out
-    }
-
     /// True when all entries are finite (training-divergence guard).
     pub fn is_finite(&self) -> bool {
         self.0.iter().all(|x| x.is_finite())
@@ -236,7 +229,6 @@ mod tests {
         let b = pv(&[0., 4.]);
         assert_eq!(a.norm(), 3.0);
         assert_eq!(a.distance(&b), 5.0);
-        assert_eq!(a.diff(&b).as_slice(), &[3., -4.]);
     }
 
     #[test]

@@ -35,107 +35,45 @@ use serde::{Deserialize, Serialize};
 
 use crate::loss::softmax_cross_entropy_arena;
 use crate::model::Sequential;
-use crate::params::ParamVec;
 
-/// SGD hyper-parameters.
+/// SGD hyper-parameters: the paper trains with plain SGD (§6.1), so the
+/// learning rate is the only one.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct SgdConfig {
     /// Learning rate (the paper uses 0.1).
     pub lr: f32,
-    /// Classical momentum coefficient; 0 disables the velocity buffer.
-    pub momentum: f32,
-    /// L2 weight decay added to the gradient.
-    pub weight_decay: f32,
 }
 
 impl Default for SgdConfig {
     fn default() -> Self {
-        SgdConfig {
-            lr: 0.1,
-            momentum: 0.0,
-            weight_decay: 0.0,
-        }
+        SgdConfig { lr: 0.1 }
     }
 }
 
-/// Stateful SGD optimizer.
-///
-/// Momentum state is kept flat (one velocity entry per parameter in
-/// [`Sequential::params`] order), so it can be persisted and re-installed
-/// as one [`ParamVec`] ([`Sgd::take_velocity`] / [`Sgd::set_velocity`]).
+/// Plain SGD optimizer. It holds no state between steps.
 #[derive(Debug, Clone)]
 pub struct Sgd {
     cfg: SgdConfig,
-    velocity: Option<ParamVec>,
 }
 
 impl Sgd {
     /// New optimizer with the given config.
     pub fn new(cfg: SgdConfig) -> Self {
-        Sgd {
-            cfg,
-            velocity: None,
-        }
+        Sgd { cfg }
     }
 
-    /// Install previously persisted momentum state (the opt-in
-    /// persistent-momentum experiments thread per-device velocity across
-    /// ring hops and rounds through this seam).
-    ///
-    /// # Panics
-    /// Panics in [`Sgd::step_in_place`] if the installed
-    /// buffer's length disagrees with the model.
-    pub fn set_velocity(&mut self, velocity: ParamVec) {
-        self.velocity = Some(velocity);
-    }
-
-    /// Extract the momentum state for persistence (`None` when no update
-    /// with momentum has run yet).
-    pub fn take_velocity(&mut self) -> Option<ParamVec> {
-        self.velocity.take()
-    }
-
-    /// One update, `w ← w − lr · (g + wd·w)` with optional momentum,
-    /// applied **directly to model storage**: walks the model's
-    /// `(offset, params, grads)` slices, lets `hook` correct each gradient
-    /// slice in place, then applies the SGD rule on the spot.
+    /// One update, `w ← w − lr · g`, applied **directly to model
+    /// storage**: walks the model's `(offset, params, grads)` slices, lets
+    /// `hook` correct each gradient slice in place, then applies the SGD
+    /// rule on the spot.
     pub fn step_in_place(&mut self, model: &mut Sequential, hook: &dyn GradHook) {
-        let SgdConfig {
-            lr,
-            momentum: mu,
-            weight_decay: wd,
-        } = self.cfg;
-        if mu == 0.0 {
-            model.for_each_param_grad_mut(&mut |offset, params, grads| {
-                hook.adjust(offset, params, grads);
-                update_plain(params, grads, lr, wd);
-            });
-        } else {
-            let n = model.param_count();
-            let velocity = self.velocity.get_or_insert_with(|| ParamVec::zeros(n));
-            assert_eq!(velocity.len(), n, "velocity buffer size changed");
-            let vbuf = velocity.as_mut_slice();
-            model.for_each_param_grad_mut(&mut |offset, params, grads| {
-                hook.adjust(offset, params, grads);
-                let v = &mut vbuf[offset..offset + params.len()];
-                update_momentum(params, grads, v, lr, wd, mu);
-            });
-        }
-    }
-}
-
-#[inline]
-fn update_plain(params: &mut [f32], grads: &[f32], lr: f32, wd: f32) {
-    for (w, &g) in params.iter_mut().zip(grads) {
-        *w -= lr * (g + wd * *w);
-    }
-}
-
-#[inline]
-fn update_momentum(params: &mut [f32], grads: &[f32], v: &mut [f32], lr: f32, wd: f32, mu: f32) {
-    for ((w, &g), vel) in params.iter_mut().zip(grads).zip(v.iter_mut()) {
-        *vel = mu * *vel + g + wd * *w;
-        *w -= lr * *vel;
+        let lr = self.cfg.lr;
+        model.for_each_param_grad_mut(&mut |offset, params, grads| {
+            hook.adjust(offset, params, grads);
+            for (w, &g) in params.iter_mut().zip(grads.iter()) {
+                *w -= lr * g;
+            }
+        });
     }
 }
 
@@ -270,6 +208,7 @@ pub fn mean_loss_arena(model: &mut Sequential, x: &Tensor, y: &[usize], batch_si
 mod tests {
     use super::*;
     use crate::arch::ModelSpec;
+    use crate::params::ParamVec;
     use fedhisyn_tensor::rng_from_seed;
 
     /// Two well-separated Gaussian blobs.
@@ -294,10 +233,7 @@ mod tests {
         let spec = ModelSpec::mlp(&[4, 8, 2]);
         let mut rng = rng_from_seed(1);
         let mut model = spec.build(&mut rng);
-        let mut sgd = Sgd::new(SgdConfig {
-            lr: 0.1,
-            ..Default::default()
-        });
+        let mut sgd = Sgd::new(SgdConfig { lr: 0.1 });
         for _ in 0..30 {
             sgd_epoch(&mut model, &x, &y, 16, &mut sgd, &NoHook, &mut rng);
         }
@@ -318,42 +254,6 @@ mod tests {
         }
         let last = mean_loss_arena(&mut model, &x, &y, 16);
         assert!(last < first, "loss should fall: {first} -> {last}");
-    }
-
-    #[test]
-    fn momentum_trains_too() {
-        let (x, y) = blob_data(64, 4);
-        let spec = ModelSpec::mlp(&[4, 8, 2]);
-        let mut rng = rng_from_seed(5);
-        let mut model = spec.build(&mut rng);
-        let mut sgd = Sgd::new(SgdConfig {
-            lr: 0.05,
-            momentum: 0.9,
-            weight_decay: 0.0,
-        });
-        for _ in 0..20 {
-            sgd_epoch(&mut model, &x, &y, 16, &mut sgd, &NoHook, &mut rng);
-        }
-        assert!(evaluate_arena(&mut model, &x, &y, 16) > 0.9);
-    }
-
-    #[test]
-    fn weight_decay_shrinks_weights() {
-        let spec = ModelSpec::mlp(&[4, 4, 2]);
-        let mut rng = rng_from_seed(6);
-        let mut model = spec.build(&mut rng);
-        let norm_before = model.params().norm();
-        let mut sgd = Sgd::new(SgdConfig {
-            lr: 0.1,
-            momentum: 0.0,
-            weight_decay: 0.5,
-        });
-        // Zero gradients: only decay acts.
-        model.zero_grad();
-        for _ in 0..10 {
-            sgd.step_in_place(&mut model, &NoHook);
-        }
-        assert!(model.params().norm() < norm_before);
     }
 
     #[test]
@@ -446,27 +346,21 @@ mod tests {
     }
 
     /// `step_in_place` against the update rule written out on flat
-    /// snapshots: `w − lr·(g + wd·w)`, the momentum recurrence
-    /// `v ← μ·v + g + wd·w; w ← w − lr·v` over three steps, and the hook's
+    /// snapshots, `w − lr·g` over three steps, with and without the hook's
     /// correction applied at the right flat offsets.
     #[test]
     fn step_in_place_matches_the_written_out_update() {
         let (x, y) = blob_data(16, 20);
         let spec = ModelSpec::mlp(&[4, 5, 2]);
-        let (lr, wd, pull) = (0.05f32, 0.01f32, 0.1f32);
+        let (lr, pull) = (0.05f32, 0.1f32);
         let anchor = spec.build(&mut rng_from_seed(55)).params();
-        for (momentum, hooked) in [(0.0f32, false), (0.9, false), (0.0, true), (0.9, true)] {
+        for hooked in [false, true] {
             let mut model = spec.build(&mut rng_from_seed(21));
-            let mut sgd = Sgd::new(SgdConfig {
-                lr,
-                momentum,
-                weight_decay: wd,
-            });
+            let mut sgd = Sgd::new(SgdConfig { lr });
             let hook = AnchorHook {
                 anchor: anchor.clone(),
                 mu: if hooked { pull } else { 0.0 },
             };
-            let mut v = vec![0.0f32; model.param_count()];
             for step in 0..3 {
                 accumulate_grads(&mut model, &x, &y);
                 let (w, g) = (model.params(), model.grads());
@@ -474,20 +368,14 @@ mod tests {
                 let want: Vec<f32> = (0..w.len())
                     .map(|i| {
                         let (w, a) = (w.as_slice()[i], anchor.as_slice()[i]);
-                        let g = g.as_slice()[i] + hook.mu * (w - a);
-                        if momentum == 0.0 {
-                            w - lr * (g + wd * w)
-                        } else {
-                            v[i] = momentum * v[i] + g + wd * w;
-                            w - lr * v[i]
-                        }
+                        w - lr * (g.as_slice()[i] + hook.mu * (w - a))
                     })
                     .collect();
                 sgd.step_in_place(&mut model, &hook);
                 assert_eq!(
                     model.params().as_slice(),
                     &want[..],
-                    "step {step}, momentum {momentum}, hooked {hooked}"
+                    "step {step}, hooked {hooked}"
                 );
             }
         }
@@ -499,17 +387,12 @@ mod tests {
         spec: &ModelSpec,
         (x, y): (&Tensor, &[usize]),
         batch: usize,
-        (momentum, weight_decay): (f32, f32),
         hook: &dyn GradHook,
         epochs: usize,
         seed: u64,
     ) -> u64 {
         let mut model = spec.build(&mut rng_from_seed(seed));
-        let mut sgd = Sgd::new(SgdConfig {
-            lr: 0.05,
-            momentum,
-            weight_decay,
-        });
+        let mut sgd = Sgd::new(SgdConfig { lr: 0.05 });
         let mut rng = rng_from_seed(seed + 1);
         for _ in 0..epochs {
             sgd_epoch(&mut model, x, y, batch, &mut sgd, hook, &mut rng);
@@ -524,13 +407,12 @@ mod tests {
         })
     }
 
-    /// Whole epochs, pinned to the bit: three MLP epochs with weight
-    /// decay and the anchor hook, two `smoke_cnn` epochs, each plain and
-    /// with momentum. The constants were recorded at commit `14e6ce0`,
-    /// the last one where these same runs were also asserted equal to the
-    /// flatten/step/scatter epoch on allocating layers, on both the scalar
-    /// and the AVX2 kernel tier; any change to the arithmetic of a step —
-    /// layer kernels, loss, update rule, shuffle — moves them.
+    /// Whole epochs, pinned to the bit: three MLP epochs with the anchor
+    /// hook and two `smoke_cnn` epochs, plain SGD. The constants were
+    /// recorded at commit `686633a` from these same runs with momentum and
+    /// weight decay both zero, on both the scalar and the AVX2 kernel
+    /// tier; any change to the arithmetic of a step — layer kernels, loss,
+    /// update rule, shuffle — moves them.
     #[test]
     fn epoch_parameter_bits_are_pinned() {
         let (x, y) = blob_data(48, 20);
@@ -539,23 +421,19 @@ mod tests {
             anchor: mlp.build(&mut rng_from_seed(55)).params(),
             mu: 0.1,
         };
-        let bits = |momentum| trained_bits(&mlp, (&x, &y), 16, (momentum, 0.01), &hook, 3, 21);
-        assert_eq!(bits(0.0), 0xdfe1_83a7_f945_d235, "MLP epochs moved");
         assert_eq!(
-            bits(0.9),
-            0x8679_35c6_6123_d440,
-            "MLP momentum epochs moved"
+            trained_bits(&mlp, (&x, &y), 16, &hook, 3, 21),
+            0x7ff3_8303_7e48_9249,
+            "MLP epochs moved"
         );
 
         let cnn = ModelSpec::smoke_cnn(8, 3);
         let x = Tensor::randn(spec_input_dims(&cnn, 12), 1.0, &mut rng_from_seed(30));
         let y: Vec<usize> = (0..12).map(|i| i % 3).collect();
-        let bits = |momentum| trained_bits(&cnn, (&x, &y), 5, (momentum, 0.001), &NoHook, 2, 31);
-        assert_eq!(bits(0.0), 0xcef1_9418_b35f_ddaa, "CNN epochs moved");
         assert_eq!(
-            bits(0.9),
-            0xc569_397c_6b2d_c15e,
-            "CNN momentum epochs moved"
+            trained_bits(&cnn, (&x, &y), 5, &NoHook, 2, 31),
+            0xe8ee_7aed_e360_b9d3,
+            "CNN epochs moved"
         );
     }
 
@@ -595,11 +473,7 @@ mod tests {
             model.zero_grad();
             let y = model.forward_arena(xb);
             model.backward_arena(y);
-            Sgd::new(SgdConfig {
-                lr: 0.1,
-                ..Default::default()
-            })
-            .step_in_place(&mut model, &NoHook);
+            Sgd::new(SgdConfig { lr: 0.1 }).step_in_place(&mut model, &NoHook);
             let stepped = model.params();
             assert_ne!(stepped, b, "{spec:?}: the step must move the weights");
             assert_eq!(

@@ -1,6 +1,5 @@
 //! Inter-device link-delay models.
 
-use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 /// Communication-delay model between devices (and to the server).
@@ -41,20 +40,6 @@ impl LinkModel {
     /// The paper's simplified setting: free transfers.
     pub fn zero() -> Self {
         LinkModel::Constant { delay: 0.0 }
-    }
-
-    /// Random symmetric pairwise delays in `[lo, hi)`.
-    pub fn random_pairwise<R: Rng>(n: usize, lo: f64, hi: f64, rng: &mut R) -> Self {
-        assert!(n > 0 && lo >= 0.0 && hi >= lo);
-        let mut delays = vec![0.0f64; n * n];
-        for i in 0..n {
-            for j in (i + 1)..n {
-                let d = if hi > lo { rng.gen_range(lo..hi) } else { lo };
-                delays[i * n + j] = d;
-                delays[j * n + i] = d;
-            }
-        }
-        LinkModel::Pairwise { n, delays }
     }
 
     /// Delay for a transfer from device `i` to device `j`.
@@ -101,8 +86,6 @@ impl LinkModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     #[test]
     fn constant_model_is_constant() {
@@ -115,21 +98,6 @@ mod tests {
     #[test]
     fn zero_model_is_free() {
         assert_eq!(LinkModel::zero().delay(1, 2), 0.0);
-    }
-
-    #[test]
-    fn pairwise_is_symmetric_and_zero_diagonal() {
-        let mut rng = StdRng::seed_from_u64(0);
-        let m = LinkModel::random_pairwise(6, 0.1, 1.0, &mut rng);
-        for i in 0..6 {
-            assert_eq!(m.delay(i, i), 0.0);
-            for j in 0..6 {
-                assert_eq!(m.delay(i, j), m.delay(j, i));
-                if i != j {
-                    assert!(m.delay(i, j) >= 0.1 && m.delay(i, j) < 1.0);
-                }
-            }
-        }
     }
 
     #[test]

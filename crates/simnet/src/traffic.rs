@@ -52,18 +52,6 @@ pub struct TrafficSnapshot {
 }
 
 impl TrafficSnapshot {
-    /// Server-side load: uploads + downloads.
-    pub fn server_models(&self) -> f64 {
-        self.uploads + self.downloads
-    }
-
-    /// Uploads expressed in "FedAvg rounds" of `participants` devices —
-    /// the unit Table 1 reports.
-    pub fn upload_rounds(&self, participants: usize) -> f64 {
-        assert!(participants > 0, "participants must be positive");
-        self.uploads / participants as f64
-    }
-
     /// Bytes moved assuming 4-byte parameters (idealised payload only).
     pub fn bytes_moved(&self) -> f64 {
         self.parameters_moved * 4.0
@@ -240,15 +228,7 @@ mod tests {
         assert_eq!(s.wire_bytes, 9.0 * frame(100) as f64);
         assert_eq!(s.raw_bytes, s.wire_bytes, "no codec: ledgers coincide");
         assert_eq!(s.framing_overhead(), 9.0 * 20.0);
-        assert_eq!(s.server_models(), 4.0);
         assert_eq!(s.compression_ratio(), 1.0);
-    }
-
-    #[test]
-    fn upload_rounds_normalizes() {
-        let m = TrafficMeter::new();
-        m.record_upload(50, 10, frame(10), frame(10));
-        assert_eq!(m.snapshot().upload_rounds(10), 5.0);
     }
 
     #[test]
@@ -328,12 +308,5 @@ mod tests {
             h.join().expect("thread panicked");
         }
         assert_eq!(m.snapshot().peer_transfers, 4000.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "positive")]
-    fn zero_participants_panics() {
-        let s = TrafficSnapshot::default();
-        let _ = s.upload_rounds(0);
     }
 }

@@ -7,9 +7,9 @@
 //! counts, arena high-water marks), none correlated in time. This crate
 //! unifies them behind three pieces:
 //!
-//! * [`MetricsRegistry`] — pre-registered counters and histograms
-//!   on plain atomics; all storage is allocated at registration, so the
-//!   hot path never allocates and never locks.
+//! * [`MetricsRegistry`] — pre-registered counters on plain atomics;
+//!   all storage is allocated at registration, so the hot path never
+//!   allocates and never locks.
 //! * [`TelemetrySink`] — a cloneable handle carried by `FlEnv`. Disabled
 //!   (the default) it is a `None` and every call is an inlined branch:
 //!   the steady-state round stays **zero-alloc**, certified by the
@@ -30,7 +30,7 @@ pub use export::{
     chrome_trace_string, export_trace, jsonl_string, validate_chrome_trace, TraceSummary,
     PID_VIRTUAL, PID_WALL,
 };
-pub use registry::{CounterId, HistogramId, HistogramSnapshot, MetricsRegistry, MetricsSnapshot};
+pub use registry::{CounterId, MetricsRegistry, MetricsSnapshot};
 pub use round::RoundTelemetry;
 pub use span::{
     Phase, SpanCtx, SpanEvent, Telemetry, TelemetrySink, TransportCounters, WallStart, NO_ID,

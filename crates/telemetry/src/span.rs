@@ -15,9 +15,9 @@
 //! harness still certifies steady-state rounds as zero-alloc. Enabled, it
 //! appends `Copy` events into a buffer whose capacity was reserved up
 //! front (events beyond capacity are counted, not stored) and bumps
-//! pre-registered metrics, so even the enabled hot path never allocates.
+//! pre-registered counters, so even the enabled hot path never allocates.
 
-use crate::registry::{CounterId, Fnv, HistogramId, MetricsRegistry, MetricsSnapshot};
+use crate::registry::{CounterId, Fnv, MetricsRegistry, MetricsSnapshot};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -185,10 +185,6 @@ struct EventLog {
 struct WellKnown {
     /// Spans recorded, per phase.
     phase_counts: [CounterId; Phase::COUNT],
-    /// Virtual-duration histograms for the timed phases.
-    vt_local_train: HistogramId,
-    vt_relay_hop: HistogramId,
-    vt_ring_interval: HistogramId,
     /// Spans dropped because the event buffer was full.
     spans_dropped: CounterId,
     transport: WellKnownTransport,
@@ -224,11 +220,6 @@ pub struct Telemetry {
     ids: WellKnown,
 }
 
-/// Virtual-duration histogram bounds, in simulated seconds. Device
-/// latencies in the workspace's profiles run from sub-second to tens of
-/// seconds per step.
-const VT_BOUNDS: [f64; 8] = [0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0];
-
 impl Telemetry {
     fn new(capacity: usize) -> Self {
         let mut registry = MetricsRegistry::new();
@@ -244,9 +235,6 @@ impl Telemetry {
         ];
         let ids = WellKnown {
             phase_counts,
-            vt_local_train: registry.register_histogram("vt.local_train_seconds", &VT_BOUNDS),
-            vt_relay_hop: registry.register_histogram("vt.relay_hop_seconds", &VT_BOUNDS),
-            vt_ring_interval: registry.register_histogram("vt.ring_interval_seconds", &VT_BOUNDS),
             spans_dropped: registry.register_counter("spans.dropped"),
             transport: WellKnownTransport {
                 retries: registry.register_counter("transport.retries"),
@@ -272,11 +260,6 @@ impl Telemetry {
         }
     }
 
-    /// The metrics registry (for ad-hoc registration or inspection).
-    pub fn registry(&self) -> &MetricsRegistry {
-        &self.registry
-    }
-
     /// Copy of every recorded span, in record order.
     pub fn events(&self) -> Vec<SpanEvent> {
         self.log
@@ -291,7 +274,7 @@ impl Telemetry {
         self.dropped.load(Ordering::Relaxed)
     }
 
-    /// Snapshot of every metric.
+    /// Snapshot of every counter.
     pub fn metrics(&self) -> MetricsSnapshot {
         self.registry.snapshot()
     }
@@ -317,7 +300,7 @@ impl Telemetry {
     }
 
     /// FNV-1a fingerprint of the deterministic span stream plus the
-    /// metrics registry (counters + histograms; wall clock excluded).
+    /// counter registry (wall clock excluded).
     /// Equal fingerprints across two runs mean the virtual-time telemetry
     /// is bit-identical.
     pub fn fingerprint(&self) -> u64 {
@@ -338,13 +321,6 @@ impl Telemetry {
     fn record(&self, ev: SpanEvent) {
         self.registry
             .inc(self.ids.phase_counts[ev.phase as usize], 1);
-        let dur = ev.vt_end - ev.vt_start;
-        match ev.phase {
-            Phase::LocalTrain => self.registry.observe(self.ids.vt_local_train, dur),
-            Phase::RelayHop => self.registry.observe(self.ids.vt_relay_hop, dur),
-            Phase::RingInterval => self.registry.observe(self.ids.vt_ring_interval, dur),
-            _ => {}
-        }
         let mut log = self.log.lock().expect("telemetry log poisoned");
         if log.events.len() < log.capacity {
             log.events.push(ev);
@@ -497,14 +473,6 @@ mod tests {
         let m = t.metrics();
         assert!(m.counters.contains(&("spans.local_train", 1)));
         assert!(m.counters.contains(&("spans.round", 1)));
-        // The local-train duration (2.5s) landed in the (2.0, 4.0] bucket.
-        let hist = m
-            .histograms
-            .iter()
-            .find(|h| h.name == "vt.local_train_seconds")
-            .expect("registered");
-        assert_eq!(hist.sum, 2.5);
-        assert_eq!(hist.total(), 1);
     }
 
     #[test]

@@ -839,36 +839,6 @@ pub fn matmul(a: &Tensor, b: &Tensor) -> Result<Tensor> {
     Ok(out)
 }
 
-/// `A[m,k] @ B[n,k]ᵀ -> [m,n]` on tensors.
-pub fn matmul_nt(a: &Tensor, b: &Tensor) -> Result<Tensor> {
-    let (m, ka) = a.shape_obj().as_matrix()?;
-    let (n, kb) = b.shape_obj().as_matrix()?;
-    if ka != kb {
-        return Err(TensorError::InnerDimMismatch {
-            left_inner: ka,
-            right_inner: kb,
-        });
-    }
-    let mut out = Tensor::zeros(vec![m, n]);
-    par_gemm_nt(a.data(), b.data(), out.data_mut(), m, ka, n, 1.0, 0.0);
-    Ok(out)
-}
-
-/// `A[k,m]ᵀ @ B[k,n] -> [m,n]` on tensors.
-pub fn matmul_tn(a: &Tensor, b: &Tensor) -> Result<Tensor> {
-    let (ka, m) = a.shape_obj().as_matrix()?;
-    let (kb, n) = b.shape_obj().as_matrix()?;
-    if ka != kb {
-        return Err(TensorError::InnerDimMismatch {
-            left_inner: ka,
-            right_inner: kb,
-        });
-    }
-    let mut out = Tensor::zeros(vec![m, n]);
-    par_gemm_tn(a.data(), b.data(), out.data_mut(), m, ka, n, 1.0, 0.0);
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1038,8 +1008,9 @@ mod tests {
         }
         let mut expected = vec![0.0f32; m * n];
         reference::gemm(a.data(), &b, &mut expected, m, k, n, 1.0, 0.0);
-        let got = matmul_nt(&a, &bt).unwrap();
-        assert_close(got.data(), &expected, 1e-5);
+        let mut got = vec![0.0f32; m * n];
+        par_gemm_nt(a.data(), bt.data(), &mut got, m, k, n, 1.0, 0.0);
+        assert_close(&got, &expected, 1e-5);
     }
 
     #[test]
@@ -1055,8 +1026,9 @@ mod tests {
         }
         let mut expected = vec![0.0f32; m * n];
         reference::gemm(&a, b.data(), &mut expected, m, k, n, 1.0, 0.0);
-        let got = matmul_tn(&at, &b).unwrap();
-        assert_close(got.data(), &expected, 1e-5);
+        let mut got = vec![0.0f32; m * n];
+        par_gemm_tn(at.data(), b.data(), &mut got, m, k, n, 1.0, 0.0);
+        assert_close(&got, &expected, 1e-5);
     }
 
     #[test]
@@ -1114,8 +1086,6 @@ mod tests {
         let a = Tensor::zeros(vec![2, 3]);
         let b = Tensor::zeros(vec![4, 2]);
         assert!(matmul(&a, &b).is_err());
-        assert!(matmul_nt(&a, &Tensor::zeros(vec![2, 4])).is_err());
-        assert!(matmul_tn(&a, &Tensor::zeros(vec![4, 2])).is_err());
     }
 
     #[test]

@@ -37,14 +37,14 @@ pub use dispatch::{active_tier, select_tier, KernelTier};
 pub use error::TensorError;
 pub use gemm::reference as gemm_reference;
 pub use gemm::{
-    gemm, gemm_nt, gemm_nt_with_tier, gemm_tn, gemm_tn_with_tier, gemm_with_tier, matmul,
-    matmul_nt, matmul_tn, par_gemm, par_gemm_nt, par_gemm_tn,
+    gemm, gemm_nt, gemm_nt_with_tier, gemm_tn, gemm_tn_with_tier, gemm_with_tier, matmul, par_gemm,
+    par_gemm_nt, par_gemm_tn,
 };
 pub use ops::{
     add, add_assign, axpy, dot, hadamard, l2_norm, lerp, scale, scale_assign, sub, sub_assign,
 };
 pub use quant::{dequant8, dequantize_slice, finite_min_max, quant8, quant_scale, quantize_slice};
-pub use rng::{fill_normal, fill_uniform, normal_f32, rng_from_seed, TensorRng};
+pub use rng::{fill_normal, rng_from_seed, TensorRng};
 pub use scratch::{Scratch, ScratchSlot};
 pub use shape::{num_elements, Shape};
 pub use tensor::Tensor;

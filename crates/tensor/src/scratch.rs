@@ -185,12 +185,6 @@ impl Scratch {
         }
     }
 
-    /// Elements currently carved out since the last reset.
-    #[inline]
-    pub fn in_use(&self) -> usize {
-        self.cursor
-    }
-
     /// Slab size — the high-water mark of any step so far.
     #[inline]
     pub fn capacity(&self) -> usize {
@@ -223,7 +217,6 @@ mod tests {
             &[1., 2., 3., 4.],
             "later allocs must not clobber"
         );
-        assert_eq!(s.in_use(), 6);
     }
 
     #[test]
@@ -293,7 +286,6 @@ mod tests {
         let _ = s.alloc(16);
         let c = s.clone();
         assert_eq!(c.capacity(), 0);
-        assert_eq!(c.in_use(), 0);
     }
 
     #[test]

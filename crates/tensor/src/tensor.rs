@@ -3,7 +3,7 @@
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
-use crate::rng::{fill_normal, fill_uniform};
+use crate::rng::fill_normal;
 use crate::shape::{num_elements, Shape};
 use crate::{Result, TensorError};
 
@@ -61,13 +61,6 @@ impl Tensor {
     pub fn randn<R: Rng>(dims: Vec<usize>, std: f32, rng: &mut R) -> Self {
         let mut t = Self::zeros(dims);
         fill_normal(&mut t.data, 0.0, std, rng);
-        t
-    }
-
-    /// A tensor with i.i.d. `U[lo, hi)` entries drawn from `rng`.
-    pub fn rand_uniform<R: Rng>(dims: Vec<usize>, lo: f32, hi: f32, rng: &mut R) -> Self {
-        let mut t = Self::zeros(dims);
-        fill_uniform(&mut t.data, lo, hi, rng);
         t
     }
 
@@ -146,19 +139,6 @@ impl Tensor {
         })
     }
 
-    /// In-place reshape (no data movement).
-    pub fn reshape_in_place(&mut self, dims: Vec<usize>) -> Result<()> {
-        let to = num_elements(&dims);
-        if to != self.len() {
-            return Err(TensorError::BadReshape {
-                from: self.len(),
-                to,
-            });
-        }
-        self.shape = Shape::new(dims);
-        Ok(())
-    }
-
     /// Row `r` of a matrix as a slice.
     pub fn row(&self, r: usize) -> Result<&[f32]> {
         let (rows, cols) = self.shape.as_matrix()?;
@@ -176,13 +156,6 @@ impl Tensor {
         Tensor {
             shape: self.shape.clone(),
             data: self.data.iter().map(|&x| f(x)).collect(),
-        }
-    }
-
-    /// Apply a function to all elements in place.
-    pub fn map_in_place(&mut self, f: impl Fn(f32) -> f32) {
-        for x in &mut self.data {
-            *x = f(*x);
         }
     }
 
@@ -289,13 +262,6 @@ mod tests {
     }
 
     #[test]
-    fn uniform_respects_bounds() {
-        let mut rng = StdRng::seed_from_u64(11);
-        let t = Tensor::rand_uniform(vec![1000], -2.0, 3.0, &mut rng);
-        assert!(t.data().iter().all(|&x| (-2.0..3.0).contains(&x)));
-    }
-
-    #[test]
     fn indexing_round_trip() {
         let mut t = Tensor::zeros(vec![2, 3]);
         *t.at_mut(&[1, 2]) = 9.0;
@@ -308,9 +274,6 @@ mod tests {
         let t = Tensor::zeros(vec![2, 3]);
         assert!(t.reshape(vec![3, 2]).is_ok());
         assert!(t.reshape(vec![7]).is_err());
-        let mut t2 = t.clone();
-        t2.reshape_in_place(vec![6]).unwrap();
-        assert_eq!(t2.shape(), &[6]);
     }
 
     #[test]
@@ -350,9 +313,6 @@ mod tests {
         let t = Tensor::from_vec(vec![3], vec![1., 2., 3.]).unwrap();
         let sq = t.map(|x| x * x);
         assert_eq!(sq.data(), &[1., 4., 9.]);
-        let mut t = t;
-        t.map_in_place(|x| -x);
-        assert_eq!(t.data(), &[-1., -2., -3.]);
     }
 
     #[test]

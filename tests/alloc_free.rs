@@ -94,13 +94,8 @@ fn tiny_env() -> FlEnv {
         meter: TrafficMeter::new(),
         local_epochs: 1,
         batch_size: 16,
-        sgd: SgdConfig {
-            lr: 0.1,
-            momentum: 0.0,
-            weight_decay: 0.0,
-        },
+        sgd: SgdConfig { lr: 0.1 },
         seed: 7,
-        momentum: DeviceBank::disabled(),
         wire_check: false,
         codec: fedhisyn::nn::Codec::F32,
         residuals: DeviceBank::disabled(),
@@ -266,11 +261,7 @@ fn steady_state_cnn_round_is_allocation_free() {
     let x = Tensor::randn(vec![n, 3, 8, 8], 1.0, &mut rng);
     let y: Vec<usize> = (0..n).map(|i| i % 3).collect();
     let mut model = ModelSpec::smoke_cnn(8, 3).build(&mut rng);
-    let mut sgd = fedhisyn::nn::Sgd::new(SgdConfig {
-        lr: 0.05,
-        momentum: 0.0,
-        weight_decay: 0.0,
-    });
+    let mut sgd = fedhisyn::nn::Sgd::new(SgdConfig { lr: 0.05 });
     let mut train_rng = rng_from_seed(22);
 
     // Warm-up: sizes the (batched-conv) arena, fills the GEMM pack and

@@ -1,8 +1,7 @@
-//! Integration coverage for the extension surfaces: the wire format,
-//! quantity-skew partitioning, bandwidth links, time-weighted aggregation
-//! and cross-run comparisons.
+//! Integration coverage for the extension surfaces: the wire format and
+//! its drift check, quantity-skew partitioning, bandwidth links and
+//! time-weighted aggregation.
 
-use fedhisyn::core::compare::{crossover_round, Comparison};
 use fedhisyn::nn::wire;
 use fedhisyn::prelude::*;
 
@@ -55,63 +54,6 @@ fn wire_check_flag_verifies_every_relay_transfer() {
     );
     env.wire_check = true;
     sim.run_round(&env, 0);
-}
-
-/// Opt-in persistent momentum: velocity carries across ring hops and
-/// rounds per device. Off (the default) must be exactly the paper
-/// behaviour; on, with momentum > 0, the trajectory must change — and
-/// stay deterministic.
-#[test]
-fn persistent_momentum_is_optional_and_deterministic() {
-    let base = || {
-        ExperimentConfig::builder(DatasetProfile::MnistLike)
-            .scale(Scale::Smoke)
-            .devices(5)
-            .partition(Partition::Dirichlet { beta: 0.5 })
-            .rounds(2)
-            .local_epochs(1)
-            .momentum(0.9)
-            .seed(515)
-    };
-    let run = |cfg: &ExperimentConfig| {
-        let mut env = cfg.build_env();
-        let mut algo = FedHiSyn::new(cfg, 2);
-        let rec = run_experiment(&mut algo, &mut env, cfg.rounds);
-        (rec, algo.global().clone())
-    };
-
-    // Momentum 0.9 without persistence: fresh velocity per call (the
-    // pre-existing behaviour, still available).
-    let transient = base().build();
-    let (rec_t, glob_t) = run(&transient);
-
-    // With persistence the velocity survives hops/rounds → different
-    // trajectory, same determinism.
-    let persistent = base().persist_momentum(true).build();
-    assert!(persistent.build_env().momentum.enabled());
-    let (rec_p1, glob_p1) = run(&persistent);
-    let (rec_p2, glob_p2) = run(&persistent);
-    assert_eq!(
-        rec_p1, rec_p2,
-        "persistent momentum must stay deterministic"
-    );
-    assert_eq!(glob_p1, glob_p2);
-    assert_ne!(
-        glob_t, glob_p1,
-        "persisted velocity must change the trajectory"
-    );
-    assert_ne!(rec_t, rec_p1);
-    assert!(glob_p1.is_finite());
-
-    // Persistence with zero momentum is a no-op: the optimizer never
-    // creates velocity, so the bank stays empty and results are exactly
-    // the default run's.
-    let zero_default = base().momentum(0.0).build();
-    let zero_persist = base().momentum(0.0).persist_momentum(true).build();
-    let (rec_d, glob_d) = run(&zero_default);
-    let (rec_z, glob_z) = run(&zero_persist);
-    assert_eq!(rec_d, rec_z, "empty bank must be bit-neutral");
-    assert_eq!(glob_d, glob_z);
 }
 
 #[test]
@@ -202,25 +144,4 @@ fn time_weighted_aggregation_runs_and_stays_finite() {
     let rec = run_experiment(&mut algo, &mut env, 2);
     assert!(rec.final_accuracy() > 0.1);
     assert!(algo.global().is_finite());
-}
-
-#[test]
-fn comparison_utilities_work_on_real_runs() {
-    let cfg = cfg();
-    let mut env = cfg.build_env();
-    let mut hisyn = FedHiSyn::new(&cfg, 2);
-    let rh = run_experiment(&mut hisyn, &mut env, 2);
-    let mut env = cfg.build_env();
-    let mut avg = FedAvg::new(&cfg);
-    let ra = run_experiment(&mut avg, &mut env, 2);
-
-    let target = rh.final_accuracy().min(ra.final_accuracy()) * 0.5;
-    let cmp = Comparison::between(&rh, &ra, target, 6.0);
-    assert_eq!(cmp.candidate, "FedHiSyn");
-    assert_eq!(cmp.reference, "FedAvg");
-    assert!(
-        cmp.communication_savings.is_some(),
-        "both reach a trivial target"
-    );
-    let _ = crossover_round(&rh, &ra); // must not panic on real traces
 }

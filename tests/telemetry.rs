@@ -37,9 +37,9 @@ fn traced_run(cfg: &ExperimentConfig) -> (RunRecord, Vec<SpanEvent>, u64) {
     (record, t.deterministic_stream(), t.fingerprint())
 }
 
-/// Twenty runs, not two: the fingerprint folds histograms fed from
-/// parallel ring lanes, and an order-dependent reduction there lets a
-/// single pair of runs agree by luck.
+/// Twenty runs, not two: parallel ring lanes record spans, bump counters
+/// and feed the run record from worker threads, and an order-dependent
+/// reduction there lets a single pair of runs agree by luck.
 #[test]
 fn same_seed_runs_emit_bit_identical_virtual_time_streams() {
     let cfg = workload();
