@@ -15,7 +15,11 @@
 //! addition sequence as one whole-batch reduction, but each chunk's packed
 //! `cols` panel stays L2-resident instead of `k = B·OH·OW` panels being
 //! re-streamed per row-tile), `dcols = dY_rows · W` (one `gemm`), and a
-//! batched `col2im` scatter back onto `[B, C, H, W]`.
+//! batched `col2im` scatter back onto `[B, C, H, W]`. The `dW` stage, with
+//! the `dY` transpose and bias gradient ahead of it, is the parameter half
+//! ([`Layer::backward_params_arena`]); `dcols` and col2im are the input
+//! half. A model's first conv layer runs only the parameter half, since
+//! its input is the staged batch.
 //!
 //! # Batch-size independence
 //!
@@ -593,6 +597,11 @@ impl Conv2d {
     /// wall-clock breakdown — the bench observability hook that makes the
     /// memory-bound-vs-compute-bound split visible across PRs.
     ///
+    /// It profiles a layer's **full** step, the one every non-first conv
+    /// layer of a model runs: both backward halves, `dcols` and col2im
+    /// included. A model's first conv layer runs only the parameter half
+    /// (transpose + `dW`), so its training step does no col2im at all.
+    ///
     /// Uses the forward output as the incoming gradient (the shape is
     /// right and the values are irrelevant to timing); parameter gradients
     /// accumulate as in a normal step, so callers comparing numerics
@@ -642,13 +651,26 @@ impl Conv2d {
         ArenaBuf::new(out, &[b, f, oh, ow])
     }
 
-    /// Backward: transpose-dY (+ bias gradient) → GEMMs → col2im.
+    /// Backward: the parameter half, then the input half.
     fn backward_stages(
         &mut self,
         grad_out: ArenaBuf,
         scratch: &mut Scratch,
         clock: &mut impl StageClock,
     ) -> ArenaBuf {
+        let dy_rows = self.backward_param_stages(grad_out, scratch, clock);
+        self.backward_input_stages(dy_rows, scratch, clock)
+    }
+
+    /// Backward, parameter half: transpose-dY (+ bias gradient) → `dW`
+    /// GEMM. Returns the slot of the position-major `dy_rows` the input
+    /// half consumes.
+    fn backward_param_stages(
+        &mut self,
+        grad_out: ArenaBuf,
+        scratch: &mut Scratch,
+        clock: &mut impl StageClock,
+    ) -> ScratchSlot {
         let (h, w) = self.cached_input_hw;
         assert!(h > 0, "Conv2d::backward before forward");
         let b = self.cached_batch;
@@ -656,8 +678,7 @@ impl Conv2d {
             .cols_slot
             .expect("Conv2d::backward_arena called before forward_arena");
         let (oh, ow) = self.out_size(h, w);
-        let (f, ckk, ohow) = (self.out_channels, self.ckk(), oh * ow);
-        let c = self.in_channels;
+        let (f, ohow) = (self.out_channels, oh * ow);
         assert_eq!(grad_out.len(), b * f * ohow, "Conv2d: bad grad_out length");
 
         let dy_rows = scratch.alloc(b * ohow * f);
@@ -671,6 +692,21 @@ impl Conv2d {
             let cols_ro = scratch.slice(cols);
             self.gemm_grad_weight(dy_ro, cols_ro, b, ohow);
         });
+        dy_rows
+    }
+
+    /// Backward, input half: `dcols` GEMM → col2im onto the input
+    /// gradient.
+    fn backward_input_stages(
+        &self,
+        dy_rows: ScratchSlot,
+        scratch: &mut Scratch,
+        clock: &mut impl StageClock,
+    ) -> ArenaBuf {
+        let (h, w) = self.cached_input_hw;
+        let b = self.cached_batch;
+        let (oh, ow) = self.out_size(h, w);
+        let (ckk, ohow, c) = (self.ckk(), oh * ow, self.in_channels);
         let dcols = scratch.alloc(b * ohow * ckk);
         clock.time(Stage::Gemm, || {
             let (dy_ro, dcols_mut) = scratch.ro_rw(dy_rows, dcols);
@@ -692,6 +728,10 @@ impl Layer for Conv2d {
 
     fn backward_arena(&mut self, grad_out: ArenaBuf, scratch: &mut Scratch) -> ArenaBuf {
         self.backward_stages(grad_out, scratch, &mut Untimed)
+    }
+
+    fn backward_params_arena(&mut self, grad_out: ArenaBuf, scratch: &mut Scratch) {
+        self.backward_param_stages(grad_out, scratch, &mut Untimed);
     }
 
     fn visit_params(&self, f: &mut dyn FnMut(&Tensor)) {

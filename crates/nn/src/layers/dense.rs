@@ -125,6 +125,15 @@ impl Layer for Dense {
     }
 
     fn backward_arena(&mut self, grad_out: ArenaBuf, scratch: &mut Scratch) -> ArenaBuf {
+        self.backward_params_arena(grad_out, scratch);
+        let batch = grad_out.len() / self.out_features;
+        let gin = scratch.alloc(batch * self.in_features);
+        let (gout, gi) = scratch.ro_rw(grad_out.slot(), gin);
+        self.backward_input_core(gout, gi, batch);
+        ArenaBuf::new(gin, &[batch, self.in_features])
+    }
+
+    fn backward_params_arena(&mut self, grad_out: ArenaBuf, scratch: &mut Scratch) {
         let input = self
             .cached_arena_input
             .expect("Dense::backward_arena called before forward_arena");
@@ -134,15 +143,9 @@ impl Layer for Dense {
             batch * self.out_features,
             "Dense: bad grad_out length"
         );
-        {
-            let x = scratch.slice(input.slot());
-            let gout = scratch.slice(grad_out.slot());
-            self.backward_params_core(x, gout, batch);
-        }
-        let gin = scratch.alloc(batch * self.in_features);
-        let (gout, gi) = scratch.ro_rw(grad_out.slot(), gin);
-        self.backward_input_core(gout, gi, batch);
-        ArenaBuf::new(gin, &[batch, self.in_features])
+        let x = scratch.slice(input.slot());
+        let gout = scratch.slice(grad_out.slot());
+        self.backward_params_core(x, gout, batch);
     }
 
     fn visit_params(&self, f: &mut dyn FnMut(&Tensor)) {

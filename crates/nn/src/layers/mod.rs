@@ -24,10 +24,13 @@ use crate::arena::ArenaBuf;
 
 /// An object-safe neural-network layer.
 ///
-/// The forward pass caches whatever the backward pass needs; the backward
-/// pass **accumulates** into the layer's gradient buffers (callers reset
-/// with [`Layer::zero_grad`] between optimizer steps) and returns the
-/// gradient with respect to the layer input.
+/// The forward pass caches whatever the backward pass needs. Both backward
+/// methods **accumulate** into the layer's gradient buffers (callers reset
+/// with [`Layer::zero_grad`] between optimizer steps):
+/// [`Layer::backward_arena`] also returns the gradient with respect to the
+/// layer input, [`Layer::backward_params_arena`] returns nothing and is
+/// what a model runs on its first layer, whose input (the staged batch)
+/// needs no gradient.
 ///
 /// # One execution path
 ///
@@ -47,6 +50,18 @@ pub trait Layer: Send {
     /// Must follow a matching [`Layer::forward_arena`] within the same
     /// arena step.
     fn backward_arena(&mut self, grad_out: ArenaBuf, scratch: &mut Scratch) -> ArenaBuf;
+
+    /// Back-propagate `grad_out` into the parameter gradients only,
+    /// skipping the input gradient. The accumulated parameter gradients
+    /// must be bit-identical to those of [`Layer::backward_arena`].
+    ///
+    /// The default runs [`Layer::backward_arena`] and drops its result,
+    /// which is correct for any layer; layers whose input gradient costs
+    /// real work ([`Dense`], [`Conv2d`]) override it with the parameter
+    /// half of their backward.
+    fn backward_params_arena(&mut self, grad_out: ArenaBuf, scratch: &mut Scratch) {
+        let _ = self.backward_arena(grad_out, scratch);
+    }
 
     /// Visit parameters in a fixed, deterministic order.
     fn visit_params(&self, _f: &mut dyn FnMut(&Tensor)) {}

@@ -21,7 +21,8 @@ pub type ParamGradVisitor<'a> = dyn FnMut(usize, &mut [f32], &mut [f32]) + 'a;
 ///
 /// Every `Sequential` owns a [`Scratch`] arena holding the transient
 /// buffers of one training step: the staged batch, each layer's
-/// activations, the loss gradient and each layer's backward gradients.
+/// activations, the loss gradient and the gradients flowing back between
+/// layers (none for the staged batch itself).
 /// The training loop (`sgd_epoch`, through [`Sequential::forward_arena`] /
 /// [`Sequential::backward_arena`]) resets it once per step
 /// ([`Sequential::begin_step`]) and re-carves the same ranges, so
@@ -147,13 +148,22 @@ impl Sequential {
         x
     }
 
-    /// Backward pass; accumulates gradients in each layer.
-    pub fn backward_arena(&mut self, grad_out: ArenaBuf) -> ArenaBuf {
+    /// Backward pass; accumulates parameter gradients in each layer.
+    ///
+    /// Layers `n−1..1` run their full [`Layer::backward_arena`]; layer 0
+    /// runs [`Layer::backward_params_arena`]. The model input is the
+    /// staged batch, which needs no gradient, so none is computed: for the
+    /// paper's MLP that skips a `[batch × 784]` GEMM per step. The
+    /// parameter gradients are bit-identical to a full backward.
+    pub fn backward_arena(&mut self, grad_out: ArenaBuf) {
+        let Some((first, rest)) = self.layers.split_first_mut() else {
+            return;
+        };
         let mut g = grad_out;
-        for layer in self.layers.iter_mut().rev() {
+        for layer in rest.iter_mut().rev() {
             g = layer.backward_arena(g, &mut self.scratch);
         }
-        g
+        first.backward_params_arena(g, &mut self.scratch);
     }
 
     /// The model's scratch arena (the loss computes its gradient here,
@@ -442,6 +452,51 @@ mod tests {
         let mut m = tiny_model(5);
         m.for_each_param_grad_mut(&mut |_, p, _| p.fill(0.25));
         assert!(m.params().as_slice().iter().all(|&x| x == 0.25));
+    }
+
+    /// `backward_arena` runs layer 0's parameter half only. Against a
+    /// clone whose backward runs every layer's full `Layer::backward_arena`,
+    /// layer 0 included, the gradients match bit for bit and the arena
+    /// stays smaller by at least the input-gradient buffer.
+    #[test]
+    fn backward_skips_the_input_gradient_and_keeps_every_gradient_bit() {
+        use crate::arch::ModelSpec;
+        let bits = |m: &Sequential| -> Vec<u32> {
+            m.grads().as_slice().iter().map(|g| g.to_bits()).collect()
+        };
+        for spec in [
+            ModelSpec::mlp(&[40, 48, 24, 10]),
+            ModelSpec::smoke_cnn(8, 3),
+        ] {
+            let mut dims = vec![6];
+            dims.extend(spec.input_dims());
+            let x = Tensor::randn(dims, 1.0, &mut rng_from_seed(3));
+            let mut skip = spec.build(&mut rng_from_seed(2));
+            let mut full = skip.clone();
+
+            skip.begin_step();
+            let xb = skip.stage_rows(&x, 0, 6);
+            let logits = skip.forward_arena(xb);
+            skip.backward_arena(logits);
+
+            full.begin_step();
+            let xb = full.stage_rows(&x, 0, 6);
+            let mut g = full.forward_arena(xb);
+            for layer in full.layers.iter_mut().rev() {
+                g = layer.backward_arena(g, &mut full.scratch);
+            }
+            assert_eq!(g.len(), x.len(), "{spec:?}: the full pass ends in dX");
+
+            assert!(bits(&skip).iter().any(|&b| b != 0), "{spec:?}: no gradient");
+            assert_eq!(bits(&skip), bits(&full), "{spec:?}: gradients moved");
+            let input_grad_bytes = x.len() * std::mem::size_of::<f32>();
+            assert!(
+                skip.arena_high_water_bytes() + input_grad_bytes <= full.arena_high_water_bytes(),
+                "{spec:?}: arena {} vs full {}",
+                skip.arena_high_water_bytes(),
+                full.arena_high_water_bytes()
+            );
+        }
     }
 
     #[test]

@@ -16,6 +16,8 @@
 //! [`Sequential::backward_arena`]), the loss gradient is carved from the
 //! same arena, and the SGD update walks `(offset, params, grads)` slices
 //! via [`Sequential::for_each_param_grad_mut`] directly on layer memory.
+//! Backprop stops at the first layer's parameter gradients: nothing reads
+//! a gradient of the staged batch, so the step computes none.
 //! Epoch-level index buffers (shuffle order, batch labels) live in a
 //! thread-local pool. Steady state — after the first (largest) batch has
 //! sized the arena — a training step performs **zero heap allocations**

@@ -17,25 +17,49 @@
 //! * repeated steps (gradients chain through the per-sample `β = 1`
 //!   accumulation).
 //!
+//! The layer runs on its own arena through the full
+//! `Layer::backward_arena`, the step every non-first conv layer of a model
+//! runs: a model skips its first layer's input gradient, so a one-layer
+//! model would never compute the input gradient this property checks.
+//!
 //! A companion property pins the dense layer's forward to the naive
 //! reference GEMM, bit for bit.
 
 use fedhisyn::nn::init::Init;
 use fedhisyn::nn::layers::{Conv2d, Dense, Layer};
-use fedhisyn::nn::Sequential;
-use fedhisyn::tensor::{gemm_reference, rng_from_seed, Tensor};
+use fedhisyn::nn::{ArenaBuf, Sequential};
+use fedhisyn::tensor::{gemm_reference, rng_from_seed, Scratch, Tensor};
 use proptest::prelude::*;
 
-/// One step of a model on rows `start..end` of `x`: forward, then backward
-/// with the output as the incoming gradient. Returns the output and the
-/// input gradient; parameter gradients accumulate in the model.
-fn step(model: &mut Sequential, x: &Tensor, start: usize, end: usize) -> (Vec<f32>, Vec<f32>) {
-    model.begin_step();
-    let xb = model.stage_rows(x, start, end);
-    let out = model.forward_arena(xb);
-    let y = model.read_arena(out).to_vec();
-    let grad_in = model.backward_arena(out);
-    (y, model.read_arena(grad_in).to_vec())
+/// One step of `layer` on rows `start..end` of `x`, on its own arena:
+/// forward, then the full backward with the output as the incoming
+/// gradient. Returns the output and the input gradient; parameter
+/// gradients accumulate in the layer.
+fn step(
+    layer: &mut Conv2d,
+    scratch: &mut Scratch,
+    x: &Tensor,
+    start: usize,
+    end: usize,
+) -> (Vec<f32>, Vec<f32>) {
+    scratch.reset();
+    let sample: usize = x.shape()[1..].iter().product();
+    let slot = scratch.alloc((end - start) * sample);
+    scratch
+        .slice_mut(slot)
+        .copy_from_slice(&x.data()[start * sample..end * sample]);
+    let mut dims = x.shape().to_vec();
+    dims[0] = end - start;
+    let out = layer.forward_arena(ArenaBuf::new(slot, &dims), scratch);
+    let y = out.read(scratch).to_vec();
+    let grad_in = layer.backward_arena(out, scratch);
+    (y, grad_in.read(scratch).to_vec())
+}
+
+fn grads(layer: &Conv2d) -> Vec<f32> {
+    let mut out = Vec::new();
+    layer.visit_grads(&mut |t| out.extend_from_slice(t.data()));
+    out
 }
 
 proptest! {
@@ -56,25 +80,25 @@ proptest! {
         prop_assume!(hw + 2 * pad >= k);
 
         let mut rng = rng_from_seed(seed);
-        let layer = Conv2d::with_stride(c, f, k, stride, pad, Init::HeNormal, &mut rng);
-        let mut batched = Sequential::new().push(layer);
+        let mut batched = Conv2d::with_stride(c, f, k, stride, pad, Init::HeNormal, &mut rng);
         let mut per_sample = batched.clone();
+        let mut scratch = Scratch::new();
         let x = Tensor::randn(vec![b, c, hw, hw], 1.0, &mut rng);
 
         // Two full forward/backward rounds: the second exercises chained
         // gradient accumulation on top of the first.
         for round in 0..2 {
-            let (yb, gb) = step(&mut batched, &x, 0, b);
+            let (yb, gb) = step(&mut batched, &mut scratch, &x, 0, b);
             let (mut ys, mut gs) = (Vec::new(), Vec::new());
             for bi in 0..b {
-                let (y1, g1) = step(&mut per_sample, &x, bi, bi + 1);
+                let (y1, g1) = step(&mut per_sample, &mut scratch, &x, bi, bi + 1);
                 ys.extend(y1);
                 gs.extend(g1);
             }
             prop_assert_eq!(yb, ys, "forward diverged (round {})", round);
             prop_assert_eq!(gb, gs, "input gradients diverged (round {})", round);
             prop_assert_eq!(
-                batched.grads(), per_sample.grads(),
+                grads(&batched), grads(&per_sample),
                 "parameter gradients diverged (round {})", round
             );
         }

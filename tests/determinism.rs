@@ -154,10 +154,13 @@ fn identity_fleet_dynamics_match_the_static_path_bit_for_bit() {
 
 // ---- pinned bits ---------------------------------------------------------
 //
-// The ledger pins FedHiSyn's and FedAvg's `RunRecord`s; these are the F32
-// bits of the six baselines and the three serverless modes, on a static
-// and on a churning, crashing fleet, one pair per bit-identical kernel
-// tier (training is tier-independent at this scale, evaluation is not).
+// The F32 bits of FedHiSyn, the six baselines and the three serverless
+// modes, on a static and on a churning, crashing fleet, one pair per
+// bit-identical kernel tier (training is tier-independent at this scale,
+// evaluation is not). The ledger's smoke run prints `record_fnv`s but
+// gates none of them; this table is the gate. The FedHiSyn row was
+// recorded at commit `14a9b73`, before backprop stopped computing the
+// model input's gradient.
 
 fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
     bytes.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, b| {
@@ -205,7 +208,8 @@ fn f32_baseline_records_and_serverless_models_are_pinned() {
     };
     // (subject, [scalar, avx2] x [static, edge_fleet])
     #[rustfmt::skip]
-    let pins: [(&str, [[u64; 2]; 2]); 9] = [
+    let pins: [(&str, [[u64; 2]; 2]); 10] = [
+        ("FedHiSyn", [[0xe1f110b90dab6ed4, 0x2b5bfcef807f40a0], [0xfa06c34e0f15ed27, 0x5128c5fca7690a01]]),
         ("FedAvg",   [[0x86c24cba5ce1d72e, 0xe5c776c288e7b3f2], [0x481cf9bd5ef8ee5b, 0x8ac4a16ffb960eb9]]),
         ("FedProx",  [[0x18685b903f3506f3, 0xf13d4b40e5113768], [0x6f857f3478aa236e, 0x048716451cec4371]]),
         ("TFedAvg",  [[0x9abba2100343bb9c, 0xccce0cc5bbb3de6e], [0x77d2882a45310e63, 0xf297e02ba22148ff]]),
