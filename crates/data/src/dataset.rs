@@ -52,7 +52,7 @@ impl Dataset {
         let mut dims = vec![indices.len()];
         dims.extend_from_slice(&self.x.shape()[1..]);
         Dataset {
-            x: Tensor::from_vec(dims, data).expect("subset shape"),
+            x: Tensor::from_vec(dims, data),
             y,
             classes: self.classes,
         }
@@ -90,7 +90,7 @@ impl Dataset {
         let mut dims = vec![self.len() + other.len()];
         dims.extend_from_slice(&self.x.shape()[1..]);
         Dataset {
-            x: Tensor::from_vec(dims, data).expect("concat shape"),
+            x: Tensor::from_vec(dims, data),
             y,
             classes: self.classes,
         }
@@ -102,7 +102,7 @@ mod tests {
     use super::*;
 
     fn sample() -> Dataset {
-        let x = Tensor::from_vec(vec![4, 2], vec![0., 0., 1., 1., 2., 2., 3., 3.]).unwrap();
+        let x = Tensor::from_vec(vec![4, 2], vec![0., 0., 1., 1., 2., 2., 3., 3.]);
         Dataset::new(x, vec![0, 1, 0, 1], 2)
     }
 
@@ -157,7 +157,7 @@ mod tests {
 
     #[test]
     fn rank4_subset_preserves_sample_shape() {
-        let x = Tensor::from_vec(vec![2, 1, 2, 2], vec![1., 2., 3., 4., 5., 6., 7., 8.]).unwrap();
+        let x = Tensor::from_vec(vec![2, 1, 2, 2], vec![1., 2., 3., 4., 5., 6., 7., 8.]);
         let d = Dataset::new(x, vec![0, 1], 2);
         let s = d.subset(&[1]);
         assert_eq!(s.x.shape(), &[1, 1, 2, 2]);

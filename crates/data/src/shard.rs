@@ -179,11 +179,7 @@ impl ShardPlan {
         }
         let mut dims = vec![n];
         dims.extend(self.synth.input.sample_dims());
-        Dataset::new(
-            Tensor::from_vec(dims, data).expect("shard shape"),
-            labels,
-            self.synth.classes,
-        )
+        Dataset::new(Tensor::from_vec(dims, data), labels, self.synth.classes)
     }
 
     /// Materialise every shard — the dense reference the lazy path is

@@ -157,11 +157,7 @@ impl SynthConfig {
         }
         let mut dims = vec![n];
         dims.extend(self.input.sample_dims());
-        Dataset::new(
-            Tensor::from_vec(dims, data).expect("synth shape"),
-            labels,
-            self.classes,
-        )
+        Dataset::new(Tensor::from_vec(dims, data), labels, self.classes)
     }
 }
 

@@ -44,7 +44,11 @@ impl Init {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fedhisyn_tensor::rng_from_seed;
+    use fedhisyn_tensor::{dot, rng_from_seed};
+
+    fn norm_sq(t: &Tensor) -> f32 {
+        dot(t.data(), t.data())
+    }
 
     #[test]
     fn he_std_scales_with_fan_in() {
@@ -53,7 +57,7 @@ mod tests {
         let mut rng = rng_from_seed(0);
         let wide = Init::HeNormal.sample(vec![10_000], 4, 1, &mut rng);
         // Larger fan-in => smaller weights.
-        assert!(narrow.norm_sq() < wide.norm_sq());
+        assert!(norm_sq(&narrow) < norm_sq(&wide));
     }
 
     #[test]
@@ -61,7 +65,7 @@ mod tests {
         let mut rng = rng_from_seed(1);
         let fan_in = 64;
         let t = Init::HeNormal.sample(vec![100_000], fan_in, 1, &mut rng);
-        let var = t.norm_sq() / t.len() as f32;
+        let var = norm_sq(&t) / t.len() as f32;
         let expect = 2.0 / fan_in as f32;
         assert!((var - expect).abs() < expect * 0.1, "var {var} vs {expect}");
     }
@@ -71,7 +75,7 @@ mod tests {
         let mut rng = rng_from_seed(2);
         let (fi, fo) = (50, 30);
         let t = Init::XavierNormal.sample(vec![100_000], fi, fo, &mut rng);
-        let var = t.norm_sq() / t.len() as f32;
+        let var = norm_sq(&t) / t.len() as f32;
         let expect = 2.0 / (fi + fo) as f32;
         assert!((var - expect).abs() < expect * 0.1, "var {var} vs {expect}");
     }

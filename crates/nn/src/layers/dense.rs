@@ -193,9 +193,9 @@ mod tests {
         let mut rng = rng_from_seed(0);
         let mut layer = Dense::new(2, 3, Init::Zeros, &mut rng);
         // W = [[1, 2, 3], [4, 5, 6]], b = [0.5, 0.5, 0.5]
-        layer.weight = Tensor::from_vec(vec![2, 3], vec![1., 2., 3., 4., 5., 6.]).unwrap();
-        layer.bias = Tensor::from_vec(vec![3], vec![0.5; 3]).unwrap();
-        let x = Tensor::from_vec(vec![1, 2], vec![1., 1.]).unwrap();
+        layer.weight = Tensor::from_vec(vec![2, 3], vec![1., 2., 3., 4., 5., 6.]);
+        layer.bias = Tensor::from_vec(vec![3], vec![0.5; 3]);
+        let x = Tensor::from_vec(vec![1, 2], vec![1., 1.]);
         let y = ArenaDriver::new().forward(&mut layer, &x);
         assert_eq!(y.data(), &[5.5, 7.5, 9.5]);
     }

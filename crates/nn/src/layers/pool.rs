@@ -139,7 +139,7 @@ mod tests {
             3., 4., 7., 8.,
             9., 10., 13., 14.,
             11., 12., 15., 16.,
-        ]).unwrap();
+        ]);
         let y = ArenaDriver::new().forward(&mut layer, &x);
         assert_eq!(y.shape(), &[1, 1, 2, 2]);
         assert_eq!(y.data(), &[4., 8., 12., 16.]);
@@ -152,10 +152,10 @@ mod tests {
         let x = Tensor::from_vec(vec![1, 1, 2, 2], vec![
             1., 9.,
             3., 4.,
-        ]).unwrap();
+        ]);
         let mut arena = ArenaDriver::new();
         let _ = arena.forward(&mut layer, &x);
-        let g = Tensor::from_vec(vec![1, 1, 1, 1], vec![5.]).unwrap();
+        let g = Tensor::from_vec(vec![1, 1, 1, 1], vec![5.]);
         let gi = arena.backward(&mut layer, &g);
         assert_eq!(gi.data(), &[0., 5., 0., 0.]);
     }
@@ -166,7 +166,7 @@ mod tests {
         let mut v = vec![0.0; 2 * 4];
         v[3] = 7.0; // channel 0 max
         v[4] = 3.0; // channel 1 max
-        let x = Tensor::from_vec(vec![1, 2, 2, 2], v).unwrap();
+        let x = Tensor::from_vec(vec![1, 2, 2, 2], v);
         let y = ArenaDriver::new().forward(&mut layer, &x);
         assert_eq!(y.data(), &[7., 3.]);
     }
@@ -174,10 +174,10 @@ mod tests {
     #[test]
     fn ties_choose_first_occurrence() {
         let mut layer = MaxPool2d::new(2);
-        let x = Tensor::from_vec(vec![1, 1, 2, 2], vec![5., 5., 5., 5.]).unwrap();
+        let x = Tensor::from_vec(vec![1, 1, 2, 2], vec![5., 5., 5., 5.]);
         let mut arena = ArenaDriver::new();
         let _ = arena.forward(&mut layer, &x);
-        let g = Tensor::from_vec(vec![1, 1, 1, 1], vec![1.]).unwrap();
+        let g = Tensor::from_vec(vec![1, 1, 1, 1], vec![1.]);
         let gi = arena.backward(&mut layer, &g);
         assert_eq!(gi.data(), &[1., 0., 0., 0.]);
     }

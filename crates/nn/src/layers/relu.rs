@@ -74,7 +74,7 @@ mod tests {
     #[test]
     fn forward_clamps_negatives() {
         let mut layer = Relu::new();
-        let x = Tensor::from_vec(vec![4], vec![-1., 0., 2., -3.]).unwrap();
+        let x = Tensor::from_vec(vec![4], vec![-1., 0., 2., -3.]);
         let y = ArenaDriver::new().forward(&mut layer, &x);
         assert_eq!(y.data(), &[0., 0., 2., 0.]);
     }
@@ -82,10 +82,10 @@ mod tests {
     #[test]
     fn backward_masks_gradient() {
         let mut layer = Relu::new();
-        let x = Tensor::from_vec(vec![4], vec![-1., 0.5, 2., -3.]).unwrap();
+        let x = Tensor::from_vec(vec![4], vec![-1., 0.5, 2., -3.]);
         let mut arena = ArenaDriver::new();
         let _ = arena.forward(&mut layer, &x);
-        let g = Tensor::from_vec(vec![4], vec![1., 1., 1., 1.]).unwrap();
+        let g = Tensor::from_vec(vec![4], vec![1., 1., 1., 1.]);
         let gi = arena.backward(&mut layer, &g);
         assert_eq!(gi.data(), &[0., 1., 1., 0.]);
     }
@@ -94,10 +94,10 @@ mod tests {
     fn zero_input_has_zero_gradient() {
         // Subgradient convention: derivative at exactly 0 is 0.
         let mut layer = Relu::new();
-        let x = Tensor::from_vec(vec![1], vec![0.]).unwrap();
+        let x = Tensor::from_vec(vec![1], vec![0.]);
         let mut arena = ArenaDriver::new();
         let _ = arena.forward(&mut layer, &x);
-        let g = Tensor::from_vec(vec![1], vec![5.]).unwrap();
+        let g = Tensor::from_vec(vec![1], vec![5.]);
         assert_eq!(arena.backward(&mut layer, &g).data(), &[0.]);
     }
 

@@ -91,7 +91,7 @@ mod tests {
 
     #[test]
     fn grad_rows_sum_to_zero() {
-        let logits = Tensor::from_vec(vec![2, 3], vec![1., 2., 3., -1., 0., 1.]).unwrap();
+        let logits = Tensor::from_vec(vec![2, 3], vec![1., 2., 3., -1., 0., 1.]);
         let (_, grad) = loss_and_grad(&logits, &[2, 0]);
         for row in grad.data().chunks_exact(3) {
             let s: f32 = row.iter().sum();
@@ -101,7 +101,7 @@ mod tests {
 
     #[test]
     fn grad_matches_finite_difference() {
-        let logits = Tensor::from_vec(vec![1, 3], vec![0.5, -0.2, 0.1]).unwrap();
+        let logits = Tensor::from_vec(vec![1, 3], vec![0.5, -0.2, 0.1]);
         let labels = [1usize];
         let (_, grad) = loss_and_grad(&logits, &labels);
         let eps = 1e-3f32;
@@ -123,14 +123,14 @@ mod tests {
 
     #[test]
     fn confident_correct_prediction_has_small_loss() {
-        let logits = Tensor::from_vec(vec![1, 2], vec![10.0, -10.0]).unwrap();
+        let logits = Tensor::from_vec(vec![1, 2], vec![10.0, -10.0]);
         let (loss, _) = loss_and_grad(&logits, &[0]);
         assert!(loss < 1e-3, "loss {loss}");
     }
 
     #[test]
     fn large_logits_are_stable() {
-        let logits = Tensor::from_vec(vec![1, 2], vec![1000.0, 999.0]).unwrap();
+        let logits = Tensor::from_vec(vec![1, 2], vec![1000.0, 999.0]);
         let (loss, grad) = loss_and_grad(&logits, &[0]);
         assert!(loss.is_finite());
         assert!(grad.data().iter().all(|x| x.is_finite()));

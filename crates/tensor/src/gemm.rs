@@ -44,7 +44,6 @@ use std::cell::Cell;
 use rayon::prelude::*;
 
 use crate::dispatch::{active_tier, KernelTier};
-use crate::{Result, Tensor, TensorError};
 
 /// Minimum number of `m·k·n` multiply-adds before the parallel entry
 /// points fan out to the rayon pool; below this the fork/join overhead
@@ -824,34 +823,16 @@ pub fn par_gemm_tn(
     }
 }
 
-/// Matrix product of two rank-≤2 tensors: `A[m,k] @ B[k,n] -> [m,n]`.
-pub fn matmul(a: &Tensor, b: &Tensor) -> Result<Tensor> {
-    let (m, ka) = a.shape_obj().as_matrix()?;
-    let (kb, n) = b.shape_obj().as_matrix()?;
-    if ka != kb {
-        return Err(TensorError::InnerDimMismatch {
-            left_inner: ka,
-            right_inner: kb,
-        });
-    }
-    let mut out = Tensor::zeros(vec![m, n]);
-    par_gemm(a.data(), b.data(), out.data_mut(), m, ka, n, 1.0, 0.0);
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Tensor;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    fn random_mat(m: usize, n: usize, seed: u64) -> Tensor {
-        let mut rng = StdRng::seed_from_u64(seed);
-        Tensor::randn(vec![m, n], 1.0, &mut rng)
-    }
-
     fn random_vec(n: usize, seed: u64) -> Vec<f32> {
-        random_mat(1, n, seed).into_vec()
+        let mut rng = StdRng::seed_from_u64(seed);
+        Tensor::randn(vec![n], 1.0, &mut rng).into_vec()
     }
 
     fn assert_close(a: &[f32], b: &[f32], tol: f32) {
@@ -971,63 +952,51 @@ mod tests {
     }
 
     #[test]
-    fn gemm_matches_reference() {
-        for &(m, k, n) in SHAPES {
-            let a = random_mat(m, k, 1);
-            let b = random_mat(k, n, 2);
-            let mut expected = vec![0.0f32; m * n];
-            reference::gemm(a.data(), b.data(), &mut expected, m, k, n, 1.0, 0.0);
-            let got = matmul(&a, &b).unwrap();
-            assert_close(got.data(), &expected, 1e-5);
-        }
-    }
-
-    #[test]
     fn par_gemm_bit_identical_to_serial() {
         let (m, k, n) = (96, 80, 72); // above the parallel threshold
-        let a = random_mat(m, k, 3);
-        let b = random_mat(k, n, 4);
+        let a = random_vec(m * k, 3);
+        let b = random_vec(k * n, 4);
         let mut c_serial = vec![0.0f32; m * n];
-        gemm(a.data(), b.data(), &mut c_serial, m, k, n, 1.0, 0.0);
+        gemm(&a, &b, &mut c_serial, m, k, n, 1.0, 0.0);
         let mut c_par = vec![0.0f32; m * n];
-        par_gemm(a.data(), b.data(), &mut c_par, m, k, n, 1.0, 0.0);
+        par_gemm(&a, &b, &mut c_par, m, k, n, 1.0, 0.0);
         assert_eq!(c_serial, c_par, "parallel kernel must be bit-identical");
     }
 
     #[test]
     fn gemm_nt_matches_reference() {
         let (m, k, n) = (4, 6, 5);
-        let a = random_mat(m, k, 5);
-        let bt = random_mat(n, k, 6);
+        let a = random_vec(m * k, 5);
+        let bt = random_vec(n * k, 6);
         // Build B from Bᵀ to reuse the plain reference kernel.
         let mut b = vec![0.0f32; k * n];
         for j in 0..n {
             for p in 0..k {
-                b[p * n + j] = bt.data()[j * k + p];
+                b[p * n + j] = bt[j * k + p];
             }
         }
         let mut expected = vec![0.0f32; m * n];
-        reference::gemm(a.data(), &b, &mut expected, m, k, n, 1.0, 0.0);
+        reference::gemm(&a, &b, &mut expected, m, k, n, 1.0, 0.0);
         let mut got = vec![0.0f32; m * n];
-        par_gemm_nt(a.data(), bt.data(), &mut got, m, k, n, 1.0, 0.0);
+        par_gemm_nt(&a, &bt, &mut got, m, k, n, 1.0, 0.0);
         assert_close(&got, &expected, 1e-5);
     }
 
     #[test]
     fn gemm_tn_matches_reference() {
         let (m, k, n) = (4, 6, 5);
-        let at = random_mat(k, m, 7);
-        let b = random_mat(k, n, 8);
+        let at = random_vec(k * m, 7);
+        let b = random_vec(k * n, 8);
         let mut a = vec![0.0f32; m * k];
         for i in 0..m {
             for p in 0..k {
-                a[i * k + p] = at.data()[p * m + i];
+                a[i * k + p] = at[p * m + i];
             }
         }
         let mut expected = vec![0.0f32; m * n];
-        reference::gemm(&a, b.data(), &mut expected, m, k, n, 1.0, 0.0);
+        reference::gemm(&a, &b, &mut expected, m, k, n, 1.0, 0.0);
         let mut got = vec![0.0f32; m * n];
-        par_gemm_tn(at.data(), b.data(), &mut got, m, k, n, 1.0, 0.0);
+        par_gemm_tn(&at, &b, &mut got, m, k, n, 1.0, 0.0);
         assert_close(&got, &expected, 1e-5);
     }
 
@@ -1073,30 +1042,15 @@ mod tests {
     }
 
     #[test]
-    fn vector_is_treated_as_row() {
-        let v = Tensor::from_vec(vec![3], vec![1., 2., 3.]).unwrap();
-        let m = Tensor::from_vec(vec![3, 2], vec![1., 0., 0., 1., 1., 1.]).unwrap();
-        let out = matmul(&v, &m).unwrap();
-        assert_eq!(out.shape(), &[1, 2]);
-        assert_eq!(out.data(), &[4., 5.]);
-    }
-
-    #[test]
-    fn inner_dim_mismatch_is_error() {
-        let a = Tensor::zeros(vec![2, 3]);
-        let b = Tensor::zeros(vec![4, 2]);
-        assert!(matmul(&a, &b).is_err());
-    }
-
-    #[test]
     fn identity_is_neutral() {
-        let a = random_mat(8, 8, 11);
-        let mut eye = Tensor::zeros(vec![8, 8]);
+        let a = random_vec(8 * 8, 11);
+        let mut eye = vec![0.0f32; 8 * 8];
         for i in 0..8 {
-            *eye.at_mut(&[i, i]) = 1.0;
+            eye[i * 8 + i] = 1.0;
         }
-        let out = matmul(&a, &eye).unwrap();
-        assert_close(out.data(), a.data(), 1e-6);
+        let mut out = vec![0.0f32; 8 * 8];
+        par_gemm(&a, &eye, &mut out, 8, 8, 8, 1.0, 0.0);
+        assert_close(&out, &a, 1e-6);
     }
 
     #[test]

@@ -1,44 +1,9 @@
-//! Elementwise tensor arithmetic and slice-level BLAS-1 style kernels.
+//! Slice-level BLAS-1 style kernels.
 //!
-//! The slice kernels (`axpy`, `scale_assign`, `dot`, …) are the hot path of
+//! These kernels (`axpy`, `scale_assign`, `dot`, …) are the hot path of
 //! federated aggregation: averaging 100 device models is nothing but a long
 //! sequence of `axpy` over million-element parameter vectors. Inner loops
 //! use `iter().zip()` so the compiler can vectorize without bounds checks.
-
-use crate::{Result, Tensor};
-
-/// `out = a + b` (allocating). Shapes must match.
-pub fn add(a: &Tensor, b: &Tensor) -> Result<Tensor> {
-    a.same_shape(b)?;
-    let mut out = a.clone();
-    add_assign(out.data_mut(), b.data());
-    Ok(out)
-}
-
-/// `out = a - b` (allocating). Shapes must match.
-pub fn sub(a: &Tensor, b: &Tensor) -> Result<Tensor> {
-    a.same_shape(b)?;
-    let mut out = a.clone();
-    sub_assign(out.data_mut(), b.data());
-    Ok(out)
-}
-
-/// Elementwise product `a ⊙ b` (allocating). Shapes must match.
-pub fn hadamard(a: &Tensor, b: &Tensor) -> Result<Tensor> {
-    a.same_shape(b)?;
-    let mut out = a.clone();
-    for (o, &bv) in out.data_mut().iter_mut().zip(b.data()) {
-        *o *= bv;
-    }
-    Ok(out)
-}
-
-/// `alpha * a` (allocating).
-pub fn scale(a: &Tensor, alpha: f32) -> Tensor {
-    let mut out = a.clone();
-    scale_assign(out.data_mut(), alpha);
-    out
-}
 
 /// `y += x` elementwise over slices.
 ///
@@ -107,35 +72,6 @@ pub fn lerp(y: &mut [f32], x: &[f32], t: f32) {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn t(v: Vec<f32>) -> Tensor {
-        let n = v.len();
-        Tensor::from_vec(vec![n], v).unwrap()
-    }
-
-    #[test]
-    fn add_sub_hadamard() {
-        let a = t(vec![1., 2., 3.]);
-        let b = t(vec![4., 5., 6.]);
-        assert_eq!(add(&a, &b).unwrap().data(), &[5., 7., 9.]);
-        assert_eq!(sub(&b, &a).unwrap().data(), &[3., 3., 3.]);
-        assert_eq!(hadamard(&a, &b).unwrap().data(), &[4., 10., 18.]);
-    }
-
-    #[test]
-    fn shape_mismatch_is_error() {
-        let a = Tensor::zeros(vec![2, 2]);
-        let b = Tensor::zeros(vec![4]);
-        assert!(add(&a, &b).is_err());
-        assert!(sub(&a, &b).is_err());
-        assert!(hadamard(&a, &b).is_err());
-    }
-
-    #[test]
-    fn scale_multiplies() {
-        let a = t(vec![1., -2., 3.]);
-        assert_eq!(scale(&a, -2.0).data(), &[-2., 4., -6.]);
-    }
 
     #[test]
     fn axpy_matches_definition() {

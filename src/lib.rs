@@ -21,7 +21,7 @@
 //! | [`fleet`] | `fedhisyn-fleet` | deterministic fleet dynamics: capacity drift, churn, mid-ring failures |
 //! | [`simnet`] | `fedhisyn-simnet` | virtual clock, event queue, latency/link models, traffic meter |
 //! | [`telemetry`] | `fedhisyn-telemetry` | metrics registry, round-lifecycle spans, Perfetto trace export |
-//! | [`tensor`] | `fedhisyn-tensor` | dense f32 tensors and GEMM kernels |
+//! | [`tensor`] | `fedhisyn-tensor` | shaped f32 storage; GEMM, slice and quantisation kernels |
 //!
 //! # Example
 //!

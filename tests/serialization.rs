@@ -74,12 +74,3 @@ fn serialized_config_rebuilds_identical_environment() {
         assert_eq!(e1.latency(d), e2.latency(d));
     }
 }
-
-#[test]
-fn tensor_round_trips() {
-    use fedhisyn::tensor::Tensor;
-    let t = Tensor::from_vec(vec![2, 3], vec![1., 2., 3., 4., 5., 6.]).unwrap();
-    let json = serde_json::to_string(&t).unwrap();
-    let back: Tensor = serde_json::from_str(&json).unwrap();
-    assert_eq!(t, back);
-}
