@@ -5,56 +5,32 @@ use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criteri
 use fedhisyn_nn::wire::{codec_transform_in_place, decode_with, encode_with, Codec, CodecScratch};
 use fedhisyn_nn::ParamVec;
 use fedhisyn_tensor::quant::{dequantize_slice, finite_min_max, quant_scale, quantize_slice};
-use fedhisyn_tensor::{gemm, gemm_nt, gemm_reference, gemm_tn, par_gemm, rng_from_seed, Tensor};
+use fedhisyn_tensor::{gemm, gemm_nt, gemm_tn, rng_from_seed, Tensor};
 
+/// Serial GEMM at the shapes the ledger workloads run: the paper MLP's
+/// 784→200 layer at batch 50 in all three orientations, and the two conv
+/// forward passes (`cols · Wᵀ` with F = 8 and F = 16 filters).
 fn bench_gemm(c: &mut Criterion) {
+    type Kernel = fn(&[f32], &[f32], &mut [f32], usize, usize, usize, f32, f32);
     let mut group = c.benchmark_group("gemm");
-    for &n in &[32usize, 64, 128] {
-        let mut rng = rng_from_seed(0);
-        let a = Tensor::randn(vec![n, n], 1.0, &mut rng);
-        let b = Tensor::randn(vec![n, n], 1.0, &mut rng);
-        let mut out = vec![0.0f32; n * n];
-        group.bench_with_input(BenchmarkId::new("blocked", n), &n, |bench, _| {
+    let mut rng = rng_from_seed(0);
+    for (name, kernel, m, k, n) in [
+        ("nn", gemm as Kernel, 50, 784, 200),
+        ("nt", gemm_nt, 50, 784, 200),
+        ("tn", gemm_tn, 50, 784, 200),
+        ("nt", gemm_nt, 12800, 27, 8),
+        ("nt", gemm_nt, 3200, 72, 16),
+    ] {
+        let a = Tensor::randn(vec![m * k], 1.0, &mut rng);
+        let b = Tensor::randn(vec![k * n], 1.0, &mut rng);
+        let mut out = vec![0.0f32; m * n];
+        group.bench_function(format!("{name}/{m}x{k}x{n}"), |bench| {
             bench.iter(|| {
-                gemm(a.data(), b.data(), &mut out, n, n, n, 1.0, 0.0);
-                black_box(out[0])
-            })
-        });
-        group.bench_with_input(BenchmarkId::new("naive_reference", n), &n, |bench, _| {
-            bench.iter(|| {
-                gemm_reference::gemm(a.data(), b.data(), &mut out, n, n, n, 1.0, 0.0);
-                black_box(out[0])
-            })
-        });
-        group.bench_with_input(BenchmarkId::new("parallel", n), &n, |bench, _| {
-            bench.iter(|| {
-                par_gemm(a.data(), b.data(), &mut out, n, n, n, 1.0, 0.0);
+                kernel(a.data(), b.data(), &mut out, m, k, n, 1.0, 0.0);
                 black_box(out[0])
             })
         });
     }
-    group.finish();
-}
-
-fn bench_transposed_orientations(c: &mut Criterion) {
-    let n = 64usize;
-    let mut rng = rng_from_seed(1);
-    let a = Tensor::randn(vec![n, n], 1.0, &mut rng);
-    let b = Tensor::randn(vec![n, n], 1.0, &mut rng);
-    let mut out = vec![0.0f32; n * n];
-    let mut group = c.benchmark_group("gemm_orientations");
-    group.bench_function("nt", |bench| {
-        bench.iter(|| {
-            gemm_nt(a.data(), b.data(), &mut out, n, n, n, 1.0, 0.0);
-            black_box(out[0])
-        })
-    });
-    group.bench_function("tn", |bench| {
-        bench.iter(|| {
-            gemm_tn(a.data(), b.data(), &mut out, n, n, n, 1.0, 0.0);
-            black_box(out[0])
-        })
-    });
     group.finish();
 }
 
@@ -112,10 +88,5 @@ fn bench_codec(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(
-    benches,
-    bench_gemm,
-    bench_transposed_orientations,
-    bench_codec
-);
+criterion_group!(benches, bench_gemm, bench_codec);
 criterion_main!(benches);

@@ -12,9 +12,10 @@
 //!
 //! Backward is three batched stages on the same layout: `dW += dY_rowsᵀ ·
 //! cols` (chained per-sample `β = 1` `gemm_tn` calls — the identical
-//! addition sequence as one whole-batch reduction, but each chunk's packed
-//! `cols` panel stays L2-resident instead of `k = B·OH·OW` panels being
-//! re-streamed per row-tile), `dcols = dY_rows · W` (one `gemm`), and a
+//! addition sequence as one whole-batch reduction, but each chunk's
+//! `cols` rows, read in place as the B operand, stay L2-resident instead of
+//! `k = B·OH·OW` rows being re-streamed per row-tile), `dcols = dY_rows ·
+//! W` (one `gemm`), and a
 //! batched `col2im` scatter back onto `[B, C, H, W]`. The `dW` stage, with
 //! the `dY` transpose and bias gradient ahead of it, is the parameter half
 //! ([`Layer::backward_params_arena`]); `dcols` and col2im are the input
@@ -466,10 +467,10 @@ impl Conv2d {
     /// Backward stage 3: `dW += dY_rowsᵀ · cols`, k-blocked in per-sample
     /// chunks. Chaining `β = 1` calls performs the identical addition
     /// sequence of the single whole-batch `gemm_tn`, and
-    /// the per-chunk packed `cols` panel stays cache-resident — the
-    /// whole-batch pack has `k = B·OH·OW`, which overflows L2 at training
-    /// batch sizes and was re-streamed from memory once per row-tile of
-    /// the tiny `[F, C·k·k]` output.
+    /// each chunk's `cols` rows (the B operand, read in place) stay
+    /// cache-resident — the whole-batch call has `k = B·OH·OW` rows, which
+    /// overflow L2 at training batch sizes and would be re-streamed from
+    /// memory once per row-tile of the tiny `[F, C·k·k]` output.
     fn gemm_grad_weight(&mut self, dy_rows: &[f32], cols: &[f32], b: usize, ohow: usize) {
         let (f, ckk) = (self.out_channels, self.ckk());
         for bi in 0..b {

@@ -1,7 +1,8 @@
 //! Runtime CPU-feature dispatch for the GEMM micro-kernels.
 //!
 //! The blocked GEMM drivers in [`crate::gemm`] run one register-tiled
-//! micro-kernel over packed p-major panels. Which micro-kernel — and which
+//! micro-kernel that reads A and B where they lie, through strided views
+//! (only `gemm_nt`'s transposed B is packed). Which micro-kernel — and which
 //! tile geometry — is decided **once per process** from the host CPU:
 //!
 //! | tier       | tile (`MR×NR`) | inner loop                  |

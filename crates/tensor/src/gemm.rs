@@ -7,13 +7,24 @@
 //! # Blocked micro-kernel, runtime-dispatched
 //!
 //! All three orientations are computed by one register-tiled micro-kernel
-//! over `MR×NR` output panels. A and B are first repacked into p-major
-//! panels (`apack[p·MR + r]`, `bpack[p·NR + j]`) so the inner loop streams
-//! both operands contiguously; the packing cost is `O(mk + kn)` against
-//! `O(mkn)` arithmetic. Pack buffers live in thread-local pools (checked
-//! out per call, returned after), so steady-state kernels perform **no
-//! heap allocation**. Problems under [`BLOCKED_MIN_FLOPS`] skip packing
-//! and run a streaming scalar kernel.
+//! over `MR×NR` output tiles that reads its operands where they lie,
+//! through strided views:
+//!
+//! * **A** element `(i, p)` is `a[i·rs + p·ps]` — `(rs, ps) = (k, 1)` for
+//!   `gemm`/`gemm_nt`, `(1, m)` for `gemm_tn`. In a short tail tile the
+//!   rows past the edge re-read the last real row; they are computed but
+//!   never stored.
+//! * **B** is read one `NR`-wide panel at a time, step `p` at
+//!   `b[off + p·stride ..]`: row-major `[k, n]` in place with stride `n`,
+//!   the last `n mod NR` lanes loaded masked so lanes past `n` read 0.
+//!
+//! The one operand a call copies is `gemm_nt`'s B, which is `[n, k]` — a
+//! transpose — packed once into zero-padded p-major `[k, NR]` panels
+//! (`O(kn)` against `O(mkn)` arithmetic). A `gemm`/`gemm_tn` call with
+//! α ≠ 1 reads `α·a` from a copy instead of `a`. Both copies live in a
+//! thread-local buffer (checked out per call, returned after), so
+//! steady-state kernels perform **no heap allocation**. Problems under
+//! [`BLOCKED_MIN_FLOPS`] run a streaming scalar kernel instead.
 //!
 //! **Which** micro-kernel runs — and with which tile geometry — is decided
 //! once per process by [`crate::dispatch`]: the portable scalar `4×8`
@@ -44,14 +55,16 @@ use std::cell::Cell;
 use rayon::prelude::*;
 
 use crate::dispatch::{active_tier, KernelTier};
+#[cfg(target_arch = "x86_64")]
+use crate::gemm_avx2::tile_avx2;
 
 /// Minimum number of `m·k·n` multiply-adds before the parallel entry
 /// points fan out to the rayon pool; below this the fork/join overhead
 /// dominates.
 const PAR_FLOP_THRESHOLD: usize = 1 << 18;
 
-/// Minimum number of multiply-adds before the packed blocked kernel pays
-/// for itself; smaller problems run the streaming scalar kernels (which
+/// Minimum number of multiply-adds before the blocked kernel pays for
+/// itself; smaller problems run the streaming scalar kernels (which
 /// produce bit-identical results — see the module docs).
 const BLOCKED_MIN_FLOPS: usize = 1 << 13;
 
@@ -61,10 +74,10 @@ pub(crate) const SCALAR_MR: usize = 4;
 pub(crate) const SCALAR_NR: usize = 8;
 
 thread_local! {
-    /// Per-thread pack-buffer pools, checked out per kernel invocation so
-    /// re-entrant calls (pool work-helping) never alias a buffer in use.
-    static PACK_A: Cell<Vec<f32>> = const { Cell::new(Vec::new()) };
-    static PACK_B: Cell<Vec<f32>> = const { Cell::new(Vec::new()) };
+    /// Per-thread buffer for the one operand copy a blocked call makes
+    /// (module docs), checked out per kernel invocation so re-entrant calls
+    /// (pool work-helping) never alias a buffer in use.
+    static COPY: Cell<Vec<f32>> = const { Cell::new(Vec::new()) };
 }
 
 /// Naive triple-loop kernels — the executable specification the optimized
@@ -151,95 +164,88 @@ pub mod reference {
     }
 }
 
-// ---- pack-buffer checkout ------------------------------------------------
+// ---- operand views -------------------------------------------------------
 
-#[inline]
-fn checkout_a() -> Vec<f32> {
-    PACK_A.with(Cell::take)
+/// Where the micro-kernels read one call's operands (module docs): A's
+/// element `(i, p)` is `a[i·rs + p·ps]`; lane `j` of step `p` of the B
+/// panel whose first column is `j0` is `b[j0·scale + p·stride + j]`. Lanes
+/// past `n` read 0: stored zeros when `padded` (the packed `gemm_nt`
+/// operand), masked loads otherwise.
+#[derive(Clone, Copy)]
+pub(crate) struct Operands<'a> {
+    pub(crate) a: &'a [f32],
+    pub(crate) rs: usize,
+    pub(crate) ps: usize,
+    pub(crate) b: &'a [f32],
+    pub(crate) scale: usize,
+    pub(crate) stride: usize,
+    pub(crate) padded: bool,
 }
 
-#[inline]
-fn checkin_a(buf: Vec<f32>) {
-    PACK_A.with(|c| c.set(buf));
-}
-
-#[inline]
-fn checkout_b() -> Vec<f32> {
-    PACK_B.with(Cell::take)
-}
-
-#[inline]
-fn checkin_b(buf: Vec<f32>) {
-    PACK_B.with(|c| c.set(buf));
-}
-
-// ---- panel packing -------------------------------------------------------
-//
-// Packing is tier-geometry-parameterized but always scalar code: the packed
-// values (including the α pre-scale) are produced identically for every
-// tier, which is one leg of the cross-tier bit-identity argument.
-
-/// Pack columns `j0..j0+w` of row-major `B:[k,n]` into a p-major `[k, nr]`
-/// panel, zero-padding lanes past `w`.
-fn pack_b_n(b: &[f32], k: usize, n: usize, j0: usize, w: usize, nr: usize, out: &mut [f32]) {
-    debug_assert_eq!(out.len(), k * nr);
-    for p in 0..k {
-        let brow = &b[p * n + j0..p * n + j0 + w];
-        let dst = &mut out[p * nr..(p + 1) * nr];
-        dst[..w].copy_from_slice(brow);
-        dst[w..].fill(0.0);
-    }
-}
-
-/// Pack rows `j0..j0+w` of row-major `B:[n,k]` (the transposed operand of
-/// `gemm_nt`) into a p-major `[k, nr]` panel.
-fn pack_b_t(b: &[f32], k: usize, j0: usize, w: usize, nr: usize, out: &mut [f32]) {
-    debug_assert_eq!(out.len(), k * nr);
-    for chunk in out.chunks_exact_mut(nr) {
-        chunk.fill(0.0);
-    }
-    for (j, brow) in b[j0 * k..(j0 + w) * k].chunks_exact(k).enumerate() {
-        for (p, &v) in brow.iter().enumerate() {
-            out[p * nr + j] = v;
+impl<'a> Operands<'a> {
+    /// The views one call reads: A and B in place, except `gemm_nt`'s B,
+    /// packed into `copy`, and a `gemm`/`gemm_tn` A with α ≠ 1, whose
+    /// `α·a` is written to `copy` — the same product the kernels read on
+    /// every path, so the bits do not depend on which one ran.
+    fn new(
+        orient: Orient,
+        a: &'a [f32],
+        b: &'a [f32],
+        (m, k, n): (usize, usize, usize),
+        nr: usize,
+        alpha: f32,
+        copy: &'a mut Vec<f32>,
+    ) -> Self {
+        copy.clear();
+        let padded = matches!(orient, Orient::Nt);
+        if padded {
+            copy.resize(n.div_ceil(nr) * k * nr, 0.0);
+            for (j, brow) in b.chunks_exact(k.max(1)).enumerate() {
+                let panel = &mut copy[(j / nr) * k * nr + j % nr..];
+                for (p, &v) in brow.iter().enumerate() {
+                    panel[p * nr] = v;
+                }
+            }
+        } else if alpha != 1.0 {
+            copy.extend(a.iter().map(|&v| alpha * v));
+        }
+        let copy: &'a [f32] = copy;
+        let scaled = if alpha == 1.0 { a } else { copy };
+        let (a, rs, ps, b, scale, stride) = match orient {
+            Orient::Nn => (scaled, k, 1, b, 1, n),
+            Orient::Tn => (scaled, 1, m, b, 1, n),
+            Orient::Nt => (a, k, 1, copy, k, nr),
+        };
+        Operands {
+            a,
+            rs,
+            ps,
+            b,
+            scale,
+            stride,
+            padded,
         }
     }
-}
 
-/// Pack rows `i0..i0+h` of row-major `A:[m,k]` into a p-major `[k, mr]`
-/// panel, pre-scaled by `alpha`.
-fn pack_a_n(a: &[f32], k: usize, i0: usize, h: usize, alpha: f32, mr: usize, out: &mut [f32]) {
-    debug_assert_eq!(out.len(), k * mr);
-    for chunk in out.chunks_exact_mut(mr) {
-        chunk.fill(0.0);
+    /// The same views with A starting at row `i0`.
+    fn starting_at(mut self, i0: usize) -> Self {
+        self.a = &self.a[i0 * self.rs..];
+        self
     }
-    for (r, arow) in a[i0 * k..(i0 + h) * k].chunks_exact(k).enumerate() {
-        for (p, &v) in arow.iter().enumerate() {
-            out[p * mr + r] = alpha * v;
-        }
-    }
-}
 
-/// Pack columns `i0..i0+h` of row-major `A:[k,m]` (the transposed operand
-/// of `gemm_tn`) into a p-major `[k, mr]` panel, pre-scaled by `alpha`.
-#[allow(clippy::too_many_arguments)] // BLAS-style internals
-fn pack_a_t(
-    a: &[f32],
-    m: usize,
-    k: usize,
-    i0: usize,
-    h: usize,
-    alpha: f32,
-    mr: usize,
-    out: &mut [f32],
-) {
-    debug_assert_eq!(out.len(), k * mr);
-    for p in 0..k {
-        let arow = &a[p * m + i0..p * m + i0 + h];
-        let dst = &mut out[p * mr..(p + 1) * mr];
-        for (d, &v) in dst[..h].iter_mut().zip(arow) {
-            *d = alpha * v;
-        }
-        dst[h..].fill(0.0);
+    /// The A offset each of a tile's `MR` rows reads from, for the tile at
+    /// row `i0` with `rows` real rows: rows past them re-read the last real
+    /// row (computed, never stored).
+    #[inline(always)]
+    pub(crate) fn a_rows<const MR: usize>(&self, i0: usize, rows: usize) -> [usize; MR] {
+        std::array::from_fn(|r| (i0 + r.min(rows - 1)) * self.rs)
+    }
+
+    /// Start offset and loaded lane count of the `cols`-wide B panel at
+    /// column `j0` of a tier with `nr`-lane tiles.
+    #[inline(always)]
+    pub(crate) fn b_panel(&self, j0: usize, cols: usize, nr: usize) -> (usize, usize) {
+        (j0 * self.scale, if self.padded { nr } else { cols })
     }
 }
 
@@ -249,8 +255,8 @@ fn pack_a_t(
 #[derive(Clone, Copy, PartialEq)]
 pub(crate) enum Accum {
     /// Seed `acc = β·c` (0 when β = 0, clobbering NaNs) and store `acc`
-    /// directly — the `gemm`/`gemm_tn` flavour, whose A panels carry the
-    /// α pre-scale.
+    /// directly — the `gemm`/`gemm_tn` flavour, whose A operand carries
+    /// α (the `α·a` copy when α ≠ 1).
     SeededByBeta { beta: f32 },
     /// Seed `acc = 0`, store `α·acc + β·c` (just `α·acc` when β = 0) —
     /// the `gemm_nt` flavour, matching its historical dot-product shape.
@@ -261,15 +267,19 @@ pub(crate) enum Accum {
 /// `SCALAR_MR×SCALAR_NR` tile of `C`, accumulated over the full reduction
 /// dimension.
 ///
-/// The `p` loop walks the packed panels with fixed `MR`/`NR` bounds, which
-/// LLVM unrolls into `f32`-lane FMAs-without-contraction (plain mul+add,
-/// so results are reproducible across targets). Each element's terms are
-/// added in `p` order — the determinism contract of the module docs.
+/// The `p` loop runs fixed `MR`/`NR` bounds, which LLVM unrolls into
+/// `f32`-lane FMAs-without-contraction (plain mul+add, so results are
+/// reproducible across targets). Each element's terms are added in `p`
+/// order — the determinism contract of the module docs.
+///
+/// # Safety
+///
+/// Both views must be in bounds for this tile's rows, columns and `k`
+/// steps.
 #[allow(clippy::needless_range_loop)] // fixed-bound lattice, kept explicit for the vectorizer
 #[allow(clippy::too_many_arguments)] // BLAS-style internals
-fn micro_kernel_scalar(
-    apack: &[f32],
-    bpack: &[f32],
+unsafe fn micro_kernel_scalar(
+    ops: &Operands,
     c: &mut [f32],
     row0: usize,
     col0: usize,
@@ -292,14 +302,28 @@ fn micro_kernel_scalar(
             }
         }
     }
-    for p in 0..k {
-        let ap = &apack[p * MR..(p + 1) * MR];
-        let bp = &bpack[p * NR..(p + 1) * NR];
+    let arow = ops.a_rows::<MR>(row0, rows);
+    let mut step = |p: usize, bp: [f32; NR]| {
         for r in 0..MR {
-            let ar = ap[r];
+            let ar = *ops.a.get_unchecked(arow[r] + p * ops.ps);
             for j in 0..NR {
                 acc[r][j] += ar * bp[j];
             }
+        }
+    };
+    let (boff, lanes) = ops.b_panel(col0, cols, NR);
+    let brow = |p: usize| ops.b.as_ptr().add(boff + p * ops.stride);
+    if lanes == NR {
+        for p in 0..k {
+            step(p, brow(p).cast::<[f32; NR]>().read_unaligned());
+        }
+    } else {
+        for p in 0..k {
+            let row = brow(p);
+            step(
+                p,
+                std::array::from_fn(|j| if j < lanes { *row.add(j) } else { 0.0 }),
+            );
         }
     }
     match mode {
@@ -324,63 +348,15 @@ fn micro_kernel_scalar(
     }
 }
 
-/// Run one tile through the given tier's micro-kernel. Panels must have
-/// been packed with the same tier's geometry.
-#[allow(clippy::too_many_arguments)] // BLAS-style internals
-#[inline]
-fn run_tile(
-    tier: KernelTier,
-    apack: &[f32],
-    bpack: &[f32],
-    c: &mut [f32],
-    row0: usize,
-    col0: usize,
-    n: usize,
-    rows: usize,
-    cols: usize,
-    k: usize,
-    mode: Accum,
-) {
-    match tier {
-        KernelTier::Scalar => {
-            micro_kernel_scalar(apack, bpack, c, row0, col0, n, rows, cols, k, mode)
-        }
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: the dispatcher (and the `with_tier` entry points) only
-        // hand out the AVX2 tier after the CPUID check.
-        KernelTier::Avx2 => unsafe {
-            crate::gemm_avx2::tile_avx2(apack, bpack, c, row0, col0, n, rows, cols, k, mode)
-        },
-        #[cfg(not(target_arch = "x86_64"))]
-        KernelTier::Avx2 => unreachable!("the AVX2 tier is never selected off x86_64"),
-    }
-}
-
 // ---- small-problem scalar kernels ---------------------------------------
 
-/// One row of the streaming `gemm` kernel:
-/// `crow = Σ_p (α·a[p])·B[p, :] + β·crow`, terms added in `p` order.
-#[inline]
-fn gemm_row(arow: &[f32], b: &[f32], crow: &mut [f32], k: usize, n: usize, alpha: f32, beta: f32) {
-    if beta == 0.0 {
-        crow.fill(0.0);
-    } else if beta != 1.0 {
-        for cv in crow.iter_mut() {
-            *cv *= beta;
-        }
-    }
-    for (p, &ap) in arow.iter().enumerate().take(k) {
-        let f = alpha * ap;
-        let brow = &b[p * n..(p + 1) * n];
-        for (cv, &bv) in crow.iter_mut().zip(brow) {
-            *cv += f * bv;
-        }
-    }
-}
-
+/// The streaming kernel of `gemm` (`(rs, ps) = (k, 1)`) and `gemm_tn`
+/// (`(1, m)`), reading A element `(i, p)` at `a[i·rs + p·ps]`:
+/// `C[i, :] = β·C[i, :] + Σ_p (α·a)·B[p, :]`, terms added in `p` order.
 #[allow(clippy::too_many_arguments)] // BLAS-style internals
 fn gemm_small(
     a: &[f32],
+    (rs, ps): (usize, usize),
     b: &[f32],
     c: &mut [f32],
     m: usize,
@@ -389,16 +365,21 @@ fn gemm_small(
     alpha: f32,
     beta: f32,
 ) {
+    if beta == 0.0 {
+        c.fill(0.0);
+    } else if beta != 1.0 {
+        for cv in c.iter_mut() {
+            *cv *= beta;
+        }
+    }
     for i in 0..m {
-        gemm_row(
-            &a[i * k..(i + 1) * k],
-            b,
-            &mut c[i * n..(i + 1) * n],
-            k,
-            n,
-            alpha,
-            beta,
-        );
+        let crow = &mut c[i * n..(i + 1) * n];
+        for p in 0..k {
+            let f = alpha * a[i * rs + p * ps];
+            for (cv, &bv) in crow.iter_mut().zip(&b[p * n..(p + 1) * n]) {
+                *cv += f * bv;
+            }
+        }
     }
 }
 
@@ -431,101 +412,54 @@ fn gemm_nt_small(
     }
 }
 
-#[allow(clippy::too_many_arguments)] // BLAS-style internals
-fn gemm_tn_small(
-    a: &[f32],
-    b: &[f32],
+// ---- blocked driver ------------------------------------------------------
+
+/// Run the tiles for all `rows` rows of `c`, whose first row is row 0 of
+/// `ops`' A.
+fn blocked_rows(
+    tier: KernelTier,
+    ops: &Operands,
     c: &mut [f32],
-    m: usize,
+    rows: usize,
     k: usize,
     n: usize,
-    alpha: f32,
-    beta: f32,
+    mode: Accum,
 ) {
-    if beta == 0.0 {
-        c.fill(0.0);
-    } else if beta != 1.0 {
-        for cv in c.iter_mut() {
-            *cv *= beta;
-        }
+    let (mr, nr) = tier.tile();
+    // The farthest element each view touches: A's last row at the last
+    // step, and the last loaded lane of B's last panel at the last step.
+    // Every other tile reads below both, and no tile reads when `k == 0`.
+    if rows > 0 && n > 0 && k > 0 {
+        let j0 = (n - 1) / nr * nr;
+        let (boff, lanes) = ops.b_panel(j0, n - j0, nr);
+        let a_end = (rows - 1) * ops.rs + (k - 1) * ops.ps;
+        let b_end = boff + (k - 1) * ops.stride + lanes - 1;
+        assert!(
+            a_end < ops.a.len() && b_end < ops.b.len(),
+            "gemm: operand views overrun their slices"
+        );
     }
-    for p in 0..k {
-        let arow = &a[p * m..(p + 1) * m];
-        let brow = &b[p * n..(p + 1) * n];
-        for (i, &av) in arow.iter().enumerate() {
-            let f = alpha * av;
-            let crow = &mut c[i * n..(i + 1) * n];
-            for (cv, &bv) in crow.iter_mut().zip(brow) {
-                *cv += f * bv;
+    for i0 in (0..rows).step_by(mr) {
+        let h = mr.min(rows - i0);
+        for j0 in (0..n).step_by(nr) {
+            let w = nr.min(n - j0);
+            // SAFETY: the assert above bounds every load of both views, and
+            // `tier` is executable: the dispatcher and the `*_with_tier`
+            // entry points only hand out an available tier.
+            unsafe {
+                match tier {
+                    KernelTier::Scalar => micro_kernel_scalar(ops, c, i0, j0, n, h, w, k, mode),
+                    #[cfg(target_arch = "x86_64")]
+                    KernelTier::Avx2 => tile_avx2(ops, c, i0, j0, n, h, w, k, mode),
+                    #[cfg(not(target_arch = "x86_64"))]
+                    KernelTier::Avx2 => unreachable!("the AVX2 tier is never selected off x86_64"),
+                }
             }
         }
     }
 }
 
-// ---- blocked serial drivers ----------------------------------------------
-
-/// Pack every nr-wide panel of the B operand into `bpack`.
-fn pack_b_all(b: &[f32], k: usize, n: usize, transposed: bool, nr: usize, bpack: &mut Vec<f32>) {
-    let panels = n.div_ceil(nr);
-    bpack.resize(panels * k * nr, 0.0);
-    for pi in 0..panels {
-        let j0 = pi * nr;
-        let w = nr.min(n - j0);
-        let panel = &mut bpack[pi * k * nr..(pi + 1) * k * nr];
-        if transposed {
-            pack_b_t(b, k, j0, w, nr, panel);
-        } else {
-            pack_b_n(b, k, n, j0, w, nr, panel);
-        }
-    }
-}
-
-/// Run the packed tiles for rows `i0..i0+h` of `C` (a multiple of the
-/// tier's `MR` tall except at the tail). `pack_rows` fills the A panel for
-/// one tile.
-#[allow(clippy::too_many_arguments)] // BLAS-style internals
-fn blocked_rows(
-    tier: KernelTier,
-    bpack: &[f32],
-    c: &mut [f32],
-    row_base: usize,
-    rows: usize,
-    k: usize,
-    n: usize,
-    mode: Accum,
-    pack_rows: &dyn Fn(usize, usize, &mut [f32]),
-) {
-    let (mr, nr) = tier.tile();
-    let mut apack = checkout_a();
-    apack.resize(k * mr, 0.0);
-    let panels = n.div_ceil(nr);
-    let mut i0 = 0;
-    while i0 < rows {
-        let h = mr.min(rows - i0);
-        pack_rows(row_base + i0, h, &mut apack);
-        for pi in 0..panels {
-            let j0 = pi * nr;
-            let w = nr.min(n - j0);
-            run_tile(
-                tier,
-                &apack,
-                &bpack[pi * k * nr..(pi + 1) * k * nr],
-                c,
-                i0,
-                j0,
-                n,
-                h,
-                w,
-                k,
-                mode,
-            );
-        }
-        i0 += mr;
-    }
-    checkin_a(apack);
-}
-
-/// Orientation-specific plumbing for the blocked and parallel drivers.
+/// Orientation of a blocked call.
 #[derive(Clone, Copy)]
 enum Orient {
     Nn,
@@ -533,10 +467,13 @@ enum Orient {
     Tn,
 }
 
+/// The blocked driver of every orientation: one serial pass over `C`, or
+/// (`parallel`) `MR`-row bands of `C` spread over the rayon pool.
 #[allow(clippy::too_many_arguments)]
 fn gemm_blocked(
     tier: KernelTier,
     orient: Orient,
+    parallel: bool,
     a: &[f32],
     b: &[f32],
     c: &mut [f32],
@@ -547,59 +484,26 @@ fn gemm_blocked(
     beta: f32,
 ) {
     let (mr, nr) = tier.tile();
-    let mut bpack = checkout_b();
-    pack_b_all(b, k, n, matches!(orient, Orient::Nt), nr, &mut bpack);
+    let mut copy = COPY.with(Cell::take);
+    let ops = Operands::new(orient, a, b, (m, k, n), nr, alpha, &mut copy);
     let mode = match orient {
         Orient::Nn | Orient::Tn => Accum::SeededByBeta { beta },
         Orient::Nt => Accum::ScaledOnStore { alpha, beta },
     };
-    let pack_rows: &dyn Fn(usize, usize, &mut [f32]) = match orient {
-        Orient::Nn => &|i0, h, out| pack_a_n(a, k, i0, h, alpha, mr, out),
-        Orient::Nt => &|i0, h, out| pack_a_n(a, k, i0, h, 1.0, mr, out),
-        Orient::Tn => &|i0, h, out| pack_a_t(a, m, k, i0, h, alpha, mr, out),
-    };
-    blocked_rows(tier, &bpack, c, 0, m, k, n, mode, pack_rows);
-    checkin_b(bpack);
-}
-
-#[allow(clippy::too_many_arguments)]
-fn gemm_parallel(
-    tier: KernelTier,
-    orient: Orient,
-    a: &[f32],
-    b: &[f32],
-    c: &mut [f32],
-    m: usize,
-    k: usize,
-    n: usize,
-    alpha: f32,
-    beta: f32,
-) {
-    let (mr, nr) = tier.tile();
-    let mut bpack_own = checkout_b();
-    pack_b_all(b, k, n, matches!(orient, Orient::Nt), nr, &mut bpack_own);
-    let bpack = &bpack_own[..];
-    let mode = match orient {
-        Orient::Nn | Orient::Tn => Accum::SeededByBeta { beta },
-        Orient::Nt => Accum::ScaledOnStore { alpha, beta },
-    };
-    // Split C into MR-row bands; each band packs its own A panel from a
-    // worker-local buffer and walks the shared packed B. Accumulation
-    // order per element is independent of the banding, so this is
-    // bit-identical to the serial driver for any thread count.
-    c.par_chunks_mut(mr * n)
-        .enumerate()
-        .for_each(|(band, cband)| {
-            let row_base = band * mr;
-            let rows = cband.len() / n;
-            let pack_rows: &dyn Fn(usize, usize, &mut [f32]) = match orient {
-                Orient::Nn => &|i0, h, out| pack_a_n(a, k, i0, h, alpha, mr, out),
-                Orient::Nt => &|i0, h, out| pack_a_n(a, k, i0, h, 1.0, mr, out),
-                Orient::Tn => &|i0, h, out| pack_a_t(a, m, k, i0, h, alpha, mr, out),
-            };
-            blocked_rows(tier, bpack, cband, row_base, rows, k, n, mode, pack_rows);
-        });
-    checkin_b(bpack_own);
+    if parallel {
+        // Every band reads the shared views from its own first row.
+        // Accumulation order per element is independent of the banding,
+        // so this is bit-identical to the serial pass for any thread count.
+        c.par_chunks_mut(mr * n)
+            .enumerate()
+            .for_each(|(band, cband)| {
+                let rows = cband.len() / n;
+                blocked_rows(tier, &ops.starting_at(band * mr), cband, rows, k, n, mode);
+            });
+    } else {
+        blocked_rows(tier, &ops, c, m, k, n, mode);
+    }
+    COPY.with(|slot| slot.set(copy));
 }
 
 // ---- explicit-tier entry points ------------------------------------------
@@ -623,7 +527,7 @@ pub fn gemm_with_tier(
     assert_eq!(a.len(), m * k, "gemm_with_tier: bad A length");
     assert_eq!(b.len(), k * n, "gemm_with_tier: bad B length");
     assert_eq!(c.len(), m * n, "gemm_with_tier: bad C length");
-    gemm_blocked(tier, Orient::Nn, a, b, c, m, k, n, alpha, beta);
+    gemm_blocked(tier, Orient::Nn, false, a, b, c, m, k, n, alpha, beta);
 }
 
 /// [`gemm_nt`] forced through a specific kernel tier (see
@@ -644,7 +548,7 @@ pub fn gemm_nt_with_tier(
     assert_eq!(a.len(), m * k, "gemm_nt_with_tier: bad A length");
     assert_eq!(b.len(), n * k, "gemm_nt_with_tier: bad B length");
     assert_eq!(c.len(), m * n, "gemm_nt_with_tier: bad C length");
-    gemm_blocked(tier, Orient::Nt, a, b, c, m, k, n, alpha, beta);
+    gemm_blocked(tier, Orient::Nt, false, a, b, c, m, k, n, alpha, beta);
 }
 
 /// [`gemm_tn`] forced through a specific kernel tier (see
@@ -665,7 +569,7 @@ pub fn gemm_tn_with_tier(
     assert_eq!(a.len(), k * m, "gemm_tn_with_tier: bad A length");
     assert_eq!(b.len(), k * n, "gemm_tn_with_tier: bad B length");
     assert_eq!(c.len(), m * n, "gemm_tn_with_tier: bad C length");
-    gemm_blocked(tier, Orient::Tn, a, b, c, m, k, n, alpha, beta);
+    gemm_blocked(tier, Orient::Tn, false, a, b, c, m, k, n, alpha, beta);
 }
 
 // ---- public entry points -------------------------------------------------
@@ -673,7 +577,7 @@ pub fn gemm_tn_with_tier(
 /// `C = alpha * A @ B + beta * C` on raw row-major slices.
 ///
 /// `a` is `[m, k]`, `b` is `[k, n]`, `c` is `[m, n]`. Dispatches between a
-/// streaming scalar kernel and the packed blocked kernel by problem size;
+/// streaming scalar kernel and the blocked kernel by problem size;
 /// the blocked kernel runs the process's [`crate::active_tier`]. All
 /// default paths produce bit-identical results (see the module docs).
 ///
@@ -694,9 +598,10 @@ pub fn gemm(
     assert_eq!(b.len(), k * n, "gemm: bad B length");
     assert_eq!(c.len(), m * n, "gemm: bad C length");
     if m * k * n < BLOCKED_MIN_FLOPS {
-        gemm_small(a, b, c, m, k, n, alpha, beta);
+        gemm_small(a, (k, 1), b, c, m, k, n, alpha, beta);
     } else {
-        gemm_blocked(active_tier(), Orient::Nn, a, b, c, m, k, n, alpha, beta);
+        let tier = active_tier();
+        gemm_blocked(tier, Orient::Nn, false, a, b, c, m, k, n, alpha, beta);
     }
 }
 
@@ -719,7 +624,8 @@ pub fn gemm_nt(
     if m * k * n < BLOCKED_MIN_FLOPS {
         gemm_nt_small(a, b, c, m, k, n, alpha, beta);
     } else {
-        gemm_blocked(active_tier(), Orient::Nt, a, b, c, m, k, n, alpha, beta);
+        let tier = active_tier();
+        gemm_blocked(tier, Orient::Nt, false, a, b, c, m, k, n, alpha, beta);
     }
 }
 
@@ -740,9 +646,10 @@ pub fn gemm_tn(
     assert_eq!(b.len(), k * n, "gemm_tn: bad B length");
     assert_eq!(c.len(), m * n, "gemm_tn: bad C length");
     if m * k * n < BLOCKED_MIN_FLOPS {
-        gemm_tn_small(a, b, c, m, k, n, alpha, beta);
+        gemm_small(a, (1, m), b, c, m, k, n, alpha, beta);
     } else {
-        gemm_blocked(active_tier(), Orient::Tn, a, b, c, m, k, n, alpha, beta);
+        let tier = active_tier();
+        gemm_blocked(tier, Orient::Tn, false, a, b, c, m, k, n, alpha, beta);
     }
 }
 
@@ -771,7 +678,7 @@ pub fn par_gemm(
     assert_eq!(c.len(), m * n, "par_gemm: bad C length");
     let tier = active_tier();
     if parallel_worthwhile(m, k, n, tier.tile().0) {
-        gemm_parallel(tier, Orient::Nn, a, b, c, m, k, n, alpha, beta);
+        gemm_blocked(tier, Orient::Nn, true, a, b, c, m, k, n, alpha, beta);
     } else {
         gemm(a, b, c, m, k, n, alpha, beta);
     }
@@ -794,7 +701,7 @@ pub fn par_gemm_nt(
     assert_eq!(c.len(), m * n, "par_gemm_nt: bad C length");
     let tier = active_tier();
     if parallel_worthwhile(m, k, n, tier.tile().0) {
-        gemm_parallel(tier, Orient::Nt, a, b, c, m, k, n, alpha, beta);
+        gemm_blocked(tier, Orient::Nt, true, a, b, c, m, k, n, alpha, beta);
     } else {
         gemm_nt(a, b, c, m, k, n, alpha, beta);
     }
@@ -817,7 +724,7 @@ pub fn par_gemm_tn(
     assert_eq!(c.len(), m * n, "par_gemm_tn: bad C length");
     let tier = active_tier();
     if parallel_worthwhile(m, k, n, tier.tile().0) {
-        gemm_parallel(tier, Orient::Tn, a, b, c, m, k, n, alpha, beta);
+        gemm_blocked(tier, Orient::Tn, true, a, b, c, m, k, n, alpha, beta);
     } else {
         gemm_tn(a, b, c, m, k, n, alpha, beta);
     }
@@ -864,6 +771,42 @@ mod tests {
 
     const AB_CASES: &[(f32, f32)] = &[(1.0, 0.0), (2.0, 0.5), (1.0, 1.0), (-0.5, 2.0)];
 
+    type Kernel = fn(&[f32], &[f32], &mut [f32], usize, usize, usize, f32, f32);
+    type TierKernel = fn(KernelTier, &[f32], &[f32], &mut [f32], usize, usize, usize, f32, f32);
+
+    /// The shapes the workloads run, as `(orientation, m, k, n, β)` at
+    /// α = 1: the paper MLP's 784→200 layer in all three orientations, its
+    /// `dW` accumulated over a batch, the conv forward passes, the conv
+    /// `dcols` and the per-sample conv `dW`.
+    const WORKLOAD_CASES: &[(&str, usize, usize, usize, f32)] = &[
+        ("nn", 50, 784, 200, 0.0),
+        ("nt", 50, 784, 200, 0.0),
+        ("tn", 50, 784, 200, 0.0),
+        ("tn", 784, 50, 200, 1.0),
+        ("nt", 12800, 27, 8, 0.0),
+        ("nt", 3200, 72, 16, 0.0),
+        ("nn", 12800, 8, 27, 0.0),
+        ("tn", 8, 256, 27, 1.0),
+    ];
+
+    /// The reference, serial and parallel kernels of one orientation, and
+    /// its explicit-tier entry point.
+    fn orientation(name: &str) -> (Kernel, [Kernel; 2], TierKernel) {
+        match name {
+            "nn" => (reference::gemm, [gemm, par_gemm], gemm_with_tier),
+            "nt" => (
+                reference::gemm_nt,
+                [gemm_nt, par_gemm_nt],
+                gemm_nt_with_tier,
+            ),
+            _ => (
+                reference::gemm_tn,
+                [gemm_tn, par_gemm_tn],
+                gemm_tn_with_tier,
+            ),
+        }
+    }
+
     /// The central proof: every optimized orientation, serial and
     /// parallel, is **exactly** (bit-for-bit) the naive reference kernel,
     /// across the small/blocked dispatch boundary and all α/β cases —
@@ -902,6 +845,21 @@ mod tests {
                     kernel(&a_t, &b_nn, &mut got, m, k, n, alpha, beta);
                     assert_eq!(got, want, "gemm_tn {m}x{k}x{n} α={alpha} β={beta}");
                 }
+            }
+        }
+        for &(name, m, k, n, beta) in WORKLOAD_CASES {
+            let (reference, kernels, _) = orientation(name);
+            let (a, b, c0) = (
+                random_vec(m * k, 1),
+                random_vec(k * n, 2),
+                random_vec(m * n, 3),
+            );
+            let mut want = c0.clone();
+            reference(&a, &b, &mut want, m, k, n, 1.0, beta);
+            for kernel in kernels {
+                let mut got = c0.clone();
+                kernel(&a, &b, &mut got, m, k, n, 1.0, beta);
+                assert_eq!(got, want, "{name} {m}x{k}x{n} β={beta}");
             }
         }
     }
@@ -948,6 +906,19 @@ mod tests {
                     "gemm_tn tiers diverged {m}x{k}x{n} α={alpha} β={beta}"
                 );
             }
+        }
+        for &(name, m, k, n, beta) in WORKLOAD_CASES {
+            let (_, _, kernel) = orientation(name);
+            let (a, b, c0) = (
+                random_vec(m * k, 4),
+                random_vec(k * n, 5),
+                random_vec(m * n, 6),
+            );
+            let mut s = c0.clone();
+            let mut v = c0.clone();
+            kernel(KernelTier::Scalar, &a, &b, &mut s, m, k, n, 1.0, beta);
+            kernel(KernelTier::Avx2, &a, &b, &mut v, m, k, n, 1.0, beta);
+            assert_eq!(s, v, "{name} tiers diverged {m}x{k}x{n} β={beta}");
         }
     }
 
@@ -1055,21 +1026,28 @@ mod tests {
 
     #[test]
     fn repeated_calls_reuse_pack_buffers() {
-        // Steady-state blocked kernels must not allocate: run once to warm
-        // the thread-local pools, then observe the buffers are recycled
-        // (indirectly — results stay exact across many mixed-size calls).
-        let (m, k, n) = (32, 64, 24);
+        // The thread-local copy buffer is reused across calls: `gemm_nt`
+        // packs its B there and an α ≠ 1 `gemm`/`gemm_tn` writes `α·a`
+        // there. A larger blocked `gemm_nt` runs between the rounds, so a
+        // buffer not reset per call would hand the next one stale contents
+        // of another size (n = 23 ends in a partial panel on both tiles).
+        let (m, k, n) = (32, 64, 23);
         let a = random_vec(m * k, 90);
         let b = random_vec(k * n, 91);
-        let mut first = vec![0.0f32; m * n];
-        gemm(&a, &b, &mut first, m, k, n, 1.0, 0.0);
+        let (big_m, big_k, big_n) = (96, 80, 72);
+        let big_a = random_vec(big_m * big_k, 92);
+        let big_b = random_vec(big_n * big_k, 93);
         for _ in 0..4 {
-            let mut again = vec![0.0f32; m * n];
-            gemm(&a, &b, &mut again, m, k, n, 1.0, 0.0);
-            assert_eq!(first, again);
-            // Interleave a different shape to force re-packing.
-            let mut small = vec![0.0f32; 4];
-            gemm(&a[..4], &b[..4], &mut small, 2, 2, 2, 1.0, 0.0);
+            for (name, alpha) in [("nt", 1.0), ("nn", 2.0), ("tn", 2.0)] {
+                let (reference, [serial, _], _) = orientation(name);
+                let mut want = vec![0.0f32; m * n];
+                reference(&a, &b, &mut want, m, k, n, alpha, 0.0);
+                let mut got = vec![0.0f32; m * n];
+                serial(&a, &b, &mut got, m, k, n, alpha, 0.0);
+                assert_eq!(got, want, "{name} α={alpha}");
+            }
+            let mut big = vec![0.0f32; big_m * big_n];
+            gemm_nt(&big_a, &big_b, &mut big, big_m, big_k, big_n, 1.0, 0.0);
         }
     }
 }

@@ -1,9 +1,11 @@
 //! Hand-written AVX2 `6×16` GEMM micro-kernel.
 //!
 //! The kernel computes one `rows×cols` corner (`rows ≤ 6`, `cols ≤ 16`)
-//! of a C tile from the same packed p-major panels the scalar kernel
-//! consumes (`apack[p·6 + r]`, `bpack[p·16 + j]`, zero-padded past the
-//! edge). The accumulator block is six rows of two `__m256` registers —
+//! of a C tile from the same operand views the scalar kernel reads
+//! ([`Operands`]): each step `p` loads one 16-lane row of the B
+//! panel — with `_mm256_maskload_ps` when the panel has fewer real lanes,
+//! so lanes past the edge read 0 — and broadcasts six A elements, one per
+//! tile row. The accumulator block is six rows of two `__m256` registers —
 //! 12 accumulator registers plus two B lanes and one A broadcast, fitting
 //! the 16-register ymm file.
 //!
@@ -27,31 +29,35 @@
 //!
 //! The function is `#[target_feature]`-gated and must only be called
 //! after the corresponding CPUID check ([`crate::KernelTier::available`]);
-//! the dispatcher ([`crate::active_tier`]) guarantees that.
+//! the dispatcher ([`crate::active_tier`]) guarantees that. Its loads are
+//! unchecked: the GEMM driver asserts once per serial call, and once per
+//! parallel band, that both views stay inside their slices.
 
 #![cfg(target_arch = "x86_64")]
 
 use std::arch::x86_64::*;
 
-use crate::gemm::Accum;
+use crate::gemm::{Accum, Operands};
 
 /// Rows per AVX2 register tile.
 pub(crate) const MR_AVX2: usize = 6;
 /// Columns per AVX2 register tile (two `__m256` vectors).
 pub(crate) const NR_AVX2: usize = 16;
 
-/// One `rows×cols` corner of a C tile from packed panels (module docs).
+/// One `rows×cols` corner of a C tile from the operand views (module
+/// docs).
 ///
 /// # Safety
 ///
 /// The CPU must support AVX2 — call only after
-/// [`crate::KernelTier::available`] said so for [`crate::KernelTier::Avx2`].
+/// [`crate::KernelTier::available`] said so for [`crate::KernelTier::Avx2`]
+/// — and both views must be in bounds for this tile's rows, columns and
+/// `k` steps.
 #[allow(clippy::too_many_arguments)] // BLAS-style internals
 #[allow(clippy::needless_range_loop)] // fixed-bound register lattice
 #[target_feature(enable = "avx2")]
 pub(crate) unsafe fn tile_avx2(
-    apack: &[f32],
-    bpack: &[f32],
+    ops: &Operands,
     c: &mut [f32],
     row0: usize,
     col0: usize,
@@ -62,32 +68,44 @@ pub(crate) unsafe fn tile_avx2(
     mode: Accum,
 ) {
     debug_assert!((1..=MR_AVX2).contains(&rows) && (1..=NR_AVX2).contains(&cols));
-    debug_assert!(apack.len() >= k * MR_AVX2 && bpack.len() >= k * NR_AVX2);
     let full = cols == NR_AVX2;
-    let mut tmp = [0.0f32; NR_AVX2];
+    // One row of C as two vectors, and back. A partial tile goes through a
+    // zeroed buffer: lanes past `cols` read 0 and are never written back.
+    let load = |c: &[f32], base: usize| {
+        let mut tmp = [0.0f32; NR_AVX2];
+        let row = if full {
+            &c[base..base + NR_AVX2]
+        } else {
+            tmp[..cols].copy_from_slice(&c[base..base + cols]);
+            &tmp[..]
+        };
+        (
+            _mm256_loadu_ps(row.as_ptr()),
+            _mm256_loadu_ps(row.as_ptr().add(8)),
+        )
+    };
+    let store = |c: &mut [f32], base: usize, lo: __m256, hi: __m256| {
+        let mut tmp = [0.0f32; NR_AVX2];
+        let row = if full {
+            &mut c[base..base + NR_AVX2]
+        } else {
+            &mut tmp[..]
+        };
+        _mm256_storeu_ps(row.as_mut_ptr(), lo);
+        _mm256_storeu_ps(row.as_mut_ptr().add(8), hi);
+        if !full {
+            c[base..base + cols].copy_from_slice(&tmp[..cols]);
+        }
+    };
     let mut acc = [[_mm256_setzero_ps(); 2]; MR_AVX2];
 
     // Seed `acc = β·c` for the gemm/gemm_tn flavour (β·c is one
-    // IEEE multiply per element, exactly like the scalar kernel;
-    // lanes past `cols` seed from zero and are never stored).
+    // IEEE multiply per element, exactly like the scalar kernel).
     if let Accum::SeededByBeta { beta } = mode {
         if beta != 0.0 {
             let bv = _mm256_set1_ps(beta);
             for r in 0..rows {
-                let base = (row0 + r) * n + col0;
-                let (lo, hi) = if full {
-                    (
-                        _mm256_loadu_ps(c.as_ptr().add(base)),
-                        _mm256_loadu_ps(c.as_ptr().add(base + 8)),
-                    )
-                } else {
-                    tmp.fill(0.0);
-                    tmp[..cols].copy_from_slice(&c[base..base + cols]);
-                    (
-                        _mm256_loadu_ps(tmp.as_ptr()),
-                        _mm256_loadu_ps(tmp.as_ptr().add(8)),
-                    )
-                };
+                let (lo, hi) = load(c, (row0 + r) * n + col0);
                 acc[r][0] = _mm256_mul_ps(bv, lo);
                 acc[r][1] = _mm256_mul_ps(bv, hi);
             }
@@ -96,72 +114,57 @@ pub(crate) unsafe fn tile_avx2(
 
     // The reduction: terms added in `p` order for every element —
     // the determinism contract shared with the scalar tier.
-    let ap = apack.as_ptr();
-    let bp = bpack.as_ptr();
-    for p in 0..k {
-        let b0 = _mm256_loadu_ps(bp.add(p * NR_AVX2));
-        let b1 = _mm256_loadu_ps(bp.add(p * NR_AVX2 + 8));
+    let arow = ops.a_rows::<MR_AVX2>(row0, rows);
+    let mut step = |p: usize, b0: __m256, b1: __m256| {
         for r in 0..MR_AVX2 {
-            let a = _mm256_set1_ps(*ap.add(p * MR_AVX2 + r));
+            let a = _mm256_set1_ps(*ops.a.get_unchecked(arow[r] + p * ops.ps));
             acc[r][0] = _mm256_add_ps(acc[r][0], _mm256_mul_ps(a, b0));
             acc[r][1] = _mm256_add_ps(acc[r][1], _mm256_mul_ps(a, b1));
         }
+    };
+    let (boff, lanes) = ops.b_panel(col0, cols, NR_AVX2);
+    let brow = |p: usize| ops.b.as_ptr().add(boff + p * ops.stride);
+    if lanes == NR_AVX2 {
+        for p in 0..k {
+            step(p, _mm256_loadu_ps(brow(p)), _mm256_loadu_ps(brow(p).add(8)));
+        }
+    } else {
+        // A panel with fewer than 16 lanes loads them masked: masked-off
+        // lanes read 0 and touch no memory, and the high half starts no
+        // further than one past the panel's last lane.
+        let lane = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+        let mask_lo = _mm256_cmpgt_epi32(_mm256_set1_epi32(lanes as i32), lane);
+        let mask_hi = _mm256_cmpgt_epi32(_mm256_set1_epi32(lanes as i32 - 8), lane);
+        let hi = lanes.min(8);
+        for p in 0..k {
+            let b0 = _mm256_maskload_ps(brow(p), mask_lo);
+            step(p, b0, _mm256_maskload_ps(brow(p).add(hi), mask_hi));
+        }
     }
 
-    match mode {
-        // A panels carried the α pre-scale; store the accumulators.
-        Accum::SeededByBeta { .. } => {
-            for r in 0..rows {
-                let base = (row0 + r) * n + col0;
-                if full {
-                    _mm256_storeu_ps(c.as_mut_ptr().add(base), acc[r][0]);
-                    _mm256_storeu_ps(c.as_mut_ptr().add(base + 8), acc[r][1]);
-                } else {
-                    _mm256_storeu_ps(tmp.as_mut_ptr(), acc[r][0]);
-                    _mm256_storeu_ps(tmp.as_mut_ptr().add(8), acc[r][1]);
-                    c[base..base + cols].copy_from_slice(&tmp[..cols]);
-                }
-            }
-        }
-        // The gemm_nt flavour: `c = α·Σ + β·c` applied on store
-        // (`α·Σ` alone when β = 0), matching the scalar kernel's
-        // operation order exactly.
-        Accum::ScaledOnStore { alpha, beta } => {
-            let av = _mm256_set1_ps(alpha);
-            for r in 0..rows {
-                let base = (row0 + r) * n + col0;
-                let lo = _mm256_mul_ps(av, acc[r][0]);
-                let hi = _mm256_mul_ps(av, acc[r][1]);
+    for r in 0..rows {
+        let base = (row0 + r) * n + col0;
+        let [lo, hi] = match mode {
+            // The A operand carried α; store the accumulators.
+            Accum::SeededByBeta { .. } => acc[r],
+            // The gemm_nt flavour: `c = α·Σ + β·c` applied on store (`α·Σ`
+            // alone when β = 0), matching the scalar kernel's operation
+            // order exactly.
+            Accum::ScaledOnStore { alpha, beta } => {
+                let av = _mm256_set1_ps(alpha);
+                let scaled = [_mm256_mul_ps(av, acc[r][0]), _mm256_mul_ps(av, acc[r][1])];
                 if beta == 0.0 {
-                    if full {
-                        _mm256_storeu_ps(c.as_mut_ptr().add(base), lo);
-                        _mm256_storeu_ps(c.as_mut_ptr().add(base + 8), hi);
-                    } else {
-                        _mm256_storeu_ps(tmp.as_mut_ptr(), lo);
-                        _mm256_storeu_ps(tmp.as_mut_ptr().add(8), hi);
-                        c[base..base + cols].copy_from_slice(&tmp[..cols]);
-                    }
-                } else if full {
-                    let bv = _mm256_set1_ps(beta);
-                    let c0 = _mm256_loadu_ps(c.as_ptr().add(base));
-                    let c1 = _mm256_loadu_ps(c.as_ptr().add(base + 8));
-                    _mm256_storeu_ps(
-                        c.as_mut_ptr().add(base),
-                        _mm256_add_ps(lo, _mm256_mul_ps(bv, c0)),
-                    );
-                    _mm256_storeu_ps(
-                        c.as_mut_ptr().add(base + 8),
-                        _mm256_add_ps(hi, _mm256_mul_ps(bv, c1)),
-                    );
+                    scaled
                 } else {
-                    _mm256_storeu_ps(tmp.as_mut_ptr(), lo);
-                    _mm256_storeu_ps(tmp.as_mut_ptr().add(8), hi);
-                    let crow = &mut c[base..base + cols];
-                    for (j, cv) in crow.iter_mut().enumerate() {
-                        *cv = tmp[j] + beta * *cv;
-                    }
+                    let bv = _mm256_set1_ps(beta);
+                    let (c0, c1) = load(c, base);
+                    [
+                        _mm256_add_ps(scaled[0], _mm256_mul_ps(bv, c0)),
+                        _mm256_add_ps(scaled[1], _mm256_mul_ps(bv, c1)),
+                    ]
                 }
             }
-        }
+        };
+        store(c, base, lo, hi);
     }
 }

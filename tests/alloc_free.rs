@@ -3,7 +3,7 @@
 //! The arena-backed refactors promise that a steady-state **round** — a
 //! training step plus the round's evaluation, after the first batch has
 //! sized the per-model scratch arena, the cached model exists and the GEMM
-//! pack pools are warm — performs **zero heap allocations**. These tests
+//! operand-copy buffer is warm — performs **zero heap allocations**. These tests
 //! pin that property with a counting global
 //! allocator so any future change that sneaks a per-batch `Vec` or tensor
 //! allocation back into the round fails CI immediately:
@@ -75,7 +75,7 @@ static ALLOCATOR: CountingAlloc = CountingAlloc;
 
 /// A small fleet env whose every GEMM stays below the parallel threshold
 /// (so the step runs inline on this thread) while still exercising the
-/// blocked kernel path (above its packing threshold).
+/// blocked kernel path (above its blocking threshold).
 fn tiny_env() -> FlEnv {
     let mut rng = rng_from_seed(42);
     let n = 64;
@@ -122,7 +122,7 @@ fn steady_state_round_is_allocation_free() {
     let init = env.spec.build(&mut rng_from_seed(0)).params();
 
     // Warm-up: builds the cached model, sizes its arena on the first
-    // batch, fills the epoch-buffer and GEMM pack pools — for both the
+    // batch, fills the epoch-buffer pool and the GEMM operand-copy buffer — for both the
     // training step and the round's evaluation.
     let mut params = init.clone();
     for salt in 0..2 {
@@ -134,7 +134,7 @@ fn steady_state_round_is_allocation_free() {
 
     // The pinned property: a steady-state **round** — training step
     // plus test-set evaluation — allocates NOTHING: no batch tensors, no
-    // activation buffers, no grad vectors, no pack buffers, no epoch
+    // activation buffers, no grad vectors, no operand copies, no epoch
     // bookkeeping, no prediction vectors.
     let before = thread_allocs();
     let trained = local_train_plain_owned(&env, 0, params, 1, 0, 9);
@@ -264,8 +264,8 @@ fn steady_state_cnn_round_is_allocation_free() {
     let mut sgd = fedhisyn::nn::Sgd::new(SgdConfig { lr: 0.05 });
     let mut train_rng = rng_from_seed(22);
 
-    // Warm-up: sizes the (batched-conv) arena, fills the GEMM pack and
-    // epoch-buffer pools.
+    // Warm-up: sizes the (batched-conv) arena, fills the GEMM operand-copy
+    // buffer and the epoch-buffer pool.
     for _ in 0..2 {
         let _ = fedhisyn::nn::sgd_epoch(
             &mut model,

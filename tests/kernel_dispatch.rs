@@ -116,21 +116,52 @@ fn scalar_and_avx2_are_bit_identical_on_tile_edges() {
 }
 
 /// The scalar tier itself is bit-identical to the naive reference on the
-/// same lattice — anchoring the cross-tier chain to the executable spec.
+/// same lattice, in all three orientations — anchoring the cross-tier
+/// chain to the executable spec. Covers `gemm_tn`'s stride-`m` A view and
+/// the in-place B panel's partial tail at every `n mod 16`.
 #[test]
 fn scalar_tier_matches_naive_reference_on_tile_edges() {
+    type Reference = fn(&[f32], &[f32], &mut [f32], usize, usize, usize, f32, f32);
     for &m in EDGE_DIMS {
         for &n in EDGE_DIMS {
-            let k = 9;
-            for &(alpha, beta) in AB_CASES {
-                let seed = (m * 73 + n * 29) as u64;
-                let (a, b, _, _) = operands(m, k, n, seed);
-                let c0 = random_vec(m * n, seed + 4);
-                let mut want = c0.clone();
-                gemm_reference::gemm(&a, &b, &mut want, m, k, n, alpha, beta);
-                let mut got = c0.clone();
-                gemm_with_tier(KernelTier::Scalar, &a, &b, &mut got, m, k, n, alpha, beta);
-                assert_eq!(got, want, "scalar tier vs reference {m}x{k}x{n}");
+            for &k in &[1usize, 9, 50] {
+                for &(alpha, beta) in AB_CASES {
+                    let seed = (m * 73 + n * 29 + k) as u64;
+                    let (a, b, bt, at) = operands(m, k, n, seed);
+                    let c0 = random_vec(m * n, seed + 4);
+                    for (name, reference, kernel, aa, bb) in [
+                        (
+                            "gemm",
+                            gemm_reference::gemm as Reference,
+                            gemm_with_tier as TierKernel,
+                            &a,
+                            &b,
+                        ),
+                        (
+                            "gemm_nt",
+                            gemm_reference::gemm_nt,
+                            gemm_nt_with_tier,
+                            &a,
+                            &bt,
+                        ),
+                        (
+                            "gemm_tn",
+                            gemm_reference::gemm_tn,
+                            gemm_tn_with_tier,
+                            &at,
+                            &b,
+                        ),
+                    ] {
+                        let mut want = c0.clone();
+                        reference(aa, bb, &mut want, m, k, n, alpha, beta);
+                        let mut got = c0.clone();
+                        kernel(KernelTier::Scalar, aa, bb, &mut got, m, k, n, alpha, beta);
+                        assert_eq!(
+                            got, want,
+                            "{name} scalar tier vs reference {m}x{k}x{n} α={alpha} β={beta}"
+                        );
+                    }
+                }
             }
         }
     }
