@@ -1,5 +1,4 @@
-//! Scale and output plumbing shared by the `paper`, `fig_churn` and
-//! `fig_codec` binaries.
+//! Scale and output plumbing of the `paper` binary.
 
 use fedhisyn_core::ExperimentConfig;
 use fedhisyn_data::{DatasetProfile, Partition, Scale};
@@ -7,9 +6,9 @@ use serde::Serialize;
 use std::fs;
 use std::path::PathBuf;
 
-/// Scale knobs shared by all binaries.
+/// Scale knobs shared by all artefacts.
 #[derive(Debug, Clone, Copy)]
-pub struct BenchScale {
+pub(crate) struct BenchScale {
     /// Paper or smoke data dimensions.
     pub scale: Scale,
     /// Fleet size.
@@ -28,7 +27,7 @@ impl BenchScale {
     /// CI-sized default: finishes the whole suite in minutes on 2 cores.
     /// Keeps the paper's local epochs (E = 5) — the client-drift effects
     /// FedHiSyn exploits only appear with meaningful local work.
-    pub fn smoke() -> Self {
+    pub(crate) fn smoke() -> Self {
         BenchScale {
             scale: Scale::Smoke,
             devices: 40,
@@ -40,7 +39,7 @@ impl BenchScale {
     }
 
     /// The paper's dimensions: 100 devices, 100–150 rounds, 5 local epochs.
-    pub fn full() -> Self {
+    pub(crate) fn full() -> Self {
         BenchScale {
             scale: Scale::Paper,
             devices: 100,
@@ -51,18 +50,9 @@ impl BenchScale {
         }
     }
 
-    /// Parse `--full` from the CLI (everything else ignored).
-    pub fn from_args() -> Self {
-        if std::env::args().any(|a| a == "--full") {
-            Self::full()
-        } else {
-            Self::smoke()
-        }
-    }
-
     /// Base experiment config for a (dataset, partition, participation)
     /// cell, with the profile's round budget.
-    pub fn config(
+    pub(crate) fn config(
         &self,
         profile: DatasetProfile,
         partition: Partition,
@@ -87,7 +77,7 @@ impl BenchScale {
 
 /// Write `value` as JSON under `results/<name>.json` (best-effort; the
 /// printed tables are the primary artifact).
-pub fn write_json<T: Serialize>(name: &str, value: &T) {
+pub(crate) fn write_json<T: Serialize>(name: &str, value: &T) {
     let dir = PathBuf::from("results");
     if fs::create_dir_all(&dir).is_err() {
         return;

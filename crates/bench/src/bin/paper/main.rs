@@ -1,18 +1,28 @@
 //! The paper's evaluation — Table 1 and Figures 2, 3, 4, 6, 7 — each
 //! ending in the claims the paper draws from it, tagged with its figure or
-//! table number, and a verdict computed from the numbers just produced.
+//! table number, and a verdict computed from the numbers just produced;
+//! then the repo's two extensions, fleet churn (`ext_churn`) and the lossy
+//! wire codec (`ext_codec`).
 //!
 //! ```sh
-//! cargo run --release -p fedhisyn-bench --bin paper -- [table1|fig2|fig3|fig4|fig6|fig7 …] [--full]
+//! cargo run --release -p fedhisyn-bench --bin paper -- [table1|fig2|fig3|fig4|fig6|fig7|ext_churn|ext_codec …] [--full]
+//! cargo run --release -p fedhisyn-bench --bin paper -- --trace <path>
 //! ```
 //!
-//! No names runs all six at smoke scale (sized for a 2-core box); `--full`
+//! No names runs all eight at smoke scale (sized for a 2-core box); `--full`
 //! runs the paper's dimensions. Series, the Table 1 grid and claims go to
-//! `results/paper.json`. A claim that does not hold is recorded with its
-//! numbers; only a failed run, never a verdict, changes the exit code.
+//! `results/paper.json`. A paper claim that does not hold is recorded with
+//! its numbers and leaves the exit code alone; an extension claim that does
+//! not hold exits 1 once the JSON is written. `--trace <path>` runs one
+//! short churned FedHiSyn cell with telemetry on instead, writes a
+//! Perfetto-loadable Chrome trace (and a JSONL event log beside it) to
+//! `path` and validates it in-process.
+
+mod ext;
+mod harness;
+mod trace;
 
 use fedhisyn_baselines::{FedAT, FedAvg, FedProx, Scaffold, TAFedAvg, TFedAvg};
-use fedhisyn_bench::harness::{write_json, BenchScale};
 use fedhisyn_core::decentral::{DecentralMode, DecentralSim};
 use fedhisyn_core::{
     run_experiment, ExperimentConfig, FedHiSyn, FlAlgorithm, FlEnv, RingOrder, RunRecord,
@@ -20,10 +30,21 @@ use fedhisyn_core::{
 use fedhisyn_data::stats::mean_label_divergence;
 use fedhisyn_data::{DatasetProfile, Partition, Scale};
 use fedhisyn_simnet::HeterogeneityModel;
+use harness::{write_json, BenchScale};
 use serde::Serialize;
+use std::path::Path;
 
-/// Every artefact, in run order.
-const ARTEFACTS: [&str; 6] = ["table1", "fig2", "fig3", "fig4", "fig6", "fig7"];
+/// Every artefact, in run order: the paper's, then the extensions.
+const ARTEFACTS: [&str; 8] = [
+    "table1",
+    "fig2",
+    "fig3",
+    "fig4",
+    "fig6",
+    "fig7",
+    "ext_churn",
+    "ext_codec",
+];
 
 /// The non-IID partition of every artefact.
 const NON_IID: Partition = Partition::Dirichlet { beta: 0.3 };
@@ -51,23 +72,26 @@ const fn ring(k: usize, order: RingOrder, average: bool) -> DecentralMode {
 /// One labelled accuracy-per-round curve.
 #[derive(Debug, Serialize)]
 struct Series {
-    /// Partition (Figs 2–4) or dataset (Figs 6–7) the curve ran on.
+    /// Partition (Figs 2–4), dataset (Figs 6–7), churn rate (`ext_churn`)
+    /// or frame-loss rate (`ext_codec`) the curve ran on.
     scope: String,
     label: String,
     accuracy: Vec<f32>,
 }
 
-/// A claim the paper draws from an artefact, and whether this run's
-/// numbers bear it out.
+/// A claim the paper (or an extension) draws from an artefact, and
+/// whether this run's numbers bear it out.
 #[derive(Debug, Serialize)]
 struct Claim {
-    /// The paper's figure or table number.
+    /// The paper's figure or table number, or `Ext codec`.
     tag: &'static str,
-    /// The partition, dataset or table row the claim was checked on.
+    /// The partition, dataset, table row or loss rate the claim was
+    /// checked on.
     scope: String,
     statement: &'static str,
     /// The numbers the verdict was computed from: final accuracies in %,
-    /// or Table 1 costs in FedAvg rounds with `X` as infinity.
+    /// Table 1 costs in FedAvg rounds with `X` as infinity, or
+    /// `ext_codec`'s compression ratios and wire bytes.
     evidence: Vec<(String, f64)>,
     holds: bool,
 }
@@ -110,6 +134,9 @@ struct TableCell {
 #[derive(Debug, Serialize)]
 struct Artefact {
     name: &'static str,
+    /// The repo's own sweep (`ext_*`), not the paper's: a claim of it that
+    /// does not hold fails the run.
+    extension: bool,
     series: Vec<Series>,
     table: Option<Table>,
     claims: Vec<Claim>,
@@ -125,38 +152,93 @@ impl std::fmt::Display for Claim {
     }
 }
 
+/// What the command line asks for, parsed once.
+#[derive(Debug, PartialEq)]
+struct Cli {
+    /// The artefacts to run, in run order: all of them when none are
+    /// named, none under `--trace`.
+    artefacts: Vec<&'static str>,
+    /// `--full`: the paper's dimensions instead of smoke scale.
+    full: bool,
+    /// `--trace <path>`: run the traced churn cell instead.
+    trace: Option<String>,
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let names = parse_args(&args).unwrap_or_else(|e| {
+    let cli = parse_args(&args).unwrap_or_else(|e| {
         eprintln!("paper: {e}");
         std::process::exit(2);
     });
-    let scale = BenchScale::from_args();
-    let artefacts: Vec<Artefact> = names.into_iter().map(|n| run(n, &scale)).collect();
-    let claims: Vec<&Claim> = artefacts.iter().flat_map(|a| &a.claims).collect();
-    let held = claims.iter().filter(|c| c.holds).count();
-    println!("\n{held} of {} claims hold", claims.len());
+    let scale = if cli.full {
+        BenchScale::full()
+    } else {
+        BenchScale::smoke()
+    };
+    if let Some(path) = cli.trace {
+        ext::churn_trace(&scale, Path::new(&path));
+        return;
+    }
+    let artefacts: Vec<Artefact> = cli.artefacts.into_iter().map(|n| run(n, &scale)).collect();
+    println!();
+    for (extension, kind) in [(false, "paper"), (true, "extension")] {
+        let of_kind = artefacts.iter().filter(|a| a.extension == extension);
+        let claims: Vec<&Claim> = of_kind.flat_map(|a| &a.claims).collect();
+        let held = claims.iter().filter(|c| c.holds).count();
+        if !claims.is_empty() {
+            println!("{held} of {} {kind} claims hold", claims.len());
+        }
+    }
     write_json("paper", &artefacts);
+    std::process::exit(exit_code(&artefacts));
 }
 
-/// The artefacts to run, in run order: all of them when none are named.
-/// `--full` is the one flag ([`BenchScale::from_args`] reads it).
-fn parse_args(args: &[String]) -> Result<Vec<&'static str>, String> {
-    let named: Vec<&str> = args
-        .iter()
-        .map(String::as_str)
-        .filter(|&a| a != "--full")
-        .collect();
-    if let Some(bad) = named.iter().find(|n| !ARTEFACTS.contains(n)) {
-        let valid = ARTEFACTS.join(" ");
-        return Err(format!(
-            "unknown artefact `{bad}`; valid: {valid} (and --full)"
-        ));
+/// Parse the artefact names and the `--full` and `--trace <path>` flags;
+/// anything else, or `--trace` without a path, is an error.
+fn parse_args(args: &[String]) -> Result<Cli, String> {
+    let mut cli = Cli {
+        artefacts: Vec::new(),
+        full: false,
+        trace: None,
+    };
+    let mut named = Vec::new();
+    let mut args = args.iter().map(String::as_str);
+    while let Some(arg) = args.next() {
+        match arg {
+            "--full" => cli.full = true,
+            "--trace" => match args.next() {
+                Some(path) if !path.starts_with("--") => cli.trace = Some(path.to_string()),
+                _ => return Err("`--trace` needs a path".to_string()),
+            },
+            _ => match ARTEFACTS.into_iter().find(|&a| a == arg) {
+                Some(name) => named.push(name),
+                None => {
+                    let valid = ARTEFACTS.join(" ");
+                    return Err(format!(
+                        "unknown argument `{arg}`; artefacts: {valid}; flags: --full, --trace <path>"
+                    ));
+                }
+            },
+        }
     }
-    let names = ARTEFACTS
-        .into_iter()
-        .filter(|n| named.is_empty() || named.contains(n));
-    Ok(names.collect())
+    if cli.trace.is_some() {
+        if !named.is_empty() {
+            return Err("`--trace` runs alone, without artefact names".to_string());
+        }
+    } else {
+        let names = ARTEFACTS.into_iter();
+        cli.artefacts = names
+            .filter(|n| named.is_empty() || named.contains(n))
+            .collect();
+    }
+    Ok(cli)
+}
+
+/// 1 when a claim of an extension artefact does not hold, else 0: the
+/// extensions' claims are their sweeps' gates, the paper's are print-only.
+fn exit_code(artefacts: &[Artefact]) -> i32 {
+    let extensions = artefacts.iter().filter(|a| a.extension);
+    i32::from(extensions.flat_map(|a| &a.claims).any(|c| !c.holds))
 }
 
 fn run(name: &'static str, scale: &BenchScale) -> Artefact {
@@ -222,12 +304,18 @@ fn run(name: &'static str, scale: &BenchScale) -> Artefact {
             let c = claims("Fig 7", statement, fig7_gap_grows, by_dataset(&s));
             (s, None, c)
         }
+        "ext_churn" => (ext::churn(scale), None, Vec::new()),
+        "ext_codec" => {
+            let (s, c) = ext::codec(scale);
+            (s, None, c)
+        }
         _ => unreachable!("parse_args admits only ARTEFACTS"),
     };
     println!();
     claims.iter().for_each(|claim| println!("{claim}"));
     Artefact {
         name,
+        extension: name.starts_with("ext_"),
         series,
         table,
         claims,
@@ -546,13 +634,45 @@ mod tests {
 
     #[test]
     fn artefacts_run_in_order_and_an_unknown_name_is_rejected() {
-        assert_eq!(parse_args(&[]), Ok(ARTEFACTS.to_vec()));
-        let some = parse_args(&["fig7", "--full", "table1"].map(String::from));
-        assert_eq!(some, Ok(vec!["table1", "fig7"]));
-        for bad in ["fig5", "--smoke", "Table1"] {
-            let err = parse_args(&["fig2", bad].map(String::from)).unwrap_err();
+        let parse =
+            |args: &[&str]| parse_args(&args.iter().map(|a| a.to_string()).collect::<Vec<_>>());
+        let cli = |artefacts: &[&'static str], full, trace: Option<&str>| Cli {
+            artefacts: artefacts.to_vec(),
+            full,
+            trace: trace.map(String::from),
+        };
+        let all = [
+            "table1",
+            "fig2",
+            "fig3",
+            "fig4",
+            "fig6",
+            "fig7",
+            "ext_churn",
+            "ext_codec",
+        ];
+        assert_eq!(parse(&[]), Ok(cli(&all, false, None)));
+        let some = parse(&["fig7", "--full", "table1"]);
+        assert_eq!(some, Ok(cli(&["table1", "fig7"], true, None)));
+        let ext = parse(&["ext_codec", "fig2", "ext_churn"]);
+        assert_eq!(
+            ext,
+            Ok(cli(&["fig2", "ext_churn", "ext_codec"], false, None))
+        );
+        assert_eq!(parse(&["--trace", "p"]), Ok(cli(&[], false, Some("p"))));
+        let full = parse(&["--full", "--trace", "t.json"]);
+        assert_eq!(full, Ok(cli(&[], true, Some("t.json"))));
+        for bad in ["fig5", "--smoke", "Table1", "--stress"] {
+            let err = parse(&["fig2", bad]).unwrap_err();
             assert!(err.contains(bad), "{err}");
-            assert!(err.contains("table1 fig2 fig3 fig4 fig6 fig7"), "{err}");
+            assert!(err.contains(&all.join(" ")), "{err}");
+        }
+        for bad in [
+            &["--trace"][..],
+            &["--trace", "--full"],
+            &["--trace", "p", "fig2"],
+        ] {
+            assert!(parse(bad).unwrap_err().contains("--trace"), "{bad:?}");
         }
     }
 
@@ -644,7 +764,7 @@ mod tests {
     #[test]
     fn figure_verdicts_hold_and_fail_on_hand_built_finals() {
         type Verdict = fn(&[f64]) -> bool;
-        let cases: [(Verdict, &[f64], bool); 14] = [
+        let cases: [(Verdict, &[f64], bool); 21] = [
             // Fig 2: no-comm, random+avg, random, ring+avg, ring.
             (fig2_ordering, &[20.0, 25.0, 30.0, 35.0, 40.0], true),
             (fig2_ordering, &[20.0, 25.0, 45.0, 35.0, 40.0], false),
@@ -664,9 +784,47 @@ mod tests {
             // Fig 7: (FedHiSyn, FedAvg) at H = 2 and H = 20; a tie holds.
             (fig7_gap_grows, &[75.0, 50.0, 50.0, 25.0], true),
             (fig7_gap_grows, &[70.0, 60.0, 69.4, 68.4], false),
+            // ext_codec: f32, int8, topk100; a gap of exactly 2 points holds.
+            (ext::codec_accuracy_kept, &[94.8, 94.6, 93.4], true),
+            (ext::codec_accuracy_kept, &[95.0, 93.0, 96.4], true),
+            (ext::codec_accuracy_kept, &[95.0, 94.6, 92.8], false),
+            (ext::codec_ratio_floors, &[1.0, 3.86, 16.99], true),
+            (ext::codec_ratio_floors, &[1.0, 3.4, 16.99], false),
+            (ext::codec_bytes_fall, &[3.2e7, 8.4e6, 1.9e6], true),
+            (ext::codec_bytes_fall, &[3.2e7, 1.9e6, 1.9e6], false),
         ];
         for (verdict, finals, holds) in cases {
             assert_eq!(verdict(finals), holds, "{finals:?}");
         }
+    }
+
+    #[test]
+    fn only_a_failed_extension_claim_fails_the_run() {
+        let claim = |holds| Claim {
+            tag: "T",
+            scope: String::new(),
+            statement: "s",
+            evidence: Vec::new(),
+            holds,
+        };
+        let artefact = |name: &'static str, holds: &[bool]| Artefact {
+            name,
+            extension: name.starts_with("ext_"),
+            series: Vec::new(),
+            table: None,
+            claims: holds.iter().map(|&h| claim(h)).collect(),
+        };
+        let paper_fails = [
+            artefact("fig2", &[true, false]),
+            artefact("ext_codec", &[true]),
+        ];
+        assert_eq!(exit_code(&paper_fails), 0, "paper claims are print-only");
+        let ext_fails = [
+            artefact("fig2", &[true]),
+            artefact("ext_codec", &[true, false]),
+        ];
+        assert_eq!(exit_code(&ext_fails), 1, "an extension claim is a gate");
+        assert_eq!(exit_code(&[artefact("ext_churn", &[])]), 0);
+        assert_eq!(exit_code(&[]), 0);
     }
 }

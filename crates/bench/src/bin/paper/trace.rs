@@ -1,8 +1,8 @@
-//! `--trace <path>` support shared by the bench binaries: run a short
-//! FedHiSyn experiment with the telemetry sink enabled, export a
-//! Perfetto-loadable Chrome trace (plus its JSONL sibling), and validate
-//! the emitted document in-process — so the CI smoke step fails on any
-//! schema or coverage regression, not just on a crash.
+//! `paper --trace <path>`: run a short FedHiSyn experiment with the
+//! telemetry sink enabled, export a Perfetto-loadable Chrome trace (plus
+//! its JSONL sibling), and validate the emitted document in-process — so
+//! the CI smoke step fails on any schema or coverage regression, not just
+//! on a crash.
 
 use std::path::Path;
 
@@ -12,11 +12,11 @@ use fedhisyn_telemetry::{export_trace, validate_chrome_trace, Phase, TelemetrySi
 /// Span-buffer capacity for traced smoke runs: a short run emits a few
 /// spans per device-step plus a handful per round, so 64k events leaves
 /// generous headroom — and [`run_traced`] asserts nothing was dropped.
-pub const TRACE_CAPACITY: usize = 1 << 16;
+const TRACE_CAPACITY: usize = 1 << 16;
 
 /// The round-lifecycle taxonomy every traced round must cover (the
 /// acceptance criterion; relay hops ride along but are fleet-dependent).
-pub const ROUND_PHASES: &[Phase] = &[
+const ROUND_PHASES: &[Phase] = &[
     Phase::Clustering,
     Phase::RingInterval,
     Phase::LocalTrain,
@@ -24,24 +24,16 @@ pub const ROUND_PHASES: &[Phase] = &[
     Phase::Evaluation,
 ];
 
-/// Parse `--trace <path>` from the CLI; `None` when absent.
-pub fn trace_path_from_args() -> Option<String> {
-    let args: Vec<String> = std::env::args().collect();
-    let pos = args.iter().position(|a| a == "--trace")?;
-    Some(
-        args.get(pos + 1)
-            .filter(|v| !v.starts_with("--"))
-            .cloned()
-            .unwrap_or_else(|| "trace.json".to_string()),
-    )
-}
-
 /// Run FedHiSyn on `cfg` with tracing enabled, write the Chrome trace to
 /// `path` (JSONL event log beside it), and validate what came out:
 /// well-formed trace-event JSON, no dropped spans, and full round-
 /// lifecycle coverage for **every** round. Panics on any violation — the
-/// callers are smoke binaries whose exit code is the test.
-pub fn run_traced(cfg: &ExperimentConfig, k: usize, path: &Path) -> (RunRecord, TraceSummary) {
+/// exit code of `paper --trace` is the test.
+pub(crate) fn run_traced(
+    cfg: &ExperimentConfig,
+    k: usize,
+    path: &Path,
+) -> (RunRecord, TraceSummary) {
     let mut env = cfg.build_env();
     env.telemetry = TelemetrySink::enabled(TRACE_CAPACITY);
     let mut algo = FedHiSyn::new(cfg, k);

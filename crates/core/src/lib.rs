@@ -60,5 +60,5 @@ pub use env::{seed_mix, DeviceBank, FlEnv};
 pub use fedhisyn::FedHiSyn;
 pub use link::ServerLink;
 pub use metrics::{RoundRecord, RunRecord};
-pub use ring_sim::{FailurePolicy, TransportStats};
+pub use ring_sim::TransportStats;
 pub use topology::{Ring, RingOrder};

@@ -41,8 +41,6 @@ use crate::env::{steps_within, FlEnv};
 use crate::local::local_train_plain_owned;
 use crate::topology::Ring;
 
-pub use fedhisyn_fleet::FailurePolicy;
-
 /// Telemetry context for one ring interval: where spans go and how this
 /// ring's local event clock maps onto the experiment's virtual timeline.
 #[derive(Debug, Clone, Copy)]
@@ -110,10 +108,6 @@ pub(crate) struct RelayCodec<'a> {
 pub struct RingOptions<'a> {
     /// What a device does with a model received from its predecessor.
     pub policy: ReceivePolicy,
-    /// What happens to the model a crashing device held, and to arrivals
-    /// addressed to a dead position: forwarded to the next live successor
-    /// or dropped. Only consulted when `failures` schedules a crash.
-    pub failure_policy: FailurePolicy,
     /// `failures[p]` is the virtual time within `[0, interval)` at which
     /// the device at ring position `p` crashes (`None` = survives; times
     /// at or past the interval are ignored). An empty slice means nobody
@@ -123,12 +117,11 @@ pub struct RingOptions<'a> {
     /// freshest model it held — a pending unconsumed arrival, else the
     /// model it was training — is preserved as its last-held model
     /// (device storage survives a crash, which is what a decentralized
-    /// rejoin resumes from) and, under
-    /// [`FailurePolicy::ForwardToSuccessor`], a copy goes to the next
-    /// *live* successor. The ring repairs itself: later sends skip dead
-    /// positions and in-flight arrivals addressed to one are re-forwarded
-    /// or dropped. The position is reported dead in
-    /// [`RingOutcome::alive`] — it cannot upload this round.
+    /// rejoin resumes from) and a copy goes to the next *live* successor.
+    /// The ring repairs itself: later sends skip dead positions and
+    /// in-flight arrivals addressed to one are re-forwarded. The position
+    /// is reported dead in [`RingOutcome::alive`] — it cannot upload this
+    /// round.
     pub failures: &'a [Option<f64>],
     /// Deterministic wire faults on every relay hop. The plan's fault
     /// function is pure in `(round, src, dst, attempt)`, so one context
@@ -316,7 +309,6 @@ where
 {
     let RingOptions {
         policy,
-        failure_policy,
         failures,
         faults,
         trace,
@@ -354,7 +346,6 @@ where
     let mut inbox: Vec<Option<ParamVec>> = vec![None; n];
     let mut steps = vec![0usize; n];
     let mut dead = vec![false; n];
-    let forward = failure_policy == FailurePolicy::ForwardToSuccessor;
 
     // The interval's one wire. A `None` fault context — or a plan with
     // zero fault probabilities — must leave it untouched: no fault state
@@ -400,11 +391,9 @@ where
                 if dead[pos] {
                     // Ring repair: the sender did not know `pos` died.
                     // Re-forward to the next live successor (one extra
-                    // hop on the wire) — or drop the model entirely.
-                    if forward {
-                        if let Some(succ) = next_live(ring, &dead, pos) {
-                            wire.transmit(now, pos, succ, model);
-                        }
+                    // hop on the wire).
+                    if let Some(succ) = next_live(ring, &dead, pos) {
+                        wire.transmit(now, pos, succ, model);
                     }
                     continue;
                 }
@@ -417,13 +406,12 @@ where
                 // The freshest model the device held: a pending arrival
                 // beats the model it was mid-way through training. The
                 // device's storage survives the crash (that is what a
-                // decentralized rejoin resumes from), so preserve it as
-                // the position's last-held model either way.
+                // decentralized rejoin resumes from): forward a copy to
+                // the next live successor and keep it as the position's
+                // last-held model.
                 if let Some(held) = inbox[pos].take().or_else(|| working[pos].take()) {
-                    if forward {
-                        if let Some(succ) = next_live(ring, &dead, pos) {
-                            wire.transmit(now, pos, succ, held.clone());
-                        }
+                    if let Some(succ) = next_live(ring, &dead, pos) {
+                        wire.transmit(now, pos, succ, held.clone());
                     }
                     latest[pos] = held;
                 }
@@ -731,7 +719,6 @@ impl RingRound<'_> {
         let (env, round) = (self.env, self.round);
         let opts = RingOptions {
             policy: self.policy,
-            failure_policy: env.fleet.dynamics().failure_policy,
             failures: &lane.failures,
             // Pure in (seed, round, edge, attempt): every parallel lane
             // shares the one plan read-only.
@@ -1077,7 +1064,6 @@ mod tests {
     fn run_faulty(
         latencies: &[f64],
         interval: f64,
-        failure_policy: FailurePolicy,
         failures: &[Option<f64>],
     ) -> (RingOutcome, Ring) {
         let (ring, lat) = ring_of(latencies);
@@ -1089,7 +1075,6 @@ mod tests {
             zero_start(n, n),
             interval,
             RingOptions {
-                failure_policy,
                 failures,
                 ..Default::default()
             },
@@ -1116,7 +1101,6 @@ mod tests {
         let none = run(RingOptions::default());
         let explicit = run(RingOptions {
             policy: ReceivePolicy::TrainReceived,
-            failure_policy: FailurePolicy::ForwardToSuccessor,
             failures: &[None, None, None],
             ..Default::default()
         });
@@ -1131,12 +1115,7 @@ mod tests {
     fn mid_ring_failure_stops_the_dead_position() {
         // Three equal devices, 4 steps each; position 1 dies at t = 1.5
         // (after its first completion, mid-second-step).
-        let (out, _) = run_faulty(
-            &[1.0, 1.0, 1.0],
-            4.0,
-            FailurePolicy::ForwardToSuccessor,
-            &[None, Some(1.5), None],
-        );
+        let (out, _) = run_faulty(&[1.0, 1.0, 1.0], 4.0, &[None, Some(1.5), None]);
         assert_eq!(out.alive, vec![true, false, true]);
         assert_eq!(out.steps[1], 1, "one completed step before the crash");
         assert_eq!(out.steps[0], 4);
@@ -1144,9 +1123,8 @@ mod tests {
     }
 
     /// Two devices, position 1 starts with a marked model ([0, 100]) and
-    /// dies at t = 0.5, before its first completion. What the survivor
-    /// ends up with depends only on the failure policy.
-    fn marked_two_device_failure(policy: FailurePolicy) -> RingOutcome {
+    /// dies at t = 0.5, before its first completion.
+    fn marked_two_device_failure() -> RingOutcome {
         let (ring, lat) = ring_of(&[1.0, 1.0]);
         let start = vec![ParamVec::zeros(2), ParamVec::from_vec(vec![0.0, 100.0])];
         simulate_ring_interval(
@@ -1156,7 +1134,6 @@ mod tests {
             RingStart::PerPosition(start),
             3.0,
             RingOptions {
-                failure_policy: policy,
                 failures: &[None, Some(0.5)],
                 ..Default::default()
             },
@@ -1166,7 +1143,7 @@ mod tests {
 
     #[test]
     fn forward_policy_salvages_the_in_flight_model() {
-        let out = marked_two_device_failure(FailurePolicy::ForwardToSuccessor);
+        let out = marked_two_device_failure();
         assert_eq!(out.alive, vec![true, false]);
         // The dead device's held model was forwarded: the survivor
         // adopted the marked model and kept training it.
@@ -1185,28 +1162,11 @@ mod tests {
     }
 
     #[test]
-    fn drop_policy_loses_in_flight_models() {
-        let out = marked_two_device_failure(FailurePolicy::DropInFlight);
-        assert_eq!(out.alive, vec![true, false]);
-        // Nothing was forwarded: the survivor only ever refined its own
-        // lineage (3 steps on its own coordinate, no marker).
-        assert_eq!(out.final_models[0].as_slice(), &[3.0, 0.0]);
-        assert_eq!(out.transfers, 0, "ring repair stops sends to the dead");
-        // Device storage still survives the crash for rejoin carry-over.
-        assert_eq!(out.final_models[1].as_slice(), &[0.0, 100.0]);
-    }
-
-    #[test]
     fn ring_repairs_around_dead_position() {
         // Three devices; middle position dies instantly. The ring must
         // keep circulating between the two survivors: both end up with
         // each other's provenance.
-        let (out, ring) = run_faulty(
-            &[1.0, 1.0, 1.0],
-            6.0,
-            FailurePolicy::ForwardToSuccessor,
-            &[None, Some(0.1), None],
-        );
+        let (out, ring) = run_faulty(&[1.0, 1.0, 1.0], 6.0, &[None, Some(0.1), None]);
         let d0 = ring.order()[0];
         let d2 = ring.order()[2];
         assert!(out.final_models[0].as_slice()[d2] > 0.0, "0 got 2's work");
@@ -1215,32 +1175,15 @@ mod tests {
 
     #[test]
     fn all_but_one_dead_degenerates_to_solo_refinement() {
-        let (out, _) = run_faulty(
-            &[1.0, 1.0, 1.0],
-            3.0,
-            FailurePolicy::ForwardToSuccessor,
-            &[Some(0.1), None, Some(0.2)],
-        );
+        let (out, _) = run_faulty(&[1.0, 1.0, 1.0], 3.0, &[Some(0.1), None, Some(0.2)]);
         assert_eq!(out.alive, vec![false, true, false]);
         assert_eq!(out.steps[1], 3, "survivor trains its full budget");
     }
 
     #[test]
     fn failures_at_or_past_interval_are_ignored() {
-        let clean = run_faulty(
-            &[1.0, 2.0],
-            4.0,
-            FailurePolicy::ForwardToSuccessor,
-            &[None, None],
-        )
-        .0;
-        let late = run_faulty(
-            &[1.0, 2.0],
-            4.0,
-            FailurePolicy::ForwardToSuccessor,
-            &[Some(4.0), Some(100.0)],
-        )
-        .0;
+        let clean = run_faulty(&[1.0, 2.0], 4.0, &[None, None]).0;
+        let late = run_faulty(&[1.0, 2.0], 4.0, &[Some(4.0), Some(100.0)]).0;
         assert_eq!(clean.final_models, late.final_models);
         assert_eq!(clean.steps, late.steps);
         assert!(late.alive.iter().all(|&a| a));
@@ -1252,7 +1195,6 @@ mod tests {
             run_faulty(
                 &[1.0, 2.0, 3.0, 4.0],
                 6.0,
-                FailurePolicy::ForwardToSuccessor,
                 &[None, Some(2.5), None, Some(1.0)],
             )
             .0
@@ -1389,11 +1331,11 @@ mod tests {
     }
 
     #[test]
-    fn drop_policy_survives_double_and_last_position_failure_under_loss() {
-        // Satellite edge case: two positions die (including the last ring
-        // position) under DropInFlight while the wire is lossy. The round
-        // must still complete, with the lone survivor training its full
-        // budget on its own lineage.
+    fn double_and_last_position_failure_under_loss_completes() {
+        // Two positions die (including the last ring position) while the
+        // wire is lossy. The round must still complete, with the lone
+        // survivor training its full budget and the dead positions' held
+        // models salvaged onto the wire.
         let (ring, lat) = ring_of(&[1.0, 1.0, 1.0]);
         let plan = FaultPlan::new(3, FaultConfig::lossy(0.5));
         let out = simulate_ring_interval(
@@ -1403,7 +1345,6 @@ mod tests {
             zero_start(3, 3),
             4.0,
             RingOptions {
-                failure_policy: FailurePolicy::DropInFlight,
                 failures: &[None, Some(0.5), Some(1.5)],
                 faults: Some(RingFaults {
                     plan: &plan,
@@ -1416,6 +1357,7 @@ mod tests {
         assert_eq!(out.alive, vec![true, false, false]);
         assert_eq!(out.steps[0], 4, "survivor trains its full budget");
         assert_eq!(out.steps[2], 1, "one completed step before the t=1.5 crash");
+        assert!(out.transfers >= 1, "the salvage forward reaches the wire");
     }
 
     #[test]

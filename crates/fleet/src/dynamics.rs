@@ -8,21 +8,6 @@
 
 use serde::{Deserialize, Serialize};
 
-/// What a ring does with the models a device holds when it fails
-/// mid-interval. Mirrors `ReceivePolicy`: one small enum per in-ring
-/// decision point.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
-pub enum FailurePolicy {
-    /// The dead device's freshest model (pending arrival, else the model
-    /// it was training) is forwarded to its ring successor, and the ring
-    /// is repaired around the gap — the relay's self-healing mode.
-    #[default]
-    ForwardToSuccessor,
-    /// Models held by the dead device are lost; arrivals addressed to it
-    /// are dropped. Successors keep refining their own models (Eq. 7).
-    DropInFlight,
-}
-
 /// Markov-modulated capacity: each device walks a small state machine
 /// (e.g. idle / loaded / throttled) whose states scale its base latency.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -201,8 +186,6 @@ pub struct FleetDynamics {
     /// Per-round probability that an *online* device fails mid-interval
     /// (crashes while relaying inside a ring, or before uploading).
     pub mid_round_failure: f64,
-    /// What rings do with models held by a mid-interval casualty.
-    pub failure_policy: FailurePolicy,
     /// Fleet-wide *shared* capacity modulator: one Markov chain whose
     /// per-round multiplier scales **every** device's effective latency
     /// (diurnal load, regional partition bursts). Unlike `capacity`,
@@ -225,8 +208,8 @@ impl FleetDynamics {
             && matches!(self.modulator, CapacityModel::Static)
     }
 
-    /// Pure churn at the given per-round dropout rate — the knob
-    /// `fig_churn` sweeps. Rejoin is `max(rate, 0.25)`: floored so that
+    /// Pure churn at the given per-round dropout rate — the knob the
+    /// `ext_churn` artefact sweeps. Rejoin is `max(rate, 0.25)`: floored so that
     /// low-dropout fleets recover devices within a few rounds (steady-
     /// state offline fraction `rate / (rate + rejoin)` stays below 50%),
     /// and symmetric (`rejoin == dropout`) once `rate >= 0.25`.
@@ -254,7 +237,6 @@ impl FleetDynamics {
                 magnitude: 4.0,
             },
             mid_round_failure,
-            failure_policy: FailurePolicy::ForwardToSuccessor,
             modulator: CapacityModel::Static,
         }
     }

@@ -11,8 +11,8 @@
 //! * [`FleetDynamics`] — declarative config: Markov-modulated capacity
 //!   states ([`MarkovCapacity`], e.g. idle/loaded/throttled), dropout /
 //!   rejoin churn ([`AvailabilityModel`]), transient straggler spikes
-//!   ([`SpikeModel`]), and mid-interval failures governed by a
-//!   [`FailurePolicy`].
+//!   ([`SpikeModel`]), and mid-interval failures, whose held model the
+//!   ring forwards to the dead device's live successor.
 //! * [`FleetModel`] — the realised trajectory. Every random decision is
 //!   a pure hash of `(seed, round, device, role)`; each device's state
 //!   chain advances round-by-round from its own stream and is realised
@@ -42,9 +42,7 @@ pub mod model;
 pub mod reference;
 pub mod sampling;
 
-pub use dynamics::{
-    AvailabilityModel, CapacityModel, FailurePolicy, FleetDynamics, MarkovCapacity, SpikeModel,
-};
+pub use dynamics::{AvailabilityModel, CapacityModel, FleetDynamics, MarkovCapacity, SpikeModel};
 pub use model::FleetModel;
 pub use reference::ReferenceFleet;
 pub use sampling::sample_online_cohort;

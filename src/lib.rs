@@ -62,7 +62,7 @@ pub mod prelude {
     };
     pub use fedhisyn_data::{DataSource, Dataset, DatasetProfile, Partition, Scale, ShardPlan};
     pub use fedhisyn_fleet::{
-        AvailabilityModel, CapacityModel, FailurePolicy, FleetDynamics, MarkovCapacity, SpikeModel,
+        AvailabilityModel, CapacityModel, FleetDynamics, MarkovCapacity, SpikeModel,
     };
     pub use fedhisyn_nn::{ModelSpec, ParamVec};
     pub use fedhisyn_simnet::{HeterogeneityModel, LinkModel};

@@ -103,7 +103,7 @@ fn different_seeds_realise_different_fleet_trajectories() {
 
 #[test]
 fn dynamics_compose_deterministically_across_rates() {
-    // Sweeping the churn rate (fig_churn's axis) must be reproducible
+    // Sweeping the churn rate (the `ext_churn` artefact's axis) must be reproducible
     // point by point.
     for rate in [0.05, 0.1, 0.2] {
         let a = run_algo(&churn_cfg(7, FleetDynamics::churn(rate)), "FedHiSyn");

@@ -48,7 +48,6 @@ fn dynamics(
         } else {
             CapacityModel::Static
         },
-        ..FleetDynamics::default()
     }
 }
 
