@@ -160,7 +160,11 @@ fn identity_fleet_dynamics_match_the_static_path_bit_for_bit() {
 // evaluation is not). The ledger's smoke run prints `record_fnv`s but
 // gates none of them; this table is the gate. The FedHiSyn row was
 // recorded at commit `14a9b73`, before backprop stopped computing the
-// model input's gradient.
+// model input's gradient. The `FedAvg CNN` row runs the same two fleets
+// on `Cifar10Like`, i.e. the smoke CNN through the conv layers, and also
+// hashes the final global model: a record holds only accuracies, which a
+// last-bit change in the weights rarely moves. It was recorded at commit
+// `8f17f46`, before the convolution lowering went tap-major.
 
 fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
     bytes.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, b| {
@@ -208,7 +212,7 @@ fn f32_baseline_records_and_serverless_models_are_pinned() {
     };
     // (subject, [scalar, avx2] x [static, edge_fleet])
     #[rustfmt::skip]
-    let pins: [(&str, [[u64; 2]; 2]); 10] = [
+    let pins: [(&str, [[u64; 2]; 2]); 11] = [
         ("FedHiSyn", [[0xe1f110b90dab6ed4, 0x2b5bfcef807f40a0], [0xfa06c34e0f15ed27, 0x5128c5fca7690a01]]),
         ("FedAvg",   [[0x86c24cba5ce1d72e, 0xe5c776c288e7b3f2], [0x481cf9bd5ef8ee5b, 0x8ac4a16ffb960eb9]]),
         ("FedProx",  [[0x18685b903f3506f3, 0xf13d4b40e5113768], [0x6f857f3478aa236e, 0x048716451cec4371]]),
@@ -219,6 +223,7 @@ fn f32_baseline_records_and_serverless_models_are_pinned() {
         ("isolated", [[0x3e78d267ca6e0be1, 0x94643e17dd1f496a]; 2]),
         ("random",   [[0x95b43c08066c2315, 0xd142d08dd7d1bc52]; 2]),
         ("rings",    [[0x2814497ddf18a35c, 0x1e0f622a90c72902]; 2]),
+        ("FedAvg CNN", [[0xe9f4f2cbac4ee5c0, 0x420312b559dbb9ae], [0xfe1494e5a43747ca, 0x4bfe500b4d66dde9]]),
     ];
     let tier = match fedhisyn::core::ExecutionEngine::kernel_tier() {
         "scalar" => 0,
@@ -230,6 +235,16 @@ fn f32_baseline_records_and_serverless_models_are_pinned() {
     for (subject, pinned) in pins {
         for (fleet, cfg) in fleets.iter().enumerate() {
             let got = match subject {
+                "FedAvg CNN" => {
+                    let cnn = ExperimentConfig {
+                        profile: DatasetProfile::Cifar10Like,
+                        ..cfg.clone()
+                    };
+                    let run = common::run(&cnn, "FedAvg", 3);
+                    let global = run.global.as_slice().iter();
+                    let bits = global.flat_map(|x| x.to_bits().to_le_bytes());
+                    fnv1a(record_fnv(run.record).to_le_bytes().into_iter().chain(bits))
+                }
                 "isolated" => decentral_fnv(cfg, DecentralMode::Isolated),
                 "random" => decentral_fnv(cfg, DecentralMode::RandomExchange { average: false }),
                 "rings" => decentral_fnv(cfg, rings),
