@@ -8,25 +8,33 @@ use fedhisyn_tensor::quant::{dequantize_slice, finite_min_max, quant_scale, quan
 use fedhisyn_tensor::{gemm, gemm_nt, gemm_tn, rng_from_seed, Tensor};
 
 /// Serial GEMM at the shapes the ledger workloads run: the paper MLP's
-/// 784→200 layer at batch 50 in all three orientations, and the two conv
-/// forward passes (`cols · Wᵀ` with F = 8 and F = 16 filters).
+/// 784→200 layer at batch 50 in all three orientations, and the
+/// per-sample calls of `cnn_fedavg`'s two conv layers (F = 8 filters on
+/// 16×16, F = 16 on 8×8): the forward `W · cols` (nn, 8×27×256 and
+/// 16×72×64), the `dW` accumulation `cols · dY_rows` onto the transposed
+/// gradient (nn, β = 1, 27×256×8 and 72×64×16) and conv 2's
+/// `dcols = Wᵀ · dY` (tn, 72×16×64).
 fn bench_gemm(c: &mut Criterion) {
     type Kernel = fn(&[f32], &[f32], &mut [f32], usize, usize, usize, f32, f32);
     let mut group = c.benchmark_group("gemm");
     let mut rng = rng_from_seed(0);
-    for (name, kernel, m, k, n) in [
-        ("nn", gemm as Kernel, 50, 784, 200),
-        ("nt", gemm_nt, 50, 784, 200),
-        ("tn", gemm_tn, 50, 784, 200),
-        ("nt", gemm_nt, 12800, 27, 8),
-        ("nt", gemm_nt, 3200, 72, 16),
+    for (name, kernel, m, k, n, beta) in [
+        ("nn", gemm as Kernel, 50, 784, 200, 0.0),
+        ("nt", gemm_nt, 50, 784, 200, 0.0),
+        ("tn", gemm_tn, 50, 784, 200, 0.0),
+        ("nn", gemm, 8, 27, 256, 0.0),
+        ("nn", gemm, 16, 72, 64, 0.0),
+        ("nn", gemm, 27, 256, 8, 1.0),
+        ("nn", gemm, 72, 64, 16, 1.0),
+        ("tn", gemm_tn, 72, 16, 64, 0.0),
     ] {
         let a = Tensor::randn(vec![m * k], 1.0, &mut rng);
         let b = Tensor::randn(vec![k * n], 1.0, &mut rng);
         let mut out = vec![0.0f32; m * n];
-        group.bench_function(format!("{name}/{m}x{k}x{n}"), |bench| {
+        let acc = if beta == 1.0 { "/beta1" } else { "" };
+        group.bench_function(format!("{name}/{m}x{k}x{n}{acc}"), |bench| {
             bench.iter(|| {
-                kernel(a.data(), b.data(), &mut out, m, k, n, 1.0, 0.0);
+                kernel(a.data(), b.data(), &mut out, m, k, n, 1.0, beta);
                 black_box(out[0])
             })
         });

@@ -1,60 +1,85 @@
-//! 2-D convolution via **batched** im2col + whole-batch GEMM.
+//! 2-D convolution via per-sample, tap-major im2col + GEMMs that read their
+//! operands in place.
 //!
-//! # Batched lowering
+//! # Tap-major lowering
 //!
-//! The im2col workspace is batch-major: one `[B·OH·OW, C·K·K]` matrix for
-//! the whole batch, where row `bi·OH·OW + oy·OW + ox` holds the receptive
-//! field of one output position and the columns run over `(c, ki, kj)`.
-//! With that layout the forward pass is **one** GEMM per layer per step —
-//! `out_rows[B·OHOW, F] = cols · Wᵀ` — instead of the `B` small per-sample
-//! GEMMs of the previous `[B, C·K·K, OH·OW]` layout, which re-packed the
-//! same weight panels `B` times per layer per step.
+//! Each sample is lowered into its own `[C·K·K, OH·OW]` block of `cols`:
+//! row `(c, ki, kj)` — one kernel *tap* — holds the input value that tap
+//! sees at every output position, column `oy·OW + ox`. im2col and col2im
+//! therefore move whole output rows: per (tap, `oy`) one contiguous run of
+//! up to `OW` floats (a `memcpy` at stride 1), with only the `pad`-clipped
+//! ends of the run zero-filled or skipped ([`tap_cols`] gives the valid
+//! run).
 //!
-//! Backward is three batched stages on the same layout: `dW += dY_rowsᵀ ·
-//! cols` (chained per-sample `β = 1` `gemm_tn` calls — the identical
-//! addition sequence as one whole-batch reduction, but each chunk's
-//! `cols` rows, read in place as the B operand, stay L2-resident instead of
-//! `k = B·OH·OW` rows being re-streamed per row-tile), `dcols = dY_rows ·
-//! W` (one `gemm`), and a
-//! batched `col2im` scatter back onto `[B, C, H, W]`. The `dW` stage, with
-//! the `dY` transpose and bias gradient ahead of it, is the parameter half
+//! With that layout every stage is a plain GEMM on row-major operands, per
+//! sample, each reading NCHW data where it lies:
+//!
+//! * forward: `Y_b[F, OH·OW] = W[F, C·K·K] · cols_b` (`gemm`), written
+//!   straight into the sample's output planes, then `+ bias` per plane;
+//! * `dW`: `dWᵀ[C·K·K, F] += cols_b · dY_rows_b` (`gemm`, `β = 1`,
+//!   chained over the samples in order) on a transposed copy of the
+//!   gradient, where `dY_rows_b` is the sample's `[OH·OW, F]` transpose of
+//!   `dY`;
+//! * `dcols_b[C·K·K, OH·OW] = Wᵀ · dY_b` (`gemm_tn`), reading the NCHW
+//!   `dY` in place;
+//! * col2im scatters `dcols_b` back onto `[C, H, W]`.
+//!
+//! Per-sample calls copy nothing: the GEMM kernels read row-major A and B
+//! in place (only a `gemm_nt` B is ever packed, and no stage here calls
+//! `gemm_nt`), so `B` per-sample calls pack no more than one whole-batch
+//! call would. The `dW` stage, with the `dY` transpose and bias gradient
+//! ahead of it, is the parameter half
 //! ([`Layer::backward_params_arena`]); `dcols` and col2im are the input
 //! half. A model's first conv layer runs only the parameter half, since
 //! its input is the staged batch.
 //!
+//! # Summation order
+//!
+//! The pinned bits (`epoch_parameter_bits_are_pinned` and the pinned table
+//! in `tests/determinism.rs`) were recorded under an earlier
+//! position-major `[B·OH·OW, C·K·K]` layout, so every element keeps that
+//! layout's operation sequence; only the addresses its values are loaded
+//! from differ. The forward sums `w·x` (IEEE multiplication commutes with
+//! the old `x·w`) over `(c, ki, kj)` in order from +0 and adds the bias
+//! last; `dW` chains each position's product onto the running gradient
+//! from a `β = 1` seed; `dcols` sums over `f` in order; and col2im adds
+//! each input element's contributions in ascending output-position order.
+//! col2im gets that order by visiting the taps in **descending**
+//! `(c, ki, kj)` order: for a fixed input element, the output position
+//! `oy·OW + ox` a tap `(ki, kj)` reaches it from strictly decreases as
+//! `(ki, kj)` increases, for any stride and padding. The unit tests hold
+//! every stage exactly to direct loops in this order.
+//!
 //! # Batch-size independence
 //!
 //! One step on a batch of `B` is **bit-identical** to `B` steps on batches
-//! of one with no `zero_grad` in between: forward rows and `dcols` rows are
-//! per-sample-disjoint (a GEMM row's arithmetic does not depend on how many
-//! rows the call carries), and the weight and bias gradients are the same
-//! chained per-sample `β = 1` accumulation either way. `tests/conv_batched.rs`
-//! proves this across batch remainders, stride, padding and the
-//! small/blocked/parallel GEMM dispatch edges.
+//! of one with no `zero_grad` in between: every stage but `dW` is a
+//! per-sample call, and `dW` is the same chained per-sample `β = 1`
+//! accumulation either way. `tests/conv_batched.rs` proves this across
+//! batch remainders, stride, padding and the GEMM dispatch edges.
 //!
-//! Every workspace (`cols`, the position-major row buffers, `dcols`) is
-//! carved from the step's [`Scratch`]; the layer itself holds only
+//! Every workspace (`cols`, `dy_rows`, the transposed gradient, `dcols`)
+//! is carved from the step's [`Scratch`]; the layer itself holds only
 //! parameters, gradients and the handle of the current step's `cols`.
 //!
-//! # Parallel memory-bound stages
+//! # Parallel stages
 //!
-//! With the GEMMs batched, the remaining per-step cost is the memory-bound
-//! stages around them: batched im2col, the `[B·OH·OW, F] ⇄ [B, F, OH·OW]`
-//! transposes, and batched col2im. All four are **per-sample-disjoint** —
-//! sample `bi` reads and writes only its own `[OH·OW, ·]` block — so above
-//! [`PAR_STAGE_MIN_ELEMS`] they fan out across the rayon pool in
-//! deterministic one-sample bands (`par_chunks_mut(sample_len)`): banding
-//! changes which thread computes a sample, never the values or the write
-//! locations, so bit-determinism is preserved for any thread count. Below
-//! the threshold the stages run inline, which also keeps the zero-alloc
-//! steady-state contract at test/smoke sizes (parallel dispatch boxes
-//! jobs). The two transposes additionally run **tile-blocked**
-//! ([`TRANSPOSE_TILE`]² tiles) so the strided side of the scatter stays
-//! resident in cache.
+//! Every stage but the `dW` chain is **per-sample-disjoint** — sample `bi`
+//! writes only its own block — so when a layer's `cols` reaches
+//! [`PAR_STAGE_MIN_ELEMS`] each stage fans out across the rayon pool in
+//! deterministic one-sample bands (`par_chunks_mut(sample_len)`), each
+//! band running the serial GEMM kernels. Banding changes which thread
+//! computes a sample, never the values or the write locations, so
+//! bit-determinism holds for any thread count. Below the threshold the
+//! stages loop over the samples inline through the `par_*` GEMM entry
+//! points, which also keeps the zero-alloc steady-state contract at
+//! test/smoke sizes (parallel dispatch boxes jobs). The `dY` transpose
+//! runs **tile-blocked** ([`TRANSPOSE_TILE`]² tiles) so its strided side
+//! stays resident in cache.
 
 use std::time::Instant;
 
-use fedhisyn_tensor::{par_gemm, par_gemm_nt, par_gemm_tn, Scratch, ScratchSlot, Tensor};
+use fedhisyn_tensor::{gemm, gemm_tn, par_gemm, par_gemm_tn, Scratch, ScratchSlot, Tensor};
 use rand::Rng;
 use rayon::prelude::*;
 
@@ -66,8 +91,8 @@ use crate::layers::Layer;
 ///
 /// Input is `[B, C, H, W]`; output `[B, F, OH, OW]` where
 /// `OH = (H + 2·pad − k) / stride + 1`. The kernel bank is stored as a
-/// `[F, C·k·k]` matrix, consumed directly as the transposed B operand of
-/// the batched forward GEMM (see the module docs for the batched layout).
+/// `[F, C·k·k]` matrix, consumed in place as the A operand of each
+/// sample's forward GEMM (see the module docs for the tap-major layout).
 #[derive(Debug, Clone)]
 pub struct Conv2d {
     weight: Tensor,
@@ -145,15 +170,20 @@ impl Conv2d {
     }
 }
 
-/// Lower one `[C, H, W]` sample into its `[OH·OW, C·k·k]` block of the
-/// batch-major column matrix (row = output position, columns = `(c,ki,kj)`).
-///
-/// Interior output positions — where the whole `k`-wide window is
-/// in-bounds — copy their window as one contiguous slice; only the
-/// `pad`-clipped border positions pay the per-element bounds checks. Pure
-/// data movement either way, so the output is bit-identical.
+/// The run `[lo, hi)` of output columns (or rows) at which kernel offset
+/// `kj` lands inside the `w`-wide input: `ox·stride + kj − pad ∈ [0, w)`.
+/// Empty (`lo == hi`) when the offset only ever sees padding.
+fn tap_cols(ow: usize, w: usize, kj: usize, stride: usize, pad: usize) -> (usize, usize) {
+    let lo = pad.saturating_sub(kj).div_ceil(stride).min(ow);
+    let hi = (w + pad).saturating_sub(kj).div_ceil(stride).min(ow);
+    (lo, hi.max(lo))
+}
+
+/// Lower one `[C, H, W]` sample into its tap-major `[C·k·k, OH·OW]` block
+/// of `cols`: one contiguous run per (tap, output row), zero where the
+/// tap reads padding.
 #[allow(clippy::too_many_arguments)] // BLAS-style kernel internals
-fn im2col_rows(
+fn im2col_taps(
     x: &[f32],
     c: usize,
     h: usize,
@@ -163,55 +193,44 @@ fn im2col_rows(
     pad: usize,
     oh: usize,
     ow: usize,
-    rows: &mut [f32],
+    cols: &mut [f32],
 ) {
-    let ckk = c * k * k;
     debug_assert_eq!(x.len(), c * h * w);
-    debug_assert_eq!(rows.len(), oh * ow * ckk);
-    for oy in 0..oh {
-        for ox in 0..ow {
-            let row = &mut rows[(oy * ow + ox) * ckk..(oy * ow + ox + 1) * ckk];
-            let x0 = (ox * stride) as isize - pad as isize;
-            let x_interior = x0 >= 0 && x0 as usize + k <= w;
-            let mut r = 0usize;
-            for ci in 0..c {
-                let plane = &x[ci * h * w..(ci + 1) * h * w];
-                for ki in 0..k {
-                    let iy = (oy * stride + ki) as isize - pad as isize;
-                    let dst = &mut row[r..r + k];
-                    if iy < 0 || iy >= h as isize {
-                        dst.fill(0.0);
-                    } else {
-                        let src_row = &plane[iy as usize * w..(iy as usize + 1) * w];
-                        if x_interior {
-                            dst.copy_from_slice(&src_row[x0 as usize..x0 as usize + k]);
-                        } else {
-                            for (kj, d) in dst.iter_mut().enumerate() {
-                                let ix = x0 + kj as isize;
-                                *d = if ix < 0 || ix >= w as isize {
-                                    0.0
-                                } else {
-                                    src_row[ix as usize]
-                                };
-                            }
-                        }
-                    }
-                    r += k;
+    debug_assert_eq!(cols.len(), c * k * k * oh * ow);
+    for (tap, tap_row) in cols.chunks_exact_mut(oh * ow).enumerate() {
+        let (ci, ki, kj) = (tap / (k * k), tap / k % k, tap % k);
+        let (ylo, yhi) = tap_cols(oh, h, ki, stride, pad);
+        let (xlo, xhi) = tap_cols(ow, w, kj, stride, pad);
+        for (oy, dst) in tap_row.chunks_exact_mut(ow).enumerate() {
+            if !(ylo..yhi).contains(&oy) {
+                dst.fill(0.0);
+                continue;
+            }
+            dst[..xlo].fill(0.0);
+            dst[xhi..].fill(0.0);
+            if xlo == xhi {
+                continue;
+            }
+            let iy = oy * stride + ki - pad;
+            let src = &x[(ci * h + iy) * w..(ci * h + iy + 1) * w][xlo * stride + kj - pad..];
+            if stride == 1 {
+                dst[xlo..xhi].copy_from_slice(&src[..xhi - xlo]);
+            } else {
+                for (d, &s) in dst[xlo..xhi].iter_mut().zip(src.iter().step_by(stride)) {
+                    *d = s;
                 }
             }
         }
     }
 }
 
-/// Scatter one sample's `[OH·OW, C·k·k]` column-gradient block back onto
-/// `[C, H, W]` (accumulating; `x` must be zeroed by the caller).
-///
-/// Interior positions accumulate their window without per-element bounds
-/// checks (same additions in the same `kj` order, so bit-identical);
-/// border positions keep the clipped loop.
+/// Scatter one sample's tap-major `[C·k·k, OH·OW]` column gradient back
+/// onto `[C, H, W]` (accumulating; `x` must be zeroed by the caller).
+/// Taps run in descending order, so each input element receives its
+/// contributions in ascending output-position order (module docs).
 #[allow(clippy::too_many_arguments)] // BLAS-style kernel internals
-fn col2im_rows(
-    rows: &[f32],
+fn col2im_taps(
+    cols: &[f32],
     c: usize,
     h: usize,
     w: usize,
@@ -222,112 +241,95 @@ fn col2im_rows(
     ow: usize,
     x: &mut [f32],
 ) {
-    let ckk = c * k * k;
     debug_assert_eq!(x.len(), c * h * w);
-    debug_assert_eq!(rows.len(), oh * ow * ckk);
-    for oy in 0..oh {
-        for ox in 0..ow {
-            let row = &rows[(oy * ow + ox) * ckk..(oy * ow + ox + 1) * ckk];
-            let x0 = (ox * stride) as isize - pad as isize;
-            let x_interior = x0 >= 0 && x0 as usize + k <= w;
-            let mut r = 0usize;
-            for ci in 0..c {
-                let plane = &mut x[ci * h * w..(ci + 1) * h * w];
-                for ki in 0..k {
-                    let iy = (oy * stride + ki) as isize - pad as isize;
-                    if iy >= 0 && iy < h as isize {
-                        let dst_row = &mut plane[iy as usize * w..(iy as usize + 1) * w];
-                        if x_interior {
-                            let dst = &mut dst_row[x0 as usize..x0 as usize + k];
-                            for (d, &s) in dst.iter_mut().zip(&row[r..r + k]) {
-                                *d += s;
-                            }
-                        } else {
-                            for (kj, &s) in row[r..r + k].iter().enumerate() {
-                                let ix = x0 + kj as isize;
-                                if ix >= 0 && ix < w as isize {
-                                    dst_row[ix as usize] += s;
-                                }
-                            }
-                        }
-                    }
-                    r += k;
+    debug_assert_eq!(cols.len(), c * k * k * oh * ow);
+    for (tap, tap_row) in cols.chunks_exact(oh * ow).enumerate().rev() {
+        let (ci, ki, kj) = (tap / (k * k), tap / k % k, tap % k);
+        let (ylo, yhi) = tap_cols(oh, h, ki, stride, pad);
+        let (xlo, xhi) = tap_cols(ow, w, kj, stride, pad);
+        if xlo == xhi {
+            continue;
+        }
+        for oy in ylo..yhi {
+            let iy = oy * stride + ki - pad;
+            let dst = &mut x[(ci * h + iy) * w..(ci * h + iy + 1) * w][xlo * stride + kj - pad..];
+            let src = &tap_row[oy * ow + xlo..oy * ow + xhi];
+            if stride == 1 {
+                for (d, &s) in dst.iter_mut().zip(src) {
+                    *d += s;
+                }
+            } else {
+                for (d, &s) in dst.iter_mut().step_by(stride).zip(src) {
+                    *d += s;
                 }
             }
         }
     }
 }
 
-/// Minimum number of `f32` elements a memory-bound conv stage must move
-/// before fanning out across the pool in per-sample bands. Below this the
-/// fork/join overhead (and the job boxing it implies) dominates — and the
-/// zero-alloc steady-state tests/smokes are all sized under it, so they
-/// keep running inline on the measuring thread on any host.
+/// Minimum number of `f32` elements in a layer's `cols` before its stages
+/// fan out across the pool in per-sample bands. Below this the fork/join
+/// overhead (and the job boxing it implies) dominates — and the zero-alloc
+/// steady-state tests/smokes are all sized under it, so they keep running
+/// inline on the measuring thread on any host.
 ///
-/// Re-tuned from `1 << 15` after the interior-window memcpy fast path
-/// landed: the stages now move ≥ 2× the bytes per cycle, so the batch-8
-/// smoke shapes (conv1 cols ≈ 55k elements) that used to straddle the old
-/// threshold — paying fork/join for microseconds of copying — stay inline,
-/// while real training batches (≥ 16) still fan out.
+/// At `1 << 16` the batch-8 smoke shapes (conv 1 `cols` ≈ 55k elements),
+/// where fork/join would cost more than the microseconds of work it
+/// splits, stay inline, while `cnn_fedavg`'s training batches of 20 fan
+/// out on both conv layers. One decision per layer and step, measured on
+/// `cols`, covers all of its stages, so the per-sample GEMMs band with
+/// the copies around them.
 const PAR_STAGE_MIN_ELEMS: usize = 1 << 16;
 
-/// Square tile side of the blocked transposes: both the row-major and the
-/// plane-major side of a tile stay within `TRANSPOSE_TILE` rows/planes, so
-/// the strided access stream hits cache-resident lines.
+/// Square tile side of the blocked [`transpose`]: both sides of a tile
+/// stay within `TRANSPOSE_TILE` rows, so the strided access stream hits
+/// cache-resident lines.
 const TRANSPOSE_TILE: usize = 64;
 
-/// True when a per-sample-disjoint stage moving `elems` floats over `b`
-/// samples should fan out (see the module docs on determinism).
+/// True when a layer whose `cols` holds `elems` floats over `b` samples
+/// should run its stages in per-sample bands (module docs, "Parallel
+/// stages").
 #[inline]
 fn stage_parallel(b: usize, elems: usize) -> bool {
     b > 1 && elems >= PAR_STAGE_MIN_ELEMS && rayon::current_num_threads() > 1
 }
 
-/// Blocked transpose of one sample's position-major GEMM rows
-/// (`[OH·OW, F]`) into channel planes (`[F, OH·OW]`), adding the
-/// per-filter bias — forward stage 3 for one sample.
-fn rows_to_planes(rows_b: &[f32], out_b: &mut [f32], f: usize, ohow: usize, bias: &[f32]) {
-    debug_assert_eq!(rows_b.len(), ohow * f);
-    debug_assert_eq!(out_b.len(), f * ohow);
-    let mut f0 = 0;
-    while f0 < f {
-        let f1 = (f0 + TRANSPOSE_TILE).min(f);
-        let mut p0 = 0;
-        while p0 < ohow {
-            let p1 = (p0 + TRANSPOSE_TILE).min(ohow);
-            for fi in f0..f1 {
-                let bv = bias[fi];
-                let plane = &mut out_b[fi * ohow..(fi + 1) * ohow];
-                for p in p0..p1 {
-                    plane[p] = rows_b[p * f + fi] + bv;
-                }
-            }
-            p0 = p1;
+/// Run `stage(bi, chunk)` on each sample's `len`-float chunk of `dst`: in
+/// one-sample bands across the pool when `banded`, else in order.
+fn per_sample(dst: &mut [f32], len: usize, banded: bool, stage: impl Fn(usize, &mut [f32]) + Sync) {
+    if banded {
+        dst.par_chunks_mut(len)
+            .enumerate()
+            .for_each(|(bi, chunk)| stage(bi, chunk));
+    } else {
+        for (bi, chunk) in dst.chunks_mut(len).enumerate() {
+            stage(bi, chunk);
         }
-        f0 = f1;
     }
 }
 
-/// Inverse orientation: one sample's `[F, OH·OW]` gradient planes into the
-/// position-major `[OH·OW, F]` rows the backward GEMMs consume.
-fn planes_to_rows(gout_b: &[f32], rows_b: &mut [f32], f: usize, ohow: usize) {
-    debug_assert_eq!(gout_b.len(), f * ohow);
-    debug_assert_eq!(rows_b.len(), ohow * f);
-    let mut f0 = 0;
-    while f0 < f {
-        let f1 = (f0 + TRANSPOSE_TILE).min(f);
-        let mut p0 = 0;
-        while p0 < ohow {
-            let p1 = (p0 + TRANSPOSE_TILE).min(ohow);
-            for fi in f0..f1 {
-                let plane = &gout_b[fi * ohow..(fi + 1) * ohow];
-                for p in p0..p1 {
-                    rows_b[p * f + fi] = plane[p];
+/// Blocked transpose of a row-major `[rows, cols]` matrix into `dst`
+/// (`[cols, rows]`): a sample's `dY` planes into the position-major rows
+/// the `dW` GEMM reads as its B operand, and the weight gradient to and
+/// from its transposed GEMM operand.
+fn transpose(src: &[f32], dst: &mut [f32], rows: usize, cols: usize) {
+    debug_assert_eq!(src.len(), rows * cols);
+    debug_assert_eq!(dst.len(), cols * rows);
+    let mut r0 = 0;
+    while r0 < rows {
+        let r1 = (r0 + TRANSPOSE_TILE).min(rows);
+        let mut c0 = 0;
+        while c0 < cols {
+            let c1 = (c0 + TRANSPOSE_TILE).min(cols);
+            for r in r0..r1 {
+                let row = &src[r * cols..(r + 1) * cols];
+                for c in c0..c1 {
+                    dst[c * rows + r] = row[c];
                 }
             }
-            p0 = p1;
+            c0 = c1;
         }
-        f0 = f1;
+        r0 = r1;
     }
 }
 
@@ -345,16 +347,28 @@ impl Conv2d {
         (b, c, h, w)
     }
 
-    /// Stage 1 of forward: lower the whole batch into `cols` —
-    /// per-sample-disjoint, fanned out in one-sample bands when large.
-    fn lower_batch(&self, x: &[f32], cols: &mut [f32], b: usize, h: usize, w: usize) {
-        let (c, ckk) = (self.in_channels, self.ckk());
+    /// The step's shape: batch, input and output spatial sizes, and
+    /// whether its stages run in per-sample bands.
+    fn step_shape(&self) -> (usize, (usize, usize), (usize, usize), bool) {
+        let (h, w) = self.cached_input_hw;
+        let b = self.cached_batch;
         let (oh, ow) = self.out_size(h, w);
-        let sample_in = c * h * w;
-        let sample_cols = oh * ow * ckk;
-        let lower_one = |bi: usize, chunk: &mut [f32]| {
-            im2col_rows(
-                &x[bi * sample_in..(bi + 1) * sample_in],
+        (
+            b,
+            (h, w),
+            (oh, ow),
+            stage_parallel(b, b * self.ckk() * oh * ow),
+        )
+    }
+
+    /// im2col: lower every sample into its tap-major block of `cols`.
+    fn lower_batch(&self, x: &[f32], cols: &mut [f32]) {
+        let (_, (h, w), (oh, ow), banded) = self.step_shape();
+        let c = self.in_channels;
+        per_sample(cols, self.ckk() * oh * ow, banded, |bi, cols_b| {
+            let x_b = &x[bi * c * h * w..(bi + 1) * c * h * w];
+            im2col_taps(
+                x_b,
                 c,
                 h,
                 w,
@@ -363,157 +377,95 @@ impl Conv2d {
                 self.pad,
                 oh,
                 ow,
-                chunk,
+                cols_b,
             );
-        };
-        if stage_parallel(b, b * sample_cols) {
-            cols.par_chunks_mut(sample_cols)
-                .enumerate()
-                .for_each(|(bi, chunk)| lower_one(bi, chunk));
-        } else {
-            for (bi, chunk) in cols.chunks_mut(sample_cols).enumerate() {
-                lower_one(bi, chunk);
+        });
+    }
+
+    /// Forward GEMM: `Y_b[F, OH·OW] = W · cols_b` per sample, straight
+    /// into the output planes.
+    fn gemm_forward(&self, cols: &[f32], out: &mut [f32]) {
+        let (_, _, (oh, ow), banded) = self.step_shape();
+        let (f, ckk, ohow) = (self.out_channels, self.ckk(), oh * ow);
+        let nn = if banded { gemm } else { par_gemm };
+        per_sample(out, f * ohow, banded, |bi, out_b| {
+            let cols_b = &cols[bi * ckk * ohow..(bi + 1) * ckk * ohow];
+            nn(self.weight.data(), cols_b, out_b, f, ckk, ohow, 1.0, 0.0);
+        });
+    }
+
+    /// Add each filter's bias to its output planes.
+    fn add_bias(&self, out: &mut [f32]) {
+        let (_, _, (oh, ow), banded) = self.step_shape();
+        let ohow = oh * ow;
+        per_sample(out, self.out_channels * ohow, banded, |_, out_b| {
+            for (plane, &bv) in out_b.chunks_exact_mut(ohow).zip(self.bias.data()) {
+                plane.iter_mut().for_each(|v| *v += bv);
             }
-        }
+        });
     }
 
-    /// Stage 2 of forward: `out_rows[B·OHOW, F] = cols · Wᵀ`, one GEMM
-    /// for the whole batch.
-    fn gemm_forward(&self, cols: &[f32], out_rows: &mut [f32], b: usize, ohow: usize) {
-        let (f, ckk) = (self.out_channels, self.ckk());
-        par_gemm_nt(
-            cols,
-            self.weight.data(),
-            out_rows,
-            b * ohow,
-            ckk,
-            f,
-            1.0,
-            0.0,
-        );
+    /// Blocked transpose of `grad_out` (`[B, F, OH·OW]`) into the
+    /// position-major `dy_rows` (`[B·OH·OW, F]`) the `dW` GEMM reads.
+    fn gather_dy_rows(&self, grad_out: &[f32], dy_rows: &mut [f32]) {
+        let (_, _, (oh, ow), banded) = self.step_shape();
+        let (f, ohow) = (self.out_channels, oh * ow);
+        per_sample(dy_rows, ohow * f, banded, |bi, rows_b| {
+            transpose(
+                &grad_out[bi * f * ohow..(bi + 1) * f * ohow],
+                rows_b,
+                f,
+                ohow,
+            );
+        });
     }
 
-    /// Stage 3 of forward: blocked transpose of `out_rows` into the
-    /// `[B, F, OH, OW]` output layout, adding the per-filter bias —
-    /// per-sample-disjoint, fanned out in one-sample bands when large.
-    fn scatter_output(&self, out_rows: &[f32], out: &mut [f32], b: usize, ohow: usize) {
-        let f = self.out_channels;
-        let bias = self.bias.data();
-        if stage_parallel(b, b * f * ohow) {
-            out.par_chunks_mut(f * ohow)
-                .enumerate()
-                .for_each(|(bi, out_b)| {
-                    rows_to_planes(
-                        &out_rows[bi * ohow * f..(bi + 1) * ohow * f],
-                        out_b,
-                        f,
-                        ohow,
-                        bias,
-                    );
-                });
-        } else {
-            for (bi, out_b) in out.chunks_mut(f * ohow).enumerate() {
-                rows_to_planes(
-                    &out_rows[bi * ohow * f..(bi + 1) * ohow * f],
-                    out_b,
-                    f,
-                    ohow,
-                    bias,
-                );
-            }
-        }
-    }
-
-    /// Backward stage 1: blocked transpose of `grad_out` (`[B, F, OH·OW]`)
-    /// into the position-major `dy_rows` (`[B·OH·OW, F]`) the GEMMs
-    /// consume — per-sample-disjoint, fanned out when large.
-    fn gather_dy_rows(&self, grad_out: &[f32], dy_rows: &mut [f32], b: usize, ohow: usize) {
-        let f = self.out_channels;
-        if stage_parallel(b, b * f * ohow) {
-            dy_rows
-                .par_chunks_mut(ohow * f)
-                .enumerate()
-                .for_each(|(bi, rows_b)| {
-                    planes_to_rows(
-                        &grad_out[bi * f * ohow..(bi + 1) * f * ohow],
-                        rows_b,
-                        f,
-                        ohow,
-                    );
-                });
-        } else {
-            for (bi, rows_b) in dy_rows.chunks_mut(ohow * f).enumerate() {
-                planes_to_rows(
-                    &grad_out[bi * f * ohow..(bi + 1) * f * ohow],
-                    rows_b,
-                    f,
-                    ohow,
-                );
-            }
-        }
-    }
-
-    /// Backward stage 2: `db += plane sums of dY`, sample by sample.
-    fn accumulate_bias_grad(&mut self, grad_out: &[f32], b: usize, ohow: usize) {
-        let f = self.out_channels;
-        for bi in 0..b {
-            let gout_b = &grad_out[bi * f * ohow..(bi + 1) * f * ohow];
+    /// `db += plane sums of dY`, sample by sample.
+    fn accumulate_bias_grad(&mut self, grad_out: &[f32]) {
+        let (_, _, (oh, ow), _) = self.step_shape();
+        let (f, ohow) = (self.out_channels, oh * ow);
+        for gout_b in grad_out.chunks_exact(f * ohow) {
             for (fi, plane) in gout_b.chunks_exact(ohow).enumerate() {
                 self.grad_bias.data_mut()[fi] += plane.iter().sum::<f32>();
             }
         }
     }
 
-    /// Backward stage 3: `dW += dY_rowsᵀ · cols`, k-blocked in per-sample
-    /// chunks. Chaining `β = 1` calls performs the identical addition
-    /// sequence of the single whole-batch `gemm_tn`, and
-    /// each chunk's `cols` rows (the B operand, read in place) stay
-    /// cache-resident — the whole-batch call has `k = B·OH·OW` rows, which
-    /// overflow L2 at training batch sizes and would be re-streamed from
-    /// memory once per row-tile of the tiny `[F, C·k·k]` output.
-    fn gemm_grad_weight(&mut self, dy_rows: &[f32], cols: &[f32], b: usize, ohow: usize) {
-        let (f, ckk) = (self.out_channels, self.ckk());
-        for bi in 0..b {
-            par_gemm_tn(
-                &dy_rows[bi * ohow * f..(bi + 1) * ohow * f],
-                &cols[bi * ohow * ckk..(bi + 1) * ohow * ckk],
-                self.grad_weight.data_mut(),
-                f,
-                ohow,
-                ckk,
-                1.0,
-                1.0,
-            );
+    /// `dWᵀ += cols_b · dY_rows_b`, chained sample by sample on the
+    /// transposed gradient `gwt` (`[C·k·k, F]`) — the same `β = 1`
+    /// addition sequence per element as one whole-batch reduction, with
+    /// each sample's operands read in place.
+    fn gemm_grad_weight(&self, cols: &[f32], dy_rows: &[f32], gwt: &mut [f32]) {
+        let (_, _, (oh, ow), _) = self.step_shape();
+        let (f, ckk, ohow) = (self.out_channels, self.ckk(), oh * ow);
+        let samples = cols
+            .chunks_exact(ckk * ohow)
+            .zip(dy_rows.chunks_exact(ohow * f));
+        for (cols_b, dy_b) in samples {
+            par_gemm(cols_b, dy_b, gwt, ckk, ohow, f, 1.0, 1.0);
         }
     }
 
-    /// Backward stage 4: `dcols = dY_rows · W`.
-    fn gemm_grad_cols(&self, dy_rows: &[f32], dcols: &mut [f32], b: usize, ohow: usize) {
-        let (f, ckk) = (self.out_channels, self.ckk());
-        par_gemm(
-            dy_rows,
-            self.weight.data(),
-            dcols,
-            b * ohow,
-            f,
-            ckk,
-            1.0,
-            0.0,
-        );
+    /// `dcols_b = Wᵀ · dY_b` per sample, reading the NCHW `dY` in place.
+    fn gemm_grad_cols(&self, grad_out: &[f32], dcols: &mut [f32]) {
+        let (_, _, (oh, ow), banded) = self.step_shape();
+        let (f, ckk, ohow) = (self.out_channels, self.ckk(), oh * ow);
+        let tn = if banded { gemm_tn } else { par_gemm_tn };
+        per_sample(dcols, ckk * ohow, banded, |bi, dcols_b| {
+            let dy_b = &grad_out[bi * f * ohow..(bi + 1) * f * ohow];
+            tn(self.weight.data(), dy_b, dcols_b, ckk, f, ohow, 1.0, 0.0);
+        });
     }
 
-    /// Backward stage 5: batched col2im — scatter `dcols` back onto the
-    /// (zeroed) input gradient. Each sample accumulates only into its own
-    /// `[C, H, W]` block, so the fan-out is write-disjoint and the
-    /// per-element accumulation order is banding-independent.
-    fn scatter_grad_input(&self, dcols: &[f32], grad_in: &mut [f32], b: usize, h: usize, w: usize) {
+    /// col2im: scatter every sample's `dcols` block back onto its own
+    /// (zeroed) `[C, H, W]` block of the input gradient.
+    fn scatter_grad_input(&self, dcols: &[f32], grad_in: &mut [f32]) {
+        let (_, (h, w), (oh, ow), banded) = self.step_shape();
         let (c, ckk) = (self.in_channels, self.ckk());
-        let (oh, ow) = self.out_size(h, w);
-        let sample_in = c * h * w;
-        let sample_cols = oh * ow * ckk;
-        let scatter_one = |bi: usize, gin_b: &mut [f32]| {
-            col2im_rows(
-                &dcols[bi * sample_cols..(bi + 1) * sample_cols],
+        per_sample(grad_in, c * h * w, banded, |bi, gin_b| {
+            let dcols_b = &dcols[bi * ckk * oh * ow..(bi + 1) * ckk * oh * ow];
+            col2im_taps(
+                dcols_b,
                 c,
                 h,
                 w,
@@ -524,32 +476,23 @@ impl Conv2d {
                 ow,
                 gin_b,
             );
-        };
-        if stage_parallel(b, b * sample_cols) {
-            grad_in
-                .par_chunks_mut(sample_in)
-                .enumerate()
-                .for_each(|(bi, gin_b)| scatter_one(bi, gin_b));
-        } else {
-            for (bi, gin_b) in grad_in.chunks_mut(sample_in).enumerate() {
-                scatter_one(bi, gin_b);
-            }
-        }
+        });
     }
 }
 
 /// Wall-clock breakdown of one conv forward+backward step's stages,
-/// aggregated by kind (see [`Conv2d::profile_step`]). `transpose_secs`
-/// covers both orientation scatters and the bias work riding on them.
+/// aggregated by kind (see [`Conv2d::profile_step`]).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ConvStageProfile {
-    /// Batched im2col lowering (forward stage 1).
+    /// Tap-major im2col lowering (forward stage 1).
     pub im2col_secs: f64,
     /// All three GEMM stages (forward, `dW`, `dcols`).
     pub gemm_secs: f64,
-    /// The `[B·OH·OW, F] ⇄ [B, F, OH·OW]` blocked transposes + bias.
+    /// The data movement around the GEMMs: the forward bias pass, the
+    /// blocked `dY → dY_rows` transpose with the bias gradient, and the
+    /// two copies of the transposed weight gradient.
     pub transpose_secs: f64,
-    /// Batched col2im scatter (backward stage 5).
+    /// Tap-major col2im scatter (the input half's last stage).
     pub col2im_secs: f64,
 }
 
@@ -620,7 +563,7 @@ impl Conv2d {
         profile
     }
 
-    /// Forward: im2col → GEMM → transpose-out (+ bias).
+    /// Forward: im2col → GEMM into the output planes → bias.
     fn forward_stages(
         &mut self,
         input: ArenaBuf,
@@ -633,21 +576,17 @@ impl Conv2d {
         self.cached_input_hw = (h, w);
         self.cached_batch = b;
 
-        let cols = scratch.alloc(b * ohow * ckk);
+        let cols = scratch.alloc(b * ckk * ohow);
         clock.time(Stage::Im2col, || {
             let (x, cols_mut) = scratch.ro_rw(input.slot(), cols);
-            self.lower_batch(x, cols_mut, b, h, w);
-        });
-        let out_rows = scratch.alloc(b * ohow * f);
-        clock.time(Stage::Gemm, || {
-            let (cols_ro, rows_mut) = scratch.ro_rw(cols, out_rows);
-            self.gemm_forward(cols_ro, rows_mut, b, ohow);
+            self.lower_batch(x, cols_mut);
         });
         let out = scratch.alloc(b * f * ohow);
-        clock.time(Stage::Transpose, || {
-            let (rows_ro, out_mut) = scratch.ro_rw(out_rows, out);
-            self.scatter_output(rows_ro, out_mut, b, ohow);
+        clock.time(Stage::Gemm, || {
+            let (cols_ro, out_mut) = scratch.ro_rw(cols, out);
+            self.gemm_forward(cols_ro, out_mut);
         });
+        clock.time(Stage::Transpose, || self.add_bias(scratch.slice_mut(out)));
         self.cols_slot = Some(cols);
         ArenaBuf::new(out, &[b, f, oh, ow])
     }
@@ -659,64 +598,62 @@ impl Conv2d {
         scratch: &mut Scratch,
         clock: &mut impl StageClock,
     ) -> ArenaBuf {
-        let dy_rows = self.backward_param_stages(grad_out, scratch, clock);
-        self.backward_input_stages(dy_rows, scratch, clock)
+        self.backward_param_stages(grad_out, scratch, clock);
+        self.backward_input_stages(grad_out, scratch, clock)
     }
 
     /// Backward, parameter half: transpose-dY (+ bias gradient) → `dW`
-    /// GEMM. Returns the slot of the position-major `dy_rows` the input
-    /// half consumes.
+    /// GEMM on the transposed gradient.
     fn backward_param_stages(
         &mut self,
         grad_out: ArenaBuf,
         scratch: &mut Scratch,
         clock: &mut impl StageClock,
-    ) -> ScratchSlot {
-        let (h, w) = self.cached_input_hw;
+    ) {
+        let (b, (h, _), (oh, ow), _) = self.step_shape();
         assert!(h > 0, "Conv2d::backward before forward");
-        let b = self.cached_batch;
         let cols = self
             .cols_slot
             .expect("Conv2d::backward_arena called before forward_arena");
-        let (oh, ow) = self.out_size(h, w);
-        let (f, ohow) = (self.out_channels, oh * ow);
+        let (f, ckk, ohow) = (self.out_channels, self.ckk(), oh * ow);
         assert_eq!(grad_out.len(), b * f * ohow, "Conv2d: bad grad_out length");
 
         let dy_rows = scratch.alloc(b * ohow * f);
+        let gwt = scratch.alloc(ckk * f);
         clock.time(Stage::Transpose, || {
             let (gout, dy_mut) = scratch.ro_rw(grad_out.slot(), dy_rows);
-            self.gather_dy_rows(gout, dy_mut, b, ohow);
-            self.accumulate_bias_grad(gout, b, ohow);
+            self.gather_dy_rows(gout, dy_mut);
+            self.accumulate_bias_grad(gout);
+            transpose(self.grad_weight.data(), scratch.slice_mut(gwt), f, ckk);
         });
         clock.time(Stage::Gemm, || {
-            let dy_ro = scratch.slice(dy_rows);
-            let cols_ro = scratch.slice(cols);
-            self.gemm_grad_weight(dy_ro, cols_ro, b, ohow);
+            let (cols_ro, gwt_mut, dy_ro) = scratch.ro_rw_rw(cols, gwt, dy_rows);
+            self.gemm_grad_weight(cols_ro, dy_ro, gwt_mut);
         });
-        dy_rows
+        clock.time(Stage::Transpose, || {
+            transpose(scratch.slice(gwt), self.grad_weight.data_mut(), ckk, f);
+        });
     }
 
     /// Backward, input half: `dcols` GEMM → col2im onto the input
     /// gradient.
     fn backward_input_stages(
         &self,
-        dy_rows: ScratchSlot,
+        grad_out: ArenaBuf,
         scratch: &mut Scratch,
         clock: &mut impl StageClock,
     ) -> ArenaBuf {
-        let (h, w) = self.cached_input_hw;
-        let b = self.cached_batch;
-        let (oh, ow) = self.out_size(h, w);
-        let (ckk, ohow, c) = (self.ckk(), oh * ow, self.in_channels);
-        let dcols = scratch.alloc(b * ohow * ckk);
+        let (b, (h, w), (oh, ow), _) = self.step_shape();
+        let (ckk, c) = (self.ckk(), self.in_channels);
+        let dcols = scratch.alloc(b * ckk * oh * ow);
         clock.time(Stage::Gemm, || {
-            let (dy_ro, dcols_mut) = scratch.ro_rw(dy_rows, dcols);
-            self.gemm_grad_cols(dy_ro, dcols_mut, b, ohow);
+            let (gout, dcols_mut) = scratch.ro_rw(grad_out.slot(), dcols);
+            self.gemm_grad_cols(gout, dcols_mut);
         });
         let grad_in = scratch.alloc(b * c * h * w); // zero-filled for col2im
         clock.time(Stage::Col2im, || {
             let (dcols_ro, gin_mut) = scratch.ro_rw(dcols, grad_in);
-            self.scatter_grad_input(dcols_ro, gin_mut, b, h, w);
+            self.scatter_grad_input(dcols_ro, gin_mut);
         });
         ArenaBuf::new(grad_in, &[b, c, h, w])
     }
@@ -915,9 +852,9 @@ mod tests {
     }
 
     #[test]
-    fn border_windows_match_the_checked_copy_across_strides() {
-        // The interior-window memcpy fast path must splice exactly with
-        // the clipped border path for every (stride, pad) combination the
+    fn clipped_tap_runs_match_the_direct_convolution_across_strides() {
+        // Each tap row's contiguous run must splice exactly with its
+        // zero-filled clipped ends for every (stride, pad) combination the
         // layer supports — compare whole forwards against the reference.
         for &(h, w, k, stride, pad) in &[
             (6, 6, 3, 1, 1),
@@ -933,23 +870,44 @@ mod tests {
     }
 
     #[test]
+    fn tap_cols_is_the_in_bounds_run() {
+        for (ow, w, kj, stride, pad) in (1..6).flat_map(|ow| {
+            (1..6).flat_map(move |w| {
+                (0..5).flat_map(move |kj| {
+                    (1..4).flat_map(move |s| (0..3).map(move |p| (ow, w, kj, s, p)))
+                })
+            })
+        }) {
+            let inside: Vec<usize> = (0..ow)
+                .filter(|&ox| (pad..w + pad).contains(&(ox * stride + kj)))
+                .collect();
+            let (lo, hi) = tap_cols(ow, w, kj, stride, pad);
+            assert_eq!(
+                (lo..hi).collect::<Vec<_>>(),
+                inside,
+                "ow {ow} w {w} kj {kj} stride {stride} pad {pad}"
+            );
+        }
+    }
+
+    #[test]
     fn im2col_col2im_are_adjoint() {
         // <im2col(x), y> == <x, col2im(y)> — the defining adjoint property,
-        // on the batch-major row layout, for stride 1 and 2.
-        for stride in [1usize, 2] {
+        // on the tap-major layout, for strides 1 to 3 on a non-square input.
+        for stride in [1usize, 2, 3] {
             let mut rng = rng_from_seed(4 + stride as u64);
-            let (c, h, w, k, pad) = (2, 5, 5, 3, 1);
+            let (c, h, w, k, pad) = (2, 5, 6, 3, 1);
             let (oh, ow) = (
                 (h + 2 * pad - k) / stride + 1,
                 (w + 2 * pad - k) / stride + 1,
             );
             let x = Tensor::randn(vec![c * h * w], 1.0, &mut rng);
-            let y = Tensor::randn(vec![oh * ow * c * k * k], 1.0, &mut rng);
-            let mut cols = vec![0.0f32; oh * ow * c * k * k];
-            im2col_rows(x.data(), c, h, w, k, stride, pad, oh, ow, &mut cols);
+            let y = Tensor::randn(vec![c * k * k * oh * ow], 1.0, &mut rng);
+            let mut cols = vec![0.0f32; c * k * k * oh * ow];
+            im2col_taps(x.data(), c, h, w, k, stride, pad, oh, ow, &mut cols);
             let lhs: f32 = cols.iter().zip(y.data()).map(|(&a, &b)| a * b).sum();
             let mut xt = vec![0.0f32; c * h * w];
-            col2im_rows(y.data(), c, h, w, k, stride, pad, oh, ow, &mut xt);
+            col2im_taps(y.data(), c, h, w, k, stride, pad, oh, ow, &mut xt);
             let rhs: f32 = x.data().iter().zip(&xt).map(|(&a, &b)| a * b).sum();
             assert!(
                 (lhs - rhs).abs() < 1e-3 * (1.0 + lhs.abs()),
@@ -958,34 +916,173 @@ mod tests {
         }
     }
 
+    /// Index into a `[C, H, W]` sample of the input value tap
+    /// `p = (c, ki, kj)` sees at output position `pos`; `None` in the
+    /// padding.
+    fn tap_input(layer: &Conv2d, h: usize, w: usize, p: usize, pos: usize) -> Option<usize> {
+        let (k, s, pad) = (layer.kernel, layer.stride, layer.pad);
+        let ow = layer.out_size(h, w).1;
+        let (ci, ki, kj) = (p / (k * k), p / k % k, p % k);
+        let iy = ((pos / ow) * s + ki)
+            .checked_sub(pad)
+            .filter(|&iy| iy < h)?;
+        let ix = ((pos % ow) * s + kj)
+            .checked_sub(pad)
+            .filter(|&ix| ix < w)?;
+        Some((ci * h + iy) * w + ix)
+    }
+
+    /// The position-major lowering's arithmetic as direct loops, one
+    /// sample at a time: forward `Σ_p x·w` from 0 then `+ bias`; `dW`
+    /// chained over positions onto the running gradient; the bias
+    /// gradient as plane sums; `dX` as each position's `Σ_f dy·w`, added
+    /// in ascending position order. Returns `(y, dx)` and accumulates
+    /// into `gw`/`gb`.
+    fn position_major_step(
+        layer: &Conv2d,
+        x: &[f32],
+        dy: &[f32],
+        (h, w): (usize, usize),
+        gw: &mut [f32],
+        gb: &mut [f32],
+    ) -> (Vec<f32>, Vec<f32>) {
+        let (oh, ow) = layer.out_size(h, w);
+        let (f, ckk, ohow) = (layer.out_channels, layer.ckk(), oh * ow);
+        let (wt, bias) = (layer.weight.data(), layer.bias.data());
+        let xv = |p: usize, pos: usize| tap_input(layer, h, w, p, pos).map_or(0.0, |i| x[i]);
+        let mut y = vec![0.0f32; f * ohow];
+        for fi in 0..f {
+            for pos in 0..ohow {
+                let mut acc = 0.0f32;
+                for p in 0..ckk {
+                    acc += xv(p, pos) * wt[fi * ckk + p];
+                }
+                y[fi * ohow + pos] = acc + bias[fi];
+            }
+        }
+        for fi in 0..f {
+            gb[fi] += dy[fi * ohow..(fi + 1) * ohow].iter().sum::<f32>();
+            for p in 0..ckk {
+                let mut acc = gw[fi * ckk + p];
+                for pos in 0..ohow {
+                    acc += dy[fi * ohow + pos] * xv(p, pos);
+                }
+                gw[fi * ckk + p] = acc;
+            }
+        }
+        let mut dx = vec![0.0f32; x.len()];
+        for pos in 0..ohow {
+            for p in 0..ckk {
+                if let Some(i) = tap_input(layer, h, w, p, pos) {
+                    let mut acc = 0.0f32;
+                    for fi in 0..f {
+                        acc += dy[fi * ohow + pos] * wt[fi * ckk + p];
+                    }
+                    dx[i] += acc;
+                }
+            }
+        }
+        (y, dx)
+    }
+
+    /// Every stage is bit-identical to the position-major arithmetic
+    /// across kernels 1/3/5, strides 1–3, padding 0–2, non-square inputs,
+    /// inputs small enough that some taps only ever see padding and
+    /// outputs whose `OH·OW` spans several [`TRANSPOSE_TILE`]s, over two
+    /// chained steps.
+    #[test]
+    fn tap_major_stages_are_bit_identical_to_the_position_major_order() {
+        let (mut empty_taps, mut multi_tile) = (0, 0);
+        for (k, stride, pad) in [1usize, 3, 5]
+            .into_iter()
+            .flat_map(|k| (1..4).flat_map(move |s| (0..3).map(move |p| (k, s, p))))
+        {
+            for (h, w) in [(5, 7), (7, 4), (2, 3), (9, 10)] {
+                if h + 2 * pad < k || w + 2 * pad < k {
+                    continue;
+                }
+                let mut rng = rng_from_seed((k * 100 + stride * 10 + pad) as u64);
+                let (b, c, f) = (2, 2, 3);
+                let mut layer = Conv2d::with_stride(c, f, k, stride, pad, Init::HeNormal, &mut rng);
+                layer.bias = Tensor::randn(vec![f], 0.5, &mut rng);
+                let (oh, ow) = layer.out_size(h, w);
+                multi_tile += usize::from(oh * ow > TRANSPOSE_TILE);
+                empty_taps += (0..k)
+                    .filter(|&t| {
+                        let (rows, cols) = (
+                            tap_cols(oh, h, t, stride, pad),
+                            tap_cols(ow, w, t, stride, pad),
+                        );
+                        rows.0 == rows.1 || cols.0 == cols.1
+                    })
+                    .count();
+                let (mut gw, mut gb) = (vec![0.0f32; f * c * k * k], vec![0.0f32; f]);
+                let mut arena = ArenaDriver::new();
+                for step in 0..2 {
+                    let x = Tensor::randn(vec![b, c, h, w], 1.0, &mut rng);
+                    let dy = Tensor::randn(vec![b, f, oh, ow], 1.0, &mut rng);
+                    let y = arena.forward(&mut layer, &x);
+                    let dx = arena.backward(&mut layer, &dy);
+                    let (mut want_y, mut want_dx) = (Vec::new(), Vec::new());
+                    for (x_b, dy_b) in x
+                        .data()
+                        .chunks_exact(c * h * w)
+                        .zip(dy.data().chunks_exact(f * oh * ow))
+                    {
+                        let (y_b, dx_b) =
+                            position_major_step(&layer, x_b, dy_b, (h, w), &mut gw, &mut gb);
+                        want_y.extend(y_b);
+                        want_dx.extend(dx_b);
+                    }
+                    let case = format!("k {k} stride {stride} pad {pad} {h}x{w} step {step}");
+                    assert_eq!(y.data(), &want_y[..], "forward, {case}");
+                    assert_eq!(dx.data(), &want_dx[..], "input gradient, {case}");
+                    assert_eq!(layer.grad_weight.data(), &gw[..], "weight gradient, {case}");
+                    assert_eq!(layer.grad_bias.data(), &gb[..], "bias gradient, {case}");
+                }
+            }
+        }
+        assert!(empty_taps > 0, "no case had a tap that only sees padding");
+        assert!(multi_tile > 0, "no case spans several transpose tiles");
+    }
+
     /// Batch-size independence at layer granularity: one step on the
     /// batch and one step per sample (no `zero_grad` in between) produce
-    /// bit-identical outputs and gradients (the exhaustive proptest lives
-    /// in `tests/conv_batched.rs`).
+    /// bit-identical outputs and gradients, on a batch whose stages run
+    /// inline and on one large enough to run them in per-sample bands on
+    /// a multi-threaded pool (the exhaustive proptest lives in
+    /// `tests/conv_batched.rs`).
     #[test]
     fn batched_matches_per_sample_reference_exactly() {
         let mut rng = rng_from_seed(21);
-        let (c, h, w, f, k, pad, b) = (3, 6, 6, 4, 3, 1, 5);
-        let mut batched = Conv2d::new(c, f, k, pad, Init::HeNormal, &mut rng);
-        let mut per_sample = batched.clone();
-        let x = Tensor::randn(vec![b, c, h, w], 1.0, &mut rng);
-        let mut arena = ArenaDriver::new();
-        let yb = arena.forward(&mut batched, &x);
-        let gb = arena.backward(&mut batched, &yb);
-        let (mut ys, mut gs) = (Vec::new(), Vec::new());
-        for sample in x.data().chunks_exact(c * h * w) {
-            let x1 = Tensor::from_vec(vec![1, c, h, w], sample.to_vec());
-            let y1 = arena.forward(&mut per_sample, &x1);
-            gs.extend_from_slice(arena.backward(&mut per_sample, &y1).data());
-            ys.extend_from_slice(y1.data());
+        for (c, hw, f, k, pad, b) in [(3, 6, 4, 3, 1, 5), (3, 16, 4, 3, 1, 16)] {
+            let mut batched = Conv2d::new(c, f, k, pad, Init::HeNormal, &mut rng);
+            let mut per_sample = batched.clone();
+            let x = Tensor::randn(vec![b, c, hw, hw], 1.0, &mut rng);
+            let cols = b * batched.ckk() * hw * hw;
+            assert_eq!(
+                cols >= PAR_STAGE_MIN_ELEMS,
+                b == 16,
+                "b = {b}: wrong side of the band threshold"
+            );
+            let mut arena = ArenaDriver::new();
+            let yb = arena.forward(&mut batched, &x);
+            let gb = arena.backward(&mut batched, &yb);
+            let (mut ys, mut gs) = (Vec::new(), Vec::new());
+            for sample in x.data().chunks_exact(c * hw * hw) {
+                let x1 = Tensor::from_vec(vec![1, c, hw, hw], sample.to_vec());
+                let y1 = arena.forward(&mut per_sample, &x1);
+                gs.extend_from_slice(arena.backward(&mut per_sample, &y1).data());
+                ys.extend_from_slice(y1.data());
+            }
+            assert_eq!(yb.data(), &ys[..], "b = {b}: forward diverged");
+            assert_eq!(gb.data(), &gs[..], "b = {b}: input gradients diverged");
+            assert_eq!(
+                grads_of_conv(&batched),
+                grads_of_conv(&per_sample),
+                "b = {b}: parameter gradients diverged"
+            );
         }
-        assert_eq!(yb.data(), &ys[..], "forward diverged");
-        assert_eq!(gb.data(), &gs[..], "input gradients diverged");
-        assert_eq!(
-            grads_of_conv(&batched),
-            grads_of_conv(&per_sample),
-            "parameter gradients diverged"
-        );
     }
 
     #[test]
@@ -993,20 +1090,6 @@ mod tests {
         let mut rng = rng_from_seed(5);
         let layer = Conv2d::new(3, 8, 5, 2, Init::HeNormal, &mut rng);
         assert_eq!(layer.param_count(), 8 * 3 * 25 + 8);
-    }
-
-    /// A spatial size whose `OH·OW` crosses `TRANSPOSE_TILE`, so the
-    /// blocked transposes execute multiple tiles along the position axis —
-    /// proven against the direct nested-loop convolution (which shares no
-    /// code with the im2col path).
-    #[test]
-    fn forward_matches_direct_convolution_across_transpose_tiles() {
-        let mut rng = rng_from_seed(31);
-        let (h, w) = (12, 12);
-        assert!(h * w > TRANSPOSE_TILE, "shape must span multiple tiles");
-        let mut layer = Conv2d::new(2, 3, 3, 1, Init::HeNormal, &mut rng);
-        let x = Tensor::randn(vec![2, 2, h, w], 1.0, &mut rng);
-        assert_forward_matches_direct(&mut layer, &x, &mut rng);
     }
 
     /// The stage profiler must time every stage of a real step (all four

@@ -1,9 +1,10 @@
 //! Exactness proofs for the convolution and dense layers, driven through
 //! the arena passes a training step runs.
 //!
-//! The conv layer runs **one** GEMM per stage over the whole batch on the
-//! batch-major `[B·OH·OW, C·K·K]` im2col layout. The first property pins
-//! what that must not change: one step on a batch of `B` is
+//! The conv layer lowers each sample into a tap-major `[C·K·K, OH·OW]`
+//! im2col block and runs per-sample GEMMs on it, in one-sample bands on
+//! the pool once the batch's `cols` is large enough. The first property
+//! pins what batching must not change: one step on a batch of `B` is
 //! **bit-identical** to `B` steps on batches of one with no `zero_grad` in
 //! between — outputs, input gradients and accumulated parameter gradients
 //! — across:
@@ -11,11 +12,18 @@
 //! * batch sizes 1..17 (B = 1, non-divisible `MR`/`NR` tile remainders),
 //! * padding 0..3 (including valid-only convolutions) and kernel 1/3/5,
 //! * stride 1 and 2 (strided output grids drop trailing input columns),
-//! * the small/blocked and serial/parallel GEMM dispatch edges (the
-//!   generated shapes straddle both thresholds, and the batch and its
-//!   single samples land on different sides of them),
+//! * the small/blocked GEMM dispatch edge, which the per-sample shapes
+//!   straddle; the largest draws also cross the inline/banded stage
+//!   threshold, which `batched_matches_per_sample_reference_exactly` in
+//!   `crates/nn/src/layers/conv.rs` crosses on every run (on a
+//!   multi-threaded pool),
 //! * repeated steps (gradients chain through the per-sample `β = 1`
 //!   accumulation).
+//!
+//! Both sides of this property run the tap-major code; the unit tests in
+//! `crates/nn/src/layers/conv.rs` hold every stage exactly to direct loops
+//! in the position-major order, and the `FedAvg CNN` row of the pinned
+//! table in `tests/determinism.rs` gates the whole path.
 //!
 //! The layer runs on its own arena through the full
 //! `Layer::backward_arena`, the step every non-first conv layer of a model
