@@ -232,7 +232,7 @@ mod tests {
     use super::*;
     use fedhisyn_data::Dataset;
     use fedhisyn_nn::{ModelSpec, SgdConfig};
-    use fedhisyn_simnet::{sample_latencies, HeterogeneityModel, LinkModel, TrafficMeter};
+    use fedhisyn_simnet::{sample_latencies, HeterogeneityModel, TrafficMeter};
     use fedhisyn_tensor::Tensor;
 
     fn tiny_env() -> FlEnv {
@@ -244,14 +244,13 @@ mod tests {
             )
         };
         let mut rng = rng_from_seed(0);
-        let profiles = sample_latencies(5, HeterogeneityModel::Homogeneous, 1.0, &mut rng);
+        let profiles = sample_latencies(5, HeterogeneityModel::Homogeneous, &mut rng);
         FlEnv {
             spec: ModelSpec::mlp(&[4, 4, 2]),
             data: fedhisyn_data::DataSource::Dense((0..5).map(|_| mk(6)).collect()),
             n_devices: 5,
             test: mk(20),
             fleet: fedhisyn_fleet::FleetModel::static_fleet(&profiles),
-            link: LinkModel::zero(),
             meter: TrafficMeter::new(),
             local_epochs: 1,
             batch_size: 4,
@@ -353,12 +352,7 @@ mod tests {
         let mut env = tiny_env();
         // Heavy churn: ~70% of online devices drop each round (the first
         // transition already applies at round 0).
-        let profiles = sample_latencies(
-            5,
-            HeterogeneityModel::Homogeneous,
-            1.0,
-            &mut rng_from_seed(0),
-        );
+        let profiles = sample_latencies(5, HeterogeneityModel::Homogeneous, &mut rng_from_seed(0));
         env.fleet = FleetModel::new(
             &profiles,
             FleetDynamics {
@@ -404,12 +398,7 @@ mod tests {
         assert_eq!(expect.len(), 3);
         // Churned fleet: cohorts shrink to the online population but stay
         // deterministic.
-        let profiles = sample_latencies(
-            5,
-            HeterogeneityModel::Homogeneous,
-            1.0,
-            &mut rng_from_seed(0),
-        );
+        let profiles = sample_latencies(5, HeterogeneityModel::Homogeneous, &mut rng_from_seed(0));
         env.fleet = FleetModel::new(&profiles, FleetDynamics::churn(0.4), 9);
         let a = run_experiment(&mut algo, &mut env, 5);
         let b = run_experiment(&mut algo, &mut env, 5);

@@ -6,8 +6,7 @@ use fedhisyn_data::{
 use fedhisyn_fleet::{FleetDynamics, FleetModel};
 use fedhisyn_nn::{Codec, ModelSpec, ParamVec, SgdConfig};
 use fedhisyn_simnet::{
-    sample_latencies, FaultConfig, FaultPlan, HeterogeneityModel, LinkModel, ProfileSource,
-    TrafficMeter,
+    sample_latencies, FaultConfig, FaultPlan, HeterogeneityModel, ProfileSource, TrafficMeter,
 };
 use fedhisyn_tensor::rng_from_seed;
 use serde::{Deserialize, Serialize};
@@ -69,8 +68,6 @@ pub struct ExperimentConfig {
     /// failures). Defaults to the static fleet, which reproduces the
     /// paper's setting bit-for-bit.
     pub fleet: FleetDynamics,
-    /// Inter-device link delays.
-    pub link: LinkModel,
     /// Communication rounds to run.
     pub rounds: usize,
     /// Local epochs per training step (`E`).
@@ -121,7 +118,6 @@ impl ExperimentConfig {
                 data_mode: DataMode::Dense,
                 heterogeneity: HeterogeneityModel::Uniform { h: 10.0 },
                 fleet: FleetDynamics::default(),
-                link: LinkModel::zero(),
                 rounds: 10,
                 local_epochs: 5,
                 batch_size: 50,
@@ -188,8 +184,7 @@ impl ExperimentConfig {
                 let device_data: Vec<Dataset> =
                     indices.iter().map(|idx| fd.train.subset(idx)).collect();
                 let mut lat_rng = rng_from_seed(seed_mix(self.seed, 0x1A7E, 0, 0));
-                let profiles =
-                    sample_latencies(self.n_devices, self.heterogeneity, 1.0, &mut lat_rng);
+                let profiles = sample_latencies(self.n_devices, self.heterogeneity, &mut lat_rng);
                 let fleet = FleetModel::new(&profiles, self.fleet.clone(), fleet_seed);
                 (DataSource::Dense(device_data), fd.test, fleet)
             }
@@ -210,7 +205,6 @@ impl ExperimentConfig {
                 let profiles = ProfileSource::lazy(
                     self.n_devices,
                     self.heterogeneity,
-                    1.0,
                     seed_mix(self.seed, 0x1A7E, 0, 0),
                 );
                 let fleet = FleetModel::with_source(profiles, self.fleet.clone(), fleet_seed);
@@ -223,7 +217,6 @@ impl ExperimentConfig {
             n_devices: self.n_devices,
             test,
             fleet,
-            link: self.link.clone(),
             meter: TrafficMeter::new(),
             local_epochs: self.local_epochs,
             batch_size: self.batch_size,
@@ -315,12 +308,6 @@ impl ExperimentConfigBuilder {
     pub fn fleet(mut self, dynamics: FleetDynamics) -> Self {
         dynamics.validate();
         self.cfg.fleet = dynamics;
-        self
-    }
-
-    /// Set the link-delay model.
-    pub fn link(mut self, link: LinkModel) -> Self {
-        self.cfg.link = link;
         self
     }
 

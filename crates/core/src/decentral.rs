@@ -315,7 +315,7 @@ impl DecentralSim {
             .map(|(ci, members)| {
                 let lat: Vec<f64> = members.iter().map(|&d| env.latency_at(d, round)).collect();
                 let mut rng = rng_from_seed(seed_mix(env.seed, round as u64, ci as u64, 0x4149));
-                let ring = Ring::build(members, &lat, &env.link, order, &mut rng);
+                let ring = Ring::build(members, &lat, order, &mut rng);
                 let start: Vec<ParamVec> = ring
                     .order()
                     .iter()

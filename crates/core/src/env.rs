@@ -15,7 +15,7 @@ use fedhisyn_data::{DataSource, Dataset, ShardRef};
 use fedhisyn_fleet::FleetModel;
 use fedhisyn_nn::{wire, Codec, CodecScratch, ModelSpec, ParamVec, SgdConfig};
 pub use fedhisyn_simnet::seed_mix;
-use fedhisyn_simnet::{FaultPlan, LinkModel, TrafficMeter};
+use fedhisyn_simnet::{FaultPlan, TrafficMeter};
 use fedhisyn_telemetry::TelemetrySink;
 
 /// Lock shards in an enabled [`DeviceBank`] (device id modulo).
@@ -110,8 +110,6 @@ pub struct FlEnv {
     /// ([`FleetModel::static_fleet`]) short-circuits every query, keeping
     /// static experiments bit-identical to the pre-dynamics code.
     pub fleet: FleetModel,
-    /// Inter-device / device-server delay model.
-    pub link: LinkModel,
     /// Transmission accounting (Table 1 metric).
     pub meter: TrafficMeter,
     /// Local epochs per training step (`E`, the paper uses 5).
@@ -396,19 +394,14 @@ mod tests {
             )
         };
         let mut rng = rng_from_seed(0);
-        let profiles = fedhisyn_simnet::sample_latencies(
-            3,
-            HeterogeneityModel::Uniform { h: 10.0 },
-            1.0,
-            &mut rng,
-        );
+        let profiles =
+            fedhisyn_simnet::sample_latencies(3, HeterogeneityModel::Uniform { h: 10.0 }, &mut rng);
         FlEnv {
             spec: ModelSpec::mlp(&[4, 4, 2]),
             data: DataSource::Dense(vec![mk(4), mk(6), mk(8)]),
             n_devices: 3,
             test: mk(10),
             fleet: FleetModel::static_fleet(&profiles),
-            link: LinkModel::zero(),
             meter: TrafficMeter::new(),
             local_epochs: 5,
             batch_size: 50,

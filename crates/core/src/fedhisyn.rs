@@ -197,7 +197,6 @@ impl FlAlgorithm for FedHiSyn {
                 let ring = Ring::build_with_suspects(
                     members,
                     &latencies,
-                    &env.link,
                     // The paper's small-to-large ring order.
                     RingOrder::SmallToLarge,
                     &mut rng,

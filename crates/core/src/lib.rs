@@ -49,7 +49,6 @@ pub mod link;
 pub mod local;
 pub mod metrics;
 pub mod ring_sim;
-pub mod theory;
 pub mod topology;
 
 pub use aggregate::AggregationRule;

@@ -116,7 +116,7 @@ mod tests {
     use super::*;
     use fedhisyn_data::{Dataset, DatasetProfile, Scale};
     use fedhisyn_nn::{evaluate_arena, ModelSpec, Sequential, SgdConfig};
-    use fedhisyn_simnet::{sample_latencies, HeterogeneityModel, LinkModel, TrafficMeter};
+    use fedhisyn_simnet::{sample_latencies, HeterogeneityModel, TrafficMeter};
     use fedhisyn_tensor::Tensor;
 
     fn make_env() -> FlEnv {
@@ -138,14 +138,13 @@ mod tests {
                     .subset(&((d * per..(d + 1) * per).collect::<Vec<_>>()))
             })
             .collect();
-        let profiles = sample_latencies(4, HeterogeneityModel::Uniform { h: 4.0 }, 1.0, &mut rng);
+        let profiles = sample_latencies(4, HeterogeneityModel::Uniform { h: 4.0 }, &mut rng);
         FlEnv {
             spec,
             data: fedhisyn_data::DataSource::Dense(device_data),
             n_devices: 4,
             test: fd.test,
             fleet: fedhisyn_fleet::FleetModel::static_fleet(&profiles),
-            link: LinkModel::zero(),
             meter: TrafficMeter::new(),
             local_epochs: 2,
             batch_size: 32,

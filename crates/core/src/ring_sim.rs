@@ -33,7 +33,7 @@
 //! the algorithms plug in real SGD.
 
 use fedhisyn_nn::{CodecScratch, ParamVec};
-use fedhisyn_simnet::{EventQueue, FaultKind, FaultPlan, LinkModel, SimTime, TrafficMeter};
+use fedhisyn_simnet::{EventQueue, FaultKind, FaultPlan, SimTime, TrafficMeter};
 use fedhisyn_telemetry::{Phase, SpanCtx, TelemetrySink, TransportCounters, WallStart};
 use serde::{Deserialize, Serialize};
 
@@ -98,8 +98,8 @@ pub(crate) struct RelayCodec<'a> {
     pub base: Option<&'a ParamVec>,
 }
 
-/// Everything about a ring interval beyond the ring, its latencies, the
-/// link and the start models. `RingOptions::default()` is the paper's
+/// Everything about a ring interval beyond the ring, its latencies and
+/// the start models. `RingOptions::default()` is the paper's
 /// interval — received models are trained directly, nobody crashes, the
 /// wire is perfect and full-precision, nothing is traced — and every
 /// field left at its default keeps the simulation bit- and
@@ -298,7 +298,6 @@ enum Event {
 pub fn simulate_ring_interval<F>(
     ring: &Ring,
     latencies: &[f64],
-    link: &LinkModel,
     start: RingStart<'_>,
     interval: f64,
     opts: RingOptions<'_>,
@@ -354,7 +353,6 @@ where
     let fault_slots = if faults.is_some() { n } else { 0 };
     let mut wire = Wire {
         ring,
-        link,
         faults,
         trace,
         codec,
@@ -517,10 +515,11 @@ fn next_live(ring: &Ring, dead: &[bool], pos: usize) -> Option<usize> {
     None
 }
 
-// Arrivals sort before completions at the same instant so that a
-// zero-delay handoff between equal-latency devices lands in time for
-// the receiver's next step (see `EventQueue` docs). Failures sort
-// last: a step finishing at the crash instant still counts.
+// Transfers take no virtual time, so a model sent at a completion
+// arrives at that same instant. Arrivals sort before completions at
+// equal times so that a handoff between equal-latency devices lands in
+// time for the receiver's next step (see `EventQueue` docs). Failures
+// sort last: a step finishing at the crash instant still counts.
 const CLASS_ARRIVAL: u8 = 0;
 const CLASS_COMPLETION: u8 = 1;
 const CLASS_FAILURE: u8 = 2;
@@ -531,7 +530,6 @@ const CLASS_FAILURE: u8 = 2;
 /// salvage) share one attempt loop.
 struct Wire<'a> {
     ring: &'a Ring,
-    link: &'a LinkModel,
     faults: Option<RingFaults<'a>>,
     trace: Option<RingTrace<'a>>,
     codec: Option<RelayCodec<'a>>,
@@ -551,25 +549,18 @@ struct Wire<'a> {
 
 impl Wire<'_> {
     /// Schedule `model`'s arrival at `dst_pos` and emit the hop's span.
-    fn deliver(
-        &mut self,
-        sent_at: SimTime,
-        delay: f64,
-        dst_pos: usize,
-        seq: usize,
-        model: ParamVec,
-    ) {
+    /// Transfers are instantaneous: the model arrives when it is sent.
+    fn deliver(&mut self, sent_at: SimTime, dst_pos: usize, seq: usize, model: ParamVec) {
         let arrival = Event::Arrival {
             pos: dst_pos,
             model,
         };
-        self.queue
-            .push_class(sent_at + delay, CLASS_ARRIVAL, arrival);
+        self.queue.push_class(sent_at, CLASS_ARRIVAL, arrival);
         if let Some(tr) = &self.trace {
             let at = tr.at(sent_at);
             let wall = tr.sink.wall_start();
             let dst = self.ring.order()[dst_pos];
-            tr.span(Phase::RelayHop, dst, seq, (at, at + delay), wall);
+            tr.span(Phase::RelayHop, dst, seq, (at, at), wall);
         }
     }
 
@@ -585,12 +576,11 @@ impl Wire<'_> {
             c.env
                 .codec_transform(src, &mut model, c.base, &mut self.codec_scratch);
         }
-        let delay = self.link.delay(src, dst).max(0.0);
         let seq = self.transfers;
         self.transfers += 1;
 
         let Some(f) = self.faults else {
-            self.deliver(now, delay, dst_pos, seq, model);
+            self.deliver(now, dst_pos, seq, model);
             return;
         };
 
@@ -606,12 +596,12 @@ impl Wire<'_> {
                     let at = tr.at(t);
                     let wall = tr.sink.wall_start();
                     let retry = self.transport.retries as usize;
-                    tr.span(Phase::RelayAttempt, dst, retry, (at, at + delay), wall);
+                    tr.span(Phase::RelayAttempt, dst, retry, (at, at), wall);
                 }
                 self.transport.retries += 1;
             }
             match kind {
-                FaultKind::Delivered => return self.deliver(t, delay, dst_pos, seq, model),
+                FaultKind::Delivered => return self.deliver(t, dst_pos, seq, model),
                 FaultKind::Duplicated => {
                     // The extra copy lands first and carries no span of
                     // its own: one logical hop, two physical frames.
@@ -620,8 +610,8 @@ impl Wire<'_> {
                         pos: dst_pos,
                         model: model.clone(),
                     };
-                    self.queue.push_class(t + delay, CLASS_ARRIVAL, copy);
-                    return self.deliver(t, delay, dst_pos, seq, model);
+                    self.queue.push_class(t, CLASS_ARRIVAL, copy);
+                    return self.deliver(t, dst_pos, seq, model);
                 }
                 FaultKind::Lost => {
                     // The frame vanished in flight: the sender learns
@@ -635,7 +625,7 @@ impl Wire<'_> {
                     // checksum rejected it — corruption is *detected*,
                     // never trained on.
                     self.transport.corruptions_detected += 1;
-                    t += delay + cfg.backoff(attempt);
+                    t += cfg.backoff(attempt);
                 }
                 FaultKind::TimedOut => {
                     self.transport.timeouts += 1;
@@ -741,7 +731,6 @@ impl RingRound<'_> {
         let outcome = simulate_ring_interval(
             &lane.ring,
             &lane.latencies,
-            &env.link,
             start,
             self.interval,
             opts,
@@ -800,13 +789,7 @@ mod tests {
     fn ring_of(latencies: &[f64]) -> (Ring, Vec<f64>) {
         let members: Vec<usize> = (0..latencies.len()).collect();
         let mut rng = rng_from_seed(0);
-        let ring = Ring::build(
-            &members,
-            latencies,
-            &LinkModel::zero(),
-            RingOrder::SmallToLarge,
-            &mut rng,
-        );
+        let ring = Ring::build(&members, latencies, RingOrder::SmallToLarge, &mut rng);
         let lat: Vec<f64> = ring.order().iter().map(|&d| latencies[d]).collect();
         (ring, lat)
     }
@@ -821,7 +804,6 @@ mod tests {
         let out = simulate_ring_interval(
             &ring,
             &lat,
-            &LinkModel::zero(),
             zero_start(3, 3),
             4.0,
             RingOptions::default(),
@@ -841,7 +823,6 @@ mod tests {
             simulate_ring_interval(
                 &ring,
                 &lat,
-                &LinkModel::zero(),
                 start,
                 5.0,
                 RingOptions::default(),
@@ -862,7 +843,6 @@ mod tests {
         let out = simulate_ring_interval(
             &ring,
             &lat,
-            &LinkModel::zero(),
             zero_start(2, 2),
             1.0,
             RingOptions::default(),
@@ -879,7 +859,6 @@ mod tests {
         let out = simulate_ring_interval(
             &ring,
             &lat,
-            &LinkModel::zero(),
             zero_start(2, 2),
             4.0,
             RingOptions::default(),
@@ -900,7 +879,6 @@ mod tests {
         let out = simulate_ring_interval(
             &ring,
             &lat,
-            &LinkModel::zero(),
             zero_start(1, 1),
             3.0,
             RingOptions::default(),
@@ -920,7 +898,6 @@ mod tests {
         let out = simulate_ring_interval(
             &ring,
             &lat,
-            &LinkModel::zero(),
             zero_start(2, 2),
             8.0,
             RingOptions::default(),
@@ -932,33 +909,43 @@ mod tests {
     }
 
     #[test]
-    fn link_delay_postpones_adoption() {
-        // With a huge link delay nothing arrives before devices finish, so
-        // every device only ever refines its own model.
+    fn zero_delay_handoff_lands_before_the_receivers_step() {
+        // Two devices with t = 1 over R = 2 take two steps each, and both
+        // complete at t = 1 and t = 2. Transfers take no time, so a model
+        // sent at a completion arrives at that instant, tied with the
+        // receiver's completion; arrivals pop first.
+        //   t = 1: p0 trains [0,0] → [1,0] and sends it; its inbox is
+        //          empty, so it keeps [1,0] for its next step. That
+        //          arrival pops before p1's completion, so p1 trains
+        //          [0,0] → [0,1], sends it, and adopts [1,0] next. p1's
+        //          send reaches p0 after p0 has already chosen.
+        //   t = 2: p0 trains [1,0] → [2,0] and sends it; again the
+        //          arrival pops first, and p1 trains [1,0] → [1,1].
+        // Final models are [2,0] and [1,1]. Each inbox ends on the
+        // newest arrival, so the next models are the swap: p0 holds
+        // [1,1], p1 holds [2,0]. Four sends in all. Had completions
+        // popped first, p1 would have refined its own [0,1] into [0,2].
         let (ring, lat) = ring_of(&[1.0, 1.0]);
         let out = simulate_ring_interval(
             &ring,
             &lat,
-            &LinkModel::Constant { delay: 100.0 },
             zero_start(2, 2),
-            3.0,
+            2.0,
             RingOptions::default(),
             mock_train(2),
         );
-        // Position p trained only by its own device: exactly one non-zero
-        // coordinate each.
-        for (p, m) in out.final_models.iter().enumerate() {
-            let d = ring.order()[p];
-            assert_eq!(m.as_slice()[d] as usize, out.steps[p]);
-            let other: f32 = m
-                .as_slice()
-                .iter()
-                .enumerate()
-                .filter(|&(i, _)| i != d)
-                .map(|(_, &x)| x)
-                .sum();
-            assert_eq!(other, 0.0);
-        }
+        let slices = |ms: &[ParamVec]| -> Vec<Vec<f32>> {
+            ms.iter().map(|m| m.as_slice().to_vec()).collect()
+        };
+        assert_eq!(
+            slices(&out.final_models),
+            vec![vec![2.0, 0.0], vec![1.0, 1.0]]
+        );
+        assert_eq!(
+            slices(&out.next_models),
+            vec![vec![1.0, 1.0], vec![2.0, 0.0]]
+        );
+        assert_eq!(out.transfers, 4);
     }
 
     #[test]
@@ -970,7 +957,6 @@ mod tests {
         let out = simulate_ring_interval(
             &ring,
             &lat,
-            &LinkModel::zero(),
             zero_start(2, 2),
             3.0,
             RingOptions {
@@ -998,7 +984,6 @@ mod tests {
             simulate_ring_interval(
                 &ring,
                 &lat,
-                &LinkModel::zero(),
                 zero_start(4, 4),
                 6.0,
                 RingOptions::default(),
@@ -1021,7 +1006,6 @@ mod tests {
         let _ = simulate_ring_interval(
             &ring,
             &lat,
-            &LinkModel::zero(),
             zero_start(2, 2),
             3.0,
             RingOptions::default(),
@@ -1045,7 +1029,6 @@ mod tests {
         let _ = simulate_ring_interval(
             &ring,
             &lat,
-            &LinkModel::zero(),
             zero_start(1, 2),
             4.0,
             RingOptions::default(),
@@ -1071,7 +1054,6 @@ mod tests {
         let out = simulate_ring_interval(
             &ring,
             &lat,
-            &LinkModel::zero(),
             zero_start(n, n),
             interval,
             RingOptions {
@@ -1088,15 +1070,7 @@ mod tests {
         let latencies = [1.0, 2.0, 3.0];
         let (ring, lat) = ring_of(&latencies);
         let run = |opts: RingOptions<'_>| {
-            simulate_ring_interval(
-                &ring,
-                &lat,
-                &LinkModel::zero(),
-                zero_start(3, 3),
-                5.0,
-                opts,
-                mock_train(3),
-            )
+            simulate_ring_interval(&ring, &lat, zero_start(3, 3), 5.0, opts, mock_train(3))
         };
         let none = run(RingOptions::default());
         let explicit = run(RingOptions {
@@ -1130,7 +1104,6 @@ mod tests {
         simulate_ring_interval(
             &ring,
             &lat,
-            &LinkModel::zero(),
             RingStart::PerPosition(start),
             3.0,
             RingOptions {
@@ -1217,7 +1190,6 @@ mod tests {
         simulate_ring_interval(
             &ring,
             &lat,
-            &LinkModel::zero(),
             zero_start(n, n),
             interval,
             RingOptions {
@@ -1237,7 +1209,6 @@ mod tests {
         let without = simulate_ring_interval(
             &ring,
             &lat,
-            &LinkModel::zero(),
             zero_start(3, 3),
             5.0,
             RingOptions::default(),
@@ -1341,7 +1312,6 @@ mod tests {
         let out = simulate_ring_interval(
             &ring,
             &lat,
-            &LinkModel::zero(),
             zero_start(3, 3),
             4.0,
             RingOptions {
@@ -1380,7 +1350,6 @@ mod tests {
         let _ = simulate_ring_interval(
             &ring,
             &lat,
-            &LinkModel::zero(),
             zero_start(1, 1),
             0.0,
             RingOptions::default(),

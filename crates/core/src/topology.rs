@@ -4,8 +4,6 @@ use rand::seq::SliceRandom;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
-use fedhisyn_simnet::LinkModel;
-
 /// How devices are ordered around a ring.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum RingOrder {
@@ -28,16 +26,14 @@ pub struct Ring {
 
 impl Ring {
     /// Build a ring over `members` (device ids) given each member's
-    /// ordering metric `M_i = t_i + D_{i,i+1}` (Eq. 5).
+    /// latency `t_i`.
     ///
-    /// The paper simplifies to equal inter-device delays, making the
-    /// metric `M_i = t_i`; we honour that by adding the link model's
-    /// *mean* successor delay, which is constant under
-    /// [`LinkModel::Constant`] and therefore cancels in the ordering.
+    /// Eq. 5's ordering metric is `M_i = t_i + D_{i,i+1}`; §4.1 takes the
+    /// inter-device delays as equal, so the metric is `M_i = t_i` and
+    /// transfers cost no virtual time.
     pub fn build<R: Rng>(
         members: &[usize],
         latencies: &[f64],
-        link: &LinkModel,
         order: RingOrder,
         rng: &mut R,
     ) -> Ring {
@@ -47,14 +43,9 @@ impl Ring {
         match order {
             RingOrder::Random => idx.shuffle(rng),
             RingOrder::SmallToLarge | RingOrder::LargeToSmall => {
-                // Eq. 5 metric. Successor delays are equal under the
-                // paper's simplification; we use the server-side mean so
-                // Pairwise models still produce a sensible order.
-                let mean_delay = link.server_delay();
                 idx.sort_by(|&a, &b| {
-                    let ma = latencies[a] + mean_delay;
-                    let mb = latencies[b] + mean_delay;
-                    ma.partial_cmp(&mb)
+                    latencies[a]
+                        .partial_cmp(&latencies[b])
                         .unwrap_or(std::cmp::Ordering::Equal)
                         .then(members[a].cmp(&members[b]))
                 });
@@ -83,12 +74,11 @@ impl Ring {
     pub fn build_with_suspects<R: Rng>(
         members: &[usize],
         latencies: &[f64],
-        link: &LinkModel,
         order: RingOrder,
         rng: &mut R,
         suspects: &[bool],
     ) -> Ring {
-        let ring = Ring::build(members, latencies, link, order, rng);
+        let ring = Ring::build(members, latencies, order, rng);
         if suspects.iter().all(|&s| !s) {
             return ring;
         }
@@ -155,13 +145,7 @@ mod tests {
         let members = vec![10, 20, 30, 40];
         let lat = vec![4.0, 1.0, 3.0, 2.0];
         let mut rng = rng_from_seed(0);
-        let ring = Ring::build(
-            &members,
-            &lat,
-            &LinkModel::zero(),
-            RingOrder::SmallToLarge,
-            &mut rng,
-        );
+        let ring = Ring::build(&members, &lat, RingOrder::SmallToLarge, &mut rng);
         assert_eq!(ring.order(), &[20, 40, 30, 10]);
     }
 
@@ -170,13 +154,7 @@ mod tests {
         let members = vec![10, 20, 30];
         let lat = vec![1.0, 2.0, 3.0];
         let mut rng = rng_from_seed(0);
-        let ring = Ring::build(
-            &members,
-            &lat,
-            &LinkModel::zero(),
-            RingOrder::LargeToSmall,
-            &mut rng,
-        );
+        let ring = Ring::build(&members, &lat, RingOrder::LargeToSmall, &mut rng);
         assert_eq!(ring.order(), &[30, 20, 10]);
     }
 
@@ -185,13 +163,7 @@ mod tests {
         let members: Vec<usize> = (0..20).collect();
         let lat = vec![1.0; 20];
         let mut rng = rng_from_seed(1);
-        let ring = Ring::build(
-            &members,
-            &lat,
-            &LinkModel::zero(),
-            RingOrder::Random,
-            &mut rng,
-        );
+        let ring = Ring::build(&members, &lat, RingOrder::Random, &mut rng);
         let mut sorted = ring.order().to_vec();
         sorted.sort_unstable();
         assert_eq!(sorted, members);
@@ -202,13 +174,7 @@ mod tests {
         let members = vec![5, 6, 7];
         let lat = vec![1.0, 2.0, 3.0];
         let mut rng = rng_from_seed(2);
-        let ring = Ring::build(
-            &members,
-            &lat,
-            &LinkModel::zero(),
-            RingOrder::SmallToLarge,
-            &mut rng,
-        );
+        let ring = Ring::build(&members, &lat, RingOrder::SmallToLarge, &mut rng);
         // Order: 5, 6, 7; slowest (7) wraps to fastest (5) — the paper's
         // "device with the longest local training time is connected to the
         // device with the shortest".
@@ -220,13 +186,7 @@ mod tests {
     #[test]
     fn singleton_ring_points_to_itself() {
         let mut rng = rng_from_seed(3);
-        let ring = Ring::build(
-            &[9],
-            &[1.0],
-            &LinkModel::zero(),
-            RingOrder::SmallToLarge,
-            &mut rng,
-        );
+        let ring = Ring::build(&[9], &[1.0], RingOrder::SmallToLarge, &mut rng);
         assert_eq!(ring.successor(9), 9);
         assert_eq!(ring.len(), 1);
     }
@@ -236,13 +196,7 @@ mod tests {
         let members = vec![3, 1, 2];
         let lat = vec![1.0, 1.0, 1.0];
         let mut rng = rng_from_seed(4);
-        let ring = Ring::build(
-            &members,
-            &lat,
-            &LinkModel::zero(),
-            RingOrder::SmallToLarge,
-            &mut rng,
-        );
+        let ring = Ring::build(&members, &lat, RingOrder::SmallToLarge, &mut rng);
         assert_eq!(ring.order(), &[1, 2, 3]);
     }
 
@@ -250,20 +204,8 @@ mod tests {
     fn deterministic_random_order_given_seed() {
         let members: Vec<usize> = (0..10).collect();
         let lat = vec![1.0; 10];
-        let a = Ring::build(
-            &members,
-            &lat,
-            &LinkModel::zero(),
-            RingOrder::Random,
-            &mut rng_from_seed(5),
-        );
-        let b = Ring::build(
-            &members,
-            &lat,
-            &LinkModel::zero(),
-            RingOrder::Random,
-            &mut rng_from_seed(5),
-        );
+        let a = Ring::build(&members, &lat, RingOrder::Random, &mut rng_from_seed(5));
+        let b = Ring::build(&members, &lat, RingOrder::Random, &mut rng_from_seed(5));
         assert_eq!(a, b);
     }
 
@@ -276,25 +218,12 @@ mod tests {
             RingOrder::LargeToSmall,
             RingOrder::Random,
         ] {
-            let plain = Ring::build(
-                &members,
-                &lat,
-                &LinkModel::zero(),
-                order,
-                &mut rng_from_seed(7),
-            );
-            let empty = Ring::build_with_suspects(
-                &members,
-                &lat,
-                &LinkModel::zero(),
-                order,
-                &mut rng_from_seed(7),
-                &[],
-            );
+            let plain = Ring::build(&members, &lat, order, &mut rng_from_seed(7));
+            let empty =
+                Ring::build_with_suspects(&members, &lat, order, &mut rng_from_seed(7), &[]);
             let all_false = Ring::build_with_suspects(
                 &members,
                 &lat,
-                &LinkModel::zero(),
                 order,
                 &mut rng_from_seed(7),
                 &[false; 4],
@@ -313,7 +242,6 @@ mod tests {
         let ring = Ring::build_with_suspects(
             &members,
             &lat,
-            &LinkModel::zero(),
             RingOrder::SmallToLarge,
             &mut rng_from_seed(0),
             &[false, true, true, false],
@@ -329,7 +257,6 @@ mod tests {
         let ring = Ring::build_with_suspects(
             &members,
             &lat,
-            &LinkModel::zero(),
             RingOrder::Random,
             &mut rng_from_seed(5),
             &suspects,
@@ -350,13 +277,7 @@ mod tests {
     #[should_panic(expected = "not in ring")]
     fn successor_of_non_member_panics() {
         let mut rng = rng_from_seed(6);
-        let ring = Ring::build(
-            &[1],
-            &[1.0],
-            &LinkModel::zero(),
-            RingOrder::SmallToLarge,
-            &mut rng,
-        );
+        let ring = Ring::build(&[1], &[1.0], RingOrder::SmallToLarge, &mut rng);
         let _ = ring.successor(2);
     }
 }

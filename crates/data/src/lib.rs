@@ -13,7 +13,6 @@
 //! * [`Partition::Dirichlet`] — label-skew `Dir(β)` split (the paper's
 //!   Non-IID setting, following Li et al., "Federated Learning on Non-IID
 //!   Data Silos"),
-//! * [`Partition::Shards`] — McMahan-style pathological split,
 //!
 //! plus the Eq. 4 label-divergence statistic used in the paper's §3.2
 //! motivation.

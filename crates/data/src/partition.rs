@@ -22,19 +22,6 @@ pub enum Partition {
         /// Concentration β > 0; smaller is more skewed.
         beta: f64,
     },
-    /// McMahan-style pathological split: sort by label, cut into
-    /// `shards_per_device × devices` shards, deal shards to devices.
-    Shards {
-        /// Number of label-shards each device receives (2 in McMahan et al.).
-        shards_per_device: usize,
-    },
-    /// Quantity skew (Li et al.'s `q ~ Dir(β)` setting): label
-    /// distributions stay IID but device *sizes* follow a Dirichlet draw,
-    /// modelling fleets where some devices hold far more data than others.
-    QuantitySkew {
-        /// Concentration β > 0; smaller is more unbalanced.
-        beta: f64,
-    },
 }
 
 impl Partition {
@@ -43,8 +30,6 @@ impl Partition {
         match self {
             Partition::Iid => "IID".to_string(),
             Partition::Dirichlet { beta } => format!("Dirichlet({beta})"),
-            Partition::Shards { shards_per_device } => format!("Shards({shards_per_device})"),
-            Partition::QuantitySkew { beta } => format!("QuantitySkew({beta})"),
         }
     }
 }
@@ -71,10 +56,6 @@ pub fn partition_indices<R: Rng>(
     let mut out = match strategy {
         Partition::Iid => iid_partition(data.len(), n_devices, rng),
         Partition::Dirichlet { beta } => dirichlet_partition(data, n_devices, beta, rng),
-        Partition::Shards { shards_per_device } => {
-            shards_partition(data, n_devices, shards_per_device, rng)
-        }
-        Partition::QuantitySkew { beta } => quantity_skew_partition(data, n_devices, beta, rng),
     };
     fix_empty_devices(&mut out, rng);
     out
@@ -128,62 +109,6 @@ fn dirichlet_partition<R: Rng>(
         if start < n {
             out[n_devices - 1].extend_from_slice(&idxs[start..]);
         }
-    }
-    out
-}
-
-fn shards_partition<R: Rng>(
-    data: &Dataset,
-    n_devices: usize,
-    shards_per_device: usize,
-    rng: &mut R,
-) -> Vec<Vec<usize>> {
-    assert!(shards_per_device > 0, "need at least one shard per device");
-    let mut idx: Vec<usize> = (0..data.len()).collect();
-    idx.sort_by_key(|&i| data.y[i]);
-    let n_shards = n_devices * shards_per_device;
-    let shard_len = data.len() / n_shards;
-    assert!(shard_len > 0, "too many shards for dataset size");
-    let mut shard_ids: Vec<usize> = (0..n_shards).collect();
-    shard_ids.shuffle(rng);
-    let mut out = vec![Vec::with_capacity(shard_len * shards_per_device); n_devices];
-    for (k, &shard) in shard_ids.iter().enumerate() {
-        let device = k / shards_per_device;
-        let lo = shard * shard_len;
-        let hi = if shard == n_shards - 1 {
-            data.len()
-        } else {
-            lo + shard_len
-        };
-        out[device].extend_from_slice(&idx[lo..hi]);
-    }
-    out
-}
-
-fn quantity_skew_partition<R: Rng>(
-    data: &Dataset,
-    n_devices: usize,
-    beta: f64,
-    rng: &mut R,
-) -> Vec<Vec<usize>> {
-    assert!(beta > 0.0, "QuantitySkew beta must be positive");
-    let n = data.len();
-    let mut idx: Vec<usize> = (0..n).collect();
-    idx.shuffle(rng);
-    let props = sample_dirichlet(beta, n_devices, rng);
-    let mut out = Vec::with_capacity(n_devices);
-    let mut acc = 0.0f64;
-    let mut start = 0usize;
-    for (d, &p) in props.iter().enumerate() {
-        acc += p;
-        let end = if d == n_devices - 1 {
-            n
-        } else {
-            ((acc * n as f64).round() as usize).min(n)
-        };
-        let end = end.max(start);
-        out.push(idx[start..end].to_vec());
-        start = end;
     }
     out
 }
@@ -323,33 +248,6 @@ mod tests {
     }
 
     #[test]
-    fn shards_gives_few_classes_per_device() {
-        let d = dataset(400, 10);
-        let mut rng = rng_from_seed(2);
-        let parts = partition_indices(
-            &d,
-            20,
-            Partition::Shards {
-                shards_per_device: 2,
-            },
-            &mut rng,
-        );
-        assert_conservation(&parts, 400);
-        for p in &parts {
-            let classes_held = d
-                .subset(p)
-                .class_histogram()
-                .iter()
-                .filter(|&&c| c > 0)
-                .count();
-            assert!(
-                classes_held <= 4,
-                "shards device saw {classes_held} classes"
-            );
-        }
-    }
-
-    #[test]
     fn no_empty_devices_even_under_extreme_skew() {
         let d = dataset(60, 3);
         for seed in 0..10 {
@@ -391,47 +289,6 @@ mod tests {
     fn partition_labels() {
         assert_eq!(Partition::Iid.label(), "IID");
         assert_eq!(Partition::Dirichlet { beta: 0.3 }.label(), "Dirichlet(0.3)");
-        assert_eq!(
-            Partition::Shards {
-                shards_per_device: 2
-            }
-            .label(),
-            "Shards(2)"
-        );
-        assert_eq!(
-            Partition::QuantitySkew { beta: 0.5 }.label(),
-            "QuantitySkew(0.5)"
-        );
-    }
-
-    #[test]
-    fn quantity_skew_conserves_and_unbalances() {
-        let d = dataset(1000, 10);
-        let mut rng = rng_from_seed(31);
-        let parts = partition_indices(&d, 10, Partition::QuantitySkew { beta: 0.2 }, &mut rng);
-        assert_conservation(&parts, 1000);
-        let sizes: Vec<usize> = parts.iter().map(|p| p.len()).collect();
-        let max = *sizes.iter().max().unwrap();
-        let min = *sizes.iter().min().unwrap();
-        assert!(
-            max > 3 * min.max(1),
-            "Dir(0.2) sizes should be strongly unbalanced: {sizes:?}"
-        );
-    }
-
-    #[test]
-    fn quantity_skew_keeps_labels_roughly_iid() {
-        // Large shards should have near-global label distributions — the
-        // skew is in quantity, not labels.
-        let d = dataset(2000, 10);
-        let mut rng = rng_from_seed(32);
-        let parts = partition_indices(&d, 5, Partition::QuantitySkew { beta: 1.0 }, &mut rng);
-        let global = d.label_distribution();
-        for p in parts.iter().filter(|p| p.len() >= 200) {
-            let shard = d.subset(p).label_distribution();
-            let l1: f64 = shard.iter().zip(&global).map(|(a, b)| (a - b).abs()).sum();
-            assert!(l1 < 0.3, "large shard should be near-IID, L1={l1}");
-        }
     }
 
     #[test]

@@ -197,14 +197,6 @@ impl ShardPlan {
         self.synth
             .sample_split(&self.prototypes, self.synth.test_per_class, &mut rng)
     }
-
-    /// Approximate heap bytes of `device`'s realised shard — O(1), used
-    /// for cache accounting without touching the data.
-    pub fn shard_bytes(&self, device: usize) -> usize {
-        let n = self.shard_len(device);
-        n * self.synth.total_input_dim() * std::mem::size_of::<f32>()
-            + n * std::mem::size_of::<usize>()
-    }
 }
 
 /// Heap bytes a realised dataset holds (features + labels).
@@ -511,14 +503,6 @@ mod tests {
     }
 
     #[test]
-    fn shard_bytes_matches_realised_size() {
-        let p = plan();
-        for d in [0, 17] {
-            assert_eq!(p.shard_bytes(d), dataset_bytes(&p.realise(d)));
-        }
-    }
-
-    #[test]
     fn cache_hits_reuse_the_same_allocation() {
         let p = plan();
         let cache = ShardCache::new(8);
@@ -562,7 +546,7 @@ mod tests {
         assert_eq!(cache.eviction_count(), 48 - 16);
         let resident: u64 = (0..48)
             .filter(|&d| cache.contains(d))
-            .map(|d| p.shard_bytes(d) as u64)
+            .map(|d| dataset_bytes(&p.realise(d)) as u64)
             .sum();
         assert_eq!(cache.resident_bytes(), resident);
     }

@@ -658,7 +658,6 @@ mod tests {
         let src = ProfileSource::lazy(
             10_000,
             fedhisyn_simnet::HeterogeneityModel::Uniform { h: 10.0 },
-            1.0,
             99,
         );
         let m = FleetModel::with_source(src, FleetDynamics::edge_fleet(0.2, 0.1), 21);

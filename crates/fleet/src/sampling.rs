@@ -66,7 +66,7 @@ mod tests {
     use fedhisyn_simnet::{HeterogeneityModel, ProfileSource};
 
     fn lazy_fleet(n: usize, dynamics: FleetDynamics, seed: u64) -> FleetModel {
-        let src = ProfileSource::lazy(n, HeterogeneityModel::Uniform { h: 10.0 }, 1.0, seed);
+        let src = ProfileSource::lazy(n, HeterogeneityModel::Uniform { h: 10.0 }, seed);
         FleetModel::with_source(src, dynamics, seed)
     }
 

@@ -116,8 +116,8 @@ impl Sequential {
     /// Drive the forward pass over `x` in contiguous row chunks of
     /// `batch` (clamped to ≥ 1): per chunk, reset the arena, stage the
     /// rows, forward, and hand `f` the model, the logits buffer and the
-    /// chunk's row range. The one evaluation loop `evaluate_arena`,
-    /// `mean_loss_arena` and [`Sequential::predict_arena`] all share —
+    /// chunk's row range. The one evaluation loop `evaluate_arena` and
+    /// [`Sequential::predict_arena`] share —
     /// chunking never changes results, since every logit row's arithmetic
     /// depends only on its own sample.
     pub(crate) fn for_each_logit_chunk(

@@ -35,19 +35,6 @@ impl DeviceProfile {
     pub fn steps_within(&self, interval: f64) -> usize {
         ((interval / self.train_time).floor() as usize).max(1)
     }
-
-    /// Time-indexed latency query: the device's effective per-step time
-    /// under a capacity `multiplier` (1.0 = the static base profile; a
-    /// fleet-dynamics model supplies per-round multipliers for loaded or
-    /// throttled states). `t × 1.0 ≡ t` exactly in IEEE arithmetic, so
-    /// the static path is bit-identical to reading `train_time`.
-    pub fn train_time_at(&self, multiplier: f64) -> f64 {
-        assert!(
-            multiplier.is_finite() && multiplier > 0.0,
-            "capacity multiplier must be positive"
-        );
-        self.train_time * multiplier
-    }
 }
 
 /// How local-training latencies are distributed across the fleet.
@@ -61,14 +48,6 @@ pub enum HeterogeneityModel {
         /// Heterogeneity degree `H = t_max / t_min ≥ 1`.
         h: f64,
     },
-    /// Two-modal fleet: a fraction of stragglers `h×` slower than the rest
-    /// (used by ablation benches; sharper than the uniform model).
-    Bimodal {
-        /// Heterogeneity degree of stragglers.
-        h: f64,
-        /// Fraction of devices that are stragglers, in `[0, 1]`.
-        straggler_fraction: f64,
-    },
 }
 
 impl HeterogeneityModel {
@@ -77,21 +56,19 @@ impl HeterogeneityModel {
         match self {
             HeterogeneityModel::Homogeneous => 1.0,
             HeterogeneityModel::Uniform { h } => *h,
-            HeterogeneityModel::Bimodal { h, .. } => *h,
         }
     }
 }
 
-/// Sample `n` device profiles with base latency `base_time` (the fastest
-/// possible device) under a heterogeneity model.
+/// Sample `n` device profiles under a heterogeneity model. The fastest
+/// possible device takes one virtual second per step, so a device's train
+/// time is its latency factor.
 pub fn sample_latencies<R: Rng>(
     n: usize,
     model: HeterogeneityModel,
-    base_time: f64,
     rng: &mut R,
 ) -> Vec<DeviceProfile> {
     assert!(n > 0, "need at least one device");
-    assert!(base_time > 0.0, "base_time must be positive");
     (0..n)
         .map(|id| {
             let factor = match model {
@@ -100,20 +77,8 @@ pub fn sample_latencies<R: Rng>(
                     assert!(h >= 1.0, "heterogeneity degree must be >= 1");
                     rng.gen_range(1.0..=h)
                 }
-                HeterogeneityModel::Bimodal {
-                    h,
-                    straggler_fraction,
-                } => {
-                    assert!(h >= 1.0, "heterogeneity degree must be >= 1");
-                    assert!((0.0..=1.0).contains(&straggler_fraction));
-                    if rng.gen::<f64>() < straggler_fraction {
-                        h
-                    } else {
-                        1.0
-                    }
-                }
             };
-            DeviceProfile::new(id, base_time * factor)
+            DeviceProfile::new(id, factor)
         })
         .collect()
 }
@@ -149,10 +114,9 @@ pub enum ProfileSource {
     Lazy {
         /// Fleet size.
         n: usize,
-        /// Heterogeneity model shaping the latency factor.
+        /// Heterogeneity model shaping the latency factor (the train
+        /// time itself).
         model: HeterogeneityModel,
-        /// Base (fastest-device) train time.
-        base_time: f64,
         /// Derivation seed.
         seed: u64,
     },
@@ -165,19 +129,10 @@ impl ProfileSource {
     }
 
     /// Lazy source deriving `n` profiles on demand.
-    pub fn lazy(n: usize, model: HeterogeneityModel, base_time: f64, seed: u64) -> Self {
+    pub fn lazy(n: usize, model: HeterogeneityModel, seed: u64) -> Self {
         assert!(n > 0, "need at least one device");
-        assert!(
-            base_time.is_finite() && base_time > 0.0,
-            "base_time must be positive"
-        );
         assert!(model.degree() >= 1.0, "heterogeneity degree must be >= 1");
-        ProfileSource::Lazy {
-            n,
-            model,
-            base_time,
-            seed,
-        }
+        ProfileSource::Lazy { n, model, seed }
     }
 
     /// Fleet size.
@@ -197,30 +152,14 @@ impl ProfileSource {
     pub fn train_time(&self, id: usize) -> f64 {
         match self {
             ProfileSource::Dense(v) => v[id],
-            ProfileSource::Lazy {
-                n,
-                model,
-                base_time,
-                seed,
-            } => {
+            ProfileSource::Lazy { n, model, seed } => {
                 assert!(id < *n, "device {id} out of range for fleet of {n}");
-                let factor = match *model {
+                match *model {
                     HeterogeneityModel::Homogeneous => 1.0,
                     HeterogeneityModel::Uniform { h } => {
                         1.0 + unit(profile_hash(*seed, id as u64)) * (h - 1.0)
                     }
-                    HeterogeneityModel::Bimodal {
-                        h,
-                        straggler_fraction,
-                    } => {
-                        if unit(profile_hash(*seed, id as u64)) < straggler_fraction {
-                            h
-                        } else {
-                            1.0
-                        }
-                    }
-                };
-                base_time * factor
+                }
             }
         }
     }
@@ -243,8 +182,8 @@ mod tests {
 
     #[test]
     fn homogeneous_latencies_are_equal() {
-        let profiles = sample_latencies(10, HeterogeneityModel::Homogeneous, 2.0, &mut rng(0));
-        assert!(profiles.iter().all(|p| p.train_time == 2.0));
+        let profiles = sample_latencies(10, HeterogeneityModel::Homogeneous, &mut rng(0));
+        assert!(profiles.iter().all(|p| p.train_time == 1.0));
         assert_eq!(profiles.len(), 10);
         assert_eq!(profiles[3].id, 3);
     }
@@ -252,7 +191,7 @@ mod tests {
     #[test]
     fn uniform_latencies_respect_bounds() {
         let h = 10.0;
-        let profiles = sample_latencies(1000, HeterogeneityModel::Uniform { h }, 1.0, &mut rng(1));
+        let profiles = sample_latencies(1000, HeterogeneityModel::Uniform { h }, &mut rng(1));
         for p in &profiles {
             assert!(p.train_time >= 1.0 && p.train_time <= h);
         }
@@ -269,26 +208,6 @@ mod tests {
     }
 
     #[test]
-    fn bimodal_has_two_levels() {
-        let profiles = sample_latencies(
-            200,
-            HeterogeneityModel::Bimodal {
-                h: 10.0,
-                straggler_fraction: 0.25,
-            },
-            1.0,
-            &mut rng(2),
-        );
-        let stragglers = profiles.iter().filter(|p| p.train_time == 10.0).count();
-        let fast = profiles.iter().filter(|p| p.train_time == 1.0).count();
-        assert_eq!(stragglers + fast, 200);
-        assert!(
-            (30..=70).contains(&stragglers),
-            "got {stragglers} stragglers"
-        );
-    }
-
-    #[test]
     fn steps_within_floor_and_min_one() {
         let p = DeviceProfile::new(0, 2.0);
         assert_eq!(p.steps_within(10.0), 5);
@@ -301,19 +220,6 @@ mod tests {
     }
 
     #[test]
-    fn time_indexed_latency_scales_and_is_exact_at_one() {
-        let p = DeviceProfile::new(0, 3.0);
-        assert_eq!(p.train_time_at(1.0), p.train_time);
-        assert_eq!(p.train_time_at(2.5), 7.5);
-    }
-
-    #[test]
-    #[should_panic(expected = "multiplier")]
-    fn zero_multiplier_panics() {
-        let _ = DeviceProfile::new(0, 1.0).train_time_at(0.0);
-    }
-
-    #[test]
     fn degree_reflects_model() {
         assert_eq!(HeterogeneityModel::Homogeneous.degree(), 1.0);
         assert_eq!(HeterogeneityModel::Uniform { h: 7.0 }.degree(), 7.0);
@@ -321,8 +227,8 @@ mod tests {
 
     #[test]
     fn sampling_is_deterministic() {
-        let a = sample_latencies(50, HeterogeneityModel::Uniform { h: 5.0 }, 1.0, &mut rng(3));
-        let b = sample_latencies(50, HeterogeneityModel::Uniform { h: 5.0 }, 1.0, &mut rng(3));
+        let a = sample_latencies(50, HeterogeneityModel::Uniform { h: 5.0 }, &mut rng(3));
+        let b = sample_latencies(50, HeterogeneityModel::Uniform { h: 5.0 }, &mut rng(3));
         assert_eq!(a, b);
     }
 
@@ -334,8 +240,7 @@ mod tests {
 
     #[test]
     fn dense_source_mirrors_profiles() {
-        let profiles =
-            sample_latencies(8, HeterogeneityModel::Uniform { h: 4.0 }, 1.0, &mut rng(4));
+        let profiles = sample_latencies(8, HeterogeneityModel::Uniform { h: 4.0 }, &mut rng(4));
         let src = ProfileSource::from_profiles(&profiles);
         assert_eq!(src.len(), 8);
         for p in &profiles {
@@ -346,7 +251,7 @@ mod tests {
 
     #[test]
     fn lazy_source_is_pure_and_order_independent() {
-        let src = ProfileSource::lazy(1_000_000, HeterogeneityModel::Uniform { h: 10.0 }, 1.0, 42);
+        let src = ProfileSource::lazy(1_000_000, HeterogeneityModel::Uniform { h: 10.0 }, 42);
         assert_eq!(src.len(), 1_000_000);
         // Query far-apart ids in both orders — identical values.
         let a = src.train_time(999_999);
@@ -355,34 +260,22 @@ mod tests {
         assert_eq!(src.train_time(999_999), a);
         assert!((1.0..10.0).contains(&a) && (1.0..10.0).contains(&b));
         // Same (seed, id) on a fresh source → same value.
-        let again =
-            ProfileSource::lazy(1_000_000, HeterogeneityModel::Uniform { h: 10.0 }, 1.0, 42);
+        let again = ProfileSource::lazy(1_000_000, HeterogeneityModel::Uniform { h: 10.0 }, 42);
         assert_eq!(again.train_time(999_999), a);
     }
 
     #[test]
     fn lazy_source_respects_model_shapes() {
-        let homo = ProfileSource::lazy(100, HeterogeneityModel::Homogeneous, 2.0, 7);
-        assert!((0..100).all(|d| homo.train_time(d) == 2.0));
-        let bi = ProfileSource::lazy(
-            400,
-            HeterogeneityModel::Bimodal {
-                h: 8.0,
-                straggler_fraction: 0.25,
-            },
-            1.0,
-            7,
-        );
-        let stragglers = (0..400).filter(|&d| bi.train_time(d) == 8.0).count();
-        let fast = (0..400).filter(|&d| bi.train_time(d) == 1.0).count();
-        assert_eq!(stragglers + fast, 400);
-        assert!((60..=140).contains(&stragglers), "got {stragglers}");
+        let homo = ProfileSource::lazy(100, HeterogeneityModel::Homogeneous, 7);
+        assert!((0..100).all(|d| homo.train_time(d) == 1.0));
+        let uni = ProfileSource::lazy(400, HeterogeneityModel::Uniform { h: 8.0 }, 7);
+        assert!((0..400).all(|d| (1.0..=8.0).contains(&uni.train_time(d))));
     }
 
     #[test]
     fn lazy_sources_with_different_seeds_diverge() {
-        let a = ProfileSource::lazy(50, HeterogeneityModel::Uniform { h: 5.0 }, 1.0, 1);
-        let b = ProfileSource::lazy(50, HeterogeneityModel::Uniform { h: 5.0 }, 1.0, 2);
+        let a = ProfileSource::lazy(50, HeterogeneityModel::Uniform { h: 5.0 }, 1);
+        let b = ProfileSource::lazy(50, HeterogeneityModel::Uniform { h: 5.0 }, 2);
         assert!((0..50).any(|d| a.train_time(d) != b.train_time(d)));
     }
 }

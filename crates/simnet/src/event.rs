@@ -16,10 +16,10 @@ use crate::time::SimTime;
 /// The optional *class* orders simultaneous events of different kinds:
 /// ring simulation schedules message arrivals with a lower class than
 /// training completions so that a model arriving at instant `τ` is
-/// visible to a training step that starts at `τ` — without it, a
-/// homogeneous ring (all latencies equal, zero delay) would never relay,
-/// because every completion would pop before the arrival it should
-/// consume.
+/// visible to a training step that starts at `τ`. Ring transfers take
+/// no virtual time, so without it a homogeneous ring (all latencies
+/// equal) would never relay: every completion would pop before the
+/// arrival it should consume.
 #[derive(Debug)]
 pub struct EventQueue<T> {
     heap: BinaryHeap<Entry<T>>,

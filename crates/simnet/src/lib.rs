@@ -8,9 +8,6 @@
 //!   time-ordered event queue (ties broken by insertion sequence),
 //! * [`DeviceProfile`] / [`HeterogeneityModel`] — per-device latency
 //!   profiles with the paper's uniform heterogeneity factor,
-//! * [`LinkModel`] — inter-device communication delays (the paper
-//!   simplifies Eq. 5 to equal delays; richer models are provided for
-//!   ablations),
 //! * [`TrafficMeter`] — model-transmission accounting behind the paper's
 //!   "number of transmitted models" metric (Table 1),
 //! * [`FaultPlan`] — deterministic per-edge wire faults (loss,
@@ -21,7 +18,6 @@
 pub mod device;
 pub mod event;
 pub mod fault;
-pub mod link;
 pub mod seed;
 pub mod time;
 pub mod traffic;
@@ -29,7 +25,6 @@ pub mod traffic;
 pub use device::{sample_latencies, DeviceProfile, HeterogeneityModel, ProfileSource};
 pub use event::EventQueue;
 pub use fault::{FaultConfig, FaultKind, FaultPlan};
-pub use link::LinkModel;
 pub use seed::{seed_mix, unit};
 pub use time::SimTime;
 pub use traffic::{TrafficMeter, TrafficSnapshot};

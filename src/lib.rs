@@ -16,10 +16,10 @@
 //! | [`core`] | `fedhisyn-core` | the FedHiSyn algorithm, rings, aggregation, runner |
 //! | [`baselines`] | `fedhisyn-baselines` | FedAvg, TFedAvg, TAFedAvg, FedProx, FedAT, SCAFFOLD |
 //! | [`nn`] | `fedhisyn-nn` | layers, losses, SGD, flat parameter vectors |
-//! | [`data`] | `fedhisyn-data` | synthetic datasets, Dirichlet/IID/shard partitioning |
+//! | [`data`] | `fedhisyn-data` | synthetic datasets, IID/Dirichlet partitioning |
 //! | [`cluster`] | `fedhisyn-cluster` | k-means device tiering |
 //! | [`fleet`] | `fedhisyn-fleet` | deterministic fleet dynamics: capacity drift, churn, mid-ring failures |
-//! | [`simnet`] | `fedhisyn-simnet` | virtual clock, event queue, latency/link models, traffic meter |
+//! | [`simnet`] | `fedhisyn-simnet` | virtual clock, event queue, latency models, traffic meter |
 //! | [`telemetry`] | `fedhisyn-telemetry` | metrics registry, round-lifecycle spans, Perfetto trace export |
 //! | [`tensor`] | `fedhisyn-tensor` | shaped f32 storage; GEMM, slice and quantisation kernels |
 //!
@@ -65,7 +65,7 @@ pub mod prelude {
         AvailabilityModel, CapacityModel, FleetDynamics, MarkovCapacity, SpikeModel,
     };
     pub use fedhisyn_nn::{ModelSpec, ParamVec};
-    pub use fedhisyn_simnet::{HeterogeneityModel, LinkModel};
+    pub use fedhisyn_simnet::HeterogeneityModel;
     pub use fedhisyn_telemetry::{RoundTelemetry, TelemetrySink};
 }
 

@@ -1,6 +1,5 @@
 //! Integration coverage for the extension surfaces: the wire format and
-//! its drift check, quantity-skew partitioning, bandwidth links and
-//! time-weighted aggregation.
+//! its drift check, and time-weighted aggregation.
 
 use fedhisyn::nn::wire;
 use fedhisyn::prelude::*;
@@ -90,49 +89,6 @@ fn wire_byte_count_matches_traffic_meter_model() {
     );
     assert_eq!(frame.len() as f64, snap.wire_bytes);
     assert_eq!(snap.framing_overhead(), wire::HEADER_LEN as f64);
-}
-
-#[test]
-fn quantity_skew_experiment_runs_end_to_end() {
-    let cfg = ExperimentConfig::builder(DatasetProfile::MnistLike)
-        .scale(Scale::Smoke)
-        .devices(6)
-        .partition(Partition::QuantitySkew { beta: 0.4 })
-        .rounds(2)
-        .local_epochs(1)
-        .seed(11)
-        .build();
-    let env = cfg.build_env();
-    let sizes: Vec<usize> = (0..env.n_devices()).map(|d| env.shard_len(d)).collect();
-    let max = *sizes.iter().max().unwrap();
-    let min = *sizes.iter().min().unwrap();
-    assert!(
-        max > min,
-        "quantity skew should unbalance shards: {sizes:?}"
-    );
-    let mut env = cfg.build_env();
-    let mut algo = FedAvg::new(&cfg);
-    let rec = run_experiment(&mut algo, &mut env, 2);
-    assert!(rec.final_accuracy() > 0.1);
-}
-
-#[test]
-fn bandwidth_link_slows_ring_adoption_but_still_trains() {
-    let mut cfg = cfg();
-    // A link so slow that ring transfers arrive long after the interval:
-    // FedHiSyn degrades gracefully to per-device training + aggregation.
-    cfg.link = LinkModel::Bandwidth {
-        base: 1000.0,
-        bytes_per_second: 1.0,
-        model_bytes: 4.0 * cfg.model_spec().param_count() as f64,
-    };
-    let mut env = cfg.build_env();
-    let mut algo = FedHiSyn::new(&cfg, 2);
-    let rec = run_experiment(&mut algo, &mut env, 2);
-    assert!(
-        rec.final_accuracy() > 0.1,
-        "must still learn without timely relays"
-    );
 }
 
 #[test]

@@ -6,7 +6,6 @@ use fedhisyn::core::ring_sim::{simulate_ring_interval, RingOptions, RingStart};
 use fedhisyn::core::{Ring, RingOrder};
 use fedhisyn::data::{partition_indices, Dataset, Partition};
 use fedhisyn::nn::{wire, Codec, ParamVec};
-use fedhisyn::simnet::LinkModel;
 use fedhisyn::tensor::{rng_from_seed, Tensor};
 use proptest::collection::vec as pvec;
 use proptest::prelude::*;
@@ -24,19 +23,15 @@ proptest! {
         devices in 1usize..10,
         beta in 0.05f64..5.0,
         seed in 0u64..500,
-        strategy_pick in 0usize..3,
+        strategy_pick in 0usize..2,
     ) {
         prop_assume!(n >= devices * 2);
         let classes = 5usize;
         let data = Dataset::new(Tensor::zeros(vec![n, 2]), labels(n, classes), classes);
         let strategy = match strategy_pick {
             0 => Partition::Iid,
-            1 => Partition::Dirichlet { beta },
-            _ => Partition::Shards { shards_per_device: 2 },
+            _ => Partition::Dirichlet { beta },
         };
-        if let Partition::Shards { shards_per_device } = strategy {
-            prop_assume!(n / (devices * shards_per_device) > 0);
-        }
         let mut rng = rng_from_seed(seed);
         let parts = partition_indices(&data, devices, strategy, &mut rng);
         let mut seen = vec![false; n];
@@ -59,7 +54,7 @@ proptest! {
         let mut rng = rng_from_seed(seed);
         let latencies: Vec<f64> = (0..n).map(|i| ((i * 13 + seed as usize) % 17 + 1) as f64).collect();
         for order in [RingOrder::SmallToLarge, RingOrder::LargeToSmall, RingOrder::Random] {
-            let ring = Ring::build(&members, &latencies, &LinkModel::zero(), order, &mut rng);
+            let ring = Ring::build(&members, &latencies, order, &mut rng);
             let mut sorted = ring.order().to_vec();
             sorted.sort_unstable();
             let mut expect = members.clone();
@@ -67,7 +62,7 @@ proptest! {
             prop_assert_eq!(sorted, expect, "ring must be a permutation of members");
         }
         // Small-to-large must be monotone in latency.
-        let ring = Ring::build(&members, &latencies, &LinkModel::zero(), RingOrder::SmallToLarge, &mut rng);
+        let ring = Ring::build(&members, &latencies, RingOrder::SmallToLarge, &mut rng);
         let lat_of = |d: usize| latencies[members.iter().position(|&m| m == d).unwrap()];
         for w in ring.order().windows(2) {
             prop_assert!(lat_of(w[0]) <= lat_of(w[1]));
@@ -108,11 +103,11 @@ proptest! {
     ) {
         let members: Vec<usize> = (0..lats.len()).collect();
         let mut rng = rng_from_seed(0);
-        let ring = Ring::build(&members, &lats, &LinkModel::zero(), RingOrder::SmallToLarge, &mut rng);
+        let ring = Ring::build(&members, &lats, RingOrder::SmallToLarge, &mut rng);
         let ring_lat: Vec<f64> = ring.order().iter().map(|&d| lats[d]).collect();
         let start = RingStart::PerPosition(vec![ParamVec::zeros(2); ring.len()]);
         let out = simulate_ring_interval(
-            &ring, &ring_lat, &LinkModel::zero(), start, interval,
+            &ring, &ring_lat, start, interval,
             RingOptions::default(),
             |_, m, _| m,
         );
@@ -192,7 +187,7 @@ proptest! {
         let members: Vec<usize> = (0..n).collect();
         let latencies: Vec<f64> = (0..n).map(|i| 1.0 + ((i * 7 + seed as usize) % 5) as f64).collect();
         let mut rng = rng_from_seed(seed);
-        let ring = Ring::build(&members, &latencies, &LinkModel::zero(), RingOrder::SmallToLarge, &mut rng);
+        let ring = Ring::build(&members, &latencies, RingOrder::SmallToLarge, &mut rng);
         let ring_lat: Vec<f64> = ring.order().iter().map(|&d| latencies[d]).collect();
         let interval = interval_factor * ring_lat.iter().cloned().fold(0.0, f64::max);
         let failures: Vec<Option<f64>> = (0..n)
@@ -212,7 +207,6 @@ proptest! {
             simulate_ring_interval(
                 &ring,
                 &ring_lat,
-                &LinkModel::zero(),
                 RingStart::PerPosition(vec![ParamVec::zeros(n); n]),
                 interval,
                 opts,

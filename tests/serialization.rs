@@ -59,9 +59,7 @@ fn serialized_config_rebuilds_identical_environment() {
     let cfg = ExperimentConfig::builder(DatasetProfile::EmnistLike)
         .scale(Scale::Smoke)
         .devices(6)
-        .partition(Partition::Shards {
-            shards_per_device: 2,
-        })
+        .partition(Partition::Dirichlet { beta: 0.3 })
         .seed(17)
         .build();
     let json = serde_json::to_string(&cfg).unwrap();
