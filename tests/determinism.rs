@@ -5,6 +5,7 @@ mod common;
 
 use common::ALGORITHMS;
 use fedhisyn::prelude::*;
+use fedhisyn::simnet::FaultConfig;
 
 fn cfg(seed: u64) -> ExperimentConfig {
     ExperimentConfig::builder(DatasetProfile::MnistLike)
@@ -164,7 +165,10 @@ fn identity_fleet_dynamics_match_the_static_path_bit_for_bit() {
 // on `Cifar10Like`, i.e. the smoke CNN through the conv layers, and also
 // hashes the final global model: a record holds only accuracies, which a
 // last-bit change in the weights rarely moves. It was recorded at commit
-// `8f17f46`, before the convolution lowering went tap-major.
+// `8f17f46`, before the convolution lowering went tap-major. The
+// `FedHiSyn loss` row runs FedHiSyn over a wire that loses 30 % of its
+// frames, so every hop takes the retry-with-backoff path and some are
+// given up; it was recorded at commit `4c43e7c`.
 
 fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
     bytes.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, b| {
@@ -212,7 +216,7 @@ fn f32_baseline_records_and_serverless_models_are_pinned() {
     };
     // (subject, [scalar, avx2] x [static, edge_fleet])
     #[rustfmt::skip]
-    let pins: [(&str, [[u64; 2]; 2]); 11] = [
+    let pins: [(&str, [[u64; 2]; 2]); 12] = [
         ("FedHiSyn", [[0xe1f110b90dab6ed4, 0x2b5bfcef807f40a0], [0xfa06c34e0f15ed27, 0x5128c5fca7690a01]]),
         ("FedAvg",   [[0x86c24cba5ce1d72e, 0xe5c776c288e7b3f2], [0x481cf9bd5ef8ee5b, 0x8ac4a16ffb960eb9]]),
         ("FedProx",  [[0x18685b903f3506f3, 0xf13d4b40e5113768], [0x6f857f3478aa236e, 0x048716451cec4371]]),
@@ -224,6 +228,7 @@ fn f32_baseline_records_and_serverless_models_are_pinned() {
         ("random",   [[0x95b43c08066c2315, 0xd142d08dd7d1bc52]; 2]),
         ("rings",    [[0x2814497ddf18a35c, 0x1e0f622a90c72902]; 2]),
         ("FedAvg CNN", [[0xe9f4f2cbac4ee5c0, 0x420312b559dbb9ae], [0xfe1494e5a43747ca, 0x4bfe500b4d66dde9]]),
+        ("FedHiSyn loss", [[0x5f5a71515e623753, 0xc22f7ae505b93bd9], [0x1d87c43ffe1bc794, 0xd0414694ae64e5d0]]),
     ];
     let tier = match fedhisyn::core::ExecutionEngine::kernel_tier() {
         "scalar" => 0,
@@ -244,6 +249,13 @@ fn f32_baseline_records_and_serverless_models_are_pinned() {
                     let global = run.global.as_slice().iter();
                     let bits = global.flat_map(|x| x.to_bits().to_le_bytes());
                     fnv1a(record_fnv(run.record).to_le_bytes().into_iter().chain(bits))
+                }
+                "FedHiSyn loss" => {
+                    let lossy = ExperimentConfig {
+                        faults: Some(FaultConfig::lossy(0.3)),
+                        ..cfg.clone()
+                    };
+                    record_fnv(run_algo(&lossy, "FedHiSyn"))
                 }
                 "isolated" => decentral_fnv(cfg, DecentralMode::Isolated),
                 "random" => decentral_fnv(cfg, DecentralMode::RandomExchange { average: false }),
