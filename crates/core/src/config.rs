@@ -86,8 +86,7 @@ pub struct ExperimentConfig {
     /// bit-identical to the pre-codec engine). Lossy codecs enable
     /// per-device error-feedback residuals automatically.
     pub codec: Codec,
-    /// Deterministic wire-fault injection on every ring relay: loss,
-    /// corruption, transient timeouts and duplicate deliveries, each hop
+    /// Deterministic frame loss on every ring relay, each lost frame
     /// retried with bounded exponential backoff in virtual time. `None`
     /// (the default) injects nothing and reproduces the fault-free build
     /// bit-for-bit.

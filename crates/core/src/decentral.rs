@@ -21,6 +21,7 @@ use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 use crate::env::{seed_mix, FlEnv};
+use crate::fedhisyn::FedHiSyn;
 use crate::local::{evaluate_on_test, train_steps};
 use crate::ring_sim::{Lane, ReceivePolicy, RingOutcome, RingRound, RingStart};
 use crate::topology::{Ring, RingOrder};
@@ -268,17 +269,12 @@ impl DecentralSim {
         // online cohort's *current* latencies on a dynamic one (a device
         // migrates classes as its capacity state drifts).
         let classes: Vec<Vec<usize>> = if env.dynamics_active() {
-            let latencies: Vec<f64> = cohort.iter().map(|&d| env.latency_at(d, round)).collect();
             let k = match self.mode {
                 DecentralMode::ClusteredRings { k, .. } => k,
                 _ => 1,
             };
             let mut rng = rng_from_seed(seed_mix(env.seed, round as u64, 0xC105, 1));
-            kmeans_1d(&latencies, k.min(cohort.len()), 100, &mut rng)
-                .groups_sorted_by_centroid()
-                .into_iter()
-                .map(|group| group.into_iter().map(|i| cohort[i]).collect())
-                .collect()
+            FedHiSyn::cluster_participants(env, &cohort, k, round, &mut rng)
         } else {
             self.classes.clone()
         };
@@ -573,7 +569,7 @@ mod tests {
                 .devices(6)
                 .partition(Partition::Dirichlet { beta: 0.5 })
                 .heterogeneity(HeterogeneityModel::Uniform { h: 5.0 })
-                .faults(FaultConfig::edge_wireless())
+                .faults(FaultConfig::lossy(0.1))
                 .local_epochs(1)
                 .seed(13)
                 .build()

@@ -252,7 +252,7 @@ impl FlEnv {
     /// Record `n` transfers at the active codec's frame size in the
     /// ledger `record` selects — [`TrafficMeter::record_upload`],
     /// `record_download` and `record_peer` count model-equivalents,
-    /// `record_retransmit` counts retry and duplicate frames (bytes only).
+    /// `record_retransmit` counts retry frames (bytes only).
     /// Crate-private: algorithms reach the meter through
     /// [`ServerLink`](crate::link::ServerLink) and the ring relay, which
     /// also put the model through the codec the charge assumes.

@@ -53,10 +53,9 @@ pub struct FedHiSyn {
     pub aggregation: AggregationRule,
     participation: f64,
     global: ParamVec,
-    /// Per-device EWMA of observed transport faults (losses +
-    /// corruptions + timeouts at that device's receiving edge). Keyed by
-    /// device id and pruned below [`FAULT_SCORE_FLOOR`], so it stays
-    /// O(flaky devices) — never O(fleet).
+    /// Per-device EWMA of frames lost at that device's receiving edge.
+    /// Keyed by device id and pruned below [`FAULT_SCORE_FLOOR`], so it
+    /// stays O(flaky devices) — never O(fleet).
     fault_scores: HashMap<usize, f64>,
     link: ServerLink,
     /// Codec workspace of the (sequential) upload loop, kept across rounds.
@@ -405,7 +404,7 @@ mod tests {
 
     #[test]
     fn faulty_run_completes_every_round_and_charges_retransmits() {
-        let cfg = faulty_config(31, fedhisyn_simnet::FaultConfig::edge_wireless());
+        let cfg = faulty_config(31, fedhisyn_simnet::FaultConfig::lossy(0.1));
         let mut env = cfg.build_env();
         let mut algo = FedHiSyn::new(&cfg, 2);
         let rec = run_experiment(&mut algo, &mut env, 3);
@@ -418,7 +417,7 @@ mod tests {
             .sum();
         assert!(
             retransmit > 0.0,
-            "edge_wireless over 3 rounds should cost at least one retry frame"
+            "10 % loss over 3 rounds should cost at least one retry frame"
         );
         // Retransmissions are wire overhead, not extra logical transfers:
         // goodput accounting (peer_transfers) is unchanged by retries.
@@ -456,12 +455,11 @@ mod tests {
 
     #[test]
     fn suspect_threshold_triggers_proactive_rebuild() {
-        // Certain loss with a retry budget of 7 charges a receiving edge 8
-        // faults per hop, so a single round's EWMA step (α·8 = 2) already
-        // reaches the threshold and the later rounds rebuild their rings.
-        let mut faults = fedhisyn_simnet::FaultConfig::lossy(1.0);
-        faults.max_retries = 7;
-        let cfg = faulty_config(9, faults);
+        // Certain loss charges a receiving edge 1 + MAX_RETRIES = 4 lost
+        // frames per hop, so the EWMA (α = 0.25) of a receiver fed every
+        // interval crosses the threshold within the first rounds and the
+        // later rounds rebuild their rings.
+        let cfg = faulty_config(9, fedhisyn_simnet::FaultConfig::lossy(1.0));
         let mut env = cfg.build_env();
         env.telemetry = fedhisyn_telemetry::TelemetrySink::enabled(1 << 12);
         let mut algo = FedHiSyn::new(&cfg, 2);

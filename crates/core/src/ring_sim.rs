@@ -33,7 +33,8 @@
 //! the algorithms plug in real SGD.
 
 use fedhisyn_nn::{CodecScratch, ParamVec};
-use fedhisyn_simnet::{EventQueue, FaultKind, FaultPlan, SimTime, TrafficMeter};
+use fedhisyn_simnet::fault::{backoff, MAX_RETRIES};
+use fedhisyn_simnet::{EventQueue, FaultPlan, SimTime, TrafficMeter};
 use fedhisyn_telemetry::{Phase, SpanCtx, TelemetrySink, TransportCounters, WallStart};
 use serde::{Deserialize, Serialize};
 
@@ -123,20 +124,17 @@ pub struct RingOptions<'a> {
     /// is reported dead in [`RingOutcome::alive`] — it cannot upload this
     /// round.
     pub failures: &'a [Option<f64>],
-    /// Deterministic wire faults on every relay hop. The plan's fault
+    /// Deterministic frame loss on every relay hop. The plan's loss
     /// function is pure in `(round, src, dst, attempt)`, so one context
     /// replays bit-identically at any thread count.
     ///
-    /// Every hop becomes a bounded retry loop in virtual time: a lost,
-    /// corrupted (checksum-rejected) or timed-out frame is retransmitted
-    /// after an exponential backoff, up to the plan's retry budget; a
-    /// transfer that exhausts the budget is *given up* — the receiver
-    /// keeps refining its own model (Eq. 7), so the round always
-    /// completes. Duplicated frames deliver twice (harmless under the
-    /// newest-wins inbox, but both copies cost wire bytes). The *logical*
-    /// transfer is counted in [`RingOutcome::transfers`] exactly as on a
-    /// perfect wire, even when every attempt fails; the physical extras —
-    /// retries and duplicate copies — are reported in
+    /// Every hop becomes a bounded retry loop in virtual time: a lost
+    /// frame is retransmitted after an exponential backoff, up to
+    /// [`MAX_RETRIES`] times; a transfer whose every attempt is lost is
+    /// *given up* — the receiver keeps refining its own model (Eq. 7), so
+    /// the round always completes. The *logical* transfer is counted in
+    /// [`RingOutcome::transfers`] exactly as on a perfect wire, even when
+    /// every attempt is lost; the retries are reported in
     /// [`RingOutcome::transport`] for the retransmit ledger. `None`, or a
     /// plan for which [`FaultPlan::is_none`] holds, allocates no fault
     /// state and draws nothing.
@@ -154,41 +152,32 @@ pub struct RingOptions<'a> {
     pub(crate) codec: Option<RelayCodec<'a>>,
 }
 
-/// Transport-fault accounting for one simulated ring interval.
+/// Frame-loss accounting for one simulated ring interval.
 ///
 /// All counters are deterministic (pure functions of the fault plan and
-/// the ring choreography). `Default` is the all-zero state with an empty
-/// `faults_at`, so the fault-free path allocates nothing.
+/// the ring choreography). Every lost attempt is followed by either a
+/// retry or a give-up, so the frames lost number `retries + giveups`.
+/// `Default` is the all-zero state with an empty `faults_at`, so the
+/// fault-free path allocates nothing.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TransportStats {
-    /// Retransmission attempts (frames re-sent after a fault).
+    /// Retransmission attempts (frames re-sent after a loss).
     pub retries: u64,
-    /// Frames rejected by the receiver's wire checksum.
-    pub corruptions_detected: u64,
-    /// Transient transport timeouts.
-    pub timeouts: u64,
-    /// Frames lost on the wire.
-    pub losses: u64,
-    /// Duplicate deliveries (the extra copy; harmless under the
-    /// newest-wins inbox, but it costs wire bytes).
-    pub duplicates: u64,
-    /// Transfers abandoned after exhausting the retry budget. The
-    /// receiver simply keeps refining its own model (Eq. 7) — the round
-    /// still completes.
+    /// Transfers abandoned after [`MAX_RETRIES`] retries were lost too.
+    /// The receiver simply keeps refining its own model (Eq. 7) — the
+    /// round still completes.
     pub giveups: u64,
-    /// Retry-triggering faults observed per *ring position* of the
-    /// receiving end (loss + corruption + timeout), the raw signal the
-    /// proactive rebuild's EWMA scores fold in. Empty when no faults
-    /// were active.
+    /// Lost frames per *ring position* of the receiving end, the raw
+    /// signal the proactive rebuild's EWMA scores fold in. Empty when no
+    /// faults were active.
     pub faults_at: Vec<u32>,
 }
 
 impl TransportStats {
-    /// Physical frames beyond the logical transfers: every retry plus
-    /// every duplicate copy. This is what callers charge to the traffic
-    /// meter's retransmit ledger.
+    /// Physical frames beyond the logical transfers: one per retry. This
+    /// is what callers charge to the traffic meter's retransmit ledger.
     pub fn retransmit_frames(&self) -> u64 {
-        self.retries + self.duplicates
+        self.retries
     }
 
     /// Fold another ring's counters into this one (`faults_at` is
@@ -196,10 +185,6 @@ impl TransportStats {
     /// before aggregating across rings).
     pub fn absorb(&mut self, other: &TransportStats) {
         self.retries += other.retries;
-        self.corruptions_detected += other.corruptions_detected;
-        self.timeouts += other.timeouts;
-        self.losses += other.losses;
-        self.duplicates += other.duplicates;
         self.giveups += other.giveups;
     }
 
@@ -208,8 +193,6 @@ impl TransportStats {
     pub fn counters(&self, rebuilds: u64) -> TransportCounters {
         TransportCounters {
             retries: self.retries,
-            corruptions_detected: self.corruptions_detected,
-            timeouts: self.timeouts,
             giveups: self.giveups,
             rebuilds,
         }
@@ -347,7 +330,7 @@ where
     let mut dead = vec![false; n];
 
     // The interval's one wire. A `None` fault context — or a plan with
-    // zero fault probabilities — must leave it untouched: no fault state
+    // zero loss probability — must leave it untouched: no fault state
     // allocated, no draws, bit-identical event choreography.
     let faults = faults.filter(|f| !f.plan.is_none());
     let fault_slots = if faults.is_some() { n } else { 0 };
@@ -584,10 +567,9 @@ impl Wire<'_> {
             return;
         };
 
-        let cfg = f.plan.config();
         let mut t = now;
-        for attempt in 0..=cfg.max_retries {
-            let kind = f
+        for attempt in 0..=MAX_RETRIES {
+            let lost = f
                 .plan
                 .fault(f.round, src as u64, dst as u64, self.sent[src_pos]);
             self.sent[src_pos] += 1;
@@ -600,42 +582,15 @@ impl Wire<'_> {
                 }
                 self.transport.retries += 1;
             }
-            match kind {
-                FaultKind::Delivered => return self.deliver(t, dst_pos, seq, model),
-                FaultKind::Duplicated => {
-                    // The extra copy lands first and carries no span of
-                    // its own: one logical hop, two physical frames.
-                    self.transport.duplicates += 1;
-                    let copy = Event::Arrival {
-                        pos: dst_pos,
-                        model: model.clone(),
-                    };
-                    self.queue.push_class(t, CLASS_ARRIVAL, copy);
-                    return self.deliver(t, dst_pos, seq, model);
-                }
-                FaultKind::Lost => {
-                    // The frame vanished in flight: the sender learns
-                    // nothing until its (implicit) ack window lapses,
-                    // then backs off.
-                    self.transport.losses += 1;
-                    t += cfg.backoff(attempt);
-                }
-                FaultKind::Corrupted => {
-                    // The frame crossed the wire but the receiver's
-                    // checksum rejected it — corruption is *detected*,
-                    // never trained on.
-                    self.transport.corruptions_detected += 1;
-                    t += cfg.backoff(attempt);
-                }
-                FaultKind::TimedOut => {
-                    self.transport.timeouts += 1;
-                    t += cfg.timeout_delay + cfg.backoff(attempt);
-                }
+            if !lost {
+                return self.deliver(t, dst_pos, seq, model);
             }
-            // Only retry-triggering faults reach this point.
+            // The frame vanished in flight: the sender learns nothing
+            // until its (implicit) ack window lapses, then backs off.
+            t += backoff(attempt);
             self.transport.faults_at[dst_pos] += 1;
         }
-        // Retry budget exhausted: give the transfer up. No arrival is
+        // Every attempt lost: give the transfer up. No arrival is
         // scheduled; the receiver keeps refining its own model (Eq. 7),
         // so the interval still completes for every live position.
         self.transport.giveups += 1;
@@ -749,10 +704,9 @@ impl RingRound<'_> {
     }
 
     /// Post-interval accounting for the round's lanes: logical transfers
-    /// to the peer ledger, retries and duplicate copies to the retransmit
-    /// ledger, and the transport counters — tagged with the round's
-    /// proactive-rebuild count, which the relay cannot know — to
-    /// telemetry.
+    /// to the peer ledger, retries to the retransmit ledger, and the
+    /// transport counters — tagged with the round's proactive-rebuild
+    /// count, which the relay cannot know — to telemetry.
     pub fn settle<'o>(&self, outcomes: impl IntoIterator<Item = &'o RingOutcome>, rebuilds: u64) {
         let env = self.env;
         let mut total = TransportStats::default();
@@ -1227,78 +1181,27 @@ mod tests {
 
     #[test]
     fn certain_loss_exhausts_retries_and_gives_up() {
-        let cfg = FaultConfig {
-            max_retries: 2,
-            ..FaultConfig::lossy(1.0)
-        };
-        let plan = FaultPlan::new(42, cfg);
+        let plan = FaultPlan::new(42, FaultConfig::lossy(1.0));
         let out = run_transport(&[1.0, 1.0], 3.0, &plan);
         // Nothing ever arrives: both devices refine their own model only.
         for (p, m) in out.final_models.iter().enumerate() {
             assert_eq!(m.as_slice()[p] as usize, out.steps[p]);
         }
         // Every logical transfer is still counted, burned its full retry
-        // budget (1 + 2 attempts) and was given up.
+        // budget (1 + 3 attempts) and was given up.
         let t = out.transfers as u64;
         assert!(t > 0);
-        assert_eq!(out.transport.losses, 3 * t);
-        assert_eq!(out.transport.retries, 2 * t);
+        assert_eq!(out.transport.retries, 3 * t);
         assert_eq!(out.transport.giveups, t);
-        assert_eq!(out.transport.retransmit_frames(), 2 * t);
+        assert_eq!(out.transport.retransmit_frames(), 3 * t);
         assert_eq!(
             out.transport
                 .faults_at
                 .iter()
                 .map(|&c| c as u64)
                 .sum::<u64>(),
-            3 * t
+            4 * t
         );
-    }
-
-    #[test]
-    fn certain_duplication_is_harmless_but_costs_frames() {
-        let cfg = FaultConfig {
-            duplicate: 1.0,
-            ..FaultConfig::none()
-        };
-        let plan = FaultPlan::new(42, cfg);
-        let dup = run_transport(&[1.0, 1.0, 2.0], 4.0, &plan);
-        let clean = run_transport(&[1.0, 1.0, 2.0], 4.0, &FaultPlan::none());
-        // The newest-wins inbox makes the duplicate copy invisible to
-        // training; only the frame accounting differs.
-        assert_eq!(dup.final_models, clean.final_models);
-        assert_eq!(dup.next_models, clean.next_models);
-        assert_eq!(dup.steps, clean.steps);
-        assert_eq!(dup.transfers, clean.transfers);
-        assert_eq!(dup.transport.duplicates, dup.transfers as u64);
-        assert_eq!(dup.transport.retransmit_frames(), dup.transfers as u64);
-        assert_eq!(dup.transport.giveups, 0);
-    }
-
-    #[test]
-    fn corruption_is_detected_never_delivered() {
-        let cfg = FaultConfig {
-            corrupt: 1.0,
-            max_retries: 1,
-            ..FaultConfig::none()
-        };
-        let plan = FaultPlan::new(9, cfg);
-        let out = run_transport(&[1.0, 1.0], 3.0, &plan);
-        // Every frame is rejected by the checksum: no foreign provenance
-        // ever enters a model.
-        for (p, m) in out.final_models.iter().enumerate() {
-            let foreign: f32 = m
-                .as_slice()
-                .iter()
-                .enumerate()
-                .filter(|&(i, _)| i != p)
-                .map(|(_, &x)| x)
-                .sum();
-            assert_eq!(foreign, 0.0, "corrupted payload must never be trained on");
-        }
-        let t = out.transfers as u64;
-        assert_eq!(out.transport.corruptions_detected, 2 * t);
-        assert_eq!(out.transport.giveups, t);
     }
 
     #[test]
@@ -1332,7 +1235,7 @@ mod tests {
 
     #[test]
     fn transport_replays_bit_identically() {
-        let plan = FaultPlan::new(0xDEAD_BEEF, FaultConfig::edge_wireless());
+        let plan = FaultPlan::new(0xDEAD_BEEF, FaultConfig::lossy(0.1));
         let run = || run_transport(&[1.0, 2.0, 3.0, 4.0], 6.0, &plan);
         let (a, b) = (run(), run());
         assert_eq!(a.final_models, b.final_models);

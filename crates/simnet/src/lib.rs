@@ -10,8 +10,8 @@
 //!   profiles with the paper's uniform heterogeneity factor,
 //! * [`TrafficMeter`] — model-transmission accounting behind the paper's
 //!   "number of transmitted models" metric (Table 1),
-//! * [`FaultPlan`] — deterministic per-edge wire faults (loss,
-//!   corruption, timeouts, duplicates) derived purely from the seed,
+//! * [`FaultPlan`] — deterministic per-edge frame loss derived purely
+//!   from the seed, answered by one fixed retry-with-backoff policy,
 //! * [`seed_mix`] / [`unit()`] — the stateless seed derivation every crate
 //!   above this one draws its random streams from.
 
@@ -24,7 +24,7 @@ pub mod traffic;
 
 pub use device::{sample_latencies, DeviceProfile, HeterogeneityModel, ProfileSource};
 pub use event::EventQueue;
-pub use fault::{FaultConfig, FaultKind, FaultPlan};
+pub use fault::{FaultConfig, FaultPlan};
 pub use seed::{seed_mix, unit};
 pub use time::SimTime;
 pub use traffic::{TrafficMeter, TrafficSnapshot};

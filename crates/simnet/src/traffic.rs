@@ -41,8 +41,7 @@ pub struct TrafficSnapshot {
     /// pass to the record methods.
     pub wire_bytes: f64,
     /// The subset of `wire_bytes` that was *retransmitted*: frames
-    /// resent after a loss/corruption/timeout, plus duplicate
-    /// deliveries. Goodput is `wire_bytes - retransmit_bytes`.
+    /// resent after a loss. Goodput is `wire_bytes - retransmit_bytes`.
     pub retransmit_bytes: f64,
     /// Bytes the same transfers would have cost at full precision (the
     /// `F32` frame size). `raw_bytes / wire_bytes` is the realised
@@ -63,8 +62,7 @@ impl TrafficSnapshot {
         self.wire_bytes - self.bytes_moved()
     }
 
-    /// Useful bytes delivered: total wire bytes minus retransmissions
-    /// and duplicates.
+    /// Useful bytes delivered: total wire bytes minus retransmissions.
     pub fn goodput_bytes(&self) -> f64 {
         self.wire_bytes - self.retransmit_bytes
     }
@@ -150,7 +148,7 @@ impl TrafficMeter {
     }
 
     /// Record `frames` retransmitted device→device frames (resends after
-    /// loss/corruption/timeout, or duplicate deliveries). Retransmissions
+    /// a loss). Retransmissions
     /// move real payload and real wire bytes but are **not** additional
     /// model-equivalents: the logical transfer was already counted by
     /// [`TrafficMeter::record_peer`], so Table 1's transmitted-models

@@ -31,9 +31,8 @@ pub struct RoundTelemetry {
     /// (deterministic). Equals `wire_bytes` under the `F32` codec; the
     /// gap is what the wire codec saved this round.
     pub raw_bytes: f64,
-    /// Retransmitted wire bytes charged this round — resends after
-    /// loss/corruption/timeout plus duplicate deliveries (deterministic;
-    /// 0.0 in fault-free runs).
+    /// Retransmitted wire bytes charged this round — resends after a
+    /// lost frame (deterministic; 0.0 in fault-free runs).
     pub retransmit_bytes: f64,
     /// Engine cache hits during this round (best-effort).
     pub cache_hits: u64,

@@ -43,8 +43,8 @@ pub enum Phase {
     Aggregation = 5,
     /// Centralised test-set evaluation of the aggregated model.
     Evaluation = 6,
-    /// One retransmission attempt of a relay hop after a transport fault
-    /// (loss/corruption/timeout). Absent in fault-free runs — the
+    /// One retransmission attempt of a relay hop after a lost frame.
+    /// Absent in fault-free runs — the
     /// delivered attempt is covered by [`Phase::RelayHop`].
     RelayAttempt = 7,
 }
@@ -153,21 +153,17 @@ impl SpanCtx {
 #[derive(Debug, Clone, Copy)]
 pub struct WallStart(Option<Instant>);
 
-/// Transport-fault counter bundle folded once per round (see
+/// Frame-loss counter bundle folded once per round (see
 /// [`TelemetrySink::add_transport`]). All fields are *increments*: the
 /// sink adds them to its cumulative `transport.*` counters.
 ///
-/// Every field is deterministic — transport faults are drawn from the
-/// seed — but they are recorded as plain counters (covered by the metrics
+/// Every field is deterministic — frame losses are drawn from the seed —
+/// but they are recorded as plain counters (covered by the metrics
 /// fingerprint) rather than spans.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TransportCounters {
-    /// Retransmission attempts after a loss/corruption/timeout.
+    /// Retransmission attempts after a lost frame.
     pub retries: u64,
-    /// Frames whose wire checksum failed on receive.
-    pub corruptions_detected: u64,
-    /// Transient transport timeouts.
-    pub timeouts: u64,
     /// Transfers abandoned after the retry budget was exhausted.
     pub giveups: u64,
     /// Rings proactively rebuilt around suspect devices.
@@ -191,13 +187,11 @@ struct WellKnown {
     codec: WellKnownCodec,
 }
 
-/// Counter ids for the fault-injection transport (see
+/// Counter ids for the frame-loss transport (see
 /// [`TelemetrySink::add_transport`]).
 #[derive(Debug)]
 struct WellKnownTransport {
     retries: CounterId,
-    corruptions_detected: CounterId,
-    timeouts: CounterId,
     giveups: CounterId,
     rebuilds: CounterId,
 }
@@ -238,8 +232,6 @@ impl Telemetry {
             spans_dropped: registry.register_counter("spans.dropped"),
             transport: WellKnownTransport {
                 retries: registry.register_counter("transport.retries"),
-                corruptions_detected: registry.register_counter("transport.corruptions_detected"),
-                timeouts: registry.register_counter("transport.timeouts"),
                 giveups: registry.register_counter("transport.giveups"),
                 rebuilds: registry.register_counter("transport.rebuilds"),
             },
@@ -409,16 +401,13 @@ impl TelemetrySink {
         }
     }
 
-    /// Add a round's transport-fault observations to the cumulative
+    /// Add a round's frame-loss observations to the cumulative
     /// `transport.*` counters. No-op on a disabled sink, and cheap to
     /// call with an all-zero bundle (fault-free rounds).
     pub fn add_transport(&self, c: &TransportCounters) {
         if let Some(t) = &self.0 {
             let ids = &t.ids.transport;
             t.registry.inc(ids.retries, c.retries);
-            t.registry
-                .inc(ids.corruptions_detected, c.corruptions_detected);
-            t.registry.inc(ids.timeouts, c.timeouts);
             t.registry.inc(ids.giveups, c.giveups);
             t.registry.inc(ids.rebuilds, c.rebuilds);
         }
@@ -512,8 +501,6 @@ mod tests {
         let sink = TelemetrySink::enabled(4);
         sink.add_transport(&TransportCounters {
             retries: 3,
-            corruptions_detected: 1,
-            timeouts: 2,
             giveups: 0,
             rebuilds: 1,
         });
@@ -523,8 +510,6 @@ mod tests {
         });
         let m = sink.telemetry().expect("enabled").metrics();
         assert!(m.counters.contains(&("transport.retries", 4)));
-        assert!(m.counters.contains(&("transport.corruptions_detected", 1)));
-        assert!(m.counters.contains(&("transport.timeouts", 2)));
         assert!(m.counters.contains(&("transport.giveups", 0)));
         assert!(m.counters.contains(&("transport.rebuilds", 1)));
         // Disabled sinks swallow the bundle without touching anything.
