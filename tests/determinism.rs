@@ -20,6 +20,14 @@ fn cfg(seed: u64) -> ExperimentConfig {
         .build()
 }
 
+/// The surviving dynamic fleet: churn, mid-round failures and the
+/// fleet-wide diurnal modulator.
+fn churning_fleet() -> FleetDynamics {
+    let mut dynamics = FleetDynamics::planet_scale(0.25);
+    dynamics.mid_round_failure = 0.1;
+    dynamics
+}
+
 fn run_algo(cfg: &ExperimentConfig, which: &str) -> RunRecord {
     common::run(cfg, which, 3).record
 }
@@ -156,19 +164,22 @@ fn identity_fleet_dynamics_match_the_static_path_bit_for_bit() {
 // ---- pinned bits ---------------------------------------------------------
 //
 // The F32 bits of FedHiSyn, the six baselines and the three serverless
-// modes, on a static and on a churning, crashing fleet, one pair per
+// modes, on a static fleet and on churning, crashing fleets, one set per
 // bit-identical kernel tier (training is tier-independent at this scale,
 // evaluation is not). The ledger's smoke run prints `record_fnv`s but
 // gates none of them; this table is the gate. The FedHiSyn row was
 // recorded at commit `14a9b73`, before backprop stopped computing the
-// model input's gradient. The `FedAvg CNN` row runs the same two fleets
+// model input's gradient. The `FedAvg CNN` row runs the same fleets
 // on `Cifar10Like`, i.e. the smoke CNN through the conv layers, and also
 // hashes the final global model: a record holds only accuracies, which a
 // last-bit change in the weights rarely moves. It was recorded at commit
 // `8f17f46`, before the convolution lowering went tap-major. The
 // `FedHiSyn loss` row runs FedHiSyn over a wire that loses 30 % of its
 // frames, so every hop takes the retry-with-backoff path and some are
-// given up; it was recorded at commit `4c43e7c`.
+// given up; it was recorded at commit `4c43e7c`. The `churning_fleet`
+// column (churn, mid-round failures and the fleet-wide modulator) was
+// recorded at commit `7d5bb5d`, before the per-device capacity chain and
+// straggler spikes were deleted.
 
 fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
     bytes.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, b| {
@@ -214,28 +225,32 @@ fn f32_baseline_records_and_serverless_models_are_pinned() {
         order: RingOrder::SmallToLarge,
         average: false,
     };
-    // (subject, [scalar, avx2] x [static, edge_fleet])
+    // (subject, [scalar, avx2] x [static, edge_fleet, churning_fleet])
     #[rustfmt::skip]
-    let pins: [(&str, [[u64; 2]; 2]); 12] = [
-        ("FedHiSyn", [[0xe1f110b90dab6ed4, 0x2b5bfcef807f40a0], [0xfa06c34e0f15ed27, 0x5128c5fca7690a01]]),
-        ("FedAvg",   [[0x86c24cba5ce1d72e, 0xe5c776c288e7b3f2], [0x481cf9bd5ef8ee5b, 0x8ac4a16ffb960eb9]]),
-        ("FedProx",  [[0x18685b903f3506f3, 0xf13d4b40e5113768], [0x6f857f3478aa236e, 0x048716451cec4371]]),
-        ("TFedAvg",  [[0x9abba2100343bb9c, 0xccce0cc5bbb3de6e], [0x77d2882a45310e63, 0xf297e02ba22148ff]]),
-        ("SCAFFOLD", [[0x081ff261368edfbc, 0x341502b69bd4de9e], [0xbf11edae3d4137bd, 0x03d09e7869d43c47]]),
-        ("FedAT",    [[0x4479e1b6132ce24e, 0xa2cdff392bc23b53], [0xc3118ee82263c935, 0xed70ab61974920f8]]),
-        ("TAFedAvg", [[0xf600d1fbb7c3b2dd, 0x466434e5faf5d254], [0x03c773a648b00510, 0x8435f72b5219aa15]]),
-        ("isolated", [[0x3e78d267ca6e0be1, 0x94643e17dd1f496a]; 2]),
-        ("random",   [[0x95b43c08066c2315, 0xd142d08dd7d1bc52]; 2]),
-        ("rings",    [[0x2814497ddf18a35c, 0x1e0f622a90c72902]; 2]),
-        ("FedAvg CNN", [[0xe9f4f2cbac4ee5c0, 0x420312b559dbb9ae], [0xfe1494e5a43747ca, 0x4bfe500b4d66dde9]]),
-        ("FedHiSyn loss", [[0x5f5a71515e623753, 0xc22f7ae505b93bd9], [0x1d87c43ffe1bc794, 0xd0414694ae64e5d0]]),
+    let pins: [(&str, [[u64; 3]; 2]); 12] = [
+        ("FedHiSyn", [[0xe1f110b90dab6ed4, 0x2b5bfcef807f40a0, 0x8027af50c6f37b94], [0xfa06c34e0f15ed27, 0x5128c5fca7690a01, 0x2de85d1a2a4f7a61]]),
+        ("FedAvg",   [[0x86c24cba5ce1d72e, 0xe5c776c288e7b3f2, 0xc76a7c1639577ea7], [0x481cf9bd5ef8ee5b, 0x8ac4a16ffb960eb9, 0xa1b7055e09ec802c]]),
+        ("FedProx",  [[0x18685b903f3506f3, 0xf13d4b40e5113768, 0x4bfb92c1ff743edf], [0x6f857f3478aa236e, 0x048716451cec4371, 0x3db7ac3cf0f928f4]]),
+        ("TFedAvg",  [[0x9abba2100343bb9c, 0xccce0cc5bbb3de6e, 0x24f70f0177f9cd8f], [0x77d2882a45310e63, 0xf297e02ba22148ff, 0x52737c9b27f62b2c]]),
+        ("SCAFFOLD", [[0x081ff261368edfbc, 0x341502b69bd4de9e, 0x616d1507c8d5002e], [0xbf11edae3d4137bd, 0x03d09e7869d43c47, 0xf77d9f5231cd73b3]]),
+        ("FedAT",    [[0x4479e1b6132ce24e, 0xa2cdff392bc23b53, 0xbeb055634b446248], [0xc3118ee82263c935, 0xed70ab61974920f8, 0x926b6ad1b88b32fb]]),
+        ("TAFedAvg", [[0xf600d1fbb7c3b2dd, 0x466434e5faf5d254, 0x72d3ecd8328e381e], [0x03c773a648b00510, 0x8435f72b5219aa15, 0x7906b61ca6088cff]]),
+        ("isolated", [[0x3e78d267ca6e0be1, 0x94643e17dd1f496a, 0x335d30c6a29d5b7d]; 2]),
+        ("random",   [[0x95b43c08066c2315, 0xd142d08dd7d1bc52, 0x441f2d364ac27ea6]; 2]),
+        ("rings",    [[0x2814497ddf18a35c, 0x1e0f622a90c72902, 0x3c913991298a5d1f]; 2]),
+        ("FedAvg CNN", [[0xe9f4f2cbac4ee5c0, 0x420312b559dbb9ae, 0x8a2ac5c181cd7b2f], [0xfe1494e5a43747ca, 0x4bfe500b4d66dde9, 0xab02849fb014da11]]),
+        ("FedHiSyn loss", [[0x5f5a71515e623753, 0xc22f7ae505b93bd9, 0xa7e2e2d102f40740], [0x1d87c43ffe1bc794, 0xd0414694ae64e5d0, 0x10cc85c5f059cf1b]]),
     ];
     let tier = match fedhisyn::core::ExecutionEngine::kernel_tier() {
         "scalar" => 0,
         "avx2" => 1,
         other => panic!("no pinned fingerprints for kernel tier {other}"),
     };
-    let fleets = [cfg(42), churn_cfg(42, FleetDynamics::edge_fleet(0.25, 0.1))];
+    let fleets = [
+        cfg(42),
+        churn_cfg(42, FleetDynamics::edge_fleet(0.25, 0.1)),
+        churn_cfg(42, churning_fleet()),
+    ];
     let mut drift = Vec::new();
     for (subject, pinned) in pins {
         for (fleet, cfg) in fleets.iter().enumerate() {
