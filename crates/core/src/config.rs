@@ -64,9 +64,9 @@ pub struct ExperimentConfig {
     pub data_mode: DataMode,
     /// Latency heterogeneity across the fleet.
     pub heterogeneity: HeterogeneityModel,
-    /// Time-varying fleet conditions (capacity drift, churn, mid-round
-    /// failures). Defaults to the static fleet, which reproduces the
-    /// paper's setting bit-for-bit.
+    /// Time-varying fleet conditions (churn, mid-round failures and the
+    /// fleet-wide latency modulator). Defaults to the static fleet, which
+    /// reproduces the paper's setting bit-for-bit.
     pub fleet: FleetDynamics,
     /// Communication rounds to run.
     pub rounds: usize,
@@ -303,7 +303,7 @@ impl ExperimentConfigBuilder {
         self
     }
 
-    /// Set the fleet-dynamics model (capacity drift, churn, failures).
+    /// Set the fleet-dynamics model (churn, failures, fleet-wide modulator).
     pub fn fleet(mut self, dynamics: FleetDynamics) -> Self {
         dynamics.validate();
         self.cfg.fleet = dynamics;

@@ -266,8 +266,8 @@ impl DecentralSim {
             ReceivePolicy::TrainReceived
         };
         // Latency classes: fixed on a static fleet, re-clustered from the
-        // online cohort's *current* latencies on a dynamic one (a device
-        // migrates classes as its capacity state drifts).
+        // online cohort's *current* latencies on a dynamic one (the classes
+        // follow the online set and the shared modulator's scale).
         let classes: Vec<Vec<usize>> = if env.dynamics_active() {
             let k = match self.mode {
                 DecentralMode::ClusteredRings { k, .. } => k,
@@ -523,7 +523,10 @@ mod tests {
             .devices(devices)
             .partition(Partition::Dirichlet { beta: 0.5 })
             .heterogeneity(HeterogeneityModel::Uniform { h: 5.0 })
-            .fleet(FleetDynamics::edge_fleet(0.3, 0.1))
+            .fleet(FleetDynamics {
+                mid_round_failure: 0.1,
+                ..FleetDynamics::planet_scale(0.3)
+            })
             .local_epochs(1)
             .seed(seed)
             .build()
@@ -608,7 +611,10 @@ mod tests {
                 .devices(12)
                 .partition(Partition::Dirichlet { beta: 0.5 })
                 .heterogeneity(HeterogeneityModel::Uniform { h: 5.0 })
-                .fleet(FleetDynamics::edge_fleet(0.3, 0.1))
+                .fleet(FleetDynamics {
+                    mid_round_failure: 0.1,
+                    ..FleetDynamics::planet_scale(0.3)
+                })
                 .codec(Codec::Int8)
                 .faults(FaultConfig::lossy(0.2))
                 .local_epochs(1)

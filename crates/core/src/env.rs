@@ -105,8 +105,8 @@ pub struct FlEnv {
     pub n_devices: usize,
     /// Global held-out test split.
     pub test: Dataset,
-    /// Time-varying fleet conditions layered on the base profiles:
-    /// capacity multipliers, churn and mid-round failures. The default
+    /// Time-varying fleet conditions layered on the base profiles: churn,
+    /// mid-round failures and a fleet-wide latency multiplier. The default
     /// ([`FleetModel::static_fleet`]) short-circuits every query, keeping
     /// static experiments bit-identical to the pre-dynamics code.
     pub fleet: FleetModel,
@@ -193,7 +193,7 @@ impl FlEnv {
     }
 
     /// Effective latency of device `id` at `round`: the base profile
-    /// scaled by the fleet's capacity multiplier (1.0 on a static fleet,
+    /// scaled by the round's fleet-wide multiplier (1.0 on a static fleet,
     /// so the static path is bit-identical to [`FlEnv::latency`]).
     pub fn latency_at(&self, id: usize, round: usize) -> f64 {
         self.fleet.latency(id, round)

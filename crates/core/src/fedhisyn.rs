@@ -90,8 +90,8 @@ impl FedHiSyn {
 
     /// Cluster `participants` into at most `k` latency classes, fastest
     /// class first (Alg. 1 line 4), from the latencies *observed at*
-    /// `round` — on a dynamic fleet a device migrates between classes as
-    /// its capacity state drifts; on a static fleet this reads the base
+    /// `round` — on a dynamic fleet the classes follow the online set and
+    /// the shared modulator's scale; on a static fleet this reads the base
     /// profile and is bit-identical to clustering once.
     pub fn cluster_participants(
         env: &FlEnv,
@@ -370,7 +370,10 @@ mod tests {
             .scale(Scale::Smoke)
             .devices(12)
             .partition(Partition::Dirichlet { beta: 0.5 })
-            .fleet(FleetDynamics::edge_fleet(0.2, 0.15))
+            .fleet(FleetDynamics {
+                mid_round_failure: 0.15,
+                ..FleetDynamics::planet_scale(0.2)
+            })
             .rounds(3)
             .local_epochs(1)
             .seed(23)

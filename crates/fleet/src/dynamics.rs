@@ -1,15 +1,16 @@
 //! Configuration of the fleet-dynamics processes.
 //!
 //! Everything here is *declarative*: the structs describe stochastic
-//! processes (Markov-modulated capacity, churn, straggler spikes,
-//! mid-round failures) whose realisations are produced by
+//! processes (dropout / rejoin churn, mid-round failures and the
+//! fleet-wide Markov modulator) whose realisations are produced by
 //! [`crate::FleetModel`] purely from the experiment seed. The same
 //! config + seed always yields the same fleet trajectory, bit for bit.
 
 use serde::{Deserialize, Serialize};
 
-/// Markov-modulated capacity: each device walks a small state machine
-/// (e.g. idle / loaded / throttled) whose states scale its base latency.
+/// A Markov chain over latency multipliers. It drives the fleet-wide
+/// modulator ([`FleetDynamics::modulator`]): one walk for the whole
+/// fleet, whose state scales every device's latency in that round.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct MarkovCapacity {
     /// Latency multiplier of each state (state 0 is conventionally the
@@ -23,22 +24,6 @@ pub struct MarkovCapacity {
 }
 
 impl MarkovCapacity {
-    /// The canonical three-state edge-device profile: mostly idle,
-    /// sometimes loaded (2.5× slower), occasionally thermally throttled
-    /// (6× slower). States are sticky, so capacity drifts over rounds
-    /// instead of being resampled i.i.d.
-    pub fn idle_loaded_throttled() -> Self {
-        MarkovCapacity {
-            multipliers: vec![1.0, 2.5, 6.0],
-            transitions: vec![
-                0.85, 0.12, 0.03, // idle → …
-                0.25, 0.65, 0.10, // loaded → …
-                0.20, 0.30, 0.50, // throttled → …
-            ],
-            initial: vec![0.70, 0.25, 0.05],
-        }
-    }
-
     /// A single-state chain with multiplier 1.0 — dynamically *active*
     /// but numerically the identity. Used by equivalence tests to prove
     /// the dynamic code path reproduces the static one bit-for-bit.
@@ -77,8 +62,7 @@ impl MarkovCapacity {
     pub fn validate(&self) {
         let k = self.states();
         assert!(k > 0, "capacity chain needs at least one state");
-        // Realised states are stored as one byte per (device, round) in
-        // the lazy trajectory shards.
+        // Realised states are memoized as one byte per round.
         assert!(k <= 256, "capacity chains support at most 256 states");
         assert_eq!(
             self.transitions.len(),
@@ -107,16 +91,6 @@ impl MarkovCapacity {
             "initial state weights must be a distribution"
         );
     }
-}
-
-/// How a device's effective training latency evolves over rounds.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
-pub enum CapacityModel {
-    /// Latencies never change (the paper's setting).
-    #[default]
-    Static,
-    /// Markov-modulated latency states.
-    Markov(MarkovCapacity),
 }
 
 /// Whether devices come and go between rounds.
@@ -149,26 +123,6 @@ impl AvailabilityModel {
     }
 }
 
-/// Transient straggler spikes: independently each round, a device's
-/// latency is multiplied by `magnitude` with probability `prob` —
-/// modelling GC pauses, backup jobs, contended radios.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct SpikeModel {
-    /// Per-(device, round) spike probability.
-    pub prob: f64,
-    /// Latency multiplier while spiking (≥ 1).
-    pub magnitude: f64,
-}
-
-impl Default for SpikeModel {
-    fn default() -> Self {
-        SpikeModel {
-            prob: 0.0,
-            magnitude: 1.0,
-        }
-    }
-}
-
 /// The full fleet-dynamics specification. [`FleetDynamics::default`] is
 /// the static fleet: the runtime takes a zero-cost fast path that is
 /// bit-identical to the pre-dynamics code. (Note: configs serialized
@@ -177,35 +131,28 @@ impl Default for SpikeModel {
 /// defaulting.)
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
 pub struct FleetDynamics {
-    /// Time-varying capacity (latency multipliers).
-    pub capacity: CapacityModel,
     /// Round-level dropout / rejoin churn.
     pub availability: AvailabilityModel,
-    /// Transient straggler spikes.
-    pub spikes: SpikeModel,
     /// Per-round probability that an *online* device fails mid-interval
     /// (crashes while relaying inside a ring, or before uploading).
     pub mid_round_failure: f64,
     /// Fleet-wide *shared* capacity modulator: one Markov chain whose
     /// per-round multiplier scales **every** device's effective latency
-    /// (diurnal load, regional partition bursts). Unlike `capacity`,
-    /// which walks an independent chain per device, the modulator costs
-    /// O(1) state per round regardless of fleet size — the correlated
-    /// half of the churn model. `Static` (the default) is the exact
-    /// identity: no multiply is applied, so pre-modulator trajectories
-    /// are reproduced bit-for-bit.
-    pub modulator: CapacityModel,
+    /// (diurnal load, regional partition bursts). It costs O(1) state per
+    /// round regardless of fleet size — the correlated half of the churn
+    /// model. `None` (the default) is the exact identity: no multiply is
+    /// applied, so modulator-free trajectories keep their base latencies
+    /// bit for bit.
+    pub modulator: Option<MarkovCapacity>,
 }
 
 impl FleetDynamics {
     /// True when every process is degenerate — the runtime then skips the
     /// trace machinery entirely, guaranteeing the static fast path.
     pub fn is_static(&self) -> bool {
-        matches!(self.capacity, CapacityModel::Static)
-            && self.availability == AvailabilityModel::AlwaysOn
-            && self.spikes.prob == 0.0
+        self.availability == AvailabilityModel::AlwaysOn
             && self.mid_round_failure == 0.0
-            && matches!(self.modulator, CapacityModel::Static)
+            && self.modulator.is_none()
     }
 
     /// Pure churn at the given per-round dropout rate — the knob the
@@ -223,29 +170,9 @@ impl FleetDynamics {
         }
     }
 
-    /// The full edge-fleet stress preset: sticky Markov capacity states,
-    /// churn, occasional 4× straggler spikes and mid-ring failures.
-    pub fn edge_fleet(dropout: f64, mid_round_failure: f64) -> Self {
-        FleetDynamics {
-            capacity: CapacityModel::Markov(MarkovCapacity::idle_loaded_throttled()),
-            availability: AvailabilityModel::Churn {
-                dropout,
-                rejoin: 0.5,
-            },
-            spikes: SpikeModel {
-                prob: 0.05,
-                magnitude: 4.0,
-            },
-            mid_round_failure,
-            modulator: CapacityModel::Static,
-        }
-    }
-
     /// The million-device testbed preset: pure per-device churn plus the
     /// fleet-wide diurnal/burst modulator — the regime where lazy O(cohort)
     /// realisation matters and correlated slowdowns stay O(1) per round.
-    /// (Per-device Markov capacity is deliberately off: at planet scale
-    /// the shared modulator carries the correlated signal.)
     pub fn planet_scale(dropout: f64) -> Self {
         FleetDynamics {
             availability: AvailabilityModel::Churn {
@@ -253,24 +180,16 @@ impl FleetDynamics {
                 rejoin: dropout.max(0.25),
             },
             mid_round_failure: 0.02,
-            modulator: CapacityModel::Markov(MarkovCapacity::diurnal_burst()),
-            ..FleetDynamics::default()
+            modulator: Some(MarkovCapacity::diurnal_burst()),
         }
     }
 
     /// Panics unless every sub-model is well-formed.
     pub fn validate(&self) {
-        if let CapacityModel::Markov(chain) = &self.capacity {
-            chain.validate();
-        }
-        if let CapacityModel::Markov(chain) = &self.modulator {
+        if let Some(chain) = &self.modulator {
             chain.validate();
         }
         self.availability.validate();
-        assert!(
-            (0.0..=1.0).contains(&self.spikes.prob) && self.spikes.magnitude >= 1.0,
-            "spike prob must be in [0, 1] and magnitude >= 1"
-        );
         assert!(
             (0.0..=1.0).contains(&self.mid_round_failure),
             "mid_round_failure must be in [0, 1]"
@@ -290,11 +209,7 @@ mod tests {
 
     #[test]
     fn presets_are_dynamic_and_valid() {
-        for d in [
-            FleetDynamics::churn(0.1),
-            FleetDynamics::edge_fleet(0.1, 0.05),
-            FleetDynamics::planet_scale(0.1),
-        ] {
+        for d in [FleetDynamics::churn(0.1), FleetDynamics::planet_scale(0.1)] {
             assert!(!d.is_static());
             d.validate();
         }
@@ -303,7 +218,7 @@ mod tests {
     #[test]
     fn modulator_alone_activates_dynamics() {
         let d = FleetDynamics {
-            modulator: CapacityModel::Markov(MarkovCapacity::diurnal_burst()),
+            modulator: Some(MarkovCapacity::diurnal_burst()),
             ..FleetDynamics::default()
         };
         assert!(!d.is_static());
@@ -314,19 +229,13 @@ mod tests {
     #[test]
     fn identity_chain_is_active_but_neutral() {
         let d = FleetDynamics {
-            capacity: CapacityModel::Markov(MarkovCapacity::identity()),
+            modulator: Some(MarkovCapacity::identity()),
             ..FleetDynamics::default()
         };
         // Active (exercises the dynamic path) …
         assert!(!d.is_static());
         // … and valid.
         d.validate();
-    }
-
-    #[test]
-    fn canonical_chain_is_well_formed() {
-        MarkovCapacity::idle_loaded_throttled().validate();
-        assert_eq!(MarkovCapacity::idle_loaded_throttled().states(), 3);
     }
 
     #[test]
@@ -339,7 +248,8 @@ mod tests {
 
     #[test]
     fn serde_round_trip() {
-        let d = FleetDynamics::edge_fleet(0.2, 0.1);
+        let mut d = FleetDynamics::planet_scale(0.2);
+        d.mid_round_failure = 0.1;
         let json = serde_json::to_string(&d).unwrap();
         let back: FleetDynamics = serde_json::from_str(&json).unwrap();
         assert_eq!(d, back);

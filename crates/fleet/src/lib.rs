@@ -2,24 +2,24 @@
 //!
 //! The paper (and the seed reproduction) freezes the fleet: latencies are
 //! sampled once, every device participates every round, and rings never
-//! lose a member. Real edge fleets are nothing like that — capacity
-//! drifts as devices heat up and background jobs come and go, devices
-//! churn in and out of reachability, and a relay partner can die with a
-//! model in flight. This crate is the substrate for simulating all of
-//! that **without giving up bit-reproducibility**:
+//! lose a member. Real edge fleets are nothing like that — devices churn
+//! in and out of reachability, a relay partner can die with a model in
+//! flight, and load rises and falls across the whole fleet at once. This
+//! crate is the substrate for simulating that **without giving up
+//! bit-reproducibility**:
 //!
-//! * [`FleetDynamics`] — declarative config: Markov-modulated capacity
-//!   states ([`MarkovCapacity`], e.g. idle/loaded/throttled), dropout /
-//!   rejoin churn ([`AvailabilityModel`]), transient straggler spikes
-//!   ([`SpikeModel`]), and mid-interval failures, whose held model the
-//!   ring forwards to the dead device's live successor.
+//! * [`FleetDynamics`] — declarative config: dropout / rejoin churn
+//!   ([`AvailabilityModel`]), mid-interval failures, whose held model the
+//!   ring forwards to the dead device's live successor, and a fleet-wide
+//!   latency modulator ([`MarkovCapacity`], e.g. off-peak / peak / burst)
+//!   that scales every device's latency alike.
 //! * [`FleetModel`] — the realised trajectory. Every random decision is
-//!   a pure hash of `(seed, round, device, role)`; each device's state
-//!   chain advances round-by-round from its own stream and is realised
-//!   **lazily** (64-way sharded, one cursor per device queried — never
-//!   O(fleet), never O(rounds)), so the same seed and config always
-//!   produce the same fleet history regardless of query order, thread
-//!   count or platform.
+//!   a pure hash of `(seed, round, device, role)`; each device's
+//!   availability chain advances round-by-round from its own stream and
+//!   is realised **lazily** (64-way sharded, one cursor per device
+//!   queried — never O(fleet), never O(rounds)), so the same seed and
+//!   config always produce the same fleet history regardless of query
+//!   order, thread count or platform.
 //! * [`sample_online_cohort`] — streaming rejection sampling of a K-device
 //!   online cohort in O(K) expected work, the piece that makes
 //!   million-device rounds cost O(cohort) end to end.
@@ -42,7 +42,7 @@ pub mod model;
 pub mod reference;
 pub mod sampling;
 
-pub use dynamics::{AvailabilityModel, CapacityModel, FleetDynamics, MarkovCapacity, SpikeModel};
+pub use dynamics::{AvailabilityModel, FleetDynamics, MarkovCapacity};
 pub use model::FleetModel;
 pub use reference::ReferenceFleet;
 pub use sampling::sample_online_cohort;

@@ -1,12 +1,13 @@
 //! The realised fleet trajectory: deterministic, lazy, seed-driven.
 //!
 //! Per-round cost is **O(devices queried)**, not O(fleet): each device's
-//! capacity/availability chain is realised independently and on demand,
-//! and what is kept per realised device is one cursor — the last round
-//! its chain was advanced to and the carried state there — in sharded
+//! availability chain is realised independently and on demand, and what
+//! is kept per realised device is one cursor — the last round its chain
+//! was advanced to and whether it was online there — in sharded
 //! per-device maps. A million-device fleet where only a 10-device cohort
 //! is queried per round costs ten cursors, however many rounds have run;
-//! every other device costs zero bytes and zero hashes.
+//! every other device costs zero bytes and zero hashes. Latency needs no
+//! cursor: it is the base profile times the fleet-wide modulator.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -14,12 +15,10 @@ use std::sync::{Mutex, RwLock};
 
 use fedhisyn_simnet::{seed_mix, unit, DeviceProfile, ProfileSource};
 
-use crate::dynamics::{AvailabilityModel, CapacityModel, FleetDynamics};
+use crate::dynamics::{AvailabilityModel, FleetDynamics, MarkovCapacity};
 
 /// Roles keeping the per-(round, device) random streams independent.
-pub(crate) const ROLE_CAPACITY: u64 = 0xCA9A_C17F;
 pub(crate) const ROLE_AVAIL: u64 = 0xA1A1_B111;
-pub(crate) const ROLE_SPIKE: u64 = 0x005B_1CE5;
 pub(crate) const ROLE_FAIL: u64 = 0x00FA_110F;
 pub(crate) const ROLE_FAIL_TIME: u64 = 0xFA11_71ED;
 /// The fleet-wide modulator chain draws from its own stream; the device
@@ -39,28 +38,16 @@ pub(crate) fn pick(weights: &[f64], u: f64) -> usize {
     weights.len() - 1
 }
 
-/// The per-(device, round) state that must be *carried* between rounds.
-///
-/// Everything else (spike, mid-round failure and its fraction, the
-/// effective multiplier) is memoryless — recomputable from hashes given
-/// this state — so a realised device holds two bytes of chain state
-/// instead of the dense path's ~26 per round.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct DevRound {
-    /// Capacity-chain state (chains are capped at 256 states).
-    pub(crate) cap_state: u8,
-    /// Whether the device is reachable at round start.
-    pub(crate) online: bool,
-}
-
-/// One realised device: the latest round its chain has been advanced to
-/// and the carried state at that round. Earlier rounds are not kept —
-/// the chain is a pure function of `(seed, device, round)`, so a query
-/// behind the cursor replays from round 0.
+/// One realised device: the latest round its availability chain has
+/// been advanced to and whether it was online at the start of that
+/// round. Earlier rounds are not kept — the chain is a pure function of
+/// `(seed, device, round)`, so a query behind the cursor replays from
+/// round 0. Everything else (the mid-round failure and its fraction) is
+/// memoryless and recomputed from hashes.
 #[derive(Debug, Clone, Copy)]
 struct Cursor {
     round: usize,
-    state: DevRound,
+    online: bool,
 }
 
 /// One shard of the fleet's lazy per-device state.
@@ -79,12 +66,11 @@ struct Shard {
 /// Device `d`'s conditions at round `r` are a **pure function of
 /// `(seed, dynamics, d, r)`**: every random decision hashes
 /// `(seed, round, device, role)` through the same SplitMix64 mix the rest
-/// of the stack uses, and each device's state chain (capacity,
-/// availability) advances strictly round-by-round from *its own* hash
-/// stream — device chains never read each other, which is what makes
-/// per-device lazy realisation bit-identical to realising the whole
-/// fleet densely. The invariants, asserted by the workspace's
-/// equivalence proptests:
+/// of the stack uses, and each device's availability chain advances
+/// strictly round-by-round from *its own* hash stream — device chains
+/// never read each other, which is what makes per-device lazy
+/// realisation bit-identical to realising the whole fleet densely. The
+/// invariants, asserted by the workspace's equivalence proptests:
 ///
 /// * **Query-order independence** — asking for `(d, r)` in any order,
 ///   from any number of threads, yields identical values. The per-device
@@ -104,16 +90,14 @@ struct Shard {
 /// * **Static fast path** — [`FleetDynamics::is_static`] short-circuits
 ///   every query with no shard traffic, keeping default experiments
 ///   bit-identical to the pre-dynamics code.
-/// * **Carried state is minimal** — only `(capacity state, online)` at
-///   the cursor's round is stored (two bytes beside the round index);
-///   spikes, failures and the effective multiplier are memoryless and
+/// * **Carried state is minimal** — only `online` at the cursor's round
+///   is stored beside the round index; failures are memoryless and
 ///   recomputed from hashes, bit-identically, on every read.
 ///
-/// The shared fleet-wide modulator chain ([`FleetDynamics::modulator`])
-/// realises one state per round for the *whole* fleet (O(1) memoized),
-/// and its multiplier is applied after the per-device capacity × spike
-/// product. `CapacityModel::Static` (the default) applies no multiply,
-/// so pre-modulator trajectories are reproduced exactly.
+/// The latency multiplier is fleet-wide: the shared modulator chain
+/// ([`FleetDynamics::modulator`]) realises one state per round for the
+/// *whole* fleet (O(1) memoized), so a latency query never touches a
+/// shard. `None` (the default) applies multiplier 1.0.
 #[derive(Debug)]
 pub struct FleetModel {
     profiles: ProfileSource,
@@ -156,11 +140,6 @@ impl FleetModel {
         FleetModel::new(profiles, FleetDynamics::default(), 0)
     }
 
-    /// The dynamics specification this model realises.
-    pub fn dynamics(&self) -> &FleetDynamics {
-        &self.dynamics
-    }
-
     /// True when the model is the degenerate static fleet.
     pub fn is_static(&self) -> bool {
         self.is_static
@@ -181,13 +160,14 @@ impl FleetModel {
         self.profiles.train_time(device)
     }
 
-    /// Effective latency multiplier of `device` at `round` (1.0 static).
-    pub fn multiplier(&self, device: usize, round: usize) -> f64 {
-        if self.is_static {
-            return 1.0;
+    /// The fleet-wide latency multiplier at `round` (1.0 without a
+    /// modulator). O(1) amortised: one byte of memoized chain state per
+    /// round, shared by the whole fleet.
+    pub fn multiplier(&self, round: usize) -> f64 {
+        match &self.dynamics.modulator {
+            None => 1.0,
+            Some(chain) => chain.multipliers[self.modulator_state(chain, round) as usize],
         }
-        let dr = self.device_round(device, round);
-        self.multiplier_of(device, round, dr)
     }
 
     /// Whether `device` is reachable at the start of `round`.
@@ -195,7 +175,7 @@ impl FleetModel {
         if self.is_static {
             return true;
         }
-        self.device_round(device, round).online
+        self.device_online(device, round)
     }
 
     /// Mid-interval failure point of `device` in `round`, as a fraction
@@ -204,24 +184,14 @@ impl FleetModel {
         if self.is_static {
             return None;
         }
-        let dr = self.device_round(device, round);
-        self.fail_of(device, round, dr)
+        let online = self.device_online(device, round);
+        self.fail_of(device, round, online)
     }
 
     /// Effective latency of `device` at `round`: the base profile scaled
-    /// by the round's capacity multiplier.
+    /// by the round's fleet-wide multiplier.
     pub fn latency(&self, device: usize, round: usize) -> f64 {
-        self.profiles.train_time(device) * self.multiplier(device, round)
-    }
-
-    /// The fleet-wide modulator multiplier at `round` (1.0 when the
-    /// modulator is `Static`). O(1) amortised: one byte of memoized chain
-    /// state per round, shared by the whole fleet.
-    pub fn modulator_multiplier(&self, round: usize) -> f64 {
-        match &self.dynamics.modulator {
-            CapacityModel::Static => 1.0,
-            CapacityModel::Markov(chain) => chain.multipliers[self.modulator_state(round) as usize],
-        }
+        self.profiles.train_time(device) * self.multiplier(round)
     }
 
     // ---- lazy realisation ------------------------------------------------
@@ -265,117 +235,70 @@ impl FleetModel {
         self.realised_devices() * (std::mem::size_of::<u64>() + std::mem::size_of::<Cursor>())
     }
 
-    /// The carried state of `device` at `round`.
+    /// Whether `device` is online at the start of `round`, from its cursor.
     ///
     /// At or past the device's cursor the cursor advances to `round` and
     /// is the answer. Behind it, the chain is replayed from round 0 into
     /// a local — same hashes, same values — and the cursor does not move.
-    fn device_round(&self, device: usize, round: usize) -> DevRound {
+    fn device_online(&self, device: usize, round: usize) -> bool {
         assert!(device < self.len(), "device {device} out of range");
         let shard = &self.shards[FleetModel::shard_of(device)];
         shard.touched.fetch_add(1, Ordering::Relaxed);
         let origin = || Cursor {
             round: 0,
-            state: self.advance_device(device, 0, None),
+            online: self.advance_device(device, 0, None),
         };
         {
             let mut slots = shard.slots.lock().expect("fleet shard poisoned");
             let cursor = slots.entry(device as u64).or_insert_with(origin);
             if cursor.round <= round {
                 *cursor = self.walk(device, *cursor, round);
-                return cursor.state;
+                return cursor.online;
             }
         }
-        self.walk(device, origin(), round).state
+        self.walk(device, origin(), round).online
     }
 
     /// Step `device`'s chain from `from` up to `round`.
     fn walk(&self, device: usize, from: Cursor, round: usize) -> Cursor {
-        let state = (from.round + 1..=round).fold(from.state, |prev, r| {
+        let online = (from.round + 1..=round).fold(from.online, |prev, r| {
             self.advance_device(device, r, Some(prev))
         });
-        Cursor { round, state }
+        Cursor { round, online }
     }
 
-    /// Advance `device`'s chain one round — the same decision sequence,
-    /// hash stream and branch order as the dense reference realisation,
-    /// restricted to a single device.
-    fn advance_device(&self, device: usize, round: usize, prev: Option<DevRound>) -> DevRound {
-        let r = round as u64;
-        let du = device as u64;
-
-        // Capacity chain.
-        let state = match &self.dynamics.capacity {
-            CapacityModel::Static => 0,
-            CapacityModel::Markov(chain) => {
-                let u = unit(seed_mix(self.seed, r, du, ROLE_CAPACITY));
-                match prev {
-                    None => pick(&chain.initial, u),
-                    Some(p) => {
-                        let k = chain.states();
-                        let s = p.cap_state as usize;
-                        pick(&chain.transitions[s * k..(s + 1) * k], u)
-                    }
-                }
-            }
-        };
-
-        // Availability chain. A device that failed mid-interval last
-        // round counts as offline going into the churn transition — it
-        // has to "rejoin" like any other dropout. Under AlwaysOn it
-        // reboots in time for the next round.
-        let on = match self.dynamics.availability {
+    /// Advance `device`'s availability chain one round — the same
+    /// decision sequence, hash stream and branch order as the dense
+    /// reference realisation, restricted to a single device.
+    ///
+    /// A device that failed mid-interval last round counts as offline
+    /// going into the churn transition — it has to "rejoin" like any
+    /// other dropout. Under `AlwaysOn` it reboots in time for the next
+    /// round.
+    fn advance_device(&self, device: usize, round: usize, prev: Option<bool>) -> bool {
+        match self.dynamics.availability {
             AvailabilityModel::AlwaysOn => true,
             AvailabilityModel::Churn { dropout, rejoin } => {
                 let was_on = match prev {
                     None => true,
-                    Some(p) => p.online && self.fail_of(device, round - 1, p).is_none(),
+                    Some(on) => on && self.fail_of(device, round - 1, on).is_none(),
                 };
-                let u = unit(seed_mix(self.seed, r, du, ROLE_AVAIL));
+                let u = unit(seed_mix(self.seed, round as u64, device as u64, ROLE_AVAIL));
                 if was_on {
                     u >= dropout
                 } else {
                     u < rejoin
                 }
             }
-        };
-
-        DevRound {
-            cap_state: state as u8,
-            online: on,
         }
     }
 
-    /// Recompute the (memoryless) effective multiplier from carried state.
-    fn multiplier_of(&self, device: usize, round: usize, dr: DevRound) -> f64 {
-        let mut m = match &self.dynamics.capacity {
-            CapacityModel::Static => 1.0,
-            CapacityModel::Markov(chain) => chain.multipliers[dr.cap_state as usize],
-        };
-
-        // Transient straggler spike.
-        if self.dynamics.spikes.prob > 0.0
-            && unit(seed_mix(self.seed, round as u64, device as u64, ROLE_SPIKE))
-                < self.dynamics.spikes.prob
-        {
-            m *= self.dynamics.spikes.magnitude;
-        }
-
-        // Fleet-wide correlated modulator (identity ⇒ no multiply, so
-        // modulator-free configs stay bit-identical to the pre-modulator
-        // realisation).
-        if let CapacityModel::Markov(chain) = &self.dynamics.modulator {
-            m *= chain.multipliers[self.modulator_state(round) as usize];
-        }
-        m
-    }
-
-    /// Recompute the (memoryless) mid-round failure from carried state.
-    /// Only meaningful for online devices.
-    fn fail_of(&self, device: usize, round: usize, dr: DevRound) -> Option<f64> {
+    /// Recompute the (memoryless) mid-round failure of a device that was
+    /// `online` at the start of `round`. Offline devices never fail.
+    fn fail_of(&self, device: usize, round: usize, online: bool) -> Option<f64> {
         let r = round as u64;
         let du = device as u64;
-        if dr.online
+        if online
             && self.dynamics.mid_round_failure > 0.0
             && unit(seed_mix(self.seed, r, du, ROLE_FAIL)) < self.dynamics.mid_round_failure
         {
@@ -385,12 +308,8 @@ impl FleetModel {
         }
     }
 
-    /// Memoized fleet-wide modulator state at `round`.
-    fn modulator_state(&self, round: usize) -> u8 {
-        let chain = match &self.dynamics.modulator {
-            CapacityModel::Static => return 0,
-            CapacityModel::Markov(chain) => chain,
-        };
+    /// Memoized state of the fleet-wide modulator `chain` at `round`.
+    fn modulator_state(&self, chain: &MarkovCapacity, round: usize) -> u8 {
         {
             let memo = self.modulator_memo.read().expect("modulator memo poisoned");
             if round < memo.len() {
@@ -420,7 +339,6 @@ impl FleetModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dynamics::{MarkovCapacity, SpikeModel};
 
     fn profiles(n: usize) -> Vec<DeviceProfile> {
         (0..n)
@@ -428,13 +346,21 @@ mod tests {
             .collect()
     }
 
-    /// Every device's `(online, multiplier, fail_frac)` at `round`.
+    /// Churn, mid-round failures and the fleet-wide modulator at once.
+    fn churning(dropout: f64, mid_round_failure: f64) -> FleetDynamics {
+        FleetDynamics {
+            mid_round_failure,
+            ..FleetDynamics::planet_scale(dropout)
+        }
+    }
+
+    /// Every device's `(online, latency, fail_frac)` at `round`.
     fn conditions(m: &FleetModel, round: usize) -> Vec<(bool, f64, Option<f64>)> {
         (0..m.len())
             .map(|d| {
                 (
                     m.online(d, round),
-                    m.multiplier(d, round),
+                    m.latency(d, round),
                     m.fail_frac(d, round),
                 )
             })
@@ -447,7 +373,7 @@ mod tests {
         assert!(m.is_static());
         for r in 0..5 {
             for d in 0..4 {
-                assert_eq!(m.multiplier(d, r), 1.0);
+                assert_eq!(m.multiplier(r), 1.0);
                 assert!(m.online(d, r));
                 assert_eq!(m.fail_frac(d, r), None);
                 assert_eq!(m.latency(d, r), 1.0 + d as f64 * 0.5);
@@ -463,7 +389,7 @@ mod tests {
         let dynamic = FleetModel::new(
             &profiles(6),
             FleetDynamics {
-                capacity: CapacityModel::Markov(MarkovCapacity::identity()),
+                modulator: Some(MarkovCapacity::identity()),
                 ..FleetDynamics::default()
             },
             7,
@@ -471,7 +397,7 @@ mod tests {
         assert!(!dynamic.is_static());
         for r in 0..4 {
             for d in 0..6 {
-                assert_eq!(dynamic.multiplier(d, r), 1.0);
+                assert_eq!(dynamic.multiplier(r), 1.0);
                 assert!(dynamic.online(d, r));
                 assert_eq!(dynamic.fail_frac(d, r), None);
             }
@@ -480,7 +406,7 @@ mod tests {
 
     #[test]
     fn trajectory_is_deterministic_and_query_order_independent() {
-        let make = || FleetModel::new(&profiles(10), FleetDynamics::edge_fleet(0.2, 0.1), 42);
+        let make = || FleetModel::new(&profiles(10), churning(0.2, 0.1), 42);
         let a = make();
         let b = make();
         // Query b backwards, a forwards — identical realisations.
@@ -527,55 +453,6 @@ mod tests {
             came_back > 10,
             "rejoin must bring devices back: {came_back}"
         );
-    }
-
-    #[test]
-    fn markov_states_change_latency_over_time() {
-        let m = FleetModel::new(
-            &profiles(20),
-            FleetDynamics {
-                capacity: CapacityModel::Markov(MarkovCapacity::idle_loaded_throttled()),
-                ..FleetDynamics::default()
-            },
-            11,
-        );
-        let mut distinct = std::collections::BTreeSet::new();
-        for r in 0..30 {
-            for d in 0..20 {
-                distinct.insert((m.multiplier(d, r) * 10.0) as i64);
-            }
-        }
-        assert!(
-            distinct.len() >= 3,
-            "all three states should be visited: {distinct:?}"
-        );
-    }
-
-    #[test]
-    fn spikes_inflate_latency_occasionally() {
-        let m = FleetModel::new(
-            &profiles(30),
-            FleetDynamics {
-                spikes: SpikeModel {
-                    prob: 0.2,
-                    magnitude: 4.0,
-                },
-                ..FleetDynamics::default()
-            },
-            5,
-        );
-        let mut spiked = 0;
-        let mut total = 0;
-        for r in 0..20 {
-            for d in 0..30 {
-                total += 1;
-                if m.multiplier(d, r) > 1.0 {
-                    spiked += 1;
-                }
-            }
-        }
-        let rate = spiked as f64 / total as f64;
-        assert!((0.1..0.3).contains(&rate), "spike rate {rate}");
     }
 
     #[test]
@@ -636,8 +513,8 @@ mod tests {
 
     #[test]
     fn different_seeds_realise_different_fleets() {
-        let a = FleetModel::new(&profiles(20), FleetDynamics::edge_fleet(0.2, 0.1), 1);
-        let b = FleetModel::new(&profiles(20), FleetDynamics::edge_fleet(0.2, 0.1), 2);
+        let a = FleetModel::new(&profiles(20), churning(0.2, 0.1), 1);
+        let b = FleetModel::new(&profiles(20), churning(0.2, 0.1), 2);
         let same = (0..10).all(|r| conditions(&a, r) == conditions(&b, r));
         assert!(!same, "different seeds must diverge");
     }
@@ -660,10 +537,10 @@ mod tests {
             fedhisyn_simnet::HeterogeneityModel::Uniform { h: 10.0 },
             99,
         );
-        let m = FleetModel::with_source(src, FleetDynamics::edge_fleet(0.2, 0.1), 21);
+        let m = FleetModel::with_source(src, churning(0.2, 0.1), 21);
         let query = |rounds: std::ops::Range<usize>| {
             for r in rounds {
-                let _ = m.multiplier(3, r);
+                let _ = m.online(3, r);
                 let _ = m.online(17, r);
                 let _ = m.fail_frac(3, r);
             }
@@ -693,7 +570,7 @@ mod tests {
         let m = FleetModel::new(
             &profiles(30),
             FleetDynamics {
-                modulator: CapacityModel::Markov(MarkovCapacity::diurnal_burst()),
+                modulator: Some(MarkovCapacity::diurnal_burst()),
                 ..FleetDynamics::default()
             },
             17,
@@ -701,12 +578,15 @@ mod tests {
         assert!(!m.is_static());
         let mut distinct = std::collections::BTreeSet::new();
         for r in 0..60 {
-            let shared = m.modulator_multiplier(r);
+            let shared = m.multiplier(r);
             distinct.insert((shared * 10.0) as i64);
             for d in 0..30 {
-                // No per-device capacity/spike processes: every device
-                // carries exactly the shared modulator multiplier.
-                assert_eq!(m.multiplier(d, r), shared, "round {r} device {d}");
+                // Every device carries exactly the shared multiplier.
+                assert_eq!(
+                    m.latency(d, r),
+                    m.base_latency(d) * shared,
+                    "round {r} device {d}"
+                );
             }
         }
         assert!(
@@ -716,12 +596,12 @@ mod tests {
     }
 
     #[test]
-    fn modulator_multiplier_is_query_order_independent() {
+    fn multiplier_is_query_order_independent() {
         let make = || {
             FleetModel::new(
                 &profiles(4),
                 FleetDynamics {
-                    modulator: CapacityModel::Markov(MarkovCapacity::diurnal_burst()),
+                    modulator: Some(MarkovCapacity::diurnal_burst()),
                     ..FleetDynamics::default()
                 },
                 23,
@@ -729,8 +609,8 @@ mod tests {
         };
         let a = make();
         let b = make();
-        let fwd: Vec<f64> = (0..40).map(|r| a.modulator_multiplier(r)).collect();
-        let bwd: Vec<f64> = (0..40).rev().map(|r| b.modulator_multiplier(r)).collect();
+        let fwd: Vec<f64> = (0..40).map(|r| a.multiplier(r)).collect();
+        let bwd: Vec<f64> = (0..40).rev().map(|r| b.multiplier(r)).collect();
         for (r, &v) in fwd.iter().enumerate() {
             assert_eq!(v, bwd[39 - r], "round {r}");
         }

@@ -1,31 +1,28 @@
 //! The dense reference realisation — the executable specification the
 //! lazy sharded [`FleetModel`](crate::FleetModel) is proven against.
 //!
-//! This is the pre-lazy implementation kept verbatim: every round
-//! materialises full `online`/`multiplier`/`fail_frac`/`cap_state`
-//! vectors for **all** devices behind one `RwLock`, advancing the whole
-//! fleet together. It is O(fleet) per round and exists only so the
-//! workspace's equivalence proptests can assert, value for value, that
-//! lazy per-device realisation reproduces the dense trace bit-for-bit
-//! under any query order. Production code should always use
-//! [`FleetModel`](crate::FleetModel).
+//! This is the pre-lazy implementation: every round materialises full
+//! `online`/`fail_frac` vectors for **all** devices, and the round's
+//! fleet-wide `multiplier` from its own dense modulator walk, behind one
+//! `RwLock`, advancing the whole fleet together. It is O(fleet) per round
+//! and exists only so the workspace's equivalence proptests can assert,
+//! value for value, that lazy per-device realisation reproduces the dense
+//! trace bit-for-bit under any query order. Production code should always
+//! use [`FleetModel`](crate::FleetModel).
 
 use std::sync::RwLock;
 
 use fedhisyn_simnet::{seed_mix, unit, DeviceProfile};
 
-use crate::dynamics::{AvailabilityModel, CapacityModel, FleetDynamics};
-use crate::model::{
-    pick, ROLE_AVAIL, ROLE_CAPACITY, ROLE_FAIL, ROLE_FAIL_TIME, ROLE_MODULATOR, ROLE_SPIKE,
-};
+use crate::dynamics::{AvailabilityModel, FleetDynamics};
+use crate::model::{pick, ROLE_AVAIL, ROLE_FAIL, ROLE_FAIL_TIME, ROLE_MODULATOR};
 
 /// One densely-realised round.
 #[derive(Debug, Clone, PartialEq)]
 struct DenseRound {
     online: Vec<bool>,
-    multiplier: Vec<f64>,
     fail_frac: Vec<Option<f64>>,
-    cap_state: Vec<usize>,
+    multiplier: f64,
     modulator_state: usize,
 }
 
@@ -40,18 +37,13 @@ pub struct ReferenceFleet {
 }
 
 impl ReferenceFleet {
-    /// Build from the fleet's sampled base profiles.
+    /// Build for the fleet of `profiles` (base latencies are irrelevant to
+    /// the trajectory itself; only the fleet size is kept).
     pub fn new(profiles: &[DeviceProfile], dynamics: FleetDynamics, seed: u64) -> Self {
-        ReferenceFleet::with_len(profiles.len(), dynamics, seed)
-    }
-
-    /// Build for a fleet of `n` devices (base latencies are irrelevant to
-    /// the trajectory itself).
-    pub fn with_len(n: usize, dynamics: FleetDynamics, seed: u64) -> Self {
         dynamics.validate();
         let is_static = dynamics.is_static();
         ReferenceFleet {
-            n,
+            n: profiles.len(),
             dynamics,
             seed,
             is_static,
@@ -69,12 +61,12 @@ impl ReferenceFleet {
         self.n == 0
     }
 
-    /// Effective latency multiplier of `device` at `round`.
-    pub fn multiplier(&self, device: usize, round: usize) -> f64 {
+    /// The fleet-wide latency multiplier at `round`.
+    pub fn multiplier(&self, round: usize) -> f64 {
         if self.is_static {
             return 1.0;
         }
-        self.with_round(round, |r| r.multiplier[device])
+        self.with_round(round, |r| r.multiplier)
     }
 
     /// Whether `device` is reachable at the start of `round`.
@@ -115,11 +107,11 @@ impl ReferenceFleet {
         let r = round as u64;
 
         // Fleet-wide modulator chain: one transition per round.
-        let modulator_state = match &self.dynamics.modulator {
-            CapacityModel::Static => 0,
-            CapacityModel::Markov(chain) => {
+        let (modulator_state, multiplier) = match &self.dynamics.modulator {
+            None => (0, 1.0),
+            Some(chain) => {
                 let u = unit(seed_mix(self.seed, r, u64::MAX, ROLE_MODULATOR));
-                match prev {
+                let state = match prev {
                     None => pick(&chain.initial, u),
                     Some(p) => {
                         let k = chain.states();
@@ -128,50 +120,16 @@ impl ReferenceFleet {
                             u,
                         )
                     }
-                }
+                };
+                (state, chain.multipliers[state])
             }
         };
 
         let mut online = Vec::with_capacity(n);
-        let mut multiplier = Vec::with_capacity(n);
         let mut fail_frac = Vec::with_capacity(n);
-        let mut cap_state = Vec::with_capacity(n);
 
         for d in 0..n {
             let du = d as u64;
-
-            // Capacity chain.
-            let state = match &self.dynamics.capacity {
-                CapacityModel::Static => 0,
-                CapacityModel::Markov(chain) => {
-                    let u = unit(seed_mix(self.seed, r, du, ROLE_CAPACITY));
-                    match prev {
-                        None => pick(&chain.initial, u),
-                        Some(p) => {
-                            let k = chain.states();
-                            let row =
-                                &chain.transitions[p.cap_state[d] * k..(p.cap_state[d] + 1) * k];
-                            pick(row, u)
-                        }
-                    }
-                }
-            };
-            let mut m = match &self.dynamics.capacity {
-                CapacityModel::Static => 1.0,
-                CapacityModel::Markov(chain) => chain.multipliers[state],
-            };
-
-            // Transient straggler spike.
-            if self.dynamics.spikes.prob > 0.0
-                && unit(seed_mix(self.seed, r, du, ROLE_SPIKE)) < self.dynamics.spikes.prob
-            {
-                m *= self.dynamics.spikes.magnitude;
-            }
-
-            // Fleet-wide correlated modulator.
-            if let CapacityModel::Markov(chain) = &self.dynamics.modulator {
-                m *= chain.multipliers[modulator_state];
-            }
 
             // Availability chain.
             let on = match self.dynamics.availability {
@@ -201,16 +159,13 @@ impl ReferenceFleet {
             };
 
             online.push(on);
-            multiplier.push(m);
             fail_frac.push(fail);
-            cap_state.push(state);
         }
 
         DenseRound {
             online,
-            multiplier,
             fail_frac,
-            cap_state,
+            multiplier,
             modulator_state,
         }
     }
@@ -228,19 +183,19 @@ mod tests {
     }
 
     #[test]
-    fn reference_matches_lazy_on_the_edge_fleet_preset() {
-        let mut dynamics = FleetDynamics::edge_fleet(0.25, 0.15);
-        dynamics.spikes.prob = 0.1;
+    fn reference_matches_lazy_under_churn_and_failures() {
+        let mut dynamics = FleetDynamics::churn(0.25);
+        dynamics.mid_round_failure = 0.15;
         let lazy = FleetModel::new(&profiles(25), dynamics.clone(), 77);
         let dense = ReferenceFleet::new(&profiles(25), dynamics, 77);
         for r in 0..10 {
+            assert_eq!(
+                lazy.multiplier(r).to_bits(),
+                dense.multiplier(r).to_bits(),
+                "multiplier @{r}"
+            );
             for d in 0..25 {
                 assert_eq!(lazy.online(d, r), dense.online(d, r), "online {d}@{r}");
-                assert_eq!(
-                    lazy.multiplier(d, r).to_bits(),
-                    dense.multiplier(d, r).to_bits(),
-                    "multiplier {d}@{r}"
-                );
                 assert_eq!(
                     lazy.fail_frac(d, r).map(f64::to_bits),
                     dense.fail_frac(d, r).map(f64::to_bits),
@@ -256,12 +211,12 @@ mod tests {
         let lazy = FleetModel::new(&profiles(12), dynamics.clone(), 5);
         let dense = ReferenceFleet::new(&profiles(12), dynamics, 5);
         for r in 0..20 {
+            assert_eq!(
+                lazy.multiplier(r).to_bits(),
+                dense.multiplier(r).to_bits(),
+                "multiplier @{r}"
+            );
             for d in 0..12 {
-                assert_eq!(
-                    lazy.multiplier(d, r).to_bits(),
-                    dense.multiplier(d, r).to_bits(),
-                    "multiplier {d}@{r}"
-                );
                 assert_eq!(lazy.online(d, r), dense.online(d, r));
                 assert_eq!(
                     lazy.fail_frac(d, r).map(f64::to_bits),

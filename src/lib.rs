@@ -18,7 +18,7 @@
 //! | [`nn`] | `fedhisyn-nn` | layers, losses, SGD, flat parameter vectors |
 //! | [`data`] | `fedhisyn-data` | synthetic datasets, IID/Dirichlet partitioning |
 //! | [`cluster`] | `fedhisyn-cluster` | k-means device tiering |
-//! | [`fleet`] | `fedhisyn-fleet` | deterministic fleet dynamics: capacity drift, churn, mid-ring failures |
+//! | [`fleet`] | `fedhisyn-fleet` | deterministic fleet dynamics: churn, mid-ring failures, fleet-wide load |
 //! | [`simnet`] | `fedhisyn-simnet` | virtual clock, event queue, latency models, traffic meter |
 //! | [`telemetry`] | `fedhisyn-telemetry` | metrics registry, round-lifecycle spans, Perfetto trace export |
 //! | [`tensor`] | `fedhisyn-tensor` | shaped f32 storage; GEMM, slice and quantisation kernels |
@@ -61,9 +61,7 @@ pub mod prelude {
         RingOrder, RoundContext, RoundRecord, RunRecord,
     };
     pub use fedhisyn_data::{DataSource, Dataset, DatasetProfile, Partition, Scale, ShardPlan};
-    pub use fedhisyn_fleet::{
-        AvailabilityModel, CapacityModel, FleetDynamics, MarkovCapacity, SpikeModel,
-    };
+    pub use fedhisyn_fleet::{AvailabilityModel, FleetDynamics, MarkovCapacity};
     pub use fedhisyn_nn::{ModelSpec, ParamVec};
     pub use fedhisyn_simnet::HeterogeneityModel;
     pub use fedhisyn_telemetry::{RoundTelemetry, TelemetrySink};

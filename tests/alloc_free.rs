@@ -457,12 +457,19 @@ fn fleet_fast_path_queries_are_allocation_free() {
     let mut rng = rng_from_seed(5);
     let profiles = sample_latencies(64, HeterogeneityModel::Uniform { h: 10.0 }, &mut rng);
     let static_fleet = FleetModel::static_fleet(&profiles);
-    let churned = FleetModel::new(&profiles, FleetDynamics::edge_fleet(0.2, 0.1), 7);
+    let churned = FleetModel::new(
+        &profiles,
+        FleetDynamics {
+            mid_round_failure: 0.1,
+            ..FleetDynamics::churn(0.2)
+        },
+        7,
+    );
 
     // Warm-up: realise every device once — the map insert is the only
     // allocation the lazy path makes for a device.
     for d in 0..64 {
-        let _ = churned.multiplier(d, 0);
+        let _ = churned.online(d, 0);
     }
 
     assert_counter_wired();
@@ -472,7 +479,7 @@ fn fleet_fast_path_queries_are_allocation_free() {
     for r in (0..4).chain(36..40).chain(0..2) {
         for d in 0..64 {
             acc += static_fleet.latency(d, r);
-            acc += churned.multiplier(d, r);
+            acc += churned.latency(d, r);
             acc += churned.online(d, r) as u64 as f64;
             acc += churned.fail_frac(d, r).unwrap_or(0.0);
         }

@@ -92,9 +92,9 @@ fn churn_cfg(seed: u64, dynamics: FleetDynamics) -> ExperimentConfig {
 fn churned_runs_reproduce_identical_traces() {
     // Stochastic fleet dynamics derive entirely from the experiment seed:
     // the same seed + dynamics config must replay the identical run for
-    // every algorithm family, including which devices dropped, crashed,
-    // or throttled.
-    let dynamics = FleetDynamics::edge_fleet(0.25, 0.1);
+    // every algorithm family, including which devices dropped or crashed
+    // and how far the fleet-wide modulator slowed each round.
+    let dynamics = churning_fleet();
     for which in ALGORITHMS {
         let a = run_algo(&churn_cfg(42, dynamics.clone()), which);
         let b = run_algo(&churn_cfg(42, dynamics.clone()), which);
@@ -104,7 +104,7 @@ fn churned_runs_reproduce_identical_traces() {
 
 #[test]
 fn different_seeds_realise_different_fleet_trajectories() {
-    let dynamics = FleetDynamics::edge_fleet(0.25, 0.1);
+    let dynamics = churning_fleet();
     let a = run_algo(&churn_cfg(1, dynamics.clone()), "FedHiSyn");
     let b = run_algo(&churn_cfg(2, dynamics), "FedHiSyn");
     assert_ne!(a, b, "different seeds must realise different fleets");
@@ -132,17 +132,12 @@ fn dynamics_compose_deterministically_across_rates() {
 
 fn identity_dynamics() -> FleetDynamics {
     FleetDynamics {
-        capacity: CapacityModel::Markov(MarkovCapacity::identity()),
         availability: AvailabilityModel::Churn {
             dropout: 0.0,
             rejoin: 1.0,
         },
-        spikes: SpikeModel {
-            prob: 0.0,
-            magnitude: 1.0,
-        },
         mid_round_failure: 0.0,
-        ..FleetDynamics::default()
+        modulator: Some(MarkovCapacity::identity()),
     }
 }
 
@@ -164,7 +159,7 @@ fn identity_fleet_dynamics_match_the_static_path_bit_for_bit() {
 // ---- pinned bits ---------------------------------------------------------
 //
 // The F32 bits of FedHiSyn, the six baselines and the three serverless
-// modes, on a static fleet and on churning, crashing fleets, one set per
+// modes, on a static and on a churning, crashing fleet, one pair per
 // bit-identical kernel tier (training is tier-independent at this scale,
 // evaluation is not). The ledger's smoke run prints `record_fnv`s but
 // gates none of them; this table is the gate. The FedHiSyn row was
@@ -225,32 +220,28 @@ fn f32_baseline_records_and_serverless_models_are_pinned() {
         order: RingOrder::SmallToLarge,
         average: false,
     };
-    // (subject, [scalar, avx2] x [static, edge_fleet, churning_fleet])
+    // (subject, [scalar, avx2] x [static, churning_fleet])
     #[rustfmt::skip]
-    let pins: [(&str, [[u64; 3]; 2]); 12] = [
-        ("FedHiSyn", [[0xe1f110b90dab6ed4, 0x2b5bfcef807f40a0, 0x8027af50c6f37b94], [0xfa06c34e0f15ed27, 0x5128c5fca7690a01, 0x2de85d1a2a4f7a61]]),
-        ("FedAvg",   [[0x86c24cba5ce1d72e, 0xe5c776c288e7b3f2, 0xc76a7c1639577ea7], [0x481cf9bd5ef8ee5b, 0x8ac4a16ffb960eb9, 0xa1b7055e09ec802c]]),
-        ("FedProx",  [[0x18685b903f3506f3, 0xf13d4b40e5113768, 0x4bfb92c1ff743edf], [0x6f857f3478aa236e, 0x048716451cec4371, 0x3db7ac3cf0f928f4]]),
-        ("TFedAvg",  [[0x9abba2100343bb9c, 0xccce0cc5bbb3de6e, 0x24f70f0177f9cd8f], [0x77d2882a45310e63, 0xf297e02ba22148ff, 0x52737c9b27f62b2c]]),
-        ("SCAFFOLD", [[0x081ff261368edfbc, 0x341502b69bd4de9e, 0x616d1507c8d5002e], [0xbf11edae3d4137bd, 0x03d09e7869d43c47, 0xf77d9f5231cd73b3]]),
-        ("FedAT",    [[0x4479e1b6132ce24e, 0xa2cdff392bc23b53, 0xbeb055634b446248], [0xc3118ee82263c935, 0xed70ab61974920f8, 0x926b6ad1b88b32fb]]),
-        ("TAFedAvg", [[0xf600d1fbb7c3b2dd, 0x466434e5faf5d254, 0x72d3ecd8328e381e], [0x03c773a648b00510, 0x8435f72b5219aa15, 0x7906b61ca6088cff]]),
-        ("isolated", [[0x3e78d267ca6e0be1, 0x94643e17dd1f496a, 0x335d30c6a29d5b7d]; 2]),
-        ("random",   [[0x95b43c08066c2315, 0xd142d08dd7d1bc52, 0x441f2d364ac27ea6]; 2]),
-        ("rings",    [[0x2814497ddf18a35c, 0x1e0f622a90c72902, 0x3c913991298a5d1f]; 2]),
-        ("FedAvg CNN", [[0xe9f4f2cbac4ee5c0, 0x420312b559dbb9ae, 0x8a2ac5c181cd7b2f], [0xfe1494e5a43747ca, 0x4bfe500b4d66dde9, 0xab02849fb014da11]]),
-        ("FedHiSyn loss", [[0x5f5a71515e623753, 0xc22f7ae505b93bd9, 0xa7e2e2d102f40740], [0x1d87c43ffe1bc794, 0xd0414694ae64e5d0, 0x10cc85c5f059cf1b]]),
+    let pins: [(&str, [[u64; 2]; 2]); 12] = [
+        ("FedHiSyn", [[0xe1f110b90dab6ed4, 0x8027af50c6f37b94], [0xfa06c34e0f15ed27, 0x2de85d1a2a4f7a61]]),
+        ("FedAvg",   [[0x86c24cba5ce1d72e, 0xc76a7c1639577ea7], [0x481cf9bd5ef8ee5b, 0xa1b7055e09ec802c]]),
+        ("FedProx",  [[0x18685b903f3506f3, 0x4bfb92c1ff743edf], [0x6f857f3478aa236e, 0x3db7ac3cf0f928f4]]),
+        ("TFedAvg",  [[0x9abba2100343bb9c, 0x24f70f0177f9cd8f], [0x77d2882a45310e63, 0x52737c9b27f62b2c]]),
+        ("SCAFFOLD", [[0x081ff261368edfbc, 0x616d1507c8d5002e], [0xbf11edae3d4137bd, 0xf77d9f5231cd73b3]]),
+        ("FedAT",    [[0x4479e1b6132ce24e, 0xbeb055634b446248], [0xc3118ee82263c935, 0x926b6ad1b88b32fb]]),
+        ("TAFedAvg", [[0xf600d1fbb7c3b2dd, 0x72d3ecd8328e381e], [0x03c773a648b00510, 0x7906b61ca6088cff]]),
+        ("isolated", [[0x3e78d267ca6e0be1, 0x335d30c6a29d5b7d]; 2]),
+        ("random",   [[0x95b43c08066c2315, 0x441f2d364ac27ea6]; 2]),
+        ("rings",    [[0x2814497ddf18a35c, 0x3c913991298a5d1f]; 2]),
+        ("FedAvg CNN", [[0xe9f4f2cbac4ee5c0, 0x8a2ac5c181cd7b2f], [0xfe1494e5a43747ca, 0xab02849fb014da11]]),
+        ("FedHiSyn loss", [[0x5f5a71515e623753, 0xa7e2e2d102f40740], [0x1d87c43ffe1bc794, 0x10cc85c5f059cf1b]]),
     ];
     let tier = match fedhisyn::core::ExecutionEngine::kernel_tier() {
         "scalar" => 0,
         "avx2" => 1,
         other => panic!("no pinned fingerprints for kernel tier {other}"),
     };
-    let fleets = [
-        cfg(42),
-        churn_cfg(42, FleetDynamics::edge_fleet(0.25, 0.1)),
-        churn_cfg(42, churning_fleet()),
-    ];
+    let fleets = [cfg(42), churn_cfg(42, churning_fleet())];
     let mut drift = Vec::new();
     for (subject, pinned) in pins {
         for (fleet, cfg) in fleets.iter().enumerate() {

@@ -8,8 +8,8 @@
 use std::sync::Barrier;
 
 use fedhisyn::fleet::{
-    sample_online_cohort, AvailabilityModel, CapacityModel, FleetDynamics, FleetModel,
-    MarkovCapacity, ReferenceFleet, SpikeModel,
+    sample_online_cohort, AvailabilityModel, FleetDynamics, FleetModel, MarkovCapacity,
+    ReferenceFleet,
 };
 use fedhisyn::simnet::DeviceProfile;
 use proptest::prelude::*;
@@ -21,42 +21,23 @@ fn profiles(n: usize) -> Vec<DeviceProfile> {
 }
 
 /// A randomised dynamics config exercising every process at once.
-fn dynamics(
-    dropout: f64,
-    failure: f64,
-    spike: f64,
-    capacity: bool,
-    modulator: bool,
-) -> FleetDynamics {
+fn dynamics(dropout: f64, failure: f64, modulator: bool) -> FleetDynamics {
     FleetDynamics {
-        capacity: if capacity {
-            CapacityModel::Markov(MarkovCapacity::idle_loaded_throttled())
-        } else {
-            CapacityModel::Static
-        },
         availability: AvailabilityModel::Churn {
             dropout,
             rejoin: 0.4,
         },
-        spikes: SpikeModel {
-            prob: spike,
-            magnitude: 4.0,
-        },
         mid_round_failure: failure,
-        modulator: if modulator {
-            CapacityModel::Markov(MarkovCapacity::diurnal_burst())
-        } else {
-            CapacityModel::Static
-        },
+        modulator: modulator.then(MarkovCapacity::diurnal_burst),
     }
 }
 
 fn assert_point_identical(lazy: &FleetModel, dense: &ReferenceFleet, d: usize, r: usize) {
     assert_eq!(lazy.online(d, r), dense.online(d, r), "online {d}@{r}");
     assert_eq!(
-        lazy.multiplier(d, r).to_bits(),
-        dense.multiplier(d, r).to_bits(),
-        "multiplier {d}@{r}"
+        lazy.multiplier(r).to_bits(),
+        dense.multiplier(r).to_bits(),
+        "multiplier @{r}"
     );
     assert_eq!(
         lazy.fail_frac(d, r).map(f64::to_bits),
@@ -74,12 +55,10 @@ proptest! {
         seed in 0u64..500,
         dropout in 0.0f64..0.6,
         failure in 0.0f64..0.4,
-        spike in 0.0f64..0.3,
-        capacity in 0usize..2,
         modulator in 0usize..2,
         rounds in 1usize..10,
     ) {
-        let dyn_cfg = dynamics(dropout, failure, spike, capacity == 1, modulator == 1);
+        let dyn_cfg = dynamics(dropout, failure, modulator == 1);
         let dense = ReferenceFleet::new(&profiles(n), dyn_cfg.clone(), seed);
         // Forward query order.
         let fwd = FleetModel::new(&profiles(n), dyn_cfg.clone(), seed);
@@ -108,7 +87,7 @@ proptest! {
     ) {
         // Every device the streaming sampler returns must be online per
         // the dense reference, and the draw must be reproducible.
-        let dyn_cfg = dynamics(dropout, 0.1, 0.0, false, false);
+        let dyn_cfg = dynamics(dropout, 0.1, false);
         let lazy = FleetModel::new(&profiles(n), dyn_cfg.clone(), seed);
         let dense = ReferenceFleet::new(&profiles(n), dyn_cfg, seed);
         let cohort = sample_online_cohort(&lazy, k, round, seed ^ 0xC0FE);
@@ -132,7 +111,7 @@ fn concurrent_interleaved_queries_match_the_dense_trace() {
     // never leak into the value this thread gets back.
     let n = 30;
     let rounds = 12;
-    let dyn_cfg = dynamics(0.3, 0.2, 0.1, true, true);
+    let dyn_cfg = dynamics(0.3, 0.2, true);
     let lazy = FleetModel::new(&profiles(n), dyn_cfg.clone(), 91);
     let dense = ReferenceFleet::new(&profiles(n), dyn_cfg, 91);
     let start = Barrier::new(8);
@@ -159,9 +138,9 @@ fn concurrent_interleaved_queries_match_the_dense_trace() {
 
 #[test]
 fn querying_two_devices_of_a_10k_fleet_touches_only_their_shards() {
-    let m = FleetModel::new(&profiles(10_000), FleetDynamics::edge_fleet(0.2, 0.1), 55);
+    let m = FleetModel::new(&profiles(10_000), dynamics(0.2, 0.1, true), 55);
     for r in 0..10 {
-        let _ = m.multiplier(3, r);
+        let _ = m.online(3, r);
         let _ = m.online(17, r);
         let _ = m.fail_frac(17, r);
     }

@@ -311,15 +311,17 @@ proptest! {
         use fedhisyn::simnet::DeviceProfile;
         let profiles: Vec<DeviceProfile> =
             (0..n).map(|i| DeviceProfile::new(i, 1.0 + i as f64 * 0.25)).collect();
-        let mut dynamics = FleetDynamics::edge_fleet(dropout, failure);
-        dynamics.spikes.prob = 0.1;
+        let dynamics = FleetDynamics {
+            mid_round_failure: failure,
+            ..FleetDynamics::planet_scale(dropout)
+        };
         let a = FleetModel::new(&profiles, dynamics.clone(), seed);
         let b = FleetModel::new(&profiles, dynamics, seed);
         let at = |m: &FleetModel, r: usize| -> Vec<(bool, u64, Option<u64>)> {
             (0..n)
                 .map(|d| {
                     let fail = m.fail_frac(d, r).map(f64::to_bits);
-                    (m.online(d, r), m.multiplier(d, r).to_bits(), fail)
+                    (m.online(d, r), m.latency(d, r).to_bits(), fail)
                 })
                 .collect()
         };
