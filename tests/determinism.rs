@@ -174,7 +174,8 @@ fn identity_fleet_dynamics_match_the_static_path_bit_for_bit() {
 // given up; it was recorded at commit `4c43e7c`. The `churning_fleet`
 // column (churn, mid-round failures and the fleet-wide modulator) was
 // recorded at commit `7d5bb5d`, before the per-device capacity chain and
-// straggler spikes were deleted.
+// straggler spikes were deleted. The `random+avg` and `rings+avg` rows
+// (Fig 2's averaging controls) were recorded at commit `0a61bf3`.
 
 fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
     bytes.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, b| {
@@ -220,9 +221,14 @@ fn f32_baseline_records_and_serverless_models_are_pinned() {
         order: RingOrder::SmallToLarge,
         average: false,
     };
+    let rings_avg = DecentralMode::ClusteredRings {
+        k: 2,
+        order: RingOrder::SmallToLarge,
+        average: true,
+    };
     // (subject, [scalar, avx2] x [static, churning_fleet])
     #[rustfmt::skip]
-    let pins: [(&str, [[u64; 2]; 2]); 12] = [
+    let pins: [(&str, [[u64; 2]; 2]); 14] = [
         ("FedHiSyn", [[0xe1f110b90dab6ed4, 0x8027af50c6f37b94], [0xfa06c34e0f15ed27, 0x2de85d1a2a4f7a61]]),
         ("FedAvg",   [[0x86c24cba5ce1d72e, 0xc76a7c1639577ea7], [0x481cf9bd5ef8ee5b, 0xa1b7055e09ec802c]]),
         ("FedProx",  [[0x18685b903f3506f3, 0x4bfb92c1ff743edf], [0x6f857f3478aa236e, 0x3db7ac3cf0f928f4]]),
@@ -233,6 +239,8 @@ fn f32_baseline_records_and_serverless_models_are_pinned() {
         ("isolated", [[0x3e78d267ca6e0be1, 0x335d30c6a29d5b7d]; 2]),
         ("random",   [[0x95b43c08066c2315, 0x441f2d364ac27ea6]; 2]),
         ("rings",    [[0x2814497ddf18a35c, 0x3c913991298a5d1f]; 2]),
+        ("random+avg", [[0xd40189f9adcde482, 0x857fc17294fe3a90]; 2]),
+        ("rings+avg",  [[0x02b606310b677bf3, 0xbe31f94e0d80dcf3]; 2]),
         ("FedAvg CNN", [[0xe9f4f2cbac4ee5c0, 0x8a2ac5c181cd7b2f], [0xfe1494e5a43747ca, 0xab02849fb014da11]]),
         ("FedHiSyn loss", [[0x5f5a71515e623753, 0xa7e2e2d102f40740], [0x1d87c43ffe1bc794, 0x10cc85c5f059cf1b]]),
     ];
@@ -266,6 +274,8 @@ fn f32_baseline_records_and_serverless_models_are_pinned() {
                 "isolated" => decentral_fnv(cfg, DecentralMode::Isolated),
                 "random" => decentral_fnv(cfg, DecentralMode::RandomExchange { average: false }),
                 "rings" => decentral_fnv(cfg, rings),
+                "random+avg" => decentral_fnv(cfg, DecentralMode::RandomExchange { average: true }),
+                "rings+avg" => decentral_fnv(cfg, rings_avg),
                 algorithm => record_fnv(run_algo(cfg, algorithm)),
             };
             if got != pinned[tier][fleet] {
