@@ -385,6 +385,42 @@ mod tests {
     }
 
     #[test]
+    fn blackout_rounds_carry_the_previous_accuracy_and_time() {
+        use fedhisyn_fleet::{AvailabilityModel, FleetDynamics, FleetModel};
+        let mut env = tiny_env();
+        // Every device flips every round: round 0 is a full blackout (the
+        // first transition applies at round 0), round 1 fully online, …
+        let profiles = sample_latencies(5, HeterogeneityModel::Homogeneous, &mut rng_from_seed(0));
+        let dynamics = FleetDynamics {
+            availability: AvailabilityModel::Churn {
+                dropout: 1.0,
+                rejoin: 1.0,
+            },
+            ..FleetDynamics::default()
+        };
+        env.fleet = FleetModel::new(&profiles, dynamics, 9);
+        let mut algo = Null { p: 1.0 };
+        let rec = run_experiment(&mut algo, &mut env, 4);
+        let seen: Vec<usize> = rec.rounds.iter().map(|r| r.participants).collect();
+        assert_eq!(seen, [0, 5, 0, 5]);
+        assert_eq!(
+            (rec.rounds[0].accuracy, rec.rounds[0].virtual_time),
+            (0.0, 0.0)
+        );
+        let (online, blackout) = (&rec.rounds[1], &rec.rounds[2]);
+        assert_eq!(
+            blackout.accuracy, online.accuracy,
+            "the global is unchanged"
+        );
+        assert_eq!(
+            blackout.virtual_time, online.virtual_time,
+            "no time advances"
+        );
+        assert_eq!(blackout.uploads, online.uploads, "nobody uploads");
+        assert!(rec.rounds[3].virtual_time > rec.rounds[2].virtual_time);
+    }
+
+    #[test]
     fn streaming_cohort_mode_samples_fixed_k_online_devices() {
         use fedhisyn_fleet::{sample_online_cohort, FleetDynamics, FleetModel};
         let mut env = tiny_env();
