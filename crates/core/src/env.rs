@@ -341,7 +341,7 @@ impl FlEnv {
     ///
     /// `base` is the shared reference model `TopK` deltas are coded
     /// against (the decoded broadcast the receivers hold; `None` ⇒ zero
-    /// base for serverless topologies). Under [`Codec::F32`] this
+    /// base). Under [`Codec::F32`] this
     /// degrades to [`FlEnv::wire_round_trip_check`] and neither the
     /// payload nor the residual is touched — bit-identity with the
     /// pre-codec engine.

@@ -93,7 +93,7 @@ impl FedHiSyn {
     /// `round` — on a dynamic fleet the classes follow the online set and
     /// the shared modulator's scale; on a static fleet this reads the base
     /// profile and is bit-identical to clustering once.
-    pub fn cluster_participants(
+    fn cluster_participants(
         env: &FlEnv,
         participants: &[usize],
         k: usize,

@@ -72,10 +72,11 @@ pub fn local_train_plain_owned(
     local_train_owned(env, device, params, epochs, &NoHook, round, salt)
 }
 
-/// The device pass every collected or serverless protocol runs: `steps`
-/// consecutive local-training steps of `E` epochs on `device`, starting
-/// from `start`, under `hook`. Step `i` is salted `i`, so a device's
-/// steps within one round draw independent, reproducible batch orders.
+/// The device pass every collected protocol and the serverless random
+/// exchange run: `steps` consecutive local-training steps of `E` epochs
+/// on `device`, starting from `start`, under `hook`. Step `i` is salted
+/// `i`, so a device's steps within one round draw independent,
+/// reproducible batch orders.
 ///
 /// Clones `start` once; every step after that moves the same parameter
 /// buffer through the worker's cached model.

@@ -16,7 +16,8 @@
 //! untraced, full-precision interval. The ring algorithms do not fill
 //! the options in themselves: `RingRound` derives them from the
 //! environment, the same way for FedHiSyn's class rings and the
-//! decentralized rings, and settles the interval's traffic afterwards.
+//! decentralized rings (whose environment is always static, lossless and
+//! fault-free), and settles the interval's traffic afterwards.
 //!
 //! # Move-based relay
 //!
@@ -116,9 +117,7 @@ pub struct RingOptions<'a> {
     ///
     /// When a device dies, the step it was training never completes; the
     /// freshest model it held — a pending unconsumed arrival, else the
-    /// model it was training — is preserved as its last-held model
-    /// (device storage survives a crash, which is what a decentralized
-    /// rejoin resumes from) and a copy goes to the next *live* successor.
+    /// model it was training — moves on to the next *live* successor.
     /// The ring repairs itself: later sends skip dead positions and
     /// in-flight arrivals addressed to one are re-forwarded. The position
     /// is reported dead in [`RingOutcome::alive`] — it cannot upload this
@@ -227,10 +226,8 @@ pub enum RingStart<'a> {
 #[derive(Debug, Clone)]
 pub struct RingOutcome {
     /// Final (most recently trained) model per ring position — what the
-    /// device *uploads* in FedHiSyn. For a position that died mid-interval
-    /// this is the freshest model the device *held* at death (preserved
-    /// for decentralized carry-over), or an empty placeholder when it
-    /// held nothing; check [`RingOutcome::alive`] before uploading.
+    /// device *uploads* in FedHiSyn. Unspecified for a position that died
+    /// mid-interval; check [`RingOutcome::alive`] before uploading.
     pub final_models: Vec<ParamVec>,
     /// The model each position would train next: the newest unconsumed
     /// arrival, or its own latest model when nothing is pending. This is
@@ -238,6 +235,7 @@ pub struct RingOutcome {
     /// which decentralized (server-less) training carries into the next
     /// interval — without it, a homogeneous ring doing one step per
     /// interval would never circulate models across intervals.
+    /// Unspecified for a dead position.
     pub next_models: Vec<ParamVec>,
     /// Local-training steps completed per ring position.
     pub steps: Vec<usize>,
@@ -245,8 +243,8 @@ pub struct RingOutcome {
     /// forwards).
     pub transfers: usize,
     /// Whether each ring position survived the interval. Dead positions
-    /// cannot upload; `final_models`/`next_models` hold their last-held
-    /// model (or a placeholder) for decentralized carry-over.
+    /// cannot upload, and their `final_models`/`next_models` entries are
+    /// unspecified.
     pub alive: Vec<bool>,
     /// Wire-fault accounting for the interval (all zeroes, empty
     /// `faults_at`, when no fault plan was active).
@@ -319,11 +317,10 @@ where
             (models.into_iter().map(Some).collect(), None)
         }
     };
-    // `latest[pos]` is only read after the position's final completion
-    // (or its failure), and every surviving position completes at least
-    // once (`allowed[pos] >= 1`), so placeholders are only ever observed
-    // for a position that died holding nothing of its own — which callers
-    // must skip via `alive`.
+    // `latest[pos]` is written at the position's final completion, which
+    // every surviving position reaches (`allowed[pos] >= 1`); a position
+    // that dies first keeps the placeholder, which callers skip via
+    // `alive`.
     let mut latest: Vec<ParamVec> = vec![ParamVec::default(); n];
     let mut inbox: Vec<Option<ParamVec>> = vec![None; n];
     let mut steps = vec![0usize; n];
@@ -384,17 +381,13 @@ where
             }
             Event::Failure { pos } => {
                 dead[pos] = true;
-                // The freshest model the device held: a pending arrival
-                // beats the model it was mid-way through training. The
-                // device's storage survives the crash (that is what a
-                // decentralized rejoin resumes from): forward a copy to
-                // the next live successor and keep it as the position's
-                // last-held model.
+                // The freshest model the device held — a pending arrival
+                // beats the model it was mid-way through training — moves
+                // on to the next live successor.
                 if let Some(held) = inbox[pos].take().or_else(|| working[pos].take()) {
                     if let Some(succ) = next_live(ring, &dead, pos) {
-                        wire.transmit(now, pos, succ, held.clone());
+                        wire.transmit(now, pos, succ, held);
                     }
-                    latest[pos] = held;
                 }
             }
             Event::Completion { pos } if dead[pos] => {
@@ -1083,9 +1076,6 @@ mod tests {
         // Exactly one transfer: the salvage forward (the survivor has no
         // live successor to send to afterwards).
         assert_eq!(out.transfers, 1);
-        // The dead position preserved the model it held at death.
-        assert_eq!(out.final_models[1].as_slice(), &[0.0, 100.0]);
-        assert_eq!(out.next_models[1].as_slice(), &[0.0, 100.0]);
     }
 
     #[test]

@@ -158,10 +158,10 @@ fn identity_fleet_dynamics_match_the_static_path_bit_for_bit() {
 
 // ---- pinned bits ---------------------------------------------------------
 //
-// The F32 bits of FedHiSyn, the six baselines and the three serverless
-// modes, on a static and on a churning, crashing fleet, one pair per
-// bit-identical kernel tier (training is tier-independent at this scale,
-// evaluation is not). The ledger's smoke run prints `record_fnv`s but
+// The F32 bits of FedHiSyn and the six baselines on a static and on a
+// churning, crashing fleet, and of the five serverless modes of Fig 2 on
+// the static fleet, one pair per bit-identical kernel tier (training is
+// tier-independent at this scale, evaluation is not). The ledger's smoke run prints `record_fnv`s but
 // gates none of them; this table is the gate. The FedHiSyn row was
 // recorded at commit `14a9b73`, before backprop stopped computing the
 // model input's gradient. The `FedAvg CNN` row runs the same fleets
@@ -174,8 +174,9 @@ fn identity_fleet_dynamics_match_the_static_path_bit_for_bit() {
 // given up; it was recorded at commit `4c43e7c`. The `churning_fleet`
 // column (churn, mid-round failures and the fleet-wide modulator) was
 // recorded at commit `7d5bb5d`, before the per-device capacity chain and
-// straggler spikes were deleted. The `random+avg` and `rings+avg` rows
-// (Fig 2's averaging controls) were recorded at commit `0a61bf3`.
+// straggler spikes were deleted; the serverless rows lost theirs when
+// `DecentralSim` became static-only. The `random+avg` and `rings+avg`
+// rows (Fig 2's averaging controls) were recorded at commit `0a61bf3`.
 
 fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
     bytes.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, b| {
@@ -228,7 +229,7 @@ fn f32_baseline_records_and_serverless_models_are_pinned() {
     };
     // (subject, [scalar, avx2] x [static, churning_fleet])
     #[rustfmt::skip]
-    let pins: [(&str, [[u64; 2]; 2]); 14] = [
+    let pins: [(&str, [[u64; 2]; 2]); 9] = [
         ("FedHiSyn", [[0xe1f110b90dab6ed4, 0x8027af50c6f37b94], [0xfa06c34e0f15ed27, 0x2de85d1a2a4f7a61]]),
         ("FedAvg",   [[0x86c24cba5ce1d72e, 0xc76a7c1639577ea7], [0x481cf9bd5ef8ee5b, 0xa1b7055e09ec802c]]),
         ("FedProx",  [[0x18685b903f3506f3, 0x4bfb92c1ff743edf], [0x6f857f3478aa236e, 0x3db7ac3cf0f928f4]]),
@@ -236,13 +237,18 @@ fn f32_baseline_records_and_serverless_models_are_pinned() {
         ("SCAFFOLD", [[0x081ff261368edfbc, 0x616d1507c8d5002e], [0xbf11edae3d4137bd, 0xf77d9f5231cd73b3]]),
         ("FedAT",    [[0x4479e1b6132ce24e, 0xbeb055634b446248], [0xc3118ee82263c935, 0x926b6ad1b88b32fb]]),
         ("TAFedAvg", [[0xf600d1fbb7c3b2dd, 0x72d3ecd8328e381e], [0x03c773a648b00510, 0x7906b61ca6088cff]]),
-        ("isolated", [[0x3e78d267ca6e0be1, 0x335d30c6a29d5b7d]; 2]),
-        ("random",   [[0x95b43c08066c2315, 0x441f2d364ac27ea6]; 2]),
-        ("rings",    [[0x2814497ddf18a35c, 0x3c913991298a5d1f]; 2]),
-        ("random+avg", [[0xd40189f9adcde482, 0x857fc17294fe3a90]; 2]),
-        ("rings+avg",  [[0x02b606310b677bf3, 0xbe31f94e0d80dcf3]; 2]),
         ("FedAvg CNN", [[0xe9f4f2cbac4ee5c0, 0x8a2ac5c181cd7b2f], [0xfe1494e5a43747ca, 0xab02849fb014da11]]),
         ("FedHiSyn loss", [[0x5f5a71515e623753, 0xa7e2e2d102f40740], [0x1d87c43ffe1bc794, 0x10cc85c5f059cf1b]]),
+    ];
+    // (mode, [scalar, avx2]) on the static fleet, the only one the
+    // serverless modes run on.
+    #[rustfmt::skip]
+    let serverless: [(DecentralMode, [u64; 2]); 5] = [
+        (DecentralMode::Isolated,                          [0x3e78d267ca6e0be1; 2]),
+        (DecentralMode::RandomExchange { average: false }, [0x95b43c08066c2315; 2]),
+        (rings,                                            [0x2814497ddf18a35c; 2]),
+        (DecentralMode::RandomExchange { average: true },  [0xd40189f9adcde482; 2]),
+        (rings_avg,                                        [0x02b606310b677bf3; 2]),
     ];
     let tier = match fedhisyn::core::ExecutionEngine::kernel_tier() {
         "scalar" => 0,
@@ -271,16 +277,17 @@ fn f32_baseline_records_and_serverless_models_are_pinned() {
                     };
                     record_fnv(run_algo(&lossy, "FedHiSyn"))
                 }
-                "isolated" => decentral_fnv(cfg, DecentralMode::Isolated),
-                "random" => decentral_fnv(cfg, DecentralMode::RandomExchange { average: false }),
-                "rings" => decentral_fnv(cfg, rings),
-                "random+avg" => decentral_fnv(cfg, DecentralMode::RandomExchange { average: true }),
-                "rings+avg" => decentral_fnv(cfg, rings_avg),
                 algorithm => record_fnv(run_algo(cfg, algorithm)),
             };
             if got != pinned[tier][fleet] {
                 drift.push(format!("{subject} tier {tier} fleet {fleet}: {got:#018x}"));
             }
+        }
+    }
+    for (mode, pinned) in serverless {
+        let got = decentral_fnv(&fleets[0], mode);
+        if got != pinned[tier] {
+            drift.push(format!("{} tier {tier}: {got:#018x}", mode.label()));
         }
     }
     assert!(
