@@ -183,8 +183,8 @@ impl ExperimentConfig {
                 let device_data: Vec<Dataset> =
                     indices.iter().map(|idx| fd.train.subset(idx)).collect();
                 let mut lat_rng = rng_from_seed(seed_mix(self.seed, 0x1A7E, 0, 0));
-                let profiles = sample_latencies(self.n_devices, self.heterogeneity, &mut lat_rng);
-                let fleet = FleetModel::new(&profiles, self.fleet.clone(), fleet_seed);
+                let latencies = sample_latencies(self.n_devices, self.heterogeneity, &mut lat_rng);
+                let fleet = FleetModel::new(&latencies, self.fleet.clone(), fleet_seed);
                 (DataSource::Dense(device_data), fd.test, fleet)
             }
             DataMode::Lazy {

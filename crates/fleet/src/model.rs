@@ -13,7 +13,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, RwLock};
 
-use fedhisyn_simnet::{seed_mix, unit, DeviceProfile, ProfileSource};
+use fedhisyn_simnet::{seed_mix, unit, ProfileSource};
 
 use crate::dynamics::{AvailabilityModel, FleetDynamics, MarkovCapacity};
 
@@ -113,9 +113,15 @@ impl FleetModel {
     /// Number of trajectory shards (queries hash by `device % SHARD_COUNT`).
     pub const SHARD_COUNT: usize = 64;
 
-    /// Build from the fleet's sampled base profiles.
-    pub fn new(profiles: &[DeviceProfile], dynamics: FleetDynamics, seed: u64) -> Self {
-        FleetModel::with_source(ProfileSource::from_profiles(profiles), dynamics, seed)
+    /// Build from the fleet's sampled base latencies (virtual seconds per
+    /// local step, each positive and finite), served densely.
+    pub fn new(latencies: &[f64], dynamics: FleetDynamics, seed: u64) -> Self {
+        assert!(
+            latencies.iter().all(|t| t.is_finite() && *t > 0.0),
+            "train_time must be positive"
+        );
+        let profiles = ProfileSource::Dense(latencies.to_vec());
+        FleetModel::with_source(profiles, dynamics, seed)
     }
 
     /// Build over any profile source — in particular a lazy one, so a
@@ -135,9 +141,9 @@ impl FleetModel {
         }
     }
 
-    /// A static fleet over `profiles` (the default in every test env).
-    pub fn static_fleet(profiles: &[DeviceProfile]) -> Self {
-        FleetModel::new(profiles, FleetDynamics::default(), 0)
+    /// A static fleet over `latencies` (the default in every test env).
+    pub fn static_fleet(latencies: &[f64]) -> Self {
+        FleetModel::new(latencies, FleetDynamics::default(), 0)
     }
 
     /// True when the model is the degenerate static fleet.
@@ -340,10 +346,8 @@ impl FleetModel {
 mod tests {
     use super::*;
 
-    fn profiles(n: usize) -> Vec<DeviceProfile> {
-        (0..n)
-            .map(|i| DeviceProfile::new(i, 1.0 + i as f64 * 0.5))
-            .collect()
+    fn profiles(n: usize) -> Vec<f64> {
+        (0..n).map(|i| 1.0 + i as f64 * 0.5).collect()
     }
 
     /// Churn, mid-round failures and the fleet-wide modulator at once.
@@ -365,6 +369,12 @@ mod tests {
                 )
             })
             .collect()
+    }
+
+    #[test]
+    #[should_panic(expected = "positive")]
+    fn zero_latency_panics() {
+        let _ = FleetModel::static_fleet(&[1.0, 0.0]);
     }
 
     #[test]

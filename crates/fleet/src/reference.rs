@@ -12,7 +12,7 @@
 
 use std::sync::RwLock;
 
-use fedhisyn_simnet::{seed_mix, unit, DeviceProfile};
+use fedhisyn_simnet::{seed_mix, unit};
 
 use crate::dynamics::{AvailabilityModel, FleetDynamics};
 use crate::model::{pick, ROLE_AVAIL, ROLE_FAIL, ROLE_FAIL_TIME, ROLE_MODULATOR};
@@ -37,13 +37,13 @@ pub struct ReferenceFleet {
 }
 
 impl ReferenceFleet {
-    /// Build for the fleet of `profiles` (base latencies are irrelevant to
-    /// the trajectory itself; only the fleet size is kept).
-    pub fn new(profiles: &[DeviceProfile], dynamics: FleetDynamics, seed: u64) -> Self {
+    /// Build for a fleet of `n` devices (base latencies are irrelevant to
+    /// the trajectory itself).
+    pub fn new(n: usize, dynamics: FleetDynamics, seed: u64) -> Self {
         dynamics.validate();
         let is_static = dynamics.is_static();
         ReferenceFleet {
-            n: profiles.len(),
+            n,
             dynamics,
             seed,
             is_static,
@@ -176,10 +176,8 @@ mod tests {
     use super::*;
     use crate::FleetModel;
 
-    fn profiles(n: usize) -> Vec<DeviceProfile> {
-        (0..n)
-            .map(|i| DeviceProfile::new(i, 1.0 + i as f64 * 0.5))
-            .collect()
+    fn profiles(n: usize) -> Vec<f64> {
+        (0..n).map(|i| 1.0 + i as f64 * 0.5).collect()
     }
 
     #[test]
@@ -187,7 +185,7 @@ mod tests {
         let mut dynamics = FleetDynamics::churn(0.25);
         dynamics.mid_round_failure = 0.15;
         let lazy = FleetModel::new(&profiles(25), dynamics.clone(), 77);
-        let dense = ReferenceFleet::new(&profiles(25), dynamics, 77);
+        let dense = ReferenceFleet::new(25, dynamics, 77);
         for r in 0..10 {
             assert_eq!(
                 lazy.multiplier(r).to_bits(),
@@ -209,7 +207,7 @@ mod tests {
     fn reference_matches_lazy_under_the_shared_modulator() {
         let dynamics = FleetDynamics::planet_scale(0.2);
         let lazy = FleetModel::new(&profiles(12), dynamics.clone(), 5);
-        let dense = ReferenceFleet::new(&profiles(12), dynamics, 5);
+        let dense = ReferenceFleet::new(12, dynamics, 5);
         for r in 0..20 {
             assert_eq!(
                 lazy.multiplier(r).to_bits(),

@@ -5,38 +5,6 @@ use serde::{Deserialize, Serialize};
 
 use crate::seed::unit;
 
-/// Static profile of one simulated device.
-///
-/// `train_time` is the virtual seconds the device needs for **one
-/// local-training step** (the paper's `t_i`: `E` local epochs over the
-/// device's shard). The paper's server records this latency and clusters
-/// on it (§4.1).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct DeviceProfile {
-    /// Device index in the fleet.
-    pub id: usize,
-    /// Virtual seconds per local-training step (`t_i`).
-    pub train_time: f64,
-}
-
-impl DeviceProfile {
-    /// New profile.
-    pub fn new(id: usize, train_time: f64) -> Self {
-        assert!(
-            train_time.is_finite() && train_time > 0.0,
-            "train_time must be positive"
-        );
-        DeviceProfile { id, train_time }
-    }
-
-    /// How many full local-training steps fit in a window of `interval`
-    /// virtual seconds (at least one is always granted — the paper's Alg. 1
-    /// lets every device finish the step it is on).
-    pub fn steps_within(&self, interval: f64) -> usize {
-        ((interval / self.train_time).floor() as usize).max(1)
-    }
-}
-
 /// How local-training latencies are distributed across the fleet.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum HeterogeneityModel {
@@ -60,25 +28,21 @@ impl HeterogeneityModel {
     }
 }
 
-/// Sample `n` device profiles under a heterogeneity model. The fastest
-/// possible device takes one virtual second per step, so a device's train
-/// time is its latency factor.
-pub fn sample_latencies<R: Rng>(
-    n: usize,
-    model: HeterogeneityModel,
-    rng: &mut R,
-) -> Vec<DeviceProfile> {
+/// Sample `n` devices' latencies under a heterogeneity model: the
+/// virtual seconds each needs for **one local-training step** (the
+/// paper's `t_i`: `E` local epochs over the device's shard), which the
+/// server records and clusters on (§4.1). The fastest possible device
+/// takes one virtual second per step, so a latency is its device's
+/// latency factor.
+pub fn sample_latencies<R: Rng>(n: usize, model: HeterogeneityModel, rng: &mut R) -> Vec<f64> {
     assert!(n > 0, "need at least one device");
     (0..n)
-        .map(|id| {
-            let factor = match model {
-                HeterogeneityModel::Homogeneous => 1.0,
-                HeterogeneityModel::Uniform { h } => {
-                    assert!(h >= 1.0, "heterogeneity degree must be >= 1");
-                    rng.gen_range(1.0..=h)
-                }
-            };
-            DeviceProfile::new(id, factor)
+        .map(|_| match model {
+            HeterogeneityModel::Homogeneous => 1.0,
+            HeterogeneityModel::Uniform { h } => {
+                assert!(h >= 1.0, "heterogeneity degree must be >= 1");
+                rng.gen_range(1.0..=h)
+            }
         })
         .collect()
 }
@@ -123,11 +87,6 @@ pub enum ProfileSource {
 }
 
 impl ProfileSource {
-    /// Dense source over already-sampled profiles.
-    pub fn from_profiles(profiles: &[DeviceProfile]) -> Self {
-        ProfileSource::Dense(profiles.iter().map(|p| p.train_time).collect())
-    }
-
     /// Lazy source deriving `n` profiles on demand.
     pub fn lazy(n: usize, model: HeterogeneityModel, seed: u64) -> Self {
         assert!(n > 0, "need at least one device");
@@ -163,11 +122,6 @@ impl ProfileSource {
             }
         }
     }
-
-    /// Materialise device `id`'s profile.
-    pub fn profile(&self, id: usize) -> DeviceProfile {
-        DeviceProfile::new(id, self.train_time(id))
-    }
 }
 
 #[cfg(test)]
@@ -182,40 +136,21 @@ mod tests {
 
     #[test]
     fn homogeneous_latencies_are_equal() {
-        let profiles = sample_latencies(10, HeterogeneityModel::Homogeneous, &mut rng(0));
-        assert!(profiles.iter().all(|p| p.train_time == 1.0));
-        assert_eq!(profiles.len(), 10);
-        assert_eq!(profiles[3].id, 3);
+        let latencies = sample_latencies(10, HeterogeneityModel::Homogeneous, &mut rng(0));
+        assert_eq!(latencies, [1.0; 10]);
     }
 
     #[test]
     fn uniform_latencies_respect_bounds() {
         let h = 10.0;
-        let profiles = sample_latencies(1000, HeterogeneityModel::Uniform { h }, &mut rng(1));
-        for p in &profiles {
-            assert!(p.train_time >= 1.0 && p.train_time <= h);
-        }
-        let max = profiles.iter().map(|p| p.train_time).fold(0.0, f64::max);
-        let min = profiles
-            .iter()
-            .map(|p| p.train_time)
-            .fold(f64::MAX, f64::min);
+        let latencies = sample_latencies(1000, HeterogeneityModel::Uniform { h }, &mut rng(1));
+        assert!(latencies.iter().all(|t| (1.0..=h).contains(t)));
+        let max = latencies.iter().copied().fold(0.0, f64::max);
+        let min = latencies.iter().copied().fold(f64::MAX, f64::min);
         assert!(
             max / min > 5.0,
             "1000 samples should nearly span the range: {}",
             max / min
-        );
-    }
-
-    #[test]
-    fn steps_within_floor_and_min_one() {
-        let p = DeviceProfile::new(0, 2.0);
-        assert_eq!(p.steps_within(10.0), 5);
-        assert_eq!(p.steps_within(9.9), 4);
-        assert_eq!(
-            p.steps_within(1.0),
-            1,
-            "every device completes at least one step"
         );
     }
 
@@ -233,19 +168,12 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "positive")]
-    fn zero_latency_panics() {
-        let _ = DeviceProfile::new(0, 0.0);
-    }
-
-    #[test]
-    fn dense_source_mirrors_profiles() {
-        let profiles = sample_latencies(8, HeterogeneityModel::Uniform { h: 4.0 }, &mut rng(4));
-        let src = ProfileSource::from_profiles(&profiles);
+    fn dense_source_mirrors_latencies() {
+        let latencies = sample_latencies(8, HeterogeneityModel::Uniform { h: 4.0 }, &mut rng(4));
+        let src = ProfileSource::Dense(latencies.clone());
         assert_eq!(src.len(), 8);
-        for p in &profiles {
-            assert_eq!(src.train_time(p.id), p.train_time);
-            assert_eq!(src.profile(p.id), *p);
+        for (id, &t) in latencies.iter().enumerate() {
+            assert_eq!(src.train_time(id), t);
         }
     }
 

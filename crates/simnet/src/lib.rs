@@ -6,8 +6,10 @@
 //!
 //! * [`SimTime`] / [`EventQueue`] — a virtual clock and a deterministic
 //!   time-ordered event queue (ties broken by insertion sequence),
-//! * [`DeviceProfile`] / [`HeterogeneityModel`] — per-device latency
-//!   profiles with the paper's uniform heterogeneity factor,
+//! * [`sample_latencies`] / [`HeterogeneityModel`] — per-device
+//!   latencies (virtual seconds per local step) with the paper's uniform
+//!   heterogeneity factor, and [`ProfileSource`], which serves them
+//!   densely or derives them lazily,
 //! * [`TrafficMeter`] — model-transmission accounting behind the paper's
 //!   "number of transmitted models" metric (Table 1),
 //! * [`FaultPlan`] — deterministic per-edge frame loss derived purely
@@ -22,7 +24,7 @@ pub mod seed;
 pub mod time;
 pub mod traffic;
 
-pub use device::{sample_latencies, DeviceProfile, HeterogeneityModel, ProfileSource};
+pub use device::{sample_latencies, HeterogeneityModel, ProfileSource};
 pub use event::EventQueue;
 pub use fault::{FaultConfig, FaultPlan};
 pub use seed::{seed_mix, unit};

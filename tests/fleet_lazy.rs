@@ -11,13 +11,10 @@ use fedhisyn::fleet::{
     sample_online_cohort, AvailabilityModel, FleetDynamics, FleetModel, MarkovCapacity,
     ReferenceFleet,
 };
-use fedhisyn::simnet::DeviceProfile;
 use proptest::prelude::*;
 
-fn profiles(n: usize) -> Vec<DeviceProfile> {
-    (0..n)
-        .map(|i| DeviceProfile::new(i, 1.0 + i as f64 * 0.25))
-        .collect()
+fn profiles(n: usize) -> Vec<f64> {
+    (0..n).map(|i| 1.0 + i as f64 * 0.25).collect()
 }
 
 /// A randomised dynamics config exercising every process at once.
@@ -59,7 +56,7 @@ proptest! {
         rounds in 1usize..10,
     ) {
         let dyn_cfg = dynamics(dropout, failure, modulator == 1);
-        let dense = ReferenceFleet::new(&profiles(n), dyn_cfg.clone(), seed);
+        let dense = ReferenceFleet::new(n, dyn_cfg.clone(), seed);
         // Forward query order.
         let fwd = FleetModel::new(&profiles(n), dyn_cfg.clone(), seed);
         for r in 0..rounds {
@@ -89,7 +86,7 @@ proptest! {
         // the dense reference, and the draw must be reproducible.
         let dyn_cfg = dynamics(dropout, 0.1, false);
         let lazy = FleetModel::new(&profiles(n), dyn_cfg.clone(), seed);
-        let dense = ReferenceFleet::new(&profiles(n), dyn_cfg, seed);
+        let dense = ReferenceFleet::new(n, dyn_cfg, seed);
         let cohort = sample_online_cohort(&lazy, k, round, seed ^ 0xC0FE);
         prop_assert!(cohort.len() <= k.min(n));
         prop_assert!(cohort.windows(2).all(|w| w[0] < w[1]), "sorted, distinct");
@@ -113,7 +110,7 @@ fn concurrent_interleaved_queries_match_the_dense_trace() {
     let rounds = 12;
     let dyn_cfg = dynamics(0.3, 0.2, true);
     let lazy = FleetModel::new(&profiles(n), dyn_cfg.clone(), 91);
-    let dense = ReferenceFleet::new(&profiles(n), dyn_cfg, 91);
+    let dense = ReferenceFleet::new(n, dyn_cfg, 91);
     let start = Barrier::new(8);
     std::thread::scope(|scope| {
         for t in 0..8 {

@@ -308,9 +308,7 @@ proptest! {
         rounds in 1usize..12,
     ) {
         use fedhisyn::fleet::{FleetDynamics, FleetModel};
-        use fedhisyn::simnet::DeviceProfile;
-        let profiles: Vec<DeviceProfile> =
-            (0..n).map(|i| DeviceProfile::new(i, 1.0 + i as f64 * 0.25)).collect();
+        let profiles: Vec<f64> = (0..n).map(|i| 1.0 + i as f64 * 0.25).collect();
         let dynamics = FleetDynamics {
             mid_round_failure: failure,
             ..FleetDynamics::planet_scale(dropout)
