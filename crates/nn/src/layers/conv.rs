@@ -1,5 +1,5 @@
-//! 2-D convolution via per-sample, tap-major im2col + GEMMs that read their
-//! operands in place.
+//! 2-D stride-1 convolution via per-sample, tap-major im2col + GEMMs that
+//! read their operands in place.
 //!
 //! # Tap-major lowering
 //!
@@ -7,7 +7,7 @@
 //! row `(c, ki, kj)` — one kernel *tap* — holds the input value that tap
 //! sees at every output position, column `oy·OW + ox`. im2col and col2im
 //! therefore move whole output rows: per (tap, `oy`) one contiguous run of
-//! up to `OW` floats (a `memcpy` at stride 1), with only the `pad`-clipped
+//! up to `OW` floats (a `memcpy`), with only the `pad`-clipped
 //! ends of the run zero-filled or skipped ([`tap_cols`] gives the valid
 //! run).
 //!
@@ -47,7 +47,7 @@
 //! col2im gets that order by visiting the taps in **descending**
 //! `(c, ki, kj)` order: for a fixed input element, the output position
 //! `oy·OW + ox` a tap `(ki, kj)` reaches it from strictly decreases as
-//! `(ki, kj)` increases, for any stride and padding. The unit tests hold
+//! `(ki, kj)` increases, for any padding. The unit tests hold
 //! every stage exactly to direct loops in this order.
 //!
 //! # Batch-size independence
@@ -56,7 +56,7 @@
 //! of one with no `zero_grad` in between: every stage but `dW` is a
 //! per-sample call, and `dW` is the same chained per-sample `β = 1`
 //! accumulation either way. `tests/conv_batched.rs` proves this across
-//! batch remainders, stride, padding and the GEMM dispatch edges.
+//! batch remainders, kernel sizes, padding and the GEMM dispatch edges.
 //!
 //! Every workspace (`cols`, `dy_rows`, the transposed gradient, `dcols`)
 //! is carved from the step's [`Scratch`]; the layer itself holds only
@@ -87,10 +87,10 @@ use crate::arena::ArenaBuf;
 use crate::init::Init;
 use crate::layers::Layer;
 
-/// 2-D convolution with square kernels and symmetric padding.
+/// 2-D stride-1 convolution with square kernels and symmetric padding.
 ///
 /// Input is `[B, C, H, W]`; output `[B, F, OH, OW]` where
-/// `OH = (H + 2·pad − k) / stride + 1`. The kernel bank is stored as a
+/// `OH = H + 2·pad − k + 1`. The kernel bank is stored as a
 /// `[F, C·k·k]` matrix, consumed in place as the A operand of each
 /// sample's forward GEMM (see the module docs for the tap-major layout).
 #[derive(Debug, Clone)]
@@ -102,7 +102,6 @@ pub struct Conv2d {
     in_channels: usize,
     out_channels: usize,
     kernel: usize,
-    stride: usize,
     pad: usize,
     /// Where the current step's im2col matrix lives in the arena.
     cols_slot: Option<ScratchSlot>,
@@ -123,20 +122,6 @@ impl Conv2d {
         init: Init,
         rng: &mut R,
     ) -> Self {
-        Conv2d::with_stride(in_channels, out_channels, kernel, 1, pad, init, rng)
-    }
-
-    /// Create a convolution layer with an explicit stride.
-    pub fn with_stride<R: Rng>(
-        in_channels: usize,
-        out_channels: usize,
-        kernel: usize,
-        stride: usize,
-        pad: usize,
-        init: Init,
-        rng: &mut R,
-    ) -> Self {
-        assert!(stride > 0, "Conv2d stride must be positive");
         let fan_in = in_channels * kernel * kernel;
         let fan_out = out_channels * kernel * kernel;
         let weight = init.sample(vec![out_channels, fan_in], fan_in, fan_out, rng);
@@ -148,7 +133,6 @@ impl Conv2d {
             in_channels,
             out_channels,
             kernel,
-            stride,
             pad,
             cols_slot: None,
             cached_input_hw: (0, 0),
@@ -160,8 +144,8 @@ impl Conv2d {
     /// Output spatial size for an input spatial size.
     pub fn out_size(&self, h: usize, w: usize) -> (usize, usize) {
         (
-            (h + 2 * self.pad - self.kernel) / self.stride + 1,
-            (w + 2 * self.pad - self.kernel) / self.stride + 1,
+            h + 2 * self.pad - self.kernel + 1,
+            w + 2 * self.pad - self.kernel + 1,
         )
     }
 
@@ -171,11 +155,11 @@ impl Conv2d {
 }
 
 /// The run `[lo, hi)` of output columns (or rows) at which kernel offset
-/// `kj` lands inside the `w`-wide input: `ox·stride + kj − pad ∈ [0, w)`.
+/// `kj` lands inside the `w`-wide input: `ox + kj − pad ∈ [0, w)`.
 /// Empty (`lo == hi`) when the offset only ever sees padding.
-fn tap_cols(ow: usize, w: usize, kj: usize, stride: usize, pad: usize) -> (usize, usize) {
-    let lo = pad.saturating_sub(kj).div_ceil(stride).min(ow);
-    let hi = (w + pad).saturating_sub(kj).div_ceil(stride).min(ow);
+fn tap_cols(ow: usize, w: usize, kj: usize, pad: usize) -> (usize, usize) {
+    let lo = pad.saturating_sub(kj).min(ow);
+    let hi = (w + pad).saturating_sub(kj).min(ow);
     (lo, hi.max(lo))
 }
 
@@ -189,7 +173,6 @@ fn im2col_taps(
     h: usize,
     w: usize,
     k: usize,
-    stride: usize,
     pad: usize,
     oh: usize,
     ow: usize,
@@ -199,8 +182,8 @@ fn im2col_taps(
     debug_assert_eq!(cols.len(), c * k * k * oh * ow);
     for (tap, tap_row) in cols.chunks_exact_mut(oh * ow).enumerate() {
         let (ci, ki, kj) = (tap / (k * k), tap / k % k, tap % k);
-        let (ylo, yhi) = tap_cols(oh, h, ki, stride, pad);
-        let (xlo, xhi) = tap_cols(ow, w, kj, stride, pad);
+        let (ylo, yhi) = tap_cols(oh, h, ki, pad);
+        let (xlo, xhi) = tap_cols(ow, w, kj, pad);
         for (oy, dst) in tap_row.chunks_exact_mut(ow).enumerate() {
             if !(ylo..yhi).contains(&oy) {
                 dst.fill(0.0);
@@ -211,15 +194,9 @@ fn im2col_taps(
             if xlo == xhi {
                 continue;
             }
-            let iy = oy * stride + ki - pad;
-            let src = &x[(ci * h + iy) * w..(ci * h + iy + 1) * w][xlo * stride + kj - pad..];
-            if stride == 1 {
-                dst[xlo..xhi].copy_from_slice(&src[..xhi - xlo]);
-            } else {
-                for (d, &s) in dst[xlo..xhi].iter_mut().zip(src.iter().step_by(stride)) {
-                    *d = s;
-                }
-            }
+            let iy = oy + ki - pad;
+            let src = &x[(ci * h + iy) * w..(ci * h + iy + 1) * w][xlo + kj - pad..];
+            dst[xlo..xhi].copy_from_slice(&src[..xhi - xlo]);
         }
     }
 }
@@ -235,7 +212,6 @@ fn col2im_taps(
     h: usize,
     w: usize,
     k: usize,
-    stride: usize,
     pad: usize,
     oh: usize,
     ow: usize,
@@ -245,23 +221,17 @@ fn col2im_taps(
     debug_assert_eq!(cols.len(), c * k * k * oh * ow);
     for (tap, tap_row) in cols.chunks_exact(oh * ow).enumerate().rev() {
         let (ci, ki, kj) = (tap / (k * k), tap / k % k, tap % k);
-        let (ylo, yhi) = tap_cols(oh, h, ki, stride, pad);
-        let (xlo, xhi) = tap_cols(ow, w, kj, stride, pad);
+        let (ylo, yhi) = tap_cols(oh, h, ki, pad);
+        let (xlo, xhi) = tap_cols(ow, w, kj, pad);
         if xlo == xhi {
             continue;
         }
         for oy in ylo..yhi {
-            let iy = oy * stride + ki - pad;
-            let dst = &mut x[(ci * h + iy) * w..(ci * h + iy + 1) * w][xlo * stride + kj - pad..];
+            let iy = oy + ki - pad;
+            let dst = &mut x[(ci * h + iy) * w..(ci * h + iy + 1) * w][xlo + kj - pad..];
             let src = &tap_row[oy * ow + xlo..oy * ow + xhi];
-            if stride == 1 {
-                for (d, &s) in dst.iter_mut().zip(src) {
-                    *d += s;
-                }
-            } else {
-                for (d, &s) in dst.iter_mut().step_by(stride).zip(src) {
-                    *d += s;
-                }
+            for (d, &s) in dst.iter_mut().zip(src) {
+                *d += s;
             }
         }
     }
@@ -367,18 +337,7 @@ impl Conv2d {
         let c = self.in_channels;
         per_sample(cols, self.ckk() * oh * ow, banded, |bi, cols_b| {
             let x_b = &x[bi * c * h * w..(bi + 1) * c * h * w];
-            im2col_taps(
-                x_b,
-                c,
-                h,
-                w,
-                self.kernel,
-                self.stride,
-                self.pad,
-                oh,
-                ow,
-                cols_b,
-            );
+            im2col_taps(x_b, c, h, w, self.kernel, self.pad, oh, ow, cols_b);
         });
     }
 
@@ -464,18 +423,7 @@ impl Conv2d {
         let (c, ckk) = (self.in_channels, self.ckk());
         per_sample(grad_in, c * h * w, banded, |bi, gin_b| {
             let dcols_b = &dcols[bi * ckk * oh * ow..(bi + 1) * ckk * oh * ow];
-            col2im_taps(
-                dcols_b,
-                c,
-                h,
-                w,
-                self.kernel,
-                self.stride,
-                self.pad,
-                oh,
-                ow,
-                gin_b,
-            );
+            col2im_taps(dcols_b, c, h, w, self.kernel, self.pad, oh, ow, gin_b);
         });
     }
 }
@@ -722,12 +670,11 @@ mod tests {
         wt: &[f32],
         f: usize,
         k: usize,
-        stride: usize,
         pad: usize,
         bias: &[f32],
     ) -> Vec<f32> {
-        let oh = (h + 2 * pad - k) / stride + 1;
-        let ow = (w + 2 * pad - k) / stride + 1;
+        let oh = h + 2 * pad - k + 1;
+        let ow = w + 2 * pad - k + 1;
         let mut out = vec![0.0f32; f * oh * ow];
         for fi in 0..f {
             for oy in 0..oh {
@@ -736,8 +683,8 @@ mod tests {
                     for ci in 0..c {
                         for ki in 0..k {
                             for kj in 0..k {
-                                let iy = (oy * stride + ki) as isize - pad as isize;
-                                let ix = (ox * stride + kj) as isize - pad as isize;
+                                let iy = (oy + ki) as isize - pad as isize;
+                                let ix = (ox + kj) as isize - pad as isize;
                                 if iy >= 0 && iy < h as isize && ix >= 0 && ix < w as isize {
                                     let xv = x[ci * h * w + iy as usize * w + ix as usize];
                                     let wv = wt[fi * c * k * k + ci * k * k + ki * k + kj];
@@ -775,7 +722,6 @@ mod tests {
                 layer.weight.data(),
                 f,
                 layer.kernel,
-                layer.stride,
                 layer.pad,
                 layer.bias.data(),
             );
@@ -790,14 +736,6 @@ mod tests {
         let mut rng = rng_from_seed(0);
         let mut layer = Conv2d::new(2, 3, 3, 1, Init::HeNormal, &mut rng);
         let x = Tensor::randn(vec![1, 2, 5, 5], 1.0, &mut rng);
-        assert_forward_matches_direct(&mut layer, &x, &mut rng);
-    }
-
-    #[test]
-    fn strided_forward_matches_direct_convolution() {
-        let mut rng = rng_from_seed(10);
-        let mut layer = Conv2d::with_stride(2, 3, 3, 2, 1, Init::HeNormal, &mut rng);
-        let x = Tensor::randn(vec![2, 2, 7, 7], 1.0, &mut rng);
         assert_forward_matches_direct(&mut layer, &x, &mut rng);
     }
 
@@ -827,17 +765,6 @@ mod tests {
     }
 
     #[test]
-    fn strided_gradients_match_finite_difference() {
-        let mut rng = rng_from_seed(13);
-        let mut layer = Conv2d::with_stride(2, 3, 3, 2, 1, Init::HeNormal, &mut rng);
-        let x = Tensor::randn(vec![2, 2, 5, 5], 1.0, &mut rng);
-        check_input_gradient(&mut layer, &x, 3e-2);
-        let mut layer = Conv2d::with_stride(1, 2, 3, 2, 1, Init::HeNormal, &mut rng);
-        let x = Tensor::randn(vec![1, 1, 5, 5], 1.0, &mut rng);
-        check_param_gradients(&mut layer, &x, 3e-2);
-    }
-
-    #[test]
     fn unit_kernel_conv_matches_direct_convolution_and_gradients() {
         // The general im2col/col2im path's 1×1 case: forward against the
         // nested-loop reference, and both gradient checks.
@@ -852,18 +779,13 @@ mod tests {
     }
 
     #[test]
-    fn clipped_tap_runs_match_the_direct_convolution_across_strides() {
+    fn clipped_tap_runs_match_the_direct_convolution() {
         // Each tap row's contiguous run must splice exactly with its
-        // zero-filled clipped ends for every (stride, pad) combination the
-        // layer supports — compare whole forwards against the reference.
-        for &(h, w, k, stride, pad) in &[
-            (6, 6, 3, 1, 1),
-            (7, 5, 3, 2, 1),
-            (5, 5, 5, 1, 2),
-            (8, 8, 3, 3, 0),
-        ] {
+        // zero-filled clipped ends for every padding — compare whole
+        // forwards against the reference.
+        for &(h, w, k, pad) in &[(6, 6, 3, 1), (7, 5, 3, 1), (5, 5, 5, 2), (8, 8, 3, 0)] {
             let mut rng = rng_from_seed(42);
-            let mut layer = Conv2d::with_stride(2, 3, k, stride, pad, Init::HeNormal, &mut rng);
+            let mut layer = Conv2d::new(2, 3, k, pad, Init::HeNormal, &mut rng);
             let x = Tensor::randn(vec![1, 2, h, w], 1.0, &mut rng);
             assert_forward_matches_direct(&mut layer, &x, &mut rng);
         }
@@ -871,21 +793,17 @@ mod tests {
 
     #[test]
     fn tap_cols_is_the_in_bounds_run() {
-        for (ow, w, kj, stride, pad) in (1..6).flat_map(|ow| {
-            (1..6).flat_map(move |w| {
-                (0..5).flat_map(move |kj| {
-                    (1..4).flat_map(move |s| (0..3).map(move |p| (ow, w, kj, s, p)))
-                })
-            })
+        for (ow, w, kj, pad) in (1..6).flat_map(|ow| {
+            (1..6).flat_map(move |w| (0..5).flat_map(move |kj| (0..3).map(move |p| (ow, w, kj, p))))
         }) {
             let inside: Vec<usize> = (0..ow)
-                .filter(|&ox| (pad..w + pad).contains(&(ox * stride + kj)))
+                .filter(|&ox| (pad..w + pad).contains(&(ox + kj)))
                 .collect();
-            let (lo, hi) = tap_cols(ow, w, kj, stride, pad);
+            let (lo, hi) = tap_cols(ow, w, kj, pad);
             assert_eq!(
                 (lo..hi).collect::<Vec<_>>(),
                 inside,
-                "ow {ow} w {w} kj {kj} stride {stride} pad {pad}"
+                "ow {ow} w {w} kj {kj} pad {pad}"
             );
         }
     }
@@ -893,25 +811,22 @@ mod tests {
     #[test]
     fn im2col_col2im_are_adjoint() {
         // <im2col(x), y> == <x, col2im(y)> — the defining adjoint property,
-        // on the tap-major layout, for strides 1 to 3 on a non-square input.
-        for stride in [1usize, 2, 3] {
-            let mut rng = rng_from_seed(4 + stride as u64);
-            let (c, h, w, k, pad) = (2, 5, 6, 3, 1);
-            let (oh, ow) = (
-                (h + 2 * pad - k) / stride + 1,
-                (w + 2 * pad - k) / stride + 1,
-            );
+        // on the tap-major layout, for every padding on a non-square input.
+        for pad in [0usize, 1, 2] {
+            let mut rng = rng_from_seed(5 + pad as u64);
+            let (c, h, w, k) = (2, 5, 6, 3);
+            let (oh, ow) = (h + 2 * pad - k + 1, w + 2 * pad - k + 1);
             let x = Tensor::randn(vec![c * h * w], 1.0, &mut rng);
             let y = Tensor::randn(vec![c * k * k * oh * ow], 1.0, &mut rng);
             let mut cols = vec![0.0f32; c * k * k * oh * ow];
-            im2col_taps(x.data(), c, h, w, k, stride, pad, oh, ow, &mut cols);
+            im2col_taps(x.data(), c, h, w, k, pad, oh, ow, &mut cols);
             let lhs: f32 = cols.iter().zip(y.data()).map(|(&a, &b)| a * b).sum();
             let mut xt = vec![0.0f32; c * h * w];
-            col2im_taps(y.data(), c, h, w, k, stride, pad, oh, ow, &mut xt);
+            col2im_taps(y.data(), c, h, w, k, pad, oh, ow, &mut xt);
             let rhs: f32 = x.data().iter().zip(&xt).map(|(&a, &b)| a * b).sum();
             assert!(
                 (lhs - rhs).abs() < 1e-3 * (1.0 + lhs.abs()),
-                "stride {stride}: {lhs} vs {rhs}"
+                "pad {pad}: {lhs} vs {rhs}"
             );
         }
     }
@@ -920,15 +835,11 @@ mod tests {
     /// `p = (c, ki, kj)` sees at output position `pos`; `None` in the
     /// padding.
     fn tap_input(layer: &Conv2d, h: usize, w: usize, p: usize, pos: usize) -> Option<usize> {
-        let (k, s, pad) = (layer.kernel, layer.stride, layer.pad);
+        let (k, pad) = (layer.kernel, layer.pad);
         let ow = layer.out_size(h, w).1;
         let (ci, ki, kj) = (p / (k * k), p / k % k, p % k);
-        let iy = ((pos / ow) * s + ki)
-            .checked_sub(pad)
-            .filter(|&iy| iy < h)?;
-        let ix = ((pos % ow) * s + kj)
-            .checked_sub(pad)
-            .filter(|&ix| ix < w)?;
+        let iy = (pos / ow + ki).checked_sub(pad).filter(|&iy| iy < h)?;
+        let ix = (pos % ow + kj).checked_sub(pad).filter(|&ix| ix < w)?;
         Some((ci * h + iy) * w + ix)
     }
 
@@ -986,33 +897,30 @@ mod tests {
     }
 
     /// Every stage is bit-identical to the position-major arithmetic
-    /// across kernels 1/3/5, strides 1–3, padding 0–2, non-square inputs,
+    /// across kernels 1/3/5, padding 0–2, non-square inputs,
     /// inputs small enough that some taps only ever see padding and
     /// outputs whose `OH·OW` spans several [`TRANSPOSE_TILE`]s, over two
     /// chained steps.
     #[test]
     fn tap_major_stages_are_bit_identical_to_the_position_major_order() {
         let (mut empty_taps, mut multi_tile) = (0, 0);
-        for (k, stride, pad) in [1usize, 3, 5]
+        for (k, pad) in [1usize, 3, 5]
             .into_iter()
-            .flat_map(|k| (1..4).flat_map(move |s| (0..3).map(move |p| (k, s, p))))
+            .flat_map(|k| (0..3).map(move |p| (k, p)))
         {
             for (h, w) in [(5, 7), (7, 4), (2, 3), (9, 10)] {
                 if h + 2 * pad < k || w + 2 * pad < k {
                     continue;
                 }
-                let mut rng = rng_from_seed((k * 100 + stride * 10 + pad) as u64);
+                let mut rng = rng_from_seed((k * 100 + 10 + pad) as u64);
                 let (b, c, f) = (2, 2, 3);
-                let mut layer = Conv2d::with_stride(c, f, k, stride, pad, Init::HeNormal, &mut rng);
+                let mut layer = Conv2d::new(c, f, k, pad, Init::HeNormal, &mut rng);
                 layer.bias = Tensor::randn(vec![f], 0.5, &mut rng);
                 let (oh, ow) = layer.out_size(h, w);
                 multi_tile += usize::from(oh * ow > TRANSPOSE_TILE);
                 empty_taps += (0..k)
                     .filter(|&t| {
-                        let (rows, cols) = (
-                            tap_cols(oh, h, t, stride, pad),
-                            tap_cols(ow, w, t, stride, pad),
-                        );
+                        let (rows, cols) = (tap_cols(oh, h, t, pad), tap_cols(ow, w, t, pad));
                         rows.0 == rows.1 || cols.0 == cols.1
                     })
                     .count();
@@ -1034,7 +942,7 @@ mod tests {
                         want_y.extend(y_b);
                         want_dx.extend(dx_b);
                     }
-                    let case = format!("k {k} stride {stride} pad {pad} {h}x{w} step {step}");
+                    let case = format!("k {k} pad {pad} {h}x{w} step {step}");
                     assert_eq!(y.data(), &want_y[..], "forward, {case}");
                     assert_eq!(dx.data(), &want_dx[..], "input gradient, {case}");
                     assert_eq!(layer.grad_weight.data(), &gw[..], "weight gradient, {case}");
