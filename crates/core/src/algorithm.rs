@@ -115,55 +115,33 @@ pub fn run_experiment(
                 p
             }
         };
-        if participants.is_empty() {
-            // Blackout: nobody reachable. Carry the previous accuracy
-            // forward (the global is unchanged) and advance no time.
-            let t = env.meter.snapshot();
-            let accuracy = record.rounds.last().map(|r| r.accuracy).unwrap_or(0.0);
-            let telemetry = fold_round_telemetry(env, &traffic_before, &t, cache_before);
-            env.telemetry.span(
-                Phase::Round,
-                round as u32,
-                SpanCtx::ROOT,
-                (virtual_time, virtual_time),
-                round_wall,
-            );
-            record.rounds.push(RoundRecord {
-                round,
-                accuracy,
-                uploads: t.uploads,
-                downloads: t.downloads,
-                peer_transfers: t.peer_transfers,
-                wire_bytes: telemetry.wire_bytes,
-                participants: 0,
-                virtual_time,
-                telemetry,
-            });
-            continue;
-        }
         // `t_i` already covers one full local step (E epochs), so the round
         // duration is the slowest participant's `t_i` — no epoch factor.
         let vt_base = virtual_time;
-        virtual_time += algorithm.round_duration(env, &participants, round);
-        let global = {
-            let mut ctx = RoundContext {
+        let accuracy = if participants.is_empty() {
+            // Blackout: nobody reachable. Carry the previous accuracy
+            // forward (the global is unchanged) and advance no time.
+            record.rounds.last().map_or(0.0, |r| r.accuracy)
+        } else {
+            virtual_time += algorithm.round_duration(env, &participants, round);
+            let global = algorithm.round(&mut RoundContext {
                 env,
                 round,
                 participants: &participants,
                 rng: &mut rng,
                 vt_base,
-            };
-            algorithm.round(&mut ctx)
+            });
+            let eval_wall = env.telemetry.wall_start();
+            let accuracy = evaluate_on_test(env, &global);
+            env.telemetry.span(
+                Phase::Evaluation,
+                round as u32,
+                SpanCtx::ROOT,
+                (virtual_time, virtual_time),
+                eval_wall,
+            );
+            accuracy
         };
-        let eval_wall = env.telemetry.wall_start();
-        let accuracy = evaluate_on_test(env, &global);
-        env.telemetry.span(
-            Phase::Evaluation,
-            round as u32,
-            SpanCtx::ROOT,
-            (virtual_time, virtual_time),
-            eval_wall,
-        );
         let t = env.meter.snapshot();
         let telemetry = fold_round_telemetry(env, &traffic_before, &t, cache_before);
         env.telemetry.span(
