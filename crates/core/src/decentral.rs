@@ -204,8 +204,8 @@ impl DecentralSim {
         } else {
             ReceivePolicy::TrainReceived
         };
-        // Decentralized rings have no shared broadcast, so lossy `TopK`
-        // deltas would be taken from zero (`base: None`).
+        // No broadcast exists to code deltas against, and the codec is
+        // lossless anyway (`base: None`).
         let lanes = RingRound {
             env,
             round,
@@ -251,8 +251,7 @@ impl DecentralSim {
             let start = RingStart::PerPosition(std::mem::take(&mut job.start));
             job.done = Some(lanes.run_lane(ci, &job.lane, start));
         });
-        // Decentral rings never rebuild proactively (no coordinator holds
-        // the fault scores), so the rebuild count is zero.
+        // Rings are never rebuilt: the wire is perfect.
         lanes.settle(jobs.iter().filter_map(|job| job.done.as_ref()), 0);
         for job in jobs {
             // Carry the buffer state (pending arrivals) into the next
