@@ -10,6 +10,9 @@
 
 use fedhisyn::core::{run_experiment, ExperimentConfig, FedHiSyn, RunRecord};
 use fedhisyn::data::{DatasetProfile, Partition, Scale};
+use fedhisyn::fleet::FleetDynamics;
+use fedhisyn::nn::Codec;
+use fedhisyn::simnet::FaultConfig;
 use fedhisyn::telemetry::{Phase, SpanEvent, TelemetrySink};
 
 const CAPACITY: usize = 1 << 14;
@@ -25,12 +28,37 @@ fn workload() -> ExperimentConfig {
         .build()
 }
 
-/// Run FedHiSyn with an enabled sink; return the record plus the
-/// deterministic telemetry artefacts (span stream + fingerprint).
-fn traced_run(cfg: &ExperimentConfig) -> (RunRecord, Vec<SpanEvent>, u64) {
+/// A FedHiSyn cell that exercises every relay emission site: churn and
+/// mid-round crashes (salvage hops), a lossy wire (`RelayAttempt` spans,
+/// give-ups, proactive rebuilds) and the Int8 codec. Run with `K = 4`.
+fn churned_lossy_int8() -> ExperimentConfig {
+    let mut fleet = FleetDynamics::churn(0.1);
+    fleet.mid_round_failure = 0.1;
+    ExperimentConfig::builder(DatasetProfile::MnistLike)
+        .scale(Scale::Smoke)
+        .devices(40)
+        .partition(Partition::Dirichlet { beta: 0.3 })
+        .fleet(fleet)
+        .codec(Codec::Int8)
+        .faults(FaultConfig::lossy(0.3))
+        .rounds(6)
+        .local_epochs(1)
+        .seed(11)
+        .build()
+}
+
+/// The churned, lossy, Int8 cell's telemetry `(fingerprint, spans)` at
+/// `K = 4`. The fingerprint covers the retry and give-up counters and
+/// every phase's span count, so a change to any relay emission site shows
+/// here. Both kernel tiers produce these values.
+const CHURNED_LOSSY_INT8_PIN: (u64, usize) = (0x60d7_9df4_2280_6ebf, 1_106);
+
+/// Run FedHiSyn with `k` classes and an enabled sink; return the record
+/// plus the deterministic telemetry artefacts (span stream + fingerprint).
+fn traced_run(cfg: &ExperimentConfig, k: usize) -> (RunRecord, Vec<SpanEvent>, u64) {
     let mut env = cfg.build_env();
     env.telemetry = TelemetrySink::enabled(CAPACITY);
-    let mut algo = FedHiSyn::new(cfg, 2);
+    let mut algo = FedHiSyn::new(cfg, k);
     let record = run_experiment(&mut algo, &mut env, cfg.rounds);
     let t = env.telemetry.telemetry().expect("enabled");
     assert_eq!(t.dropped(), 0, "buffer sized for the whole run");
@@ -43,10 +71,10 @@ fn traced_run(cfg: &ExperimentConfig) -> (RunRecord, Vec<SpanEvent>, u64) {
 #[test]
 fn same_seed_runs_emit_bit_identical_virtual_time_streams() {
     let cfg = workload();
-    let (rec_a, stream_a, fp_a) = traced_run(&cfg);
+    let (rec_a, stream_a, fp_a) = traced_run(&cfg, 2);
     assert!(!stream_a.is_empty());
     for run in 1..20 {
-        let (rec_b, stream_b, fp_b) = traced_run(&cfg);
+        let (rec_b, stream_b, fp_b) = traced_run(&cfg, 2);
         assert_eq!(
             stream_a, stream_b,
             "run {run}: span streams must replay bit-identically"
@@ -66,7 +94,7 @@ fn same_seed_runs_emit_bit_identical_virtual_time_streams() {
 #[test]
 fn every_round_covers_the_span_taxonomy() {
     let cfg = workload();
-    let (_, stream, _) = traced_run(&cfg);
+    let (_, stream, _) = traced_run(&cfg, 2);
     for round in 0..cfg.rounds as u32 {
         for phase in [
             Phase::Round,
@@ -115,11 +143,19 @@ fn round_telemetry_folds_consistent_traffic_deltas() {
 
 #[test]
 fn enabled_sink_does_not_perturb_results() {
-    let cfg = workload();
-    let (traced, _, _) = traced_run(&cfg);
-    let mut env = cfg.build_env(); // default: disabled sink
-    assert!(!env.telemetry.is_enabled());
-    let mut algo = FedHiSyn::new(&cfg, 2);
-    let plain = run_experiment(&mut algo, &mut env, cfg.rounds);
-    assert_eq!(traced, plain, "observability must be read-only");
+    let cases = [
+        (workload(), 2, None),
+        (churned_lossy_int8(), 4, Some(CHURNED_LOSSY_INT8_PIN)),
+    ];
+    for (cfg, k, pin) in cases {
+        let (traced, stream, fp) = traced_run(&cfg, k);
+        if let Some(pin) = pin {
+            assert_eq!((fp, stream.len()), pin, "relay telemetry moved");
+        }
+        let mut env = cfg.build_env(); // default: disabled sink
+        assert!(!env.telemetry.is_enabled());
+        let mut algo = FedHiSyn::new(&cfg, k);
+        let plain = run_experiment(&mut algo, &mut env, cfg.rounds);
+        assert_eq!(traced, plain, "observability must be read-only");
+    }
 }
