@@ -140,7 +140,7 @@ pub struct FlEnv {
     /// [`FaultPlan::none`] (the default) injects nothing and is
     /// bit-identical to a build without the transport layer; a non-trivial
     /// plan turns each hop into a retry-with-backoff loop in virtual time
-    /// (see `ring_sim::RingOptions`).
+    /// (see `RingRound::relay` in `ring_sim`).
     pub faults: FaultPlan,
     /// When set, the runner samples a **fixed-size cohort** of this many
     /// online devices per round by streaming rejection sampling

@@ -48,7 +48,7 @@ pub mod fedhisyn;
 pub mod link;
 pub mod local;
 pub mod metrics;
-pub mod ring_sim;
+mod ring_sim;
 pub mod topology;
 
 pub use aggregate::AggregationRule;
@@ -59,5 +59,4 @@ pub use env::{seed_mix, DeviceBank, FlEnv};
 pub use fedhisyn::FedHiSyn;
 pub use link::ServerLink;
 pub use metrics::{RoundRecord, RunRecord};
-pub use ring_sim::TransportStats;
 pub use topology::{Ring, RingOrder};

@@ -9,15 +9,18 @@
 //! holds the model it most recently finished training, which is what it
 //! uploads.
 //!
-//! There is one entry point, [`simulate_ring_interval`]. Everything that
-//! varies between callers — the receive policy, mid-interval device
-//! failures, wire faults, telemetry and the wire codec — is a field of
-//! [`RingOptions`], whose default is the paper's static, fault-free,
-//! untraced, full-precision interval. The ring algorithms do not fill
-//! the options in themselves: `RingRound` derives them from the
-//! environment, the same way for FedHiSyn's class rings and the
-//! decentralized rings (whose environment is always static, lossless and
-//! fault-free), and settles the interval's traffic afterwards.
+//! There is one entry point, [`RingRound`], which both ring algorithms —
+//! FedHiSyn's class rings and the decentralized rings — drive the same
+//! way. Everything beyond the ring, its latencies, its crash times and
+//! the start models comes from the round's [`FlEnv`]: the receive policy
+//! is set on the round, and frame loss, telemetry and the wire codec are
+//! the environment's. Each of them is inert at its default — a fault
+//! plan for which `FaultPlan::is_none` holds draws nothing, a disabled
+//! sink reads no clock, and the `F32` codec with `wire_check` off leaves
+//! every model untouched — so the decentralized rings (whose environment
+//! is always static, lossless and fault-free) run the paper's plain
+//! interval. [`RingRound::settle`] charges the interval's traffic
+//! afterwards.
 //!
 //! # Move-based relay
 //!
@@ -29,127 +32,18 @@
 //! [`RingStart::Shared`] likewise materialises per-position copies of the
 //! interval-start broadcast lazily, exactly once each.
 //!
-//! The simulation is generic over the actual training function so unit
-//! tests can verify the event choreography with arithmetic mocks while
-//! the algorithms plug in real SGD.
+//! [`RingRound::relay`] is generic over the actual training function so
+//! unit tests can verify the event choreography with arithmetic mocks
+//! while [`RingRound::run_lane`] plugs in real SGD.
 
 use fedhisyn_nn::{CodecScratch, ParamVec};
 use fedhisyn_simnet::fault::{backoff, MAX_RETRIES};
-use fedhisyn_simnet::{EventQueue, FaultPlan, SimTime, TrafficMeter};
-use fedhisyn_telemetry::{Phase, SpanCtx, TelemetrySink, TransportCounters, WallStart};
-use serde::{Deserialize, Serialize};
+use fedhisyn_simnet::{EventQueue, SimTime, TrafficMeter};
+use fedhisyn_telemetry::{Phase, SpanCtx, WallStart};
 
 use crate::env::{steps_within, FlEnv};
 use crate::local::local_train_plain_owned;
 use crate::topology::Ring;
-
-/// Telemetry context for one ring interval: where spans go and how this
-/// ring's local event clock maps onto the experiment's virtual timeline.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct RingTrace<'a> {
-    /// Destination sink (a disabled sink makes every emission a no-op).
-    pub sink: &'a TelemetrySink,
-    /// Federated round index spans are tagged with.
-    pub round: u32,
-    /// Lane (class-ring index) spans are tagged with.
-    pub lane: u32,
-    /// Virtual time at which this interval starts on the experiment
-    /// clock (the simulation's own clock starts at zero).
-    pub vt_base: f64,
-}
-
-impl RingTrace<'_> {
-    /// `now` on this ring's clock, as an instant on the experiment's.
-    fn at(&self, now: SimTime) -> f64 {
-        self.vt_base + now.seconds()
-    }
-
-    /// Emit one `phase` span for `device` over the experiment-clock
-    /// extent `vt`.
-    fn span(&self, phase: Phase, device: usize, seq: usize, vt: (f64, f64), wall: WallStart) {
-        self.sink.span(
-            phase,
-            self.round,
-            SpanCtx::device(self.lane, device as u32, seq as u32),
-            vt,
-            wall,
-        );
-    }
-}
-
-/// Wire-fault context for one ring interval: which deterministic fault
-/// plan governs its edges and which federated round the draws are keyed
-/// to.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct RingFaults<'a> {
-    /// The experiment's fault plan.
-    pub plan: &'a FaultPlan,
-    /// Federated round index keying the per-edge draws.
-    pub round: u64,
-}
-
-/// Wire-codec context for one ring interval: the environment holding the
-/// active [`fedhisyn_nn::Codec`], its error-feedback residual bank and
-/// the `wire_check` tripwire, plus the shared base model `TopK` deltas
-/// are coded against.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct RelayCodec<'a> {
-    /// Environment carrying codec, residuals and the wire-check flag.
-    pub env: &'a FlEnv,
-    /// Shared reference model for delta coding.
-    pub base: Option<&'a ParamVec>,
-}
-
-/// Everything about a ring interval beyond the ring, its latencies and
-/// the start models. `RingOptions::default()` is the paper's
-/// interval — received models are trained directly, nobody crashes, the
-/// wire is perfect and full-precision, nothing is traced — and every
-/// field left at its default keeps the simulation bit- and
-/// allocation-identical to that path.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct RingOptions<'a> {
-    /// What a device does with a model received from its predecessor.
-    pub policy: ReceivePolicy,
-    /// `failures[p]` is the virtual time within `[0, interval)` at which
-    /// the device at ring position `p` crashes (`None` = survives; times
-    /// at or past the interval are ignored). An empty slice means nobody
-    /// fails: no failure events are scheduled at all.
-    ///
-    /// When a device dies, the step it was training never completes; the
-    /// freshest model it held — a pending unconsumed arrival, else the
-    /// model it was training — moves on to the next *live* successor.
-    /// The ring repairs itself: later sends skip dead positions and
-    /// in-flight arrivals addressed to one are re-forwarded. The position
-    /// is reported dead in [`RingOutcome::alive`] — it cannot upload this
-    /// round.
-    pub failures: &'a [Option<f64>],
-    /// Deterministic frame loss on every relay hop. The plan's loss
-    /// function is pure in `(round, src, dst, attempt)`, so one context
-    /// replays bit-identically at any thread count.
-    ///
-    /// Every hop becomes a bounded retry loop in virtual time: a lost
-    /// frame is retransmitted after an exponential backoff, up to
-    /// [`MAX_RETRIES`] times; a transfer whose every attempt is lost is
-    /// *given up* — the receiver keeps refining its own model (Eq. 7), so
-    /// the round always completes. The *logical* transfer is counted in
-    /// [`RingOutcome::transfers`] exactly as on a perfect wire, even when
-    /// every attempt is lost; the retries are reported in
-    /// [`RingOutcome::transport`] for the retransmit ledger. `None`, or a
-    /// plan for which [`FaultPlan::is_none`] holds, allocates no fault
-    /// state and draws nothing.
-    pub(crate) faults: Option<RingFaults<'a>>,
-    /// Span emission: one [`Phase::LocalTrain`] per completed step, one
-    /// [`Phase::RelayHop`] per delivered transfer (normal forwards,
-    /// dead-position re-forwards and failure salvages alike) and one
-    /// [`Phase::RelayAttempt`] per retry frame, all offset onto the
-    /// experiment's virtual clock so they nest under the round span.
-    pub(crate) trace: Option<RingTrace<'a>>,
-    /// The wire codec every physical send crosses: the receiver observes
-    /// the decoded reconstruction, the sender's error-feedback residual
-    /// absorbs what the encode dropped. `None` — or an `F32` codec with
-    /// `wire_check` off — leaves every relay untouched.
-    pub(crate) codec: Option<RelayCodec<'a>>,
-}
 
 /// Frame-loss accounting for one simulated ring interval.
 ///
@@ -159,8 +53,10 @@ pub struct RingOptions<'a> {
 /// `Default` is the all-zero state with an empty `faults_at`, so the
 /// fault-free path allocates nothing.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct TransportStats {
-    /// Retransmission attempts (frames re-sent after a loss).
+pub(crate) struct TransportStats {
+    /// Retransmission attempts (frames re-sent after a loss): the
+    /// physical frames beyond the logical transfers, charged to the
+    /// traffic meter's retransmit ledger.
     pub retries: u64,
     /// Transfers abandoned after [`MAX_RETRIES`] retries were lost too.
     /// The receiver simply keeps refining its own model (Eq. 7) — the
@@ -172,35 +68,9 @@ pub struct TransportStats {
     pub faults_at: Vec<u32>,
 }
 
-impl TransportStats {
-    /// Physical frames beyond the logical transfers: one per retry. This
-    /// is what callers charge to the traffic meter's retransmit ledger.
-    pub fn retransmit_frames(&self) -> u64 {
-        self.retries
-    }
-
-    /// Fold another ring's counters into this one (`faults_at` is
-    /// per-ring and is *not* merged — map it through the ring order
-    /// before aggregating across rings).
-    pub fn absorb(&mut self, other: &TransportStats) {
-        self.retries += other.retries;
-        self.giveups += other.giveups;
-    }
-
-    /// Project onto the telemetry counter set, tagging on the round's
-    /// proactive-rebuild count (which the relay cannot know).
-    pub fn counters(&self, rebuilds: u64) -> TransportCounters {
-        TransportCounters {
-            retries: self.retries,
-            giveups: self.giveups,
-            rebuilds,
-        }
-    }
-}
-
 /// What a device does with a model received from its ring predecessor.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
-pub enum ReceivePolicy {
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub(crate) enum ReceivePolicy {
     /// Train the received model directly (the paper's choice; Eq. 6 —
     /// Observation 1 found this strictly better).
     #[default]
@@ -212,7 +82,7 @@ pub enum ReceivePolicy {
 
 /// The models ring positions begin an interval with.
 #[derive(Debug)]
-pub enum RingStart<'a> {
+pub(crate) enum RingStart<'a> {
     /// Every position starts from the same model (FedHiSyn's round-start
     /// broadcast of the global). Positions copy it lazily, once each —
     /// the caller no longer materialises `ring.len()` clones up front.
@@ -224,7 +94,7 @@ pub enum RingStart<'a> {
 
 /// Result of simulating one interval on one ring.
 #[derive(Debug, Clone)]
-pub struct RingOutcome {
+pub(crate) struct RingOutcome {
     /// Final (most recently trained) model per ring position — what the
     /// device *uploads* in FedHiSyn. Unspecified for a position that died
     /// mid-interval; check [`RingOutcome::alive`] before uploading.
@@ -237,8 +107,6 @@ pub struct RingOutcome {
     /// interval would never circulate models across intervals.
     /// Unspecified for a dead position.
     pub next_models: Vec<ParamVec>,
-    /// Local-training steps completed per ring position.
-    pub steps: Vec<usize>,
     /// Device-to-device transfers performed (including failure-repair
     /// forwards).
     pub transfers: usize,
@@ -261,348 +129,20 @@ enum Event {
     Failure { pos: usize },
 }
 
-/// Simulate `interval` virtual seconds of ring training.
-///
-/// * `ring` — the communication ring (device ids),
-/// * `latencies[p]` — virtual seconds per local step for the device at
-///   ring position `p`,
-/// * `start` — the models positions begin the interval with (shared
-///   broadcast or per-position),
-/// * `opts` — receive policy, failures, wire faults, tracing and codec
-///   (see [`RingOptions`]; `RingOptions::default()` for the plain ring),
-/// * `train(device, model, salt)` — performs one local step, consuming
-///   and returning the model buffer; `salt` is a unique per-(position,
-///   step) value for deterministic batch shuffling.
-///
-/// Each position runs `ceil(interval / latency)` steps (at least one),
-/// matching Alg. 1's budget loop (`R_ci > 0`).
-pub fn simulate_ring_interval<F>(
-    ring: &Ring,
-    latencies: &[f64],
-    start: RingStart<'_>,
-    interval: f64,
-    opts: RingOptions<'_>,
-    mut train: F,
-) -> RingOutcome
-where
-    F: FnMut(usize, ParamVec, u64) -> ParamVec,
-{
-    let RingOptions {
-        policy,
-        failures,
-        faults,
-        trace,
-        codec,
-    } = opts;
-    let n = ring.len();
-    assert_eq!(latencies.len(), n, "one latency per ring position");
-    assert!(n > 0, "empty ring");
-    assert!(interval > 0.0, "interval must be positive");
-    assert!(
-        failures.is_empty() || failures.len() == n,
-        "one failure slot per ring position (or none at all)"
-    );
-
-    let allowed: Vec<usize> = latencies
-        .iter()
-        .map(|&t| steps_within(interval, t))
-        .collect();
-
-    // `working[pos]` is the model the position trains next; `None` means
-    // "still on the shared start model" (copied lazily at first use).
-    let (mut working, shared): (Vec<Option<ParamVec>>, Option<&ParamVec>) = match start {
-        RingStart::Shared(global) => (vec![None; n], Some(global)),
-        RingStart::PerPosition(models) => {
-            assert_eq!(models.len(), n, "one start model per ring position");
-            (models.into_iter().map(Some).collect(), None)
-        }
-    };
-    // `latest[pos]` is written at the position's final completion, which
-    // every surviving position reaches (`allowed[pos] >= 1`); a position
-    // that dies first keeps the placeholder, which callers skip via
-    // `alive`.
-    let mut latest: Vec<ParamVec> = vec![ParamVec::default(); n];
-    let mut inbox: Vec<Option<ParamVec>> = vec![None; n];
-    let mut steps = vec![0usize; n];
-    let mut dead = vec![false; n];
-
-    // The interval's one wire. A `None` fault context — or a plan with
-    // zero loss probability — must leave it untouched: no fault state
-    // allocated, no draws, bit-identical event choreography.
-    let faults = faults.filter(|f| !f.plan.is_none());
-    let fault_slots = if faults.is_some() { n } else { 0 };
-    let mut wire = Wire {
-        ring,
-        faults,
-        trace,
-        codec,
-        queue: EventQueue::new(),
-        codec_scratch: CodecScratch::new(),
-        transport: TransportStats {
-            faults_at: vec![0; fault_slots],
-            ..TransportStats::default()
-        },
-        sent: vec![0; fault_slots],
-        transfers: 0,
-    };
-
-    for (pos, &latency) in latencies.iter().enumerate() {
-        wire.queue.push_class(
-            SimTime::new(latency),
-            CLASS_COMPLETION,
-            Event::Completion { pos },
-        );
-    }
-    for (pos, failure) in failures.iter().enumerate() {
-        if let Some(t) = *failure {
-            assert!(t.is_finite() && t >= 0.0, "failure time must be >= 0");
-            if t < interval {
-                wire.queue
-                    .push_class(SimTime::new(t), CLASS_FAILURE, Event::Failure { pos });
-            }
-        }
-    }
-
-    while let Some((now, event)) = wire.queue.pop() {
-        match event {
-            Event::Arrival { pos, model } => {
-                if dead[pos] {
-                    // Ring repair: the sender did not know `pos` died.
-                    // Re-forward to the next live successor (one extra
-                    // hop on the wire).
-                    if let Some(succ) = next_live(ring, &dead, pos) {
-                        wire.transmit(now, pos, succ, model);
-                    }
-                    continue;
-                }
-                // Newest-wins buffer (Alg. 1 trains B.back()); older
-                // pending models are dropped.
-                inbox[pos] = Some(model);
-            }
-            Event::Failure { pos } => {
-                dead[pos] = true;
-                // The freshest model the device held — a pending arrival
-                // beats the model it was mid-way through training — moves
-                // on to the next live successor.
-                if let Some(held) = inbox[pos].take().or_else(|| working[pos].take()) {
-                    if let Some(succ) = next_live(ring, &dead, pos) {
-                        wire.transmit(now, pos, succ, held);
-                    }
-                }
-            }
-            Event::Completion { pos } if dead[pos] => {
-                // The device crashed mid-step: the step never completes,
-                // and its input was already salvaged by the failure
-                // handler.
-            }
-            Event::Completion { pos } => {
-                let device = ring.order()[pos];
-                let salt = (pos as u64) << 32 | steps[pos] as u64;
-                let input = working[pos]
-                    .take()
-                    .unwrap_or_else(|| shared.expect("start model").clone());
-                let traced = trace.map(|tr| (tr, tr.sink.wall_start()));
-                let trained = train(device, input, salt);
-                if let Some((tr, wall)) = traced {
-                    // The step completing at `now` started one local
-                    // latency earlier.
-                    let end = tr.at(now);
-                    let vt = (end - latencies[pos], end);
-                    tr.span(Phase::LocalTrain, device, steps[pos], vt, wall);
-                }
-                steps[pos] += 1;
-
-                // Forward along the ring to the next *live* successor
-                // (identical to `next_position` while nobody has failed;
-                // skip degenerate single rings — sending to yourself is
-                // the same as continuing). This clone is the hop's single
-                // copy: the wire needs its own buffer while the sender
-                // keeps training.
-                if n > 1 {
-                    if let Some(succ) = next_live(ring, &dead, pos) {
-                        wire.transmit(now, pos, succ, trained.clone());
-                    }
-                }
-
-                if steps[pos] < allowed[pos] {
-                    // Choose the next working model: newest arrival if any
-                    // (Eq. 6), else keep refining what we just trained
-                    // (Eq. 7). `latest` is only read after the event loop,
-                    // and the position's *final* completion (the `else`
-                    // below) always overwrites it — so intermediate
-                    // completions never store into it, and `trained` can
-                    // be dropped or mixed in place here.
-                    working[pos] = Some(match (inbox[pos].take(), policy) {
-                        (Some(received), ReceivePolicy::TrainReceived) => received,
-                        (Some(received), ReceivePolicy::AverageThenTrain) => {
-                            let mut mixed = trained;
-                            mixed.lerp(&received, 0.5);
-                            mixed
-                        }
-                        (None, _) => trained,
-                    });
-                    wire.queue.push_class(
-                        now + latencies[pos],
-                        CLASS_COMPLETION,
-                        Event::Completion { pos },
-                    );
-                } else {
-                    latest[pos] = trained;
-                }
-            }
-        }
-    }
-
-    // Buffer state at interval end: pending arrival wins, else own model.
-    let next_models: Vec<ParamVec> = inbox
-        .iter_mut()
-        .zip(&latest)
-        .map(|(pending, own)| match (pending.take(), policy) {
-            (Some(received), ReceivePolicy::TrainReceived) => received,
-            (Some(received), ReceivePolicy::AverageThenTrain) => {
-                let mut mixed = own.clone();
-                mixed.lerp(&received, 0.5);
-                mixed
-            }
-            (None, _) => own.clone(),
-        })
-        .collect();
-
-    RingOutcome {
-        final_models: latest,
-        next_models,
-        steps,
-        transfers: wire.transfers,
-        alive: dead.iter().map(|&d| !d).collect(),
-        transport: wire.transport,
-    }
-}
-
-/// The first live ring position after `pos` (the repaired successor), or
-/// `None` when every other position is dead.
-fn next_live(ring: &Ring, dead: &[bool], pos: usize) -> Option<usize> {
-    let mut p = ring.next_position(pos);
-    while p != pos {
-        if !dead[p] {
-            return Some(p);
-        }
-        p = ring.next_position(p);
-    }
-    None
-}
-
-// Transfers take no virtual time, so a model sent at a completion
-// arrives at that same instant. Arrivals sort before completions at
-// equal times so that a handoff between equal-latency devices lands in
-// time for the receiver's next step (see `EventQueue` docs). Failures
-// sort last: a step finishing at the crash instant still counts.
-const CLASS_ARRIVAL: u8 = 0;
-const CLASS_COMPLETION: u8 = 1;
-const CLASS_FAILURE: u8 = 2;
-
-/// One interval's wire: the event queue arrivals are scheduled on and
-/// everything a relay transmission reads or mutates, built once so the
-/// three send sites (normal forward, dead-position re-forward, failure
-/// salvage) share one attempt loop.
-struct Wire<'a> {
-    ring: &'a Ring,
-    faults: Option<RingFaults<'a>>,
-    trace: Option<RingTrace<'a>>,
-    codec: Option<RelayCodec<'a>>,
-    queue: EventQueue<Event>,
-    /// One scratch per ring interval: the event loop is single-threaded,
-    /// so every hop's codec transform reuses these buffers and the steady
-    /// state stays allocation-free after the first compressed send.
-    codec_scratch: CodecScratch,
-    transport: TransportStats,
-    /// Per-source-position monotone frame cursor: every physical attempt
-    /// consumes one value, so the pure fault function sees a fresh
-    /// `(round, src, dst, attempt)` coordinate per frame regardless of
-    /// how many transmissions the edge carries. Empty without faults.
-    sent: Vec<u64>,
-    transfers: usize,
-}
-
-impl Wire<'_> {
-    /// Schedule `model`'s arrival at `dst_pos` and emit the hop's span.
-    /// Transfers are instantaneous: the model arrives when it is sent.
-    fn deliver(&mut self, sent_at: SimTime, dst_pos: usize, seq: usize, model: ParamVec) {
-        let arrival = Event::Arrival {
-            pos: dst_pos,
-            model,
-        };
-        self.queue.push_class(sent_at, CLASS_ARRIVAL, arrival);
-        if let Some(tr) = &self.trace {
-            let at = tr.at(sent_at);
-            let wall = tr.sink.wall_start();
-            let dst = self.ring.order()[dst_pos];
-            tr.span(Phase::RelayHop, dst, seq, (at, at), wall);
-        }
-    }
-
-    /// Put `model` on the wire from ring position `src_pos` to `dst_pos`
-    /// at virtual time `now`. Fault-free this is a single arrival and hop
-    /// span; under a fault plan it becomes the bounded retry loop
-    /// described on [`RingOptions`].
-    fn transmit(&mut self, now: SimTime, src_pos: usize, dst_pos: usize, mut model: ParamVec) {
-        let src = self.ring.order()[src_pos];
-        let dst = self.ring.order()[dst_pos];
-        // Every physical send crosses the codec (a no-op under `F32`).
-        if let Some(c) = self.codec {
-            c.env
-                .codec_transform(src, &mut model, c.base, &mut self.codec_scratch);
-        }
-        let seq = self.transfers;
-        self.transfers += 1;
-
-        let Some(f) = self.faults else {
-            self.deliver(now, dst_pos, seq, model);
-            return;
-        };
-
-        let mut t = now;
-        for attempt in 0..=MAX_RETRIES {
-            let lost = f
-                .plan
-                .fault(f.round, src as u64, dst as u64, self.sent[src_pos]);
-            self.sent[src_pos] += 1;
-            if attempt > 0 {
-                if let Some(tr) = &self.trace {
-                    let at = tr.at(t);
-                    let wall = tr.sink.wall_start();
-                    let retry = self.transport.retries as usize;
-                    tr.span(Phase::RelayAttempt, dst, retry, (at, at), wall);
-                }
-                self.transport.retries += 1;
-            }
-            if !lost {
-                return self.deliver(t, dst_pos, seq, model);
-            }
-            // The frame vanished in flight: the sender learns nothing
-            // until its (implicit) ack window lapses, then backs off.
-            t += backoff(attempt);
-            self.transport.faults_at[dst_pos] += 1;
-        }
-        // Every attempt lost: give the transfer up. No arrival is
-        // scheduled; the receiver keeps refining its own model (Eq. 7),
-        // so the interval still completes for every live position.
-        self.transport.giveups += 1;
-    }
-}
-
 /// One round's ring phase as both ring algorithms run it: FedHiSyn's
 /// class rings and the decentralized rings differ only in how rings are
 /// built, what they start from and what is done with the outcome. The
-/// per-position latencies and crash times, the fault, trace and codec
-/// contexts, the real trainer and the lane span all come from the
-/// environment here, and [`RingRound::settle`] charges the traffic.
+/// per-position latencies and crash times, frame loss, spans, the codec,
+/// the real trainer and the lane span all come from the environment here,
+/// and [`RingRound::settle`] charges the traffic.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct RingRound<'a> {
     /// The experiment environment.
     pub env: &'a FlEnv,
-    /// Federated round index.
+    /// Federated round index: keys the fault draws and tags the spans.
     pub round: usize,
-    /// Virtual time at which the interval starts on the experiment clock.
+    /// Virtual time at which the interval starts on the experiment clock
+    /// (the simulation's own clock starts at zero).
     pub vt_base: f64,
     /// Interval length `R` in virtual seconds.
     pub interval: f64,
@@ -619,7 +159,21 @@ pub(crate) struct RingRound<'a> {
 pub(crate) struct Lane {
     /// The ring itself.
     pub ring: Ring,
+    /// `latencies[p]`: virtual seconds per local step for the device at
+    /// ring position `p`.
     latencies: Vec<f64>,
+    /// `failures[p]` is the virtual time within `[0, interval)` at which
+    /// the device at ring position `p` crashes (`None` = survives; times
+    /// at or past the interval are ignored). Empty when nobody can fail:
+    /// no failure events are scheduled at all.
+    ///
+    /// When a device dies, the step it was training never completes; the
+    /// freshest model it held — a pending unconsumed arrival, else the
+    /// model it was training — moves on to the next *live* successor.
+    /// The ring repairs itself: later sends skip dead positions and
+    /// in-flight arrivals addressed to one are re-forwarded. The position
+    /// is reported dead in [`RingOutcome::alive`] — it cannot upload this
+    /// round.
     failures: Vec<Option<f64>>,
 }
 
@@ -650,42 +204,15 @@ impl RingRound<'_> {
         }
     }
 
-    /// Run `lane` for the interval on the calling thread, tagged as lane
-    /// `index`. Lanes are independent, so callers fan them out in
-    /// parallel.
+    /// Run `lane` for the interval on the calling thread with real local
+    /// SGD, tagged as lane `index`. Lanes are independent, so callers fan
+    /// them out in parallel.
     pub fn run_lane(&self, index: usize, lane: &Lane, start: RingStart<'_>) -> RingOutcome {
         let (env, round) = (self.env, self.round);
-        let opts = RingOptions {
-            policy: self.policy,
-            failures: &lane.failures,
-            // Pure in (seed, round, edge, attempt): every parallel lane
-            // shares the one plan read-only.
-            faults: env.faults_active().then_some(RingFaults {
-                plan: &env.faults,
-                round: round as u64,
-            }),
-            trace: Some(RingTrace {
-                sink: &env.telemetry,
-                round: round as u32,
-                lane: index as u32,
-                vt_base: self.vt_base,
-            }),
-            codec: Some(RelayCodec {
-                env,
-                base: self.base,
-            }),
-        };
         let wall = env.telemetry.wall_start();
-        let outcome = simulate_ring_interval(
-            &lane.ring,
-            &lane.latencies,
-            start,
-            self.interval,
-            opts,
-            |device, params, salt| {
-                local_train_plain_owned(env, device, params, env.local_epochs, round, salt)
-            },
-        );
+        let outcome = self.relay(index, lane, start, |device, params, salt| {
+            local_train_plain_owned(env, device, params, env.local_epochs, round, salt)
+        });
         env.telemetry.span(
             Phase::RingInterval,
             round as u32,
@@ -696,120 +223,490 @@ impl RingRound<'_> {
         outcome
     }
 
+    /// Simulate the interval on `lane`, tagged as lane `index`, from the
+    /// `start` models. `train(device, model, salt)` performs one local
+    /// step, consuming and returning the model buffer; `salt` is
+    /// `position << 32 | step`, unique per (position, step), for
+    /// deterministic batch shuffling.
+    ///
+    /// Each position runs `ceil(interval / latency)` steps (at least one),
+    /// matching Alg. 1's budget loop (`R_ci > 0`).
+    ///
+    /// Under an active fault plan every hop becomes a bounded retry loop
+    /// in virtual time: a lost frame is retransmitted after an
+    /// exponential backoff, up to [`MAX_RETRIES`] times; a transfer whose
+    /// every attempt is lost is *given up* — the receiver keeps refining
+    /// its own model (Eq. 7), so the round always completes. The plan's
+    /// loss function is pure in `(round, src, dst, attempt)`, so a lane
+    /// replays bit-identically at any thread count. The *logical*
+    /// transfer is counted in [`RingOutcome::transfers`] exactly as on a
+    /// perfect wire; the retries are reported in
+    /// [`RingOutcome::transport`].
+    ///
+    /// Spans: one [`Phase::LocalTrain`] per completed step, one
+    /// [`Phase::RelayHop`] per delivered transfer (normal forwards,
+    /// dead-position re-forwards and failure salvages alike) and one
+    /// [`Phase::RelayAttempt`] per retry frame, all offset onto the
+    /// experiment's virtual clock so they nest under the round span.
+    pub(crate) fn relay<F>(
+        &self,
+        index: usize,
+        lane: &Lane,
+        start: RingStart<'_>,
+        mut train: F,
+    ) -> RingOutcome
+    where
+        F: FnMut(usize, ParamVec, u64) -> ParamVec,
+    {
+        let Lane {
+            ring,
+            latencies,
+            failures,
+        } = lane;
+        let (interval, policy) = (self.interval, self.policy);
+        let n = ring.len();
+        assert_eq!(latencies.len(), n, "one latency per ring position");
+        assert!(n > 0, "empty ring");
+        assert!(interval > 0.0, "interval must be positive");
+        assert!(
+            failures.is_empty() || failures.len() == n,
+            "one failure slot per ring position (or none at all)"
+        );
+
+        let allowed: Vec<usize> = latencies
+            .iter()
+            .map(|&t| steps_within(interval, t))
+            .collect();
+
+        // `working[pos]` is the model the position trains next; `None` means
+        // "still on the shared start model" (copied lazily at first use).
+        let (mut working, shared): (Vec<Option<ParamVec>>, Option<&ParamVec>) = match start {
+            RingStart::Shared(global) => (vec![None; n], Some(global)),
+            RingStart::PerPosition(models) => {
+                assert_eq!(models.len(), n, "one start model per ring position");
+                (models.into_iter().map(Some).collect(), None)
+            }
+        };
+        // `latest[pos]` is written at the position's final completion, which
+        // every surviving position reaches (`allowed[pos] >= 1`); a position
+        // that dies first keeps the placeholder, which callers skip via
+        // `alive`.
+        let mut latest: Vec<ParamVec> = vec![ParamVec::default(); n];
+        let mut inbox: Vec<Option<ParamVec>> = vec![None; n];
+        let mut steps = vec![0usize; n];
+        let mut dead = vec![false; n];
+
+        // The interval's one wire. Without an active fault plan it must
+        // stay untouched: no fault state allocated, no draws,
+        // bit-identical event choreography.
+        let fault_slots = if self.env.faults_active() { n } else { 0 };
+        let mut wire = Wire {
+            round: self,
+            lane: index as u32,
+            ring,
+            queue: EventQueue::new(),
+            codec_scratch: CodecScratch::new(),
+            transport: TransportStats {
+                faults_at: vec![0; fault_slots],
+                ..TransportStats::default()
+            },
+            sent: vec![0; fault_slots],
+            transfers: 0,
+        };
+
+        for (pos, &latency) in latencies.iter().enumerate() {
+            wire.queue.push_class(
+                SimTime::new(latency),
+                CLASS_COMPLETION,
+                Event::Completion { pos },
+            );
+        }
+        for (pos, failure) in failures.iter().enumerate() {
+            if let Some(t) = *failure {
+                assert!(t.is_finite() && t >= 0.0, "failure time must be >= 0");
+                if t < interval {
+                    wire.queue
+                        .push_class(SimTime::new(t), CLASS_FAILURE, Event::Failure { pos });
+                }
+            }
+        }
+
+        while let Some((now, event)) = wire.queue.pop() {
+            match event {
+                Event::Arrival { pos, model } => {
+                    if dead[pos] {
+                        // Ring repair: the sender did not know `pos` died.
+                        // Re-forward to the next live successor (one extra
+                        // hop on the wire).
+                        if let Some(succ) = next_live(ring, &dead, pos) {
+                            wire.transmit(now, pos, succ, model);
+                        }
+                        continue;
+                    }
+                    // Newest-wins buffer (Alg. 1 trains B.back()); older
+                    // pending models are dropped.
+                    inbox[pos] = Some(model);
+                }
+                Event::Failure { pos } => {
+                    dead[pos] = true;
+                    // The freshest model the device held — a pending arrival
+                    // beats the model it was mid-way through training — moves
+                    // on to the next live successor.
+                    if let Some(held) = inbox[pos].take().or_else(|| working[pos].take()) {
+                        if let Some(succ) = next_live(ring, &dead, pos) {
+                            wire.transmit(now, pos, succ, held);
+                        }
+                    }
+                }
+                Event::Completion { pos } if dead[pos] => {
+                    // The device crashed mid-step: the step never completes,
+                    // and its input was already salvaged by the failure
+                    // handler.
+                }
+                Event::Completion { pos } => {
+                    let device = ring.order()[pos];
+                    let salt = (pos as u64) << 32 | steps[pos] as u64;
+                    let input = working[pos]
+                        .take()
+                        .unwrap_or_else(|| shared.expect("start model").clone());
+                    let wall = self.env.telemetry.wall_start();
+                    let trained = train(device, input, salt);
+                    // The step completing at `now` started one local
+                    // latency earlier.
+                    let end = self.at(now);
+                    let vt = (end - latencies[pos], end);
+                    wire.span(Phase::LocalTrain, device, steps[pos], vt, wall);
+                    steps[pos] += 1;
+
+                    // Forward along the ring to the next *live* successor
+                    // (identical to `next_position` while nobody has failed;
+                    // skip degenerate single rings — sending to yourself is
+                    // the same as continuing). This clone is the hop's single
+                    // copy: the wire needs its own buffer while the sender
+                    // keeps training.
+                    if n > 1 {
+                        if let Some(succ) = next_live(ring, &dead, pos) {
+                            wire.transmit(now, pos, succ, trained.clone());
+                        }
+                    }
+
+                    if steps[pos] < allowed[pos] {
+                        // Choose the next working model: newest arrival if any
+                        // (Eq. 6), else keep refining what we just trained
+                        // (Eq. 7). `latest` is only read after the event loop,
+                        // and the position's *final* completion (the `else`
+                        // below) always overwrites it — so intermediate
+                        // completions never store into it, and `trained` can
+                        // be dropped or mixed in place here.
+                        working[pos] = Some(match (inbox[pos].take(), policy) {
+                            (Some(received), ReceivePolicy::TrainReceived) => received,
+                            (Some(received), ReceivePolicy::AverageThenTrain) => {
+                                let mut mixed = trained;
+                                mixed.lerp(&received, 0.5);
+                                mixed
+                            }
+                            (None, _) => trained,
+                        });
+                        wire.queue.push_class(
+                            now + latencies[pos],
+                            CLASS_COMPLETION,
+                            Event::Completion { pos },
+                        );
+                    } else {
+                        latest[pos] = trained;
+                    }
+                }
+            }
+        }
+
+        // Buffer state at interval end: pending arrival wins, else own model.
+        let next_models: Vec<ParamVec> = inbox
+            .iter_mut()
+            .zip(&latest)
+            .map(|(pending, own)| match (pending.take(), policy) {
+                (Some(received), ReceivePolicy::TrainReceived) => received,
+                (Some(received), ReceivePolicy::AverageThenTrain) => {
+                    let mut mixed = own.clone();
+                    mixed.lerp(&received, 0.5);
+                    mixed
+                }
+                (None, _) => own.clone(),
+            })
+            .collect();
+
+        RingOutcome {
+            final_models: latest,
+            next_models,
+            transfers: wire.transfers,
+            alive: dead.iter().map(|&d| !d).collect(),
+            transport: wire.transport,
+        }
+    }
+
+    /// `now` on a ring's clock, as an instant on the experiment's.
+    fn at(&self, now: SimTime) -> f64 {
+        self.vt_base + now.seconds()
+    }
+
     /// Post-interval accounting for the round's lanes: logical transfers
     /// to the peer ledger, retries to the retransmit ledger, and the
     /// transport counters — tagged with the round's proactive-rebuild
     /// count, which the relay cannot know — to telemetry.
     pub fn settle<'o>(&self, outcomes: impl IntoIterator<Item = &'o RingOutcome>, rebuilds: u64) {
         let env = self.env;
-        let mut total = TransportStats::default();
+        let (mut retries, mut giveups) = (0, 0);
         for outcome in outcomes {
             env.charge(TrafficMeter::record_peer, outcome.transfers as u64);
-            env.charge(
-                TrafficMeter::record_retransmit,
-                outcome.transport.retransmit_frames(),
-            );
-            total.absorb(&outcome.transport);
+            env.charge(TrafficMeter::record_retransmit, outcome.transport.retries);
+            retries += outcome.transport.retries;
+            giveups += outcome.transport.giveups;
         }
         if env.faults_active() {
-            env.telemetry.add_transport(&total.counters(rebuilds));
+            env.telemetry.add_transport(retries, giveups, rebuilds);
         }
+    }
+}
+
+/// The first live ring position after `pos` (the repaired successor), or
+/// `None` when every other position is dead.
+fn next_live(ring: &Ring, dead: &[bool], pos: usize) -> Option<usize> {
+    let mut p = ring.next_position(pos);
+    while p != pos {
+        if !dead[p] {
+            return Some(p);
+        }
+        p = ring.next_position(p);
+    }
+    None
+}
+
+// Transfers take no virtual time, so a model sent at a completion
+// arrives at that same instant. Arrivals sort before completions at
+// equal times so that a handoff between equal-latency devices lands in
+// time for the receiver's next step (see `EventQueue` docs). Failures
+// sort last: a step finishing at the crash instant still counts.
+const CLASS_ARRIVAL: u8 = 0;
+const CLASS_COMPLETION: u8 = 1;
+const CLASS_FAILURE: u8 = 2;
+
+/// One interval's wire: the event queue arrivals are scheduled on and
+/// everything a relay transmission reads or mutates, built once so the
+/// three send sites (normal forward, dead-position re-forward, failure
+/// salvage) share one attempt loop.
+struct Wire<'a> {
+    /// The round whose environment supplies frame loss, spans and codec.
+    round: &'a RingRound<'a>,
+    /// Lane index spans are tagged with.
+    lane: u32,
+    ring: &'a Ring,
+    queue: EventQueue<Event>,
+    /// One scratch per ring interval: the event loop is single-threaded,
+    /// so every hop's codec transform reuses these buffers and the steady
+    /// state stays allocation-free after the first compressed send.
+    codec_scratch: CodecScratch,
+    transport: TransportStats,
+    /// Per-source-position monotone frame cursor: every physical attempt
+    /// consumes one value, so the pure fault function sees a fresh
+    /// `(round, src, dst, attempt)` coordinate per frame regardless of
+    /// how many transmissions the edge carries. Empty without faults.
+    sent: Vec<u64>,
+    transfers: usize,
+}
+
+impl Wire<'_> {
+    /// Emit one `phase` span for `device` over the experiment-clock
+    /// extent `vt` (a no-op on a disabled sink).
+    fn span(&self, phase: Phase, device: usize, seq: usize, vt: (f64, f64), wall: WallStart) {
+        self.round.env.telemetry.span(
+            phase,
+            self.round.round as u32,
+            SpanCtx::device(self.lane, device as u32, seq as u32),
+            vt,
+            wall,
+        );
+    }
+
+    /// Schedule `model`'s arrival at `dst_pos` and emit the hop's span.
+    /// Transfers are instantaneous: the model arrives when it is sent.
+    fn deliver(&mut self, sent_at: SimTime, dst_pos: usize, seq: usize, model: ParamVec) {
+        let arrival = Event::Arrival {
+            pos: dst_pos,
+            model,
+        };
+        self.queue.push_class(sent_at, CLASS_ARRIVAL, arrival);
+        let at = self.round.at(sent_at);
+        let wall = self.round.env.telemetry.wall_start();
+        let dst = self.ring.order()[dst_pos];
+        self.span(Phase::RelayHop, dst, seq, (at, at), wall);
+    }
+
+    /// Put `model` on the wire from ring position `src_pos` to `dst_pos`
+    /// at virtual time `now`. Fault-free this is a single arrival and hop
+    /// span; under an active fault plan it becomes the bounded retry loop
+    /// described on [`RingRound::relay`].
+    fn transmit(&mut self, now: SimTime, src_pos: usize, dst_pos: usize, mut model: ParamVec) {
+        let RingRound {
+            env, round, base, ..
+        } = *self.round;
+        let src = self.ring.order()[src_pos];
+        let dst = self.ring.order()[dst_pos];
+        // Every physical send crosses the codec (a no-op under `F32`).
+        env.codec_transform(src, &mut model, base, &mut self.codec_scratch);
+        let seq = self.transfers;
+        self.transfers += 1;
+
+        if !env.faults_active() {
+            self.deliver(now, dst_pos, seq, model);
+            return;
+        }
+
+        let mut t = now;
+        for attempt in 0..=MAX_RETRIES {
+            let lost = env
+                .faults
+                .fault(round as u64, src as u64, dst as u64, self.sent[src_pos]);
+            self.sent[src_pos] += 1;
+            if attempt > 0 {
+                let at = self.round.at(t);
+                let wall = env.telemetry.wall_start();
+                let retry = self.transport.retries as usize;
+                self.span(Phase::RelayAttempt, dst, retry, (at, at), wall);
+                self.transport.retries += 1;
+            }
+            if !lost {
+                return self.deliver(t, dst_pos, seq, model);
+            }
+            // The frame vanished in flight: the sender learns nothing
+            // until its (implicit) ack window lapses, then backs off.
+            t += backoff(attempt);
+            self.transport.faults_at[dst_pos] += 1;
+        }
+        // Every attempt lost: give the transfer up. No arrival is
+        // scheduled; the receiver keeps refining its own model (Eq. 7),
+        // so the interval still completes for every live position.
+        self.transport.giveups += 1;
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::ExperimentConfig;
     use crate::topology::RingOrder;
+    use fedhisyn_data::{DatasetProfile, Scale};
+    use fedhisyn_simnet::{FaultConfig, FaultPlan};
     use fedhisyn_tensor::rng_from_seed;
+    use proptest::collection::vec as pvec;
+    use proptest::prelude::*;
 
-    /// Mock trainer: adds 1.0 to coordinate `device` so model provenance
-    /// is readable from the params.
-    fn mock_train(n_devices: usize) -> impl FnMut(usize, ParamVec, u64) -> ParamVec {
-        move |device, mut model, _salt| {
-            assert!(device < n_devices);
-            model.as_mut_slice()[device] += 1.0;
-            model
+    /// A smoke environment: static fleet, `F32` codec, untraced, no
+    /// fault plan. The transport cases set `faults` themselves.
+    fn smoke_env() -> FlEnv {
+        ExperimentConfig::builder(DatasetProfile::MnistLike)
+            .scale(Scale::Smoke)
+            .devices(4)
+            .build()
+            .build_env()
+    }
+
+    /// Round 7 of `env`, an `interval`-second interval of the paper's
+    /// receive policy.
+    fn round_of(env: &FlEnv, interval: f64) -> RingRound<'_> {
+        RingRound {
+            env,
+            round: 7,
+            vt_base: 0.0,
+            interval,
+            policy: ReceivePolicy::TrainReceived,
+            base: None,
         }
     }
 
-    fn ring_of(latencies: &[f64]) -> (Ring, Vec<f64>) {
+    /// A small-to-large ring over devices `0..latencies.len()` (device `d`
+    /// has latency `latencies[d]`), with per-position crash times
+    /// `failures` (empty = nobody fails).
+    fn lane_of(latencies: &[f64], failures: &[Option<f64>]) -> Lane {
         let members: Vec<usize> = (0..latencies.len()).collect();
         let mut rng = rng_from_seed(0);
         let ring = Ring::build(&members, latencies, RingOrder::SmallToLarge, &mut rng);
-        let lat: Vec<f64> = ring.order().iter().map(|&d| latencies[d]).collect();
-        (ring, lat)
+        Lane {
+            latencies: ring.order().iter().map(|&d| latencies[d]).collect(),
+            failures: failures.to_vec(),
+            ring,
+        }
     }
 
     fn zero_start(n: usize, dims: usize) -> RingStart<'static> {
         RingStart::PerPosition(vec![ParamVec::zeros(dims); n])
     }
 
+    /// Relay `lane` with a mock trainer that adds 1.0 to coordinate
+    /// `device`, so model provenance is readable from the params. Returns
+    /// the outcome and the local steps each ring position completed,
+    /// counted from the trainer's calls.
+    fn relay(
+        round: &RingRound<'_>,
+        lane: &Lane,
+        start: RingStart<'_>,
+    ) -> (RingOutcome, Vec<usize>) {
+        let mut per_device = vec![0usize; lane.ring.len()];
+        let out = round.relay(0, lane, start, |device, mut model, _salt| {
+            model.as_mut_slice()[device] += 1.0;
+            per_device[device] += 1;
+            model
+        });
+        let steps = lane.ring.order().iter().map(|&d| per_device[d]).collect();
+        (out, steps)
+    }
+
     #[test]
     fn step_budget_is_ceil_of_interval_over_latency() {
-        let (ring, lat) = ring_of(&[1.0, 2.0, 4.0]);
-        let out = simulate_ring_interval(
-            &ring,
-            &lat,
+        let env = smoke_env();
+        let (out, steps) = relay(
+            &round_of(&env, 4.0),
+            &lane_of(&[1.0, 2.0, 4.0], &[]),
             zero_start(3, 3),
-            4.0,
-            RingOptions::default(),
-            mock_train(3),
         );
         // Positions sorted by latency: 1.0 → 4 steps, 2.0 → 2, 4.0 → 1.
-        assert_eq!(out.steps, vec![4, 2, 1]);
+        assert_eq!(steps, vec![4, 2, 1]);
         // Every step sends one transfer.
         assert_eq!(out.transfers, 7);
     }
 
     #[test]
     fn shared_start_is_equivalent_to_per_position_copies() {
-        let (ring, lat) = ring_of(&[1.0, 2.0, 3.0]);
+        let env = smoke_env();
+        let lane = lane_of(&[1.0, 2.0, 3.0], &[]);
         let global = ParamVec::from_vec(vec![0.5, -1.0, 2.0]);
-        let run = |start: RingStart<'_>| {
-            simulate_ring_interval(
-                &ring,
-                &lat,
-                start,
-                5.0,
-                RingOptions::default(),
-                mock_train(3),
-            )
-        };
-        let shared = run(RingStart::Shared(&global));
-        let cloned = run(RingStart::PerPosition(vec![global.clone(); 3]));
+        let run = |start: RingStart<'_>| relay(&round_of(&env, 5.0), &lane, start);
+        let (shared, shared_steps) = run(RingStart::Shared(&global));
+        let (cloned, cloned_steps) = run(RingStart::PerPosition(vec![global.clone(); 3]));
         assert_eq!(shared.final_models, cloned.final_models);
         assert_eq!(shared.next_models, cloned.next_models);
-        assert_eq!(shared.steps, cloned.steps);
+        assert_eq!(shared_steps, cloned_steps);
         assert_eq!(shared.transfers, cloned.transfers);
     }
 
     #[test]
     fn slowest_device_always_completes_one_step() {
-        let (ring, lat) = ring_of(&[1.0, 100.0]);
-        let out = simulate_ring_interval(
-            &ring,
-            &lat,
+        let env = smoke_env();
+        let (_, steps) = relay(
+            &round_of(&env, 1.0),
+            &lane_of(&[1.0, 100.0], &[]),
             zero_start(2, 2),
-            1.0,
-            RingOptions::default(),
-            mock_train(2),
         );
-        assert!(out.steps.iter().all(|&s| s >= 1));
+        assert!(steps.iter().all(|&s| s >= 1));
     }
 
     #[test]
     fn models_traverse_the_ring() {
         // Two homogeneous devices, long interval: models ping-pong, so each
         // device's final model must contain training from both devices.
-        let (ring, lat) = ring_of(&[1.0, 1.0]);
-        let out = simulate_ring_interval(
-            &ring,
-            &lat,
+        let env = smoke_env();
+        let (out, _) = relay(
+            &round_of(&env, 4.0),
+            &lane_of(&[1.0, 1.0], &[]),
             zero_start(2, 2),
-            4.0,
-            RingOptions::default(),
-            mock_train(2),
         );
         for m in &out.final_models {
             assert!(
@@ -822,16 +719,13 @@ mod tests {
     #[test]
     fn without_arrivals_devices_refine_their_own_model() {
         // Single device: trains its own model `ceil(R/t)` times.
-        let (ring, lat) = ring_of(&[1.0]);
-        let out = simulate_ring_interval(
-            &ring,
-            &lat,
+        let env = smoke_env();
+        let (out, steps) = relay(
+            &round_of(&env, 3.0),
+            &lane_of(&[1.0], &[]),
             zero_start(1, 1),
-            3.0,
-            RingOptions::default(),
-            mock_train(1),
         );
-        assert_eq!(out.steps, vec![3]);
+        assert_eq!(steps, vec![3]);
         assert_eq!(out.transfers, 0, "singleton rings never transfer");
         assert_eq!(out.final_models[0].as_slice()[0], 3.0);
     }
@@ -841,14 +735,11 @@ mod tests {
         // Fast (t=1) and slow (t=4): at the fast device's 5th step in an
         // interval of 8, it must have adopted the slow device's model at
         // least once (arrival at t=4).
-        let (ring, lat) = ring_of(&[1.0, 4.0]);
-        let out = simulate_ring_interval(
-            &ring,
-            &lat,
+        let env = smoke_env();
+        let (out, _) = relay(
+            &round_of(&env, 8.0),
+            &lane_of(&[1.0, 4.0], &[]),
             zero_start(2, 2),
-            8.0,
-            RingOptions::default(),
-            mock_train(2),
         );
         // Fast position is 0 (sorted small-to-large). Its final model must
         // include slow-device training (coordinate 1 > 0).
@@ -872,14 +763,11 @@ mod tests {
         // newest arrival, so the next models are the swap: p0 holds
         // [1,1], p1 holds [2,0]. Four sends in all. Had completions
         // popped first, p1 would have refined its own [0,1] into [0,2].
-        let (ring, lat) = ring_of(&[1.0, 1.0]);
-        let out = simulate_ring_interval(
-            &ring,
-            &lat,
+        let env = smoke_env();
+        let (out, _) = relay(
+            &round_of(&env, 2.0),
+            &lane_of(&[1.0, 1.0], &[]),
             zero_start(2, 2),
-            2.0,
-            RingOptions::default(),
-            mock_train(2),
         );
         let slices = |ms: &[ParamVec]| -> Vec<Vec<f32>> {
             ms.iter().map(|m| m.as_slice().to_vec()).collect()
@@ -900,18 +788,12 @@ mod tests {
         // Three steps: an arrival sent at t=1 is available at the t=2 step
         // boundary, where the averaging policy halves it into the local
         // model — fractional provenance must appear.
-        let (ring, lat) = ring_of(&[1.0, 1.0]);
-        let out = simulate_ring_interval(
-            &ring,
-            &lat,
-            zero_start(2, 2),
-            3.0,
-            RingOptions {
-                policy: ReceivePolicy::AverageThenTrain,
-                ..Default::default()
-            },
-            mock_train(2),
-        );
+        let env = smoke_env();
+        let round = RingRound {
+            policy: ReceivePolicy::AverageThenTrain,
+            ..round_of(&env, 3.0)
+        };
+        let (out, _) = relay(&round, &lane_of(&[1.0, 1.0], &[]), zero_start(2, 2));
         let has_fraction = out
             .final_models
             .iter()
@@ -926,20 +808,12 @@ mod tests {
 
     #[test]
     fn simulation_is_deterministic() {
-        let (ring, lat) = ring_of(&[1.0, 2.0, 3.0, 5.0]);
-        let run = || {
-            simulate_ring_interval(
-                &ring,
-                &lat,
-                zero_start(4, 4),
-                6.0,
-                RingOptions::default(),
-                mock_train(4),
-            )
-        };
-        let a = run();
-        let b = run();
-        assert_eq!(a.steps, b.steps);
+        let env = smoke_env();
+        let lane = lane_of(&[1.0, 2.0, 3.0, 5.0], &[]);
+        let run = || relay(&round_of(&env, 6.0), &lane, zero_start(4, 4));
+        let (a, a_steps) = run();
+        let (b, b_steps) = run();
+        assert_eq!(a_steps, b_steps);
         assert_eq!(a.transfers, b.transfers);
         for (x, y) in a.final_models.iter().zip(&b.final_models) {
             assert_eq!(x, y);
@@ -948,19 +822,13 @@ mod tests {
 
     #[test]
     fn salts_are_unique_per_step() {
-        let (ring, lat) = ring_of(&[1.0, 1.0]);
+        let env = smoke_env();
+        let lane = lane_of(&[1.0, 1.0], &[]);
         let mut salts = Vec::new();
-        let _ = simulate_ring_interval(
-            &ring,
-            &lat,
-            zero_start(2, 2),
-            3.0,
-            RingOptions::default(),
-            |_, m, salt| {
-                salts.push(salt);
-                m
-            },
-        );
+        let _ = round_of(&env, 3.0).relay(0, &lane, zero_start(2, 2), |_, m, salt| {
+            salts.push(salt);
+            m
+        });
         let mut dedup = salts.clone();
         dedup.sort_unstable();
         dedup.dedup();
@@ -971,19 +839,13 @@ mod tests {
     fn trainer_keeps_buffer_identity_across_refinement() {
         // A single device refining its own model must hand the trainer the
         // same allocation every step (move-based relay, no hidden clones).
-        let (ring, lat) = ring_of(&[1.0]);
+        let env = smoke_env();
+        let lane = lane_of(&[1.0], &[]);
         let mut ptrs = Vec::new();
-        let _ = simulate_ring_interval(
-            &ring,
-            &lat,
-            zero_start(1, 2),
-            4.0,
-            RingOptions::default(),
-            |_, m, _| {
-                ptrs.push(m.as_slice().as_ptr());
-                m
-            },
-        );
+        let _ = round_of(&env, 4.0).relay(0, &lane, zero_start(1, 2), |_, m, _| {
+            ptrs.push(m.as_slice().as_ptr());
+            m
+        });
         assert!(ptrs.len() >= 2);
         assert!(
             ptrs.windows(2).all(|w| w[0] == w[1]),
@@ -991,43 +853,29 @@ mod tests {
         );
     }
 
+    /// Relay over `latencies` for `interval` with crash times `failures`,
+    /// on `env`'s wire.
     fn run_faulty(
+        env: &FlEnv,
         latencies: &[f64],
         interval: f64,
         failures: &[Option<f64>],
-    ) -> (RingOutcome, Ring) {
-        let (ring, lat) = ring_of(latencies);
+    ) -> (RingOutcome, Vec<usize>, Ring) {
         let n = latencies.len();
-        let out = simulate_ring_interval(
-            &ring,
-            &lat,
-            zero_start(n, n),
-            interval,
-            RingOptions {
-                failures,
-                ..Default::default()
-            },
-            mock_train(n),
-        );
-        (out, ring)
+        let lane = lane_of(latencies, failures);
+        let (out, steps) = relay(&round_of(env, interval), &lane, zero_start(n, n));
+        (out, steps, lane.ring)
     }
 
     #[test]
     fn explicit_no_failures_match_the_static_path() {
+        let env = smoke_env();
         let latencies = [1.0, 2.0, 3.0];
-        let (ring, lat) = ring_of(&latencies);
-        let run = |opts: RingOptions<'_>| {
-            simulate_ring_interval(&ring, &lat, zero_start(3, 3), 5.0, opts, mock_train(3))
-        };
-        let none = run(RingOptions::default());
-        let explicit = run(RingOptions {
-            policy: ReceivePolicy::TrainReceived,
-            failures: &[None, None, None],
-            ..Default::default()
-        });
+        let (none, none_steps, _) = run_faulty(&env, &latencies, 5.0, &[]);
+        let (explicit, explicit_steps, _) = run_faulty(&env, &latencies, 5.0, &[None; 3]);
         assert_eq!(none.final_models, explicit.final_models);
         assert_eq!(none.next_models, explicit.next_models);
-        assert_eq!(none.steps, explicit.steps);
+        assert_eq!(none_steps, explicit_steps);
         assert_eq!(none.transfers, explicit.transfers);
         assert!(none.alive.iter().all(|&a| a));
     }
@@ -1036,34 +884,25 @@ mod tests {
     fn mid_ring_failure_stops_the_dead_position() {
         // Three equal devices, 4 steps each; position 1 dies at t = 1.5
         // (after its first completion, mid-second-step).
-        let (out, _) = run_faulty(&[1.0, 1.0, 1.0], 4.0, &[None, Some(1.5), None]);
+        let env = smoke_env();
+        let (out, steps, _) = run_faulty(&env, &[1.0, 1.0, 1.0], 4.0, &[None, Some(1.5), None]);
         assert_eq!(out.alive, vec![true, false, true]);
-        assert_eq!(out.steps[1], 1, "one completed step before the crash");
-        assert_eq!(out.steps[0], 4);
-        assert_eq!(out.steps[2], 4);
-    }
-
-    /// Two devices, position 1 starts with a marked model ([0, 100]) and
-    /// dies at t = 0.5, before its first completion.
-    fn marked_two_device_failure() -> RingOutcome {
-        let (ring, lat) = ring_of(&[1.0, 1.0]);
-        let start = vec![ParamVec::zeros(2), ParamVec::from_vec(vec![0.0, 100.0])];
-        simulate_ring_interval(
-            &ring,
-            &lat,
-            RingStart::PerPosition(start),
-            3.0,
-            RingOptions {
-                failures: &[None, Some(0.5)],
-                ..Default::default()
-            },
-            mock_train(2),
-        )
+        assert_eq!(steps[1], 1, "one completed step before the crash");
+        assert_eq!(steps[0], 4);
+        assert_eq!(steps[2], 4);
     }
 
     #[test]
     fn forward_policy_salvages_the_in_flight_model() {
-        let out = marked_two_device_failure();
+        // Two devices, position 1 starts with a marked model ([0, 100]) and
+        // dies at t = 0.5, before its first completion.
+        let env = smoke_env();
+        let start = vec![ParamVec::zeros(2), ParamVec::from_vec(vec![0.0, 100.0])];
+        let (out, _) = relay(
+            &round_of(&env, 3.0),
+            &lane_of(&[1.0, 1.0], &[None, Some(0.5)]),
+            RingStart::PerPosition(start),
+        );
         assert_eq!(out.alive, vec![true, false]);
         // The dead device's held model was forwarded: the survivor
         // adopted the marked model and kept training it.
@@ -1083,7 +922,8 @@ mod tests {
         // Three devices; middle position dies instantly. The ring must
         // keep circulating between the two survivors: both end up with
         // each other's provenance.
-        let (out, ring) = run_faulty(&[1.0, 1.0, 1.0], 6.0, &[None, Some(0.1), None]);
+        let env = smoke_env();
+        let (out, _, ring) = run_faulty(&env, &[1.0, 1.0, 1.0], 6.0, &[None, Some(0.1), None]);
         let d0 = ring.order()[0];
         let d2 = ring.order()[2];
         assert!(out.final_models[0].as_slice()[d2] > 0.0, "0 got 2's work");
@@ -1092,75 +932,61 @@ mod tests {
 
     #[test]
     fn all_but_one_dead_degenerates_to_solo_refinement() {
-        let (out, _) = run_faulty(&[1.0, 1.0, 1.0], 3.0, &[Some(0.1), None, Some(0.2)]);
+        let env = smoke_env();
+        let failures = [Some(0.1), None, Some(0.2)];
+        let (out, steps, _) = run_faulty(&env, &[1.0, 1.0, 1.0], 3.0, &failures);
         assert_eq!(out.alive, vec![false, true, false]);
-        assert_eq!(out.steps[1], 3, "survivor trains its full budget");
+        assert_eq!(steps[1], 3, "survivor trains its full budget");
     }
 
     #[test]
     fn failures_at_or_past_interval_are_ignored() {
-        let clean = run_faulty(&[1.0, 2.0], 4.0, &[None, None]).0;
-        let late = run_faulty(&[1.0, 2.0], 4.0, &[Some(4.0), Some(100.0)]).0;
+        let env = smoke_env();
+        let (clean, clean_steps, _) = run_faulty(&env, &[1.0, 2.0], 4.0, &[None, None]);
+        let (late, late_steps, _) = run_faulty(&env, &[1.0, 2.0], 4.0, &[Some(4.0), Some(100.0)]);
         assert_eq!(clean.final_models, late.final_models);
-        assert_eq!(clean.steps, late.steps);
+        assert_eq!(clean_steps, late_steps);
         assert!(late.alive.iter().all(|&a| a));
     }
 
     #[test]
     fn faulty_simulation_is_deterministic() {
+        let env = smoke_env();
         let run = || {
             run_faulty(
+                &env,
                 &[1.0, 2.0, 3.0, 4.0],
                 6.0,
                 &[None, Some(2.5), None, Some(1.0)],
             )
-            .0
         };
-        let a = run();
-        let b = run();
+        let (a, a_steps, _) = run();
+        let (b, b_steps, _) = run();
         assert_eq!(a.final_models, b.final_models);
         assert_eq!(a.next_models, b.next_models);
-        assert_eq!(a.steps, b.steps);
+        assert_eq!(a_steps, b_steps);
         assert_eq!(a.transfers, b.transfers);
         assert_eq!(a.alive, b.alive);
     }
 
-    use fedhisyn_simnet::FaultConfig;
-
-    /// Run under a fault plan with no failures and no trace.
-    fn run_transport(latencies: &[f64], interval: f64, plan: &FaultPlan) -> RingOutcome {
-        let (ring, lat) = ring_of(latencies);
-        let n = latencies.len();
-        simulate_ring_interval(
-            &ring,
-            &lat,
-            zero_start(n, n),
-            interval,
-            RingOptions {
-                faults: Some(RingFaults { plan, round: 7 }),
-                ..Default::default()
-            },
-            mock_train(n),
-        )
+    /// A smoke environment whose wire follows `plan`.
+    fn env_with_faults(plan: FaultPlan) -> FlEnv {
+        let mut env = smoke_env();
+        env.faults = plan;
+        env
     }
 
     #[test]
     fn none_plan_is_identical_to_the_faultless_path() {
+        // A seeded plan that loses nothing is inactive: it must draw
+        // nothing and allocate no fault state.
         let latencies = [1.0, 2.0, 3.0];
-        let plan = FaultPlan::none();
-        let with = run_transport(&latencies, 5.0, &plan);
-        let (ring, lat) = ring_of(&latencies);
-        let without = simulate_ring_interval(
-            &ring,
-            &lat,
-            zero_start(3, 3),
-            5.0,
-            RingOptions::default(),
-            mock_train(3),
-        );
+        let zero_loss = env_with_faults(FaultPlan::new(42, FaultConfig::lossy(0.0)));
+        let (with, with_steps, _) = run_faulty(&zero_loss, &latencies, 5.0, &[]);
+        let (without, without_steps, _) = run_faulty(&smoke_env(), &latencies, 5.0, &[]);
         assert_eq!(with.final_models, without.final_models);
         assert_eq!(with.next_models, without.next_models);
-        assert_eq!(with.steps, without.steps);
+        assert_eq!(with_steps, without_steps);
         assert_eq!(with.transfers, without.transfers);
         assert_eq!(with.transport, TransportStats::default());
         assert!(
@@ -1171,11 +997,11 @@ mod tests {
 
     #[test]
     fn certain_loss_exhausts_retries_and_gives_up() {
-        let plan = FaultPlan::new(42, FaultConfig::lossy(1.0));
-        let out = run_transport(&[1.0, 1.0], 3.0, &plan);
+        let env = env_with_faults(FaultPlan::new(42, FaultConfig::lossy(1.0)));
+        let (out, steps, _) = run_faulty(&env, &[1.0, 1.0], 3.0, &[]);
         // Nothing ever arrives: both devices refine their own model only.
         for (p, m) in out.final_models.iter().enumerate() {
-            assert_eq!(m.as_slice()[p] as usize, out.steps[p]);
+            assert_eq!(m.as_slice()[p] as usize, steps[p]);
         }
         // Every logical transfer is still counted, burned its full retry
         // budget (1 + 3 attempts) and was given up.
@@ -1183,7 +1009,6 @@ mod tests {
         assert!(t > 0);
         assert_eq!(out.transport.retries, 3 * t);
         assert_eq!(out.transport.giveups, t);
-        assert_eq!(out.transport.retransmit_frames(), 3 * t);
         assert_eq!(
             out.transport
                 .faults_at
@@ -1200,37 +1025,23 @@ mod tests {
         // wire is lossy. The round must still complete, with the lone
         // survivor training its full budget and the dead positions' held
         // models salvaged onto the wire.
-        let (ring, lat) = ring_of(&[1.0, 1.0, 1.0]);
-        let plan = FaultPlan::new(3, FaultConfig::lossy(0.5));
-        let out = simulate_ring_interval(
-            &ring,
-            &lat,
-            zero_start(3, 3),
-            4.0,
-            RingOptions {
-                failures: &[None, Some(0.5), Some(1.5)],
-                faults: Some(RingFaults {
-                    plan: &plan,
-                    round: 0,
-                }),
-                ..Default::default()
-            },
-            mock_train(3),
-        );
+        let env = env_with_faults(FaultPlan::new(3, FaultConfig::lossy(0.5)));
+        let failures = [None, Some(0.5), Some(1.5)];
+        let (out, steps, _) = run_faulty(&env, &[1.0, 1.0, 1.0], 4.0, &failures);
         assert_eq!(out.alive, vec![true, false, false]);
-        assert_eq!(out.steps[0], 4, "survivor trains its full budget");
-        assert_eq!(out.steps[2], 1, "one completed step before the t=1.5 crash");
+        assert_eq!(steps[0], 4, "survivor trains its full budget");
+        assert_eq!(steps[2], 1, "one completed step before the t=1.5 crash");
         assert!(out.transfers >= 1, "the salvage forward reaches the wire");
     }
 
     #[test]
     fn transport_replays_bit_identically() {
-        let plan = FaultPlan::new(0xDEAD_BEEF, FaultConfig::lossy(0.1));
-        let run = || run_transport(&[1.0, 2.0, 3.0, 4.0], 6.0, &plan);
-        let (a, b) = (run(), run());
+        let env = env_with_faults(FaultPlan::new(0xDEAD_BEEF, FaultConfig::lossy(0.1)));
+        let run = || run_faulty(&env, &[1.0, 2.0, 3.0, 4.0], 6.0, &[]);
+        let ((a, a_steps, _), (b, b_steps, _)) = (run(), run());
         assert_eq!(a.final_models, b.final_models);
         assert_eq!(a.next_models, b.next_models);
-        assert_eq!(a.steps, b.steps);
+        assert_eq!(a_steps, b_steps);
         assert_eq!(a.transfers, b.transfers);
         assert_eq!(a.alive, b.alive);
         assert_eq!(a.transport, b.transport);
@@ -1239,14 +1050,86 @@ mod tests {
     #[test]
     #[should_panic(expected = "interval must be positive")]
     fn zero_interval_panics() {
-        let (ring, lat) = ring_of(&[1.0]);
-        let _ = simulate_ring_interval(
-            &ring,
-            &lat,
+        let env = smoke_env();
+        let _ = relay(
+            &round_of(&env, 0.0),
+            &lane_of(&[1.0], &[]),
             zero_start(1, 1),
-            0.0,
-            RingOptions::default(),
-            mock_train(1),
         );
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        #[test]
+        fn ring_sim_step_budget_is_ceil(
+            lats in pvec(1.0f64..10.0, 1..8),
+            interval in 1.0f64..30.0,
+        ) {
+            let env = smoke_env();
+            let lane = lane_of(&lats, &[]);
+            let start = RingStart::PerPosition(vec![ParamVec::zeros(lats.len()); lats.len()]);
+            let (out, steps) = relay(&round_of(&env, interval), &lane, start);
+            for (pos, &steps) in steps.iter().enumerate() {
+                let expect = ((interval / lane.latencies[pos]).ceil() as usize).max(1);
+                prop_assert_eq!(steps, expect, "position {}", pos);
+            }
+            // Transfers = total steps when the ring has >1 member.
+            let total: usize = steps.iter().sum();
+            if lane.ring.len() > 1 {
+                prop_assert_eq!(out.transfers, total);
+            } else {
+                prop_assert_eq!(out.transfers, 0);
+            }
+        }
+
+        #[test]
+        fn faulty_ring_outcomes_are_deterministic_and_conservative(
+            n in 2usize..10,
+            seed in 0u64..200,
+            interval_factor in 1.0f64..6.0,
+            fail_mask in 0u32..64,
+        ) {
+            // Arbitrary failure schedules: a masked subset of positions dies
+            // at seed-derived times. The relay must (a) reproduce identical
+            // outcomes on replay, (b) keep exactly the non-failed positions
+            // alive, and (c) hand back one model per position regardless.
+            let members: Vec<usize> = (0..n).collect();
+            let latencies: Vec<f64> = (0..n).map(|i| 1.0 + ((i * 7 + seed as usize) % 5) as f64).collect();
+            let mut rng = rng_from_seed(seed);
+            let ring = Ring::build(&members, &latencies, RingOrder::SmallToLarge, &mut rng);
+            let ring_lat: Vec<f64> = ring.order().iter().map(|&d| latencies[d]).collect();
+            let interval = interval_factor * ring_lat.iter().cloned().fold(0.0, f64::max);
+            let failures: Vec<Option<f64>> = (0..n)
+                .map(|p| {
+                    if fail_mask & (1 << (p % 32)) != 0 {
+                        Some(interval * ((p as f64 * 0.37 + seed as f64 * 0.11) % 1.0))
+                    } else {
+                        None
+                    }
+                })
+                .collect();
+            let lane = Lane { ring, latencies: ring_lat, failures: failures.clone() };
+            let env = smoke_env();
+            let run = || relay(
+                &round_of(&env, interval),
+                &lane,
+                RingStart::PerPosition(vec![ParamVec::zeros(n); n]),
+            );
+            let (a, a_steps) = run();
+            let (b, b_steps) = run();
+            prop_assert_eq!(&a.final_models, &b.final_models);
+            prop_assert_eq!(&a.next_models, &b.next_models);
+            prop_assert_eq!(&a_steps, &b_steps);
+            prop_assert_eq!(a.transfers, b.transfers);
+            prop_assert_eq!(&a.alive, &b.alive);
+            for (p, alive) in a.alive.iter().enumerate() {
+                prop_assert_eq!(*alive, failures[p].is_none(), "position {}", p);
+                if *alive {
+                    prop_assert_eq!(a.next_models[p].len(), n, "carry-over model present");
+                    prop_assert!(a_steps[p] >= 1, "survivors complete at least one step");
+                }
+            }
+        }
     }
 }

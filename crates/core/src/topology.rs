@@ -116,22 +116,10 @@ impl Ring {
         self.order.is_empty()
     }
 
-    /// The successor of the device at ring position `pos`.
+    /// The ring position after `pos`: each device forwards to the one
+    /// there, and the last position wraps to the first.
     pub fn next_position(&self, pos: usize) -> usize {
         (pos + 1) % self.order.len()
-    }
-
-    /// The device id that follows `device` in the ring.
-    ///
-    /// # Panics
-    /// Panics when `device` is not a ring member.
-    pub fn successor(&self, device: usize) -> usize {
-        let pos = self
-            .order
-            .iter()
-            .position(|&d| d == device)
-            .expect("device not in ring");
-        self.order[self.next_position(pos)]
     }
 }
 
@@ -178,17 +166,19 @@ mod tests {
         // Order: 5, 6, 7; slowest (7) wraps to fastest (5) — the paper's
         // "device with the longest local training time is connected to the
         // device with the shortest".
-        assert_eq!(ring.successor(5), 6);
-        assert_eq!(ring.successor(6), 7);
-        assert_eq!(ring.successor(7), 5);
+        assert_eq!(ring.order(), &[5, 6, 7]);
+        let successor = |pos: usize| ring.order()[ring.next_position(pos)];
+        assert_eq!(successor(0), 6);
+        assert_eq!(successor(1), 7);
+        assert_eq!(successor(2), 5);
     }
 
     #[test]
     fn singleton_ring_points_to_itself() {
         let mut rng = rng_from_seed(3);
         let ring = Ring::build(&[9], &[1.0], RingOrder::SmallToLarge, &mut rng);
-        assert_eq!(ring.successor(9), 9);
-        assert_eq!(ring.len(), 1);
+        assert_eq!(ring.order(), &[9]);
+        assert_eq!(ring.next_position(0), 0);
     }
 
     #[test]
@@ -271,13 +261,5 @@ mod tests {
             .position(|&d| suspects[d])
             .expect("some suspects");
         assert!(ring.order()[first_suspect..].iter().all(|&d| suspects[d]));
-    }
-
-    #[test]
-    #[should_panic(expected = "not in ring")]
-    fn successor_of_non_member_panics() {
-        let mut rng = rng_from_seed(6);
-        let ring = Ring::build(&[1], &[1.0], RingOrder::SmallToLarge, &mut rng);
-        let _ = ring.successor(2);
     }
 }

@@ -32,6 +32,4 @@ pub use export::{
 };
 pub use registry::{CounterId, MetricsRegistry, MetricsSnapshot};
 pub use round::RoundTelemetry;
-pub use span::{
-    Phase, SpanCtx, SpanEvent, Telemetry, TelemetrySink, TransportCounters, WallStart, NO_ID,
-};
+pub use span::{Phase, SpanCtx, SpanEvent, Telemetry, TelemetrySink, WallStart, NO_ID};

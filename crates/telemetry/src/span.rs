@@ -153,23 +153,6 @@ impl SpanCtx {
 #[derive(Debug, Clone, Copy)]
 pub struct WallStart(Option<Instant>);
 
-/// Frame-loss counter bundle folded once per round (see
-/// [`TelemetrySink::add_transport`]). All fields are *increments*: the
-/// sink adds them to its cumulative `transport.*` counters.
-///
-/// Every field is deterministic — frame losses are drawn from the seed —
-/// but they are recorded as plain counters (covered by the metrics
-/// fingerprint) rather than spans.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct TransportCounters {
-    /// Retransmission attempts after a lost frame.
-    pub retries: u64,
-    /// Transfers abandoned after the retry budget was exhausted.
-    pub giveups: u64,
-    /// Rings proactively rebuilt around suspect devices.
-    pub rebuilds: u64,
-}
-
 #[derive(Debug)]
 struct EventLog {
     events: Vec<SpanEvent>,
@@ -402,14 +385,18 @@ impl TelemetrySink {
     }
 
     /// Add a round's frame-loss observations to the cumulative
-    /// `transport.*` counters. No-op on a disabled sink, and cheap to
-    /// call with an all-zero bundle (fault-free rounds).
-    pub fn add_transport(&self, c: &TransportCounters) {
+    /// `transport.*` counters: `retries` (retransmission attempts after a
+    /// lost frame), `giveups` (transfers abandoned after the retry budget
+    /// was exhausted) and `rebuilds` (rings proactively rebuilt around
+    /// suspect devices). All are increments, deterministic because frame
+    /// losses are drawn from the seed, and recorded as plain counters
+    /// covered by the metrics fingerprint. No-op on a disabled sink.
+    pub fn add_transport(&self, retries: u64, giveups: u64, rebuilds: u64) {
         if let Some(t) = &self.0 {
             let ids = &t.ids.transport;
-            t.registry.inc(ids.retries, c.retries);
-            t.registry.inc(ids.giveups, c.giveups);
-            t.registry.inc(ids.rebuilds, c.rebuilds);
+            t.registry.inc(ids.retries, retries);
+            t.registry.inc(ids.giveups, giveups);
+            t.registry.inc(ids.rebuilds, rebuilds);
         }
     }
 
@@ -499,21 +486,14 @@ mod tests {
     #[test]
     fn transport_counters_accumulate() {
         let sink = TelemetrySink::enabled(4);
-        sink.add_transport(&TransportCounters {
-            retries: 3,
-            giveups: 0,
-            rebuilds: 1,
-        });
-        sink.add_transport(&TransportCounters {
-            retries: 1,
-            ..TransportCounters::default()
-        });
+        sink.add_transport(3, 0, 1);
+        sink.add_transport(1, 0, 0);
         let m = sink.telemetry().expect("enabled").metrics();
         assert!(m.counters.contains(&("transport.retries", 4)));
         assert!(m.counters.contains(&("transport.giveups", 0)));
         assert!(m.counters.contains(&("transport.rebuilds", 1)));
-        // Disabled sinks swallow the bundle without touching anything.
-        TelemetrySink::disabled().add_transport(&TransportCounters::default());
+        // Disabled sinks swallow the counts without touching anything.
+        TelemetrySink::disabled().add_transport(1, 1, 1);
     }
 
     #[test]

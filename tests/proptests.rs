@@ -2,7 +2,6 @@
 
 use fedhisyn::cluster::{kmeans_1d, quantile_bins};
 use fedhisyn::core::aggregate::{AggregationRule, Contribution};
-use fedhisyn::core::ring_sim::{simulate_ring_interval, RingOptions, RingStart};
 use fedhisyn::core::{Ring, RingOrder};
 use fedhisyn::data::{partition_indices, Dataset, Partition};
 use fedhisyn::nn::{wire, Codec, ParamVec};
@@ -97,34 +96,6 @@ proptest! {
     }
 
     #[test]
-    fn ring_sim_step_budget_is_ceil(
-        lats in pvec(1.0f64..10.0, 1..8),
-        interval in 1.0f64..30.0,
-    ) {
-        let members: Vec<usize> = (0..lats.len()).collect();
-        let mut rng = rng_from_seed(0);
-        let ring = Ring::build(&members, &lats, RingOrder::SmallToLarge, &mut rng);
-        let ring_lat: Vec<f64> = ring.order().iter().map(|&d| lats[d]).collect();
-        let start = RingStart::PerPosition(vec![ParamVec::zeros(2); ring.len()]);
-        let out = simulate_ring_interval(
-            &ring, &ring_lat, start, interval,
-            RingOptions::default(),
-            |_, m, _| m,
-        );
-        for (pos, &steps) in out.steps.iter().enumerate() {
-            let expect = ((interval / ring_lat[pos]).ceil() as usize).max(1);
-            prop_assert_eq!(steps, expect, "position {}", pos);
-        }
-        // Transfers = total steps when the ring has >1 member.
-        let total: usize = out.steps.iter().sum();
-        if ring.len() > 1 {
-            prop_assert_eq!(out.transfers, total);
-        } else {
-            prop_assert_eq!(out.transfers, 0);
-        }
-    }
-
-    #[test]
     fn kmeans_assignment_is_locally_optimal(
         values in pvec(0.0f64..100.0, 5..40),
         k in 1usize..5,
@@ -170,65 +141,6 @@ proptest! {
         let mean = ParamVec::mean(vs.iter());
         for (a, b) in mean.as_slice().iter().zip(&v) {
             prop_assert!((a - b).abs() < 1e-5);
-        }
-    }
-
-    #[test]
-    fn faulty_ring_outcomes_are_deterministic_and_conservative(
-        n in 2usize..10,
-        seed in 0u64..200,
-        interval_factor in 1.0f64..6.0,
-        fail_mask in 0u32..64,
-    ) {
-        // Arbitrary failure schedules: a masked subset of positions dies
-        // at seed-derived times. The relay must (a) reproduce identical
-        // outcomes on replay, (b) keep exactly the non-failed positions
-        // alive, and (c) hand back one model per position regardless.
-        let members: Vec<usize> = (0..n).collect();
-        let latencies: Vec<f64> = (0..n).map(|i| 1.0 + ((i * 7 + seed as usize) % 5) as f64).collect();
-        let mut rng = rng_from_seed(seed);
-        let ring = Ring::build(&members, &latencies, RingOrder::SmallToLarge, &mut rng);
-        let ring_lat: Vec<f64> = ring.order().iter().map(|&d| latencies[d]).collect();
-        let interval = interval_factor * ring_lat.iter().cloned().fold(0.0, f64::max);
-        let failures: Vec<Option<f64>> = (0..n)
-            .map(|p| {
-                if fail_mask & (1 << (p % 32)) != 0 {
-                    Some(interval * ((p as f64 * 0.37 + seed as f64 * 0.11) % 1.0))
-                } else {
-                    None
-                }
-            })
-            .collect();
-        // The wire-fault, trace and codec contexts are crate-private, so
-        // outside the crate the failure schedule is set on the default.
-        let mut opts = RingOptions::default();
-        opts.failures = &failures;
-        let run = || {
-            simulate_ring_interval(
-                &ring,
-                &ring_lat,
-                RingStart::PerPosition(vec![ParamVec::zeros(n); n]),
-                interval,
-                opts,
-                |device, mut m, _salt| {
-                    m.as_mut_slice()[device] += 1.0;
-                    m
-                },
-            )
-        };
-        let a = run();
-        let b = run();
-        prop_assert_eq!(&a.final_models, &b.final_models);
-        prop_assert_eq!(&a.next_models, &b.next_models);
-        prop_assert_eq!(&a.steps, &b.steps);
-        prop_assert_eq!(a.transfers, b.transfers);
-        prop_assert_eq!(&a.alive, &b.alive);
-        for (p, alive) in a.alive.iter().enumerate() {
-            prop_assert_eq!(*alive, failures[p].is_none(), "position {}", p);
-            if *alive {
-                prop_assert_eq!(a.next_models[p].len(), n, "carry-over model present");
-                prop_assert!(a.steps[p] >= 1, "survivors complete at least one step");
-            }
         }
     }
 
