@@ -69,11 +69,10 @@ pub(crate) struct TransportStats {
 }
 
 /// What a device does with a model received from its ring predecessor.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum ReceivePolicy {
     /// Train the received model directly (the paper's choice; Eq. 6 —
     /// Observation 1 found this strictly better).
-    #[default]
     TrainReceived,
     /// Average the received model with the local one, then train (the
     /// paper's "averaging" control in Figure 2).
