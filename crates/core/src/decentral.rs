@@ -183,17 +183,36 @@ impl DecentralSim {
             env.wire_round_trip_check(sent, None, sent);
             inbox[target] = Some(sender); // newest-wins
         }
-        self.models = inbox
+        // Each trained model has at most two readers: the one receiver it
+        // is the newest arrival of, and its own device, which keeps it
+        // when averaging or when nothing arrived. It moves to its one
+        // reader; only a model that is both kept and received is copied.
+        let mut own: Vec<Option<ParamVec>> = trained.into_iter().map(Some).collect();
+        let received: Vec<Option<ParamVec>> = inbox
+            .iter()
+            .map(|incoming| {
+                incoming.map(|sender| {
+                    let keeps = average || inbox[sender].is_none();
+                    let model = if keeps {
+                        own[sender].clone()
+                    } else {
+                        own[sender].take()
+                    };
+                    model.expect("a model moves to at most one receiver")
+                })
+            })
+            .collect();
+        self.models = own
             .into_iter()
-            .zip(&trained)
-            .map(|(incoming, own)| match incoming {
-                Some(sender) if average => {
-                    let mut mixed = own.clone();
-                    mixed.lerp(&trained[sender], 0.5);
+            .zip(received)
+            .map(|(own, received)| match received {
+                Some(received) if average => {
+                    let mut mixed = own.expect("averaging keeps its model");
+                    mixed.lerp(&received, 0.5);
                     mixed
                 }
-                Some(sender) => trained[sender].clone(),
-                None => own.clone(),
+                Some(received) => received,
+                None => own.expect("a device without an arrival keeps its model"),
             })
             .collect();
     }
@@ -257,7 +276,7 @@ impl DecentralSim {
             // Carry the buffer state (pending arrivals) into the next
             // interval — this is what keeps models circulating when a
             // device only fits one step per interval.
-            let nexts = job.done.expect("every ring job ran").next_models;
+            let nexts = job.done.expect("every ring job ran").models;
             for (&device, model) in job.lane.ring.order().iter().zip(nexts) {
                 self.models[device] = model;
             }

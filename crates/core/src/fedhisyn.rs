@@ -239,7 +239,7 @@ impl FlAlgorithm for FedHiSyn {
                     }
                 }
             }
-            for (pos, mut model) in outcome.final_models.into_iter().enumerate() {
+            for (pos, mut model) in outcome.models.into_iter().enumerate() {
                 if !outcome.alive[pos] {
                     continue;
                 }

@@ -32,6 +32,31 @@
 //! [`RingStart::Shared`] likewise materialises per-position copies of the
 //! interval-start broadcast lazily, exactly once each.
 //!
+//! # What the relay retains
+//!
+//! A position holds at most two models while it trains — its working
+//! model and the newest pending arrival — and the relay returns one per
+//! position, the one its caller reads ([`RingOutcome::models`]):
+//!
+//! * A [`RingStart::Shared`] start ends in an upload. In Alg. 1 a device
+//!   that has spent its step budget uploads its newest trained model, so
+//!   a model that reaches it after its final completion is never trained
+//!   or uploaded: the relay drops the inbox at that completion and every
+//!   later arrival with it.
+//! * A [`RingStart::PerPosition`] start carries over into the next
+//!   interval. The carry-over model is resolved by move — the pending
+//!   arrival, else the position's own model, with the arrival averaged
+//!   into the own model in place under
+//!   [`ReceivePolicy::AverageThenTrain`] — so nothing is cloned.
+//!
+//! Dropping those arrivals moves no bit. Sends, codec transforms, fault
+//! draws, spans and traffic charges all happen at send time, which is
+//! unchanged. A position's final completion falls at or past `R` while
+//! crashes are scheduled strictly before it, so a finished position does
+//! not crash and salvage its inbox. Float rounding of the summed step
+//! times can end a final step one ulp before `R`, so a position with a
+//! crash still due keeps its inbox.
+//!
 //! [`RingRound::relay`] is generic over the actual training function so
 //! unit tests can verify the event choreography with arithmetic mocks
 //! while [`RingRound::run_lane`] plugs in real SGD.
@@ -94,24 +119,28 @@ pub(crate) enum RingStart<'a> {
 /// Result of simulating one interval on one ring.
 #[derive(Debug, Clone)]
 pub(crate) struct RingOutcome {
-    /// Final (most recently trained) model per ring position — what the
-    /// device *uploads* in FedHiSyn. Unspecified for a position that died
-    /// mid-interval; check [`RingOutcome::alive`] before uploading.
-    pub final_models: Vec<ParamVec>,
-    /// The model each position would train next: the newest unconsumed
-    /// arrival, or its own latest model when nothing is pending. This is
-    /// the device's buffer state at interval end (Alg. 1's `B_i.back()`),
-    /// which decentralized (server-less) training carries into the next
-    /// interval — without it, a homogeneous ring doing one step per
-    /// interval would never circulate models across intervals.
-    /// Unspecified for a dead position.
-    pub next_models: Vec<ParamVec>,
+    /// One model per ring position — the one its caller reads, and the
+    /// only one the relay keeps for it:
+    ///
+    /// * after a [`RingStart::Shared`] start, the model the position
+    ///   finished training last, which the device *uploads* in FedHiSyn;
+    /// * after a [`RingStart::PerPosition`] start, the model it would
+    ///   train next: the newest unconsumed arrival (averaged into its own
+    ///   model under [`ReceivePolicy::AverageThenTrain`]), else its own
+    ///   latest model. This is the device's buffer state at interval end
+    ///   (Alg. 1's `B_i.back()`), which decentralized (server-less)
+    ///   training carries into the next interval — without it, a
+    ///   homogeneous ring doing one step per interval would never
+    ///   circulate models across intervals.
+    ///
+    /// Unspecified for a position that died mid-interval; check
+    /// [`RingOutcome::alive`] before reading it.
+    pub models: Vec<ParamVec>,
     /// Device-to-device transfers performed (including failure-repair
     /// forwards).
     pub transfers: usize,
     /// Whether each ring position survived the interval. Dead positions
-    /// cannot upload, and their `final_models`/`next_models` entries are
-    /// unspecified.
+    /// cannot upload, and their `models` entries are unspecified.
     pub alive: Vec<bool>,
     /// Wire-fault accounting for the interval (all zeroes, empty
     /// `faults_at`, when no fault plan was active).
@@ -292,6 +321,9 @@ impl RingRound<'_> {
         // `alive`.
         let mut latest: Vec<ParamVec> = vec![ParamVec::default(); n];
         let mut inbox: Vec<Option<ParamVec>> = vec![None; n];
+        // `closed[pos]`: the position has trained its final model and drops
+        // every later arrival (upload starts only).
+        let mut closed = vec![false; n];
         let mut steps = vec![0usize; n];
         let mut dead = vec![false; n];
 
@@ -343,8 +375,12 @@ impl RingRound<'_> {
                         continue;
                     }
                     // Newest-wins buffer (Alg. 1 trains B.back()); older
-                    // pending models are dropped.
-                    inbox[pos] = Some(model);
+                    // pending models are dropped, and so is everything that
+                    // reaches a closed position: it is never trained or
+                    // uploaded.
+                    if !closed[pos] {
+                        inbox[pos] = Some(model);
+                    }
                 }
                 Event::Failure { pos } => {
                     dead[pos] = true;
@@ -413,29 +449,44 @@ impl RingRound<'_> {
                         );
                     } else {
                         latest[pos] = trained;
+                        // An upload start's position is done: what is
+                        // pending or still arrives is never trained or
+                        // uploaded, so drop it. A crash still due would
+                        // salvage the inbox; crashes fall before `R` and
+                        // final completions at or past it, so only float
+                        // rounding of the summed step times could leave one
+                        // due, and then the position stays open.
+                        let crash_due = failures
+                            .get(pos)
+                            .is_some_and(|f| f.is_some_and(|t| t < interval));
+                        if shared.is_some() && !crash_due {
+                            inbox[pos] = None;
+                            closed[pos] = true;
+                        }
                     }
                 }
             }
         }
 
-        // Buffer state at interval end: pending arrival wins, else own model.
-        let next_models: Vec<ParamVec> = inbox
-            .iter_mut()
-            .zip(&latest)
-            .map(|(pending, own)| match (pending.take(), policy) {
+        // What each position keeps: the newest pending arrival — mixed into
+        // its own model in place under averaging — else its own model. Only
+        // a carry-over start can still hold an arrival here, so an upload
+        // start returns the final models unchanged.
+        let models = latest
+            .into_iter()
+            .zip(inbox)
+            .map(|(mut own, pending)| match (pending, policy) {
                 (Some(received), ReceivePolicy::TrainReceived) => received,
                 (Some(received), ReceivePolicy::AverageThenTrain) => {
-                    let mut mixed = own.clone();
-                    mixed.lerp(&received, 0.5);
-                    mixed
+                    own.lerp(&received, 0.5);
+                    own
                 }
-                (None, _) => own.clone(),
+                (None, _) => own,
             })
             .collect();
 
         RingOutcome {
-            final_models: latest,
-            next_models,
+            models,
             transfers: wire.transfers,
             alive: dead.iter().map(|&d| !d).collect(),
             transport: wire.transport,
@@ -635,27 +686,43 @@ mod tests {
         }
     }
 
+    /// A carry-over start: every position begins on its own zero model.
     fn zero_start(n: usize, dims: usize) -> RingStart<'static> {
         RingStart::PerPosition(vec![ParamVec::zeros(dims); n])
     }
 
     /// Relay `lane` with a mock trainer that adds 1.0 to coordinate
     /// `device`, so model provenance is readable from the params. Returns
-    /// the outcome and the local steps each ring position completed,
-    /// counted from the trainer's calls.
+    /// the outcome and, per ring position, the models it trained, in
+    /// order.
+    fn relay_log(
+        round: &RingRound<'_>,
+        lane: &Lane,
+        start: RingStart<'_>,
+    ) -> (RingOutcome, Vec<Vec<ParamVec>>) {
+        let mut per_device = vec![Vec::new(); lane.ring.len()];
+        let out = round.relay(0, lane, start, |device, mut model, _salt| {
+            model.as_mut_slice()[device] += 1.0;
+            per_device[device].push(model.clone());
+            model
+        });
+        let trained = lane
+            .ring
+            .order()
+            .iter()
+            .map(|&d| std::mem::take(&mut per_device[d]))
+            .collect();
+        (out, trained)
+    }
+
+    /// [`relay_log`], with the local steps each ring position completed.
     fn relay(
         round: &RingRound<'_>,
         lane: &Lane,
         start: RingStart<'_>,
     ) -> (RingOutcome, Vec<usize>) {
-        let mut per_device = vec![0usize; lane.ring.len()];
-        let out = round.relay(0, lane, start, |device, mut model, _salt| {
-            model.as_mut_slice()[device] += 1.0;
-            per_device[device] += 1;
-            model
-        });
-        let steps = lane.ring.order().iter().map(|&d| per_device[d]).collect();
-        (out, steps)
+        let (out, trained) = relay_log(round, lane, start);
+        (out, trained.iter().map(Vec::len).collect())
     }
 
     #[test]
@@ -674,16 +741,19 @@ mod tests {
 
     #[test]
     fn shared_start_is_equivalent_to_per_position_copies() {
+        // The two starts train the same models; only what they return
+        // differs — the final model for an upload, the carry-over model
+        // otherwise.
         let env = smoke_env();
         let lane = lane_of(&[1.0, 2.0, 3.0], &[]);
         let global = ParamVec::from_vec(vec![0.5, -1.0, 2.0]);
-        let run = |start: RingStart<'_>| relay(&round_of(&env, 5.0), &lane, start);
-        let (shared, shared_steps) = run(RingStart::Shared(&global));
-        let (cloned, cloned_steps) = run(RingStart::PerPosition(vec![global.clone(); 3]));
-        assert_eq!(shared.final_models, cloned.final_models);
-        assert_eq!(shared.next_models, cloned.next_models);
-        assert_eq!(shared_steps, cloned_steps);
+        let run = |start: RingStart<'_>| relay_log(&round_of(&env, 5.0), &lane, start);
+        let (shared, shared_trained) = run(RingStart::Shared(&global));
+        let (cloned, cloned_trained) = run(RingStart::PerPosition(vec![global.clone(); 3]));
+        assert_eq!(shared_trained, cloned_trained);
         assert_eq!(shared.transfers, cloned.transfers);
+        let last: Vec<&ParamVec> = shared_trained.iter().flat_map(|t| t.last()).collect();
+        assert_eq!(shared.models.iter().collect::<Vec<_>>(), last);
     }
 
     #[test]
@@ -705,9 +775,9 @@ mod tests {
         let (out, _) = relay(
             &round_of(&env, 4.0),
             &lane_of(&[1.0, 1.0], &[]),
-            zero_start(2, 2),
+            RingStart::Shared(&ParamVec::zeros(2)),
         );
-        for m in &out.final_models {
+        for m in &out.models {
             assert!(
                 m.as_slice().iter().all(|&x| x > 0.0),
                 "model {m:?} should have been trained on both devices"
@@ -726,7 +796,7 @@ mod tests {
         );
         assert_eq!(steps, vec![3]);
         assert_eq!(out.transfers, 0, "singleton rings never transfer");
-        assert_eq!(out.final_models[0].as_slice()[0], 3.0);
+        assert_eq!(out.models[0].as_slice()[0], 3.0);
     }
 
     #[test]
@@ -738,11 +808,11 @@ mod tests {
         let (out, _) = relay(
             &round_of(&env, 8.0),
             &lane_of(&[1.0, 4.0], &[]),
-            zero_start(2, 2),
+            RingStart::Shared(&ParamVec::zeros(2)),
         );
         // Fast position is 0 (sorted small-to-large). Its final model must
         // include slow-device training (coordinate 1 > 0).
-        assert!(out.final_models[0].as_slice()[1] > 0.0);
+        assert!(out.models[0].as_slice()[1] > 0.0);
     }
 
     #[test]
@@ -758,28 +828,27 @@ mod tests {
         //          send reaches p0 after p0 has already chosen.
         //   t = 2: p0 trains [1,0] → [2,0] and sends it; again the
         //          arrival pops first, and p1 trains [1,0] → [1,1].
-        // Final models are [2,0] and [1,1]. Each inbox ends on the
-        // newest arrival, so the next models are the swap: p0 holds
-        // [1,1], p1 holds [2,0]. Four sends in all. Had completions
-        // popped first, p1 would have refined its own [0,1] into [0,2].
+        // Final models are [2,0] and [1,1], which an upload start
+        // returns. Each inbox ends on the newest arrival, so a carry-over
+        // start returns the swap: p0 holds [1,1], p1 holds [2,0]. Four
+        // sends in all. Had completions popped first, p1 would have
+        // refined its own [0,1] into [0,2].
         let env = smoke_env();
-        let (out, _) = relay(
-            &round_of(&env, 2.0),
-            &lane_of(&[1.0, 1.0], &[]),
-            zero_start(2, 2),
-        );
-        let slices = |ms: &[ParamVec]| -> Vec<Vec<f32>> {
-            ms.iter().map(|m| m.as_slice().to_vec()).collect()
+        let lane = lane_of(&[1.0, 1.0], &[]);
+        let zeros = ParamVec::zeros(2);
+        let slices = |start: RingStart<'_>| -> (Vec<Vec<f32>>, usize) {
+            let (out, _) = relay(&round_of(&env, 2.0), &lane, start);
+            let models = out.models.iter().map(|m| m.as_slice().to_vec()).collect();
+            (models, out.transfers)
         };
         assert_eq!(
-            slices(&out.final_models),
-            vec![vec![2.0, 0.0], vec![1.0, 1.0]]
+            slices(RingStart::Shared(&zeros)),
+            (vec![vec![2.0, 0.0], vec![1.0, 1.0]], 4)
         );
         assert_eq!(
-            slices(&out.next_models),
-            vec![vec![1.0, 1.0], vec![2.0, 0.0]]
+            slices(zero_start(2, 2)),
+            (vec![vec![1.0, 1.0], vec![2.0, 0.0]], 4)
         );
-        assert_eq!(out.transfers, 4);
     }
 
     #[test]
@@ -792,16 +861,21 @@ mod tests {
             policy: ReceivePolicy::AverageThenTrain,
             ..round_of(&env, 3.0)
         };
-        let (out, _) = relay(&round, &lane_of(&[1.0, 1.0], &[]), zero_start(2, 2));
+        let zeros = ParamVec::zeros(2);
+        let (out, _) = relay(
+            &round,
+            &lane_of(&[1.0, 1.0], &[]),
+            RingStart::Shared(&zeros),
+        );
         let has_fraction = out
-            .final_models
+            .models
             .iter()
             .flat_map(|m| m.as_slice())
             .any(|&x| x.fract() != 0.0);
         assert!(
             has_fraction,
             "averaging should produce fractional provenance: {:?}",
-            out.final_models
+            out.models
         );
     }
 
@@ -814,9 +888,7 @@ mod tests {
         let (b, b_steps) = run();
         assert_eq!(a_steps, b_steps);
         assert_eq!(a.transfers, b.transfers);
-        for (x, y) in a.final_models.iter().zip(&b.final_models) {
-            assert_eq!(x, y);
-        }
+        assert_eq!(a.models, b.models);
     }
 
     #[test]
@@ -853,7 +925,8 @@ mod tests {
     }
 
     /// Relay over `latencies` for `interval` with crash times `failures`,
-    /// on `env`'s wire.
+    /// on `env`'s wire, from an upload start of zeros (crashes and frame
+    /// loss only occur on FedHiSyn's rings).
     fn run_faulty(
         env: &FlEnv,
         latencies: &[f64],
@@ -862,7 +935,8 @@ mod tests {
     ) -> (RingOutcome, Vec<usize>, Ring) {
         let n = latencies.len();
         let lane = lane_of(latencies, failures);
-        let (out, steps) = relay(&round_of(env, interval), &lane, zero_start(n, n));
+        let zeros = ParamVec::zeros(n);
+        let (out, steps) = relay(&round_of(env, interval), &lane, RingStart::Shared(&zeros));
         (out, steps, lane.ring)
     }
 
@@ -872,8 +946,7 @@ mod tests {
         let latencies = [1.0, 2.0, 3.0];
         let (none, none_steps, _) = run_faulty(&env, &latencies, 5.0, &[]);
         let (explicit, explicit_steps, _) = run_faulty(&env, &latencies, 5.0, &[None; 3]);
-        assert_eq!(none.final_models, explicit.final_models);
-        assert_eq!(none.next_models, explicit.next_models);
+        assert_eq!(none.models, explicit.models);
         assert_eq!(none_steps, explicit_steps);
         assert_eq!(none.transfers, explicit.transfers);
         assert!(none.alive.iter().all(|&a| a));
@@ -906,10 +979,10 @@ mod tests {
         // The dead device's held model was forwarded: the survivor
         // adopted the marked model and kept training it.
         assert_eq!(
-            out.final_models[0].as_slice()[1],
+            out.models[0].as_slice()[1],
             100.0,
             "survivor must have adopted the salvaged model: {:?}",
-            out.final_models[0]
+            out.models[0]
         );
         // Exactly one transfer: the salvage forward (the survivor has no
         // live successor to send to afterwards).
@@ -925,8 +998,26 @@ mod tests {
         let (out, _, ring) = run_faulty(&env, &[1.0, 1.0, 1.0], 6.0, &[None, Some(0.1), None]);
         let d0 = ring.order()[0];
         let d2 = ring.order()[2];
-        assert!(out.final_models[0].as_slice()[d2] > 0.0, "0 got 2's work");
-        assert!(out.final_models[2].as_slice()[d0] > 0.0, "2 got 0's work");
+        assert!(out.models[0].as_slice()[d2] > 0.0, "0 got 2's work");
+        assert!(out.models[2].as_slice()[d0] > 0.0, "2 got 0's work");
+    }
+
+    #[test]
+    fn a_crash_due_after_the_final_step_still_salvages_the_inbox() {
+        // Six steps of `t` summed in floats end one ulp before `R = 6t`,
+        // so a crash drawn at that instant (before `R`) follows both
+        // positions' final completions. Position 1's last send reaches
+        // position 0 first; the crash then salvages it onto the wire —
+        // one transfer more than the twelve steps — so position 0 must
+        // not close at its final step.
+        let (t, interval) = (3.783331467073774, 22.699988802442643);
+        let last = (0..6).fold(0.0, |at, _| at + t);
+        assert!(last < interval, "the float premise of this test");
+        let env = smoke_env();
+        let (out, steps, _) = run_faulty(&env, &[t, t], interval, &[Some(last), None]);
+        assert_eq!(steps, vec![6, 6]);
+        assert_eq!(out.alive, vec![false, true]);
+        assert_eq!(out.transfers, 13);
     }
 
     #[test]
@@ -943,7 +1034,7 @@ mod tests {
         let env = smoke_env();
         let (clean, clean_steps, _) = run_faulty(&env, &[1.0, 2.0], 4.0, &[None, None]);
         let (late, late_steps, _) = run_faulty(&env, &[1.0, 2.0], 4.0, &[Some(4.0), Some(100.0)]);
-        assert_eq!(clean.final_models, late.final_models);
+        assert_eq!(clean.models, late.models);
         assert_eq!(clean_steps, late_steps);
         assert!(late.alive.iter().all(|&a| a));
     }
@@ -961,8 +1052,7 @@ mod tests {
         };
         let (a, a_steps, _) = run();
         let (b, b_steps, _) = run();
-        assert_eq!(a.final_models, b.final_models);
-        assert_eq!(a.next_models, b.next_models);
+        assert_eq!(a.models, b.models);
         assert_eq!(a_steps, b_steps);
         assert_eq!(a.transfers, b.transfers);
         assert_eq!(a.alive, b.alive);
@@ -983,8 +1073,7 @@ mod tests {
         let zero_loss = env_with_faults(FaultPlan::new(42, FaultConfig::lossy(0.0)));
         let (with, with_steps, _) = run_faulty(&zero_loss, &latencies, 5.0, &[]);
         let (without, without_steps, _) = run_faulty(&smoke_env(), &latencies, 5.0, &[]);
-        assert_eq!(with.final_models, without.final_models);
-        assert_eq!(with.next_models, without.next_models);
+        assert_eq!(with.models, without.models);
         assert_eq!(with_steps, without_steps);
         assert_eq!(with.transfers, without.transfers);
         assert_eq!(with.transport, TransportStats::default());
@@ -999,7 +1088,7 @@ mod tests {
         let env = env_with_faults(FaultPlan::new(42, FaultConfig::lossy(1.0)));
         let (out, steps, _) = run_faulty(&env, &[1.0, 1.0], 3.0, &[]);
         // Nothing ever arrives: both devices refine their own model only.
-        for (p, m) in out.final_models.iter().enumerate() {
+        for (p, m) in out.models.iter().enumerate() {
             assert_eq!(m.as_slice()[p] as usize, steps[p]);
         }
         // Every logical transfer is still counted, burned its full retry
@@ -1038,8 +1127,7 @@ mod tests {
         let env = env_with_faults(FaultPlan::new(0xDEAD_BEEF, FaultConfig::lossy(0.1)));
         let run = || run_faulty(&env, &[1.0, 2.0, 3.0, 4.0], 6.0, &[]);
         let ((a, a_steps, _), (b, b_steps, _)) = (run(), run());
-        assert_eq!(a.final_models, b.final_models);
-        assert_eq!(a.next_models, b.next_models);
+        assert_eq!(a.models, b.models);
         assert_eq!(a_steps, b_steps);
         assert_eq!(a.transfers, b.transfers);
         assert_eq!(a.alive, b.alive);
@@ -1092,7 +1180,9 @@ mod tests {
             // Arbitrary failure schedules: a masked subset of positions dies
             // at seed-derived times. The relay must (a) reproduce identical
             // outcomes on replay, (b) keep exactly the non-failed positions
-            // alive, and (c) hand back one model per position regardless.
+            // alive, (c) hand back one model per position regardless, and
+            // (d) return each survivor's last trained model from an upload
+            // start.
             let members: Vec<usize> = (0..n).collect();
             let latencies: Vec<f64> = (0..n).map(|i| 1.0 + ((i * 7 + seed as usize) % 5) as f64).collect();
             let mut rng = rng_from_seed(seed);
@@ -1110,23 +1200,21 @@ mod tests {
                 .collect();
             let lane = Lane { ring, latencies: ring_lat, failures: failures.clone() };
             let env = smoke_env();
-            let run = || relay(
-                &round_of(&env, interval),
-                &lane,
-                RingStart::PerPosition(vec![ParamVec::zeros(n); n]),
-            );
-            let (a, a_steps) = run();
-            let (b, b_steps) = run();
-            prop_assert_eq!(&a.final_models, &b.final_models);
-            prop_assert_eq!(&a.next_models, &b.next_models);
-            prop_assert_eq!(&a_steps, &b_steps);
+            let zeros = ParamVec::zeros(n);
+            let run = || relay_log(&round_of(&env, interval), &lane, RingStart::Shared(&zeros));
+            let (a, a_trained) = run();
+            let (b, b_trained) = run();
+            prop_assert_eq!(&a.models, &b.models);
+            prop_assert_eq!(&a_trained, &b_trained);
             prop_assert_eq!(a.transfers, b.transfers);
             prop_assert_eq!(&a.alive, &b.alive);
+            prop_assert_eq!(a.models.len(), n);
             for (p, alive) in a.alive.iter().enumerate() {
                 prop_assert_eq!(*alive, failures[p].is_none(), "position {}", p);
                 if *alive {
-                    prop_assert_eq!(a.next_models[p].len(), n, "carry-over model present");
-                    prop_assert!(a_steps[p] >= 1, "survivors complete at least one step");
+                    let last = a_trained[p].last();
+                    prop_assert!(last.is_some(), "survivors complete at least one step");
+                    prop_assert_eq!(Some(&a.models[p]), last, "position {}", p);
                 }
             }
         }
