@@ -3,7 +3,7 @@
 use fedhisyn_core::aggregate::Contribution;
 use fedhisyn_core::env::FlEnv;
 use fedhisyn_core::{AggregationRule, RoundContext, ServerLink};
-use fedhisyn_nn::{CodecScratch, ParamVec};
+use fedhisyn_nn::ParamVec;
 use rayon::prelude::*;
 
 /// Whether device `d` survives `round` without a mid-round crash. A
@@ -39,7 +39,7 @@ pub(crate) fn collected_round(
         .par_iter()
         .map(|&d| {
             let mut trained = device_pass(d, start);
-            link.upload(env, d, &mut trained, &mut CodecScratch::new());
+            link.upload(env, d, &mut trained);
             (d, trained)
         })
         .collect()

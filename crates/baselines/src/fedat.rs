@@ -3,7 +3,7 @@
 use fedhisyn_cluster::quantile_bins;
 use fedhisyn_core::local::train_steps;
 use fedhisyn_core::{AggregationRule, ExperimentConfig, FlAlgorithm, RoundContext, ServerLink};
-use fedhisyn_nn::{CodecScratch, NoHook, ParamVec};
+use fedhisyn_nn::{NoHook, ParamVec};
 use rayon::prelude::*;
 
 use crate::common::{aggregate_into, survives_round};
@@ -119,7 +119,6 @@ impl FlAlgorithm for FedAT {
                 let period = env.slowest_latency_at(&members, round);
                 let internal_rounds = ((interval / period).ceil() as u64).max(1);
                 let mut tier_model = global.clone();
-                let mut scratch = CodecScratch::new();
                 for ir in 0..internal_rounds {
                     // Every internal round uploads each member's model.
                     // Its batch orders are keyed by (round, internal round).
@@ -128,7 +127,7 @@ impl FlAlgorithm for FedAT {
                         .iter()
                         .map(|&d| {
                             let mut trained = train_steps(env, d, &tier_model, 1, key, &NoHook);
-                            link.upload(env, d, &mut trained, &mut scratch);
+                            link.upload(env, d, &mut trained);
                             (d, trained)
                         })
                         .collect();

@@ -2,7 +2,7 @@
 
 use fedhisyn_core::local::local_train_plain_owned;
 use fedhisyn_core::{ExperimentConfig, FlAlgorithm, RoundContext, ServerLink};
-use fedhisyn_nn::{CodecScratch, ParamVec};
+use fedhisyn_nn::ParamVec;
 use fedhisyn_simnet::{EventQueue, SimTime};
 
 /// TAFedAvg (§6.1): each device uploads as soon as it finishes local
@@ -73,7 +73,6 @@ impl FlAlgorithm for TAFedAvg {
 
         // Device-local state: the model each device is currently training.
         let mut device_model = vec![self.link.received(&self.global).clone(); s.len()];
-        let mut scratch = CodecScratch::new();
         let mut server_version: u64 = 0;
         // A device that crashes mid-round stops reporting at its failure
         // time: completions past the cutoff never reach the server.
@@ -123,7 +122,7 @@ impl FlAlgorithm for TAFedAvg {
                 ev.step,
             );
             // Upload + server mix with staleness discount.
-            self.link.upload(env, d, &mut trained, &mut scratch);
+            self.link.upload(env, d, &mut trained);
             let staleness = (server_version - ev.based_on) as f32;
             let alpha = self.alpha / (1.0 + staleness);
             self.global.lerp(&trained, alpha);

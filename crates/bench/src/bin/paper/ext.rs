@@ -2,8 +2,8 @@
 //! sends full-precision models; `ext_churn` asks how much accuracy each
 //! protocol keeps when devices drop out between rounds and die inside
 //! rings, and `ext_codec` how many bytes a round of FedHiSyn accuracy
-//! costs under int8 quantization and top-k sparsification with error
-//! feedback, on a wire that loses frames. Both are seed-deterministic and
+//! costs under int8 quantization with error feedback, on a wire that
+//! loses frames. Both are seed-deterministic and
 //! replay their most aggressive cell to prove it.
 
 use std::path::Path;
@@ -27,12 +27,7 @@ const CHURN_ALGORITHMS: [&str; 3] = ["FedHiSyn", "FedAvg", "TFedAvg"];
 /// `ext_codec`'s wire codecs and frame-loss rates. The `Codec::F32` row is
 /// the plain fault sweep: retry overhead against loss rate with no
 /// compression in the way.
-const CODECS: [Codec; 4] = [
-    Codec::F32,
-    Codec::Int8,
-    Codec::TopK { permille: 100 },
-    Codec::TopK { permille: 250 },
-];
+const CODECS: [Codec; 2] = [Codec::F32, Codec::Int8];
 const LOSSES: [f64; 4] = [0.0, 0.05, 0.15, 0.30];
 
 fn churn_config(scale: &BenchScale, devices: usize, rounds: usize, rate: f64) -> ExperimentConfig {
@@ -147,8 +142,8 @@ fn run_codec_cell(cfg: &ExperimentConfig) -> (RunRecord, TrafficSnapshot) {
 
 /// `ext_codec`: FedHiSyn under every codec × loss cell, charged the
 /// *encoded* bytes the traffic meter counted, retries included. One series
-/// per cell, and per loss rate three claims on the f32, int8 and topk100
-/// cells — the trade the codec layer exists for.
+/// per cell, and per loss rate three claims on the f32 and int8 cells —
+/// the trade the codec layer exists for.
 pub(crate) fn codec(scale: &BenchScale) -> (Vec<Series>, Vec<Claim>) {
     let rounds = scale.rounds_flat.min(12);
     println!(
@@ -179,9 +174,9 @@ pub(crate) fn codec(scale: &BenchScale) -> (Vec<Series>, Vec<Claim>) {
                 accuracy: record.accuracy_series(),
             });
         }
-        // The claims read the f32, int8 and topk100 cells.
+        // The claims read the f32 and int8 cells.
         let evidence = |value: fn(f32, &TrafficSnapshot) -> f64| {
-            let traded = cells[..3].iter();
+            let traded = cells.iter();
             let traded = traded.map(|(label, acc, t)| (label.clone(), value(*acc, t)));
             (scope.clone(), traded.collect::<Vec<_>>())
         };
@@ -190,41 +185,39 @@ pub(crate) fn codec(scale: &BenchScale) -> (Vec<Series>, Vec<Claim>) {
         bytes.push(evidence(|_, t| t.wire_bytes));
     }
 
-    // Determinism spot-check on the most aggressive cell: top-k on a
-    // lossy wire replays bit-identically, traffic ledgers included.
-    let cfg = codec_config(scale, rounds, Codec::TopK { permille: 100 }, 0.15);
+    // Determinism spot-check: int8 on a lossy wire replays
+    // bit-identically, traffic ledgers included.
+    let cfg = codec_config(scale, rounds, Codec::Int8, 0.15);
     let (a, ta) = run_codec_cell(&cfg);
     let (b, tb) = run_codec_cell(&cfg);
     assert_eq!(a, b, "compressed lossy runs must replay bit-identically");
     assert_eq!(ta, tb);
-    println!("\ndeterminism check: topk100 at 15% loss replayed bit-identically ✓");
+    println!("\ndeterminism check: int8 at 15% loss replayed bit-identically ✓");
 
-    let kept = "int8 and topk100 final accuracy within 2 points of the f32 wire";
-    let floors = "compression ratio: f32 1x, int8 >= 3.5x, topk100 >= 10x";
-    let fall = "encoded bytes, retries included: f32 > int8 > topk100";
+    let kept = "int8 final accuracy within 2 points of the f32 wire";
+    let floors = "compression ratio: f32 1x, int8 >= 3.5x";
+    let fall = "encoded bytes, retries included: f32 > int8";
     let mut c = claims("Ext codec", kept, codec_accuracy_kept, accuracy);
     c.extend(claims("Ext codec", floors, codec_ratio_floors, ratio));
     c.extend(claims("Ext codec", fall, codec_bytes_fall, bytes));
     (series, c)
 }
 
-/// `ext_codec`, final accuracies in % of f32, int8 and topk100: error
-/// feedback keeps each lossy codec within 2 points of the f32 wire. The
-/// slack absorbs the f32 → f64 widening, so a gap of exactly 2 points
-/// holds.
+/// `ext_codec`, final accuracies in % of f32 and int8: error feedback
+/// keeps int8 within 2 points of the f32 wire. The slack absorbs the
+/// f32 → f64 widening, so a gap of exactly 2 points holds.
 pub(crate) fn codec_accuracy_kept(v: &[f64]) -> bool {
-    v[1..].iter().all(|a| (a - v[0]).abs() <= 2.0 + 1e-4)
+    (v[1] - v[0]).abs() <= 2.0 + 1e-4
 }
 
-/// `ext_codec`, whole-run compression ratios of f32, int8 and topk100:
-/// each codec meets its floor.
+/// `ext_codec`, whole-run compression ratios of f32 and int8: each codec
+/// meets its floor.
 pub(crate) fn codec_ratio_floors(v: &[f64]) -> bool {
-    v[0] == 1.0 && v[1] >= 3.5 && v[2] >= 10.0
+    v[0] == 1.0 && v[1] >= 3.5
 }
 
-/// `ext_codec`, encoded wire bytes of f32, int8 and topk100: a codec that
-/// claims a smaller frame puts strictly fewer bytes on the wire end to
-/// end.
+/// `ext_codec`, encoded wire bytes of f32 and int8: the smaller frame
+/// puts strictly fewer bytes on the wire end to end.
 pub(crate) fn codec_bytes_fall(v: &[f64]) -> bool {
-    v[0] > v[1] && v[1] > v[2]
+    v[0] > v[1]
 }

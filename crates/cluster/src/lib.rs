@@ -3,9 +3,8 @@
 //! The paper clusters devices by their local-training latency `t_i`
 //! (a 1-D feature) with k-means (§4.1). This crate provides:
 //!
-//! * [`kmeans`] — Lloyd's algorithm with k-means++ seeding for arbitrary
-//!   dimension,
-//! * [`kmeans_1d`] — the 1-D entry point used by the server (latencies),
+//! * [`kmeans_1d`] — Lloyd's algorithm with k-means++ seeding on scalar
+//!   values (the server's latencies),
 //! * [`quantile_bins`] — an equal-population binning alternative used by
 //!   the FedAT baseline's tiering and by ablation benches.
 //!
@@ -19,8 +18,8 @@ use serde::{Deserialize, Serialize};
 pub struct Clustering {
     /// Cluster id per input point (values in `0..k`).
     pub assignment: Vec<usize>,
-    /// Cluster centroids, `k × dim`, row-major.
-    pub centroids: Vec<Vec<f64>>,
+    /// Cluster centroids, one value per cluster.
+    pub centroids: Vec<f64>,
     /// Final within-cluster sum of squared distances.
     pub inertia: f64,
     /// Lloyd iterations executed.
@@ -34,7 +33,7 @@ impl Clustering {
     }
 
     /// Indices of the points in each cluster.
-    pub fn groups(&self) -> Vec<Vec<usize>> {
+    fn groups(&self) -> Vec<Vec<usize>> {
         let mut groups = vec![Vec::new(); self.k()];
         for (i, &c) in self.assignment.iter().enumerate() {
             groups[c].push(i);
@@ -42,17 +41,16 @@ impl Clustering {
         groups
     }
 
-    /// Non-empty clusters ordered by ascending centroid value along
-    /// dimension 0.
+    /// Non-empty clusters ordered by ascending centroid.
     ///
     /// FedHiSyn wants "class 1 = fastest … class K = slowest" (Alg. 1
-    /// line 4); for latency clustering dimension 0 *is* the latency.
+    /// line 4); for latency clustering the centroid *is* a latency.
     pub fn groups_sorted_by_centroid(&self) -> Vec<Vec<usize>> {
         let mut order: Vec<usize> = (0..self.k()).collect();
         order.sort_by(|&a, &b| {
-            let ca = self.centroids[a].first().copied().unwrap_or(0.0);
-            let cb = self.centroids[b].first().copied().unwrap_or(0.0);
-            ca.partial_cmp(&cb).unwrap_or(std::cmp::Ordering::Equal)
+            self.centroids[a]
+                .partial_cmp(&self.centroids[b])
+                .unwrap_or(std::cmp::Ordering::Equal)
         });
         let groups = self.groups();
         order
@@ -63,26 +61,24 @@ impl Clustering {
     }
 }
 
-fn sq_dist(a: &[f64], b: &[f64]) -> f64 {
-    a.iter().zip(b).map(|(&x, &y)| (x - y) * (x - y)).sum()
+fn sq_dist(a: f64, b: f64) -> f64 {
+    (a - b) * (a - b)
 }
 
-/// Lloyd's k-means with k-means++ seeding.
+/// Lloyd's k-means with k-means++ seeding on scalar `values` (the
+/// server clusters latencies).
 ///
-/// `points` is a row-major `n × dim` matrix as nested slices. Empty
-/// clusters are re-seeded on the farthest point, so all `k` ids stay in
-/// use whenever `n ≥ k` distinct points exist.
+/// Empty clusters are re-seeded on the farthest point, so all `k` ids
+/// stay in use whenever `n ≥ k` distinct values exist.
 ///
 /// # Panics
-/// Panics when `points` is empty, `k == 0` or `k > n`.
-pub fn kmeans<R: Rng>(points: &[Vec<f64>], k: usize, max_iter: usize, rng: &mut R) -> Clustering {
-    let n = points.len();
+/// Panics when `values` is empty, `k == 0` or `k > n`.
+pub fn kmeans_1d<R: Rng>(values: &[f64], k: usize, max_iter: usize, rng: &mut R) -> Clustering {
+    let n = values.len();
     assert!(n > 0, "kmeans on empty input");
     assert!(k > 0 && k <= n, "need 0 < k <= n (k={k}, n={n})");
-    let dim = points[0].len();
-    assert!(points.iter().all(|p| p.len() == dim), "ragged input");
 
-    let mut centroids = kmeanspp_seed(points, k, rng);
+    let mut centroids = kmeanspp_seed(values, k, rng);
     let mut assignment = vec![0usize; n];
     let mut iterations = 0usize;
 
@@ -90,10 +86,10 @@ pub fn kmeans<R: Rng>(points: &[Vec<f64>], k: usize, max_iter: usize, rng: &mut 
         iterations = it + 1;
         // Assign.
         let mut changed = false;
-        for (i, p) in points.iter().enumerate() {
+        for (i, &p) in values.iter().enumerate() {
             let mut best = 0usize;
             let mut best_d = f64::INFINITY;
-            for (c, cent) in centroids.iter().enumerate() {
+            for (c, &cent) in centroids.iter().enumerate() {
                 let d = sq_dist(p, cent);
                 if d < best_d {
                     best_d = d;
@@ -106,14 +102,11 @@ pub fn kmeans<R: Rng>(points: &[Vec<f64>], k: usize, max_iter: usize, rng: &mut 
             }
         }
         // Update.
-        let mut sums = vec![vec![0.0f64; dim]; k];
+        let mut sums = vec![0.0f64; k];
         let mut counts = vec![0usize; k];
-        for (i, p) in points.iter().enumerate() {
-            let c = assignment[i];
+        for (&p, &c) in values.iter().zip(&assignment) {
             counts[c] += 1;
-            for (s, &x) in sums[c].iter_mut().zip(p) {
-                *s += x;
-            }
+            sums[c] += p;
         }
         for c in 0..k {
             if counts[c] == 0 {
@@ -121,17 +114,15 @@ pub fn kmeans<R: Rng>(points: &[Vec<f64>], k: usize, max_iter: usize, rng: &mut 
                 // current centroid (standard empty-cluster fix).
                 let far = (0..n)
                     .max_by(|&a, &b| {
-                        sq_dist(&points[a], &centroids[assignment[a]])
-                            .partial_cmp(&sq_dist(&points[b], &centroids[assignment[b]]))
+                        sq_dist(values[a], centroids[assignment[a]])
+                            .partial_cmp(&sq_dist(values[b], centroids[assignment[b]]))
                             .unwrap_or(std::cmp::Ordering::Equal)
                     })
                     .expect("non-empty points");
-                centroids[c] = points[far].clone();
+                centroids[c] = values[far];
                 changed = true;
             } else {
-                for (cent, s) in centroids[c].iter_mut().zip(&sums[c]) {
-                    *cent = s / counts[c] as f64;
-                }
+                centroids[c] = sums[c] / counts[c] as f64;
             }
         }
         if !changed && it > 0 {
@@ -139,10 +130,10 @@ pub fn kmeans<R: Rng>(points: &[Vec<f64>], k: usize, max_iter: usize, rng: &mut 
         }
     }
 
-    let inertia = points
+    let inertia = values
         .iter()
         .zip(&assignment)
-        .map(|(p, &c)| sq_dist(p, &centroids[c]))
+        .map(|(&p, &c)| sq_dist(p, centroids[c]))
         .sum();
     Clustering {
         assignment,
@@ -153,11 +144,11 @@ pub fn kmeans<R: Rng>(points: &[Vec<f64>], k: usize, max_iter: usize, rng: &mut 
 }
 
 /// k-means++ seeding: first centroid uniform, then D²-weighted.
-fn kmeanspp_seed<R: Rng>(points: &[Vec<f64>], k: usize, rng: &mut R) -> Vec<Vec<f64>> {
-    let n = points.len();
-    let mut centroids: Vec<Vec<f64>> = Vec::with_capacity(k);
-    centroids.push(points[rng.gen_range(0..n)].clone());
-    let mut d2: Vec<f64> = points.iter().map(|p| sq_dist(p, &centroids[0])).collect();
+fn kmeanspp_seed<R: Rng>(values: &[f64], k: usize, rng: &mut R) -> Vec<f64> {
+    let n = values.len();
+    let mut centroids: Vec<f64> = Vec::with_capacity(k);
+    centroids.push(values[rng.gen_range(0..n)]);
+    let mut d2: Vec<f64> = values.iter().map(|&p| sq_dist(p, centroids[0])).collect();
     while centroids.len() < k {
         let total: f64 = d2.iter().sum();
         let next = if total <= f64::MIN_POSITIVE {
@@ -174,21 +165,15 @@ fn kmeanspp_seed<R: Rng>(points: &[Vec<f64>], k: usize, rng: &mut R) -> Vec<Vec<
             }
             idx
         };
-        centroids.push(points[next].clone());
-        for (i, p) in points.iter().enumerate() {
-            let d = sq_dist(p, centroids.last().expect("just pushed"));
-            if d < d2[i] {
-                d2[i] = d;
+        centroids.push(values[next]);
+        for (&p, d2) in values.iter().zip(d2.iter_mut()) {
+            let d = sq_dist(p, values[next]);
+            if d < *d2 {
+                *d2 = d;
             }
         }
     }
     centroids
-}
-
-/// 1-D convenience wrapper: cluster scalar latencies.
-pub fn kmeans_1d<R: Rng>(values: &[f64], k: usize, max_iter: usize, rng: &mut R) -> Clustering {
-    let pts: Vec<Vec<f64>> = values.iter().map(|&v| vec![v]).collect();
-    kmeans(&pts, k, max_iter, rng)
 }
 
 /// Split indices into `k` equal-population bins by ascending value.
@@ -268,7 +253,7 @@ mod tests {
         let values = vec![5.0, 1.0, 9.0];
         let c = kmeans_1d(&values, 1, 50, &mut rng(3));
         assert!(c.assignment.iter().all(|&a| a == 0));
-        assert!((c.centroids[0][0] - 5.0).abs() < 1e-9);
+        assert!((c.centroids[0] - 5.0).abs() < 1e-9);
     }
 
     #[test]
@@ -283,21 +268,6 @@ mod tests {
             assert!(best <= prev + 1e-9, "k={k}: inertia {best} > {prev}");
             prev = best;
         }
-    }
-
-    #[test]
-    fn multidim_clusters() {
-        let mut pts = Vec::new();
-        for i in 0..20 {
-            let offset = if i < 10 { 0.0 } else { 100.0 };
-            pts.push(vec![offset + (i % 10) as f64 * 0.1, offset]);
-        }
-        let c = kmeans(&pts, 2, 100, &mut rng(4));
-        let g = c.groups();
-        assert_eq!(g.len(), 2);
-        let sizes: Vec<usize> = g.iter().map(|x| x.len()).collect();
-        assert_eq!(sizes.iter().sum::<usize>(), 20);
-        assert!(sizes.contains(&10));
     }
 
     #[test]

@@ -58,7 +58,7 @@ pub trait FlAlgorithm {
 
 /// Sample the participating set: each device joins independently with
 /// probability `p`; re-drawn (deterministically) until non-empty.
-pub fn sample_participants(n_devices: usize, p: f64, rng: &mut impl Rng) -> Vec<usize> {
+fn sample_participants(n_devices: usize, p: f64, rng: &mut impl Rng) -> Vec<usize> {
     assert!((0.0..=1.0).contains(&p), "participation must be in [0, 1]");
     assert!(n_devices > 0, "no devices");
     loop {
@@ -236,7 +236,7 @@ mod tests {
             seed: 3,
             wire_check: false,
             codec: fedhisyn_nn::Codec::F32,
-            residuals: crate::env::DeviceBank::disabled(),
+            residuals: crate::env::DeviceBank::new(),
             faults: fedhisyn_simnet::FaultPlan::none(),
             cohort: None,
             telemetry: fedhisyn_telemetry::TelemetrySink::disabled(),
@@ -258,9 +258,8 @@ mod tests {
         fn round(&mut self, ctx: &mut RoundContext<'_>) -> ParamVec {
             let mut zeros = ParamVec::zeros(ctx.env.param_count());
             let link = crate::link::ServerLink::default();
-            let mut scratch = fedhisyn_nn::CodecScratch::new();
             for &d in ctx.participants {
-                link.upload(ctx.env, d, &mut zeros, &mut scratch);
+                link.upload(ctx.env, d, &mut zeros);
             }
             zeros
         }

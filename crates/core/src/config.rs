@@ -83,7 +83,7 @@ pub struct ExperimentConfig {
     /// transform against the encode→decode byte path per hop.
     pub wire_check: bool,
     /// Wire codec for every model transfer ([`Codec::F32`] by default —
-    /// bit-identical to the pre-codec engine). Lossy codecs enable
+    /// bit-identical to the pre-codec engine). A lossy codec keeps
     /// per-device error-feedback residuals automatically.
     pub codec: Codec,
     /// Deterministic frame loss on every ring relay, each lost frame
@@ -223,11 +223,7 @@ impl ExperimentConfig {
             seed: self.seed,
             wire_check: self.wire_check,
             codec: self.codec,
-            residuals: if self.codec.lossy() {
-                DeviceBank::new()
-            } else {
-                DeviceBank::disabled()
-            },
+            residuals: DeviceBank::new(),
             // The fault plan derives from its own seed stream (like the
             // fleet trajectory) so turning faults on never perturbs data,
             // partition, latency or participation sampling.
@@ -546,17 +542,15 @@ mod tests {
         assert_eq!(cfg.codec, Codec::F32);
         let env = cfg.build_env();
         assert_eq!(env.codec, Codec::F32);
-        assert!(!env.residuals.enabled(), "F32 needs no error feedback");
 
         let cfg = ExperimentConfig::builder(DatasetProfile::MnistLike)
             .devices(10)
-            .codec(Codec::TopK { permille: 100 })
+            .codec(Codec::Int8)
             .seed(9)
             .build();
-        assert_eq!(cfg.codec, Codec::TopK { permille: 100 });
+        assert_eq!(cfg.codec, Codec::Int8);
         let env = cfg.build_env();
-        assert_eq!(env.codec, Codec::TopK { permille: 100 });
-        assert!(env.residuals.enabled(), "lossy codec enables residuals");
+        assert_eq!(env.codec, Codec::Int8);
         assert!(env.frame_bytes() < env.raw_frame_bytes());
     }
 

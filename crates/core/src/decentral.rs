@@ -180,7 +180,7 @@ impl DecentralSim {
             }
             env.charge(TrafficMeter::record_peer, 1);
             // Serialization-drift tripwire (no-op unless enabled).
-            env.wire_round_trip_check(sent, None, sent);
+            env.wire_round_trip_check(sent, sent);
             inbox[target] = Some(sender); // newest-wins
         }
         // Each trained model has at most two readers: the one receiver it
@@ -223,15 +223,12 @@ impl DecentralSim {
         } else {
             ReceivePolicy::TrainReceived
         };
-        // No broadcast exists to code deltas against, and the codec is
-        // lossless anyway (`base: None`).
         let lanes = RingRound {
             env,
             round,
             vt_base: self.virtual_time,
             interval: self.interval,
             policy,
-            base: None,
         };
         struct RingJob {
             lane: Lane,

@@ -9,7 +9,7 @@
 //! through [`train_steps`](crate::local::train_steps).
 
 use std::collections::HashMap;
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 
 use fedhisyn_data::{DataSource, Dataset, ShardRef};
 use fedhisyn_fleet::FleetModel;
@@ -18,7 +18,7 @@ pub use fedhisyn_simnet::seed_mix;
 use fedhisyn_simnet::{FaultPlan, TrafficMeter};
 use fedhisyn_telemetry::TelemetrySink;
 
-/// Lock shards in an enabled [`DeviceBank`] (device id modulo).
+/// Lock shards in a [`DeviceBank`] (device id modulo).
 const BANK_SHARDS: usize = 64;
 
 /// Per-device state that outlives a transfer: one [`ParamVec`] per
@@ -29,28 +29,22 @@ const BANK_SHARDS: usize = 64;
 /// see `fedhisyn_nn::wire::codec_transform_in_place`).
 ///
 /// Storage is a fixed number of lock-sharded maps keyed by device id, so
-/// an enabled bank costs O(devices actually touched) — O(cohort) per
-/// round — not O(fleet), and is O(1) to construct against a
-/// million-device fleet. Devices run concurrently but each device sits in
-/// at most one ring position at a time, so a shard mutex is only
-/// contended between different devices that happen to collide, and a
-/// device's entry is never raced — determinism holds at any thread count.
+/// a bank costs O(devices actually touched) — O(cohort) per round — not
+/// O(fleet), and is O(1) to construct against a million-device fleet.
+/// Devices run concurrently but each device sits in at most one ring
+/// position at a time, so a shard mutex is only contended between
+/// different devices that happen to collide, and a device's entry is
+/// never raced — determinism holds at any thread count.
 /// `take`/`store` move the buffer rather than cloning it.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct DeviceBank {
-    /// Lock-sharded `device → state` maps; an empty vector means the
-    /// bank is disabled.
+    /// Lock-sharded `device → state` maps.
     shards: Vec<Mutex<HashMap<usize, ParamVec>>>,
 }
 
 impl DeviceBank {
-    /// A bank that stores nothing.
-    pub fn disabled() -> Self {
-        DeviceBank::default()
-    }
-
-    /// An enabled bank. O(1) to construct regardless of fleet size;
-    /// memory grows only with devices that actually store state.
+    /// An empty bank. O(1) to construct regardless of fleet size; memory
+    /// grows only with devices that actually store state.
     pub fn new() -> Self {
         DeviceBank {
             shards: (0..BANK_SHARDS)
@@ -59,29 +53,27 @@ impl DeviceBank {
         }
     }
 
-    /// Whether the bank keeps state.
-    pub fn enabled(&self) -> bool {
-        !self.shards.is_empty()
-    }
-
-    /// Check out `device`'s state (`None` when disabled or nothing is
-    /// stored yet).
-    pub fn take(&self, device: usize) -> Option<ParamVec> {
-        let shard = self.shards.get(device % BANK_SHARDS)?;
-        shard
+    /// `device`'s lock shard.
+    fn shard(&self, device: usize) -> MutexGuard<'_, HashMap<usize, ParamVec>> {
+        self.shards[device % BANK_SHARDS]
             .lock()
             .expect("device bank shard poisoned")
-            .remove(&device)
     }
 
-    /// Hand `device`'s state back. No-op when disabled.
+    /// Check out `device`'s state (`None` when nothing is stored yet).
+    pub fn take(&self, device: usize) -> Option<ParamVec> {
+        self.shard(device).remove(&device)
+    }
+
+    /// Hand `device`'s state back.
     pub fn store(&self, device: usize, state: ParamVec) {
-        if let Some(shard) = self.shards.get(device % BANK_SHARDS) {
-            shard
-                .lock()
-                .expect("device bank shard poisoned")
-                .insert(device, state);
-        }
+        self.shard(device).insert(device, state);
+    }
+}
+
+impl Default for DeviceBank {
+    fn default() -> Self {
+        DeviceBank::new()
     }
 }
 
@@ -133,8 +125,9 @@ pub struct FlEnv {
     ///
     /// [`TrafficSnapshot::raw_bytes`]: fedhisyn_simnet::TrafficSnapshot
     pub codec: Codec,
-    /// Per-device error-feedback residual accumulators; enabled exactly
-    /// when [`FlEnv::codec`] is lossy.
+    /// Per-device error-feedback residual accumulators. Only a lossy
+    /// [`FlEnv::codec`] stores any; under [`Codec::F32`] the bank stays
+    /// empty and no transfer locks it.
     pub residuals: DeviceBank,
     /// Deterministic wire-fault plan governing every ring relay.
     /// [`FaultPlan::none`] (the default) injects nothing and is
@@ -275,22 +268,17 @@ impl FlEnv {
     /// set: `payload`'s frame under the active codec has the size the
     /// meter charges, passes the receive-side gate every hop runs (header
     /// and integrity checksum verify before the payload is handed anywhere)
-    /// and decodes, against `base`, to `expect` bit for bit — catching any
-    /// drift between in-memory models and the transfer format the byte
-    /// accounting charges for.
+    /// and decodes to `expect` bit for bit — catching any drift between
+    /// in-memory models and the transfer format the byte accounting
+    /// charges for.
     ///
     /// # Panics
     /// Panics on any round-trip divergence (the point: CI trips on drift).
-    pub(crate) fn wire_round_trip_check(
-        &self,
-        payload: &ParamVec,
-        base: Option<&ParamVec>,
-        expect: &ParamVec,
-    ) {
+    pub(crate) fn wire_round_trip_check(&self, payload: &ParamVec, expect: &ParamVec) {
         if !self.wire_check {
             return;
         }
-        let frame = wire::encode_with(payload, self.codec, base);
+        let frame = wire::encode_with(payload, self.codec, None);
         assert_eq!(
             frame.len(),
             self.frame_bytes(),
@@ -298,7 +286,7 @@ impl FlEnv {
         );
         let verified = wire::verify_frame(&frame).expect("frame must verify");
         assert_eq!(verified, payload.len(), "verified count disagrees");
-        let decoded = wire::decode_with(&frame, base).expect("frame must decode");
+        let decoded = wire::decode_with(&frame, None).expect("frame must decode");
         assert!(
             decoded
                 .as_slice()
@@ -312,20 +300,15 @@ impl FlEnv {
     /// Pass one outgoing transfer from `device` through the active wire
     /// codec, with `device`'s entry of [`FlEnv::residuals`] as the
     /// error-feedback accumulator (all zeros on a first transmission) —
-    /// see [`FlEnv::codec_transform_with`].
-    pub(crate) fn codec_transform(
-        &self,
-        device: usize,
-        params: &mut ParamVec,
-        base: Option<&ParamVec>,
-        scratch: &mut CodecScratch,
-    ) {
-        assert!(
-            !self.codec.lossy() || self.residuals.enabled(),
-            "lossy codec requires an enabled residual bank"
-        );
-        let mut residual = self.residuals.take(device);
-        self.codec_transform_with(&mut residual, params, base, scratch);
+    /// see [`FlEnv::codec_transform_with`]. A lossless codec keeps no
+    /// residual, so under [`Codec::F32`] the bank is never locked.
+    pub(crate) fn codec_transform(&self, device: usize, params: &mut ParamVec) {
+        let mut residual = if self.codec.lossy() {
+            self.residuals.take(device)
+        } else {
+            None
+        };
+        self.codec_transform_with(&mut residual, params);
         if let Some(residual) = residual {
             self.residuals.store(device, residual);
         }
@@ -339,21 +322,16 @@ impl FlEnv {
     /// post-residual payload (the codec extension of the serialization
     /// tripwire).
     ///
-    /// `base` is the shared reference model `TopK` deltas are coded
-    /// against (the decoded broadcast the receivers hold; `None` ⇒ zero
-    /// base). Under [`Codec::F32`] this
-    /// degrades to [`FlEnv::wire_round_trip_check`] and neither the
-    /// payload nor the residual is touched — bit-identity with the
-    /// pre-codec engine.
+    /// Under [`Codec::F32`] this degrades to
+    /// [`FlEnv::wire_round_trip_check`] and neither the payload nor the
+    /// residual is touched — bit-identity with the pre-codec engine.
     pub(crate) fn codec_transform_with(
         &self,
         residual: &mut Option<ParamVec>,
         params: &mut ParamVec,
-        base: Option<&ParamVec>,
-        scratch: &mut CodecScratch,
     ) {
         if !self.codec.lossy() {
-            self.wire_round_trip_check(params, None, params);
+            self.wire_round_trip_check(params, params);
             return;
         }
         let residual = residual.get_or_insert_with(|| ParamVec::zeros(params.len()));
@@ -366,9 +344,10 @@ impl FlEnv {
         } else {
             None
         };
-        wire::codec_transform_in_place(self.codec, params, base, residual, scratch);
+        let scratch = &mut CodecScratch::new();
+        wire::codec_transform_in_place(self.codec, params, None, residual, scratch);
         if let Some(v) = check_payload {
-            self.wire_round_trip_check(&v, base, params);
+            self.wire_round_trip_check(&v, params);
         }
     }
 }
@@ -409,7 +388,7 @@ mod tests {
             seed: 42,
             wire_check: false,
             codec: Codec::F32,
-            residuals: DeviceBank::disabled(),
+            residuals: DeviceBank::new(),
             faults: FaultPlan::none(),
             cohort: None,
             telemetry: TelemetrySink::disabled(),
@@ -473,15 +452,14 @@ mod tests {
     fn wire_round_trip_check_is_gated_and_exact() {
         let mut env = tiny_env();
         let params = ParamVec::from_vec(vec![1.5; env.param_count()]);
-        env.wire_round_trip_check(&params, None, &params); // off: no-op
+        env.wire_round_trip_check(&params, &params); // off: no-op
         env.wire_check = true;
-        env.wire_round_trip_check(&params, None, &params); // on: exact data passes
+        env.wire_round_trip_check(&params, &params); // on: exact data passes
     }
 
     #[test]
     fn device_bank_moves_state_per_device() {
         let bank = DeviceBank::new();
-        assert!(bank.enabled());
         assert_eq!(bank.take(0), None);
         bank.store(0, ParamVec::from_vec(vec![1.0, 2.0]));
         assert_eq!(bank.take(0).unwrap().as_slice(), &[1.0, 2.0]);
@@ -496,18 +474,12 @@ mod tests {
             bank.take(1_000_000 + BANK_SHARDS).unwrap().as_slice(),
             &[7.0]
         );
-        let off = DeviceBank::disabled();
-        assert!(!off.enabled());
-        assert_eq!(off.take(0), None, "disabled bank ignores any device id");
-        off.store(7, ParamVec::zeros(3)); // and swallows stores
-        assert_eq!(off.take(7), None);
     }
 
     #[test]
     fn lossy_codec_splits_encoded_and_raw_ledgers() {
         let mut env = tiny_env();
         env.codec = Codec::Int8;
-        env.residuals = DeviceBank::new();
         env.charge(TrafficMeter::record_peer, 2);
         env.charge(TrafficMeter::record_retransmit, 1);
         let s = env.meter.snapshot();
@@ -526,18 +498,15 @@ mod tests {
     #[test]
     fn codec_transform_is_checked_and_feeds_residuals() {
         let mut env = tiny_env();
-        env.codec = Codec::TopK { permille: 100 };
-        env.residuals = DeviceBank::new();
+        env.codec = Codec::Int8;
         env.wire_check = true; // byte-path equivalence asserted per call
-        let base = ParamVec::from_vec(vec![0.5; env.param_count()]);
         let mut p = ParamVec::from_vec((0..env.param_count()).map(|i| (i as f32) * 0.01).collect());
-        let mut scratch = CodecScratch::new();
-        env.codec_transform(1, &mut p, Some(&base), &mut scratch);
+        env.codec_transform(1, &mut p);
         // The residual persisted and is re-injected on the next call.
         let r = env.residuals.take(1).expect("first send stored a residual");
         assert!(r.as_slice().iter().any(|&x| x != 0.0));
         env.residuals.store(1, r);
-        env.codec_transform(1, &mut p, Some(&base), &mut scratch);
+        env.codec_transform(1, &mut p);
     }
 
     #[test]
@@ -545,9 +514,9 @@ mod tests {
         let env = tiny_env();
         let mut p = ParamVec::from_vec(vec![1.25; env.param_count()]);
         let before = p.clone();
-        let mut scratch = CodecScratch::new();
-        env.codec_transform(0, &mut p, None, &mut scratch);
+        env.codec_transform(0, &mut p);
         assert_eq!(p, before);
+        assert_eq!(env.residuals.take(0), None, "F32 keeps no residual");
     }
 
     #[test]

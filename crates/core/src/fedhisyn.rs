@@ -8,7 +8,7 @@
 use std::collections::HashMap;
 
 use fedhisyn_cluster::kmeans_1d;
-use fedhisyn_nn::{CodecScratch, ParamVec};
+use fedhisyn_nn::ParamVec;
 use fedhisyn_telemetry::{Phase, SpanCtx};
 use fedhisyn_tensor::{rng_from_seed, TensorRng};
 use rayon::prelude::*;
@@ -58,8 +58,6 @@ pub struct FedHiSyn {
     /// stays O(flaky devices) — never O(fleet).
     fault_scores: HashMap<usize, f64>,
     link: ServerLink,
-    /// Codec workspace of the (sequential) upload loop, kept across rounds.
-    upload_scratch: CodecScratch,
 }
 
 impl FedHiSyn {
@@ -73,7 +71,6 @@ impl FedHiSyn {
             global: cfg.initial_params(),
             fault_scores: HashMap::new(),
             link: ServerLink::default(),
-            upload_scratch: CodecScratch::new(),
         }
     }
 
@@ -131,8 +128,7 @@ impl FlAlgorithm for FedHiSyn {
         // 1. Broadcast W_G to every participant. Under a lossy codec every
         //    device receives the same decoded reconstruction; the rings
         //    start from it — shared, the relay copies it lazily, once per
-        //    position — and every in-interval hop's and upload's `TopK`
-        //    delta is coded against it.
+        //    position.
         self.link.broadcast(env, &self.global, s.len());
         let global = self.link.received(&self.global);
 
@@ -163,7 +159,6 @@ impl FlAlgorithm for FedHiSyn {
             interval,
             // Devices train received models directly (Eq. 6).
             policy: ReceivePolicy::TrainReceived,
-            base: Some(global),
         };
         struct ClassRing {
             lane: Lane,
@@ -245,8 +240,7 @@ impl FlAlgorithm for FedHiSyn {
                 }
                 let device = ring.order()[pos];
                 // The server aggregates what the upload decodes to.
-                self.link
-                    .upload(env, device, &mut model, &mut self.upload_scratch);
+                self.link.upload(env, device, &mut model);
                 uploaded.push((model, env.shard_len(device), class.mean_time));
             }
         }

@@ -13,22 +13,20 @@
 //! per reporting device; an asynchronous server hands out its fresh model
 //! mid-round with [`ServerLink::pull`].
 
-use fedhisyn_nn::{CodecScratch, ParamVec};
+use fedhisyn_nn::ParamVec;
 use fedhisyn_simnet::TrafficMeter;
 
 use crate::env::FlEnv;
 
 /// The server's end of the link, kept across rounds: the decoded
-/// broadcast the fleet last received — the shared base every transfer's
-/// `TopK` delta is coded against until the next broadcast, since both
-/// ends hold it — and the server's own error-feedback residual, which
-/// carries what one downlink encode dropped into the next. Both stay
-/// empty under [`Codec::F32`](fedhisyn_nn::Codec::F32).
+/// broadcast the fleet last received — what [`ServerLink::received`]
+/// hands the round's trainers — and the server's own error-feedback
+/// residual, which carries what one downlink encode dropped into the
+/// next. Both stay empty under [`Codec::F32`](fedhisyn_nn::Codec::F32).
 #[derive(Debug, Default)]
 pub struct ServerLink {
     held: Option<ParamVec>,
     residual: Option<ParamVec>,
-    scratch: CodecScratch,
 }
 
 impl ServerLink {
@@ -43,15 +41,14 @@ impl ServerLink {
         if env.codec.lossy() {
             self.held = Some(self.downlink(env, global));
         } else {
-            env.wire_round_trip_check(global, None, global);
+            env.wire_round_trip_check(global, global);
         }
     }
 
-    /// What a receiver holding the last broadcast decodes `global` to.
+    /// What a receiver decodes `global` to, through the server's residual.
     fn downlink(&mut self, env: &FlEnv, global: &ParamVec) -> ParamVec {
         let mut decoded = global.clone();
-        let (residual, base) = (&mut self.residual, self.held.as_ref());
-        env.codec_transform_with(residual, &mut decoded, base, &mut self.scratch);
+        env.codec_transform_with(&mut self.residual, &mut decoded);
         decoded
     }
 
@@ -63,28 +60,21 @@ impl ServerLink {
     }
 
     /// One device re-downloads `global` mid-round (an asynchronous
-    /// server's fresh model): one download, coded against the round-start
-    /// broadcast that device still holds, through the server's residual.
+    /// server's fresh model): one download through the server's residual.
+    /// It leaves [`ServerLink::received`] at the round-start broadcast.
     pub fn pull(&mut self, env: &FlEnv, global: &ParamVec) -> ParamVec {
         env.charge(TrafficMeter::record_download, 1);
         self.downlink(env, global)
     }
 
     /// `device` uploads `model`: one upload, after which `model` is what
-    /// the server decodes — coded against the broadcast, the quantisation
-    /// error kept in `device`'s entry of [`FlEnv::residuals`] for its next
-    /// send. Devices upload independently, so this is callable from
-    /// parallel workers (each with its own `scratch`); under `F32` it is
-    /// one atomic add.
-    pub fn upload(
-        &self,
-        env: &FlEnv,
-        device: usize,
-        model: &mut ParamVec,
-        scratch: &mut CodecScratch,
-    ) {
+    /// the server decodes — the quantisation error kept in `device`'s
+    /// entry of [`FlEnv::residuals`] for its next send. Devices upload
+    /// independently, so this is callable from parallel workers; under
+    /// `F32` it is one atomic add.
+    pub fn upload(&self, env: &FlEnv, device: usize, model: &mut ParamVec) {
         env.charge(TrafficMeter::record_upload, 1);
-        env.codec_transform(device, model, self.held.as_ref(), scratch);
+        env.codec_transform(device, model);
     }
 
     /// Charge side-channel state that rides along with the models but
@@ -136,7 +126,7 @@ mod tests {
         );
         let mut up = model(&env, 1.0);
         let before = up.clone();
-        link.upload(&env, 2, &mut up, &mut CodecScratch::new());
+        link.upload(&env, 2, &mut up);
         assert_eq!(up, before, "a full-precision upload arrives unchanged");
         assert_eq!(link.pull(&env, &before), before);
         link.charge_uncoded(&env, 3, 1);
@@ -148,40 +138,37 @@ mod tests {
     }
 
     #[test]
-    fn lossy_link_compresses_once_and_codes_against_what_receivers_hold() {
-        for codec in [Codec::Int8, Codec::TopK { permille: 100 }] {
-            let env = env(codec);
-            let mut link = ServerLink::default();
-            let global = model(&env, 0.0);
-            link.broadcast(&env, &global, 4);
-            let first = link.received(&global).clone();
-            assert_ne!(first, global, "{codec:?} drops information");
-            // The round's other transfers are coded against that broadcast.
-            let mut up = model(&env, 1.0);
-            let exact = up.clone();
-            link.upload(&env, 1, &mut up, &mut CodecScratch::new());
-            assert_ne!(up, exact);
-            assert!(up.is_finite());
-            let kept = env.residuals.take(1).expect("the upload kept its error");
-            assert!(kept.norm() > 0.0);
-            assert_ne!(link.pull(&env, &exact), exact);
-            assert_eq!(link.received(&global), &first, "a pull re-bases nobody");
-            // The server's residual carries the dropped mass into the next
-            // broadcast, so the same global does not decode the same twice.
-            assert!(link.residual.as_ref().is_some_and(|r| r.norm() > 0.0));
-            link.broadcast(&env, &global, 4);
-            assert_ne!(link.received(&global), &first);
-            let s = env.meter.snapshot();
-            assert_eq!((s.downloads, s.uploads), (9.0, 1.0));
-            assert_eq!(s.wire_bytes, 10.0 * env.frame_bytes() as f64);
-            assert!(s.wire_bytes < s.raw_bytes);
-            // Uncoded riders are charged raw under every codec.
-            link.charge_uncoded(&env, 1, 1);
-            let t = env.meter.snapshot();
-            assert_eq!(
-                t.wire_bytes - s.wire_bytes,
-                2.0 * env.raw_frame_bytes() as f64
-            );
-        }
+    fn lossy_link_compresses_once_and_keeps_what_receivers_hold() {
+        let env = env(Codec::Int8);
+        let mut link = ServerLink::default();
+        let global = model(&env, 0.0);
+        link.broadcast(&env, &global, 4);
+        let first = link.received(&global).clone();
+        assert_ne!(first, global, "Int8 drops information");
+        let mut up = model(&env, 1.0);
+        let exact = up.clone();
+        link.upload(&env, 1, &mut up);
+        assert_ne!(up, exact);
+        assert!(up.is_finite());
+        let kept = env.residuals.take(1).expect("the upload kept its error");
+        assert!(kept.norm() > 0.0);
+        assert_ne!(link.pull(&env, &exact), exact);
+        assert_eq!(link.received(&global), &first, "a pull changes no holder");
+        // The server's residual carries the dropped mass into the next
+        // broadcast, so the same global does not decode the same twice.
+        assert!(link.residual.as_ref().is_some_and(|r| r.norm() > 0.0));
+        link.broadcast(&env, &global, 4);
+        assert_ne!(link.received(&global), &first);
+        let s = env.meter.snapshot();
+        assert_eq!((s.downloads, s.uploads), (9.0, 1.0));
+        assert_eq!(s.wire_bytes, 10.0 * env.frame_bytes() as f64);
+        assert!(s.wire_bytes < s.raw_bytes);
+        // Uncoded riders are charged raw under every codec.
+        link.charge_uncoded(&env, 1, 1);
+        let t = env.meter.snapshot();
+        assert_eq!(
+            t.wire_bytes - s.wire_bytes,
+            2.0 * env.raw_frame_bytes() as f64
+        );
     }
 }

@@ -153,7 +153,7 @@ mod tests {
             seed: 77,
             wire_check: false,
             codec: fedhisyn_nn::Codec::F32,
-            residuals: crate::env::DeviceBank::disabled(),
+            residuals: crate::env::DeviceBank::new(),
             faults: fedhisyn_simnet::FaultPlan::none(),
             cohort: None,
             telemetry: fedhisyn_telemetry::TelemetrySink::disabled(),

@@ -43,8 +43,8 @@ pub struct RunRecord {
     /// because removing a serialised field changes every stored record
     /// and fingerprint; it goes when the benchmark baseline is re-recorded.
     pub kernel_tier_bit_identical: bool,
-    /// Wire-codec label this run's traffic crossed (`"f32"`, `"int8"`,
-    /// `"topk<permille>"`) — stamped next to `kernel_tier` so
+    /// Wire-codec label this run's traffic crossed (`"f32"` or `"int8"`)
+    /// — stamped next to `kernel_tier` so
     /// accuracy-vs-bytes results are never compared across codecs by
     /// accident.
     pub codec: String,

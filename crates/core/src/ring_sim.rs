@@ -61,7 +61,7 @@
 //! unit tests can verify the event choreography with arithmetic mocks
 //! while [`RingRound::run_lane`] plugs in real SGD.
 
-use fedhisyn_nn::{CodecScratch, ParamVec};
+use fedhisyn_nn::ParamVec;
 use fedhisyn_simnet::fault::{backoff, MAX_RETRIES};
 use fedhisyn_simnet::{EventQueue, SimTime, TrafficMeter};
 use fedhisyn_telemetry::{Phase, SpanCtx, WallStart};
@@ -176,10 +176,6 @@ pub(crate) struct RingRound<'a> {
     pub interval: f64,
     /// What devices do with received models.
     pub policy: ReceivePolicy,
-    /// Shared model lossy `TopK` deltas are coded against: the round's
-    /// decoded broadcast for FedHiSyn, `None` (deltas from zero) where no
-    /// broadcast exists. Error feedback accumulates per device either way.
-    pub base: Option<&'a ParamVec>,
 }
 
 /// One ring readied for a round's interval by [`RingRound::lane`].
@@ -336,7 +332,6 @@ impl RingRound<'_> {
             lane: index as u32,
             ring,
             queue: EventQueue::new(),
-            codec_scratch: CodecScratch::new(),
             transport: TransportStats {
                 faults_at: vec![0; fault_slots],
                 ..TransportStats::default()
@@ -550,10 +545,6 @@ struct Wire<'a> {
     lane: u32,
     ring: &'a Ring,
     queue: EventQueue<Event>,
-    /// One scratch per ring interval: the event loop is single-threaded,
-    /// so every hop's codec transform reuses these buffers and the steady
-    /// state stays allocation-free after the first compressed send.
-    codec_scratch: CodecScratch,
     transport: TransportStats,
     /// Per-source-position monotone frame cursor: every physical attempt
     /// consumes one value, so the pure fault function sees a fresh
@@ -595,13 +586,11 @@ impl Wire<'_> {
     /// span; under an active fault plan it becomes the bounded retry loop
     /// described on [`RingRound::relay`].
     fn transmit(&mut self, now: SimTime, src_pos: usize, dst_pos: usize, mut model: ParamVec) {
-        let RingRound {
-            env, round, base, ..
-        } = *self.round;
+        let RingRound { env, round, .. } = *self.round;
         let src = self.ring.order()[src_pos];
         let dst = self.ring.order()[dst_pos];
         // Every physical send crosses the codec (a no-op under `F32`).
-        env.codec_transform(src, &mut model, base, &mut self.codec_scratch);
+        env.codec_transform(src, &mut model);
         let seq = self.transfers;
         self.transfers += 1;
 
@@ -668,7 +657,6 @@ mod tests {
             vt_base: 0.0,
             interval,
             policy: ReceivePolicy::TrainReceived,
-            base: None,
         }
     }
 

@@ -10,7 +10,7 @@
 /// their sum. Larger `D` means the device shards are further from the
 /// pooled distribution, which the paper links to lower final accuracy
 /// (§3.2).
-pub fn label_divergence(histograms: &[Vec<usize>]) -> f64 {
+fn label_divergence(histograms: &[Vec<usize>]) -> f64 {
     let classes = histograms.first().map_or(0, Vec::len);
     let mut pooled = vec![0usize; classes];
     for hist in histograms {

@@ -46,7 +46,7 @@ impl InputKind {
     }
 
     /// Total features per sample.
-    pub fn total_dim(&self) -> usize {
+    fn total_dim(&self) -> usize {
         self.sample_dims().iter().product()
     }
 }

@@ -15,16 +15,14 @@
 //! |-------|---------|------------------|-------|
 //! | [`Codec::F32`]  | little-endian `f32`s | `4n` | no |
 //! | [`Codec::Int8`] | per-256-chunk `[min, scale]` grid + 1 B/param | `n + 8⌈n/256⌉` | yes |
-//! | [`Codec::TopK`] | `[k, min, scale]` + presence bitmap + `k` quantized deltas | `12 + ⌈n/8⌉ + k` | yes |
 //!
-//! The codec tag lives in the previously-reserved `flags` field, so
+//! The codec tag lives in the previously-reserved `flags` field (kind 0 is
+//! `F32`, kind 1 `Int8`; any other kind is [`WireError::BadCodec`]), so
 //! `HEADER_LEN` — and with it every `F32` frame size and every historical
 //! wire-byte ledger — is unchanged from v2.
 //!
-//! `TopK` codes *deltas from a shared base* (the round's broadcast model,
-//! or zero when no base exists): only the `k = ⌈n·permille/1000⌉`
-//! largest-magnitude deltas survive, quantized to 8 bits on a shared
-//! linear grid. Lossy codecs pair with **error feedback**: the caller
+//! `Int8` codes every parameter's absolute value, so a frame decodes on
+//! its own. A lossy codec pairs with **error feedback**: the caller
 //! accumulates what the codec dropped into a per-device residual
 //! ([`codec_transform_in_place`]) and re-injects it before the next
 //! encode, so dropped mass re-enters later hops instead of vanishing.
@@ -43,11 +41,10 @@
 //!
 //! # Determinism
 //!
-//! Every codec is a pure function of `(payload, base, codec)`: the range
-//! scan, quantize and dequantize kernels are dispatched through the tensor
+//! Every codec is a pure function of `(payload, codec)`: the range scan,
+//! quantize and dequantize kernels are dispatched through the tensor
 //! crate's `KernelTier` table and are bit-identical across scalar and AVX2
-//! tiers (see `fedhisyn_tensor::quant`), top-k selection uses the total
-//! order (|Δ| descending, index ascending), and the in-place transform is
+//! tiers (see `fedhisyn_tensor::quant`), and the in-place transform is
 //! bit-equal to the encode→decode byte path (asserted by the `wire_check`
 //! tripwire) because it is the same kernels in the same order. Per `Int8`
 //! chunk the byte path runs `finite_min_max` → `quant_scale` →
@@ -55,6 +52,18 @@
 //! the transform runs `v = params + residual`, those four on `v`, then
 //! `residual = v − params`. It skips the frame, the checksum and two
 //! allocations, not any arithmetic.
+//!
+//! # Retired parameters
+//!
+//! Neither codec needs a shared reference model or a workspace, yet
+//! [`encode_with`], [`decode_with`] and [`codec_transform_in_place`] keep
+//! the `base` (and the last one the `scratch`) parameter the retired
+//! `TopK` delta codec used, and [`CodecScratch`] stays as an empty struct. Both are
+//! ignored. They stay because the `ledger` benchmark package calls these
+//! four names with these signatures, and a benchmark may not change in
+//! the same PR as the code it measures; the ledger PR that narrows its
+//! pinned surface (ROADMAP Fix-first PR B or direction 13) drops them.
+//! Program code passes `None` and a `CodecScratch`.
 
 use bytes::{Buf, BufMut, Bytes};
 use fedhisyn_tensor::quant::{dequantize_slice, finite_min_max, quant_scale, quantize_slice};
@@ -88,13 +97,6 @@ pub enum Codec {
     F32,
     /// Per-chunk 8-bit linear quantization of absolute values (~3.9×).
     Int8,
-    /// Magnitude top-k sparsification of deltas-from-base, 8-bit
-    /// quantized (~17× at `permille = 100`). Requires error feedback to
-    /// converge; pair with [`codec_transform_in_place`].
-    TopK {
-        /// Parts-per-thousand of parameters kept (`100` ⇒ k = 10 %).
-        permille: u16,
-    },
 }
 
 impl Codec {
@@ -104,51 +106,32 @@ impl Codec {
         !matches!(self, Codec::F32)
     }
 
-    /// Stable label for records and reports (`f32`, `int8`, `topk100`).
+    /// Stable label for records and reports (`f32`, `int8`).
     pub fn label(self) -> String {
         match self {
             Codec::F32 => "f32".to_string(),
             Codec::Int8 => "int8".to_string(),
-            Codec::TopK { permille } => format!("topk{permille}"),
         }
     }
 
     /// Pack into the header's `flags` field: bits 0–2 carry the codec
-    /// kind, bits 6–15 the `TopK` permille.
-    pub fn to_flags(self) -> u16 {
+    /// kind.
+    fn to_flags(self) -> u16 {
         match self {
             Codec::F32 => 0,
             Codec::Int8 => 1,
-            Codec::TopK { permille } => 2 | (permille.min(1000) << 6),
         }
     }
 
-    /// Recover a codec from the `flags` field.
-    pub fn from_flags(flags: u16) -> Result<Codec, WireError> {
+    /// Recover a codec from the `flags` field: only bits 0–2 name the
+    /// kind, and a kind other than 0 or 1 is [`WireError::BadCodec`].
+    fn from_flags(flags: u16) -> Result<Codec, WireError> {
         match flags & 0x7 {
             0 => Ok(Codec::F32),
             1 => Ok(Codec::Int8),
-            2 => Ok(Codec::TopK {
-                permille: (flags >> 6) & 0x3FF,
-            }),
             _ => Err(WireError::BadCodec(flags)),
         }
     }
-}
-
-/// Number of parameters a `TopK` frame keeps: `⌈n·permille/1000⌉`,
-/// clamped to `[1, n]` (at least one survivor so a frame is never empty),
-/// and `0` only for empty vectors. Deterministic in `(n, permille)`, so
-/// frame sizes are too.
-pub fn topk_k(params: usize, permille: u16) -> usize {
-    if params == 0 {
-        return 0;
-    }
-    // Saturating: `params` can come from a *corrupted* header's count
-    // field during parsing, and a length computation must never panic —
-    // a saturated size simply fails the length gate.
-    let k = params.saturating_mul(permille as usize).div_ceil(1000);
-    k.clamp(1, params)
 }
 
 /// Errors produced when decoding a weight frame.
@@ -190,23 +173,13 @@ impl std::fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
-/// Payload bytes for `params` parameters under `codec`. Saturating for
-/// the same reason as [`topk_k`]: `params` may be a corrupted header
-/// count, and a saturated length fails the length gate instead of
-/// panicking.
+/// Payload bytes for `params` parameters under `codec`. Saturating:
+/// `params` may be a corrupted header count, and a saturated length
+/// fails the length gate instead of panicking.
 fn payload_len(codec: Codec, params: usize) -> usize {
     match codec {
         Codec::F32 => params.saturating_mul(4),
         Codec::Int8 => params.saturating_add(8usize.saturating_mul(params.div_ceil(INT8_CHUNK))),
-        Codec::TopK { permille } => {
-            if params == 0 {
-                12
-            } else {
-                12usize
-                    .saturating_add(params.div_ceil(8))
-                    .saturating_add(topk_k(params, permille))
-            }
-        }
     }
 }
 
@@ -252,17 +225,10 @@ pub fn encode(params: &ParamVec) -> Bytes {
 
 /// Encode a parameter vector under `codec`.
 ///
-/// `base` is the shared reference model `TopK` deltas are taken against
-/// (`None` ⇒ zero base); `F32` and `Int8` ignore it. For lossy codecs the
-/// caller is responsible for error feedback — encode `v = payload +
+/// `_base` is retired and ignored (see the module docs). For a lossy codec
+/// the caller is responsible for error feedback — encode `v = payload +
 /// residual`, not the raw payload (see [`codec_transform_in_place`]).
-///
-/// # Panics
-/// If `base` is given with a different length than `params`.
-pub fn encode_with(params: &ParamVec, codec: Codec, base: Option<&ParamVec>) -> Bytes {
-    if let Some(b) = base {
-        assert_eq!(b.len(), params.len(), "encode_with: base length mismatch");
-    }
+pub fn encode_with(params: &ParamVec, codec: Codec, _base: Option<&ParamVec>) -> Bytes {
     let n = params.len();
     let flags = codec.to_flags();
     // One buffer: the header with an empty checksum slot, the payload
@@ -280,12 +246,6 @@ pub fn encode_with(params: &ParamVec, codec: Codec, base: Option<&ParamVec>) -> 
             }
         }
         Codec::Int8 => encode_int8(params.as_slice(), &mut frame),
-        Codec::TopK { permille } => {
-            let mut scratch = CodecScratch::new();
-            let base_slice = base.map(ParamVec::as_slice);
-            topk_plan(params.as_slice(), base_slice, permille, &mut scratch);
-            encode_topk(n, &scratch, &mut frame);
-        }
     }
     debug_assert_eq!(frame.len(), encoded_len_with(codec, n));
     let checksum = frame_checksum(flags, n as u64, &frame[HEADER_LEN..]);
@@ -314,33 +274,16 @@ fn int8_grid(chunk: &[f32]) -> (f32, f32, f32) {
     (lo, scale, inv)
 }
 
-/// Serialize a prepared top-k plan: `[k, min, scale]`, presence bitmap,
-/// then the k quantized deltas in index-ascending order.
-fn encode_topk(n: usize, plan: &CodecScratch, payload: &mut Vec<u8>) {
-    payload.put_u32_le(plan.idx.len() as u32);
-    payload.put_f32_le(plan.min);
-    payload.put_f32_le(plan.scale);
-    if n == 0 {
-        return;
-    }
-    let mut bitmap = vec![0u8; n.div_ceil(8)];
-    for &i in &plan.idx {
-        bitmap[i as usize / 8] |= 1 << (i as usize % 8);
-    }
-    payload.put_slice(&bitmap);
-    payload.put_slice(&plan.qs);
-}
-
 // ---- decode --------------------------------------------------------------
 
-/// Decode a weight frame back into a parameter vector (zero base).
+/// Decode a weight frame back into a parameter vector.
 pub fn decode(frame: &[u8]) -> Result<ParamVec, WireError> {
     decode_with(frame, None)
 }
 
-/// Decode a weight frame, reconstructing `TopK` deltas against `base`
-/// (`None` ⇒ zero base; `F32`/`Int8` ignore it).
-pub fn decode_with(frame: &[u8], base: Option<&ParamVec>) -> Result<ParamVec, WireError> {
+/// Decode a weight frame under the codec its header names. `_base` is
+/// retired and ignored (see the module docs).
+pub fn decode_with(frame: &[u8], _base: Option<&ParamVec>) -> Result<ParamVec, WireError> {
     let header = parse_header(frame)?;
     let payload = &frame[HEADER_LEN..];
     let n = header.count;
@@ -354,7 +297,6 @@ pub fn decode_with(frame: &[u8], base: Option<&ParamVec>) -> Result<ParamVec, Wi
             Ok(ParamVec::from_vec(out))
         }
         Codec::Int8 => decode_int8(n, payload),
-        Codec::TopK { permille } => decode_topk(n, permille, payload, base),
     }
 }
 
@@ -370,61 +312,11 @@ fn decode_int8(n: usize, payload: &[u8]) -> Result<ParamVec, WireError> {
     Ok(ParamVec::from_vec(out))
 }
 
-fn decode_topk(
-    n: usize,
-    permille: u16,
-    payload: &[u8],
-    base: Option<&ParamVec>,
-) -> Result<ParamVec, WireError> {
-    if let Some(b) = base {
-        assert_eq!(b.len(), n, "decode_with: base length mismatch");
-    }
-    let mut buf = payload;
-    let k = buf.get_u32_le() as usize;
-    let min = buf.get_f32_le();
-    let scale = buf.get_f32_le();
-    let expected_k = topk_k(n, permille);
-    if k != expected_k {
-        // The checksum already covers the payload, so this only fires on
-        // an encoder bug; reject rather than index out of bounds.
-        return Err(WireError::LengthMismatch {
-            expected: expected_k,
-            actual: k,
-        });
-    }
-    let mut out = match base {
-        Some(b) => b.as_slice().to_vec(),
-        None => vec![0.0f32; n],
-    };
-    if n == 0 {
-        return Ok(ParamVec::from_vec(out));
-    }
-    let bitmap_len = n.div_ceil(8);
-    let bitmap = &buf[..bitmap_len];
-    let qs = &buf[bitmap_len..bitmap_len + k];
-    let mut dq = vec![0.0f32; k];
-    dequantize_slice(qs, min, scale, &mut dq);
-    let mut j = 0usize;
-    for i in 0..n {
-        if bitmap[i / 8] & (1 << (i % 8)) != 0 {
-            if j >= k {
-                return Err(WireError::BadChecksum);
-            }
-            out[i] += dq[j];
-            j += 1;
-        }
-    }
-    if j != k {
-        return Err(WireError::BadChecksum);
-    }
-    Ok(ParamVec::from_vec(out))
-}
-
 /// Verify a frame's structure and integrity checksum without handing the
 /// payload to the caller; returns the parameter count. This is the relay
 /// hop's receive-side gate: a corrupted frame surfaces as a typed
 /// [`WireError`] here, never as garbage parameters downstream. Because
-/// the v3 checksum covers encoded bytes, no decode base is needed.
+/// the v3 checksum covers encoded bytes, nothing is decoded to check it.
 pub fn verify_frame(frame: &[u8]) -> Result<usize, WireError> {
     parse_header(frame).map(|h| h.count)
 }
@@ -468,74 +360,16 @@ fn parse_header(frame: &[u8]) -> Result<Header, WireError> {
 
 // ---- fused in-place transform (error feedback) ---------------------------
 
-/// Reusable workspaces for the codec transform. One per call-site thread;
-/// after first use the steady state performs zero allocations.
+/// Retired workspace of [`codec_transform_in_place`]: it has no fields
+/// and the transform ignores it (see the module docs).
 #[derive(Debug, Default, Clone)]
-pub struct CodecScratch {
-    /// Deltas-from-base, length n (`TopK`).
-    deltas: Vec<f32>,
-    /// Index workspace for top-k selection, length n (`TopK`).
-    order: Vec<u32>,
-    /// Selected indices, ascending, length k (`TopK`).
-    idx: Vec<u32>,
-    /// Selected delta values in index order, length k (`TopK`).
-    vals: Vec<f32>,
-    /// Quantized selected deltas, length k (`TopK`).
-    qs: Vec<u8>,
-    /// Dequantized selected deltas, length k (`TopK`).
-    dq: Vec<f32>,
-    /// Grid minimum of the current plan.
-    min: f32,
-    /// Grid step of the current plan.
-    scale: f32,
-}
+pub struct CodecScratch;
 
 impl CodecScratch {
-    /// Empty workspaces; buffers grow on first use and are then reused.
+    /// The empty workspace.
     pub fn new() -> Self {
-        Self::default()
+        Self
     }
-}
-
-/// Build the top-k plan for `xs` against `base` into `scratch`: selected
-/// indices (ascending), their quantized deltas, and the shared grid.
-fn topk_plan(xs: &[f32], base: Option<&[f32]>, permille: u16, scratch: &mut CodecScratch) {
-    let n = xs.len();
-    let k = topk_k(n, permille);
-    scratch.deltas.clear();
-    match base {
-        Some(b) => scratch.deltas.extend(xs.iter().zip(b).map(|(x, b)| x - b)),
-        None => scratch.deltas.extend_from_slice(xs),
-    }
-    scratch.order.clear();
-    scratch.order.extend(0..n as u32);
-    if k > 0 && k < n {
-        let deltas = &scratch.deltas;
-        // Total order: |Δ| descending (total_cmp, so NaN deltas sort
-        // first and deterministically), index ascending on ties. The
-        // first k elements of any partition under a total order are a
-        // unique set, so the selection is deterministic.
-        scratch.order.select_nth_unstable_by(k - 1, |&a, &b| {
-            let da = deltas[a as usize].abs();
-            let db = deltas[b as usize].abs();
-            db.total_cmp(&da).then_with(|| a.cmp(&b))
-        });
-    }
-    scratch.idx.clear();
-    scratch.idx.extend_from_slice(&scratch.order[..k]);
-    scratch.idx.sort_unstable();
-    scratch.vals.clear();
-    let deltas = &scratch.deltas;
-    scratch
-        .vals
-        .extend(scratch.idx.iter().map(|&i| deltas[i as usize]));
-    let (lo, hi) = finite_min_max(&scratch.vals).unwrap_or((0.0, 0.0));
-    let (scale, inv) = quant_scale(lo, hi);
-    scratch.min = lo;
-    scratch.scale = scale;
-    scratch.qs.clear();
-    scratch.qs.resize(k, 0);
-    quantize_slice(&scratch.vals, lo, inv, &mut scratch.qs);
 }
 
 /// Apply `codec` to `params` in place with error feedback, exactly as the
@@ -548,36 +382,34 @@ fn topk_plan(xs: &[f32], base: Option<&[f32]>, permille: u16, scratch: &mut Code
 /// loss, so no residual ever forms and bit-identity with the pre-codec
 /// engine holds trivially.
 ///
-/// Bit-equality with `decode_with(encode_with(v, codec, base), base)` is
+/// Bit-equality with `decode_with(encode_with(v, codec, None), None)` is
 /// by construction (identical kernel calls in identical order) and is
 /// asserted per hop by the `wire_check` tripwire in `fedhisyn-core`. For
 /// `Int8` that order is, per [`INT8_CHUNK`] parameters: add the residual
 /// into a stack buffer, `finite_min_max` + `quant_scale` for the grid (the
 /// same `int8_grid` the encoder calls), `quantize_slice`,
 /// `dequantize_slice` straight into `params`, subtract for the new
-/// residual. For `TopK` it is `topk_plan` (whose grid comes from the same
-/// `finite_min_max`) followed by one `dequantize_slice` of the k survivors.
+/// residual. It allocates nothing.
+///
+/// `_base` and `_scratch` are retired and ignored (see the module docs).
 ///
 /// # Panics
-/// If `residual` or `base` lengths disagree with `params`.
+/// If `residual`'s length disagrees with `params`.
 pub fn codec_transform_in_place(
     codec: Codec,
     params: &mut ParamVec,
-    base: Option<&ParamVec>,
+    _base: Option<&ParamVec>,
     residual: &mut ParamVec,
-    scratch: &mut CodecScratch,
+    _scratch: &mut CodecScratch,
 ) {
-    if !codec.lossy() {
-        return;
-    }
-    let n = params.len();
-    assert_eq!(residual.len(), n, "codec residual length mismatch");
-    if let Some(b) = base {
-        assert_eq!(b.len(), n, "codec base length mismatch");
-    }
     match codec {
-        Codec::F32 => unreachable!("handled by the lossless early return"),
+        Codec::F32 => {}
         Codec::Int8 => {
+            assert_eq!(
+                residual.len(),
+                params.len(),
+                "codec residual length mismatch"
+            );
             let mut v = [0.0f32; INT8_CHUNK];
             let mut q = [0u8; INT8_CHUNK];
             let chunks = params
@@ -597,33 +429,6 @@ pub fn codec_transform_in_place(
                 }
             }
         }
-        Codec::TopK { permille } => {
-            // v = params + residual, computed in place in `params` so the
-            // plan sees exactly what the byte path would encode.
-            params.add_assign(residual);
-            let base_slice = base.map(ParamVec::as_slice);
-            topk_plan(params.as_slice(), base_slice, permille, scratch);
-            let k = scratch.idx.len();
-            scratch.dq.clear();
-            scratch.dq.resize(k, 0.0);
-            dequantize_slice(&scratch.qs, scratch.min, scratch.scale, &mut scratch.dq);
-            let xs = params.as_mut_slice();
-            let rs = residual.as_mut_slice();
-            // Unselected positions reconstruct to the base exactly;
-            // selected ones to base + dequantized delta — the same
-            // arithmetic decode_topk performs.
-            for i in 0..n {
-                let b = base_slice.map_or(0.0, |bs| bs[i]);
-                rs[i] = xs[i];
-                xs[i] = b;
-            }
-            for (j, &i) in scratch.idx.iter().enumerate() {
-                xs[i as usize] += scratch.dq[j];
-            }
-            for i in 0..n {
-                rs[i] -= xs[i];
-            }
-        }
     }
 }
 
@@ -639,12 +444,7 @@ mod tests {
         ParamVec::from_vec((0..n).map(|i| ((i as f32) * 0.37).sin() * 2.0).collect())
     }
 
-    const ALL_CODECS: [Codec; 4] = [
-        Codec::F32,
-        Codec::Int8,
-        Codec::TopK { permille: 100 },
-        Codec::TopK { permille: 500 },
-    ];
+    const ALL_CODECS: [Codec; 2] = [Codec::F32, Codec::Int8];
 
     #[test]
     fn round_trip_preserves_exact_bits() {
@@ -670,10 +470,35 @@ mod tests {
         for codec in ALL_CODECS {
             assert_eq!(Codec::from_flags(codec.to_flags()), Ok(codec));
         }
-        assert!(matches!(
-            Codec::from_flags(0x7),
-            Err(WireError::BadCodec(_))
-        ));
+        // Kind 2 (with a permille of 100 in bits 6–15) was the retired
+        // `TopK` codec's tag; it names no codec now, like kinds 3–7.
+        for flags in [0x7, 2 | 100 << 6] {
+            assert_eq!(Codec::from_flags(flags), Err(WireError::BadCodec(flags)));
+        }
+    }
+
+    #[test]
+    fn retired_codec_kind_with_a_valid_checksum_is_refused() {
+        // A well-formed v3 frame of the retired kind-2 `TopK` codec: 64 params,
+        // k = 7 survivors — `[k, min, scale]`, a presence bitmap with 7
+        // bits set, 7 quantized deltas — under a correct checksum. Only
+        // the codec tag can refuse it.
+        let (n, flags) = (64u64, 2 | 100 << 6);
+        let mut payload = Vec::new();
+        payload.put_u32_le(7);
+        payload.put_f32_le(0.0);
+        payload.put_f32_le(1.0);
+        payload.put_slice(&[0x7F, 0, 0, 0, 0, 0, 0, 0]);
+        payload.put_slice(&[1, 2, 3, 4, 5, 6, 7]);
+        let mut frame = Vec::new();
+        frame.put_slice(&MAGIC);
+        frame.put_u16_le(VERSION);
+        frame.put_u16_le(flags);
+        frame.put_u64_le(n);
+        frame.put_u32_le(frame_checksum(flags, n, &payload));
+        frame.put_slice(&payload);
+        assert_eq!(verify_frame(&frame), Err(WireError::BadCodec(flags)));
+        assert_eq!(decode_with(&frame, None), Err(WireError::BadCodec(flags)));
     }
 
     #[test]
@@ -681,9 +506,7 @@ mod tests {
         let n = 10_000;
         let raw = encoded_len(n) as f64;
         let int8 = encoded_len_with(Codec::Int8, n) as f64;
-        let topk = encoded_len_with(Codec::TopK { permille: 100 }, n) as f64;
         assert!(raw / int8 >= 3.5, "int8 ratio {}", raw / int8);
-        assert!(raw / topk >= 10.0, "topk ratio {}", raw / topk);
     }
 
     #[test]
@@ -703,34 +526,6 @@ mod tests {
         // Grid step = range/255 per chunk; range ≤ 4 here.
         for (x, y) in p.as_slice().iter().zip(back.as_slice()) {
             assert!((x - y).abs() <= 4.0 / 255.0 * 0.5 + 1e-6);
-        }
-    }
-
-    #[test]
-    fn topk_keeps_only_k_deltas_from_base() {
-        let base = wave(500);
-        let mut p = base.clone();
-        // Perturb 30 positions; k = 50 at permille 100, so all survive.
-        for i in 0..30 {
-            p.as_mut_slice()[i * 7] += 1.0 + i as f32;
-        }
-        let codec = Codec::TopK { permille: 100 };
-        let frame = encode_with(&p, codec, Some(&base));
-        let back = decode_with(&frame, Some(&base)).unwrap();
-        let mut changed = 0;
-        for i in 0..p.len() {
-            let (b, r) = (base.as_slice()[i], back.as_slice()[i]);
-            if r != b {
-                changed += 1;
-            }
-        }
-        assert!(changed <= topk_k(p.len(), 100));
-        // The perturbed positions dominate the magnitude order, so they
-        // all reconstruct close to their true value.
-        for i in 0..30 {
-            let j = i * 7;
-            let err = (back.as_slice()[j] - p.as_slice()[j]).abs();
-            assert!(err <= 30.0 / 255.0 + 1e-5, "idx {j} err {err}");
         }
     }
 
@@ -832,54 +627,51 @@ mod tests {
         // the 8-lane vector and the 256-parameter chunk, and churn_wire's.
         let plain = [0, 1, 7, 8, 9, 255, 256, 257, 500, 3010].map(|n| (n, false));
         let cases = plain.into_iter().chain([(600, true)]);
-        for codec in [Codec::Int8, Codec::TopK { permille: 100 }] {
-            for (n, planted) in cases.clone() {
-                let base = wave(n);
-                let b = matches!(codec, Codec::TopK { .. }).then_some(&base);
-                let mut residual =
-                    ParamVec::from_vec((0..n).map(|i| ((i as f32) * 0.11).cos() * 0.02).collect());
-                let mut scratch = CodecScratch::new();
-                // Three sends against one residual, so the second and third
-                // code what the ones before them dropped.
-                for send in 0..3 {
-                    let mut params = wave(n);
-                    for (i, x) in params.as_mut_slice().iter_mut().enumerate() {
-                        *x += ((i * 31 + 7 + send) % 17) as f32 * 0.01;
-                        if planted {
-                            match (i + send) % 41 {
-                                0 => *x = f32::NAN,
-                                1 => *x = f32::INFINITY,
-                                2 => *x = f32::NEG_INFINITY,
-                                3 => *x = 0.0,
-                                4 => *x = -0.0,
-                                _ => {}
-                            }
-                        }
-                    }
+        let codec = Codec::Int8;
+        for (n, planted) in cases {
+            let mut residual =
+                ParamVec::from_vec((0..n).map(|i| ((i as f32) * 0.11).cos() * 0.02).collect());
+            let mut scratch = CodecScratch::new();
+            // Three sends against one residual, so the second and third
+            // code what the ones before them dropped.
+            for send in 0..3 {
+                let mut params = wave(n);
+                for (i, x) in params.as_mut_slice().iter_mut().enumerate() {
+                    *x += ((i * 31 + 7 + send) % 17) as f32 * 0.01;
                     if planted {
-                        // One chunk whose only finite values are zeros of
-                        // both signs: its grid minimum is a sign tie.
-                        for (i, x) in params.as_mut_slice()[256..512].iter_mut().enumerate() {
-                            *x = [0.0, -0.0, f32::NAN][(i + send) % 3];
+                        match (i + send) % 41 {
+                            0 => *x = f32::NAN,
+                            1 => *x = f32::INFINITY,
+                            2 => *x = f32::NEG_INFINITY,
+                            3 => *x = 0.0,
+                            4 => *x = -0.0,
+                            _ => {}
                         }
-                        residual.as_mut_slice()[256..512].fill(0.0);
                     }
-                    // Byte path on v = params + residual.
-                    let mut v = params.clone();
-                    v.add_assign(&residual);
-                    let frame = encode_with(&v, codec, b);
-                    let byte_out = decode_with(&frame, b).unwrap();
-                    // Fused path.
-                    codec_transform_in_place(codec, &mut params, b, &mut residual, &mut scratch);
-                    let case = format!("{codec:?} n={n} planted={planted} send={send}");
-                    assert_eq!(bits(&params), bits(&byte_out), "fused ≠ byte path: {case}");
-                    // Residual is exactly the coding error of v.
-                    let mut want = v.clone();
-                    for (w, o) in want.as_mut_slice().iter_mut().zip(byte_out.as_slice()) {
-                        *w -= o;
-                    }
-                    assert_eq!(bits(&residual), bits(&want), "residual: {case}");
                 }
+                if planted {
+                    // One chunk whose only finite values are zeros of
+                    // both signs: its grid minimum is a sign tie.
+                    for (i, x) in params.as_mut_slice()[256..512].iter_mut().enumerate() {
+                        *x = [0.0, -0.0, f32::NAN][(i + send) % 3];
+                    }
+                    residual.as_mut_slice()[256..512].fill(0.0);
+                }
+                // Byte path on v = params + residual.
+                let mut v = params.clone();
+                v.add_assign(&residual);
+                let frame = encode_with(&v, codec, None);
+                let byte_out = decode_with(&frame, None).unwrap();
+                // Fused path.
+                codec_transform_in_place(codec, &mut params, None, &mut residual, &mut scratch);
+                let case = format!("{codec:?} n={n} planted={planted} send={send}");
+                assert_eq!(bits(&params), bits(&byte_out), "fused ≠ byte path: {case}");
+                // Residual is exactly the coding error of v.
+                let mut want = v.clone();
+                for (w, o) in want.as_mut_slice().iter_mut().zip(byte_out.as_slice()) {
+                    *w -= o;
+                }
+                assert_eq!(bits(&residual), bits(&want), "residual: {case}");
             }
         }
     }
@@ -897,16 +689,16 @@ mod tests {
 
     #[test]
     fn error_feedback_reinjects_dropped_mass() {
-        // Stream the same dense update g through a TopK transform T times
-        // with a persistent residual. Each hop transmits only k of n
-        // coordinates, but error feedback telescopes exactly:
+        // Stream the same dense update g through an Int8 transform T times
+        // with a persistent residual. Each hop rounds every coordinate to
+        // its chunk's grid, but error feedback telescopes exactly:
         //   Σ out_t = T·g − residual_T
-        // i.e. no mass is ever lost — what one hop drops, a later hop
-        // carries. Without the residual the sum would be missing every
-        // never-selected coordinate entirely.
+        // i.e. no mass is ever lost — what one hop rounds away, a later
+        // hop carries. Without the residual every hop would repeat the
+        // same rounding error, T times over.
         let n = 200;
         let hops = 40;
-        let codec = Codec::TopK { permille: 100 };
+        let codec = Codec::Int8;
         let g = ParamVec::from_vec((0..n).map(|i| 0.5 + (i as f32) / n as f32).collect());
         let mut residual = ParamVec::zeros(n);
         let mut scratch = CodecScratch::new();
@@ -923,19 +715,17 @@ mod tests {
                 (conserved - want).abs() < 1e-2,
                 "mass leaked at {i}: {conserved} vs {want}"
             );
-            // Residual growth forces rotation: every coordinate is
-            // eventually selected, so every coordinate received mass.
-            assert!(sum.as_slice()[i] > 0.0, "coordinate {i} never selected");
+            // The residual stays within one grid step of the chunk.
+            assert!(residual.as_slice()[i].abs() <= 1.0 / 255.0 + 1e-6);
         }
     }
 
     #[test]
     fn deterministic_across_repeated_encodes() {
         let p = wave(333);
-        let base = wave(333);
         for codec in ALL_CODECS {
-            let a = encode_with(&p, codec, Some(&base));
-            let b = encode_with(&p, codec, Some(&base));
+            let a = encode_with(&p, codec, None);
+            let b = encode_with(&p, codec, None);
             assert_eq!(a, b, "{codec:?}");
         }
     }
@@ -944,21 +734,10 @@ mod tests {
     fn codec_labels_and_serde() {
         assert_eq!(Codec::F32.label(), "f32");
         assert_eq!(Codec::Int8.label(), "int8");
-        assert_eq!(Codec::TopK { permille: 100 }.label(), "topk100");
         for codec in ALL_CODECS {
             let v = codec.to_value();
             assert_eq!(Codec::from_value(&v), Ok(codec));
         }
-    }
-
-    #[test]
-    fn topk_k_is_clamped_and_deterministic() {
-        assert_eq!(topk_k(0, 100), 0);
-        assert_eq!(topk_k(5, 0), 1, "at least one survivor");
-        assert_eq!(topk_k(1000, 100), 100);
-        assert_eq!(topk_k(1000, 1000), 1000);
-        assert_eq!(topk_k(3, 1000), 3);
-        assert_eq!(topk_k(999, 100), 100, "ceil rounding");
     }
 
     #[test]

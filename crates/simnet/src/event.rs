@@ -27,7 +27,7 @@ pub struct EventQueue<T> {
 }
 
 /// Default event class used by [`EventQueue::push`].
-pub const DEFAULT_CLASS: u8 = 128;
+const DEFAULT_CLASS: u8 = 128;
 
 #[derive(Debug)]
 struct Entry<T> {
@@ -101,7 +101,7 @@ impl<T> EventQueue<T> {
     }
 
     /// Time of the earliest pending event.
-    pub fn peek_time(&self) -> Option<SimTime> {
+    fn peek_time(&self) -> Option<SimTime> {
         self.heap.peek().map(|e| e.time)
     }
 

@@ -12,7 +12,7 @@
 
 use fedhisyn::core::local::train_steps;
 use fedhisyn::core::ServerLink;
-use fedhisyn::nn::{CodecScratch, NoHook};
+use fedhisyn::nn::NoHook;
 use fedhisyn::prelude::*;
 use rayon::prelude::*;
 
@@ -54,7 +54,7 @@ impl FlAlgorithm for FedMedian {
             .par_iter()
             .map(|&d| {
                 let mut trained = train_steps(env, d, start, 1, round, &NoHook);
-                link.upload(env, d, &mut trained, &mut CodecScratch::new());
+                link.upload(env, d, &mut trained);
                 trained
             })
             .collect();

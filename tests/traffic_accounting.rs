@@ -64,8 +64,7 @@ fn parameters_moved_match_model_equivalents() {
     let mut model = cfg.initial_params();
     link.broadcast(&env, &model, 2);
     for device in 0..3 {
-        let mut scratch = fedhisyn::nn::CodecScratch::new();
-        link.upload(&env, device, &mut model, &mut scratch);
+        link.upload(&env, device, &mut model);
     }
     let snap = env.meter.snapshot();
     assert_eq!((snap.downloads, snap.uploads), (2.0, 3.0));

@@ -208,16 +208,14 @@ fn every_algorithm_trains_on_what_the_codec_it_is_charged_for_carries() {
 
 #[test]
 fn lossy_codecs_replay_across_runs() {
-    for codec in [Codec::Int8, Codec::TopK { permille: 100 }] {
-        let label = codec.label();
-        let cfg = base_builder(8, 3, 7).codec(codec).build();
-        let (rec, traffic) = replayed(&cfg, &label);
-        assert_eq!(rec.codec, label, "RunRecord codec stamp");
-        assert!(
-            traffic.wire_bytes < traffic.raw_bytes,
-            "{label} charged no compression"
-        );
-    }
+    let label = Codec::Int8.label();
+    let cfg = base_builder(8, 3, 7).codec(Codec::Int8).build();
+    let (rec, traffic) = replayed(&cfg, &label);
+    assert_eq!(rec.codec, label, "RunRecord codec stamp");
+    assert!(
+        traffic.wire_bytes < traffic.raw_bytes,
+        "{label} charged no compression"
+    );
 }
 
 #[test]
