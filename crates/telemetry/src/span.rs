@@ -449,6 +449,36 @@ mod tests {
         let m = t.metrics();
         assert!(m.counters.contains(&("spans.local_train", 1)));
         assert!(m.counters.contains(&("spans.round", 1)));
+        // A fresh sink carries every counter, in this order: the JSONL
+        // `metrics` line and the fingerprint both depend on it.
+        let fresh = TelemetrySink::enabled(1);
+        let names: Vec<&str> = fresh
+            .telemetry()
+            .expect("enabled")
+            .metrics()
+            .counters
+            .iter()
+            .map(|&(name, _)| name)
+            .collect();
+        assert_eq!(
+            names,
+            [
+                "spans.round",
+                "spans.clustering",
+                "spans.ring_interval",
+                "spans.relay_hop",
+                "spans.local_train",
+                "spans.aggregation",
+                "spans.evaluation",
+                "spans.relay_attempt",
+                "spans.dropped",
+                "transport.retries",
+                "transport.giveups",
+                "transport.rebuilds",
+                "wire.codec.encoded_bytes",
+                "wire.codec.raw_bytes",
+            ]
+        );
     }
 
     #[test]
@@ -462,6 +492,7 @@ mod tests {
         assert_eq!(t.dropped(), 1);
         // The dropped span still counted toward its phase metric.
         assert!(t.metrics().counters.contains(&("spans.round", 2)));
+        assert!(t.metrics().counters.contains(&("spans.dropped", t.dropped())));
     }
 
     #[test]
