@@ -48,11 +48,11 @@ impl FedProx {
 /// Operates on the in-place parameter/gradient slices the engine walks:
 /// `offset` locates the slice inside the flat layout, which is where the
 /// matching anchor coordinates live.
-pub struct ProxHook<'a> {
+struct ProxHook<'a> {
     /// Proximal coefficient `μ`.
-    pub mu: f32,
+    mu: f32,
     /// The round's global model `w_G`, as the device received it.
-    pub anchor: &'a ParamVec,
+    anchor: &'a ParamVec,
 }
 
 impl GradHook for ProxHook<'_> {

@@ -60,11 +60,11 @@ impl Scaffold {
 ///
 /// Operates on the in-place gradient slices the engine walks; `offset`
 /// indexes the matching coordinates of both flat control variates.
-pub struct ScaffoldHook<'a> {
+struct ScaffoldHook<'a> {
     /// Server control variate.
-    pub c_global: &'a ParamVec,
+    c_global: &'a ParamVec,
     /// Device control variate.
-    pub c_local: &'a ParamVec,
+    c_local: &'a ParamVec,
 }
 
 impl GradHook for ScaffoldHook<'_> {

@@ -111,7 +111,7 @@ pub struct FleetModel {
 
 impl FleetModel {
     /// Number of trajectory shards (queries hash by `device % SHARD_COUNT`).
-    pub const SHARD_COUNT: usize = 64;
+    const SHARD_COUNT: usize = 64;
 
     /// Build from the fleet's sampled base latencies (virtual seconds per
     /// local step, each positive and finite), served densely.

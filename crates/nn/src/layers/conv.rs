@@ -142,7 +142,7 @@ impl Conv2d {
     }
 
     /// Output spatial size for an input spatial size.
-    pub fn out_size(&self, h: usize, w: usize) -> (usize, usize) {
+    fn out_size(&self, h: usize, w: usize) -> (usize, usize) {
         (
             h + 2 * self.pad - self.kernel + 1,
             w + 2 * self.pad - self.kernel + 1,

@@ -72,11 +72,11 @@ use serde::{Deserialize, Serialize};
 use crate::params::ParamVec;
 
 /// Magic bytes identifying a FedHiSyn weight frame.
-pub const MAGIC: [u8; 4] = *b"FHSW";
+const MAGIC: [u8; 4] = *b"FHSW";
 /// Current wire-format version. v3 turned the reserved `flags` field into
 /// a codec tag and moved the checksum to the *encoded* payload bytes so
 /// compressed frames get the same corruption coverage as raw ones.
-pub const VERSION: u16 = 3;
+const VERSION: u16 = 3;
 /// Header size in bytes: magic (4) + version (2) + flags (2) + count (8) +
 /// checksum (4). Identical across v1–v3, so `F32` frame sizes — and every
 /// wire-byte ledger derived from them — are version-independent.
@@ -86,7 +86,7 @@ const CHECKSUM_AT: usize = HEADER_LEN - 4;
 
 /// Parameters per `Int8` quantization chunk. Each chunk carries its own
 /// `[min, scale]` pair so one outlier only widens the grid locally.
-pub const INT8_CHUNK: usize = 256;
+const INT8_CHUNK: usize = 256;
 
 /// Payload encoding for a weight frame.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -385,7 +385,7 @@ impl CodecScratch {
 /// Bit-equality with `decode_with(encode_with(v, codec, None), None)` is
 /// by construction (identical kernel calls in identical order) and is
 /// asserted per hop by the `wire_check` tripwire in `fedhisyn-core`. For
-/// `Int8` that order is, per [`INT8_CHUNK`] parameters: add the residual
+/// `Int8` that order is, per `INT8_CHUNK` (256) parameters: add the residual
 /// into a stack buffer, `finite_min_max` + `quant_scale` for the grid (the
 /// same `int8_grid` the encoder calls), `quantize_slice`,
 /// `dequantize_slice` straight into `params`, subtract for the new

@@ -10,16 +10,16 @@
 //!   `lane + 1` is class ring `lane`.
 //! * **JSONL** ([`jsonl_string`]) — one span per line in canonical
 //!   deterministic order (wall fields included, last), then one
-//!   `metrics` line with the registry snapshot; grep/jq-friendly.
+//!   `metrics` line with every counter; grep/jq-friendly.
 
 use crate::span::{Phase, SpanEvent, Telemetry, NO_ID};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 
 /// Virtual-time pid in the Chrome trace.
-pub const PID_VIRTUAL: u64 = 1;
+const PID_VIRTUAL: u64 = 1;
 /// Wall-clock pid in the Chrome trace.
-pub const PID_WALL: u64 = 2;
+const PID_WALL: u64 = 2;
 
 fn tid(lane: u32) -> u64 {
     if lane == NO_ID {

@@ -14,10 +14,18 @@
 //! clock reads, no atomics, no allocation, so the counting-allocator
 //! harness still certifies steady-state rounds as zero-alloc. Enabled, it
 //! appends `Copy` events into a buffer whose capacity was reserved up
-//! front (events beyond capacity are counted, not stored) and bumps
-//! pre-registered counters, so even the enabled hot path never allocates.
+//! front (events beyond capacity are counted, not stored) and bumps one
+//! of a fixed table of counters, so even the enabled hot path never
+//! allocates.
+//!
+//! Each counter is a monotone `u64` bumped with a relaxed `fetch_add`, so
+//! its total is the same whatever order parallel ring lanes arrive in. The
+//! counters are pure functions of the simulated workload and feed the
+//! sink's fingerprint. Host-dependent runtime observations (cache
+//! occupancy, arena high-water, fleet and shard residency) are not
+//! counters: they are fields of the per-round `RoundTelemetry` on the
+//! `RunRecord`.
 
-use crate::registry::{CounterId, Fnv, MetricsRegistry, MetricsSnapshot};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -159,32 +167,46 @@ struct EventLog {
     capacity: usize,
 }
 
-/// Ids of the metrics the sink maintains centrally.
-#[derive(Debug)]
-struct WellKnown {
-    /// Spans recorded, per phase.
-    phase_counts: [CounterId; Phase::COUNT],
-    /// Spans dropped because the event buffer was full.
-    spans_dropped: CounterId,
-    transport: WellKnownTransport,
-    codec: WellKnownCodec,
-}
+/// Number of counters a sink keeps.
+const COUNTERS: usize = 14;
 
-/// Counter ids for the frame-loss transport (see
-/// [`TelemetrySink::add_transport`]).
-#[derive(Debug)]
-struct WellKnownTransport {
-    retries: CounterId,
-    giveups: CounterId,
-    rebuilds: CounterId,
-}
+/// Counter names, by slot. The first [`Phase::COUNT`] slots count the
+/// spans recorded per phase, indexed by the `Phase` discriminant.
+const COUNTER_NAMES: [&str; COUNTERS] = [
+    "spans.round",
+    "spans.clustering",
+    "spans.ring_interval",
+    "spans.relay_hop",
+    "spans.local_train",
+    "spans.aggregation",
+    "spans.evaluation",
+    "spans.relay_attempt",
+    "spans.dropped",
+    "transport.retries",
+    "transport.giveups",
+    "transport.rebuilds",
+    "wire.codec.encoded_bytes",
+    "wire.codec.raw_bytes",
+];
 
-/// Counter ids for the wire-codec byte ledgers (see
-/// [`TelemetrySink::add_codec_bytes`]).
-#[derive(Debug)]
-struct WellKnownCodec {
-    encoded_bytes: CounterId,
-    raw_bytes: CounterId,
+/// Slot of the spans dropped because the event buffer was full.
+const DROPPED: usize = Phase::COUNT;
+// Slots of `TelemetrySink::add_transport`'s counters.
+const RETRIES: usize = DROPPED + 1;
+const GIVEUPS: usize = RETRIES + 1;
+const REBUILDS: usize = GIVEUPS + 1;
+// Slots of `TelemetrySink::add_codec_bytes`'s counters.
+const ENCODED_BYTES: usize = REBUILDS + 1;
+const RAW_BYTES: usize = ENCODED_BYTES + 1;
+
+/// Point-in-time copy of every counter of a sink.
+#[derive(Debug, Clone, PartialEq)]
+pub struct MetricsSnapshot {
+    /// `(name, value)` per counter, in a fixed order: the eight
+    /// `spans.<phase>` counts in `Phase` order, `spans.dropped`,
+    /// `transport.{retries,giveups,rebuilds}` and
+    /// `wire.codec.{encoded,raw}_bytes`.
+    pub counters: Vec<(&'static str, u64)>,
 }
 
 /// Backing store behind an enabled [`TelemetrySink`].
@@ -192,47 +214,32 @@ struct WellKnownCodec {
 pub struct Telemetry {
     epoch: Instant,
     log: Mutex<EventLog>,
-    dropped: AtomicU64,
-    registry: MetricsRegistry,
-    ids: WellKnown,
+    counters: [AtomicU64; COUNTERS],
 }
 
 impl Telemetry {
     fn new(capacity: usize) -> Self {
-        let mut registry = MetricsRegistry::new();
-        let phase_counts = [
-            registry.register_counter("spans.round"),
-            registry.register_counter("spans.clustering"),
-            registry.register_counter("spans.ring_interval"),
-            registry.register_counter("spans.relay_hop"),
-            registry.register_counter("spans.local_train"),
-            registry.register_counter("spans.aggregation"),
-            registry.register_counter("spans.evaluation"),
-            registry.register_counter("spans.relay_attempt"),
-        ];
-        let ids = WellKnown {
-            phase_counts,
-            spans_dropped: registry.register_counter("spans.dropped"),
-            transport: WellKnownTransport {
-                retries: registry.register_counter("transport.retries"),
-                giveups: registry.register_counter("transport.giveups"),
-                rebuilds: registry.register_counter("transport.rebuilds"),
-            },
-            codec: WellKnownCodec {
-                encoded_bytes: registry.register_counter("wire.codec.encoded_bytes"),
-                raw_bytes: registry.register_counter("wire.codec.raw_bytes"),
-            },
-        };
         Telemetry {
             epoch: Instant::now(),
             log: Mutex::new(EventLog {
                 events: Vec::with_capacity(capacity),
                 capacity,
             }),
-            dropped: AtomicU64::new(0),
-            registry,
-            ids,
+            counters: [const { AtomicU64::new(0) }; COUNTERS],
         }
+    }
+
+    /// Add `n` to the counter in `slot` (relaxed; no lock, no allocation).
+    #[inline]
+    fn add(&self, slot: usize, n: u64) {
+        self.counters[slot].fetch_add(n, Ordering::Relaxed);
+    }
+
+    fn counter_values(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
+        COUNTER_NAMES
+            .iter()
+            .zip(&self.counters)
+            .map(|(&name, value)| (name, value.load(Ordering::Relaxed)))
     }
 
     /// Copy of every recorded span, in record order.
@@ -246,12 +253,14 @@ impl Telemetry {
 
     /// Spans dropped because the buffer was full.
     pub fn dropped(&self) -> u64 {
-        self.dropped.load(Ordering::Relaxed)
+        self.counters[DROPPED].load(Ordering::Relaxed)
     }
 
     /// Snapshot of every counter.
     pub fn metrics(&self) -> MetricsSnapshot {
-        self.registry.snapshot()
+        MetricsSnapshot {
+            counters: self.counter_values().collect(),
+        }
     }
 
     /// The recorded spans in their canonical deterministic order —
@@ -275,7 +284,7 @@ impl Telemetry {
     }
 
     /// FNV-1a fingerprint of the deterministic span stream plus the
-    /// counter registry (wall clock excluded).
+    /// counters' names and values (wall clock excluded).
     /// Equal fingerprints across two runs mean the virtual-time telemetry
     /// is bit-identical.
     pub fn fingerprint(&self) -> u64 {
@@ -289,21 +298,55 @@ impl Telemetry {
             h.u64(e.vt_start.to_bits());
             h.u64(e.vt_end.to_bits());
         }
-        h.u64(self.registry.fingerprint());
+        let mut counters = Fnv::new();
+        for (name, value) in self.counter_values() {
+            counters.str(name);
+            counters.u64(value);
+        }
+        h.u64(counters.finish());
         h.finish()
     }
 
     fn record(&self, ev: SpanEvent) {
-        self.registry
-            .inc(self.ids.phase_counts[ev.phase as usize], 1);
+        self.add(ev.phase as usize, 1);
         let mut log = self.log.lock().expect("telemetry log poisoned");
         if log.events.len() < log.capacity {
             log.events.push(ev);
         } else {
             drop(log);
-            self.dropped.fetch_add(1, Ordering::Relaxed);
-            self.registry.inc(self.ids.spans_dropped, 1);
+            self.add(DROPPED, 1);
         }
+    }
+}
+
+/// Minimal FNV-1a accumulator behind [`Telemetry::fingerprint`].
+struct Fnv(u64);
+
+impl Fnv {
+    fn new() -> Self {
+        Fnv(0xcbf2_9ce4_8422_2325)
+    }
+
+    #[inline]
+    fn byte(&mut self, b: u8) {
+        self.0 ^= b as u64;
+        self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+
+    fn u64(&mut self, v: u64) {
+        for b in v.to_le_bytes() {
+            self.byte(b);
+        }
+    }
+
+    fn str(&mut self, s: &str) {
+        for b in s.as_bytes() {
+            self.byte(*b);
+        }
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
     }
 }
 
@@ -393,10 +436,9 @@ impl TelemetrySink {
     /// covered by the metrics fingerprint. No-op on a disabled sink.
     pub fn add_transport(&self, retries: u64, giveups: u64, rebuilds: u64) {
         if let Some(t) = &self.0 {
-            let ids = &t.ids.transport;
-            t.registry.inc(ids.retries, retries);
-            t.registry.inc(ids.giveups, giveups);
-            t.registry.inc(ids.rebuilds, rebuilds);
+            t.add(RETRIES, retries);
+            t.add(GIVEUPS, giveups);
+            t.add(REBUILDS, rebuilds);
         }
     }
 
@@ -407,9 +449,8 @@ impl TelemetrySink {
     /// No-op on a disabled sink.
     pub fn add_codec_bytes(&self, encoded: u64, raw: u64) {
         if let Some(t) = &self.0 {
-            let ids = &t.ids.codec;
-            t.registry.inc(ids.encoded_bytes, encoded);
-            t.registry.inc(ids.raw_bytes, raw);
+            t.add(ENCODED_BYTES, encoded);
+            t.add(RAW_BYTES, raw);
         }
     }
 }
@@ -492,7 +533,10 @@ mod tests {
         assert_eq!(t.dropped(), 1);
         // The dropped span still counted toward its phase metric.
         assert!(t.metrics().counters.contains(&("spans.round", 2)));
-        assert!(t.metrics().counters.contains(&("spans.dropped", t.dropped())));
+        assert!(t
+            .metrics()
+            .counters
+            .contains(&("spans.dropped", t.dropped())));
     }
 
     #[test]
@@ -536,6 +580,37 @@ mod tests {
         assert!(m.counters.contains(&("wire.codec.encoded_bytes", 1_500)));
         assert!(m.counters.contains(&("wire.codec.raw_bytes", 6_000)));
         TelemetrySink::disabled().add_codec_bytes(1, 1);
+    }
+
+    #[test]
+    fn concurrent_transport_adds_sum_exactly() {
+        let sink = TelemetrySink::enabled(1);
+        let start = std::sync::Barrier::new(4);
+        std::thread::scope(|s| {
+            for _ in 0..4 {
+                s.spawn(|| {
+                    start.wait();
+                    for _ in 0..1000 {
+                        sink.add_transport(1, 2, 3);
+                    }
+                });
+            }
+        });
+        let m = sink.telemetry().expect("enabled").metrics();
+        assert!(m.counters.contains(&("transport.retries", 4_000)));
+        assert!(m.counters.contains(&("transport.giveups", 8_000)));
+        assert!(m.counters.contains(&("transport.rebuilds", 12_000)));
+    }
+
+    #[test]
+    fn every_counter_moves_the_fingerprint() {
+        let sink = TelemetrySink::enabled(1);
+        let t = sink.telemetry().expect("enabled");
+        for (slot, name) in COUNTER_NAMES.iter().enumerate() {
+            let before = t.fingerprint();
+            t.add(slot, 1);
+            assert_ne!(t.fingerprint(), before, "{name}");
+        }
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Runtime CPU-feature dispatch for the GEMM micro-kernels.
 //!
-//! The blocked GEMM drivers in [`crate::gemm`] run one register-tiled
+//! The blocked GEMM drivers ([`crate::gemm()`], [`crate::gemm_nt`],
+//! [`crate::gemm_tn`]) run one register-tiled
 //! micro-kernel that reads A and B where they lie, through strided views
 //! (only `gemm_nt`'s transposed B is packed). Which micro-kernel — and which
 //! tile geometry — is decided **once per process** from the host CPU:

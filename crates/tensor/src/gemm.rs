@@ -42,7 +42,8 @@
 //! products and applies `α·Σ + β·c` once). Blocking tiles only `m` and
 //! `n`, never the reduction dimension; parallelism splits rows of `C`; and
 //! the AVX2 tile vectorizes across columns with separate IEEE multiply and
-//! add — so results are bit-identical everywhere. The [`reference`] module keeps the
+//! add — so results are bit-identical everywhere. The
+//! [`reference`](mod@reference) module keeps the
 //! naive triple-loop kernels as the executable statement of that contract;
 //! the equivalence tests assert exact equality against them.
 //!

@@ -20,7 +20,7 @@
 //! | [`cluster`] | `fedhisyn-cluster` | k-means device tiering |
 //! | [`fleet`] | `fedhisyn-fleet` | deterministic fleet dynamics: churn, mid-ring failures, fleet-wide load |
 //! | [`simnet`] | `fedhisyn-simnet` | virtual clock, event queue, latency models, traffic meter |
-//! | [`telemetry`] | `fedhisyn-telemetry` | metrics registry, round-lifecycle spans, Perfetto trace export |
+//! | [`telemetry`] | `fedhisyn-telemetry` | run counters, round-lifecycle spans, Perfetto trace export |
 //! | [`tensor`] | `fedhisyn-tensor` | shaped f32 storage; GEMM, slice and quantisation kernels |
 //!
 //! # Example
