@@ -923,6 +923,59 @@ mod tests {
         }
     }
 
+    /// One FNV-1a hash over the outputs of all nine entry points at α = 1:
+    /// β = 0 in every orientation plus β = 1 for `gemm`/`gemm_tn` (the `dW`
+    /// accumulation), on the workload shapes, the tile-edge lattice and the
+    /// small batches of `churn_wire` and `lazy_cohort`. The tiers are
+    /// bit-identical, so one constant holds on both dispatch legs; unlike
+    /// the reference comparisons it does not move when the reference does.
+    #[test]
+    fn entry_point_outputs_are_pinned() {
+        const EDGE_DIMS: &[usize] = &[1, 3, 4, 5, 6, 7, 8, 9, 15, 16, 17, 33];
+        const SMALL: &[(usize, usize, usize)] =
+            &[(1, 48, 24), (2, 24, 10), (6, 48, 24), (30, 24, 10)];
+        let mut cases: Vec<(&str, usize, usize, usize, f32)> = WORKLOAD_CASES.to_vec();
+        let lattice = EDGE_DIMS
+            .iter()
+            .flat_map(|&m| EDGE_DIMS.iter().map(move |&n| (m, n)))
+            .flat_map(|(m, n)| [1, 9, 50].map(|k| (m, k, n)));
+        for (m, k, n) in lattice.chain(SMALL.iter().copied()) {
+            for (name, beta) in [
+                ("nn", 0.0),
+                ("nt", 0.0),
+                ("tn", 0.0),
+                ("nn", 1.0),
+                ("tn", 1.0),
+            ] {
+                cases.push((name, m, k, n, beta));
+            }
+        }
+        let tier = active_tier();
+        let mut hash = 0xcbf2_9ce4_8422_2325u64;
+        for (i, &(name, m, k, n, beta)) in cases.iter().enumerate() {
+            let (_, [serial, parallel], with_tier) = orientation(name);
+            let seed = 7 * i as u64;
+            let (a, b, c0) = (
+                random_vec(m * k, seed),
+                random_vec(k * n, seed + 1),
+                random_vec(m * n, seed + 2),
+            );
+            let mut outs = [c0.clone(), c0.clone(), c0];
+            serial(&a, &b, &mut outs[0], m, k, n, 1.0, beta);
+            parallel(&a, &b, &mut outs[1], m, k, n, 1.0, beta);
+            with_tier(tier, &a, &b, &mut outs[2], m, k, n, 1.0, beta);
+            for v in outs.iter().flatten() {
+                for byte in v.to_bits().to_le_bytes() {
+                    hash = (hash ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
+                }
+            }
+        }
+        assert_eq!(
+            hash, 0x2843_fdc4_6edd_bd61,
+            "GEMM entry-point outputs moved: {hash:#018x}"
+        );
+    }
+
     #[test]
     fn par_gemm_bit_identical_to_serial() {
         let (m, k, n) = (96, 80, 72); // above the parallel threshold
