@@ -5,7 +5,10 @@ use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criteri
 use fedhisyn_nn::wire::{codec_transform_in_place, decode_with, encode_with, Codec, CodecScratch};
 use fedhisyn_nn::ParamVec;
 use fedhisyn_tensor::quant::{dequantize_slice, finite_min_max, quant_scale, quantize_slice};
-use fedhisyn_tensor::{gemm, gemm_nt, gemm_tn, rng_from_seed, Tensor};
+use fedhisyn_tensor::{
+    active_tier, gemm, gemm_nt, gemm_nt_with_tier, gemm_tn, gemm_tn_with_tier, gemm_with_tier,
+    rng_from_seed, KernelTier, Tensor,
+};
 
 /// Serial GEMM at the shapes the ledger workloads run: the paper MLP's
 /// 784→200 layer at batch 50 in all three orientations, and the
@@ -13,9 +16,14 @@ use fedhisyn_tensor::{gemm, gemm_nt, gemm_tn, rng_from_seed, Tensor};
 /// 16×16, F = 16 on 8×8): the forward `W · cols` (nn, 8×27×256 and
 /// 16×72×64), the `dW` accumulation `cols · dY_rows` onto the transposed
 /// gradient (nn, β = 1, 27×256×8 and 72×64×16) and conv 2's
-/// `dcols = Wᵀ · dY` (tn, 72×16×64).
+/// `dcols = Wᵀ · dY` (tn, 72×16×64). Then both sides of the small-problem
+/// fork at a `churn_wire` batch (2×24×10) and a `lazy_cohort` one
+/// (30×24×10), in all three orientations: once through the entry point,
+/// which runs the small kernel there (ids end in `/small`), and once forced
+/// through the active tier's blocked kernel (`/blocked`).
 fn bench_gemm(c: &mut Criterion) {
     type Kernel = fn(&[f32], &[f32], &mut [f32], usize, usize, usize, f32, f32);
+    type TierKernel = fn(KernelTier, &[f32], &[f32], &mut [f32], usize, usize, usize, f32, f32);
     let mut group = c.benchmark_group("gemm");
     let mut rng = rng_from_seed(0);
     for (name, kernel, m, k, n, beta) in [
@@ -38,6 +46,30 @@ fn bench_gemm(c: &mut Criterion) {
                 black_box(out[0])
             })
         });
+    }
+    let tier = active_tier();
+    for (m, k, n) in [(2, 24, 10), (30, 24, 10)] {
+        for (name, kernel, with_tier) in [
+            ("nn", gemm as Kernel, gemm_with_tier as TierKernel),
+            ("nt", gemm_nt, gemm_nt_with_tier),
+            ("tn", gemm_tn, gemm_tn_with_tier),
+        ] {
+            let a = Tensor::randn(vec![m * k], 1.0, &mut rng);
+            let b = Tensor::randn(vec![k * n], 1.0, &mut rng);
+            let mut out = vec![0.0f32; m * n];
+            group.bench_function(format!("{name}/{m}x{k}x{n}/small"), |bench| {
+                bench.iter(|| {
+                    kernel(a.data(), b.data(), &mut out, m, k, n, 1.0, 0.0);
+                    black_box(out[0])
+                })
+            });
+            group.bench_function(format!("{name}/{m}x{k}x{n}/blocked"), |bench| {
+                bench.iter(|| {
+                    with_tier(tier, a.data(), b.data(), &mut out, m, k, n, 1.0, 0.0);
+                    black_box(out[0])
+                })
+            });
+        }
     }
     group.finish();
 }

@@ -96,7 +96,7 @@ pub fn train_steps(
 /// Best-effort runtime stat of this thread's cached model (built on first
 /// use): its arena high-water mark in bytes. A per-thread runtime
 /// observation — telemetry only, outside the determinism contract.
-pub fn cached_model_stats(env: &FlEnv) -> u64 {
+pub(crate) fn cached_model_stats(env: &FlEnv) -> u64 {
     ExecutionEngine::with_model(&env.spec, |model| model.arena_high_water_bytes() as u64)
 }
 

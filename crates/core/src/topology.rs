@@ -71,7 +71,7 @@ impl Ring {
     /// set — is **bit-identical** to [`Ring::build`] (same RNG
     /// consumption, same order, no extra allocation), which is what
     /// keeps fault-free runs byte-for-byte reproducible.
-    pub fn build_with_suspects<R: Rng>(
+    pub(crate) fn build_with_suspects<R: Rng>(
         members: &[usize],
         latencies: &[f64],
         order: RingOrder,
@@ -118,7 +118,7 @@ impl Ring {
 
     /// The ring position after `pos`: each device forwards to the one
     /// there, and the last position wraps to the first.
-    pub fn next_position(&self, pos: usize) -> usize {
+    pub(crate) fn next_position(&self, pos: usize) -> usize {
         (pos + 1) % self.order.len()
     }
 }

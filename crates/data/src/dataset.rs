@@ -69,7 +69,8 @@ impl Dataset {
 
     /// Empirical label distribution (length = `classes`, sums to 1 when
     /// non-empty).
-    pub fn label_distribution(&self) -> Vec<f64> {
+    #[cfg(test)]
+    pub(crate) fn label_distribution(&self) -> Vec<f64> {
         let hist = self.class_histogram();
         let n = self.len().max(1) as f64;
         hist.into_iter().map(|c| c as f64 / n).collect()

@@ -12,7 +12,7 @@ use serde::{Deserialize, Serialize};
 /// modulator ([`FleetDynamics::modulator`]): one walk for the whole
 /// fleet, whose state scales every device's latency in that round.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct MarkovCapacity {
+pub struct ModulatorChain {
     /// Latency multiplier of each state (state 0 is conventionally the
     /// baseline, multiplier 1.0). All must be positive.
     pub multipliers: Vec<f64>,
@@ -23,12 +23,12 @@ pub struct MarkovCapacity {
     pub initial: Vec<f64>,
 }
 
-impl MarkovCapacity {
+impl ModulatorChain {
     /// A single-state chain with multiplier 1.0 — dynamically *active*
     /// but numerically the identity. Used by equivalence tests to prove
     /// the dynamic code path reproduces the static one bit-for-bit.
     pub fn identity() -> Self {
-        MarkovCapacity {
+        ModulatorChain {
             multipliers: vec![1.0],
             transitions: vec![1.0],
             initial: vec![1.0],
@@ -42,7 +42,7 @@ impl MarkovCapacity {
     /// serves the whole fleet, so correlated slowdowns cost O(1) state
     /// per round regardless of fleet size.
     pub fn diurnal_burst() -> Self {
-        MarkovCapacity {
+        ModulatorChain {
             multipliers: vec![1.0, 1.8, 4.0],
             transitions: vec![
                 0.90, 0.09, 0.01, // off-peak → …
@@ -54,7 +54,7 @@ impl MarkovCapacity {
     }
 
     /// Number of states `K`.
-    pub fn states(&self) -> usize {
+    pub(crate) fn states(&self) -> usize {
         self.multipliers.len()
     }
 
@@ -143,7 +143,7 @@ pub struct FleetDynamics {
     /// model. `None` (the default) is the exact identity: no multiply is
     /// applied, so modulator-free trajectories keep their base latencies
     /// bit for bit.
-    pub modulator: Option<MarkovCapacity>,
+    pub modulator: Option<ModulatorChain>,
 }
 
 impl FleetDynamics {
@@ -180,7 +180,7 @@ impl FleetDynamics {
                 rejoin: dropout.max(0.25),
             },
             mid_round_failure: 0.02,
-            modulator: Some(MarkovCapacity::diurnal_burst()),
+            modulator: Some(ModulatorChain::diurnal_burst()),
         }
     }
 
@@ -218,18 +218,18 @@ mod tests {
     #[test]
     fn modulator_alone_activates_dynamics() {
         let d = FleetDynamics {
-            modulator: Some(MarkovCapacity::diurnal_burst()),
+            modulator: Some(ModulatorChain::diurnal_burst()),
             ..FleetDynamics::default()
         };
         assert!(!d.is_static());
         d.validate();
-        MarkovCapacity::diurnal_burst().validate();
+        ModulatorChain::diurnal_burst().validate();
     }
 
     #[test]
     fn identity_chain_is_active_but_neutral() {
         let d = FleetDynamics {
-            modulator: Some(MarkovCapacity::identity()),
+            modulator: Some(ModulatorChain::identity()),
             ..FleetDynamics::default()
         };
         // Active (exercises the dynamic path) …
@@ -241,7 +241,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "distribution")]
     fn bad_transition_row_panics() {
-        let mut chain = MarkovCapacity::identity();
+        let mut chain = ModulatorChain::identity();
         chain.transitions = vec![0.5];
         chain.validate();
     }

@@ -11,7 +11,7 @@
 //! * [`FleetDynamics`] — declarative config: dropout / rejoin churn
 //!   ([`AvailabilityModel`]), mid-interval failures, whose held model the
 //!   ring forwards to the dead device's live successor, and a fleet-wide
-//!   latency modulator ([`MarkovCapacity`], e.g. off-peak / peak / burst)
+//!   latency modulator ([`ModulatorChain`], e.g. off-peak / peak / burst)
 //!   that scales every device's latency alike.
 //! * [`FleetModel`] — the realised trajectory. Every random decision is
 //!   a pure hash of `(seed, round, device, role)`; each device's
@@ -42,7 +42,7 @@ pub mod model;
 pub mod reference;
 pub mod sampling;
 
-pub use dynamics::{AvailabilityModel, FleetDynamics, MarkovCapacity};
+pub use dynamics::{AvailabilityModel, FleetDynamics, ModulatorChain};
 pub use model::FleetModel;
 pub use reference::ReferenceFleet;
 pub use sampling::sample_online_cohort;

@@ -15,7 +15,7 @@ use std::sync::{Mutex, RwLock};
 
 use fedhisyn_simnet::{seed_mix, unit, ProfileSource};
 
-use crate::dynamics::{AvailabilityModel, FleetDynamics, MarkovCapacity};
+use crate::dynamics::{AvailabilityModel, FleetDynamics, ModulatorChain};
 
 /// Roles keeping the per-(round, device) random streams independent.
 pub(crate) const ROLE_AVAIL: u64 = 0xA1A1_B111;
@@ -315,7 +315,7 @@ impl FleetModel {
     }
 
     /// Memoized state of the fleet-wide modulator `chain` at `round`.
-    fn modulator_state(&self, chain: &MarkovCapacity, round: usize) -> u8 {
+    fn modulator_state(&self, chain: &ModulatorChain, round: usize) -> u8 {
         {
             let memo = self.modulator_memo.read().expect("modulator memo poisoned");
             if round < memo.len() {
@@ -399,7 +399,7 @@ mod tests {
         let dynamic = FleetModel::new(
             &profiles(6),
             FleetDynamics {
-                modulator: Some(MarkovCapacity::identity()),
+                modulator: Some(ModulatorChain::identity()),
                 ..FleetDynamics::default()
             },
             7,
@@ -580,7 +580,7 @@ mod tests {
         let m = FleetModel::new(
             &profiles(30),
             FleetDynamics {
-                modulator: Some(MarkovCapacity::diurnal_burst()),
+                modulator: Some(ModulatorChain::diurnal_burst()),
                 ..FleetDynamics::default()
             },
             17,
@@ -611,7 +611,7 @@ mod tests {
             FleetModel::new(
                 &profiles(4),
                 FleetDynamics {
-                    modulator: Some(MarkovCapacity::diurnal_burst()),
+                    modulator: Some(ModulatorChain::diurnal_burst()),
                     ..FleetDynamics::default()
                 },
                 23,

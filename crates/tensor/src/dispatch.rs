@@ -1,20 +1,22 @@
 //! Runtime CPU-feature dispatch for the GEMM micro-kernels.
 //!
-//! The blocked GEMM drivers ([`crate::gemm()`], [`crate::gemm_nt`],
-//! [`crate::gemm_tn`]) run one register-tiled
-//! micro-kernel that reads A and B where they lie, through strided views
-//! (only `gemm_nt`'s transposed B is packed). Which micro-kernel — and which
-//! tile geometry — is decided **once per process** from the host CPU:
+//! The blocked GEMM path of every entry point ([`crate::gemm()`],
+//! [`crate::gemm_nt`], [`crate::gemm_tn`] and their `par_*` and
+//! `*_with_tier` forms) runs one register-tiled micro-kernel that reads A
+//! and B where they lie, through strided views (only `gemm_nt`'s
+//! transposed B is packed). Which micro-kernel — and which tile geometry —
+//! is decided **once per process** from the host CPU:
 //!
 //! | tier       | tile (`MR×NR`) | inner loop                  |
 //! |------------|----------------|-----------------------------|
 //! | `Scalar`   | 4×8            | auto-vectorized mul+add     |
 //! | `Avx2`     | 6×16           | `_mm256_mul_ps`/`add_ps`    |
 //!
-//! Both tiers accumulate each output element over the reduction dimension
-//! in the same `p = 0..k` order with plain IEEE-754 `f32` multiply and add
-//! (no fused contraction anywhere) — so they produce **bit-identical
-//! results** on every shape, α/β case and thread count (the tile geometry
+//! Both tiers compute each output element by the one GEMM contract — seed
+//! `β·c` (nothing read when β = 0), add `(α·a)·b` over `p = 0..k` in order,
+//! store — with plain IEEE-754 `f32` multiply and add (no fused
+//! contraction anywhere), so they produce **bit-identical results** on
+//! every shape, orientation, α/β case and thread count (the tile geometry
 //! only changes which elements are computed together, never the per-element
 //! operation sequence). The workspace-wide bit-determinism contract covers
 //! every tier there is.

@@ -18,34 +18,34 @@
 //!   `b[off + p·stride ..]`: row-major `[k, n]` in place with stride `n`,
 //!   the last `n mod NR` lanes loaded masked so lanes past `n` read 0.
 //!
-//! The one operand a call copies is `gemm_nt`'s B, which is `[n, k]` — a
-//! transpose — packed once into zero-padded p-major `[k, NR]` panels
-//! (`O(kn)` against `O(mkn)` arithmetic). A `gemm`/`gemm_tn` call with
-//! α ≠ 1 reads `α·a` from a copy instead of `a`. Both copies live in a
-//! thread-local buffer (checked out per call, returned after), so
-//! steady-state kernels perform **no heap allocation**. Problems under
-//! [`BLOCKED_MIN_FLOPS`] run a streaming scalar kernel instead.
+//! The operand a call always copies is `gemm_nt`'s B, which is `[n, k]` —
+//! a transpose — packed once into zero-padded p-major `[k, NR]` panels
+//! (`O(kn)` against `O(mkn)` arithmetic). A call with α ≠ 1 also reads
+//! `α·a` from a copy instead of `a`. Both copies live in one thread-local
+//! buffer (checked out per call, returned after), so steady-state kernels
+//! perform **no heap allocation**. Problems under [`BLOCKED_MIN_FLOPS`]
+//! run a streaming scalar kernel instead.
 //!
 //! **Which** micro-kernel runs — and with which tile geometry — is decided
 //! once per process by [`crate::dispatch`]: the portable scalar `4×8`
 //! lattice (LLVM auto-vectorized at the baseline target) or a
 //! hand-written AVX2 `6×16` tile. `FEDHISYN_FORCE_SCALAR=1` pins the
-//! scalar tier.
+//! scalar tier. All nine public entry points are one-line calls into one
+//! private dispatch, which checks the operand lengths and picks the path.
 //!
 //! # Determinism invariants
 //!
 //! Every path — naive reference, small scalar, blocked serial, blocked
-//! parallel, scalar or AVX2 tier, any thread count — accumulates each
-//! output element in the **same order**: `p = 0..k` sequentially, with
-//! identical α/β placement per orientation (`gemm`/`gemm_tn` start from
-//! the β-scaled output and add `(α·a)·b` terms; `gemm_nt` sums raw `a·b`
-//! products and applies `α·Σ + β·c` once). Blocking tiles only `m` and
-//! `n`, never the reduction dimension; parallelism splits rows of `C`; and
-//! the AVX2 tile vectorizes across columns with separate IEEE multiply and
-//! add — so results are bit-identical everywhere. The
-//! [`reference`](mod@reference) module keeps the
-//! naive triple-loop kernels as the executable statement of that contract;
-//! the equivalence tests assert exact equality against them.
+//! parallel, scalar or AVX2 tier, any thread count — computes each output
+//! element by **one contract**, in every orientation: seed `acc = β·c`
+//! (0 when β = 0, reading nothing, so NaNs in `c` are clobbered), add
+//! `(α·a)·b` for `p = 0..k` in order, store `acc`. Blocking tiles only `m`
+//! and `n`, never the reduction dimension; parallelism splits rows of `C`;
+//! and the AVX2 tile vectorizes across columns with separate IEEE multiply
+//! and add — so results are bit-identical everywhere. The
+//! [`reference`](mod@reference) module keeps the naive triple loop as the
+//! executable statement of that contract; the equivalence tests assert
+//! exact equality against it.
 //!
 //! [`par_gemm`], [`par_gemm_nt`] and [`par_gemm_tn`] fan out across the
 //! rayon pool above a FLOP threshold and fall back to the serial kernels
@@ -75,7 +75,7 @@ pub(crate) const SCALAR_MR: usize = 4;
 pub(crate) const SCALAR_NR: usize = 8;
 
 thread_local! {
-    /// Per-thread buffer for the one operand copy a blocked call makes
+    /// Per-thread buffer for the operand copies a blocked call makes
     /// (module docs), checked out per kernel invocation so re-entrant calls
     /// (pool work-helping) never alias a buffer in use.
     static COPY: Cell<Vec<f32>> = const { Cell::new(Vec::new()) };
@@ -100,16 +100,7 @@ pub mod reference {
         alpha: f32,
         beta: f32,
     ) {
-        for i in 0..m {
-            for j in 0..n {
-                let cv = &mut c[i * n + j];
-                let mut acc = if beta == 0.0 { 0.0 } else { beta * *cv };
-                for p in 0..k {
-                    acc += (alpha * a[i * k + p]) * b[p * n + j];
-                }
-                *cv = acc;
-            }
-        }
+        naive(a, (k, 1), b, (n, 1), c, m, k, n, alpha, beta);
     }
 
     /// Specification of [`super::gemm_nt`] (`B` is `[n, k]`).
@@ -124,20 +115,7 @@ pub mod reference {
         alpha: f32,
         beta: f32,
     ) {
-        for i in 0..m {
-            for j in 0..n {
-                let mut acc = 0.0f32;
-                for p in 0..k {
-                    acc += a[i * k + p] * b[j * k + p];
-                }
-                let cv = &mut c[i * n + j];
-                *cv = if beta == 0.0 {
-                    alpha * acc
-                } else {
-                    alpha * acc + beta * *cv
-                };
-            }
-        }
+        naive(a, (k, 1), b, (1, k), c, m, k, n, alpha, beta);
     }
 
     /// Specification of [`super::gemm_tn`] (`A` is `[k, m]`).
@@ -152,12 +130,30 @@ pub mod reference {
         alpha: f32,
         beta: f32,
     ) {
+        naive(a, (1, m), b, (n, 1), c, m, k, n, alpha, beta);
+    }
+
+    /// The contract of the module docs, with A's element `(i, p)` at
+    /// `a[i·ars + p·aps]` and B's element `(p, j)` at `b[p·bps + j·bjs]`.
+    #[allow(clippy::too_many_arguments)]
+    fn naive(
+        a: &[f32],
+        (ars, aps): (usize, usize),
+        b: &[f32],
+        (bps, bjs): (usize, usize),
+        c: &mut [f32],
+        m: usize,
+        k: usize,
+        n: usize,
+        alpha: f32,
+        beta: f32,
+    ) {
         for i in 0..m {
             for j in 0..n {
                 let cv = &mut c[i * n + j];
                 let mut acc = if beta == 0.0 { 0.0 } else { beta * *cv };
                 for p in 0..k {
-                    acc += (alpha * a[p * m + i]) * b[p * n + j];
+                    acc += (alpha * a[i * ars + p * aps]) * b[p * bps + j * bjs];
                 }
                 *cv = acc;
             }
@@ -185,9 +181,9 @@ pub(crate) struct Operands<'a> {
 
 impl<'a> Operands<'a> {
     /// The views one call reads: A and B in place, except `gemm_nt`'s B,
-    /// packed into `copy`, and a `gemm`/`gemm_tn` A with α ≠ 1, whose
-    /// `α·a` is written to `copy` — the same product the kernels read on
-    /// every path, so the bits do not depend on which one ran.
+    /// packed into `copy`, and an A with α ≠ 1, whose `α·a` is written to
+    /// `copy` after it — the same product the kernels read on every path,
+    /// so the bits do not depend on which one ran.
     fn new(
         orient: Orient,
         a: &'a [f32],
@@ -207,15 +203,17 @@ impl<'a> Operands<'a> {
                     panel[p * nr] = v;
                 }
             }
-        } else if alpha != 1.0 {
+        }
+        let packed_len = copy.len();
+        if alpha != 1.0 {
             copy.extend(a.iter().map(|&v| alpha * v));
         }
-        let copy: &'a [f32] = copy;
-        let scaled = if alpha == 1.0 { a } else { copy };
-        let (a, rs, ps, b, scale, stride) = match orient {
-            Orient::Nn => (scaled, k, 1, b, 1, n),
-            Orient::Tn => (scaled, 1, m, b, 1, n),
-            Orient::Nt => (a, k, 1, copy, k, nr),
+        let (packed, scaled) = copy.split_at(packed_len);
+        let a = if alpha == 1.0 { a } else { scaled };
+        let (rs, ps, b, scale, stride) = match orient {
+            Orient::Nn => (k, 1, b, 1, n),
+            Orient::Tn => (1, m, b, 1, n),
+            Orient::Nt => (k, 1, packed, k, nr),
         };
         Operands {
             a,
@@ -226,12 +224,6 @@ impl<'a> Operands<'a> {
             stride,
             padded,
         }
-    }
-
-    /// The same views with A starting at row `i0`.
-    fn starting_at(mut self, i0: usize) -> Self {
-        self.a = &self.a[i0 * self.rs..];
-        self
     }
 
     /// The A offset each of a tile's `MR` rows reads from, for the tile at
@@ -252,21 +244,9 @@ impl<'a> Operands<'a> {
 
 // ---- micro-kernel --------------------------------------------------------
 
-/// How the register tile is seeded and written back.
-#[derive(Clone, Copy, PartialEq)]
-pub(crate) enum Accum {
-    /// Seed `acc = β·c` (0 when β = 0, clobbering NaNs) and store `acc`
-    /// directly — the `gemm`/`gemm_tn` flavour, whose A operand carries
-    /// α (the `α·a` copy when α ≠ 1).
-    SeededByBeta { beta: f32 },
-    /// Seed `acc = 0`, store `α·acc + β·c` (just `α·acc` when β = 0) —
-    /// the `gemm_nt` flavour, matching its historical dot-product shape.
-    ScaledOnStore { alpha: f32, beta: f32 },
-}
-
 /// The scalar register-tiled inner kernel: one `rows×cols` corner of an
-/// `SCALAR_MR×SCALAR_NR` tile of `C`, accumulated over the full reduction
-/// dimension.
+/// `SCALAR_MR×SCALAR_NR` tile of `C`, seeded with `β·c` (nothing read when
+/// β = 0) and accumulated over the full reduction dimension.
 ///
 /// The `p` loop runs fixed `MR`/`NR` bounds, which LLVM unrolls into
 /// `f32`-lane FMAs-without-contraction (plain mul+add, so results are
@@ -288,18 +268,16 @@ unsafe fn micro_kernel_scalar(
     rows: usize,
     cols: usize,
     k: usize,
-    mode: Accum,
+    beta: f32,
 ) {
     const MR: usize = SCALAR_MR;
     const NR: usize = SCALAR_NR;
     let mut acc = [[0.0f32; NR]; MR];
-    if let Accum::SeededByBeta { beta } = mode {
-        if beta != 0.0 {
-            for r in 0..rows {
-                let crow = &c[(row0 + r) * n + col0..];
-                for j in 0..cols {
-                    acc[r][j] = beta * crow[j];
-                }
+    if beta != 0.0 {
+        for r in 0..rows {
+            let crow = &c[(row0 + r) * n + col0..];
+            for j in 0..cols {
+                acc[r][j] = beta * crow[j];
             }
         }
     }
@@ -327,25 +305,9 @@ unsafe fn micro_kernel_scalar(
             );
         }
     }
-    match mode {
-        Accum::SeededByBeta { .. } => {
-            for r in 0..rows {
-                let crow = &mut c[(row0 + r) * n + col0..];
-                crow[..cols].copy_from_slice(&acc[r][..cols]);
-            }
-        }
-        Accum::ScaledOnStore { alpha, beta } => {
-            for r in 0..rows {
-                let crow = &mut c[(row0 + r) * n + col0..];
-                for j in 0..cols {
-                    crow[j] = if beta == 0.0 {
-                        alpha * acc[r][j]
-                    } else {
-                        alpha * acc[r][j] + beta * crow[j]
-                    };
-                }
-            }
-        }
+    for r in 0..rows {
+        let crow = &mut c[(row0 + r) * n + col0..];
+        crow[..cols].copy_from_slice(&acc[r][..cols]);
     }
 }
 
@@ -384,6 +346,8 @@ fn gemm_small(
     }
 }
 
+/// The streaming kernel of `gemm_nt`: element `(i, j)` is the dot product
+/// of A's row `i` and B's row `j`, seeded and summed by the same contract.
 #[allow(clippy::too_many_arguments)] // BLAS-style internals
 fn gemm_nt_small(
     a: &[f32],
@@ -397,18 +361,12 @@ fn gemm_nt_small(
 ) {
     for i in 0..m {
         let arow = &a[i * k..(i + 1) * k];
-        for j in 0..n {
-            let brow = &b[j * k..(j + 1) * k];
-            let mut acc = 0.0f32;
-            for (&x, &y) in arow.iter().zip(brow) {
-                acc += x * y;
+        for (j, cv) in c[i * n..(i + 1) * n].iter_mut().enumerate() {
+            let mut acc = if beta == 0.0 { 0.0 } else { beta * *cv };
+            for (&x, &y) in arow.iter().zip(&b[j * k..(j + 1) * k]) {
+                acc += (alpha * x) * y;
             }
-            let cv = &mut c[i * n + j];
-            *cv = if beta == 0.0 {
-                alpha * acc
-            } else {
-                alpha * acc + beta * *cv
-            };
+            *cv = acc;
         }
     }
 }
@@ -424,7 +382,7 @@ fn blocked_rows(
     rows: usize,
     k: usize,
     n: usize,
-    mode: Accum,
+    beta: f32,
 ) {
     let (mr, nr) = tier.tile();
     // The farthest element each view touches: A's last row at the last
@@ -445,13 +403,13 @@ fn blocked_rows(
         for j0 in (0..n).step_by(nr) {
             let w = nr.min(n - j0);
             // SAFETY: the assert above bounds every load of both views, and
-            // `tier` is executable: the dispatcher and the `*_with_tier`
-            // entry points only hand out an available tier.
+            // `tier` is executable: `dispatch` only hands out an available
+            // tier.
             unsafe {
                 match tier {
-                    KernelTier::Scalar => micro_kernel_scalar(ops, c, i0, j0, n, h, w, k, mode),
+                    KernelTier::Scalar => micro_kernel_scalar(ops, c, i0, j0, n, h, w, k, beta),
                     #[cfg(target_arch = "x86_64")]
-                    KernelTier::Avx2 => tile_avx2(ops, c, i0, j0, n, h, w, k, mode),
+                    KernelTier::Avx2 => tile_avx2(ops, c, i0, j0, n, h, w, k, beta),
                     #[cfg(not(target_arch = "x86_64"))]
                     KernelTier::Avx2 => unreachable!("the AVX2 tier is never selected off x86_64"),
                 }
@@ -460,7 +418,9 @@ fn blocked_rows(
     }
 }
 
-/// Orientation of a blocked call.
+// ---- dispatch ------------------------------------------------------------
+
+/// Orientation of a call.
 #[derive(Clone, Copy)]
 enum Orient {
     Nn,
@@ -468,13 +428,29 @@ enum Orient {
     Tn,
 }
 
-/// The blocked driver of every orientation: one serial pass over `C`, or
-/// (`parallel`) `MR`-row bands of `C` spread over the rayon pool.
-#[allow(clippy::too_many_arguments)]
-fn gemm_blocked(
-    tier: KernelTier,
+/// Which kernel an entry point runs.
+#[derive(Clone, Copy)]
+enum Path {
+    /// `gemm*`: the small-problem kernel below [`BLOCKED_MIN_FLOPS`], else
+    /// the blocked kernel on the active tier.
+    Serial,
+    /// `par_gemm*`: as `Serial`, except that a problem of at least
+    /// [`PAR_FLOP_THRESHOLD`] multiply-adds and more than `MR` rows runs
+    /// the blocked kernel's `MR`-row bands over the rayon pool (when it has
+    /// more than one thread).
+    Parallel,
+    /// `*_with_tier`: the blocked kernel on this tier, serially, at every
+    /// size. Panics if the tier is not executable on this CPU.
+    Tier(KernelTier),
+}
+
+/// The body of all nine entry points: check the operand lengths (A holds
+/// `m·k` elements and B `k·n` in every orientation), then run the kernel
+/// `path` picks for `orient`.
+#[allow(clippy::too_many_arguments)] // BLAS-style internals
+fn dispatch(
+    path: Path,
     orient: Orient,
-    parallel: bool,
     a: &[f32],
     b: &[f32],
     c: &mut [f32],
@@ -484,14 +460,35 @@ fn gemm_blocked(
     alpha: f32,
     beta: f32,
 ) {
+    assert!(
+        a.len() == m * k && b.len() == k * n && c.len() == m * n,
+        "gemm: operand lengths {}, {}, {} do not match m = {m}, k = {k}, n = {n}",
+        a.len(),
+        b.len(),
+        c.len()
+    );
+    let tier = match path {
+        Path::Tier(tier) => {
+            assert!(tier.available(), "kernel tier {} unavailable", tier.name());
+            tier
+        }
+        _ if m * k * n < BLOCKED_MIN_FLOPS => {
+            return match orient {
+                Orient::Nn => gemm_small(a, (k, 1), b, c, m, k, n, alpha, beta),
+                Orient::Tn => gemm_small(a, (1, m), b, c, m, k, n, alpha, beta),
+                Orient::Nt => gemm_nt_small(a, b, c, m, k, n, alpha, beta),
+            };
+        }
+        Path::Serial | Path::Parallel => active_tier(),
+    };
     let (mr, nr) = tier.tile();
     let mut copy = COPY.with(Cell::take);
     let ops = Operands::new(orient, a, b, (m, k, n), nr, alpha, &mut copy);
-    let mode = match orient {
-        Orient::Nn | Orient::Tn => Accum::SeededByBeta { beta },
-        Orient::Nt => Accum::ScaledOnStore { alpha, beta },
-    };
-    if parallel {
+    let fan_out = matches!(path, Path::Parallel)
+        && m * k * n >= PAR_FLOP_THRESHOLD
+        && m > mr
+        && rayon::current_num_threads() > 1;
+    if fan_out {
         // Every band reads the shared views from its own first row.
         // Accumulation order per element is independent of the banding,
         // so this is bit-identical to the serial pass for any thread count.
@@ -499,78 +496,13 @@ fn gemm_blocked(
             .enumerate()
             .for_each(|(band, cband)| {
                 let rows = cband.len() / n;
-                blocked_rows(tier, &ops.starting_at(band * mr), cband, rows, k, n, mode);
+                let a = &ops.a[band * mr * ops.rs..];
+                blocked_rows(tier, &Operands { a, ..ops }, cband, rows, k, n, beta);
             });
     } else {
-        blocked_rows(tier, &ops, c, m, k, n, mode);
+        blocked_rows(tier, &ops, c, m, k, n, beta);
     }
     COPY.with(|slot| slot.set(copy));
-}
-
-// ---- explicit-tier entry points ------------------------------------------
-
-/// [`gemm`] forced through a specific kernel tier's blocked path (no
-/// small-problem shortcut), so tests and benches can compare tiers on the
-/// same operands. Panics if the tier is not executable on this CPU.
-#[allow(clippy::too_many_arguments)] // BLAS-style signature, on purpose
-pub fn gemm_with_tier(
-    tier: KernelTier,
-    a: &[f32],
-    b: &[f32],
-    c: &mut [f32],
-    m: usize,
-    k: usize,
-    n: usize,
-    alpha: f32,
-    beta: f32,
-) {
-    assert!(tier.available(), "kernel tier {} unavailable", tier.name());
-    assert_eq!(a.len(), m * k, "gemm_with_tier: bad A length");
-    assert_eq!(b.len(), k * n, "gemm_with_tier: bad B length");
-    assert_eq!(c.len(), m * n, "gemm_with_tier: bad C length");
-    gemm_blocked(tier, Orient::Nn, false, a, b, c, m, k, n, alpha, beta);
-}
-
-/// [`gemm_nt`] forced through a specific kernel tier (see
-/// [`gemm_with_tier`]).
-#[allow(clippy::too_many_arguments)] // BLAS-style signature, on purpose
-pub fn gemm_nt_with_tier(
-    tier: KernelTier,
-    a: &[f32],
-    b: &[f32],
-    c: &mut [f32],
-    m: usize,
-    k: usize,
-    n: usize,
-    alpha: f32,
-    beta: f32,
-) {
-    assert!(tier.available(), "kernel tier {} unavailable", tier.name());
-    assert_eq!(a.len(), m * k, "gemm_nt_with_tier: bad A length");
-    assert_eq!(b.len(), n * k, "gemm_nt_with_tier: bad B length");
-    assert_eq!(c.len(), m * n, "gemm_nt_with_tier: bad C length");
-    gemm_blocked(tier, Orient::Nt, false, a, b, c, m, k, n, alpha, beta);
-}
-
-/// [`gemm_tn`] forced through a specific kernel tier (see
-/// [`gemm_with_tier`]).
-#[allow(clippy::too_many_arguments)] // BLAS-style signature, on purpose
-pub fn gemm_tn_with_tier(
-    tier: KernelTier,
-    a: &[f32],
-    b: &[f32],
-    c: &mut [f32],
-    m: usize,
-    k: usize,
-    n: usize,
-    alpha: f32,
-    beta: f32,
-) {
-    assert!(tier.available(), "kernel tier {} unavailable", tier.name());
-    assert_eq!(a.len(), k * m, "gemm_tn_with_tier: bad A length");
-    assert_eq!(b.len(), k * n, "gemm_tn_with_tier: bad B length");
-    assert_eq!(c.len(), m * n, "gemm_tn_with_tier: bad C length");
-    gemm_blocked(tier, Orient::Tn, false, a, b, c, m, k, n, alpha, beta);
 }
 
 // ---- public entry points -------------------------------------------------
@@ -595,15 +527,7 @@ pub fn gemm(
     alpha: f32,
     beta: f32,
 ) {
-    assert_eq!(a.len(), m * k, "gemm: bad A length");
-    assert_eq!(b.len(), k * n, "gemm: bad B length");
-    assert_eq!(c.len(), m * n, "gemm: bad C length");
-    if m * k * n < BLOCKED_MIN_FLOPS {
-        gemm_small(a, (k, 1), b, c, m, k, n, alpha, beta);
-    } else {
-        let tier = active_tier();
-        gemm_blocked(tier, Orient::Nn, false, a, b, c, m, k, n, alpha, beta);
-    }
+    dispatch(Path::Serial, Orient::Nn, a, b, c, m, k, n, alpha, beta);
 }
 
 /// `C = alpha * A @ Bᵀ + beta * C`; `a` is `[m, k]`, `b` is `[n, k]`,
@@ -619,15 +543,7 @@ pub fn gemm_nt(
     alpha: f32,
     beta: f32,
 ) {
-    assert_eq!(a.len(), m * k, "gemm_nt: bad A length");
-    assert_eq!(b.len(), n * k, "gemm_nt: bad B length");
-    assert_eq!(c.len(), m * n, "gemm_nt: bad C length");
-    if m * k * n < BLOCKED_MIN_FLOPS {
-        gemm_nt_small(a, b, c, m, k, n, alpha, beta);
-    } else {
-        let tier = active_tier();
-        gemm_blocked(tier, Orient::Nt, false, a, b, c, m, k, n, alpha, beta);
-    }
+    dispatch(Path::Serial, Orient::Nt, a, b, c, m, k, n, alpha, beta);
 }
 
 /// `C = alpha * Aᵀ @ B + beta * C`; `a` is `[k, m]`, `b` is `[k, n]`,
@@ -643,21 +559,7 @@ pub fn gemm_tn(
     alpha: f32,
     beta: f32,
 ) {
-    assert_eq!(a.len(), k * m, "gemm_tn: bad A length");
-    assert_eq!(b.len(), k * n, "gemm_tn: bad B length");
-    assert_eq!(c.len(), m * n, "gemm_tn: bad C length");
-    if m * k * n < BLOCKED_MIN_FLOPS {
-        gemm_small(a, (1, m), b, c, m, k, n, alpha, beta);
-    } else {
-        let tier = active_tier();
-        gemm_blocked(tier, Orient::Tn, false, a, b, c, m, k, n, alpha, beta);
-    }
-}
-
-/// True when the problem is worth fanning out to the pool.
-#[inline]
-fn parallel_worthwhile(m: usize, k: usize, n: usize, mr: usize) -> bool {
-    m * k * n >= PAR_FLOP_THRESHOLD && m > mr && rayon::current_num_threads() > 1
+    dispatch(Path::Serial, Orient::Tn, a, b, c, m, k, n, alpha, beta);
 }
 
 /// Parallel version of [`gemm`]: MR-row bands of `C` are distributed over
@@ -674,15 +576,7 @@ pub fn par_gemm(
     alpha: f32,
     beta: f32,
 ) {
-    assert_eq!(a.len(), m * k, "par_gemm: bad A length");
-    assert_eq!(b.len(), k * n, "par_gemm: bad B length");
-    assert_eq!(c.len(), m * n, "par_gemm: bad C length");
-    let tier = active_tier();
-    if parallel_worthwhile(m, k, n, tier.tile().0) {
-        gemm_blocked(tier, Orient::Nn, true, a, b, c, m, k, n, alpha, beta);
-    } else {
-        gemm(a, b, c, m, k, n, alpha, beta);
-    }
+    dispatch(Path::Parallel, Orient::Nn, a, b, c, m, k, n, alpha, beta);
 }
 
 /// Parallel version of [`gemm_nt`]; bit-identical to the serial kernel.
@@ -697,15 +591,7 @@ pub fn par_gemm_nt(
     alpha: f32,
     beta: f32,
 ) {
-    assert_eq!(a.len(), m * k, "par_gemm_nt: bad A length");
-    assert_eq!(b.len(), n * k, "par_gemm_nt: bad B length");
-    assert_eq!(c.len(), m * n, "par_gemm_nt: bad C length");
-    let tier = active_tier();
-    if parallel_worthwhile(m, k, n, tier.tile().0) {
-        gemm_blocked(tier, Orient::Nt, true, a, b, c, m, k, n, alpha, beta);
-    } else {
-        gemm_nt(a, b, c, m, k, n, alpha, beta);
-    }
+    dispatch(Path::Parallel, Orient::Nt, a, b, c, m, k, n, alpha, beta);
 }
 
 /// Parallel version of [`gemm_tn`]; bit-identical to the serial kernel.
@@ -720,15 +606,59 @@ pub fn par_gemm_tn(
     alpha: f32,
     beta: f32,
 ) {
-    assert_eq!(a.len(), k * m, "par_gemm_tn: bad A length");
-    assert_eq!(b.len(), k * n, "par_gemm_tn: bad B length");
-    assert_eq!(c.len(), m * n, "par_gemm_tn: bad C length");
-    let tier = active_tier();
-    if parallel_worthwhile(m, k, n, tier.tile().0) {
-        gemm_blocked(tier, Orient::Tn, true, a, b, c, m, k, n, alpha, beta);
-    } else {
-        gemm_tn(a, b, c, m, k, n, alpha, beta);
-    }
+    dispatch(Path::Parallel, Orient::Tn, a, b, c, m, k, n, alpha, beta);
+}
+
+/// [`gemm`] forced through a specific kernel tier's blocked path (no
+/// small-problem shortcut), so tests and benches can compare tiers on the
+/// same operands. Panics if the tier is not executable on this CPU.
+#[allow(clippy::too_many_arguments)] // BLAS-style signature, on purpose
+pub fn gemm_with_tier(
+    tier: KernelTier,
+    a: &[f32],
+    b: &[f32],
+    c: &mut [f32],
+    m: usize,
+    k: usize,
+    n: usize,
+    alpha: f32,
+    beta: f32,
+) {
+    dispatch(Path::Tier(tier), Orient::Nn, a, b, c, m, k, n, alpha, beta);
+}
+
+/// [`gemm_nt`] forced through a specific kernel tier (see
+/// [`gemm_with_tier`]).
+#[allow(clippy::too_many_arguments)] // BLAS-style signature, on purpose
+pub fn gemm_nt_with_tier(
+    tier: KernelTier,
+    a: &[f32],
+    b: &[f32],
+    c: &mut [f32],
+    m: usize,
+    k: usize,
+    n: usize,
+    alpha: f32,
+    beta: f32,
+) {
+    dispatch(Path::Tier(tier), Orient::Nt, a, b, c, m, k, n, alpha, beta);
+}
+
+/// [`gemm_tn`] forced through a specific kernel tier (see
+/// [`gemm_with_tier`]).
+#[allow(clippy::too_many_arguments)] // BLAS-style signature, on purpose
+pub fn gemm_tn_with_tier(
+    tier: KernelTier,
+    a: &[f32],
+    b: &[f32],
+    c: &mut [f32],
+    m: usize,
+    k: usize,
+    n: usize,
+    alpha: f32,
+    beta: f32,
+) {
+    dispatch(Path::Tier(tier), Orient::Tn, a, b, c, m, k, n, alpha, beta);
 }
 
 #[cfg(test)]
@@ -821,30 +751,21 @@ mod tests {
                 let b_nn = random_vec(k * n, seed + 1);
                 let c0 = random_vec(m * n, seed + 2);
 
-                let mut want = c0.clone();
-                reference::gemm(&a_nn, &b_nn, &mut want, m, k, n, alpha, beta);
-                for kernel in [gemm, par_gemm] {
-                    let mut got = c0.clone();
-                    kernel(&a_nn, &b_nn, &mut got, m, k, n, alpha, beta);
-                    assert_eq!(got, want, "gemm {m}x{k}x{n} α={alpha} β={beta}");
-                }
-
                 let b_t = random_vec(n * k, seed + 3);
-                let mut want = c0.clone();
-                reference::gemm_nt(&a_nn, &b_t, &mut want, m, k, n, alpha, beta);
-                for kernel in [gemm_nt, par_gemm_nt] {
-                    let mut got = c0.clone();
-                    kernel(&a_nn, &b_t, &mut got, m, k, n, alpha, beta);
-                    assert_eq!(got, want, "gemm_nt {m}x{k}x{n} α={alpha} β={beta}");
-                }
-
                 let a_t = random_vec(k * m, seed + 4);
-                let mut want = c0.clone();
-                reference::gemm_tn(&a_t, &b_nn, &mut want, m, k, n, alpha, beta);
-                for kernel in [gemm_tn, par_gemm_tn] {
-                    let mut got = c0.clone();
-                    kernel(&a_t, &b_nn, &mut got, m, k, n, alpha, beta);
-                    assert_eq!(got, want, "gemm_tn {m}x{k}x{n} α={alpha} β={beta}");
+                for (name, a, b) in [
+                    ("nn", &a_nn, &b_nn),
+                    ("nt", &a_nn, &b_t),
+                    ("tn", &a_t, &b_nn),
+                ] {
+                    let (reference, kernels, _) = orientation(name);
+                    let mut want = c0.clone();
+                    reference(a, b, &mut want, m, k, n, alpha, beta);
+                    for kernel in kernels {
+                        let mut got = c0.clone();
+                        kernel(a, b, &mut got, m, k, n, alpha, beta);
+                        assert_eq!(got, want, "{name} {m}x{k}x{n} α={alpha} β={beta}");
+                    }
                 }
             }
         }
@@ -883,29 +804,14 @@ mod tests {
                 let at = random_vec(k * m, seed + 3);
                 let c0 = random_vec(m * n, seed + 4);
 
-                let mut s = c0.clone();
-                let mut v = c0.clone();
-                gemm_with_tier(KernelTier::Scalar, &a, &b, &mut s, m, k, n, alpha, beta);
-                gemm_with_tier(KernelTier::Avx2, &a, &b, &mut v, m, k, n, alpha, beta);
-                assert_eq!(s, v, "gemm tiers diverged {m}x{k}x{n} α={alpha} β={beta}");
-
-                let mut s = c0.clone();
-                let mut v = c0.clone();
-                gemm_nt_with_tier(KernelTier::Scalar, &a, &bt, &mut s, m, k, n, alpha, beta);
-                gemm_nt_with_tier(KernelTier::Avx2, &a, &bt, &mut v, m, k, n, alpha, beta);
-                assert_eq!(
-                    s, v,
-                    "gemm_nt tiers diverged {m}x{k}x{n} α={alpha} β={beta}"
-                );
-
-                let mut s = c0.clone();
-                let mut v = c0.clone();
-                gemm_tn_with_tier(KernelTier::Scalar, &at, &b, &mut s, m, k, n, alpha, beta);
-                gemm_tn_with_tier(KernelTier::Avx2, &at, &b, &mut v, m, k, n, alpha, beta);
-                assert_eq!(
-                    s, v,
-                    "gemm_tn tiers diverged {m}x{k}x{n} α={alpha} β={beta}"
-                );
+                for (name, a, b) in [("nn", &a, &b), ("nt", &a, &bt), ("tn", &at, &b)] {
+                    let (_, _, kernel) = orientation(name);
+                    let mut s = c0.clone();
+                    let mut v = c0.clone();
+                    kernel(KernelTier::Scalar, a, b, &mut s, m, k, n, alpha, beta);
+                    kernel(KernelTier::Avx2, a, b, &mut v, m, k, n, alpha, beta);
+                    assert_eq!(s, v, "{name} tiers diverged {m}x{k}x{n} α={alpha} β={beta}");
+                }
             }
         }
         for &(name, m, k, n, beta) in WORKLOAD_CASES {
@@ -1081,10 +987,11 @@ mod tests {
     #[test]
     fn repeated_calls_reuse_pack_buffers() {
         // The thread-local copy buffer is reused across calls: `gemm_nt`
-        // packs its B there and an α ≠ 1 `gemm`/`gemm_tn` writes `α·a`
-        // there. A larger blocked `gemm_nt` runs between the rounds, so a
-        // buffer not reset per call would hand the next one stale contents
-        // of another size (n = 23 ends in a partial panel on both tiles).
+        // packs its B there and an α ≠ 1 call writes `α·a` there (after
+        // the packed B for `gemm_nt`). A larger blocked `gemm_nt` runs
+        // between the rounds, so a buffer not reset per call would hand the
+        // next one stale contents of another size (n = 23 ends in a partial
+        // panel on both tiles).
         let (m, k, n) = (32, 64, 23);
         let a = random_vec(m * k, 90);
         let b = random_vec(k * n, 91);
@@ -1092,7 +999,7 @@ mod tests {
         let big_a = random_vec(big_m * big_k, 92);
         let big_b = random_vec(big_n * big_k, 93);
         for _ in 0..4 {
-            for (name, alpha) in [("nt", 1.0), ("nn", 2.0), ("tn", 2.0)] {
+            for (name, alpha) in [("nt", 1.0), ("nt", 2.0), ("nn", 2.0), ("tn", 2.0)] {
                 let (reference, [serial, _], _) = orientation(name);
                 let mut want = vec![0.0f32; m * n];
                 reference(&a, &b, &mut want, m, k, n, alpha, 0.0);

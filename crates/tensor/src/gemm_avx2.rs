@@ -12,11 +12,11 @@
 //! # Bit-identity
 //!
 //! [`tile_avx2`] performs, per output element, exactly the operation
-//! sequence of the scalar micro-kernel: an optional `β·c` seed (one IEEE
-//! `f32` multiply), then one multiply **and one separate add** per
-//! reduction step, in the same `p = 0..k` order (vector lanes vectorize
-//! across *columns*, never across the reduction), and the same α/β
-//! placement per [`Accum`] mode on store. `_mm256_mul_ps` /
+//! sequence of the scalar micro-kernel — the one GEMM contract: a `β·c`
+//! seed (one IEEE `f32` multiply; nothing read when β = 0), then one
+//! multiply **and one separate add** per reduction step, in the same
+//! `p = 0..k` order (vector lanes vectorize across *columns*, never across
+//! the reduction), and a plain store. `_mm256_mul_ps` /
 //! `_mm256_add_ps` are lane-wise IEEE-754 single ops, so every element is
 //! bit-identical to the scalar tier — `tests/kernel_dispatch.rs` proves it
 //! property-based across shapes, orientations and α/β cases.
@@ -37,7 +37,7 @@
 
 use std::arch::x86_64::*;
 
-use crate::gemm::{Accum, Operands};
+use crate::gemm::Operands;
 
 /// Rows per AVX2 register tile.
 pub(crate) const MR_AVX2: usize = 6;
@@ -65,7 +65,7 @@ pub(crate) unsafe fn tile_avx2(
     rows: usize,
     cols: usize,
     k: usize,
-    mode: Accum,
+    beta: f32,
 ) {
     debug_assert!((1..=MR_AVX2).contains(&rows) && (1..=NR_AVX2).contains(&cols));
     let full = cols == NR_AVX2;
@@ -99,21 +99,44 @@ pub(crate) unsafe fn tile_avx2(
     };
     let mut acc = [[_mm256_setzero_ps(); 2]; MR_AVX2];
 
-    // Seed `acc = β·c` for the gemm/gemm_tn flavour (β·c is one
-    // IEEE multiply per element, exactly like the scalar kernel).
-    if let Accum::SeededByBeta { beta } = mode {
-        if beta != 0.0 {
-            let bv = _mm256_set1_ps(beta);
-            for r in 0..rows {
-                let (lo, hi) = load(c, (row0 + r) * n + col0);
-                acc[r][0] = _mm256_mul_ps(bv, lo);
-                acc[r][1] = _mm256_mul_ps(bv, hi);
-            }
+    // Seed `acc = β·c` (one IEEE multiply per element, exactly like the
+    // scalar kernel).
+    if beta != 0.0 {
+        let bv = _mm256_set1_ps(beta);
+        for r in 0..rows {
+            let (lo, hi) = load(c, (row0 + r) * n + col0);
+            acc[r][0] = _mm256_mul_ps(bv, lo);
+            acc[r][1] = _mm256_mul_ps(bv, hi);
         }
     }
 
-    // The reduction: terms added in `p` order for every element —
-    // the determinism contract shared with the scalar tier.
+    reduce(ops, &mut acc, row0, rows, col0, cols, k);
+
+    for r in 0..rows {
+        store(c, (row0 + r) * n + col0, acc[r][0], acc[r][1]);
+    }
+}
+
+/// The reduction of one tile: `acc[r] += a·b` for `p = 0..k`, terms added
+/// in `p` order for every element — the determinism contract shared with
+/// the scalar tier. Kept out of line so the loop owns the register file:
+/// inlined into [`tile_avx2`], LLVM spilled one accumulator to the stack,
+/// a load and a store on every step.
+///
+/// # Safety
+///
+/// As [`tile_avx2`].
+#[inline(never)]
+#[target_feature(enable = "avx2")]
+unsafe fn reduce(
+    ops: &Operands,
+    acc: &mut [[__m256; 2]; MR_AVX2],
+    row0: usize,
+    rows: usize,
+    col0: usize,
+    cols: usize,
+    k: usize,
+) {
     let arow = ops.a_rows::<MR_AVX2>(row0, rows);
     let mut step = |p: usize, b0: __m256, b1: __m256| {
         for r in 0..MR_AVX2 {
@@ -140,31 +163,5 @@ pub(crate) unsafe fn tile_avx2(
             let b0 = _mm256_maskload_ps(brow(p), mask_lo);
             step(p, b0, _mm256_maskload_ps(brow(p).add(hi), mask_hi));
         }
-    }
-
-    for r in 0..rows {
-        let base = (row0 + r) * n + col0;
-        let [lo, hi] = match mode {
-            // The A operand carried α; store the accumulators.
-            Accum::SeededByBeta { .. } => acc[r],
-            // The gemm_nt flavour: `c = α·Σ + β·c` applied on store (`α·Σ`
-            // alone when β = 0), matching the scalar kernel's operation
-            // order exactly.
-            Accum::ScaledOnStore { alpha, beta } => {
-                let av = _mm256_set1_ps(alpha);
-                let scaled = [_mm256_mul_ps(av, acc[r][0]), _mm256_mul_ps(av, acc[r][1])];
-                if beta == 0.0 {
-                    scaled
-                } else {
-                    let bv = _mm256_set1_ps(beta);
-                    let (c0, c1) = load(c, base);
-                    [
-                        _mm256_add_ps(scaled[0], _mm256_mul_ps(bv, c0)),
-                        _mm256_add_ps(scaled[1], _mm256_mul_ps(bv, c1)),
-                    ]
-                }
-            }
-        };
-        store(c, base, lo, hi);
     }
 }

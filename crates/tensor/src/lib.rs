@@ -41,7 +41,7 @@ pub use gemm::{
     par_gemm_nt, par_gemm_tn,
 };
 pub use ops::{add_assign, axpy, dot, l2_norm, lerp, scale_assign, sub_assign};
-pub use quant::{dequant8, dequantize_slice, finite_min_max, quant8, quant_scale, quantize_slice};
+pub use quant::{dequantize_slice, finite_min_max, quant_scale, quantize_slice};
 pub use rng::{fill_normal, rng_from_seed, TensorRng};
 pub use scratch::{Scratch, ScratchSlot};
 pub use tensor::Tensor;

@@ -62,14 +62,14 @@ use crate::dispatch::{active_tier, KernelTier};
 /// value to level 0).
 #[inline(always)]
 #[allow(clippy::manual_clamp)] // clamp propagates NaN; max→min saturates it to 0
-pub fn quant8(x: f32, min: f32, inv_scale: f32) -> u8 {
+fn quant8(x: f32, min: f32, inv_scale: f32) -> u8 {
     let t = (x - min) * inv_scale + 0.5;
     t.floor().max(0.0).min(255.0) as u8
 }
 
 /// Reconstruct a value from its 8-bit level.
 #[inline(always)]
-pub fn dequant8(q: u8, min: f32, scale: f32) -> f32 {
+fn dequant8(q: u8, min: f32, scale: f32) -> f32 {
     min + (q as f32) * scale
 }
 

@@ -61,7 +61,7 @@ pub mod prelude {
         RingOrder, RoundContext, RoundRecord, RunRecord,
     };
     pub use fedhisyn_data::{DataSource, Dataset, DatasetProfile, Partition, Scale, ShardPlan};
-    pub use fedhisyn_fleet::{AvailabilityModel, FleetDynamics, MarkovCapacity};
+    pub use fedhisyn_fleet::{AvailabilityModel, FleetDynamics, ModulatorChain};
     pub use fedhisyn_nn::{ModelSpec, ParamVec};
     pub use fedhisyn_simnet::HeterogeneityModel;
     pub use fedhisyn_telemetry::{RoundTelemetry, TelemetrySink};

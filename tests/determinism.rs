@@ -137,7 +137,7 @@ fn identity_dynamics() -> FleetDynamics {
             rejoin: 1.0,
         },
         mid_round_failure: 0.0,
-        modulator: Some(MarkovCapacity::identity()),
+        modulator: Some(ModulatorChain::identity()),
     }
 }
 

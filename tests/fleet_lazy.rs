@@ -8,7 +8,7 @@
 use std::sync::Barrier;
 
 use fedhisyn::fleet::{
-    sample_online_cohort, AvailabilityModel, FleetDynamics, FleetModel, MarkovCapacity,
+    sample_online_cohort, AvailabilityModel, FleetDynamics, FleetModel, ModulatorChain,
     ReferenceFleet,
 };
 use proptest::prelude::*;
@@ -25,7 +25,7 @@ fn dynamics(dropout: f64, failure: f64, modulator: bool) -> FleetDynamics {
             rejoin: 0.4,
         },
         mid_round_failure: failure,
-        modulator: modulator.then(MarkovCapacity::diurnal_burst),
+        modulator: modulator.then(ModulatorChain::diurnal_burst),
     }
 }
 

@@ -4,10 +4,12 @@
 //! The dispatch layer (`fedhisyn_tensor::dispatch`) promises:
 //!
 //! * `Scalar` (4×8) and `Avx2` (6×16) are **bit-identical** on every
-//!   shape, orientation and α/β case — the AVX2 tile vectorizes across
-//!   columns with separate IEEE multiply and add, never across the
-//!   reduction, so per-element operation order matches the scalar kernel
-//!   exactly even though the tile geometry differs.
+//!   shape, orientation and α/β case — both follow the one GEMM contract
+//!   (seed `β·c`, nothing read when β = 0; add `(α·a)·b` over `p = 0..k`
+//!   in order; store), and the AVX2 tile vectorizes across columns with
+//!   separate IEEE multiply and add, never across the reduction, so
+//!   per-element operation order matches the scalar kernel exactly even
+//!   though the tile geometry differs.
 //! * The selection truth table: `FEDHISYN_FORCE_SCALAR` dominates, AVX2
 //!   is the default on capable hosts.
 //!
