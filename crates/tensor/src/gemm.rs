@@ -720,6 +720,12 @@ mod tests {
         ("tn", 8, 256, 27, 1.0),
     ];
 
+    /// The per-sample conv `dW` calls of `cnn_fedavg`'s two conv layers,
+    /// `dWᵀ[C·K·K, F] += cols_b · dY_bᵀ` (`nt`, α = 1, β = 1). Kept out of
+    /// [`WORKLOAD_CASES`], whose list seeds the pinned entry-point hash.
+    const CONV_DW_CASES: &[(&str, usize, usize, usize, f32)] =
+        &[("nt", 27, 256, 8, 1.0), ("nt", 72, 64, 16, 1.0)];
+
     /// The reference, serial and parallel kernels of one orientation, and
     /// its explicit-tier entry point.
     fn orientation(name: &str) -> (Kernel, [Kernel; 2], TierKernel) {
@@ -769,7 +775,7 @@ mod tests {
                 }
             }
         }
-        for &(name, m, k, n, beta) in WORKLOAD_CASES {
+        for &(name, m, k, n, beta) in WORKLOAD_CASES.iter().chain(CONV_DW_CASES) {
             let (reference, kernels, _) = orientation(name);
             let (a, b, c0) = (
                 random_vec(m * k, 1),
@@ -814,7 +820,7 @@ mod tests {
                 }
             }
         }
-        for &(name, m, k, n, beta) in WORKLOAD_CASES {
+        for &(name, m, k, n, beta) in WORKLOAD_CASES.iter().chain(CONV_DW_CASES) {
             let (_, _, kernel) = orientation(name);
             let (a, b, c0) = (
                 random_vec(m * k, 4),
