@@ -226,7 +226,6 @@ mod tests {
         FlEnv {
             spec: ModelSpec::mlp(&[4, 4, 2]),
             data: fedhisyn_data::DataSource::Dense((0..5).map(|_| mk(6)).collect()),
-            n_devices: 5,
             test: mk(20),
             fleet: fedhisyn_fleet::FleetModel::static_fleet(&profiles),
             meter: TrafficMeter::new(),

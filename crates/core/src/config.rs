@@ -213,7 +213,6 @@ impl ExperimentConfig {
         FlEnv {
             spec: self.model_spec(),
             data,
-            n_devices: self.n_devices,
             test,
             fleet,
             meter: TrafficMeter::new(),

@@ -92,9 +92,6 @@ pub struct FlEnv {
     /// device) or lazily realised on demand from a pure plan — see
     /// [`DataSource`].
     pub data: DataSource,
-    /// Enrolled fleet size. Held explicitly so Lazy data mode never
-    /// needs an O(fleet) dense vector to answer [`FlEnv::n_devices`].
-    pub n_devices: usize,
     /// Global held-out test split.
     pub test: Dataset,
     /// Time-varying fleet conditions layered on the base profiles: churn,
@@ -150,10 +147,10 @@ pub struct FlEnv {
 }
 
 impl FlEnv {
-    /// Number of devices in the fleet. An explicit field — O(1) in both
-    /// data modes, never derived from a dense vector.
+    /// Number of devices in the fleet: the shard count of
+    /// [`FlEnv::data`], O(1) in both data modes.
     pub fn n_devices(&self) -> usize {
-        self.n_devices
+        self.data.n_devices()
     }
 
     /// Parameter count of the shared architecture.
@@ -378,7 +375,6 @@ mod tests {
         FlEnv {
             spec: ModelSpec::mlp(&[4, 4, 2]),
             data: DataSource::Dense(vec![mk(4), mk(6), mk(8)]),
-            n_devices: 3,
             test: mk(10),
             fleet: FleetModel::static_fleet(&profiles),
             meter: TrafficMeter::new(),

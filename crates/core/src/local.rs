@@ -143,7 +143,6 @@ mod tests {
         FlEnv {
             spec,
             data: fedhisyn_data::DataSource::Dense(device_data),
-            n_devices: 4,
             test: fd.test,
             fleet: fedhisyn_fleet::FleetModel::static_fleet(&profiles),
             meter: TrafficMeter::new(),

@@ -87,7 +87,6 @@ fn tiny_env() -> FlEnv {
     FlEnv {
         spec: ModelSpec::mlp(&[32, 24, 10]),
         data: fedhisyn::prelude::DataSource::Dense(vec![shard.clone(), shard]),
-        n_devices: 2,
         test,
         fleet: fedhisyn::fleet::FleetModel::static_fleet(&profiles),
         meter: TrafficMeter::new(),
