@@ -14,13 +14,14 @@ use fedhisyn_tensor::{
 /// 784→200 layer at batch 50 in all three orientations, and the
 /// per-sample calls of `cnn_fedavg`'s two conv layers (F = 8 filters on
 /// 16×16, F = 16 on 8×8): the forward `W · cols` (nn, 8×27×256 and
-/// 16×72×64), the `dW` accumulation `cols · dY_rows` onto the transposed
-/// gradient (nn, β = 1, 27×256×8 and 72×64×16) and conv 2's
-/// `dcols = Wᵀ · dY` (tn, 72×16×64). Then both sides of the small-problem
-/// fork at a `churn_wire` batch (2×24×10) and a `lazy_cohort` one
-/// (30×24×10), in all three orientations: once through the entry point,
-/// which runs the small kernel there (ids end in `/small`), and once forced
-/// through the active tier's blocked kernel (`/blocked`).
+/// 16×72×64), the `dW` accumulation `cols · dYᵀ` onto the transposed
+/// gradient, reading `dY` in place (nt, β = 1, 27×256×8 and 72×64×16) and
+/// conv 2's `dcols = Wᵀ · dY` (tn, 72×16×64). Then both sides of the
+/// small-problem fork at a `churn_wire` batch (2×24×10) and a
+/// `lazy_cohort` one (30×24×10), in all three orientations: once through
+/// the entry point, which runs the small kernel there (ids end in
+/// `/small`), and once forced through the active tier's blocked kernel
+/// (`/blocked`).
 fn bench_gemm(c: &mut Criterion) {
     type Kernel = fn(&[f32], &[f32], &mut [f32], usize, usize, usize, f32, f32);
     type TierKernel = fn(KernelTier, &[f32], &[f32], &mut [f32], usize, usize, usize, f32, f32);
@@ -32,8 +33,8 @@ fn bench_gemm(c: &mut Criterion) {
         ("tn", gemm_tn, 50, 784, 200, 0.0),
         ("nn", gemm, 8, 27, 256, 0.0),
         ("nn", gemm, 16, 72, 64, 0.0),
-        ("nn", gemm, 27, 256, 8, 1.0),
-        ("nn", gemm, 72, 64, 16, 1.0),
+        ("nt", gemm_nt, 27, 256, 8, 1.0),
+        ("nt", gemm_nt, 72, 64, 16, 1.0),
         ("tn", gemm_tn, 72, 16, 64, 0.0),
     ] {
         let a = Tensor::randn(vec![m * k], 1.0, &mut rng);

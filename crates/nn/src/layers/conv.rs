@@ -16,19 +16,18 @@
 //!
 //! * forward: `Y_b[F, OH·OW] = W[F, C·K·K] · cols_b` (`gemm`), written
 //!   straight into the sample's output planes, then `+ bias` per plane;
-//! * `dW`: `dWᵀ[C·K·K, F] += cols_b · dY_rows_b` (`gemm`, `β = 1`,
-//!   chained over the samples in order) on a transposed copy of the
-//!   gradient, where `dY_rows_b` is the sample's `[OH·OW, F]` transpose of
-//!   `dY`;
+//! * `dW`: `dWᵀ[C·K·K, F] += cols_b · dY_bᵀ` (`gemm_nt`, `β = 1`,
+//!   chained over the samples in order) on the layer's transposed copy of
+//!   the gradient, reading the NCHW `dY` in place as the transposed B;
 //! * `dcols_b[C·K·K, OH·OW] = Wᵀ · dY_b` (`gemm_tn`), reading the NCHW
 //!   `dY` in place;
 //! * col2im scatters `dcols_b` back onto `[C, H, W]`.
 //!
-//! Per-sample calls copy nothing: the GEMM kernels read row-major A and B
-//! in place (only a `gemm_nt` B is ever packed, and no stage here calls
-//! `gemm_nt`), so `B` per-sample calls pack no more than one whole-batch
-//! call would. The `dW` stage, with the `dY` transpose and bias gradient
-//! ahead of it, is the parameter half
+//! Per-sample calls copy nothing but the `dW` call's `dY_b`: the GEMM
+//! kernels read row-major A and B in place, and only a `gemm_nt` B is
+//! packed, once per call, so `B` per-sample calls pack no more than one
+//! whole-batch call would. The `dW` stage, with the bias gradient ahead of
+//! it, is the parameter half
 //! ([`Layer::backward_params_arena`]); `dcols` and col2im are the input
 //! half. A model's first conv layer runs only the parameter half, since
 //! its input is the staged batch.
@@ -58,9 +57,10 @@
 //! accumulation either way. `tests/conv_batched.rs` proves this across
 //! batch remainders, kernel sizes, padding and the GEMM dispatch edges.
 //!
-//! Every workspace (`cols`, `dy_rows`, the transposed gradient, `dcols`)
-//! is carved from the step's [`Scratch`]; the layer itself holds only
-//! parameters, gradients and the handle of the current step's `cols`.
+//! Every workspace (`cols`, `dcols`) is carved from the step's
+//! [`Scratch`]; the layer itself holds only parameters, gradients (and the
+//! `[C·K·K, F]` transposed weight gradient the `dW` chain accumulates
+//! into) and the handle of the current step's `cols`.
 //!
 //! # Parallel stages
 //!
@@ -73,13 +73,13 @@
 //! bit-determinism holds for any thread count. Below the threshold the
 //! stages loop over the samples inline through the `par_*` GEMM entry
 //! points, which also keeps the zero-alloc steady-state contract at
-//! test/smoke sizes (parallel dispatch boxes jobs). The `dY` transpose
-//! runs **tile-blocked** ([`TRANSPOSE_TILE`]² tiles) so its strided side
-//! stays resident in cache.
+//! test/smoke sizes (parallel dispatch boxes jobs).
 
 use std::time::Instant;
 
-use fedhisyn_tensor::{gemm, gemm_tn, par_gemm, par_gemm_tn, Scratch, ScratchSlot, Tensor};
+use fedhisyn_tensor::{
+    gemm, gemm_tn, par_gemm, par_gemm_nt, par_gemm_tn, Scratch, ScratchSlot, Tensor,
+};
 use rand::Rng;
 use rayon::prelude::*;
 
@@ -98,6 +98,9 @@ pub struct Conv2d {
     weight: Tensor,
     bias: Tensor,
     grad_weight: Tensor,
+    /// `grad_weight` transposed to `[C·k·k, F]`: the `dW` chain's GEMM
+    /// output, copied in from and back out to `grad_weight` every step.
+    grad_weight_t: Vec<f32>,
     grad_bias: Tensor,
     in_channels: usize,
     out_channels: usize,
@@ -129,6 +132,7 @@ impl Conv2d {
             weight,
             bias: Tensor::zeros(vec![out_channels]),
             grad_weight: Tensor::zeros(vec![out_channels, fan_in]),
+            grad_weight_t: vec![0.0; fan_in * out_channels],
             grad_bias: Tensor::zeros(vec![out_channels]),
             in_channels,
             out_channels,
@@ -251,11 +255,6 @@ fn col2im_taps(
 /// the copies around them.
 const PAR_STAGE_MIN_ELEMS: usize = 1 << 16;
 
-/// Square tile side of the blocked [`transpose`]: both sides of a tile
-/// stay within `TRANSPOSE_TILE` rows, so the strided access stream hits
-/// cache-resident lines.
-const TRANSPOSE_TILE: usize = 64;
-
 /// True when a layer whose `cols` holds `elems` floats over `b` samples
 /// should run its stages in per-sample bands (module docs, "Parallel
 /// stages").
@@ -278,28 +277,15 @@ fn per_sample(dst: &mut [f32], len: usize, banded: bool, stage: impl Fn(usize, &
     }
 }
 
-/// Blocked transpose of a row-major `[rows, cols]` matrix into `dst`
-/// (`[cols, rows]`): a sample's `dY` planes into the position-major rows
-/// the `dW` GEMM reads as its B operand, and the weight gradient to and
-/// from its transposed GEMM operand.
+/// Transpose a row-major `[rows, cols]` matrix into `dst` (`[cols, rows]`):
+/// the weight gradient to and from its transposed GEMM operand.
 fn transpose(src: &[f32], dst: &mut [f32], rows: usize, cols: usize) {
     debug_assert_eq!(src.len(), rows * cols);
     debug_assert_eq!(dst.len(), cols * rows);
-    let mut r0 = 0;
-    while r0 < rows {
-        let r1 = (r0 + TRANSPOSE_TILE).min(rows);
-        let mut c0 = 0;
-        while c0 < cols {
-            let c1 = (c0 + TRANSPOSE_TILE).min(cols);
-            for r in r0..r1 {
-                let row = &src[r * cols..(r + 1) * cols];
-                for c in c0..c1 {
-                    dst[c * rows + r] = row[c];
-                }
-            }
-            c0 = c1;
+    for (r, row) in src.chunks_exact(cols).enumerate() {
+        for (c, &v) in row.iter().enumerate() {
+            dst[c * rows + r] = v;
         }
-        r0 = r1;
     }
 }
 
@@ -364,21 +350,6 @@ impl Conv2d {
         });
     }
 
-    /// Blocked transpose of `grad_out` (`[B, F, OH·OW]`) into the
-    /// position-major `dy_rows` (`[B·OH·OW, F]`) the `dW` GEMM reads.
-    fn gather_dy_rows(&self, grad_out: &[f32], dy_rows: &mut [f32]) {
-        let (_, _, (oh, ow), banded) = self.step_shape();
-        let (f, ohow) = (self.out_channels, oh * ow);
-        per_sample(dy_rows, ohow * f, banded, |bi, rows_b| {
-            transpose(
-                &grad_out[bi * f * ohow..(bi + 1) * f * ohow],
-                rows_b,
-                f,
-                ohow,
-            );
-        });
-    }
-
     /// `db += plane sums of dY`, sample by sample.
     fn accumulate_bias_grad(&mut self, grad_out: &[f32]) {
         let (_, _, (oh, ow), _) = self.step_shape();
@@ -390,18 +361,27 @@ impl Conv2d {
         }
     }
 
-    /// `dWᵀ += cols_b · dY_rows_b`, chained sample by sample on the
-    /// transposed gradient `gwt` (`[C·k·k, F]`) — the same `β = 1`
-    /// addition sequence per element as one whole-batch reduction, with
-    /// each sample's operands read in place.
-    fn gemm_grad_weight(&self, cols: &[f32], dy_rows: &[f32], gwt: &mut [f32]) {
+    /// `dWᵀ += cols_b · dY_bᵀ`, chained sample by sample on the
+    /// transposed gradient `grad_weight_t` (`[C·k·k, F]`) — the same
+    /// `β = 1` addition sequence per element as one whole-batch reduction,
+    /// with each sample's operands read in place.
+    fn gemm_grad_weight(&mut self, cols: &[f32], grad_out: &[f32]) {
         let (_, _, (oh, ow), _) = self.step_shape();
         let (f, ckk, ohow) = (self.out_channels, self.ckk(), oh * ow);
         let samples = cols
             .chunks_exact(ckk * ohow)
-            .zip(dy_rows.chunks_exact(ohow * f));
+            .zip(grad_out.chunks_exact(f * ohow));
         for (cols_b, dy_b) in samples {
-            par_gemm(cols_b, dy_b, gwt, ckk, ohow, f, 1.0, 1.0);
+            par_gemm_nt(
+                cols_b,
+                dy_b,
+                &mut self.grad_weight_t,
+                ckk,
+                ohow,
+                f,
+                1.0,
+                1.0,
+            );
         }
     }
 
@@ -437,8 +417,9 @@ pub struct ConvStageProfile {
     /// All three GEMM stages (forward, `dW`, `dcols`).
     pub gemm_secs: f64,
     /// The data movement around the GEMMs: the forward bias pass, the
-    /// blocked `dY → dY_rows` transpose with the bias gradient, and the
-    /// two copies of the transposed weight gradient.
+    /// bias gradient, and the two copies of the transposed weight
+    /// gradient. The `dW` call's packing of `dY` is timed under
+    /// [`ConvStageProfile::gemm_secs`].
     pub transpose_secs: f64,
     /// Tap-major col2im scatter (the input half's last stage).
     pub col2im_secs: f64,
@@ -492,7 +473,7 @@ impl Conv2d {
     /// It profiles a layer's **full** step, the one every non-first conv
     /// layer of a model runs: both backward halves, `dcols` and col2im
     /// included. A model's first conv layer runs only the parameter half
-    /// (transpose + `dW`), so its training step does no col2im at all.
+    /// (bias gradient + `dW`), so its training step does no col2im at all.
     ///
     /// Uses the forward output as the incoming gradient (the shape is
     /// right and the values are irrelevant to timing); parameter gradients
@@ -550,8 +531,8 @@ impl Conv2d {
         self.backward_input_stages(grad_out, scratch, clock)
     }
 
-    /// Backward, parameter half: transpose-dY (+ bias gradient) → `dW`
-    /// GEMM on the transposed gradient.
+    /// Backward, parameter half: bias gradient → `dW` GEMM on the
+    /// transposed gradient.
     fn backward_param_stages(
         &mut self,
         grad_out: ArenaBuf,
@@ -566,20 +547,16 @@ impl Conv2d {
         let (f, ckk, ohow) = (self.out_channels, self.ckk(), oh * ow);
         assert_eq!(grad_out.len(), b * f * ohow, "Conv2d: bad grad_out length");
 
-        let dy_rows = scratch.alloc(b * ohow * f);
-        let gwt = scratch.alloc(ckk * f);
+        let gout = scratch.slice(grad_out.slot());
         clock.time(Stage::Transpose, || {
-            let (gout, dy_mut) = scratch.ro_rw(grad_out.slot(), dy_rows);
-            self.gather_dy_rows(gout, dy_mut);
             self.accumulate_bias_grad(gout);
-            transpose(self.grad_weight.data(), scratch.slice_mut(gwt), f, ckk);
+            transpose(self.grad_weight.data(), &mut self.grad_weight_t, f, ckk);
         });
         clock.time(Stage::Gemm, || {
-            let (cols_ro, gwt_mut, dy_ro) = scratch.ro_rw_rw(cols, gwt, dy_rows);
-            self.gemm_grad_weight(cols_ro, dy_ro, gwt_mut);
+            self.gemm_grad_weight(scratch.slice(cols), gout);
         });
         clock.time(Stage::Transpose, || {
-            transpose(scratch.slice(gwt), self.grad_weight.data_mut(), ckk, f);
+            transpose(&self.grad_weight_t, self.grad_weight.data_mut(), ckk, f);
         });
     }
 
@@ -897,13 +874,12 @@ mod tests {
     }
 
     /// Every stage is bit-identical to the position-major arithmetic
-    /// across kernels 1/3/5, padding 0–2, non-square inputs,
-    /// inputs small enough that some taps only ever see padding and
-    /// outputs whose `OH·OW` spans several [`TRANSPOSE_TILE`]s, over two
+    /// across kernels 1/3/5, padding 0–2, non-square inputs and
+    /// inputs small enough that some taps only ever see padding, over two
     /// chained steps.
     #[test]
     fn tap_major_stages_are_bit_identical_to_the_position_major_order() {
-        let (mut empty_taps, mut multi_tile) = (0, 0);
+        let mut empty_taps = 0;
         for (k, pad) in [1usize, 3, 5]
             .into_iter()
             .flat_map(|k| (0..3).map(move |p| (k, p)))
@@ -917,7 +893,6 @@ mod tests {
                 let mut layer = Conv2d::new(c, f, k, pad, Init::HeNormal, &mut rng);
                 layer.bias = Tensor::randn(vec![f], 0.5, &mut rng);
                 let (oh, ow) = layer.out_size(h, w);
-                multi_tile += usize::from(oh * ow > TRANSPOSE_TILE);
                 empty_taps += (0..k)
                     .filter(|&t| {
                         let (rows, cols) = (tap_cols(oh, h, t, pad), tap_cols(ow, w, t, pad));
@@ -951,7 +926,6 @@ mod tests {
             }
         }
         assert!(empty_taps > 0, "no case had a tap that only sees padding");
-        assert!(multi_tile > 0, "no case spans several transpose tiles");
     }
 
     /// Batch-size independence at layer granularity: one step on the

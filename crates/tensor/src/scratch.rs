@@ -17,8 +17,8 @@
 //! callers materialise short-lived views with [`Scratch::slice`] /
 //! [`Scratch::slice_mut`], and [`Scratch::ro_rw`] splits the slab to view
 //! two *disjoint* slots at once (one read-only input, one mutable output —
-//! the shape of every kernel call in a layer). Disjointness is asserted,
-//! so aliasing is impossible without `unsafe`.
+//! the shape of every kernel call in a layer). Disjointness is asserted
+//! and the split is `split_at_mut`, so the arena holds no `unsafe` code.
 //!
 //! # Invariants
 //!
@@ -49,23 +49,6 @@ impl ScratchSlot {
     #[inline]
     pub fn is_empty(&self) -> bool {
         self.len == 0
-    }
-
-    /// A sub-range of this slot (relative to its start).
-    ///
-    /// # Panics
-    /// Panics when `offset + len` exceeds the slot.
-    #[inline]
-    pub fn sub(&self, offset: usize, len: usize) -> ScratchSlot {
-        assert!(
-            offset + len <= self.len,
-            "sub-slot {offset}+{len} exceeds slot of {}",
-            self.len
-        );
-        ScratchSlot {
-            start: self.start + offset,
-            len,
-        }
     }
 
     #[inline]
@@ -151,40 +134,6 @@ impl Scratch {
         }
     }
 
-    /// Simultaneous `(read-only, mutable, mutable)` views of three
-    /// pairwise-disjoint slots — for kernels that lower an input through a
-    /// workspace into an output in one pass (im2col + GEMM).
-    ///
-    /// # Panics
-    /// Panics when any two slots overlap.
-    pub fn ro_rw_rw(
-        &mut self,
-        ro: ScratchSlot,
-        rw1: ScratchSlot,
-        rw2: ScratchSlot,
-    ) -> (&[f32], &mut [f32], &mut [f32]) {
-        assert!(
-            ro.disjoint(&rw1) && ro.disjoint(&rw2) && rw1.disjoint(&rw2),
-            "ro_rw_rw: slots alias"
-        );
-        let len = self.data.len();
-        assert!(
-            ro.end() <= len && rw1.end() <= len && rw2.end() <= len,
-            "ro_rw_rw: slot out of bounds"
-        );
-        // Safety: the three ranges are pairwise disjoint (asserted above)
-        // and in-bounds views of the one live slab, whose `&mut self`
-        // borrow pins the storage for the views' lifetime.
-        let base = self.data.as_mut_ptr();
-        unsafe {
-            (
-                std::slice::from_raw_parts(base.add(ro.start).cast_const(), ro.len),
-                std::slice::from_raw_parts_mut(base.add(rw1.start), rw1.len),
-                std::slice::from_raw_parts_mut(base.add(rw2.start), rw2.len),
-            )
-        }
-    }
-
     /// Slab size — the high-water mark of any step so far.
     #[inline]
     pub fn capacity(&self) -> usize {
@@ -256,19 +205,13 @@ mod tests {
     #[test]
     #[should_panic(expected = "alias")]
     fn aliasing_ro_rw_panics() {
+        // A slot kept across `reset` overlaps what the next step carves.
         let mut s = Scratch::new();
-        let a = s.alloc(4);
-        let sub = a.sub(1, 2);
-        let _ = s.ro_rw(a, sub);
-    }
-
-    #[test]
-    fn sub_slots_index_into_parent() {
-        let mut s = Scratch::new();
-        let a = s.alloc(6);
-        s.slice_mut(a).copy_from_slice(&[0., 1., 2., 3., 4., 5.]);
-        let mid = a.sub(2, 3);
-        assert_eq!(s.slice(mid), &[2., 3., 4.]);
+        let _ = s.alloc(1);
+        let stale = s.alloc(4);
+        s.reset();
+        let fresh = s.alloc(3);
+        let _ = s.ro_rw(stale, fresh);
     }
 
     #[test]
@@ -286,13 +229,5 @@ mod tests {
         let _ = s.alloc(16);
         let c = s.clone();
         assert_eq!(c.capacity(), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "exceeds slot")]
-    fn oversized_sub_panics() {
-        let mut s = Scratch::new();
-        let a = s.alloc(4);
-        let _ = a.sub(2, 3);
     }
 }
