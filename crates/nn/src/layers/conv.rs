@@ -371,17 +371,9 @@ impl Conv2d {
         let samples = cols
             .chunks_exact(ckk * ohow)
             .zip(grad_out.chunks_exact(f * ohow));
+        let gwt = &mut self.grad_weight_t;
         for (cols_b, dy_b) in samples {
-            par_gemm_nt(
-                cols_b,
-                dy_b,
-                &mut self.grad_weight_t,
-                ckk,
-                ohow,
-                f,
-                1.0,
-                1.0,
-            );
+            par_gemm_nt(cols_b, dy_b, gwt, ckk, ohow, f, 1.0, 1.0);
         }
     }
 
