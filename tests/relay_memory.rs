@@ -1,14 +1,28 @@
-//! Memory gate for the ring relay: a FedHiSyn round keeps one model per
-//! participant, not two.
+//! Memory gates: a dense setup holds the pooled training split once, an
+//! evaluation stays inside the working set training sized, and a
+//! FedHiSyn round keeps one model per participant, not two.
 //!
-//! After a ring interval each device uploads the model it finished
-//! training last (Alg. 1), so that is all the relay returns for an upload
-//! start: an arrival at a device that has spent its step budget is never
-//! trained or uploaded, and it is dropped. While a lane runs, each of its
-//! positions holds at most a working model and one pending arrival, and a
-//! lane in flight has at most one hop copy on the wire. Lanes run one per
-//! pool thread, so a round's live high-water above the pre-round level is
-//! at most
+//! **Setup.** `build_env` in dense mode synthesises the pooled split and
+//! hands every device its rows. Those rows are a permutation of the pooled
+//! split, so the shards can take them over without a second copy: the
+//! live high-water of the call stays within the pooled train split, the
+//! test split and the largest shard, plus a small allowance for the
+//! partition's index lists. Copying each shard out of a pooled split that
+//! stays alive peaks near twice the train split and fails it.
+//!
+//! **Evaluation.** After one training step the calling thread's cached
+//! model has an arena sized for a training batch. Evaluating the test
+//! split in chunks of that batch allocates nothing beyond it; a larger
+//! evaluation chunk regrows the arena (conv columns and all) and fails.
+//!
+//! **Relay.** After a ring interval each device uploads the model it
+//! finished training last (Alg. 1), so that is all the relay returns for
+//! an upload start: an arrival at a device that has spent its step budget
+//! is never trained or uploaded, and it is dropped. While a lane runs,
+//! each of its positions holds at most a working model and one pending
+//! arrival, and a lane in flight has at most one hop copy on the wire.
+//! Lanes run one per pool thread, so a round's live high-water above the
+//! pre-round level is at most
 //!
 //! ```text
 //! participants                        one result model each
@@ -19,17 +33,23 @@
 //!
 //! models, plus a small allowance for the per-round vectors. A relay that
 //! also kept every late arrival, or built a carry-over model for every
-//! position, peaks near twice the participants and fails it.
+//! position, peaks near twice the participants and fails it. The model
+//! is a wide MLP on smoke MNIST-like data, so model buffers dominate the
+//! round's allocations.
 //!
-//! The model is a wide MLP on smoke MNIST-like data, so model buffers
-//! dominate the round's allocations. A global allocator counts live bytes
-//! on every thread (the lanes run on the pool). The high-water depends on
-//! how lanes interleave on the pool, which is why CI repeats this test.
+//! A global allocator counts live bytes on every thread (the lanes and
+//! the larger GEMMs run on the pool); a resize that keeps its address
+//! counts only the difference, a resize that moves counts both buffers.
+//! The tests take turns on one lock, so no test's allocations land in
+//! another's window. The relay's high-water depends on how lanes
+//! interleave on the pool, which is why CI repeats this test.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, MutexGuard};
 
 use fedhisyn::cluster::kmeans_1d;
+use fedhisyn::core::local::{evaluate_on_test, local_train_plain_owned};
 use fedhisyn::prelude::*;
 use fedhisyn::tensor::rng_from_seed;
 
@@ -64,9 +84,18 @@ unsafe impl GlobalAlloc for CountingAlloc {
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         let new = System.realloc(ptr, layout, new_size);
-        if !new.is_null() {
+        if new.is_null() {
+            return new;
+        }
+        let old_size = layout.size();
+        if new != ptr {
+            // Moved: the old and the new buffer were both live for the copy.
             grow(new_size);
-            LIVE.fetch_sub(layout.size(), Ordering::SeqCst);
+            LIVE.fetch_sub(old_size, Ordering::SeqCst);
+        } else if new_size >= old_size {
+            grow(new_size - old_size);
+        } else {
+            LIVE.fetch_sub(old_size - new_size, Ordering::SeqCst);
         }
         new
     }
@@ -87,6 +116,86 @@ fn reset_high_water() -> usize {
     live
 }
 
+/// Held for the whole of each test: libtest runs tests on parallel
+/// threads, and the counter sees every thread.
+fn serial() -> MutexGuard<'static, ()> {
+    static SERIAL: Mutex<()> = Mutex::new(());
+    SERIAL.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
+/// Heap bytes of a dataset's features and labels.
+fn dataset_bytes(d: &Dataset) -> usize {
+    d.x.len() * std::mem::size_of::<f32>() + d.y.len() * std::mem::size_of::<usize>()
+}
+
+/// What a dense setup allocates besides the splits and the largest
+/// shard: the partition's index lists, the synthesiser's shuffle order,
+/// the latency draw and the fleet model.
+const SETUP_ALLOWANCE_BYTES: usize = 64 << 10;
+/// What an evaluation may allocate once a training step has sized the
+/// thread's cached model.
+const EVAL_ALLOWANCE_BYTES: usize = 16 << 10;
+
+#[test]
+fn dense_setup_holds_the_pooled_split_once() {
+    let _serial = serial();
+    let cfg = ExperimentConfig::builder(DatasetProfile::Cifar10Like)
+        .scale(Scale::Smoke)
+        .devices(60)
+        .partition(Partition::Dirichlet { beta: 0.3 })
+        .seed(2022)
+        .build();
+    let before = reset_high_water();
+    let env = cfg.build_env();
+    let peak = HIGH.load(Ordering::SeqCst) - before;
+
+    let DataSource::Dense(shards) = &env.data else {
+        unreachable!("dense config")
+    };
+    let train: usize = shards.iter().map(dataset_bytes).sum();
+    let largest = shards.iter().map(dataset_bytes).max().expect("devices");
+    let test = dataset_bytes(&env.test);
+    let bound = train + test + largest + SETUP_ALLOWANCE_BYTES;
+    eprintln!(
+        "dense setup: live high-water {peak} B above the pre-call level; \
+         train {train} B, test {test} B, largest shard {largest} B, bound {bound} B"
+    );
+    assert!(
+        peak <= bound,
+        "dense setup: live high-water {peak} B above the pre-call level, bound {bound} B \
+         = train {train} + test {test} + largest shard {largest} + {SETUP_ALLOWANCE_BYTES}"
+    );
+}
+
+#[test]
+fn evaluation_stays_inside_the_training_working_set() {
+    let _serial = serial();
+    let cfg = ExperimentConfig::builder(DatasetProfile::Cifar10Like)
+        .scale(Scale::Smoke)
+        .devices(8)
+        .partition(Partition::Iid)
+        .local_epochs(1)
+        .batch_size(20)
+        .seed(2022)
+        .build();
+    let env = cfg.build_env();
+    // A full training batch sizes the thread's cached CNN, and the test
+    // split spans many batches.
+    assert!(env.shard(0).len() >= env.batch_size);
+    assert!(env.test.len() > 10 * env.batch_size);
+    let trained = local_train_plain_owned(&env, 0, cfg.initial_params(), 1, 0, 0);
+
+    let before = reset_high_water();
+    let acc = evaluate_on_test(&env, &trained);
+    let rise = HIGH.load(Ordering::SeqCst) - before;
+    eprintln!("evaluation after a training step: live high-water +{rise} B (accuracy {acc})");
+    assert!(
+        rise <= EVAL_ALLOWANCE_BYTES,
+        "evaluation raised the live high-water {rise} B above the level after a training \
+         step, allowance {EVAL_ALLOWANCE_BYTES} B"
+    );
+}
+
 const DEVICES: usize = 64;
 const CLASSES: usize = 32;
 /// Whole models a FedHiSyn round allocates outside the relay: the
@@ -98,6 +207,7 @@ const ALLOWANCE_BYTES: usize = 256 << 10;
 
 #[test]
 fn fedhisyn_round_keeps_one_model_per_participant() {
+    let _serial = serial();
     let cfg = ExperimentConfig::builder(DatasetProfile::MnistLike)
         .scale(Scale::Smoke)
         .devices(DEVICES)
