@@ -1,8 +1,6 @@
 //! Experiment configuration and environment construction.
 
-use fedhisyn_data::{
-    partition_indices, DataSource, Dataset, DatasetProfile, Partition, Scale, ShardPlan,
-};
+use fedhisyn_data::{partition_indices, DataSource, DatasetProfile, Partition, Scale, ShardPlan};
 use fedhisyn_fleet::{FleetDynamics, FleetModel};
 use fedhisyn_nn::{Codec, ModelSpec, ParamVec, SgdConfig};
 use fedhisyn_simnet::{
@@ -19,7 +17,9 @@ use crate::env::{seed_mix, DeviceBank, FlEnv};
 pub enum DataMode {
     /// Materialise every shard up front: pooled synthesis followed by the
     /// configured [`Partition`]. The historical path — bit-identical
-    /// streams for every existing configuration — and O(fleet) memory.
+    /// streams for every existing configuration. The shards take over the
+    /// pooled split's rows in place, so the training data is held once,
+    /// with no second copy while the shards are built.
     Dense,
     /// Realise shards on demand as pure functions of `(seed, device)`:
     /// per-device `Dir(beta)` label mixtures, sample counts in
@@ -180,8 +180,7 @@ impl ExperimentConfig {
                 let mut part_rng = rng_from_seed(seed_mix(self.seed, 0xDA7A, 0, 0));
                 let indices =
                     partition_indices(&fd.train, self.n_devices, self.partition, &mut part_rng);
-                let device_data: Vec<Dataset> =
-                    indices.iter().map(|idx| fd.train.subset(idx)).collect();
+                let device_data = fd.train.into_shards(&indices);
                 let mut lat_rng = rng_from_seed(seed_mix(self.seed, 0x1A7E, 0, 0));
                 let latencies = sample_latencies(self.n_devices, self.heterogeneity, &mut lat_rng);
                 let fleet = FleetModel::new(&latencies, self.fleet.clone(), fleet_seed);

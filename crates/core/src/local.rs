@@ -102,13 +102,16 @@ pub(crate) fn cached_model_stats(env: &FlEnv) -> u64 {
 
 /// Evaluate `params` on the environment's global test split.
 ///
-/// Runs [`fedhisyn_nn::evaluate_arena`] on the worker's cached model,
-/// whose sized scratch arena makes a steady-state round (train + evaluate)
-/// perform zero heap allocations.
+/// Runs [`fedhisyn_nn::evaluate_arena`] on the worker's cached model in
+/// chunks of the training batch (`env.batch_size`), so evaluation works
+/// inside the scratch arena training already sized: it never grows the
+/// arena, and a steady-state round (train + evaluate) performs zero heap
+/// allocations. The chunk does not change the result — every logit row
+/// depends only on its own sample.
 pub fn evaluate_on_test(env: &FlEnv, params: &ParamVec) -> f32 {
     ExecutionEngine::with_model(&env.spec, |model| {
         model.set_params(params);
-        fedhisyn_nn::evaluate_arena(model, &env.test.x, &env.test.y, 256)
+        fedhisyn_nn::evaluate_arena(model, &env.test.x, &env.test.y, env.batch_size)
     })
 }
 
@@ -251,11 +254,15 @@ mod tests {
                     );
                 }
                 assert_eq!(got, fresh.params(), "{:?}, salt {salt}", env.spec);
+                // Chunked by the training batch as production does; the
+                // whole split in one chunk gives the same bits.
                 let mut fresh = build_model(&env, &got);
-                assert_eq!(
-                    got_acc,
-                    evaluate_arena(&mut fresh, &env.test.x, &env.test.y, 256)
-                );
+                for chunk in [env.batch_size, env.test.len()] {
+                    assert_eq!(
+                        got_acc,
+                        evaluate_arena(&mut fresh, &env.test.x, &env.test.y, chunk)
+                    );
+                }
                 params = got;
             }
         }

@@ -58,6 +58,91 @@ impl Dataset {
         }
     }
 
+    /// Split the dataset into one shard per index list, consuming it.
+    /// Shard `i` holds rows `shards[i]` in that order, so it equals
+    /// `self.subset(&shards[i])` bit for bit, labels included.
+    ///
+    /// The lists must cover every row exactly once (as
+    /// [`crate::partition_indices`] guarantees); a row out of range,
+    /// listed twice or not listed panics. Rows are permuted in place into
+    /// shard order, then each shard is moved off the tail, so the pooled
+    /// rows are never copied as a whole: the high-water is the dataset
+    /// plus its largest shard.
+    pub fn into_shards(self, shards: &[Vec<usize>]) -> Vec<Dataset> {
+        let n = self.len();
+        let listed: usize = shards.iter().map(Vec::len).sum();
+        assert_eq!(listed, n, "into_shards: {listed} rows listed for {n}");
+        // `src[p]` is the pooled row that lands at position `p`.
+        let src: Vec<usize> = shards.iter().flatten().copied().collect();
+        let mut seen = vec![0u64; n.div_ceil(64)];
+        for &i in &src {
+            assert!(i < n, "into_shards: row {i} out of range for {n}");
+            let (word, bit) = (i / 64, 1u64 << (i % 64));
+            assert!(seen[word] & bit == 0, "into_shards: row {i} listed twice");
+            seen[word] |= bit;
+        }
+
+        let sample: usize = self.x.shape()[1..].iter().product();
+        let sample_dims = self.x.shape()[1..].to_vec();
+        let mut data = self.x.into_vec();
+        let mut y = self.y;
+        // Gather along each cycle of the permutation: position `p` takes
+        // row `src[p]`, which no earlier step of the cycle has overwritten;
+        // the cycle's start row waits in `row` until the cycle closes.
+        // `seen` is all ones after the check above, so a clear bit marks
+        // a placed position.
+        let mut row = vec![0.0f32; sample];
+        for start in 0..n {
+            if seen[start / 64] & (1 << (start % 64)) == 0 {
+                continue;
+            }
+            row.copy_from_slice(&data[start * sample..(start + 1) * sample]);
+            let label = y[start];
+            let mut at = start;
+            loop {
+                seen[at / 64] &= !(1 << (at % 64));
+                let from = src[at];
+                if from == start {
+                    data[at * sample..(at + 1) * sample].copy_from_slice(&row);
+                    y[at] = label;
+                    break;
+                }
+                data.copy_within(from * sample..(from + 1) * sample, at * sample);
+                y[at] = y[from];
+                at = from;
+            }
+        }
+        drop((src, seen, row));
+
+        // Peel the shards off the tail, returning each one's rows to the
+        // allocator as it leaves; the first shard keeps the pooled buffer.
+        let mut out: Vec<Dataset> = Vec::with_capacity(shards.len());
+        let mut end = n;
+        for (i, idx) in shards.iter().enumerate().rev() {
+            let begin = end - idx.len();
+            let (shard_x, shard_y) = if i == 0 {
+                (std::mem::take(&mut data), std::mem::take(&mut y))
+            } else {
+                let tail = (data[begin * sample..].to_vec(), y[begin..].to_vec());
+                data.truncate(begin * sample);
+                data.shrink_to_fit();
+                y.truncate(begin);
+                y.shrink_to_fit();
+                tail
+            };
+            let mut dims = vec![idx.len()];
+            dims.extend_from_slice(&sample_dims);
+            out.push(Dataset {
+                x: Tensor::from_vec(dims, shard_x),
+                y: shard_y,
+                classes: self.classes,
+            });
+            end = begin;
+        }
+        out.reverse();
+        out
+    }
+
     /// Histogram of labels (length = `classes`).
     pub fn class_histogram(&self) -> Vec<usize> {
         let mut hist = vec![0usize; self.classes];
@@ -132,6 +217,64 @@ mod tests {
         let s = d.subset(&[]);
         assert!(s.is_empty());
         assert_eq!(s.x.shape(), &[0, 2]);
+    }
+
+    /// Every shard's features (as bits), labels, shape and class count.
+    fn shard_bits(shards: &[Dataset]) -> Vec<(Vec<usize>, Vec<u32>, Vec<usize>, usize)> {
+        shards
+            .iter()
+            .map(|d| {
+                let bits = d.x.data().iter().map(|v| v.to_bits()).collect();
+                (d.x.shape().to_vec(), bits, d.y.clone(), d.classes)
+            })
+            .collect()
+    }
+
+    /// `into_shards` hands out exactly what `subset` copies, row for row
+    /// and label for label: on the partitioners' IID and Dirichlet index
+    /// lists, and with empty shards first, in the middle and last.
+    #[test]
+    fn into_shards_equals_subset() {
+        use crate::{partition_indices, DatasetProfile, Partition, Scale};
+        let pooled = DatasetProfile::Cifar10Like
+            .synth_config(Scale::Smoke, 5)
+            .generate()
+            .train;
+        let mut rng = fedhisyn_tensor::rng_from_seed(1);
+        let iid = partition_indices(&pooled, 7, Partition::Iid, &mut rng);
+        let dirichlet = partition_indices(&pooled, 9, Partition::Dirichlet { beta: 0.3 }, &mut rng);
+        let mut with_empty = iid.clone();
+        with_empty.insert(0, vec![]);
+        with_empty.insert(4, vec![]);
+        with_empty.push(vec![]);
+        for lists in [iid, dirichlet, with_empty] {
+            let want: Vec<Dataset> = lists.iter().map(|idx| pooled.subset(idx)).collect();
+            let got = pooled.clone().into_shards(&lists);
+            assert_eq!(shard_bits(&got), shard_bits(&want));
+        }
+
+        let s = sample().into_shards(&[vec![2, 0], vec![], vec![3, 1]]);
+        assert_eq!(s[0].x.data(), &[2., 2., 0., 0.]);
+        assert_eq!(s[1].x.shape(), &[0, 2]);
+        assert_eq!(s[2].y, vec![1, 1]);
+    }
+
+    #[test]
+    #[should_panic(expected = "row 1 listed twice")]
+    fn into_shards_rejects_a_duplicated_row() {
+        let _ = sample().into_shards(&[vec![0, 1], vec![1, 3]]);
+    }
+
+    #[test]
+    #[should_panic(expected = "3 rows listed for 4")]
+    fn into_shards_rejects_a_missing_row() {
+        let _ = sample().into_shards(&[vec![0, 1], vec![3]]);
+    }
+
+    #[test]
+    #[should_panic(expected = "row 4 out of range")]
+    fn into_shards_rejects_an_out_of_range_row() {
+        let _ = sample().into_shards(&[vec![0, 1], vec![2, 4]]);
     }
 
     #[test]

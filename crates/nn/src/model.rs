@@ -116,10 +116,10 @@ impl Sequential {
     /// Drive the forward pass over `x` in contiguous row chunks of
     /// `batch` (clamped to ≥ 1): per chunk, reset the arena, stage the
     /// rows, forward, and hand `f` the model, the logits buffer and the
-    /// chunk's row range. The one evaluation loop `evaluate_arena` and
-    /// [`Sequential::predict_arena`] share —
+    /// chunk's row range. The evaluation loop of `evaluate_arena` —
     /// chunking never changes results, since every logit row's arithmetic
-    /// depends only on its own sample.
+    /// depends only on its own sample, so callers pick the chunk that
+    /// fits the arena they already sized.
     pub(crate) fn for_each_logit_chunk(
         &mut self,
         x: &Tensor,
@@ -275,26 +275,6 @@ impl Sequential {
             });
         }
     }
-
-    /// Class predictions (argmax of logits) for a batch, into a
-    /// caller-owned buffer: `out` is cleared and refilled, so a reused
-    /// buffer makes steady-state prediction completely allocation-free.
-    ///
-    /// Processes the input in fixed-size chunks
-    /// (`for_each_logit_chunk`) so one oversized call cannot
-    /// permanently inflate the grow-only arena of a long-lived
-    /// (worker-cached) model. Resets the model's arena (like any arena
-    /// step); arena buffers from a previous step are invalidated.
-    pub fn predict_arena(&mut self, input: &Tensor, out: &mut Vec<usize>) {
-        /// Rows staged per forward pass — caps the arena footprint of a
-        /// dataset-sized call at one batch (matches round evaluation).
-        const PREDICT_BATCH: usize = 256;
-        out.clear();
-        self.for_each_logit_chunk(input, PREDICT_BATCH, &mut |model, logits, _, _| {
-            let c = *logits.dims().last().expect("logits rank");
-            out.extend(model.read_arena(logits).chunks_exact(c).map(argmax_row));
-        });
-    }
 }
 
 /// Index of the row maximum (the last of equal maxima wins; a NaN
@@ -387,7 +367,7 @@ mod tests {
     }
 
     #[test]
-    fn predict_returns_argmax() {
+    fn evaluate_counts_argmax_hits() {
         let mut m = Sequential::new();
         // Identity-ish: single dense with known weights.
         let mut rng = rng_from_seed(0);
@@ -398,10 +378,12 @@ mod tests {
             }
         });
         m = m.push(d);
+        // Logits equal the inputs, so the argmaxes are 0 and 1.
         let x = Tensor::from_vec(vec![2, 2], vec![3., 1., 0., 2.]);
-        let mut preds = Vec::new();
-        m.predict_arena(&x, &mut preds);
-        assert_eq!(preds, vec![0, 1]);
+        for chunk in [1, 2] {
+            assert_eq!(crate::evaluate_arena(&mut m, &x, &[0, 1], chunk), 1.0);
+            assert_eq!(crate::evaluate_arena(&mut m, &x, &[0, 0], chunk), 0.5);
+        }
     }
 
     #[test]

@@ -120,7 +120,9 @@ fn reset_high_water() -> usize {
 /// threads, and the counter sees every thread.
 fn serial() -> MutexGuard<'static, ()> {
     static SERIAL: Mutex<()> = Mutex::new(());
-    SERIAL.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+    SERIAL
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
 /// Heap bytes of a dataset's features and labels.
