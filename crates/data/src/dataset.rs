@@ -219,15 +219,15 @@ mod tests {
         assert_eq!(s.x.shape(), &[0, 2]);
     }
 
-    /// Every shard's features (as bits), labels, shape and class count.
-    fn shard_bits(shards: &[Dataset]) -> Vec<(Vec<usize>, Vec<u32>, Vec<usize>, usize)> {
-        shards
-            .iter()
-            .map(|d| {
-                let bits = d.x.data().iter().map(|v| v.to_bits()).collect();
-                (d.x.shape().to_vec(), bits, d.y.clone(), d.classes)
-            })
-            .collect()
+    /// Same shards: shape, feature bits, labels and class count.
+    fn assert_same_bits(got: &[Dataset], want: &[Dataset]) {
+        assert_eq!(got.len(), want.len());
+        for (g, w) in got.iter().zip(want) {
+            assert_eq!(g.x.shape(), w.x.shape());
+            let bits = |d: &Dataset| d.x.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(g), bits(w));
+            assert_eq!((&g.y, g.classes), (&w.y, w.classes));
+        }
     }
 
     /// `into_shards` hands out exactly what `subset` copies, row for row
@@ -250,7 +250,7 @@ mod tests {
         for lists in [iid, dirichlet, with_empty] {
             let want: Vec<Dataset> = lists.iter().map(|idx| pooled.subset(idx)).collect();
             let got = pooled.clone().into_shards(&lists);
-            assert_eq!(shard_bits(&got), shard_bits(&want));
+            assert_same_bits(&got, &want);
         }
 
         let s = sample().into_shards(&[vec![2, 0], vec![], vec![3, 1]]);
