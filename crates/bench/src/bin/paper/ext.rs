@@ -119,18 +119,16 @@ pub(crate) fn churn_trace(scale: &BenchScale, path: &Path) {
 }
 
 fn codec_config(scale: &BenchScale, rounds: usize, codec: Codec, loss: f64) -> ExperimentConfig {
-    let mut b = ExperimentConfig::builder(DatasetProfile::MnistLike)
+    ExperimentConfig::builder(DatasetProfile::MnistLike)
         .scale(scale.scale)
         .devices(scale.devices)
         .partition(Partition::Dirichlet { beta: 0.1 })
         .rounds(rounds)
         .local_epochs(scale.local_epochs)
         .seed(scale.seed)
-        .codec(codec);
-    if loss > 0.0 {
-        b = b.faults(FaultConfig::lossy(loss));
-    }
-    b.build()
+        .codec(codec)
+        .faults(FaultConfig::lossy(loss))
+        .build()
 }
 
 fn run_codec_cell(cfg: &ExperimentConfig) -> (RunRecord, TrafficSnapshot) {

@@ -233,7 +233,6 @@ mod tests {
             batch_size: 4,
             sgd: SgdConfig::default(),
             seed: 3,
-            wire_check: false,
             codec: fedhisyn_nn::Codec::F32,
             residuals: crate::env::DeviceBank::new(),
             faults: fedhisyn_simnet::FaultPlan::none(),

@@ -76,21 +76,15 @@ pub struct ExperimentConfig {
     pub batch_size: usize,
     /// SGD learning rate (devices train with plain SGD, as in the paper).
     pub lr: f32,
-    /// Round-trip every ring-relay transfer through the wire codec and
-    /// assert bit-identity — a serialization-drift tripwire for CI runs
-    /// (off by default: it taxes each hop with an encode/decode). With a
-    /// lossy [`Codec`] the assertion compares the fused in-place
-    /// transform against the encode→decode byte path per hop.
-    pub wire_check: bool,
     /// Wire codec for every model transfer ([`Codec::F32`] by default —
     /// bit-identical to the pre-codec engine). A lossy codec keeps
     /// per-device error-feedback residuals automatically.
     pub codec: Codec,
     /// Deterministic frame loss on every ring relay, each lost frame
-    /// retried with bounded exponential backoff in virtual time. `None`
-    /// (the default) injects nothing and reproduces the fault-free build
-    /// bit-for-bit.
-    pub faults: Option<FaultConfig>,
+    /// retried with bounded exponential backoff in virtual time.
+    /// [`FaultConfig::none`] (the default) injects nothing and reproduces
+    /// the fault-free build bit-for-bit.
+    pub faults: FaultConfig,
     /// Server aggregation rule for FedHiSyn.
     pub aggregation: AggregationRule,
     /// Master seed (data, partition, participation, training order).
@@ -121,9 +115,8 @@ impl ExperimentConfig {
                 local_epochs: 5,
                 batch_size: 50,
                 lr: 0.1,
-                wire_check: false,
                 codec: Codec::F32,
-                faults: None,
+                faults: FaultConfig::none(),
                 aggregation: AggregationRule::Uniform,
                 seed: 0,
                 model_override: None,
@@ -219,16 +212,13 @@ impl ExperimentConfig {
             batch_size: self.batch_size,
             sgd: SgdConfig { lr: self.lr },
             seed: self.seed,
-            wire_check: self.wire_check,
             codec: self.codec,
             residuals: DeviceBank::new(),
             // The fault plan derives from its own seed stream (like the
             // fleet trajectory) so turning faults on never perturbs data,
-            // partition, latency or participation sampling.
-            faults: match &self.faults {
-                Some(cfg) => FaultPlan::new(seed_mix(self.seed, 0xFA017, 0, 0), cfg.clone()),
-                None => FaultPlan::none(),
-            },
+            // partition, latency or participation sampling; a plan with
+            // loss 0 draws nothing.
+            faults: FaultPlan::new(seed_mix(self.seed, 0xFA017, 0, 0), self.faults.clone()),
             cohort: self.cohort,
             telemetry: fedhisyn_telemetry::TelemetrySink::disabled(),
         }
@@ -331,13 +321,6 @@ impl ExperimentConfigBuilder {
         self
     }
 
-    /// Round-trip every ring-relay transfer through the wire codec
-    /// (serialization-drift tripwire).
-    pub fn wire_check(mut self, check: bool) -> Self {
-        self.cfg.wire_check = check;
-        self
-    }
-
     /// Select the wire codec every model transfer is encoded with.
     pub fn codec(mut self, codec: Codec) -> Self {
         self.cfg.codec = codec;
@@ -347,7 +330,7 @@ impl ExperimentConfigBuilder {
     /// Inject deterministic wire faults on every ring relay.
     pub fn faults(mut self, cfg: FaultConfig) -> Self {
         cfg.validate();
-        self.cfg.faults = Some(cfg);
+        self.cfg.faults = cfg;
         self
     }
 

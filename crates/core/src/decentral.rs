@@ -173,14 +173,12 @@ impl DecentralSim {
         // random communication inferior to the ring.
         let mut rng = rng_from_seed(seed_mix(env.seed, round as u64, 0x9A9D, 0));
         let mut inbox: Vec<Option<usize>> = vec![None; n];
-        for (sender, sent) in trained.iter().enumerate() {
+        for sender in 0..n {
             let mut target = rng.gen_range(0..n);
             if n > 1 && target == sender {
                 target = (target + 1) % n;
             }
             env.charge(TrafficMeter::record_peer, 1);
-            // Serialization-drift tripwire (no-op unless enabled).
-            env.wire_round_trip_check(sent, sent);
             inbox[target] = Some(sender); // newest-wins
         }
         // Each trained model has at most two readers: the one receiver it

@@ -109,11 +109,6 @@ pub struct FlEnv {
     pub sgd: SgdConfig,
     /// Master experiment seed; all per-round randomness derives from it.
     pub seed: u64,
-    /// When set, every ring-relay transfer is round-tripped through the
-    /// [`fedhisyn_nn::wire`] frame codec and asserted bit-identical —
-    /// the CI serialization-drift tripwire (off by default: it taxes each
-    /// hop with an encode/decode).
-    pub wire_check: bool,
     /// Wire codec every transfer is encoded with ([`Codec::F32`] by
     /// default — bit-identical to the pre-codec engine). Lossy codecs
     /// pair with [`FlEnv::residuals`] for error feedback and charge
@@ -261,39 +256,6 @@ impl FlEnv {
         !self.faults.is_none()
     }
 
-    /// The serialization tripwire, a no-op unless [`FlEnv::wire_check`] is
-    /// set: `payload`'s frame under the active codec has the size the
-    /// meter charges, passes the receive-side gate every hop runs (header
-    /// and integrity checksum verify before the payload is handed anywhere)
-    /// and decodes to `expect` bit for bit — catching any drift between
-    /// in-memory models and the transfer format the byte accounting
-    /// charges for.
-    ///
-    /// # Panics
-    /// Panics on any round-trip divergence (the point: CI trips on drift).
-    pub(crate) fn wire_round_trip_check(&self, payload: &ParamVec, expect: &ParamVec) {
-        if !self.wire_check {
-            return;
-        }
-        let frame = wire::encode_with(payload, self.codec, None);
-        assert_eq!(
-            frame.len(),
-            self.frame_bytes(),
-            "wire frame size disagrees with the byte accounting"
-        );
-        let verified = wire::verify_frame(&frame).expect("frame must verify");
-        assert_eq!(verified, payload.len(), "verified count disagrees");
-        let decoded = wire::decode_with(&frame, None).expect("frame must decode");
-        assert!(
-            decoded
-                .as_slice()
-                .iter()
-                .zip(expect.as_slice())
-                .all(|(a, b)| a.to_bits() == b.to_bits()),
-            "wire drift: the frame decodes to other bits than the receiver is handed"
-        );
-    }
-
     /// Pass one outgoing transfer from `device` through the active wire
     /// codec, with `device`'s entry of [`FlEnv::residuals`] as the
     /// error-feedback accumulator (all zeros on a first transmission) —
@@ -312,40 +274,25 @@ impl FlEnv {
     }
 
     /// Pass one outgoing transfer through the active wire codec: `params`
-    /// becomes exactly what the receiver decodes, the dropped mass lands
-    /// in the sender's error-feedback `residual` (`None` = nothing dropped
-    /// yet), and — when [`FlEnv::wire_check`] is set — the fused transform
-    /// is asserted bit-identical to the encode→decode byte path on the
-    /// post-residual payload (the codec extension of the serialization
-    /// tripwire).
+    /// becomes exactly what the receiver decodes and the dropped mass
+    /// lands in the sender's error-feedback `residual` (`None` = nothing
+    /// dropped yet). That the in-place transform equals the encode→decode
+    /// byte path bit for bit is the codec's property, pinned by
+    /// `fedhisyn_nn::wire`'s `fused_transform_matches_byte_path` test.
     ///
-    /// Under [`Codec::F32`] this degrades to
-    /// [`FlEnv::wire_round_trip_check`] and neither the payload nor the
-    /// residual is touched — bit-identity with the pre-codec engine.
+    /// Under [`Codec::F32`] neither the payload nor the residual is
+    /// touched — bit-identity with the pre-codec engine.
     pub(crate) fn codec_transform_with(
         &self,
         residual: &mut Option<ParamVec>,
         params: &mut ParamVec,
     ) {
         if !self.codec.lossy() {
-            self.wire_round_trip_check(params, params);
             return;
         }
         let residual = residual.get_or_insert_with(|| ParamVec::zeros(params.len()));
-        // Snapshot the post-residual payload v before the in-place
-        // transform consumes it; only the opt-in tripwire pays the clone.
-        let check_payload = if self.wire_check {
-            let mut v = params.clone();
-            v.add_assign(residual);
-            Some(v)
-        } else {
-            None
-        };
         let scratch = &mut CodecScratch::new();
         wire::codec_transform_in_place(self.codec, params, None, residual, scratch);
-        if let Some(v) = check_payload {
-            self.wire_round_trip_check(&v, params);
-        }
     }
 }
 
@@ -382,7 +329,6 @@ mod tests {
             batch_size: 50,
             sgd: SgdConfig::default(),
             seed: 42,
-            wire_check: false,
             codec: Codec::F32,
             residuals: DeviceBank::new(),
             faults: FaultPlan::none(),
@@ -445,15 +391,6 @@ mod tests {
     }
 
     #[test]
-    fn wire_round_trip_check_is_gated_and_exact() {
-        let mut env = tiny_env();
-        let params = ParamVec::from_vec(vec![1.5; env.param_count()]);
-        env.wire_round_trip_check(&params, &params); // off: no-op
-        env.wire_check = true;
-        env.wire_round_trip_check(&params, &params); // on: exact data passes
-    }
-
-    #[test]
     fn device_bank_moves_state_per_device() {
         let bank = DeviceBank::new();
         assert_eq!(bank.take(0), None);
@@ -492,10 +429,9 @@ mod tests {
     }
 
     #[test]
-    fn codec_transform_is_checked_and_feeds_residuals() {
+    fn codec_transform_feeds_residuals() {
         let mut env = tiny_env();
         env.codec = Codec::Int8;
-        env.wire_check = true; // byte-path equivalence asserted per call
         let mut p = ParamVec::from_vec((0..env.param_count()).map(|i| (i as f32) * 0.01).collect());
         env.codec_transform(1, &mut p);
         // The residual persisted and is re-injected on the next call.

@@ -40,8 +40,6 @@ impl ServerLink {
         env.charge(TrafficMeter::record_download, receivers as u64);
         if env.codec.lossy() {
             self.held = Some(self.downlink(env, global));
-        } else {
-            env.wire_round_trip_check(global, global);
         }
     }
 
@@ -100,7 +98,6 @@ mod tests {
             .scale(Scale::Smoke)
             .devices(4)
             .codec(codec)
-            .wire_check(codec.lossy()) // byte-path equivalence per transfer
             .seed(2)
             .build()
             .build_env()

@@ -153,7 +153,6 @@ mod tests {
             batch_size: 32,
             sgd: SgdConfig::default(),
             seed: 77,
-            wire_check: false,
             codec: fedhisyn_nn::Codec::F32,
             residuals: crate::env::DeviceBank::new(),
             faults: fedhisyn_simnet::FaultPlan::none(),

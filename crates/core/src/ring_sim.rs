@@ -16,11 +16,10 @@
 //! is set on the round, and frame loss, telemetry and the wire codec are
 //! the environment's. Each of them is inert at its default — a fault
 //! plan for which `FaultPlan::is_none` holds draws nothing, a disabled
-//! sink reads no clock, and the `F32` codec with `wire_check` off leaves
-//! every model untouched — so the decentralized rings (whose environment
-//! is always static, lossless and fault-free) run the paper's plain
-//! interval. [`RingRound::settle`] charges the interval's traffic
-//! afterwards.
+//! sink reads no clock, and the `F32` codec leaves every model untouched
+//! — so the decentralized rings (whose environment is always static,
+//! lossless and fault-free) run the paper's plain interval.
+//! [`RingRound::settle`] charges the interval's traffic afterwards.
 //!
 //! # Move-based relay
 //!
@@ -630,6 +629,7 @@ impl Wire<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::aggregate::{AggregationRule, Contribution};
     use crate::config::ExperimentConfig;
     use crate::topology::RingOrder;
     use fedhisyn_data::{DatasetProfile, Scale};
@@ -837,6 +837,77 @@ mod tests {
             slices(zero_start(2, 2)),
             (vec![vec![1.0, 1.0], vec![2.0, 0.0]], 4)
         );
+    }
+
+    #[test]
+    fn golden_schedule_of_a_three_device_ring() {
+        // Alg. 1 on one ring of three devices with latencies 1, 2 and 3
+        // over R = 3, the slowest latency. Small-to-large puts device d at
+        // position d, so the ring sends p0 → p1 → p2 → p0. Budgets are
+        // ceil(R / t): p0 trains 3 steps (completing at t = 1, 2, 3), p1
+        // 2 steps (t = 2, 4: its last step ends past R) and p2 1 step
+        // (t = 3). The mock adds 1 to coordinate d when device d trains,
+        // so [a, b, c] says how often each device trained a model. Ties
+        // pop arrivals first, then completions in the order scheduled.
+        //   t = 1: p0 trains the global [0,0,0] → [1,0,0] and sends it;
+        //          its inbox is empty, so it keeps [1,0,0] (Eq. 7). The
+        //          send lands in p1's inbox while p1 is mid-step.
+        //   t = 2: p1 (scheduled first) trains [0,0,0] → [0,1,0] and
+        //          sends it to p2's inbox; it takes [1,0,0] from its
+        //          inbox for its next step (Eq. 6). p0 trains [1,0,0] →
+        //          [2,0,0], sends it to p1's now empty inbox, and keeps
+        //          [2,0,0] (Eq. 7).
+        //   t = 3: p2 trains [0,0,0] → [0,0,1], its only step, sends it
+        //          to p0 and closes: it drops the [0,1,0] pending in its
+        //          inbox. [0,0,1] reaches p0 before p0's completion, but
+        //          p0 is mid-step, trains [2,0,0] → [3,0,0] as its final
+        //          step, sends it to p1 and closes, dropping [0,0,1]. In
+        //          p1's inbox [3,0,0] replaces [2,0,0]: the newest-wins
+        //          buffer drops [2,0,0].
+        //   t = 4: p1 trains [1,0,0] → [1,1,0], its final step, sends it
+        //          to p2 and closes, dropping the pending [3,0,0]. p2 is
+        //          closed, so it drops [1,1,0] on arrival.
+        // Six sends. The positions upload [3,0,0], [1,1,0] and [0,0,1];
+        // the Eq. 9 uniform mean is their sum [4,1,1] scaled by 1/3. A
+        // carry-over start trains the same models but never closes, so
+        // it returns each inbox's newest arrival: p0 [0,0,1], p1 [3,0,0]
+        // and p2 [1,1,0] (which replaced [0,1,0]).
+        let env = smoke_env();
+        let lane = lane_of(&[1.0, 2.0, 3.0], &[]);
+        assert_eq!(lane.ring.order(), &[0, 1, 2]);
+        let round = round_of(&env, 3.0);
+        let models = |ms: &[[f32; 3]]| -> Vec<ParamVec> {
+            ms.iter().map(|m| ParamVec::from_vec(m.to_vec())).collect()
+        };
+        let schedule = vec![
+            models(&[[1.0, 0.0, 0.0], [2.0, 0.0, 0.0], [3.0, 0.0, 0.0]]),
+            models(&[[0.0, 1.0, 0.0], [1.0, 1.0, 0.0]]),
+            models(&[[0.0, 0.0, 1.0]]),
+        ];
+        let zeros = ParamVec::zeros(3);
+        let (out, trained) = relay_log(&round, &lane, RingStart::Shared(&zeros));
+        assert_eq!((trained, out.transfers), (schedule.clone(), 6));
+        assert_eq!(out.alive, vec![true; 3]);
+        let uploads = models(&[[3.0, 0.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]]);
+        assert_eq!(out.models, uploads);
+        let contributions: Vec<Contribution<'_>> = uploads
+            .iter()
+            .map(|params| Contribution {
+                params,
+                samples: 1,
+                class_mean_time: 1.0,
+            })
+            .collect();
+        let third = 1.0f32 / 3.0;
+        assert_eq!(
+            AggregationRule::Uniform.aggregate(&contributions),
+            models(&[[4.0 * third, third, third]])[0]
+        );
+
+        let (carry, carry_trained) = relay_log(&round, &lane, zero_start(3, 3));
+        assert_eq!((carry_trained, carry.transfers), (schedule, 6));
+        let pending = models(&[[0.0, 0.0, 1.0], [3.0, 0.0, 0.0], [1.0, 1.0, 0.0]]);
+        assert_eq!(carry.models, pending);
     }
 
     #[test]

@@ -45,9 +45,11 @@
 //! quantize and dequantize kernels are dispatched through the tensor
 //! crate's `KernelTier` table and are bit-identical across scalar and AVX2
 //! tiers (see `fedhisyn_tensor::quant`), and the in-place transform is
-//! bit-equal to the encode→decode byte path (asserted by the `wire_check`
-//! tripwire) because it is the same kernels in the same order. Per `Int8`
-//! chunk the byte path runs `finite_min_max` → `quant_scale` →
+//! bit-equal to the encode→decode byte path because it is the same
+//! kernels in the same order (pinned by this module's
+//! `fused_transform_matches_byte_path` test, and on trained models by an
+//! Int8 FedHiSyn run in the workspace's `tests/extensions.rs`). Per
+//! `Int8` chunk the byte path runs `finite_min_max` → `quant_scale` →
 //! `quantize_slice` on the sender and `dequantize_slice` on the receiver;
 //! the transform runs `v = params + residual`, those four on `v`, then
 //! `residual = v − params`. It skips the frame, the checksum and two
@@ -384,7 +386,7 @@ impl CodecScratch {
 ///
 /// Bit-equality with `decode_with(encode_with(v, codec, None), None)` is
 /// by construction (identical kernel calls in identical order) and is
-/// asserted per hop by the `wire_check` tripwire in `fedhisyn-core`. For
+/// pinned by this module's `fused_transform_matches_byte_path` test. For
 /// `Int8` that order is, per `INT8_CHUNK` (256) parameters: add the residual
 /// into a stack buffer, `finite_min_max` + `quant_scale` for the grid (the
 /// same `int8_grid` the encoder calls), `quantize_slice`,

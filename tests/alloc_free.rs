@@ -94,7 +94,6 @@ fn tiny_env() -> FlEnv {
         batch_size: 16,
         sgd: SgdConfig { lr: 0.1 },
         seed: 7,
-        wire_check: false,
         codec: fedhisyn::nn::Codec::F32,
         residuals: DeviceBank::new(),
         faults: fedhisyn::simnet::FaultPlan::none(),

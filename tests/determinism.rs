@@ -272,7 +272,7 @@ fn f32_baseline_records_and_serverless_models_are_pinned() {
                 }
                 "FedHiSyn loss" => {
                     let lossy = ExperimentConfig {
-                        faults: Some(FaultConfig::lossy(0.3)),
+                        faults: FaultConfig::lossy(0.3),
                         ..cfg.clone()
                     };
                     record_fnv(run_algo(&lossy, "FedHiSyn"))

@@ -1,7 +1,7 @@
-//! Integration coverage for the extension surfaces: the wire format and
-//! its drift check, and time-weighted aggregation.
+//! Integration coverage for the extension surfaces: the wire format, the
+//! Int8 transfer path on trained models, and time-weighted aggregation.
 
-use fedhisyn::nn::wire;
+use fedhisyn::nn::{wire, Codec, CodecScratch};
 use fedhisyn::prelude::*;
 
 fn cfg() -> ExperimentConfig {
@@ -15,44 +15,45 @@ fn cfg() -> ExperimentConfig {
         .build()
 }
 
-/// The behind-a-flag frame round-trip drift check: a whole FedHiSyn
-/// experiment with `wire_check` on encodes/decodes every ring-relay
-/// transfer through the frame codec and asserts bit-identity inside the
-/// relay. The check is read-only, so the run must also be bit-identical
-/// to the unchecked run.
+/// The byte accounting charges every transfer at its encoded frame size,
+/// and a lossy transfer hands the receiver what the in-place codec
+/// transform leaves. After a short Int8 FedHiSyn run, the residuals the
+/// devices hold are trained values: on each of them the transform must
+/// give the bits `decode_with(encode_with(global + residual))` gives, keep
+/// exactly the coding error as the new residual, and travel in a frame of
+/// `env.frame_bytes()`. `fedhisyn_nn::wire`'s
+/// `fused_transform_matches_byte_path` pins the same property on
+/// synthetic payloads with its edge cases.
 #[test]
-fn wire_check_flag_verifies_every_relay_transfer() {
-    let plain_cfg = cfg();
-    let mut checked_cfg = cfg();
-    checked_cfg.wire_check = true;
-    assert!(checked_cfg.build_env().wire_check);
-
-    let run = |cfg: &ExperimentConfig| {
-        let mut env = cfg.build_env();
-        let mut algo = FedHiSyn::new(cfg, 2);
-        let rec = run_experiment(&mut algo, &mut env, cfg.rounds);
-        (rec, algo.global().clone())
-    };
-    let (plain_rec, plain_global) = run(&plain_cfg);
-    let (checked_rec, checked_global) = run(&checked_cfg);
-    assert_eq!(
-        plain_rec, checked_rec,
-        "wire check must be observation-only"
-    );
-    assert_eq!(plain_global, checked_global);
-
-    // The decentralized ring relay carries the same tripwire.
-    let mut env = checked_cfg.build_env();
-    let mut sim = DecentralSim::new(
-        &env,
-        DecentralMode::ClusteredRings {
-            k: 2,
-            order: RingOrder::SmallToLarge,
-            average: false,
-        },
-    );
-    env.wire_check = true;
-    sim.run_round(&env, 0);
+fn trained_int8_transfers_match_the_byte_path() {
+    let bits = |p: &ParamVec| p.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    let mut cfg = cfg();
+    cfg.codec = Codec::Int8;
+    let mut env = cfg.build_env();
+    let mut algo = FedHiSyn::new(&cfg, 2);
+    run_experiment(&mut algo, &mut env, cfg.rounds);
+    let global = algo.global();
+    let residuals: Vec<(usize, ParamVec)> = (0..env.n_devices())
+        .filter_map(|d| Some((d, env.residuals.take(d)?)))
+        .collect();
+    assert!(residuals.len() >= 3, "{} residuals", residuals.len());
+    for (device, mut residual) in residuals {
+        assert!(residual.norm() > 0.0, "device {device}: no coding error");
+        // Byte path on v = global + residual; it drops v − decoded.
+        let mut v = global.clone();
+        v.add_assign(&residual);
+        let frame = wire::encode_with(&v, env.codec, None);
+        assert_eq!(frame.len(), env.frame_bytes(), "device {device}");
+        assert_eq!(wire::verify_frame(&frame), Ok(v.len()));
+        let decoded = wire::decode_with(&frame, None).expect("frame decodes");
+        v.sub_assign(&decoded);
+        // Fused path, as every lossy transfer runs it.
+        let mut params = global.clone();
+        let scratch = &mut CodecScratch::new();
+        wire::codec_transform_in_place(env.codec, &mut params, None, &mut residual, scratch);
+        assert_eq!(bits(&params), bits(&decoded), "device {device}");
+        assert_eq!(bits(&residual), bits(&v), "device {device}");
+    }
 }
 
 #[test]

@@ -1,13 +1,14 @@
 //! Deterministic frame-loss transport, end to end.
 //!
-//! The contracts: `FaultPlan::none()` is **bit-neutral** (a run with an
-//! explicit none plan equals a run with no plan at all, whole `RunRecord`
-//! included); any nonzero loss schedule replays **bit-identically**
-//! across fresh runs and thread interleavings (the schedule is a pure
-//! function of `(seed, round, src, dst, attempt)`, never of timing); a
-//! frame whose bytes were damaged surfaces as a typed checksum error,
-//! never as parameters; and a churned, lossy fleet still completes every
-//! round, with the retry overhead recorded honestly in telemetry. The
+//! The contracts: a zero-loss plan is **bit-neutral** (the default
+//! config's seeded `FaultConfig::none()` plan and the unseeded
+//! `FaultPlan::none()` give one run, whole `RunRecord` included); any
+//! nonzero loss schedule replays **bit-identically** across fresh runs
+//! and thread interleavings (the schedule is a pure function of
+//! `(seed, round, src, dst, attempt)`, never of timing); a frame whose
+//! bytes were damaged surfaces as a typed checksum error, never as
+//! parameters; and a churned, lossy fleet still completes every round,
+//! with the retry overhead recorded honestly in telemetry. The
 //! compressed wire rides the same transport, so its whole-run contracts
 //! live here too: `Codec::F32` is bit-neutral for all seven algorithms,
 //! every one of them trains on what the codec it is charged for can
@@ -54,12 +55,17 @@ fn replayed(cfg: &ExperimentConfig, what: &str) -> (RunRecord, TrafficSnapshot) 
 #[test]
 fn none_plan_is_bit_neutral_over_a_whole_run() {
     let plain = base_builder(8, 3, 42).build();
-    let none = base_builder(8, 3, 42).faults(FaultConfig::none()).build();
+    assert_eq!(plain.faults, FaultConfig::none(), "no faults by default");
     let (rec_plain, traffic_plain) = run(&plain);
-    let (rec_none, traffic_none) = run(&none);
+    // The same run on the unseeded plan a transport-free build would hold.
+    let mut env = plain.build_env();
+    env.faults = FaultPlan::none();
+    let mut algo = FedHiSyn::new(&plain, 3);
+    let rec_none = run_experiment(&mut algo, &mut env, plain.rounds);
+    let traffic_none = env.meter.snapshot();
     assert_eq!(
         rec_plain, rec_none,
-        "an explicit FaultConfig::none() must be indistinguishable from no plan"
+        "a seeded zero-loss plan must be indistinguishable from FaultPlan::none()"
     );
     assert_eq!(traffic_plain, traffic_none);
     assert_eq!(traffic_plain.retransmit_bytes, 0.0);
@@ -136,7 +142,6 @@ fn churned_faulty_fleet_completes_every_round_with_visible_retries() {
     dynamics.mid_round_failure = 0.1;
     let cfg = base_builder(24, 4, 2022)
         .fleet(dynamics)
-        .wire_check(true) // checksum tripwire on every relay hop
         .faults(FaultConfig::lossy(0.1))
         .build();
     let (rec, traffic) = run(&cfg);
