@@ -1,5 +1,7 @@
 //! Server-side aggregation rules (paper §4.3).
 
+use std::borrow::Cow;
+
 use fedhisyn_nn::ParamVec;
 use serde::{Deserialize, Serialize};
 
@@ -31,26 +33,20 @@ pub enum AggregationRule {
 }
 
 impl AggregationRule {
-    /// Aggregate a non-empty set of contributions into a new global model.
+    /// Aggregate a non-empty set of contributions into a new global model,
+    /// folding them in order — the running mean FedHiSyn folds its uploads
+    /// into as its rings finish, so both take one arithmetic path.
     ///
     /// # Panics
     /// Panics on an empty contribution set or zero total weight.
     pub fn aggregate(&self, contributions: &[Contribution<'_>]) -> ParamVec {
-        assert!(
-            !contributions.is_empty(),
-            "aggregate of empty contribution set"
-        );
-        match self {
-            AggregationRule::Uniform => ParamVec::mean(contributions.iter().map(|c| c.params)),
-            AggregationRule::SampleWeighted => {
-                ParamVec::weighted_mean(contributions.iter().map(|c| (c.samples as f32, c.params)))
-            }
-            AggregationRule::TimeWeighted => ParamVec::weighted_mean(
-                contributions
-                    .iter()
-                    .map(|c| (c.class_mean_time as f32, c.params)),
-            ),
+        let mut running = RunningAggregate::new(*self);
+        for c in contributions {
+            running.add(Cow::Borrowed(c.params), c.samples, c.class_mean_time);
         }
+        running
+            .finish()
+            .expect("aggregate of empty contribution set")
     }
 
     /// Short label used in experiment tables and bench ids.
@@ -60,6 +56,78 @@ impl AggregationRule {
             AggregationRule::SampleWeighted => "sample-weighted",
             AggregationRule::TimeWeighted => "time-weighted",
         }
+    }
+}
+
+/// An [`AggregationRule`]'s mean, folded one contribution at a time, so
+/// a caller can drop each upload as soon as it is added.
+///
+/// The arithmetic is that of [`ParamVec::mean`] and
+/// [`ParamVec::weighted_mean`], in the order contributions are added:
+/// `Uniform` is seeded with the first model and adds the rest, the
+/// weighted rules `axpy` every model into zeros while summing the weights
+/// in order, and [`RunningAggregate::finish`] scales by the reciprocal of
+/// the count or of the weight sum. So folding a sequence bit-matches
+/// aggregating it whole.
+#[derive(Debug)]
+pub(crate) struct RunningAggregate {
+    rule: AggregationRule,
+    acc: Option<ParamVec>,
+    count: usize,
+    total_w: f32,
+}
+
+impl RunningAggregate {
+    /// An empty mean under `rule`.
+    pub(crate) fn new(rule: AggregationRule) -> Self {
+        RunningAggregate {
+            rule,
+            acc: None,
+            count: 0,
+            total_w: 0.0,
+        }
+    }
+
+    /// Fold in one contribution. An owned first model under `Uniform`
+    /// becomes the accumulator itself; every other model is only read.
+    ///
+    /// # Panics
+    /// Panics on a negative weight.
+    pub(crate) fn add(&mut self, params: Cow<'_, ParamVec>, samples: usize, class_mean_time: f64) {
+        self.count += 1;
+        let w = match self.rule {
+            AggregationRule::Uniform => {
+                match &mut self.acc {
+                    None => self.acc = Some(params.into_owned()),
+                    Some(acc) => acc.add_assign(&params),
+                }
+                return;
+            }
+            AggregationRule::SampleWeighted => samples as f32,
+            AggregationRule::TimeWeighted => class_mean_time as f32,
+        };
+        assert!(w >= 0.0, "negative aggregation weight {w}");
+        self.total_w += w;
+        self.acc
+            .get_or_insert_with(|| ParamVec::zeros(params.len()))
+            .axpy(w, &params);
+    }
+
+    /// The mean of everything added; `None` when nothing was.
+    ///
+    /// # Panics
+    /// Panics when a weighted rule's weights sum to zero.
+    pub(crate) fn finish(self) -> Option<ParamVec> {
+        let mut acc = self.acc?;
+        let inv = match self.rule {
+            AggregationRule::Uniform => 1.0 / self.count as f32,
+            AggregationRule::SampleWeighted | AggregationRule::TimeWeighted => {
+                assert!(self.total_w > 0.0, "aggregation weights sum to zero");
+                1.0 / self.total_w
+            }
+        };
+        acc.scale(inv);
+        Some(acc)
     }
 }
 
@@ -178,6 +246,79 @@ mod tests {
                 class_mean_time: 1.5,
             }]);
             assert_eq!(g.as_slice(), a.as_slice());
+        }
+    }
+
+    /// Folding owned uploads one at a time — FedHiSyn's path — equals
+    /// `aggregate` and the whole-set means bit for bit, for every rule:
+    /// with a `-0.0` in every model's first coordinate (Uniform's sum
+    /// keeps it, the weighted rules' zeros-plus-`axpy` turn it into
+    /// `+0.0`) and with weights whose f32 sum is inexact.
+    #[test]
+    fn running_fold_matches_aggregate_bit_for_bit() {
+        let models: Vec<ParamVec> = (0..5)
+            .map(|m| {
+                let mut v: Vec<f32> = (0..37)
+                    .map(|i| ((i * 7 + m * 13) as f32 * 0.173).sin() * 3.1)
+                    .collect();
+                v[0] = -0.0;
+                pv(&v)
+            })
+            .collect();
+        // 2^24 + 1 is not an f32, and 0.1 + 0.2 + 0.7 + … rounds.
+        let samples = [16_777_217, 3, 5, 1, 11];
+        let times = [0.1, 0.2, 0.7, 0.3, 1.9];
+        let exact: f64 = times.iter().sum();
+        let summed: f32 = times.iter().map(|&t| t as f32).sum();
+        assert_ne!(f64::from(summed), exact, "time weights must sum inexactly");
+        let contributions: Vec<Contribution<'_>> = models
+            .iter()
+            .zip(samples.iter().zip(&times))
+            .map(|(params, (&samples, &class_mean_time))| Contribution {
+                params,
+                samples,
+                class_mean_time,
+            })
+            .collect();
+        let bits = |p: &ParamVec| p.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+
+        for rule in [
+            AggregationRule::Uniform,
+            AggregationRule::SampleWeighted,
+            AggregationRule::TimeWeighted,
+        ] {
+            let mut running = RunningAggregate::new(rule);
+            for c in &contributions {
+                running.add(Cow::Owned(c.params.clone()), c.samples, c.class_mean_time);
+            }
+            let folded = running.finish().expect("five contributions");
+            let whole = match rule {
+                AggregationRule::Uniform => ParamVec::mean(&models),
+                AggregationRule::SampleWeighted => ParamVec::weighted_mean(
+                    contributions.iter().map(|c| (c.samples as f32, c.params)),
+                ),
+                AggregationRule::TimeWeighted => ParamVec::weighted_mean(
+                    contributions
+                        .iter()
+                        .map(|c| (c.class_mean_time as f32, c.params)),
+                ),
+            };
+            assert_eq!(
+                bits(&folded),
+                bits(&whole),
+                "{rule:?}: fold vs whole-set mean"
+            );
+            assert_eq!(
+                bits(&folded),
+                bits(&rule.aggregate(&contributions)),
+                "{rule:?}: fold vs aggregate"
+            );
+            let uniform = rule == AggregationRule::Uniform;
+            assert_eq!(
+                folded.as_slice()[0].is_sign_negative(),
+                uniform,
+                "{rule:?}: sign of zero"
+            );
         }
     }
 

@@ -1,5 +1,6 @@
 //! The federated-algorithm trait and the shared experiment runner.
 
+use fedhisyn_fleet::FleetModel;
 use fedhisyn_nn::ParamVec;
 use fedhisyn_simnet::TrafficSnapshot;
 use fedhisyn_telemetry::{Phase, RoundTelemetry, SpanCtx};
@@ -179,6 +180,8 @@ fn fold_round_telemetry(
     // model below — that query itself goes through the cache and would
     // otherwise count as a hit of this round.
     let (hits, misses) = ExecutionEngine::cache_stats();
+    // One sweep of the fleet's shard locks; the state bytes follow.
+    let realised = env.fleet.realised_devices();
     let telemetry = RoundTelemetry {
         uploads: after.uploads - before.uploads,
         downloads: after.downloads - before.downloads,
@@ -191,8 +194,8 @@ fn fold_round_telemetry(
         cache_misses: misses.saturating_sub(cache_before.1),
         weight_packs: 0,
         arena_high_water_bytes: cached_model_stats(env),
-        fleet_realised_devices: env.fleet.realised_devices() as u64,
-        fleet_realised_state_bytes: env.fleet.realised_state_bytes() as u64,
+        fleet_realised_devices: realised as u64,
+        fleet_realised_state_bytes: (realised * FleetModel::REALISED_DEVICE_BYTES) as u64,
         fleet_shard_touches: env.fleet.shard_touch_total(),
         data_shards_realised: env.data.shards_realised(),
         data_shard_cache_hits: env.data.shard_cache_hits(),

@@ -265,13 +265,13 @@ impl DecentralSim {
             let start = RingStart::PerPosition(std::mem::take(&mut job.start));
             job.done = Some(lanes.run_lane(ci, &job.lane, start));
         });
-        // Rings are never rebuilt: the wire is perfect.
-        lanes.settle(jobs.iter().filter_map(|job| job.done.as_ref()), 0);
         for job in jobs {
+            let done = job.done.expect("every ring job ran");
+            lanes.settle(&done);
             // Carry the buffer state (pending arrivals) into the next
             // interval — this is what keeps models circulating when a
             // device only fits one step per interval.
-            let nexts = job.done.expect("every ring job ran").models;
+            let nexts = done.models;
             for (&device, model) in job.lane.ring.order().iter().zip(nexts) {
                 self.models[device] = model;
             }

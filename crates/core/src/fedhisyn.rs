@@ -4,21 +4,39 @@
 //! [`ServerLink`] every baseline uses; what is FedHiSyn's own is between
 //! them — latency clustering and the ring relay, where each hop is one
 //! [`local_train_owned`](crate::local::local_train_owned) step.
+//!
+//! A round, step by step:
+//!
+//! 1. broadcast the global model to the participants;
+//! 2. cluster them into latency classes, fastest first;
+//! 3. take the round interval `R` from the slowest participant;
+//! 4. build each class's small-to-large ring;
+//! 5. run the rings in parallel, one lane each. As soon as a ring and
+//!    every earlier ring have finished, charge its traffic, update its
+//!    devices' fault scores, and upload each surviving device's model and
+//!    fold it into the Eq. 9 / Eq. 10 mean — in ring order, then position
+//!    order, the order a serial loop would use, so no bit depends on which
+//!    lane finishes first. Each model is dropped once it is folded in, so
+//!    the round never holds every participant's model: with lanes that
+//!    finish in order it holds one ring's;
+//! 6. after the lanes' barrier, finish the mean (the scale by `1/n` or
+//!    `1/Σw`) and make it the new global. Only this tail is the
+//!    [`Phase::Aggregation`] span; the rest of the fold overlaps the lanes.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 
 use fedhisyn_cluster::kmeans_1d;
 use fedhisyn_nn::ParamVec;
 use fedhisyn_telemetry::{Phase, SpanCtx};
 use fedhisyn_tensor::{rng_from_seed, TensorRng};
-use rayon::prelude::*;
 
-use crate::aggregate::{AggregationRule, Contribution};
+use crate::aggregate::{AggregationRule, RunningAggregate};
 use crate::algorithm::{FlAlgorithm, RoundContext};
 use crate::config::ExperimentConfig;
 use crate::env::{seed_mix, FlEnv};
 use crate::link::ServerLink;
-use crate::ring_sim::{Lane, ReceivePolicy, RingOutcome, RingRound, RingStart};
+use crate::ring_sim::{fold_in_order, Lane, ReceivePolicy, RingRound, RingStart};
 use crate::topology::{Ring, RingOrder};
 
 /// Scores below this are dropped from the EWMA map, keeping it sized to
@@ -43,8 +61,9 @@ const FAULT_ALPHA: f64 = 0.25;
 /// (k-means, fastest class first), organizes each class into a
 /// small-to-large ring, lets every class train-and-relay for the round
 /// interval `R` (the slowest participant's latency), then synchronously
-/// aggregates every device's newest model. Broadcast and uploads cross
-/// the same [`ServerLink`] as every baseline's.
+/// aggregates every surviving device's newest model, folded into the mean
+/// ring by ring as the rings finish. Broadcast and uploads cross the same
+/// [`ServerLink`] as every baseline's.
 #[derive(Debug)]
 pub struct FedHiSyn {
     /// Number of latency classes `K`.
@@ -149,8 +168,8 @@ impl FlAlgorithm for FedHiSyn {
         //    device", §6.1), at its current effective capacity.
         let interval = env.slowest_latency_at(s, round);
 
-        // 4. Build the rings up front (cheap, needs &mut rng), then run
-        //    every class in parallel — classes are independent rings.
+        // 4. Build the rings up front (cheap, needs &mut rng); step 5 runs
+        //    them — classes are independent rings.
         let vt_base = ctx.vt_base;
         let lanes = RingRound {
             env,
@@ -203,61 +222,60 @@ impl FlAlgorithm for FedHiSyn {
                 }
             })
             .collect();
-        let rebuilds = rings.iter().filter(|r| r.rebuilt).count() as u64;
-
-        let outcomes: Vec<RingOutcome> = rings
-            .par_iter()
-            .enumerate()
-            .map(|(ci, class)| lanes.run_lane(ci, &class.lane, RingStart::Shared(global)))
-            .collect();
-
-        // 5. Record ring traffic and upload every *surviving* device's
-        //    newest model (a mid-interval casualty cannot upload).
-        let agg_wall = env.telemetry.wall_start();
-        lanes.settle(&outcomes, rebuilds);
-        let mut uploaded: Vec<(ParamVec, usize, f64)> = Vec::with_capacity(s.len());
-        for (outcome, class) in outcomes.into_iter().zip(&rings) {
-            let ring = &class.lane.ring;
-            // EWMA fault score per receiving device (proactive-rebuild
-            // signal): score ← (1-α)·score + α·faults_observed. Scores
-            // below the floor are pruned so the map stays O(flaky
-            // devices) even across million-device fleets.
-            if env.faults_active() {
-                for (pos, &device) in ring.order().iter().enumerate() {
-                    let observed = outcome.transport.faults_at.get(pos).copied().unwrap_or(0);
-                    let old = self.fault_scores.get(&device).copied().unwrap_or(0.0);
-                    let score = (1.0 - FAULT_ALPHA) * old + FAULT_ALPHA * observed as f64;
-                    if score >= FAULT_SCORE_FLOOR {
-                        self.fault_scores.insert(device, score);
-                    } else {
-                        self.fault_scores.remove(&device);
-                    }
-                }
-            }
-            for (pos, mut model) in outcome.models.into_iter().enumerate() {
-                if !outcome.alive[pos] {
-                    continue;
-                }
-                let device = ring.order()[pos];
-                // The server aggregates what the upload decodes to.
-                self.link.upload(env, device, &mut model);
-                uploaded.push((model, env.shard_len(device), class.mean_time));
-            }
+        if env.faults_active() {
+            let rebuilds = rings.iter().filter(|r| r.rebuilt).count() as u64;
+            env.telemetry.add_transport(0, 0, rebuilds);
         }
 
-        // 6. Synchronous aggregation (Eq. 9 / Eq. 10). If every
-        //    participant died mid-interval the server has nothing to
+        // 5. Run the classes in parallel. As soon as a ring and every
+        //    earlier ring have finished, record its traffic and fold the
+        //    upload of each *surviving* device (a mid-interval casualty
+        //    cannot upload) into the Eq. 9 / Eq. 10 mean, in ring order and
+        //    then position order, dropping each model once it is added.
+        let mut mean = RunningAggregate::new(self.aggregation);
+        let fault_scores = &mut self.fault_scores;
+        let link = &self.link;
+        fold_in_order(
+            &rings,
+            |ci, class| lanes.run_lane(ci, &class.lane, RingStart::Shared(global)),
+            |ci, outcome| {
+                let class = &rings[ci];
+                let ring = &class.lane.ring;
+                lanes.settle(&outcome);
+                // EWMA fault score per receiving device (proactive-rebuild
+                // signal): score ← (1-α)·score + α·faults_observed. Scores
+                // below the floor are pruned so the map stays O(flaky
+                // devices) even across million-device fleets.
+                if env.faults_active() {
+                    for (pos, &device) in ring.order().iter().enumerate() {
+                        let observed = outcome.transport.faults_at.get(pos).copied().unwrap_or(0);
+                        let old = fault_scores.get(&device).copied().unwrap_or(0.0);
+                        let score = (1.0 - FAULT_ALPHA) * old + FAULT_ALPHA * observed as f64;
+                        if score >= FAULT_SCORE_FLOOR {
+                            fault_scores.insert(device, score);
+                        } else {
+                            fault_scores.remove(&device);
+                        }
+                    }
+                }
+                for (pos, mut model) in outcome.models.into_iter().enumerate() {
+                    if !outcome.alive[pos] {
+                        continue;
+                    }
+                    let device = ring.order()[pos];
+                    // The server aggregates what the upload decodes to.
+                    link.upload(env, device, &mut model);
+                    mean.add(Cow::Owned(model), env.shard_len(device), class.mean_time);
+                }
+            },
+        );
+
+        // 6. Synchronous aggregation: the fold's tail after the barrier. If
+        //    every participant died mid-interval the server has nothing to
         //    aggregate and keeps the current global.
-        if !uploaded.is_empty() {
-            let contributions: Vec<Contribution<'_>> = uploaded
-                .iter()
-                .map(|(params, samples, mean_time)| Contribution {
-                    params,
-                    samples: *samples,
-                    class_mean_time: *mean_time,
-                })
-                .collect();
-            self.global = self.aggregation.aggregate(&contributions);
+        let agg_wall = env.telemetry.wall_start();
+        if let Some(aggregate) = mean.finish() {
+            self.global = aggregate;
         }
         // Aggregation happens at interval end on the virtual clock
         // (synchronous barrier), whatever its wall-clock cost.

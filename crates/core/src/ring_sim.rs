@@ -19,7 +19,7 @@
 //! sink reads no clock, and the `F32` codec leaves every model untouched
 //! — so the decentralized rings (whose environment is always static,
 //! lossless and fault-free) run the paper's plain interval.
-//! [`RingRound::settle`] charges the interval's traffic afterwards.
+//! [`RingRound::settle`] charges a lane's traffic once it has finished.
 //!
 //! # Move-based relay
 //!
@@ -60,10 +60,13 @@
 //! unit tests can verify the event choreography with arithmetic mocks
 //! while [`RingRound::run_lane`] plugs in real SGD.
 
+use std::sync::Mutex;
+
 use fedhisyn_nn::ParamVec;
 use fedhisyn_simnet::fault::{backoff, MAX_RETRIES};
 use fedhisyn_simnet::{EventQueue, SimTime, TrafficMeter};
 use fedhisyn_telemetry::{Phase, SpanCtx, WallStart};
+use rayon::prelude::*;
 
 use crate::env::{steps_within, FlEnv};
 use crate::local::local_train_plain_owned;
@@ -492,23 +495,62 @@ impl RingRound<'_> {
         self.vt_base + now.seconds()
     }
 
-    /// Post-interval accounting for the round's lanes: logical transfers
-    /// to the peer ledger, retries to the retransmit ledger, and the
-    /// transport counters — tagged with the round's proactive-rebuild
-    /// count, which the relay cannot know — to telemetry.
-    pub fn settle<'o>(&self, outcomes: impl IntoIterator<Item = &'o RingOutcome>, rebuilds: u64) {
+    /// Post-interval accounting for one lane: its logical transfers to
+    /// the peer ledger, its retries to the retransmit ledger, and its
+    /// transport counters to telemetry. Every counter is a sum, so lanes
+    /// may be settled in any order, each as soon as it has finished.
+    pub fn settle(&self, outcome: &RingOutcome) {
         let env = self.env;
-        let (mut retries, mut giveups) = (0, 0);
-        for outcome in outcomes {
-            env.charge(TrafficMeter::record_peer, outcome.transfers as u64);
-            env.charge(TrafficMeter::record_retransmit, outcome.transport.retries);
-            retries += outcome.transport.retries;
-            giveups += outcome.transport.giveups;
-        }
+        env.charge(TrafficMeter::record_peer, outcome.transfers as u64);
+        env.charge(TrafficMeter::record_retransmit, outcome.transport.retries);
         if env.faults_active() {
-            env.telemetry.add_transport(retries, giveups, rebuilds);
+            let transport = &outcome.transport;
+            env.telemetry
+                .add_transport(transport.retries, transport.giveups, 0);
         }
     }
+}
+
+/// Run `lane(i, &items[i])` for every item on the pool and hand each
+/// result to `fold` in index order, as soon as it and every earlier
+/// result exist. A result that finishes ahead of an earlier one waits in
+/// its slot; one that finishes next in line is folded by the thread that
+/// produced it, along with the run of waiting results behind it. So
+/// `fold` sees `(0, r0), (1, r1), …` exactly as a serial loop would,
+/// whatever order the lanes finish in, and a result is dropped once it is
+/// folded rather than at the end of the region.
+///
+/// One lock covers the slots, the cursor and `fold`: a lane that
+/// finishes while another thread folds waits for it before depositing.
+pub(crate) fn fold_in_order<I, T, L, F>(items: &[I], lane: L, fold: F)
+where
+    I: Sync,
+    T: Send,
+    L: Fn(usize, &I) -> T + Sync,
+    F: FnMut(usize, T) + Send,
+{
+    struct Pending<T, F> {
+        slots: Vec<Option<T>>,
+        next: usize,
+        fold: F,
+    }
+    let pending = Mutex::new(Pending {
+        slots: items.iter().map(|_| None).collect(),
+        next: 0,
+        fold,
+    });
+    items.par_iter().enumerate().for_each(|(i, item)| {
+        let result = lane(i, item);
+        let mut guard = pending.lock().expect("a fold panicked");
+        let Pending { slots, next, fold } = &mut *guard;
+        slots[i] = Some(result);
+        while let Some(ready) = slots.get_mut(*next).and_then(Option::take) {
+            fold(*next, ready);
+            *next += 1;
+        }
+    });
+    let done = pending.into_inner().expect("a fold panicked").next;
+    assert_eq!(done, items.len(), "every lane's result is folded");
 }
 
 /// The first live ring position after `pos` (the repaired successor), or
@@ -1191,6 +1233,42 @@ mod tests {
         assert_eq!(a.transfers, b.transfers);
         assert_eq!(a.alive, b.alive);
         assert_eq!(a.transport, b.transport);
+    }
+
+    /// On a multi-thread pool lane 0 holds out until the last lane has
+    /// finished (or two seconds pass), so every later result reaches its
+    /// slot first and waits there. The fold still sees `0..n`, once each
+    /// and in order, and folds to what a serial loop computes.
+    #[test]
+    fn ordered_fold_waits_for_a_slow_first_lane() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        use std::time::{Duration, Instant};
+
+        let items: Vec<u64> = (0..24).collect();
+        let last_done = AtomicBool::new(false);
+        let value = |x: u64| (x as f32 * 0.37).sin();
+        let lane = |i: usize, &x: &u64| {
+            if i == 0 && rayon::current_num_threads() > 1 {
+                let start = Instant::now();
+                while !last_done.load(Ordering::SeqCst) && start.elapsed() < Duration::from_secs(2)
+                {
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+            }
+            if i == items.len() - 1 {
+                last_done.store(true, Ordering::SeqCst);
+            }
+            value(x)
+        };
+        let mut seen = Vec::new();
+        let mut acc = 0.0f32;
+        fold_in_order(&items, lane, |i, y| {
+            seen.push(i);
+            acc = acc * 0.5 + y;
+        });
+        assert_eq!(seen, (0..items.len()).collect::<Vec<_>>());
+        let serial = items.iter().fold(0.0f32, |acc, &x| acc * 0.5 + value(x));
+        assert_eq!(acc.to_bits(), serial.to_bits());
     }
 
     #[test]

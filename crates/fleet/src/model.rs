@@ -41,8 +41,9 @@ pub(crate) fn pick(weights: &[f64], u: f64) -> usize {
 /// One realised device: the latest round its availability chain has
 /// been advanced to and whether it was online at the start of that
 /// round. Earlier rounds are not kept — the chain is a pure function of
-/// `(seed, device, round)`, so a query behind the cursor replays from
-/// round 0. Everything else (the mid-round failure and its fraction) is
+/// `(seed, device, round)`, so a query behind the cursor replays it from
+/// the latest step that does not depend on the state before it (round 0
+/// at worst). Everything else (the mid-round failure and its fraction) is
 /// memoryless and recomputed from hashes.
 #[derive(Debug, Clone, Copy)]
 struct Cursor {
@@ -84,8 +85,12 @@ struct Shard {
 /// * **Forward queries are the cheap ones** — a query at or past a
 ///   device's cursor advances it (one chain step per round crossed, none
 ///   when the round repeats), which is the only kind the runner, the
-///   algorithms and the ring relay make. A query for an earlier round
-///   replays the chain from round 0 into a local and leaves the cursor
+///   algorithms and the ring relay make. Either way the walk starts at
+///   the latest step whose outcome ignores the state before it (a draw
+///   that lands between `dropout` and `rejoin`, or a mid-round failure
+///   the round before), so where the chain can reset a first touch at
+///   round 10,000 costs a few steps, not 10,000. A query for an earlier round replays into a
+///   local from round 0 or the latest such step and leaves the cursor
 ///   where it was.
 /// * **Static fast path** — [`FleetDynamics::is_static`] short-circuits
 ///   every query with no shard traffic, keeping default experiments
@@ -234,18 +239,18 @@ impl FleetModel {
             .sum()
     }
 
-    /// Approximate bytes of realised trajectory state: one keyed cursor
-    /// per realised device (memoryless quantities are recomputed, not
-    /// stored).
-    pub fn realised_state_bytes(&self) -> usize {
-        self.realised_devices() * (std::mem::size_of::<u64>() + std::mem::size_of::<Cursor>())
-    }
+    /// Approximate bytes of realised trajectory state per
+    /// [realised device](FleetModel::realised_devices): one keyed cursor
+    /// (memoryless quantities are recomputed, not stored).
+    pub const REALISED_DEVICE_BYTES: usize =
+        std::mem::size_of::<u64>() + std::mem::size_of::<Cursor>();
 
     /// Whether `device` is online at the start of `round`, from its cursor.
     ///
     /// At or past the device's cursor the cursor advances to `round` and
-    /// is the answer. Behind it, the chain is replayed from round 0 into
-    /// a local — same hashes, same values — and the cursor does not move.
+    /// is the answer. Behind it, the chain is replayed into a local from
+    /// round 0 — same hashes, same values, short-cut as in
+    /// [`FleetModel::walk`] — and the cursor does not move.
     fn device_online(&self, device: usize, round: usize) -> bool {
         assert!(device < self.len(), "device {device} out of range");
         let shard = &self.shards[FleetModel::shard_of(device)];
@@ -266,11 +271,55 @@ impl FleetModel {
     }
 
     /// Step `device`'s chain from `from` up to `round`.
+    ///
+    /// The walk starts at the latest step in `(from.round, round]` whose
+    /// outcome does not depend on the state before it (a *reset*, see
+    /// [`FleetModel::reset_at`]): the steps before a reset cannot change
+    /// the answer, so they are skipped, bit for bit. Found by scanning
+    /// back from `round`; a chain that cannot reset (`dropout == rejoin`
+    /// with no mid-round failures) steps every round from `from`.
     fn walk(&self, device: usize, from: Cursor, round: usize) -> Cursor {
-        let online = (from.round + 1..=round).fold(from.online, |prev, r| {
+        let can_reset = match self.dynamics.availability {
+            AvailabilityModel::AlwaysOn => true,
+            AvailabilityModel::Churn { dropout, rejoin } => {
+                dropout != rejoin || self.dynamics.mid_round_failure > 0.0
+            }
+        };
+        let reset = if can_reset {
+            (from.round + 1..=round).rev().find_map(|r| {
+                let online = self.reset_at(device, r)?;
+                Some(Cursor { round: r, online })
+            })
+        } else {
+            None
+        };
+        let start = reset.unwrap_or(from);
+        let online = (start.round + 1..=round).fold(start.online, |prev, r| {
             self.advance_device(device, r, Some(prev))
         });
         Cursor { round, online }
+    }
+
+    /// `device`'s state at `round` (≥ 1) when it does not depend on its
+    /// state at `round - 1`; `None` when it does.
+    ///
+    /// Under `AlwaysOn` it never does. Under churn it does not when the
+    /// device goes into the step offline whatever it was — a mid-round
+    /// failure drawn at `round - 1` strikes a device that was online and
+    /// an offline one is offline anyway — or when the step's draw `u` lies
+    /// between `dropout` and `rejoin`, where staying online (`u ≥ dropout`)
+    /// and rejoining (`u < rejoin`) agree. Either way the state is
+    /// `u < rejoin`, the offline branch of [`FleetModel::advance_device`].
+    fn reset_at(&self, device: usize, round: usize) -> Option<bool> {
+        match self.dynamics.availability {
+            AvailabilityModel::AlwaysOn => Some(true),
+            AvailabilityModel::Churn { dropout, rejoin } => {
+                let u = unit(seed_mix(self.seed, round as u64, device as u64, ROLE_AVAIL));
+                let agree = dropout.min(rejoin) <= u && u < dropout.max(rejoin);
+                let forced_off = self.fail_of(device, round - 1, true).is_some();
+                (agree || forced_off).then_some(u < rejoin)
+            }
+        }
     }
 
     /// Advance `device`'s availability chain one round — the same
@@ -521,6 +570,52 @@ mod tests {
         }
     }
 
+    /// Every step from round 0, as the chain is defined.
+    fn full_walk(m: &FleetModel, device: usize, round: usize) -> bool {
+        (1..=round).fold(m.advance_device(device, 0, None), |prev, r| {
+            m.advance_device(device, r, Some(prev))
+        })
+    }
+
+    #[test]
+    fn a_first_touch_at_round_10k_matches_the_full_walk() {
+        let always_on = FleetDynamics {
+            mid_round_failure: 0.05,
+            ..FleetDynamics::default()
+        };
+        // Resets from the draw alone, from failures alone, from both, and
+        // at every step.
+        for dynamics in [
+            FleetDynamics::planet_scale(0.1),
+            churning(0.3, 0.05),
+            churning(0.05, 0.05),
+            always_on,
+        ] {
+            let m = FleetModel::new(&profiles(16), dynamics.clone(), 5);
+            for d in 0..16 {
+                let expected = full_walk(&m, d, 10_000);
+                assert_eq!(m.online(d, 10_000), expected, "{dynamics:?} device {d}");
+                // Forward from the cursor, and behind it.
+                assert_eq!(m.online(d, 10_007), full_walk(&m, d, 10_007));
+                assert_eq!(m.online(d, 9_990), full_walk(&m, d, 9_990));
+                assert_eq!(m.fail_frac(d, 10_000), m.fail_of(d, 10_000, expected));
+            }
+        }
+    }
+
+    #[test]
+    fn a_chain_without_resets_takes_the_full_walk() {
+        // `dropout == rejoin` and no mid-round failures: every step reads
+        // the state before it.
+        let m = FleetModel::new(&profiles(8), FleetDynamics::churn(0.3), 11);
+        for d in 0..8 {
+            assert!((1..=2_000).all(|r| m.reset_at(d, r).is_none()));
+            for round in [0, 1, 17, 2_000] {
+                assert_eq!(m.online(d, round), full_walk(&m, d, round), "device {d}");
+            }
+        }
+    }
+
     #[test]
     fn different_seeds_realise_different_fleets() {
         let a = FleetModel::new(&profiles(20), churning(0.2, 0.1), 1);
@@ -556,12 +651,11 @@ mod tests {
             }
         };
         query(0..1);
-        let after_round_0 = m.realised_state_bytes();
-        query(1..1000);
         assert_eq!(m.realised_devices(), 2);
+        query(1..1000);
         assert_eq!(
-            m.realised_state_bytes(),
-            after_round_0,
+            m.realised_devices(),
+            2,
             "state is per device touched, not per round"
         );
         let touches = m.shard_touches();
@@ -572,7 +666,10 @@ mod tests {
                 assert_eq!(t, 0, "unqueried shard {s} must never be touched");
             }
         }
-        assert!(m.realised_state_bytes() < 1024, "footprint stays tiny");
+        assert!(
+            m.realised_devices() * FleetModel::REALISED_DEVICE_BYTES < 1024,
+            "footprint stays tiny"
+        );
     }
 
     #[test]

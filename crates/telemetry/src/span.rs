@@ -47,7 +47,10 @@ pub enum Phase {
     RelayHop = 3,
     /// One device's local training step inside a ring.
     LocalTrain = 4,
-    /// Server-side aggregation of surviving ring models.
+    /// Server-side aggregation of surviving ring models. FedHiSyn folds
+    /// each ring's uploads into the mean while later rings still run, so
+    /// the span covers only the fold's tail after the lanes' barrier; the
+    /// rest of the fold overlaps the [`Phase::RingInterval`] lanes.
     Aggregation = 5,
     /// Centralised test-set evaluation of the aggregated model.
     Evaluation = 6,
