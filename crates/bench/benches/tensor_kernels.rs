@@ -16,12 +16,17 @@ use fedhisyn_tensor::{
 /// 16×16, F = 16 on 8×8): the forward `W · cols` (nn, 8×27×256 and
 /// 16×72×64), the `dW` accumulation `cols · dYᵀ` onto the transposed
 /// gradient, reading `dY` in place (nt, β = 1, 27×256×8 and 72×64×16) and
-/// conv 2's `dcols = Wᵀ · dY` (tn, 72×16×64). Then both sides of the
-/// small-problem fork at a `churn_wire` batch (2×24×10) and a
-/// `lazy_cohort` one (30×24×10), in all three orientations: once through
-/// the entry point, which runs the small kernel there (ids end in
-/// `/small`), and once forced through the active tier's blocked kernel
-/// (`/blocked`).
+/// conv 2's `dcols = Wᵀ · dY` (tn, 72×16×64).
+///
+/// Then the kernel selector's crossover: every call a training step of
+/// the smoke MLP `[32, 48, 24, 10]` makes at batch `b ∈ {1, 2, 3, 30}`
+/// (`churn_wire` trains on 1–3 rows, `lazy_cohort` on 20–40). A dense
+/// layer runs its forward pass as nn at `(b, in, out)`, `dW` as tn at
+/// `(in, b, out)` — so tn's `m` is a fan-in and its `k` the batch — and
+/// `dX` as nt at `(b, out, in)`, skipped for the first layer. Each shape
+/// runs once through the entry point, which picks the streaming or the
+/// blocked kernel by shape (ids end in `/entry`), and once forced through
+/// the active tier's blocked kernel (`/blocked`).
 fn bench_gemm(c: &mut Criterion) {
     type Kernel = fn(&[f32], &[f32], &mut [f32], usize, usize, usize, f32, f32);
     type TierKernel = fn(KernelTier, &[f32], &[f32], &mut [f32], usize, usize, usize, f32, f32);
@@ -49,16 +54,24 @@ fn bench_gemm(c: &mut Criterion) {
         });
     }
     let tier = active_tier();
-    for (m, k, n) in [(2, 24, 10), (30, 24, 10)] {
-        for (name, kernel, with_tier) in [
-            ("nn", gemm as Kernel, gemm_with_tier as TierKernel),
-            ("nt", gemm_nt, gemm_nt_with_tier),
-            ("tn", gemm_tn, gemm_tn_with_tier),
+    let nn = (gemm as Kernel, gemm_with_tier as TierKernel);
+    let nt = (gemm_nt as Kernel, gemm_nt_with_tier as TierKernel);
+    let tn = (gemm_tn as Kernel, gemm_tn_with_tier as TierKernel);
+    for batch in [1, 2, 3, 30] {
+        for (name, (kernel, with_tier), m, k, n) in [
+            ("nn", nn, batch, 32, 48),
+            ("nn", nn, batch, 48, 24),
+            ("nn", nn, batch, 24, 10),
+            ("tn", tn, 32, batch, 48),
+            ("tn", tn, 48, batch, 24),
+            ("tn", tn, 24, batch, 10),
+            ("nt", nt, batch, 24, 48),
+            ("nt", nt, batch, 10, 24),
         ] {
             let a = Tensor::randn(vec![m * k], 1.0, &mut rng);
             let b = Tensor::randn(vec![k * n], 1.0, &mut rng);
             let mut out = vec![0.0f32; m * n];
-            group.bench_function(format!("{name}/{m}x{k}x{n}/small"), |bench| {
+            group.bench_function(format!("{name}/{m}x{k}x{n}/entry"), |bench| {
                 bench.iter(|| {
                     kernel(a.data(), b.data(), &mut out, m, k, n, 1.0, 0.0);
                     black_box(out[0])

@@ -19,12 +19,24 @@
 //!   the last `n mod NR` lanes loaded masked so lanes past `n` read 0.
 //!
 //! The operand a call always copies is `gemm_nt`'s B, which is `[n, k]` —
-//! a transpose — packed once into zero-padded p-major `[k, NR]` panels
-//! (`O(kn)` against `O(mkn)` arithmetic). A call with α ≠ 1 also reads
-//! `α·a` from a copy instead of `a`. Both copies live in one thread-local
-//! buffer (checked out per call, returned after), so steady-state kernels
-//! perform **no heap allocation**. Problems under [`BLOCKED_MIN_FLOPS`]
-//! run a streaming scalar kernel instead.
+//! a transpose — packed once into p-major `[k, NR]` panels, each written
+//! front to back with its lanes past `n` set to 0 (`O(kn)` against
+//! `O(mkn)` arithmetic). A call with α ≠ 1 also reads `α·a` from a copy
+//! instead of `a`. Both copies live in one grow-only thread-local buffer
+//! (checked out per call, returned after) whose every element a call reads
+//! it writes first, so steady-state kernels perform **no heap allocation**
+//! and zero nothing but pad lanes.
+//!
+//! # Kernel selection
+//!
+//! The entry points pick the kernel by shape ([`streams`]): when C has
+//! one or two rows, or the reduction one or two steps, a register tile is
+//! mostly idle lanes and a streaming scalar kernel runs instead — a row
+//! update per step of A (`gemm`/`gemm_tn`), a dot product per element
+//! (`gemm_nt`). Every other shape runs the blocked kernel. The boundary
+//! is the crossover the `gemm` group of the `tensor_kernels` bench
+//! measures on both tiers at the workloads' shapes (ids `…/entry` against
+//! `…/blocked`).
 //!
 //! **Which** micro-kernel runs — and with which tile geometry — is decided
 //! once per process by [`crate::dispatch`]: the portable scalar `4×8`
@@ -35,7 +47,7 @@
 //!
 //! # Determinism invariants
 //!
-//! Every path — naive reference, small scalar, blocked serial, blocked
+//! Every path — naive reference, streaming, blocked serial, blocked
 //! parallel, scalar or AVX2 tier, any thread count — computes each output
 //! element by **one contract**, in every orientation: seed `acc = β·c`
 //! (0 when β = 0, reading nothing, so NaNs in `c` are clobbered), add
@@ -63,11 +75,6 @@ use crate::gemm_avx2::tile_avx2;
 /// points fan out to the rayon pool; below this the fork/join overhead
 /// dominates.
 const PAR_FLOP_THRESHOLD: usize = 1 << 18;
-
-/// Minimum number of multiply-adds before the blocked kernel pays for
-/// itself; smaller problems run the streaming scalar kernels (which
-/// produce bit-identical results — see the module docs).
-const BLOCKED_MIN_FLOPS: usize = 1 << 13;
 
 /// Rows per scalar-tier register tile.
 pub(crate) const SCALAR_MR: usize = 4;
@@ -184,6 +191,10 @@ impl<'a> Operands<'a> {
     /// packed into `copy`, and an A with α ≠ 1, whose `α·a` is written to
     /// `copy` after it — the same product the kernels read on every path,
     /// so the bits do not depend on which one ran.
+    ///
+    /// `copy` only grows: both regions are written in full before they are
+    /// read, so what an earlier call left there is never seen, and only
+    /// the growth itself is zero-filled.
     fn new(
         orient: Orient,
         a: &'a [f32],
@@ -193,27 +204,25 @@ impl<'a> Operands<'a> {
         alpha: f32,
         copy: &'a mut Vec<f32>,
     ) -> Self {
-        copy.clear();
         let padded = matches!(orient, Orient::Nt);
-        if padded {
-            copy.resize(n.div_ceil(nr) * k * nr, 0.0);
-            for (j, brow) in b.chunks_exact(k.max(1)).enumerate() {
-                let panel = &mut copy[(j / nr) * k * nr + j % nr..];
-                for (p, &v) in brow.iter().enumerate() {
-                    panel[p * nr] = v;
-                }
-            }
+        let packed_len = if padded { n.div_ceil(nr) * k * nr } else { 0 };
+        let scaled_len = if alpha == 1.0 { 0 } else { a.len() };
+        if copy.len() < packed_len + scaled_len {
+            copy.resize(packed_len + scaled_len, 0.0);
         }
-        let packed_len = copy.len();
-        if alpha != 1.0 {
-            copy.extend(a.iter().map(|&v| alpha * v));
+        let (packed, scaled) = copy.split_at_mut(packed_len);
+        if packed_len > 0 {
+            pack_nt(b, k, nr, packed);
         }
-        let (packed, scaled) = copy.split_at(packed_len);
-        let a = if alpha == 1.0 { a } else { scaled };
+        let scaled = &mut scaled[..scaled_len];
+        for (s, &v) in scaled.iter_mut().zip(a) {
+            *s = alpha * v;
+        }
+        let a = if alpha == 1.0 { a } else { &*scaled };
         let (rs, ps, b, scale, stride) = match orient {
             Orient::Nn => (k, 1, b, 1, n),
             Orient::Tn => (1, m, b, 1, n),
-            Orient::Nt => (k, 1, packed, k, nr),
+            Orient::Nt => (k, 1, &*packed, k, nr),
         };
         Operands {
             a,
@@ -239,6 +248,22 @@ impl<'a> Operands<'a> {
     #[inline(always)]
     pub(crate) fn b_panel(&self, j0: usize, cols: usize, nr: usize) -> (usize, usize) {
         (j0 * self.scale, if self.padded { nr } else { cols })
+    }
+}
+
+/// Pack `gemm_nt`'s `[n, k]` B into `out`, `n.div_ceil(nr)` p-major
+/// `[k, nr]` panels: step `p` of the panel at column `j0` is
+/// `B[j0 .. j0 + nr, p]`, lanes past `n` 0. Each panel is written front to
+/// back, so every element is stored once. `k > 0`.
+fn pack_nt(b: &[f32], k: usize, nr: usize, out: &mut [f32]) {
+    for (panel, rows) in out.chunks_exact_mut(k * nr).zip(b.chunks(k * nr)) {
+        let w = rows.len() / k;
+        for (p, step) in panel.chunks_exact_mut(nr).enumerate() {
+            for (lane, v) in step[..w].iter_mut().enumerate() {
+                *v = rows[lane * k + p];
+            }
+            step[w..].fill(0.0);
+        }
     }
 }
 
@@ -311,7 +336,7 @@ unsafe fn micro_kernel_scalar(
     }
 }
 
-// ---- small-problem scalar kernels ---------------------------------------
+// ---- streaming kernels ---------------------------------------------------
 
 /// The streaming kernel of `gemm` (`(rs, ps) = (k, 1)`) and `gemm_tn`
 /// (`(1, m)`), reading A element `(i, p)` at `a[i·rs + p·ps]`:
@@ -428,16 +453,28 @@ enum Orient {
     Tn,
 }
 
+/// Whether the default paths run the streaming kernels on an `m×k×n`
+/// problem: when C has one or two rows or the reduction one or two steps,
+/// whatever `n` — there a register tile's setup (and `gemm_nt`'s pack)
+/// costs about as much as the arithmetic it saves. Measured on both tiers
+/// at the smoke MLP's shapes (`gemm` group of the `tensor_kernels`
+/// bench): streaming wins every 1-row or 1-step call by 1.3–2.5×; at 2 it
+/// wins on the scalar tier and is within a quarter either way on AVX2;
+/// from 3 on the tile wins or ties, up to 4× at 30 rows.
+fn streams(m: usize, k: usize) -> bool {
+    m.min(k) <= 2
+}
+
 /// Which kernel an entry point runs.
 #[derive(Clone, Copy)]
 enum Path {
-    /// `gemm*`: the small-problem kernel below [`BLOCKED_MIN_FLOPS`], else
-    /// the blocked kernel on the active tier.
+    /// `gemm*`: the streaming kernel where [`streams`] says so, else the
+    /// blocked kernel on the active tier.
     Serial,
-    /// `par_gemm*`: as `Serial`, except that a problem of at least
+    /// `par_gemm*`: as `Serial`, except that a blocked problem of at least
     /// [`PAR_FLOP_THRESHOLD`] multiply-adds and more than `MR` rows runs
-    /// the blocked kernel's `MR`-row bands over the rayon pool (when it has
-    /// more than one thread).
+    /// its `MR`-row bands over the rayon pool (when it has more than one
+    /// thread).
     Parallel,
     /// `*_with_tier`: the blocked kernel on this tier, serially, at every
     /// size. Panics if the tier is not executable on this CPU.
@@ -472,7 +509,7 @@ fn dispatch(
             assert!(tier.available(), "kernel tier {} unavailable", tier.name());
             tier
         }
-        _ if m * k * n < BLOCKED_MIN_FLOPS => {
+        _ if streams(m, k) => {
             return match orient {
                 Orient::Nn => gemm_small(a, (k, 1), b, c, m, k, n, alpha, beta),
                 Orient::Tn => gemm_small(a, (1, m), b, c, m, k, n, alpha, beta),
@@ -509,10 +546,10 @@ fn dispatch(
 
 /// `C = alpha * A @ B + beta * C` on raw row-major slices.
 ///
-/// `a` is `[m, k]`, `b` is `[k, n]`, `c` is `[m, n]`. Dispatches between a
-/// streaming scalar kernel and the blocked kernel by problem size;
-/// the blocked kernel runs the process's [`crate::active_tier`]. All
-/// default paths produce bit-identical results (see the module docs).
+/// `a` is `[m, k]`, `b` is `[k, n]`, `c` is `[m, n]`. Runs a streaming
+/// scalar kernel when C has one or two rows or the reduction one or two
+/// steps, else the blocked kernel on the process's [`crate::active_tier`].
+/// All paths produce bit-identical results (see the module docs).
 ///
 /// # Panics
 /// Panics if slice lengths do not match the given dimensions.
@@ -563,8 +600,8 @@ pub fn gemm_tn(
 }
 
 /// Parallel version of [`gemm`]: MR-row bands of `C` are distributed over
-/// rayon. Falls back to the serial kernel for small problems. Results are
-/// bit-identical to [`gemm`] for any thread count.
+/// rayon. Runs serially below a FLOP threshold and on streaming shapes.
+/// Results are bit-identical to [`gemm`] for any thread count.
 #[allow(clippy::too_many_arguments)] // BLAS-style signature, on purpose
 pub fn par_gemm(
     a: &[f32],
@@ -609,9 +646,10 @@ pub fn par_gemm_tn(
     dispatch(Path::Parallel, Orient::Tn, a, b, c, m, k, n, alpha, beta);
 }
 
-/// [`gemm`] forced through a specific kernel tier's blocked path (no
-/// small-problem shortcut), so tests and benches can compare tiers on the
-/// same operands. Panics if the tier is not executable on this CPU.
+/// [`gemm`] forced through a specific kernel tier's blocked path at every
+/// shape (never the streaming kernel), so tests and benches can compare
+/// tiers, and the two kernels, on the same operands. Panics if the tier is
+/// not executable on this CPU.
 #[allow(clippy::too_many_arguments)] // BLAS-style signature, on purpose
 pub fn gemm_with_tier(
     tier: KernelTier,
@@ -683,12 +721,21 @@ mod tests {
         }
     }
 
-    /// Shapes spanning the small-kernel regime, MR/NR edge cases for both
-    /// tile geometries (4×8 scalar, 6×16 AVX2) and the blocked regime
-    /// (33·17·9 < 2^13 ≤ 16·64·16).
+    /// Shapes on both sides of the kernel selector ([`streams`]: one or
+    /// two rows or reduction steps stream, three of each run blocked), up
+    /// to `n` = 48 and at one 1-row large-`k` call, then MR/NR edge cases
+    /// for both tile geometries (4×8 scalar, 6×16 AVX2).
     const SHAPES: &[(usize, usize, usize)] = &[
         (1, 1, 1),
+        (1, 2, 48),
+        (1, 3, 10),
+        (2, 1, 17),
+        (2, 2, 24),
         (2, 3, 4),
+        (3, 1, 48),
+        (3, 2, 9),
+        (3, 3, 33),
+        (1, 784, 24),
         (5, 7, 3),
         (6, 5, 16),
         (7, 9, 17),
@@ -886,6 +933,41 @@ mod tests {
             hash, 0x2843_fdc4_6edd_bd61,
             "GEMM entry-point outputs moved: {hash:#018x}"
         );
+    }
+
+    /// The selector on the calls a training step makes: the smoke MLP
+    /// `[32, 48, 24, 10]` at `churn_wire`'s 1–3-row and `lazy_cohort`'s
+    /// 20–40-row batches (nn `(b, in, out)`, tn `(in, b, out)`, nt
+    /// `(b, out, in)`), the paper MLP's one-row partial batch and every
+    /// workload and conv `dW` case.
+    #[test]
+    fn streams_only_one_or_two_rows_or_reduction_steps() {
+        assert!(!streams(30, 24), "lazy_cohort's last layer, nn 30×24×10");
+        assert!(!streams(24, 30), "lazy_cohort's last dW, tn 24×30×10");
+        assert!(!streams(30, 10), "lazy_cohort's last dX, nt 30×10×24");
+        assert!(streams(1, 24), "churn_wire's one-row dX, nt 1×24×48");
+        assert!(streams(32, 1), "churn_wire's one-row dW, tn 32×1×48");
+        assert!(streams(1, 784), "the paper MLP's 1-row batch, nn 1×784×200");
+        let smoke_mlp = |b: usize| {
+            [
+                ("nn", b, 32, 48),
+                ("nn", b, 48, 24),
+                ("nn", b, 24, 10),
+                ("tn", 32, b, 48),
+                ("tn", 48, b, 24),
+                ("tn", 24, b, 10),
+                ("nt", b, 24, 48),
+                ("nt", b, 10, 24),
+            ]
+        };
+        for b in [1, 2, 3, 20, 30, 40] {
+            for (name, m, k, n) in smoke_mlp(b) {
+                assert_eq!(streams(m, k), b <= 2, "{name} {m}x{k}x{n}");
+            }
+        }
+        for &(name, m, k, n, _) in WORKLOAD_CASES.iter().chain(CONV_DW_CASES) {
+            assert!(!streams(m, k), "{name} {m}x{k}x{n}");
+        }
     }
 
     #[test]

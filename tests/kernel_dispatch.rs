@@ -16,8 +16,9 @@
 //! Shapes are generated across both tile geometries' remainder edges
 //! (`m, n ∈ {1, MR−1, MR, MR+1, NR−1, NR, NR+1, …}` for MR ∈ {4, 6},
 //! NR ∈ {8, 16}) plus a proptest sweep; the explicit-tier entry points
-//! run the blocked path unconditionally so tiny shapes exercise the tile
-//! kernels rather than the small-problem shortcut. AVX2 comparisons are
+//! run the blocked path at every shape, so shapes the plain entry points
+//! send to the streaming kernel (one or two rows or reduction steps)
+//! still exercise the tile kernels. AVX2 comparisons are
 //! skipped (not failed) on hosts without the feature — CI runs the whole
 //! suite under both `FEDHISYN_FORCE_SCALAR=1` and default dispatch, so
 //! the dispatched-path behaviour is covered end to end either way.
