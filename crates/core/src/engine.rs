@@ -68,26 +68,53 @@ impl ExecutionEngine {
     /// hands the owned `(spec, model)` entry out and back, so the hot
     /// path clones nothing — not even the spec.
     pub fn with_model<T>(spec: &ModelSpec, f: impl FnOnce(&mut Sequential) -> T) -> T {
-        let (spec_owned, mut model) = MODEL_CACHE.with(|cache| {
-            let mut cache = cache.borrow_mut();
-            match cache.iter().position(|(cached, _)| cached == spec) {
-                Some(idx) => {
-                    CACHE_HITS.fetch_add(1, Ordering::Relaxed);
-                    cache.swap_remove(idx)
-                }
-                None => {
-                    CACHE_MISSES.fetch_add(1, Ordering::Relaxed);
-                    // The init RNG is irrelevant — weights are overwritten
-                    // by set_params before every use — but keep it fixed so
-                    // building is deterministic regardless of caller state.
-                    let mut rng = rng_from_seed(0x0E0E_0E0E);
-                    (spec.clone(), spec.build(&mut rng))
-                }
+        let (spec_owned, mut model) = match Self::check_out(spec) {
+            Some(entry) => {
+                CACHE_HITS.fetch_add(1, Ordering::Relaxed);
+                entry
             }
-        });
+            None => {
+                CACHE_MISSES.fetch_add(1, Ordering::Relaxed);
+                // The init RNG is irrelevant — weights are overwritten by
+                // set_params before every use — but keep it fixed so
+                // building is deterministic regardless of caller state.
+                let mut rng = rng_from_seed(0x0E0E_0E0E);
+                (spec.clone(), spec.build(&mut rng))
+            }
+        };
         let out = f(&mut model);
         MODEL_CACHE.with(|cache| cache.borrow_mut().push((spec_owned, model)));
         out
+    }
+
+    /// [`ExecutionEngine::with_model`] on a thread that already holds a
+    /// model for `spec`; `None`, building nothing, on a thread that does
+    /// not. For work that is only worth a thread's help when that thread
+    /// needs no model or arena of its own to give it (evaluation spread
+    /// over the pool).
+    ///
+    /// These checkouts are not counted in [`ExecutionEngine::cache_stats`]:
+    /// the counters count the checkouts that may build, one per training
+    /// step and one per evaluation, and a round's telemetry reports them
+    /// as such.
+    pub fn with_cached_model<T>(
+        spec: &ModelSpec,
+        f: impl FnOnce(&mut Sequential) -> T,
+    ) -> Option<T> {
+        let (spec_owned, mut model) = Self::check_out(spec)?;
+        let out = f(&mut model);
+        MODEL_CACHE.with(|cache| cache.borrow_mut().push((spec_owned, model)));
+        Some(out)
+    }
+
+    /// Take this thread's cached entry for `spec` out of the cache, or
+    /// `None` when it holds none. Counts nothing.
+    fn check_out(spec: &ModelSpec) -> Option<(ModelSpec, Sequential)> {
+        MODEL_CACHE.with(|cache| {
+            let mut cache = cache.borrow_mut();
+            let idx = cache.iter().position(|(cached, _)| cached == spec)?;
+            Some(cache.swap_remove(idx))
+        })
     }
 
     /// Which GEMM micro-kernel tier every training/evaluation step in this
@@ -98,8 +125,8 @@ impl ExecutionEngine {
         fedhisyn_tensor::active_tier().name()
     }
 
-    /// Process-wide `(hits, misses)` of the model cache. A miss builds a
-    /// model; steady-state rounds should be all hits, whichever thread
+    /// Process-wide `(hits, misses)` of the model cache's
+    /// [`ExecutionEngine::with_model`] checkouts. A miss builds a model; steady-state rounds should be all hits, whichever thread
     /// runs which job, because every thread has met the run's one spec by
     /// the end of the first round.
     pub fn cache_stats() -> (u64, u64) {
@@ -200,6 +227,19 @@ mod tests {
         ExecutionEngine::with_model(&spec, |_| {});
         let (h2, _) = ExecutionEngine::cache_stats();
         assert!(h2 > h1, "second checkout hits");
+        ExecutionEngine::clear_thread_cache();
+    }
+
+    #[test]
+    fn with_cached_model_never_builds() {
+        ExecutionEngine::clear_thread_cache();
+        let spec = ModelSpec::mlp(&[7, 3, 2]);
+        assert_eq!(ExecutionEngine::with_cached_model(&spec, |_| ()), None);
+        assert_eq!(ExecutionEngine::cached_models(), 0, "a miss builds nothing");
+        ExecutionEngine::with_model(&spec, |_| ());
+        let n = ExecutionEngine::with_cached_model(&spec, |m| m.param_count());
+        assert_eq!(n, Some(spec.param_count()));
+        assert_eq!(ExecutionEngine::cached_models(), 1, "the model went back");
         ExecutionEngine::clear_thread_cache();
     }
 

@@ -9,8 +9,11 @@
 //! device starts from and where its result goes is the
 //! [`ServerLink`](crate::link::ServerLink)'s side of a round.
 
-use fedhisyn_nn::{sgd_epoch, GradHook, NoHook, ParamVec, Sgd};
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+use fedhisyn_nn::{sgd_epoch, GradHook, NoHook, ParamVec, Sequential, Sgd};
 use fedhisyn_tensor::rng_from_seed;
+use rayon::prelude::*;
 
 use crate::engine::ExecutionEngine;
 use crate::env::{seed_mix, FlEnv};
@@ -102,17 +105,55 @@ pub(crate) fn cached_model_stats(env: &FlEnv) -> u64 {
 
 /// Evaluate `params` on the environment's global test split.
 ///
-/// Runs [`fedhisyn_nn::evaluate_arena`] on the worker's cached model in
-/// chunks of the training batch (`env.batch_size`), so evaluation works
-/// inside the scratch arena training already sized: it never grows the
-/// arena, and a steady-state round (train + evaluate) performs zero heap
-/// allocations. The chunk does not change the result — every logit row
-/// depends only on its own sample.
+/// The split is cut into chunks of the training batch (`env.batch_size`),
+/// so evaluation works inside the scratch arenas training already sized.
+/// A split of one chunk runs inline on the caller's cached model. A larger
+/// one is shared out from one atomic chunk cursor: every pool thread that
+/// **already holds** a cached model for the spec loads `params` into it
+/// and claims chunks until none is left, and the caller then drains
+/// whatever remains through [`ExecutionEngine::with_model`], the one
+/// counted checkout of an evaluation whatever the split. No thread builds
+/// a model or grows an arena to help, so evaluation never raises the
+/// memory training left; what a multi-chunk split allocates is the pool
+/// region that hands the work out. Each chunk adds its integer
+/// correct-count ([`fedhisyn_nn::correct_in_rows`]), so the accuracy is
+/// the same for any split of the chunks between threads.
 pub fn evaluate_on_test(env: &FlEnv, params: &ParamVec) -> f32 {
-    ExecutionEngine::with_model(&env.spec, |model| {
+    let (x, y) = (&env.test.x, &env.test.y[..]);
+    let (n, batch) = (y.len(), env.batch_size.max(1));
+    let chunks = n.div_ceil(batch);
+    if chunks <= 1 {
+        return ExecutionEngine::with_model(&env.spec, |model| {
+            model.set_params(params);
+            fedhisyn_nn::evaluate_arena(model, x, y, batch)
+        });
+    }
+    // Relaxed is enough: the cursor publishes no data, only chunk indices,
+    // and both counters are read after the region returns, which waits on
+    // every block's `SeqCst` completion count.
+    let (cursor, correct) = (AtomicUsize::new(0), AtomicUsize::new(0));
+    let drain = |model: &mut Sequential| {
+        if cursor.load(Ordering::Relaxed) >= chunks {
+            return;
+        }
         model.set_params(params);
-        fedhisyn_nn::evaluate_arena(model, &env.test.x, &env.test.y, env.batch_size)
-    })
+        loop {
+            let start = cursor.fetch_add(1, Ordering::Relaxed) * batch;
+            if start >= n {
+                break;
+            }
+            let rows = start..(start + batch).min(n);
+            let hits = fedhisyn_nn::correct_in_rows(model, x, y, rows);
+            correct.fetch_add(hits, Ordering::Relaxed);
+        }
+    };
+    // One slot per pool thread (a `Vec` of `()` allocates nothing).
+    let slots = vec![(); rayon::current_num_threads()];
+    slots.par_iter().for_each(|()| {
+        ExecutionEngine::with_cached_model(&env.spec, drain);
+    });
+    ExecutionEngine::with_model(&env.spec, drain);
+    correct.into_inner() as f32 / n as f32
 }
 
 #[cfg(test)]

@@ -5,11 +5,17 @@
 //!
 //! Each sample is lowered into its own `[C·K·K, OH·OW]` block of `cols`:
 //! row `(c, ki, kj)` — one kernel *tap* — holds the input value that tap
-//! sees at every output position, column `oy·OW + ox`. im2col and col2im
-//! therefore move whole output rows: per (tap, `oy`) one contiguous run of
-//! up to `OW` floats (a `memcpy`), with only the `pad`-clipped
-//! ends of the run zero-filled or skipped ([`tap_cols`] gives the valid
-//! run).
+//! sees at every output position, column `oy·OW + ox`. [`tap_cols`] gives
+//! the rows and columns where a tap reads the input rather than padding.
+//! Where `OW == W` (a "same" convolution, `2·pad = K − 1`, which is what
+//! `cnn_fedavg` runs), output position `d` of a tap reads input `d + shift`
+//! of its channel plane, so im2col and col2im move each tap's valid rows
+//! as **one shifted block** — one copy, or one add loop — instead of one
+//! run per output row. The block also covers the clipped columns, where it
+//! wraps onto the neighbouring rows' ends: im2col zeroes them again after
+//! the copy, and col2im first sets them to `−0.0` in `dcols`
+//! ([`neutralise_clipped_taps`]), the exact additive identity, so the
+//! block adds nothing there. Other paddings move one run per output row.
 //!
 //! With that layout every stage is a plain GEMM on row-major operands, per
 //! sample, each reading NCHW data where it lies:
@@ -57,8 +63,10 @@
 //! accumulation either way. `tests/conv_batched.rs` proves this across
 //! batch remainders, kernel sizes, padding and the GEMM dispatch edges.
 //!
-//! Every workspace (`cols`, `dcols`) is carved from the step's
-//! [`Scratch`]; the layer itself holds only parameters, gradients (and the
+//! Every workspace (`cols`, `dcols`) is carved zero-filled from the step's
+//! [`Scratch`], and im2col relies on that fill: a tap writes only where it
+//! reads the input, so its padding positions keep the arena's zeros. The
+//! layer itself holds only parameters, gradients (and the
 //! `[C·K·K, F]` transposed weight gradient the `dW` chain accumulates
 //! into) and the handle of the current step's `cols`.
 //!
@@ -168,8 +176,13 @@ fn tap_cols(ow: usize, w: usize, kj: usize, pad: usize) -> (usize, usize) {
 }
 
 /// Lower one `[C, H, W]` sample into its tap-major `[C·k·k, OH·OW]` block
-/// of `cols`: one contiguous run per (tap, output row), zero where the
-/// tap reads padding.
+/// of `cols`, which must be zero-filled (arena slots are): a tap writes
+/// only the positions where it reads the input.
+///
+/// Where `OW == W`, output position `d` of a tap reads input `d + shift`
+/// of its channel plane, so the tap's valid rows are one shifted block of
+/// the plane: one copy, after which the clipped columns, which the block
+/// filled with the neighbouring rows' ends, are zeroed again.
 #[allow(clippy::too_many_arguments)] // BLAS-style kernel internals
 fn im2col_taps(
     x: &[f32],
@@ -188,19 +201,55 @@ fn im2col_taps(
         let (ci, ki, kj) = (tap / (k * k), tap / k % k, tap % k);
         let (ylo, yhi) = tap_cols(oh, h, ki, pad);
         let (xlo, xhi) = tap_cols(ow, w, kj, pad);
-        for (oy, dst) in tap_row.chunks_exact_mut(ow).enumerate() {
-            if !(ylo..yhi).contains(&oy) {
-                dst.fill(0.0);
-                continue;
+        if ylo == yhi || xlo == xhi {
+            continue;
+        }
+        let plane = &x[ci * h * w..(ci + 1) * h * w];
+        let src = |oy: usize| (oy + ki - pad) * w + xlo + kj - pad;
+        if ow == w {
+            let (first, last) = (ylo * w + xlo, (yhi - 1) * w + xhi);
+            tap_row[first..last].copy_from_slice(&plane[src(ylo)..][..last - first]);
+            fill_clipped_cols(tap_row, w, (ylo, yhi), (xlo, xhi), 0.0);
+        } else {
+            for oy in ylo..yhi {
+                tap_row[oy * ow + xlo..oy * ow + xhi]
+                    .copy_from_slice(&plane[src(oy)..][..xhi - xlo]);
             }
-            dst[..xlo].fill(0.0);
-            dst[xhi..].fill(0.0);
-            if xlo == xhi {
-                continue;
-            }
-            let iy = oy + ki - pad;
-            let src = &x[(ci * h + iy) * w..(ci * h + iy + 1) * w][xlo + kj - pad..];
-            dst[xlo..xhi].copy_from_slice(&src[..xhi - xlo]);
+        }
+    }
+}
+
+/// Write `value` into the clipped columns (outside `xlo..xhi`) of rows
+/// `ylo..yhi` of one `W`-wide tap row: a strided pass per clipped column.
+fn fill_clipped_cols(
+    tap_row: &mut [f32],
+    w: usize,
+    (ylo, yhi): (usize, usize),
+    (xlo, xhi): (usize, usize),
+    value: f32,
+) {
+    for col in (0..xlo).chain(xhi..w) {
+        for v in tap_row[ylo * w + col..yhi * w].iter_mut().step_by(w) {
+            *v = value;
+        }
+    }
+}
+
+/// Prepare one sample's tap-major column gradient for [`col2im_taps`]:
+/// where `OW == W`, overwrite every clipped position inside a tap's valid
+/// rows with `−0.0`, the exact additive identity (`v + (−0.0) == v` for
+/// every `v`, `±0` included), so the tap can add its rows as one shifted
+/// block. Those positions are gradients of padding, which nothing reads.
+fn neutralise_clipped_taps(cols: &mut [f32], h: usize, w: usize, k: usize, pad: usize) {
+    let (oh, ow) = (h + 2 * pad + 1 - k, w + 2 * pad + 1 - k);
+    if ow != w {
+        return;
+    }
+    for (tap, tap_row) in cols.chunks_exact_mut(oh * ow).enumerate() {
+        let (ki, kj) = (tap / k % k, tap % k);
+        let (rows, run) = (tap_cols(oh, h, ki, pad), tap_cols(ow, w, kj, pad));
+        if rows.0 < rows.1 && run.0 < run.1 {
+            fill_clipped_cols(tap_row, w, rows, run, -0.0);
         }
     }
 }
@@ -209,6 +258,10 @@ fn im2col_taps(
 /// onto `[C, H, W]` (accumulating; `x` must be zeroed by the caller).
 /// Taps run in descending order, so each input element receives its
 /// contributions in ascending output-position order (module docs).
+///
+/// Where `OW == W`, each tap adds its valid rows as one shifted block,
+/// which needs `cols` prepared by [`neutralise_clipped_taps`]: the block
+/// then adds `−0.0` wherever it wraps onto a neighbouring row's end.
 #[allow(clippy::too_many_arguments)] // BLAS-style kernel internals
 fn col2im_taps(
     cols: &[f32],
@@ -227,15 +280,23 @@ fn col2im_taps(
         let (ci, ki, kj) = (tap / (k * k), tap / k % k, tap % k);
         let (ylo, yhi) = tap_cols(oh, h, ki, pad);
         let (xlo, xhi) = tap_cols(ow, w, kj, pad);
-        if xlo == xhi {
+        if ylo == yhi || xlo == xhi {
             continue;
         }
-        for oy in ylo..yhi {
-            let iy = oy + ki - pad;
-            let dst = &mut x[(ci * h + iy) * w..(ci * h + iy + 1) * w][xlo + kj - pad..];
-            let src = &tap_row[oy * ow + xlo..oy * ow + xhi];
-            for (d, &s) in dst.iter_mut().zip(src) {
+        let plane = &mut x[ci * h * w..(ci + 1) * h * w];
+        let dst = |oy: usize| (oy + ki - pad) * w + xlo + kj - pad;
+        if ow == w {
+            let (first, last) = (ylo * w + xlo, (yhi - 1) * w + xhi);
+            let block = plane[dst(ylo)..][..last - first].iter_mut();
+            for (d, &s) in block.zip(&tap_row[first..last]) {
                 *d += s;
+            }
+        } else {
+            for oy in ylo..yhi {
+                let row = plane[dst(oy)..][..xhi - xlo].iter_mut();
+                for (d, &s) in row.zip(&tap_row[oy * ow + xlo..oy * ow + xhi]) {
+                    *d += s;
+                }
             }
         }
     }
@@ -388,6 +449,16 @@ impl Conv2d {
         });
     }
 
+    /// Ready every sample's `dcols` block for its block-wise col2im
+    /// ([`neutralise_clipped_taps`]).
+    fn neutralise_clipped(&self, dcols: &mut [f32]) {
+        let (_, (h, w), (oh, ow), banded) = self.step_shape();
+        let (k, pad) = (self.kernel, self.pad);
+        per_sample(dcols, self.ckk() * oh * ow, banded, |_, dcols_b| {
+            neutralise_clipped_taps(dcols_b, h, w, k, pad);
+        });
+    }
+
     /// col2im: scatter every sample's `dcols` block back onto its own
     /// (zeroed) `[C, H, W]` block of the input gradient.
     fn scatter_grad_input(&self, dcols: &[f32], grad_in: &mut [f32]) {
@@ -413,7 +484,8 @@ pub struct ConvStageProfile {
     /// gradient. The `dW` call's packing of `dY` is timed under
     /// [`ConvStageProfile::gemm_secs`].
     pub transpose_secs: f64,
-    /// Tap-major col2im scatter (the input half's last stage).
+    /// Tap-major col2im scatter (the input half's last stage), with the
+    /// pass that readies `dcols` for its block adds.
     pub col2im_secs: f64,
 }
 
@@ -569,6 +641,7 @@ impl Conv2d {
         });
         let grad_in = scratch.alloc(b * c * h * w); // zero-filled for col2im
         clock.time(Stage::Col2im, || {
+            self.neutralise_clipped(scratch.slice_mut(dcols));
             let (dcols_ro, gin_mut) = scratch.ro_rw(dcols, grad_in);
             self.scatter_grad_input(dcols_ro, gin_mut);
         });
@@ -791,7 +864,9 @@ mod tests {
             im2col_taps(x.data(), c, h, w, k, pad, oh, ow, &mut cols);
             let lhs: f32 = cols.iter().zip(y.data()).map(|(&a, &b)| a * b).sum();
             let mut xt = vec![0.0f32; c * h * w];
-            col2im_taps(y.data(), c, h, w, k, pad, oh, ow, &mut xt);
+            let mut y = y.data().to_vec();
+            neutralise_clipped_taps(&mut y, h, w, k, pad);
+            col2im_taps(&y, c, h, w, k, pad, oh, ow, &mut xt);
             let rhs: f32 = x.data().iter().zip(&xt).map(|(&a, &b)| a * b).sum();
             assert!(
                 (lhs - rhs).abs() < 1e-3 * (1.0 + lhs.abs()),

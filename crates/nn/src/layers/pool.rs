@@ -1,4 +1,15 @@
 //! 2-D max pooling.
+//!
+//! The forward visits a window's taps in row-major order and keeps the
+//! running maximum with a branch-free select on a strict `>`: ties go to
+//! the first position, and a NaN never displaces the current best (a NaN
+//! first element therefore stays the window's output). Four neighbouring
+//! windows of an output row run side by side as fixed-size arrays, so
+//! each tap is one vector compare and two selects instead of a
+//! data-dependent branch per compare; at `k = 2` the window loads have a
+//! constant stride as well. What the forward records per window is the
+//! winner's offset from the window origin (`u32`); the backward adds each
+//! window's gradient at origin + offset.
 
 use fedhisyn_tensor::Scratch;
 
@@ -8,12 +19,13 @@ use crate::layers::Layer;
 /// Non-overlapping `k×k` max pooling (stride = kernel).
 ///
 /// Input `[B, C, H, W]` with `H` and `W` divisible by `k`; output
-/// `[B, C, H/k, W/k]`. The forward pass records the flat index of each
-/// window's maximum so the backward pass can scatter gradients.
+/// `[B, C, H/k, W/k]`. The forward pass records where each window's
+/// maximum lies so the backward pass can scatter gradients (module docs).
 #[derive(Debug, Clone)]
 pub struct MaxPool2d {
     kernel: usize,
-    argmax: Vec<usize>,
+    /// Per window, the winner's offset `ky·W + kx` from the window origin.
+    argmax: Vec<u32>,
     input_dims: Vec<usize>,
 }
 
@@ -41,40 +53,86 @@ impl MaxPool2d {
 
     /// Window maxima + argmax recording. `argmax` is persistent and
     /// grow-only.
-    fn forward_core(&mut self, x: &[f32], o: &mut [f32], b: usize, c: usize, h: usize, w: usize) {
-        let k = self.kernel;
-        let (oh, ow) = (h / k, w / k);
+    fn forward_core(&mut self, x: &[f32], o: &mut [f32], w: usize) {
+        let (k, ow) = (self.kernel, w / self.kernel);
         self.argmax.clear();
-        self.argmax.reserve(b * c * oh * ow);
-        let mut oi = 0usize;
-        for bc in 0..b * c {
-            let plane = bc * h * w;
-            for oy in 0..oh {
-                for ox in 0..ow {
-                    let mut best_idx = plane + (oy * k) * w + ox * k;
-                    let mut best = x[best_idx];
-                    for ky in 0..k {
-                        let row = plane + (oy * k + ky) * w + ox * k;
-                        for kx in 0..k {
-                            let idx = row + kx;
-                            if x[idx] > best {
-                                best = x[idx];
-                                best_idx = idx;
-                            }
-                        }
-                    }
-                    o[oi] = best;
-                    self.argmax.push(best_idx);
-                    oi += 1;
-                }
+        self.argmax.resize(o.len(), 0);
+        // Planes are whole bands of `k` input rows, so the bands and the
+        // output rows line up across planes and samples.
+        let rows = x
+            .chunks_exact(k * w)
+            .zip(o.chunks_exact_mut(ow))
+            .zip(self.argmax.chunks_exact_mut(ow));
+        for ((band, best), at) in rows {
+            // `k` is a literal in the common case, so the window loads
+            // there have a constant stride and the selects vectorise.
+            if k == 2 {
+                pool_row(band, best, at, 2, w);
+            } else {
+                pool_row(band, best, at, k, w);
             }
         }
     }
 
     /// Scatter gradients to the recorded maxima; `gi` must be zeroed.
-    fn backward_core(&self, grad_out: &[f32], gi: &mut [f32]) {
-        for (&idx, &g) in self.argmax.iter().zip(grad_out) {
-            gi[idx] += g;
+    fn backward_core(&self, grad_out: &[f32], gi: &mut [f32], w: usize) {
+        let (k, ow) = (self.kernel, w / self.kernel);
+        let rows = gi
+            .chunks_exact_mut(k * w)
+            .zip(grad_out.chunks_exact(ow))
+            .zip(self.argmax.chunks_exact(ow));
+        for ((band, g_row), at) in rows {
+            for (ox, (&g, &a)) in g_row.iter().zip(at).enumerate() {
+                band[ox * k + a as usize] += g;
+            }
+        }
+    }
+}
+
+/// Windows whose selects run side by side: four `f32` lanes, one 128-bit
+/// vector, the width every x86-64 target has.
+const GROUP: usize = 4;
+
+/// Pool one output row: `band` holds the `k` input rows under it, `best`
+/// and `at` receive each window's maximum and its offset from the window
+/// origin. Windows go [`GROUP`] at a time as fixed-size arrays, so each
+/// tap is one vector compare and two selects; a row's last `OW mod GROUP`
+/// windows run one at a time through the same taps.
+#[inline(always)]
+fn pool_row(band: &[f32], best: &mut [f32], at: &mut [u32], k: usize, w: usize) {
+    let groups = best.chunks_mut(GROUP).zip(at.chunks_mut(GROUP));
+    for (g, (best, at)) in groups.enumerate() {
+        let win = &band[g * GROUP * k..];
+        if best.len() == GROUP {
+            // Tap `offset` of each window in the group; the bounded slice
+            // lets the loads go unchecked.
+            let lanes = |offset: usize| -> [f32; GROUP] {
+                let taps = &win[offset..][..(GROUP - 1) * k + 1];
+                std::array::from_fn(|l| taps[l * k])
+            };
+            let (mut b, mut a) = (lanes(0), [0u32; GROUP]);
+            for tap in 1..k * k {
+                let offset = (tap / k) * w + tap % k;
+                let v = lanes(offset);
+                for l in 0..GROUP {
+                    let wins = v[l] > b[l];
+                    b[l] = if wins { v[l] } else { b[l] };
+                    a[l] = if wins { offset as u32 } else { a[l] };
+                }
+            }
+            best.copy_from_slice(&b);
+            at.copy_from_slice(&a);
+        } else {
+            for (l, (best, at)) in best.iter_mut().zip(at.iter_mut()).enumerate() {
+                let win = &win[l * k..];
+                (*best, *at) = (win[0], 0);
+                for tap in 1..k * k {
+                    let offset = (tap / k) * w + tap % k;
+                    let wins = win[offset] > *best;
+                    *best = if wins { win[offset] } else { *best };
+                    *at = if wins { offset as u32 } else { *at };
+                }
+            }
         }
     }
 }
@@ -88,7 +146,7 @@ impl Layer for MaxPool2d {
         self.input_dims.extend_from_slice(input.dims());
         let out = scratch.alloc(b * c * (h / k) * (w / k));
         let (x, o) = scratch.ro_rw(input.slot(), out);
-        self.forward_core(x, o, b, c, h, w);
+        self.forward_core(x, o, w);
         ArenaBuf::new(out, &[b, c, h / k, w / k])
     }
 
@@ -105,7 +163,7 @@ impl Layer for MaxPool2d {
         let n: usize = self.input_dims.iter().product();
         let gin = scratch.alloc(n); // zero-filled for the scatter-add
         let (g, gi) = scratch.ro_rw(grad_out.slot(), gin);
-        self.backward_core(g, gi);
+        self.backward_core(g, gi, self.input_dims[3]);
         let dims = [
             self.input_dims[0],
             self.input_dims[1],

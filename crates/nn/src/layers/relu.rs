@@ -1,18 +1,29 @@
 //! Rectified linear activation.
+//!
+//! The forward is one pass, `x > 0 ? x : +0`, and keeps no mask: the
+//! backward reads the layer's own forward output, which stays in the
+//! step's arena until the step ends. `out > 0 ⇔ x > 0` for every `x` — a
+//! NaN or `±0` input gives a `+0` output, and both tests are false for it
+//! — so the gradient it routes is the one a mask of `x > 0` would route.
+//! The backward overwrites the incoming gradient in place (nothing reads
+//! it afterwards) and returns it as the input gradient.
+//!
+//! The select is written out rather than `x.max(0.0)`, whose result for
+//! `x = −0` the language leaves open: an optimised x86-64 build returns
+//! `+0` there and an unoptimised one `−0`. The select is the optimised
+//! build's result for every input, in every build.
 
-use fedhisyn_tensor::Scratch;
+use fedhisyn_tensor::{Scratch, ScratchSlot};
 
 use crate::arena::ArenaBuf;
 use crate::layers::Layer;
 
-/// Elementwise `max(0, x)` with a cached activation mask for backprop.
-///
-/// The mask is a persistent grow-only field, so nothing is allocated for
-/// it after the first batch.
+/// Elementwise `max(0, x)`; the backward passes the gradient where the
+/// forward output is positive (module docs).
 #[derive(Debug, Clone, Default)]
 pub struct Relu {
-    /// True where the forward input was positive.
-    mask: Vec<bool>,
+    /// Where the current step's forward output lives in the arena.
+    out_slot: Option<ScratchSlot>,
 }
 
 impl Relu {
@@ -20,40 +31,29 @@ impl Relu {
     pub fn new() -> Self {
         Relu::default()
     }
-
-    fn forward_core(&mut self, x: &[f32], out: &mut [f32]) {
-        self.mask.clear();
-        self.mask.extend(x.iter().map(|&v| v > 0.0));
-        for (o, &v) in out.iter_mut().zip(x) {
-            *o = v.max(0.0);
-        }
-    }
-
-    fn backward_core(&self, grad_out: &[f32], grad_in: &mut [f32]) {
-        for ((gi, &g), &m) in grad_in.iter_mut().zip(grad_out).zip(&self.mask) {
-            *gi = if m { g } else { 0.0 };
-        }
-    }
 }
 
 impl Layer for Relu {
     fn forward_arena(&mut self, input: ArenaBuf, scratch: &mut Scratch) -> ArenaBuf {
         let out = scratch.alloc(input.len());
         let (x, o) = scratch.ro_rw(input.slot(), out);
-        self.forward_core(x, o);
+        for (o, &v) in o.iter_mut().zip(x) {
+            *o = if v > 0.0 { v } else { 0.0 };
+        }
+        self.out_slot = Some(out);
         ArenaBuf::new(out, input.dims())
     }
 
     fn backward_arena(&mut self, grad_out: ArenaBuf, scratch: &mut Scratch) -> ArenaBuf {
-        assert_eq!(
-            grad_out.len(),
-            self.mask.len(),
-            "Relu::backward before forward"
-        );
-        let gin = scratch.alloc(grad_out.len());
-        let (g, gi) = scratch.ro_rw(grad_out.slot(), gin);
-        self.backward_core(g, gi);
-        ArenaBuf::new(gin, grad_out.dims())
+        let out = self
+            .out_slot
+            .filter(|out| out.len() == grad_out.len())
+            .expect("Relu::backward before forward");
+        let (y, g) = scratch.ro_rw(out, grad_out.slot());
+        for (g, &y) in g.iter_mut().zip(y) {
+            *g = if y > 0.0 { *g } else { 0.0 };
+        }
+        grad_out
     }
 
     fn clone_box(&self) -> Box<dyn Layer> {
@@ -99,6 +99,36 @@ mod tests {
         let _ = arena.forward(&mut layer, &x);
         let g = Tensor::from_vec(vec![1], vec![5.]);
         assert_eq!(arena.backward(&mut layer, &g).data(), &[0.]);
+    }
+
+    /// Special inputs: the forward maps NaN and `±0` to `+0` in every
+    /// build, and the backward's output test routes what a mask of `x > 0`
+    /// routed.
+    #[test]
+    fn special_values_clamp_to_plus_zero_and_route_like_an_input_mask() {
+        let xs = [
+            f32::NAN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            0.0,
+            -0.0,
+            1e-38,
+            -1e-38,
+        ];
+        let mut layer = Relu::new();
+        let x = Tensor::from_vec(vec![xs.len()], xs.to_vec());
+        let mut arena = ArenaDriver::new();
+        let y = arena.forward(&mut layer, &x);
+        let bits: Vec<u32> = y.data().iter().map(|v| v.to_bits()).collect();
+        let want_y = [0.0, f32::INFINITY, 0.0, 0.0, 0.0, 1e-38, 0.0];
+        assert_eq!(bits, want_y.map(f32::to_bits));
+        let g = Tensor::from_vec(vec![xs.len()], vec![3.0; xs.len()]);
+        let gi = arena.backward(&mut layer, &g);
+        let want: Vec<f32> = xs
+            .iter()
+            .map(|&v| if v > 0.0 { 3.0 } else { 0.0 })
+            .collect();
+        assert_eq!(gi.data(), &want[..]);
     }
 
     #[test]

@@ -47,5 +47,5 @@ pub use layers::Layer;
 pub use loss::softmax_cross_entropy_arena;
 pub use model::Sequential;
 pub use params::ParamVec;
-pub use train::{evaluate_arena, sgd_epoch, GradHook, NoHook, Sgd, SgdConfig};
+pub use train::{correct_in_rows, evaluate_arena, sgd_epoch, GradHook, NoHook, Sgd, SgdConfig};
 pub use wire::{Codec, CodecScratch, WireError};

@@ -113,32 +113,6 @@ impl Sequential {
         ArenaBuf::new(slot, &bdims[..dims.len()])
     }
 
-    /// Drive the forward pass over `x` in contiguous row chunks of
-    /// `batch` (clamped to ≥ 1): per chunk, reset the arena, stage the
-    /// rows, forward, and hand `f` the model, the logits buffer and the
-    /// chunk's row range. The evaluation loop of `evaluate_arena` —
-    /// chunking never changes results, since every logit row's arithmetic
-    /// depends only on its own sample, so callers pick the chunk that
-    /// fits the arena they already sized.
-    pub(crate) fn for_each_logit_chunk(
-        &mut self,
-        x: &Tensor,
-        batch: usize,
-        f: &mut dyn FnMut(&mut Sequential, ArenaBuf, usize, usize),
-    ) {
-        let n = x.shape()[0];
-        let batch = batch.max(1);
-        let mut start = 0usize;
-        while start < n {
-            let end = (start + batch).min(n);
-            self.begin_step();
-            let xb = self.stage_rows(x, start, end);
-            let logits = self.forward_arena(xb);
-            f(self, logits, start, end);
-            start = end;
-        }
-    }
-
     /// Forward pass through all layers (see the type-level docs).
     pub fn forward_arena(&mut self, input: ArenaBuf) -> ArenaBuf {
         let mut x = input;

@@ -29,6 +29,7 @@
 //! [`Scratch`]: fedhisyn_tensor::Scratch
 
 use std::cell::Cell;
+use std::ops::Range;
 
 use fedhisyn_tensor::Tensor;
 use rand::seq::SliceRandom;
@@ -170,24 +171,43 @@ pub fn sgd_epoch<R: Rng>(
 /// index buffer), activations live in the model's scratch arena, and the
 /// running correct-count needs no prediction vector — so once the arena is
 /// sized by the first batch, evaluation performs **zero heap allocations**
-/// (`tests/alloc_free.rs` pins this for both MLP and CNN stacks).
+/// (`tests/alloc_free.rs` pins this for both MLP and CNN stacks). The
+/// batch never changes the result: every logit row depends only on its
+/// own sample, and the per-batch counts are integers.
 pub fn evaluate_arena(model: &mut Sequential, x: &Tensor, y: &[usize], batch_size: usize) -> f32 {
     let n = x.shape()[0];
     assert_eq!(y.len(), n, "label count mismatch");
     if n == 0 {
         return 0.0;
     }
-    let mut correct = 0usize;
-    model.for_each_logit_chunk(x, batch_size, &mut |model, logits, start, end| {
-        let c = *logits.dims().last().expect("logits rank");
-        correct += model
-            .read_arena(logits)
-            .chunks_exact(c)
-            .zip(&y[start..end])
-            .filter(|(row, &label)| crate::model::argmax_row(row) == label)
-            .count();
-    });
+    let batch = batch_size.max(1);
+    let correct: usize = (0..n)
+        .step_by(batch)
+        .map(|start| correct_in_rows(model, x, y, start..(start + batch).min(n)))
+        .sum();
     correct as f32 / n as f32
+}
+
+/// How many of the samples `rows` of `(x, y)` `model` classifies
+/// correctly: one arena step that stages the rows and runs the forward.
+/// [`evaluate_arena`] is the sum of these over its batches, so callers
+/// that split a test set across threads sum them in any order.
+pub fn correct_in_rows(
+    model: &mut Sequential,
+    x: &Tensor,
+    y: &[usize],
+    rows: Range<usize>,
+) -> usize {
+    model.begin_step();
+    let xb = model.stage_rows(x, rows.start, rows.end);
+    let logits = model.forward_arena(xb);
+    let c = *logits.dims().last().expect("logits rank");
+    model
+        .read_arena(logits)
+        .chunks_exact(c)
+        .zip(&y[rows])
+        .filter(|(row, &label)| crate::model::argmax_row(row) == label)
+        .count()
 }
 
 #[cfg(test)]
